@@ -43,4 +43,7 @@ cargo run -p operon-bench --release -q --bin shard_bench -- --smoke
 echo "==> explore_bench --smoke (warm-sweep identity gate)"
 cargo run -p operon-bench --release -q --bin explore_bench -- --smoke
 
+echo "==> operon_benchmark --smoke (end-to-end benchmark: plan checks on every workload)"
+cargo run --release --offline -q --manifest-path crates/bench/src/bin/operon_benchmark/Cargo.toml -- --smoke
+
 echo "CI green."

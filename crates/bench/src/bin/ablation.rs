@@ -83,7 +83,7 @@ fn main() {
             result.optical_net_count(),
             result.electrical_net_count(),
             result.wdm.final_count(),
-            result.times.selection.as_secs_f64(),
+            result.selection.elapsed.as_secs_f64(),
         );
     }
     println!("\n(positive deltas = the ablated variant costs more power; the");

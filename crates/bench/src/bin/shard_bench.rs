@@ -11,7 +11,7 @@
 //! signal bits on a 5 cm die, seeded with [`HARNESS_SEED`]. Three
 //! criteria:
 //!
-//! 1. **Identity**: `OperonFlow::run_sharded` must reproduce
+//! 1. **Identity**: `OperonFlow::with_tiles(..).run` must reproduce
 //!    `OperonFlow::run` byte for byte — asserted in-process at the
 //!    smallest size (candidate choices, power bits, WDM plan), and via
 //!    plan fingerprints across every measured child process.
@@ -55,12 +55,8 @@ fn main() {
         let variant = args.get(1).expect("--probe <variant> <bits>").clone();
         let bits: usize = args.get(2).and_then(|s| s.parse().ok()).expect("bits");
         let design = generate(&SynthConfig::die_scale(bits), HARNESS_SEED);
-        let flow = OperonFlow::new(OperonConfig::default());
-        let _ = match variant.as_str() {
-            "sharded" => flow.run_sharded(&design, TILES),
-            _ => flow.run(&design),
-        }
-        .expect("flow");
+        let flow = flow_for(&variant);
+        flow.run(&design).expect("flow");
         println!("{}", flow.executor().report().to_json());
         return;
     }
@@ -100,15 +96,22 @@ fn fingerprint(result: &FlowResult) -> u64 {
     h
 }
 
-fn run_variant(variant: &str, bits: usize) -> FlowResult {
-    let design = generate(&SynthConfig::die_scale(bits), HARNESS_SEED);
+/// The flow of one variant: `sharded` on the [`TILES`] grid, or
+/// `unsharded`.
+fn flow_for(variant: &str) -> OperonFlow {
     let flow = OperonFlow::new(OperonConfig::default());
     match variant {
-        "sharded" => flow.run_sharded(&design, TILES),
-        "unsharded" => flow.run(&design),
+        "sharded" => flow.with_tiles(TILES.0, TILES.1),
+        "unsharded" => flow,
         other => panic!("unknown variant {other:?}"),
     }
-    .expect("die-scale flow succeeds")
+}
+
+fn run_variant(variant: &str, bits: usize) -> FlowResult {
+    let design = generate(&SynthConfig::die_scale(bits), HARNESS_SEED);
+    flow_for(variant)
+        .run(&design)
+        .expect("die-scale flow succeeds")
 }
 
 /// Child mode: route one (variant, size) cell and print a JSON line
@@ -171,7 +174,8 @@ fn assert_identity(bits: usize, tiles: (usize, usize), threads: usize) {
         .expect("reference flow");
     let sharded = OperonFlow::new(OperonConfig::default())
         .with_threads(threads)
-        .run_sharded(&design, tiles)
+        .with_tiles(tiles.0, tiles.1)
+        .run(&design)
         .expect("sharded flow");
     assert_eq!(
         fingerprint(&reference),

@@ -144,6 +144,16 @@ impl HyperNet {
         }
     }
 
+    /// This hyper net under a new id and owning group, pins untouched —
+    /// how an incremental (ECO) flow re-files a reused net after earlier
+    /// groups changed size or moved.
+    #[must_use]
+    pub fn renumbered(mut self, id: HyperNetId, group: GroupId) -> Self {
+        self.id = id;
+        self.group = group;
+        self
+    }
+
     /// The id of this hyper net.
     #[inline]
     pub fn id(&self) -> HyperNetId {

@@ -14,11 +14,12 @@
 //! shared executor and reported in input order. `--threads` sets the
 //! worker count (`auto` or `0`, the default, means one per hardware
 //! thread; results are bit-identical for every count), `--run-report`
-//! writes the executor's per-stage JSON instrumentation.
+//! writes the executor's per-stage JSON instrumentation, including each
+//! stage's wall time.
 //! `--tiles COLSxROWS` (or a single integer `N` for `NxN`) shards the
-//! flow on a fixed die tile grid: co-design, crossing discovery, and LR
-//! pricing are scheduled tile by tile with a boundary reconciliation
-//! pass, producing bit-identical results to the unsharded flow.
+//! crossing stage on a fixed die tile grid: discovery runs tile by tile
+//! with a boundary reconciliation pass, producing bit-identical results
+//! to the unsharded flow at a lower peak working set.
 //! `--ilp-wave-size` sets how many branch-and-bound nodes the exact
 //! selector expands per parallel wave (default 1 = sequential best-first;
 //! the explored tree depends on the wave size but never on the thread
@@ -333,12 +334,13 @@ fn route_one(
     }
 
     let config = opts.config.clone();
-    let flow = OperonFlow::new(config.clone()).with_executor(exec.clone());
-    let result = match opts.tiles {
-        Some(tiles) => flow.run_sharded(&design, tiles),
-        None => flow.run(&design),
+    let mut flow = OperonFlow::new(config.clone()).with_executor(exec.clone());
+    if let Some((cols, rows)) = opts.tiles {
+        flow = flow.with_tiles(cols, rows);
     }
-    .map_err(|e| format!("{path}: flow failed: {e}"))?;
+    let result = flow
+        .run(&design)
+        .map_err(|e| format!("{path}: flow failed: {e}"))?;
 
     let mut out = String::new();
     let w = &mut out;
@@ -371,16 +373,6 @@ fn route_one(
         result.wdm.connections.len(),
         result.wdm.initial_count,
         result.wdm.final_count()
-    )
-    .expect("write to string");
-    writeln!(
-        w,
-        "stage times: cluster {:.0?} | codesign {:.0?} | crossings {:.0?} | select {:.0?} | wdm {:.0?}",
-        result.times.clustering,
-        result.times.codesign,
-        result.times.crossing,
-        result.times.selection,
-        result.times.wdm
     )
     .expect("write to string");
 

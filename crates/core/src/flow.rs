@@ -1,31 +1,17 @@
-//! The end-to-end OPERON flow (paper Fig. 2).
+//! The end-to-end OPERON flow (paper Fig. 2): a one-shot facade over
+//! [`WarmSession`], the pipeline's only driver.
 
 use crate::baselines::BaselineSelection;
-use crate::codesign::{generate_candidates, NetCandidates};
-use crate::config::{OperonConfig, Selector};
-use crate::formulation::{select_ilp_with, selection_feasible, SelectionResult};
+use crate::codesign::NetCandidates;
+use crate::config::OperonConfig;
+use crate::formulation::SelectionResult;
 use crate::report::{power_maps, PowerMaps};
-use crate::wdm::{self, WdmPlan};
-use crate::{CrossingIndex, OperonError};
+use crate::session::WarmSession;
+use crate::wdm::WdmPlan;
+use crate::OperonError;
 use operon_cluster::{build_hyper_nets, HyperNet};
 use operon_exec::Executor;
 use operon_netlist::Design;
-use std::time::Duration;
-
-/// Per-stage wall-clock breakdown of a flow run.
-#[derive(Clone, Debug, Default)]
-pub struct StageTimes {
-    /// Hyper-net construction (signal processing).
-    pub clustering: Duration,
-    /// Topology generation + co-design dynamic programming.
-    pub codesign: Duration,
-    /// Crossing-index construction.
-    pub crossing: Duration,
-    /// Candidate selection (ILP or LR).
-    pub selection: Duration,
-    /// WDM placement + assignment.
-    pub wdm: Duration,
-}
 
 /// The medium mix of one selected route.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -82,8 +68,6 @@ pub struct FlowResult {
     pub selection: SelectionResult,
     /// The WDM stage outcome (Fig. 8 data).
     pub wdm: WdmPlan,
-    /// Per-stage runtimes.
-    pub times: StageTimes,
 }
 
 impl FlowResult {
@@ -200,6 +184,8 @@ impl FlowResult {
 pub struct OperonFlow {
     config: OperonConfig,
     exec: Executor,
+    /// Tile-shard the crossing stage on this `(cols, rows)` grid.
+    tiles: Option<(usize, usize)>,
 }
 
 impl OperonFlow {
@@ -214,6 +200,7 @@ impl OperonFlow {
         Self {
             config,
             exec: Executor::sequential(),
+            tiles: None,
         }
     }
 
@@ -246,17 +233,27 @@ impl OperonFlow {
         &self.config
     }
 
-    /// Stamps the configuration's fingerprint
-    /// ([`OperonConfig::fingerprint`]) on a stage record, so every run
-    /// report attributes its stages to an exact config lattice point.
-    fn label_fingerprint(&self, stage: &mut operon_exec::StageScope<'_>) {
-        stage.label(
-            "config_fingerprint",
-            format!("{:016x}", self.config.fingerprint()),
-        );
+    /// Shards the crossing stage on a fixed `cols × rows` tile grid over
+    /// the design's die (see [`crate::shard`] and
+    /// [`WarmSession::with_tiles`]). The per-tile hit lists are freed as
+    /// soon as the index is merged, so die-scale runs peak lower. The
+    /// result is **bit-identical** to the unsharded run for every tile
+    /// grid and thread count — sharding changes the work schedule and
+    /// the peak working set, never the answer.
+    ///
+    /// # Panics
+    ///
+    /// When `cols` or `rows` is zero.
+    #[must_use]
+    pub fn with_tiles(mut self, cols: usize, rows: usize) -> Self {
+        assert!(cols > 0 && rows > 0, "tile grid needs at least one tile");
+        self.tiles = Some((cols, rows));
+        self
     }
 
-    /// Runs the full flow on `design`.
+    /// Runs the full flow on `design`: a one-shot [`WarmSession`] on a
+    /// copy of it, consumed by [`WarmSession::into_result`]. The
+    /// executor's run report gets one record per stage.
     ///
     /// # Errors
     ///
@@ -268,383 +265,12 @@ impl OperonFlow {
     /// * [`OperonError::WdmInfeasible`] if the WDM stage cannot carry the
     ///   selected channel demand.
     pub fn run(&self, design: &Design) -> Result<FlowResult, OperonError> {
-        self.config.validate()?;
-        if design.groups().is_empty() {
-            return Err(OperonError::EmptyDesign);
+        let mut session =
+            WarmSession::open(design.clone(), self.config.clone(), self.exec.clone())?;
+        if let Some((cols, rows)) = self.tiles {
+            session = session.with_tiles(cols, rows);
         }
-        let mut times = StageTimes::default();
-
-        // Stage 1: signal processing.
-        let t = operon_exec::Stopwatch::start();
-        let hyper_nets = {
-            let mut stage = self.exec.stage("clustering");
-            self.label_fingerprint(&mut stage);
-            build_hyper_nets(design, &self.config.cluster)
-        };
-        times.clustering = t.elapsed();
-
-        // Resolve the instance-dependent crossing-sharing factor.
-        let config = self
-            .config
-            .resolved_for(hyper_nets.iter().map(|n| n.bit_count()));
-
-        // Stage 2: co-design candidates, one independent DP per hyper net.
-        let t = operon_exec::Stopwatch::start();
-        let candidates: Vec<NetCandidates> = {
-            let _stage = self.exec.stage("codesign");
-            self.exec
-                .par_map_indexed(&hyper_nets, |i, net| generate_candidates(net, i, &config))
-        };
-        times.codesign = t.elapsed();
-
-        // Stage 3: crossing coupling + selection.
-        let t = operon_exec::Stopwatch::start();
-        let crossings = {
-            let mut stage = self.exec.stage("crossing");
-            let idx = CrossingIndex::build_with(&candidates, &self.exec);
-            record_crossing_stats(&mut stage, &idx);
-            idx
-        };
-        times.crossing = t.elapsed();
-
-        let selection = {
-            let mut stage = self.exec.stage("selection");
-            let sel = select_with(&candidates, &crossings, &config, &self.exec)?;
-            record_ilp_stats(&mut stage, &sel);
-            record_lr_stats(&mut stage, &sel);
-            sel
-        };
-        times.selection = selection.elapsed;
-        debug_assert!(selection_feasible(
-            &candidates,
-            &crossings,
-            &selection.choice,
-            &config.optical
-        ));
-
-        // Stage 4: WDM placement + assignment.
-        let t = operon_exec::Stopwatch::start();
-        let wdm = {
-            let mut stage = self.exec.stage("wdm");
-            let plan = wdm::plan_with(&candidates, &selection.choice, &config.optical, &self.exec)?;
-            record_wdm_stats(&mut stage, &plan);
-            plan
-        };
-        times.wdm = t.elapsed();
-
-        Ok(FlowResult {
-            hyper_nets,
-            candidates,
-            selection,
-            wdm,
-            times,
-        })
-    }
-
-    /// Runs the full flow sharded on a fixed `cols × rows` tile grid over
-    /// the design's die (see [`crate::shard`]).
-    ///
-    /// Candidate generation and LR pricing iterate tile by tile (boundary
-    /// nets last, re-priced against the merged crossing index), and the
-    /// crossing index is built per tile and merged in tile order. The
-    /// result is **bit-identical** to [`run`](OperonFlow::run) for every
-    /// tile dimension and thread count — sharding changes the work
-    /// schedule and the peak working set, never the answer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](OperonFlow::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiles` has a zero dimension.
-    pub fn run_sharded(
-        &self,
-        design: &Design,
-        tiles: (usize, usize),
-    ) -> Result<FlowResult, OperonError> {
-        self.config.validate()?;
-        if design.groups().is_empty() {
-            return Err(OperonError::EmptyDesign);
-        }
-        let grid = crate::shard::TileGrid::new(design.die(), tiles.0, tiles.1);
-        let mut times = StageTimes::default();
-
-        // Stage 1: signal processing (global — clustering is per group
-        // and already cheap).
-        let t = operon_exec::Stopwatch::start();
-        let hyper_nets = {
-            let mut stage = self.exec.stage("clustering");
-            self.label_fingerprint(&mut stage);
-            build_hyper_nets(design, &self.config.cluster)
-        };
-        times.clustering = t.elapsed();
-
-        let config = self
-            .config
-            .resolved_for(hyper_nets.iter().map(|n| n.bit_count()));
-
-        // Stage 2: co-design, scheduled tile by tile over the hyper-pin
-        // bboxes. Each DP is an independent pure function of its net, so
-        // the schedule only changes locality, not results.
-        let t = operon_exec::Stopwatch::start();
-        let candidates: Vec<NetCandidates> = {
-            let _stage = self.exec.stage("codesign");
-            let pin_boxes: Vec<Option<operon_geom::BoundingBox>> = hyper_nets
-                .iter()
-                .map(|net| {
-                    operon_geom::BoundingBox::from_points(net.pins().iter().map(|p| p.location()))
-                })
-                .collect();
-            let order = crate::shard::ShardPartition::new(&pin_boxes, &grid).schedule();
-            crate::shard::ordered_map_indexed(&self.exec, &hyper_nets, Some(&order), |i, net| {
-                generate_candidates(net, i, &config)
-            })
-        };
-        times.codesign = t.elapsed();
-
-        // Stage 3: per-tile crossing discovery + ordered merge, then the
-        // selection with the tile schedule (boundary nets price last,
-        // against the merged index).
-        let t = operon_exec::Stopwatch::start();
-        let bboxes = crate::crossing::net_bboxes(&candidates);
-        let part = crate::shard::ShardPartition::new(&bboxes, &grid);
-        let crossings = {
-            let mut stage = self.exec.stage("crossing");
-            let idx = crate::shard::build_cache_with(
-                &candidates,
-                grid,
-                &bboxes,
-                part.clone(),
-                &self.exec,
-            )
-            .into_index(&candidates);
-            record_crossing_stats(&mut stage, &idx);
-            idx
-        };
-        times.crossing = t.elapsed();
-
-        let selection = {
-            let mut stage = self.exec.stage("selection");
-            let order = part.schedule();
-            let sel = select_in_ordered(
-                &candidates,
-                &crossings,
-                &config,
-                &self.exec,
-                &mut crate::lr::LrWorkspace::new(),
-                Some(&order),
-            )?;
-            record_ilp_stats(&mut stage, &sel);
-            record_lr_stats(&mut stage, &sel);
-            sel
-        };
-        times.selection = selection.elapsed;
-        debug_assert!(selection_feasible(
-            &candidates,
-            &crossings,
-            &selection.choice,
-            &config.optical
-        ));
-
-        // Stage 4: WDM placement + assignment (global — waveguide
-        // sharing spans tiles by definition).
-        let t = operon_exec::Stopwatch::start();
-        let wdm = {
-            let mut stage = self.exec.stage("wdm");
-            let plan = wdm::plan_with(&candidates, &selection.choice, &config.optical, &self.exec)?;
-            record_wdm_stats(&mut stage, &plan);
-            plan
-        };
-        times.wdm = t.elapsed();
-
-        Ok(FlowResult {
-            hyper_nets,
-            candidates,
-            selection,
-            wdm,
-            times,
-        })
-    }
-
-    /// Incrementally re-runs the flow after an engineering change order:
-    /// groups identical to `previous_design` reuse the clustering and
-    /// co-design candidates of `previous`; only changed, added, or
-    /// removed groups are reprocessed. Crossing analysis, selection, and
-    /// the WDM stage always re-run globally (a local change can shift the
-    /// crossing coupling anywhere).
-    ///
-    /// The result is identical to a fresh [`run`](OperonFlow::run) on
-    /// `design` — incrementality is purely a speed-up, in the spirit of
-    /// the authors' TILA incremental-assignment line of work.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](OperonFlow::run).
-    pub fn run_eco(
-        &self,
-        design: &Design,
-        previous_design: &Design,
-        previous: &FlowResult,
-    ) -> Result<FlowResult, OperonError> {
-        self.config.validate()?;
-        if design.groups().is_empty() {
-            return Err(OperonError::EmptyDesign);
-        }
-        let mut times = StageTimes::default();
-
-        // Index the previous result's hyper nets and candidates by group.
-        // BTreeMap keeps group iteration order stable (determinism rule
-        // D001); GroupId derives Ord.
-        let mut prev_by_group: std::collections::BTreeMap<
-            operon_netlist::GroupId,
-            Vec<(HyperNet, NetCandidates)>,
-        > = std::collections::BTreeMap::new();
-        for (net, cands) in previous.hyper_nets.iter().zip(&previous.candidates) {
-            prev_by_group
-                .entry(net.group())
-                .or_default()
-                // operon-lint: allow(P001, reason = "HyperNet metadata copied once per ECO re-flow, not a solver residual network")
-                .push((net.clone(), cands.clone()));
-        }
-
-        // Stage 1 + 2, incrementally per group.
-        let t = operon_exec::Stopwatch::start();
-        let mut hyper_nets: Vec<HyperNet> = Vec::new();
-        let config = {
-            // The sharing factor depends on the final bit distribution;
-            // compute it from the new design's groups (bits per cluster
-            // only change for re-clustered groups, so pre-resolving from
-            // cluster sizes requires the clusters — do clustering first
-            // with the unresolved config, which does not use the optical
-            // library at all, then resolve).
-            &self.config
-        };
-        struct GroupNets {
-            group: operon_netlist::GroupId,
-            parts: Vec<(HyperNet, Option<NetCandidates>)>,
-        }
-        let mut per_group: Vec<GroupNets> = Vec::new();
-        for group in design.groups() {
-            let unchanged = previous_design
-                .group(group.id())
-                .is_some_and(|old| old == group);
-            if unchanged {
-                let parts = prev_by_group
-                    .remove(&group.id())
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|(net, cands)| (net, Some(cands)))
-                    .collect();
-                per_group.push(GroupNets {
-                    group: group.id(),
-                    parts,
-                });
-            } else {
-                let parts = operon_cluster::group_clusters(group, &config.cluster)
-                    .into_iter()
-                    .map(|(bits, pins)| {
-                        // Placeholder id; reassigned densely below.
-                        (
-                            HyperNet::new(
-                                operon_cluster::HyperNetId::new(0),
-                                group.id(),
-                                bits,
-                                pins,
-                            ),
-                            None,
-                        )
-                    })
-                    .collect();
-                per_group.push(GroupNets {
-                    group: group.id(),
-                    parts,
-                });
-            }
-        }
-        times.clustering = t.elapsed();
-
-        // Re-id densely and (re)generate candidates where needed; each
-        // regeneration is an independent DP, so changed groups spread over
-        // the executor while reused candidates just renumber.
-        let t = operon_exec::Stopwatch::start();
-        let mut flat: Vec<(HyperNet, Option<NetCandidates>)> = Vec::new();
-        for g in per_group {
-            let _ = g.group;
-            flat.extend(g.parts);
-        }
-        let resolved = self
-            .config
-            .resolved_for(flat.iter().map(|(n, _)| n.bit_count()));
-        let renumbered: Vec<(HyperNet, Option<NetCandidates>)> = flat
-            .into_iter()
-            .enumerate()
-            .map(|(i, (net, reuse))| {
-                (
-                    HyperNet::new(
-                        operon_cluster::HyperNetId::new(i as u32),
-                        net.group(),
-                        net.bits().to_vec(),
-                        net.pins().to_vec(),
-                    ),
-                    reuse,
-                )
-            })
-            .collect();
-        let candidates: Vec<NetCandidates> = {
-            let mut stage = self.exec.stage("codesign");
-            self.label_fingerprint(&mut stage);
-            self.exec
-                .par_map_indexed(&renumbered, |i, (net, reuse)| match reuse {
-                    Some(nc) => {
-                        let mut nc = nc.clone();
-                        nc.net_index = i;
-                        nc
-                    }
-                    None => generate_candidates(net, i, &resolved),
-                })
-        };
-        hyper_nets.extend(renumbered.into_iter().map(|(net, _)| net));
-        times.codesign = t.elapsed();
-
-        // Stages 3 + 4 run globally, exactly as in `run`.
-        let t = operon_exec::Stopwatch::start();
-        let crossings = {
-            let mut stage = self.exec.stage("crossing");
-            let idx = CrossingIndex::build_with(&candidates, &self.exec);
-            record_crossing_stats(&mut stage, &idx);
-            idx
-        };
-        times.crossing = t.elapsed();
-        let selection = {
-            let mut stage = self.exec.stage("selection");
-            let sel = select_with(&candidates, &crossings, &resolved, &self.exec)?;
-            record_ilp_stats(&mut stage, &sel);
-            record_lr_stats(&mut stage, &sel);
-            sel
-        };
-        times.selection = selection.elapsed;
-        let t = operon_exec::Stopwatch::start();
-        let wdm = {
-            let mut stage = self.exec.stage("wdm");
-            let plan = wdm::plan_with(
-                &candidates,
-                &selection.choice,
-                &resolved.optical,
-                &self.exec,
-            )?;
-            record_wdm_stats(&mut stage, &plan);
-            plan
-        };
-        times.wdm = t.elapsed();
-
-        Ok(FlowResult {
-            hyper_nets,
-            candidates,
-            selection,
-            wdm,
-            times,
-        })
+        session.into_result()
     }
 
     /// Runs the GLOW-like optical baseline on the same clustering, for
@@ -660,133 +286,10 @@ impl OperonFlow {
     }
 }
 
-/// Runs the configured selector over a candidate/crossing pair: the
-/// exact ILP warm-started by the LR heuristic, or the LR heuristic
-/// alone. Shared between [`OperonFlow`] and the warm-session layer so
-/// both paths pick identical routes for identical inputs.
-pub(crate) fn select_with(
-    candidates: &[NetCandidates],
-    crossings: &CrossingIndex,
-    config: &OperonConfig,
-    exec: &Executor,
-) -> Result<SelectionResult, OperonError> {
-    select_in(
-        candidates,
-        crossings,
-        config,
-        exec,
-        &mut crate::lr::LrWorkspace::new(),
-    )
-}
-
-/// [`select_with`] against a caller-owned LR workspace, so resident
-/// sessions reuse the pricing arenas across requests. Results are
-/// identical for any workspace history.
-pub(crate) fn select_in(
-    candidates: &[NetCandidates],
-    crossings: &CrossingIndex,
-    config: &OperonConfig,
-    exec: &Executor,
-    lr_ws: &mut crate::lr::LrWorkspace,
-) -> Result<SelectionResult, OperonError> {
-    select_in_ordered(candidates, crossings, config, exec, lr_ws, None)
-}
-
-/// [`select_in`] with the LR pricing maps iterated in an explicit net
-/// order (the sharded flow's tile schedule; `None` = global net order).
-/// Selection results are bit-identical for every schedule.
-pub(crate) fn select_in_ordered(
-    candidates: &[NetCandidates],
-    crossings: &CrossingIndex,
-    config: &OperonConfig,
-    exec: &Executor,
-    lr_ws: &mut crate::lr::LrWorkspace,
-    order: Option<&[u32]>,
-) -> Result<SelectionResult, OperonError> {
-    match config.selector {
-        Selector::Ilp { time_limit_secs } => {
-            // Warm-start the exact solver with the fast LR heuristic so
-            // limit-terminated solves still return a strong incumbent.
-            let warm =
-                crate::lr::select_lr_in_ordered(candidates, crossings, config, exec, lr_ws, order);
-            let mut ilp = select_ilp_with(
-                candidates,
-                crossings,
-                &config.optical,
-                Duration::from_secs(time_limit_secs),
-                Some(&warm.choice),
-                config.ilp_wave_size,
-                exec,
-            )?;
-            ilp.lr_stats = warm.lr_stats;
-            Ok(ilp)
-        }
-        Selector::LagrangianRelaxation => Ok(crate::lr::select_lr_in_ordered(
-            candidates, crossings, config, exec, lr_ws, order,
-        )),
-    }
-}
-
-/// Surfaces the exact solver's search counters into the selection
-/// stage's run-report record (a no-op for the LR/baseline paths, which
-/// carry no ILP stats).
-pub(crate) fn record_ilp_stats(stage: &mut operon_exec::StageScope<'_>, sel: &SelectionResult) {
-    if let Some(stats) = sel.ilp_stats {
-        stage.record("ilp_nodes", stats.nodes_explored as u64);
-        stage.record("ilp_lp_solves", stats.lp_solves as u64);
-        stage.record("ilp_waves", stats.waves as u64);
-        stage.record("ilp_incumbent_updates", stats.incumbent_updates as u64);
-        stage.record("ilp_simplex_iterations", stats.simplex_iterations);
-    }
-}
-
-/// Surfaces the incremental-pricing counters into the selection stage's
-/// run-report record (a no-op for paths that never ran the LR loop).
-pub(crate) fn record_lr_stats(stage: &mut operon_exec::StageScope<'_>, sel: &SelectionResult) {
-    if let Some(stats) = sel.lr_stats {
-        stage.record("lr_iterations", stats.iterations);
-        stage.record("lr_priced_nets", stats.priced_nets);
-        stage.record("lr_reused_prices", stats.reused_prices);
-        stage.record("lr_load_evals", stats.load_evals);
-        stage.record("lr_reused_loads", stats.reused_loads);
-    }
-}
-
-/// Surfaces the crossing build's provenance into its stage record: which
-/// strategy ran (`crossing_build_{brute,grid,sweep,delta} = 1`), whether
-/// the pair tests used the executor's workers, and the pair count. All
-/// three are pure functions of the candidate set, so run reports stay
-/// thread-count invariant.
-pub(crate) fn record_crossing_stats(stage: &mut operon_exec::StageScope<'_>, idx: &CrossingIndex) {
-    let info = idx.build_info();
-    let counter = match info.strategy {
-        crate::crossing::ChosenBuild::BruteForce => "crossing_build_brute",
-        crate::crossing::ChosenBuild::Grid => "crossing_build_grid",
-        crate::crossing::ChosenBuild::Sweep => "crossing_build_sweep",
-        crate::crossing::ChosenBuild::Delta => "crossing_build_delta",
-        crate::crossing::ChosenBuild::Sharded => "crossing_build_sharded",
-    };
-    stage.record(counter, 1);
-    stage.record("crossing_build_parallel", info.parallel as u64);
-    stage.record("crossing_pairs", idx.len() as u64);
-}
-
-/// Surfaces the WDM stage's warm/cold network-solver counters into its
-/// run-report record.
-pub(crate) fn record_wdm_stats(stage: &mut operon_exec::StageScope<'_>, plan: &WdmPlan) {
-    stage.record("wdm_cold_solves", plan.stats.cold_solves);
-    stage.record("wdm_warm_trials", plan.stats.warm_trials);
-    stage.record("wdm_dijkstra_passes", plan.stats.mcmf.dijkstra_passes);
-    stage.record("wdm_repair_rounds", plan.stats.mcmf.repair_rounds);
-    stage.record("wdm_warm_fallbacks", plan.stats.mcmf.warm_fallbacks);
-    stage.record("wdm_undo_entries", plan.stats.mcmf.undo_entries);
-    stage.record("wdm_rollbacks", plan.stats.mcmf.rollbacks);
-    stage.record("wdm_networks_cloned", plan.stats.mcmf.networks_cloned);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Selector;
     use operon_netlist::synth::{generate, SynthConfig};
 
     fn small_design() -> Design {
@@ -1017,7 +520,13 @@ mod tests {
 
         let old_design = generate_medium();
         let flow = OperonFlow::new(OperonConfig::default());
-        let previous = flow.run(&old_design).expect("initial run");
+        let mut session = WarmSession::open(
+            old_design.clone(),
+            OperonConfig::default(),
+            Executor::sequential(),
+        )
+        .expect("open");
+        session.route().expect("initial run");
 
         // ECO: replace the last group with a different bus.
         let mut new_design = Design::new(old_design.name(), old_design.die());
@@ -1040,9 +549,9 @@ mod tests {
         );
         new_design.push_group(changed);
 
-        let eco = flow
-            .run_eco(&new_design, &old_design, &previous)
-            .expect("eco run");
+        session.apply_design(new_design.clone()).expect("eco run");
+        assert_eq!(session.stats().groups_reused, n as u64 - 1);
+        let eco = session.into_result().expect("eco result");
         let fresh = flow.run(&new_design).expect("fresh run");
         assert_eq!(eco.selection.choice, fresh.selection.choice);
         assert_eq!(eco.total_power_mw(), fresh.total_power_mw());
@@ -1057,9 +566,18 @@ mod tests {
     #[test]
     fn eco_with_no_changes_is_identity() {
         let design = small_design();
-        let flow = OperonFlow::new(OperonConfig::default());
-        let previous = flow.run(&design).expect("run");
-        let eco = flow.run_eco(&design, &design, &previous).expect("eco");
+        let previous = OperonFlow::new(OperonConfig::default())
+            .run(&design)
+            .expect("run");
+        let mut session = WarmSession::open(
+            design.clone(),
+            OperonConfig::default(),
+            Executor::sequential(),
+        )
+        .expect("open");
+        session.route().expect("route");
+        session.apply_design(design).expect("eco");
+        let eco = session.into_result().expect("eco result");
         assert_eq!(eco.selection.choice, previous.selection.choice);
         assert_eq!(eco.total_power_mw(), previous.total_power_mw());
     }

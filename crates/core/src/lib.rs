@@ -17,7 +17,9 @@
 //!    waveguides: sweep placement plus min-cost max-flow re-assignment
 //!    ([`wdm`]).
 //!
-//! [`flow::OperonFlow`] drives all four stages; [`baselines`] provides the
+//! [`session::WarmSession`] drives all four stages, keeping their outputs
+//! resident across ECOs and configuration changes; [`flow::OperonFlow`]
+//! is its one-shot facade. [`baselines`] provides the
 //! pure-electrical (Streak-like) and optical-only (GLOW-like) comparison
 //! points of the paper's Table 1.
 //!

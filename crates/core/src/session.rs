@@ -1,21 +1,36 @@
-//! Cross-request warm routing sessions.
+//! Warm routing sessions: the one driver of the OPERON pipeline.
 //!
-//! A [`WarmSession`] is the unit of residency behind the `operon_serve`
-//! daemon: it owns one design plus every expensive artifact the flow
-//! derives from it — hyper nets, per-net candidate pools, the
+//! A [`WarmSession`] owns one design plus every expensive artifact the
+//! flow derives from it — hyper nets, per-net candidate pools, the
 //! [`CrossingIndex`], the latest selection, and the WDM plan together
 //! with its committed flow networks ([`ResidentAssignment`]) — and
-//! reuses them across requests instead of rebuilding per invocation.
+//! reuses them across requests instead of rebuilding per invocation. It
+//! is the unit of residency behind the `operon_serve` daemon and the
+//! `operon_explore` sweep, and [`OperonFlow::run`] is a one-shot
+//! session: open, route, [`into_result`](WarmSession::into_result).
 //!
-//! The contract mirrors [`OperonFlow::run_eco`]: after any sequence of
-//! ECOs, the session's resident result is **identical** to a fresh
-//! [`OperonFlow::run`] on the current design — warmth is purely a
+//! Every route runs the paper's five stages (Fig. 2) — clustering,
+//! co-design, crossing analysis, selection, WDM — through one stage
+//! sequence that starts at the first stage whose inputs changed and
+//! takes everything upstream from the resident state:
+//!
+//! * a cold route starts at clustering and reuses nothing;
+//! * an ECO ([`WarmSession::apply_design`] and the helpers built on it)
+//!   starts at clustering too, but groups whose name and bits are
+//!   unchanged keep their hyper nets and candidate pools;
+//! * a configuration change ([`WarmSession::set_config`]) starts at its
+//!   first dirty stage ([`OperonConfig::first_dirty_stage`]).
+//!
+//! Each stage opens exactly one executor stage record, so the run
+//! report is the session's only timing system. After any sequence of
+//! requests the resident result is **identical** to a cold route of the
+//! current design under the current configuration — warmth is purely a
 //! speed-up, never a different answer. That is what makes the serving
 //! layer's replay determinism possible: responses derived from session
 //! state are pure functions of the request history, independent of
 //! thread count and batch composition.
 //!
-//! What stays warm across a request:
+//! What stays warm across an ECO:
 //!
 //! * unchanged groups keep their clustering and co-design candidates;
 //! * when every reused hyper net keeps its dense index, the crossing
@@ -32,22 +47,24 @@
 //!   ([`WarmSession::probe_wdm`]) are transactional
 //!   checkout/reroute/rollback probes — `networks_cloned` stays 0 for
 //!   the whole session lifecycle.
+//!
+//! [`OperonFlow::run`]: crate::flow::OperonFlow::run
 
 use crate::codesign::{generate_candidates, NetCandidates};
-use crate::config::{DirtyStage, OperonConfig};
-use crate::flow::{
-    record_crossing_stats, record_ilp_stats, record_lr_stats, record_wdm_stats, select_in_ordered,
-};
-use crate::formulation::SelectionResult;
-use crate::lr::{LrStats, LrWorkspace};
-use crate::shard::{ShardCache, TileGrid};
+use crate::config::{DirtyStage, OperonConfig, Selector};
+use crate::crossing::ChosenBuild;
+use crate::flow::FlowResult;
+use crate::formulation::{select_ilp_with, selection_feasible, SelectionResult};
+use crate::lr::{select_lr_in_ordered, LrStats, LrWorkspace};
+use crate::shard::{build_cache, refresh_cache, ShardCache, TileGrid};
 use crate::wdm::{self, ResidentAssignment, WdmPlan, WdmProbe, WdmStats};
 use crate::{CrossingIndex, OperonError};
-use operon_cluster::{build_hyper_nets, HyperNet, HyperNetId};
-use operon_exec::Executor;
+use operon_cluster::{group_clusters, HyperNet, HyperNetId};
+use operon_exec::{Executor, StageScope};
 use operon_geom::Point;
 use operon_netlist::{Bit, BitId, Design, GroupId, SignalGroup};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::time::Duration;
 
 /// Deterministic work counters accumulated over a session's lifetime.
 ///
@@ -135,8 +152,6 @@ pub struct RouteSummary {
 
 /// The resident artifacts of a routed design.
 struct WarmState {
-    /// Config with the instance-resolved crossing-sharing factor.
-    resolved: OperonConfig,
     hyper_nets: Vec<HyperNet>,
     candidates: Vec<NetCandidates>,
     crossings: CrossingIndex,
@@ -148,6 +163,23 @@ struct WarmState {
     wdm: WdmPlan,
     resident: ResidentAssignment,
 }
+
+/// What a route takes from the resident state besides the design.
+enum Reuse {
+    /// Nothing: every stage runs from scratch.
+    Nothing,
+    /// An ECO: the previous design and its routed state. Groups that
+    /// match an old group keep its hyper nets and candidates; the
+    /// crossing index is patched when every kept net keeps its index.
+    Groups(Design, WarmState),
+    /// A configuration change: the stages before the first dirty one
+    /// keep their outputs.
+    Prefix(WarmState),
+}
+
+/// Hyper nets in dense order, each with the candidate pool and old
+/// dense index it carries over from the previous route, if any.
+type Clustered = Vec<(HyperNet, Option<(NetCandidates, usize)>)>;
 
 /// One design's long-lived routing session (see the module docs).
 ///
@@ -176,6 +208,10 @@ pub struct WarmSession {
     /// `None` routes monolithically. Purely a scheduling choice — the
     /// resident result is identical either way.
     tiles: Option<(usize, usize)>,
+    /// Set by [`into_result`](WarmSession::into_result): no later
+    /// request reuses a tile's hit list, so the crossing stage frees
+    /// them before the index arena goes up.
+    one_shot: bool,
     state: Option<WarmState>,
     /// First pipeline stage the resident state is stale for, escalated
     /// across `set_config` calls since the last route. Meaningful only
@@ -206,6 +242,7 @@ impl WarmSession {
             exec,
             design,
             tiles: None,
+            one_shot: false,
             state: None,
             dirty: DirtyStage::Clean,
             stats: SessionStats::default(),
@@ -287,20 +324,48 @@ impl WarmSession {
     /// Same failure modes as [`crate::flow::OperonFlow::run`].
     pub fn route(&mut self) -> Result<RouteSummary, OperonError> {
         self.stats.routes += 1;
-        if self.state.is_some() && self.dirty != DirtyStage::Clean {
-            let dirty = std::mem::replace(&mut self.dirty, DirtyStage::Clean);
-            self.stats.warm_routes += 1;
-            self.stats.partial_routes += 1;
-            return self.partial_route(dirty);
+        let dirty = std::mem::replace(&mut self.dirty, DirtyStage::Clean);
+        match self.state.take() {
+            Some(state) if dirty == DirtyStage::Clean => {
+                self.stats.cached_routes += 1;
+                Ok(self.install(state, true, dirty))
+            }
+            Some(prev) => {
+                self.stats.warm_routes += 1;
+                self.stats.partial_routes += 1;
+                self.run_from(dirty, Reuse::Prefix(prev))
+            }
+            None => {
+                self.stats.cold_routes += 1;
+                self.run_from(DirtyStage::Clustering, Reuse::Nothing)
+            }
         }
-        if let Some(state) = self.state.as_ref() {
-            let summary = Self::summarize(state, true, DirtyStage::Clean);
-            self.stats.cached_routes += 1;
-            self.accumulate_stage_reuse(DirtyStage::Clean);
-            return Ok(summary);
-        }
-        self.stats.cold_routes += 1;
-        self.cold_route()
+    }
+
+    /// Consumes the session and hands over its routed artifacts, routing
+    /// first unless the resident result is current. This is what
+    /// [`crate::flow::OperonFlow::run`] calls: nothing reuses a one-shot
+    /// session's tile hit lists, so a sharded crossing stage frees them
+    /// before the index arena goes up, which keeps the sharded peak RSS
+    /// below the unsharded one.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`route`](WarmSession::route).
+    pub fn into_result(mut self) -> Result<FlowResult, OperonError> {
+        self.one_shot = true;
+        self.route()?;
+        let Some(state) = self.state else {
+            return Err(OperonError::SelectionFailed(
+                "session has no routed state".to_owned(),
+            ));
+        };
+        Ok(FlowResult {
+            hyper_nets: state.hyper_nets,
+            candidates: state.candidates,
+            selection: state.selection,
+            wdm: state.wdm,
+        })
     }
 
     /// ECO: translates every pin of one group by `(dx, dy)` and
@@ -309,8 +374,9 @@ impl WarmSession {
     /// # Errors
     ///
     /// [`OperonError::EcoRejected`] (nothing changed) when the group
-    /// index is out of range or a pin would leave the die; otherwise the
-    /// failure modes of [`crate::flow::OperonFlow::run`].
+    /// index is out of range or a pin would leave the die (or the
+    /// coordinate range); otherwise the failure modes of
+    /// [`crate::flow::OperonFlow::run`].
     pub fn move_pins(
         &mut self,
         group: usize,
@@ -324,30 +390,34 @@ impl WarmSession {
                 self.design.group_count()
             )));
         };
-        let shift = |p: Point| Point::new(p.x + dx, p.y + dy);
-        for bit in target.bits() {
-            for pin in bit.pins() {
-                if !die.contains(shift(pin)) {
-                    return Err(OperonError::EcoRejected(format!(
-                        "moving group {group} by ({dx}, {dy}) pushes pin {pin} outside die {die}"
-                    )));
-                }
-            }
-        }
-        let mut next = Design::new(self.design.name(), die);
-        for sig in self.design.groups() {
-            if sig.id().index() == group {
-                let bits = sig
-                    .bits()
+        let shift = |p: Point| {
+            p.x.checked_add(dx)
+                .zip(p.y.checked_add(dy))
+                .map(|(x, y)| Point::new(x, y))
+                .filter(|&q| die.contains(q))
+                .ok_or_else(|| {
+                    OperonError::EcoRejected(format!(
+                        "moving group {group} by ({dx}, {dy}) pushes pin {p} outside die {die}"
+                    ))
+                })
+        };
+        let mut bits = target
+            .bits()
+            .iter()
+            .map(|b| {
+                let source = shift(b.source())?;
+                let sinks = b
+                    .sinks()
                     .iter()
-                    .map(|b| {
-                        Bit::new(
-                            b.id(),
-                            shift(b.source()),
-                            b.sinks().iter().map(|&s| shift(s)).collect(),
-                        )
-                    })
-                    .collect();
+                    .map(|&s| shift(s))
+                    .collect::<Result<_, _>>()?;
+                Ok(Bit::new(b.id(), source, sinks))
+            })
+            .collect::<Result<Vec<_>, OperonError>>()?;
+        let mut next = Design::new(self.design.name(), die);
+        for (i, sig) in self.design.groups().iter().enumerate() {
+            if i == group {
+                let bits = std::mem::take(&mut bits);
                 next.push_group(SignalGroup::new(sig.id(), sig.name(), bits));
             } else {
                 next.push_group(sig.clone());
@@ -364,8 +434,8 @@ impl WarmSession {
     /// # Errors
     ///
     /// [`OperonError::EcoRejected`] (nothing changed) for an empty bus
-    /// or out-of-die pins; otherwise the failure modes of
-    /// [`crate::flow::OperonFlow::run`].
+    /// or pins outside the die (or the coordinate range); otherwise the
+    /// failure modes of [`crate::flow::OperonFlow::run`].
     pub fn add_bus(
         &mut self,
         name: &str,
@@ -380,29 +450,30 @@ impl WarmSession {
             )));
         }
         let die = self.design.die();
-        for i in 0..bits {
-            let off = pitch * i as i64;
-            for p in [
-                Point::new(source.x, source.y + off),
-                Point::new(sink.x, sink.y + off),
-            ] {
-                if !die.contains(p) {
-                    return Err(OperonError::EcoRejected(format!(
-                        "bus {name:?} pin {p} lies outside die {die}"
-                    )));
-                }
+        let pin = |p: Point, i: usize| {
+            let y = i64::try_from(i)
+                .ok()
+                .and_then(|i| pitch.checked_mul(i))
+                .and_then(|off| p.y.checked_add(off));
+            match y.map(|y| Point::new(p.x, y)) {
+                Some(q) if die.contains(q) => Ok(q),
+                Some(q) => Err(OperonError::EcoRejected(format!(
+                    "bus {name:?} pin {q} lies outside die {die}"
+                ))),
+                None => Err(OperonError::EcoRejected(format!(
+                    "bus {name:?} bit {i} at pitch {pitch} leaves the coordinate range"
+                ))),
             }
-        }
+        };
         let group_bits = (0..bits)
             .map(|i| {
-                let off = pitch * i as i64;
-                Bit::new(
+                Ok(Bit::new(
                     BitId::new(i as u32),
-                    Point::new(source.x, source.y + off),
-                    vec![Point::new(sink.x, sink.y + off)],
-                )
+                    pin(source, i)?,
+                    vec![pin(sink, i)?],
+                ))
             })
-            .collect();
+            .collect::<Result<Vec<_>, OperonError>>()?;
         let mut next = self.design.clone();
         next.push_group(SignalGroup::new(
             GroupId::new(self.design.group_count() as u32),
@@ -410,6 +481,45 @@ impl WarmSession {
             group_bits,
         ));
         self.apply_design(next)
+    }
+
+    /// ECO: replaces the design and re-routes — incrementally when warm
+    /// state exists, cold otherwise. A group of `next` whose name and
+    /// bits equal a group of the current design keeps that group's
+    /// clustering and candidate pools, wherever it now sits (groups are
+    /// paired in order of name, so duplicated names pair positionally).
+    /// The result is identical to a fresh
+    /// [`OperonFlow::run`](crate::flow::OperonFlow::run) on `next`.
+    ///
+    /// # Errors
+    ///
+    /// [`OperonError::EmptyDesign`] (nothing changed) when `next` has no
+    /// signal groups; otherwise the failure modes of
+    /// [`crate::flow::OperonFlow::run`].
+    pub fn apply_design(&mut self, next: Design) -> Result<RouteSummary, OperonError> {
+        if next.groups().is_empty() {
+            return Err(OperonError::EmptyDesign);
+        }
+        self.stats.routes += 1;
+        // Candidates generated under a stale co-design config must not
+        // be reused by the ECO path; selection-or-later staleness is
+        // fine because the ECO re-runs selection + WDM under the
+        // current configuration anyway.
+        if self.dirty >= DirtyStage::Codesign {
+            self.state = None;
+        }
+        self.dirty = DirtyStage::Clean;
+        let old = std::mem::replace(&mut self.design, next);
+        match self.state.take() {
+            Some(prev) => {
+                self.stats.warm_routes += 1;
+                self.run_from(DirtyStage::Clustering, Reuse::Groups(old, prev))
+            }
+            None => {
+                self.stats.cold_routes += 1;
+                self.run_from(DirtyStage::Clustering, Reuse::Nothing)
+            }
+        }
     }
 
     /// Replaces the configuration. The diff against the active
@@ -477,396 +587,51 @@ impl WarmSession {
         self.stats
     }
 
-    /// Swaps in a new design and re-routes — incrementally when warm
-    /// state exists, cold otherwise.
-    fn apply_design(&mut self, next: Design) -> Result<RouteSummary, OperonError> {
-        self.stats.routes += 1;
-        // Candidates generated under a stale co-design config must not
-        // be reused by the ECO path; selection-or-later staleness is
-        // fine because the incremental route re-runs selection + WDM
-        // under the current configuration anyway.
-        if self.dirty >= DirtyStage::Codesign {
-            self.state = None;
-        }
-        self.dirty = DirtyStage::Clean;
-        if self.state.is_some() {
-            self.stats.warm_routes += 1;
-            self.incremental_route(next)
-        } else {
-            self.design = next;
-            self.stats.cold_routes += 1;
-            self.cold_route()
-        }
-    }
-
-    /// The full pipeline, identical to [`crate::flow::OperonFlow::run`]
-    /// but retaining the WDM stage's resident networks.
-    fn cold_route(&mut self) -> Result<RouteSummary, OperonError> {
-        let hyper_nets = {
-            let mut stage = self.exec.stage("clustering");
-            self.label_fingerprint(&mut stage);
-            build_hyper_nets(&self.design, &self.config.cluster)
-        };
-        self.stats.groups_reclustered += self.design.group_count() as u64;
-        let resolved = self
-            .config
-            .resolved_for(hyper_nets.iter().map(|n| n.bit_count()));
-        let candidates: Vec<NetCandidates> = {
-            let mut stage = self.exec.stage("codesign");
-            let out = self
-                .exec
-                .par_map_indexed(&hyper_nets, |i, net| generate_candidates(net, i, &resolved));
-            stage.record("nets_recoded", out.len() as u64);
-            out
-        };
-        self.stats.nets_recoded += candidates.len() as u64;
-        let (crossings, shard) = {
-            let mut stage = self.exec.stage("crossing");
-            let (idx, shard) = match self.tiles {
-                Some((cols, rows)) => {
-                    let grid = TileGrid::new(self.design.die(), cols, rows);
-                    let cache = crate::shard::build_cache(&candidates, grid, &self.exec);
-                    let resharded = cache.pass_count() as u64;
-                    stage.record("tiles_resharded", resharded);
-                    self.stats.tiles_resharded += resharded;
-                    (cache.assemble(&candidates), Some(cache))
-                }
-                None => (CrossingIndex::build_with(&candidates, &self.exec), None),
-            };
-            record_crossing_stats(&mut stage, &idx);
-            (idx, shard)
-        };
-        self.stats.crossing_full_builds += 1;
-        self.finish_route(
-            resolved,
-            hyper_nets,
-            candidates,
-            crossings,
-            shard,
-            false,
-            DirtyStage::Clustering,
-        )
-    }
-
-    /// Re-runs only the dirty pipeline suffix after a configuration
-    /// change, reusing the resident prefix. The result is identical to
-    /// a cold run under the current configuration: the candidate pool
-    /// is a pure function of the co-design config slice and the hyper
-    /// nets, the crossing index of the candidate pool, the selection of
-    /// (candidates, crossings, selection knobs), and the WDM plan of
-    /// (candidates, choice, WDM knobs). The instance-resolved
-    /// crossing-sharing factor is recomputed from the resident hyper
-    /// nets, exactly as a cold run would derive it.
-    fn partial_route(&mut self, dirty: DirtyStage) -> Result<RouteSummary, OperonError> {
-        let Some(prev) = self.state.take() else {
-            return self.cold_route();
-        };
-        let resolved = self
-            .config
-            .resolved_for(prev.hyper_nets.iter().map(|n| n.bit_count()));
-        match dirty {
-            // Unreachable by construction (`route` answers Clean from
-            // the resident state; `set_config` drops state at the
-            // Clustering tier) — recover by running cold.
-            DirtyStage::Clean | DirtyStage::Clustering => self.cold_route(),
-            DirtyStage::Wdm => {
-                let (wdm, resident) = {
-                    let mut stage = self.exec.stage("wdm");
-                    self.label_fingerprint(&mut stage);
-                    let (plan, resident) = wdm::plan_resident_with(
-                        &prev.candidates,
-                        &prev.selection.choice,
-                        &resolved.optical,
-                        &self.exec,
-                    )?;
-                    record_wdm_stats(&mut stage, &plan);
-                    (plan, resident)
-                };
-                self.stats.wdm.accumulate(&wdm.stats);
-                let state = WarmState {
-                    resolved,
-                    wdm,
-                    resident,
-                    ..prev
-                };
-                let summary = Self::summarize(&state, true, dirty);
-                self.accumulate_stage_reuse(dirty);
-                self.state = Some(state);
-                Ok(summary)
-            }
-            DirtyStage::Selection => self.finish_route(
-                resolved,
+    /// The pipeline: runs the five stages in order from `from`, the
+    /// first stage whose inputs changed, taking everything upstream from
+    /// `reuse`, and installs the result as the resident state. A cold
+    /// route is an ECO that reuses nothing.
+    fn run_from(&mut self, from: DirtyStage, reuse: Reuse) -> Result<RouteSummary, OperonError> {
+        let warm = !matches!(reuse, Reuse::Nothing);
+        let (hyper_nets, candidates, crossings, shard, kept_selection) = match reuse {
+            // Selection or WDM dirty: stages 1–3 keep their outputs.
+            Reuse::Prefix(prev) if from <= DirtyStage::Selection => (
                 prev.hyper_nets,
                 prev.candidates,
                 prev.crossings,
                 prev.shard,
-                true,
-                dirty,
+                (from <= DirtyStage::Wdm).then_some(prev.selection),
             ),
-            DirtyStage::Codesign => {
-                let hyper_nets = prev.hyper_nets;
-                let candidates: Vec<NetCandidates> = {
-                    let mut stage = self.exec.stage("codesign");
-                    self.label_fingerprint(&mut stage);
-                    let out = self.exec.par_map_indexed(&hyper_nets, |i, net| {
-                        generate_candidates(net, i, &resolved)
-                    });
-                    stage.record("nets_recoded", out.len() as u64);
-                    out
-                };
-                self.stats.nets_recoded += candidates.len() as u64;
-                let (crossings, shard) = {
-                    let mut stage = self.exec.stage("crossing");
-                    let (idx, shard) = match self.tiles {
-                        Some((cols, rows)) => {
-                            let grid = TileGrid::new(self.design.die(), cols, rows);
-                            let cache = crate::shard::build_cache(&candidates, grid, &self.exec);
-                            let resharded = cache.pass_count() as u64;
-                            stage.record("tiles_resharded", resharded);
-                            self.stats.tiles_resharded += resharded;
-                            (cache.assemble(&candidates), Some(cache))
-                        }
-                        None => (CrossingIndex::build_with(&candidates, &self.exec), None),
-                    };
-                    record_crossing_stats(&mut stage, &idx);
-                    (idx, shard)
-                };
-                self.stats.crossing_full_builds += 1;
-                self.finish_route(
-                    resolved, hyper_nets, candidates, crossings, shard, true, dirty,
-                )
-            }
-        }
-    }
-
-    /// The incremental pipeline, identical in result to a fresh run on
-    /// `next`: unchanged groups reuse clustering + candidates; the
-    /// crossing index is delta-patched when every reused net keeps its
-    /// dense index.
-    fn incremental_route(&mut self, next: Design) -> Result<RouteSummary, OperonError> {
-        let Some(prev) = self.state.take() else {
-            self.design = next;
-            return self.cold_route();
-        };
-        let old_design = std::mem::replace(&mut self.design, next);
-
-        // Index the previous hyper nets and candidates by group,
-        // remembering each net's old dense index (BTreeMap for the
-        // deterministic iteration rule D001). State is moved, not
-        // cloned — reuse is pointer-cheap.
-        let mut prev_by_group: BTreeMap<GroupId, Vec<(HyperNet, NetCandidates, usize)>> =
-            BTreeMap::new();
-        for (old_idx, (net, cands)) in prev.hyper_nets.into_iter().zip(prev.candidates).enumerate()
-        {
-            prev_by_group
-                .entry(net.group())
-                .or_default()
-                .push((net, cands, old_idx));
-        }
-
-        let mut flat: Vec<(HyperNet, Option<(NetCandidates, usize)>)> = Vec::new();
-        {
-            let mut stage = self.exec.stage("clustering");
-            self.label_fingerprint(&mut stage);
-            let mut reused = 0u64;
-            let mut reclustered = 0u64;
-            for group in self.design.groups() {
-                let unchanged = old_design.group(group.id()).is_some_and(|old| old == group);
-                if unchanged {
-                    reused += 1;
-                    flat.extend(
-                        prev_by_group
-                            .remove(&group.id())
-                            .unwrap_or_default()
-                            .into_iter()
-                            .map(|(net, cands, old_idx)| (net, Some((cands, old_idx)))),
-                    );
-                } else {
-                    reclustered += 1;
-                    flat.extend(
-                        operon_cluster::group_clusters(group, &self.config.cluster)
-                            .into_iter()
-                            .map(|(bits, pins)| {
-                                // Placeholder id; reassigned densely below.
-                                (
-                                    HyperNet::new(HyperNetId::new(0), group.id(), bits, pins),
-                                    None,
-                                )
-                            }),
-                    );
-                }
-            }
-            stage.record("groups_reused", reused);
-            stage.record("groups_reclustered", reclustered);
-            self.stats.groups_reused += reused;
-            self.stats.groups_reclustered += reclustered;
-        }
-
-        let resolved = self
-            .config
-            .resolved_for(flat.iter().map(|(n, _)| n.bit_count()));
-        let renumbered: Vec<(HyperNet, Option<(NetCandidates, usize)>)> = flat
-            .into_iter()
-            .enumerate()
-            .map(|(i, (net, reuse))| {
-                (
-                    HyperNet::new(
-                        HyperNetId::new(i as u32),
-                        net.group(),
-                        net.bits().to_vec(),
-                        net.pins().to_vec(),
+            reuse => {
+                let (clustered, patch) = match reuse {
+                    // Co-design dirty: only the clustering stays.
+                    Reuse::Prefix(prev) if from == DirtyStage::Codesign => (
+                        prev.hyper_nets.into_iter().map(|net| (net, None)).collect(),
+                        None,
                     ),
-                    reuse,
-                )
-            })
-            .collect();
-
-        // The crossing delta patch is valid only when every reused net
-        // keeps its dense index (records are keyed by index); `changed`
-        // then lists exactly the regenerated rows.
-        let mut delta_ok = true;
-        let mut changed: Vec<usize> = Vec::new();
-        for (i, (_, reuse)) in renumbered.iter().enumerate() {
-            match reuse {
-                Some((_, old_idx)) if *old_idx == i => {}
-                Some(_) => delta_ok = false,
-                None => changed.push(i),
+                    Reuse::Groups(old, prev) => (
+                        self.clustering_stage(Some((&old, prev.hyper_nets, prev.candidates))),
+                        Some((prev.crossings, prev.shard)),
+                    ),
+                    Reuse::Prefix(_) | Reuse::Nothing => (self.clustering_stage(None), None),
+                };
+                let resolved = self.resolved(clustered.iter().map(|(net, _)| net));
+                let (hyper_nets, candidates, changed, in_place) =
+                    self.codesign_stage(from, clustered, &resolved);
+                let (crossings, shard) =
+                    self.crossing_stage(&candidates, patch.filter(|_| in_place), &changed);
+                (hyper_nets, candidates, crossings, shard, None)
             }
-        }
-
-        let candidates: Vec<NetCandidates> = {
-            let mut stage = self.exec.stage("codesign");
-            let out = self
-                .exec
-                .par_map_indexed(&renumbered, |i, (net, reuse)| match reuse {
-                    Some((nc, _)) => {
-                        let mut nc = nc.clone();
-                        nc.net_index = i;
-                        nc
-                    }
-                    None => generate_candidates(net, i, &resolved),
-                });
-            let recoded = changed.len() as u64;
-            let reused = out.len() as u64 - recoded;
-            stage.record("nets_reused", reused);
-            stage.record("nets_recoded", recoded);
-            self.stats.nets_reused += reused;
-            self.stats.nets_recoded += recoded;
-            out
         };
-        let hyper_nets: Vec<HyperNet> = renumbered.into_iter().map(|(net, _)| net).collect();
-
-        let (crossings, shard) = {
-            let mut stage = self.exec.stage("crossing");
-            let (idx, shard) = match self.tiles {
-                Some((cols, rows)) => {
-                    let grid = TileGrid::new(self.design.die(), cols, rows);
-                    // A cached tile's hit list keys nets by dense index,
-                    // so reuse needs the same index stability as the
-                    // delta patch — and the same grid.
-                    let cache = match prev.shard {
-                        Some(ref prev_cache) if delta_ok && prev_cache.grid == grid => {
-                            let (cache, reused, resharded) = crate::shard::refresh_cache(
-                                prev_cache,
-                                &candidates,
-                                &changed,
-                                &self.exec,
-                            );
-                            stage.record("tiles_reused", reused);
-                            stage.record("tiles_resharded", resharded);
-                            self.stats.tiles_reused += reused;
-                            self.stats.tiles_resharded += resharded;
-                            cache
-                        }
-                        _ => {
-                            self.stats.crossing_full_builds += 1;
-                            let cache = crate::shard::build_cache(&candidates, grid, &self.exec);
-                            let resharded = cache.pass_count() as u64;
-                            stage.record("tiles_resharded", resharded);
-                            self.stats.tiles_resharded += resharded;
-                            cache
-                        }
-                    };
-                    (cache.assemble(&candidates), Some(cache))
-                }
-                None if delta_ok => {
-                    stage.record("crossing_delta_rebuild", 1);
-                    self.stats.crossing_delta_rebuilds += 1;
-                    (prev.crossings.rebuild_delta(&candidates, &changed), None)
-                }
-                None => {
-                    self.stats.crossing_full_builds += 1;
-                    (CrossingIndex::build_with(&candidates, &self.exec), None)
-                }
-            };
-            record_crossing_stats(&mut stage, &idx);
-            (idx, shard)
-        };
-        self.finish_route(
-            resolved,
-            hyper_nets,
-            candidates,
-            crossings,
-            shard,
-            true,
-            DirtyStage::Clustering,
-        )
-    }
-
-    /// Shared tail of the routing paths: selection, WDM planning with
-    /// resident networks, stats accumulation, and state installation.
-    /// `dirty` is the first re-run pipeline stage, for the reuse
-    /// accounting (cold and ECO routes pass `Clustering`: every stage
-    /// re-ran at whole-stage granularity).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_route(
-        &mut self,
-        resolved: OperonConfig,
-        hyper_nets: Vec<HyperNet>,
-        candidates: Vec<NetCandidates>,
-        crossings: CrossingIndex,
-        shard: Option<ShardCache>,
-        warm: bool,
-        dirty: DirtyStage,
-    ) -> Result<RouteSummary, OperonError> {
-        // Sharded sessions price net-parallel maps on the tile schedule
-        // (interior tiles in order, boundary last); the scatter restores
-        // net order, so results match the unsharded schedule exactly.
-        let order = shard.as_ref().map(|cache| cache.part.schedule());
-        let selection = {
-            let mut stage = self.exec.stage("selection");
-            if dirty == DirtyStage::Selection {
-                self.label_fingerprint(&mut stage);
+        let resolved = self.resolved(hyper_nets.iter());
+        let selection = match kept_selection {
+            Some(selection) => selection,
+            None => {
+                self.selection_stage(from, &candidates, &crossings, shard.as_ref(), &resolved)?
             }
-            let sel = select_in_ordered(
-                &candidates,
-                &crossings,
-                &resolved,
-                &self.exec,
-                &mut self.lr_ws,
-                order.as_deref(),
-            )?;
-            record_ilp_stats(&mut stage, &sel);
-            record_lr_stats(&mut stage, &sel);
-            sel
         };
-        if let Some(lr) = selection.lr_stats {
-            self.stats.lr.accumulate(&lr);
-        }
-        let (wdm, resident) = {
-            let mut stage = self.exec.stage("wdm");
-            let (plan, resident) = wdm::plan_resident_with(
-                &candidates,
-                &selection.choice,
-                &resolved.optical,
-                &self.exec,
-            )?;
-            record_wdm_stats(&mut stage, &plan);
-            (plan, resident)
-        };
-        self.stats.wdm.accumulate(&wdm.stats);
+        let (wdm, resident) = self.wdm_stage(from, &candidates, &selection.choice, &resolved)?;
         let state = WarmState {
-            resolved,
             hyper_nets,
             candidates,
             crossings,
@@ -875,35 +640,317 @@ impl WarmSession {
             wdm,
             resident,
         };
-        let summary = Self::summarize(&state, warm, dirty);
-        self.accumulate_stage_reuse(dirty);
-        self.state = Some(state);
-        Ok(summary)
+        Ok(self.install(state, warm, from))
     }
 
-    /// Stamps the current configuration's fingerprint on a stage record
-    /// so run reports attribute the work to an exact lattice point.
-    fn label_fingerprint(&self, stage: &mut operon_exec::StageScope<'_>) {
-        stage.label(
-            "config_fingerprint",
-            format!("{:016x}", self.config.fingerprint()),
+    /// Stage 1, signal processing: clusters each group of the design
+    /// into hyper nets with dense ids (`build_hyper_nets` exactly, when
+    /// nothing is reused). Under an ECO, `prev` holds the previous
+    /// design with its hyper nets and candidate pools; a group whose
+    /// name and bits match an old group keeps that group's nets, re-filed
+    /// under their new ids, and its pools.
+    fn clustering_stage(
+        &mut self,
+        prev: Option<(&Design, Vec<HyperNet>, Vec<NetCandidates>)>,
+    ) -> Clustered {
+        let mut stage = self.exec.stage("clustering");
+        self.stamp(&mut stage, true);
+        let (old_groups, mut old_nets) = match prev {
+            Some((old, nets, candidates)) => {
+                let mut by_group: Vec<Vec<(HyperNet, NetCandidates, usize)>> =
+                    (0..old.group_count()).map(|_| Vec::new()).collect();
+                for (i, (net, nc)) in nets.into_iter().zip(candidates).enumerate() {
+                    if let Some(slot) = by_group.get_mut(net.group().index()) {
+                        slot.push((net, nc, i));
+                    }
+                }
+                (old.groups(), by_group)
+            }
+            None => (&[][..], Vec::new()),
+        };
+        // Old groups by name, claimed in order.
+        let mut by_name: BTreeMap<&str, VecDeque<usize>> = BTreeMap::new();
+        for (o, g) in old_groups.iter().enumerate() {
+            by_name.entry(g.name()).or_default().push_back(o);
+        }
+
+        let mut out: Clustered = Vec::new();
+        let (mut reused, mut reclustered) = (0u64, 0u64);
+        for group in self.design.groups() {
+            let kept = by_name
+                .get_mut(group.name())
+                .and_then(VecDeque::pop_front)
+                .filter(|&o| old_groups.get(o).is_some_and(|g| g.bits() == group.bits()))
+                .and_then(|o| old_nets.get_mut(o))
+                .map(std::mem::take);
+            if let Some(nets) = kept {
+                reused += 1;
+                for (net, nc, old_index) in nets {
+                    let id = HyperNetId::new(out.len() as u32);
+                    out.push((net.renumbered(id, group.id()), Some((nc, old_index))));
+                }
+            } else {
+                reclustered += 1;
+                for (bits, pins) in group_clusters(group, &self.config.cluster) {
+                    let id = HyperNetId::new(out.len() as u32);
+                    out.push((HyperNet::new(id, group.id(), bits, pins), None));
+                }
+            }
+        }
+        stage.record("groups_reused", reused);
+        stage.record("groups_reclustered", reclustered);
+        self.stats.groups_reused += reused;
+        self.stats.groups_reclustered += reclustered;
+        out
+    }
+
+    /// Stage 2, co-design: generates the candidate pool of every hyper
+    /// net that carries none over (one independent DP per net, spread
+    /// over the executor) and re-files carried pools under their new
+    /// index. Returns the nets, the pools, the regenerated indices, and
+    /// whether every carried net kept its old index — the precondition
+    /// for patching the resident crossing index.
+    fn codesign_stage(
+        &mut self,
+        from: DirtyStage,
+        clustered: Clustered,
+        resolved: &OperonConfig,
+    ) -> (Vec<HyperNet>, Vec<NetCandidates>, Vec<usize>, bool) {
+        let mut stage = self.exec.stage("codesign");
+        self.stamp(&mut stage, from == DirtyStage::Codesign);
+        let mut in_place = true;
+        let (hyper_nets, carried): (Vec<HyperNet>, Vec<Option<NetCandidates>>) = clustered
+            .into_iter()
+            .enumerate()
+            .map(|(i, (net, reuse))| {
+                let nc = reuse.map(|(mut nc, old_index)| {
+                    in_place &= old_index == i;
+                    nc.net_index = i;
+                    nc
+                });
+                (net, nc)
+            })
+            .unzip();
+        let todo: Vec<(usize, &HyperNet)> = hyper_nets
+            .iter()
+            .enumerate()
+            .zip(&carried)
+            .filter(|(_, nc)| nc.is_none())
+            .map(|(net, _)| net)
+            .collect();
+        let changed: Vec<usize> = todo.iter().map(|&(i, _)| i).collect();
+        let mut fresh = self
+            .exec
+            .par_map(&todo, |&(i, net)| generate_candidates(net, i, resolved))
+            .into_iter();
+        let candidates: Vec<NetCandidates> = carried
+            .into_iter()
+            .filter_map(|nc| nc.or_else(|| fresh.next()))
+            .collect();
+        let recoded = changed.len() as u64;
+        let reused = candidates.len() as u64 - recoded;
+        stage.record("nets_reused", reused);
+        stage.record("nets_recoded", recoded);
+        self.stats.nets_reused += reused;
+        self.stats.nets_recoded += recoded;
+        (hyper_nets, candidates, changed, in_place)
+    }
+
+    /// Stage 3, crossing analysis: patches `patch` — the resident index
+    /// and tile cache, offered only while every kept net kept its index
+    /// — for the `changed` nets, or builds from scratch. Tiled sessions
+    /// discover hits tile by tile and re-run only dirty tiles.
+    fn crossing_stage(
+        &mut self,
+        candidates: &[NetCandidates],
+        patch: Option<(CrossingIndex, Option<ShardCache>)>,
+        changed: &[usize],
+    ) -> (CrossingIndex, Option<ShardCache>) {
+        let mut stage = self.exec.stage("crossing");
+        let (idx, shard) = match (self.tiles, patch) {
+            (Some((cols, rows)), patch) => {
+                let grid = TileGrid::new(self.design.die(), cols, rows);
+                // A cached tile's hit list keys nets by dense index, so
+                // reuse needs the delta patch's index stability — and
+                // the same grid.
+                let cache = match patch
+                    .and_then(|(_, shard)| shard)
+                    .filter(|c| c.grid == grid)
+                {
+                    Some(prev) => {
+                        let (cache, reused, resharded) =
+                            refresh_cache(&prev, candidates, changed, &self.exec);
+                        stage.record("tiles_reused", reused);
+                        self.stats.tiles_reused += reused;
+                        stage.record("tiles_resharded", resharded);
+                        self.stats.tiles_resharded += resharded;
+                        cache
+                    }
+                    None => {
+                        self.stats.crossing_full_builds += 1;
+                        let cache = build_cache(candidates, grid, &self.exec);
+                        let resharded = cache.pass_count() as u64;
+                        stage.record("tiles_resharded", resharded);
+                        self.stats.tiles_resharded += resharded;
+                        cache
+                    }
+                };
+                if self.one_shot {
+                    (cache.into_index(candidates), None)
+                } else {
+                    (cache.assemble(candidates), Some(cache))
+                }
+            }
+            (None, Some((prev, _))) => {
+                stage.record("crossing_delta_rebuild", 1);
+                self.stats.crossing_delta_rebuilds += 1;
+                (prev.rebuild_delta(candidates, changed), None)
+            }
+            (None, None) => {
+                self.stats.crossing_full_builds += 1;
+                (CrossingIndex::build_with(candidates, &self.exec), None)
+            }
+        };
+        // Which strategy ran, whether the pair tests used the workers,
+        // and the pair count: pure functions of the candidate set, so
+        // run reports stay thread-count invariant.
+        let info = idx.build_info();
+        let strategy = match info.strategy {
+            ChosenBuild::BruteForce => "crossing_build_brute",
+            ChosenBuild::Grid => "crossing_build_grid",
+            ChosenBuild::Sweep => "crossing_build_sweep",
+            ChosenBuild::Delta => "crossing_build_delta",
+            ChosenBuild::Sharded => "crossing_build_sharded",
+        };
+        stage.record(strategy, 1);
+        stage.record("crossing_build_parallel", u64::from(info.parallel));
+        stage.record("crossing_pairs", idx.len() as u64);
+        (idx, shard)
+    }
+
+    /// Stage 4, selection: the exact ILP warm-started by the LR
+    /// heuristic, or the LR heuristic alone, on the session's pricing
+    /// arenas. A tiled session prices net by net in tile order with the
+    /// boundary nets last; the scatter restores net order, so the
+    /// choice is the same for every schedule.
+    fn selection_stage(
+        &mut self,
+        from: DirtyStage,
+        candidates: &[NetCandidates],
+        crossings: &CrossingIndex,
+        shard: Option<&ShardCache>,
+        resolved: &OperonConfig,
+    ) -> Result<SelectionResult, OperonError> {
+        let mut stage = self.exec.stage("selection");
+        self.stamp(&mut stage, from == DirtyStage::Selection);
+        let order = shard.map(|cache| cache.part.schedule());
+        let lr = select_lr_in_ordered(
+            candidates,
+            crossings,
+            resolved,
+            &self.exec,
+            &mut self.lr_ws,
+            order.as_deref(),
         );
+        let selection = match resolved.selector {
+            Selector::Ilp { time_limit_secs } => {
+                // The LR choice warm-starts the exact solver, so a
+                // limit-terminated solve still returns a strong
+                // incumbent.
+                let mut ilp = select_ilp_with(
+                    candidates,
+                    crossings,
+                    &resolved.optical,
+                    Duration::from_secs(time_limit_secs),
+                    Some(&lr.choice),
+                    resolved.ilp_wave_size,
+                    &self.exec,
+                )?;
+                ilp.lr_stats = lr.lr_stats;
+                ilp
+            }
+            Selector::LagrangianRelaxation => lr,
+        };
+        debug_assert!(selection_feasible(
+            candidates,
+            crossings,
+            &selection.choice,
+            &resolved.optical
+        ));
+        if let Some(ilp) = selection.ilp_stats {
+            stage.record("ilp_nodes", ilp.nodes_explored as u64);
+            stage.record("ilp_lp_solves", ilp.lp_solves as u64);
+            stage.record("ilp_waves", ilp.waves as u64);
+            stage.record("ilp_incumbent_updates", ilp.incumbent_updates as u64);
+            stage.record("ilp_simplex_iterations", ilp.simplex_iterations);
+        }
+        if let Some(lr) = selection.lr_stats {
+            stage.record("lr_iterations", lr.iterations);
+            stage.record("lr_priced_nets", lr.priced_nets);
+            stage.record("lr_reused_prices", lr.reused_prices);
+            stage.record("lr_load_evals", lr.load_evals);
+            stage.record("lr_reused_loads", lr.reused_loads);
+            self.stats.lr.accumulate(&lr);
+        }
+        Ok(selection)
     }
 
-    fn accumulate_stage_reuse(&mut self, dirty: DirtyStage) {
-        self.stats.stages_reused += u64::from(dirty.stages_reused());
-        self.stats.stages_rerun += u64::from(dirty.stages_rerun());
+    /// Stage 5, WDM placement + assignment, keeping the committed flow
+    /// networks resident for deletion probes.
+    fn wdm_stage(
+        &mut self,
+        from: DirtyStage,
+        candidates: &[NetCandidates],
+        choice: &[usize],
+        resolved: &OperonConfig,
+    ) -> Result<(WdmPlan, ResidentAssignment), OperonError> {
+        let mut stage = self.exec.stage("wdm");
+        self.stamp(&mut stage, from == DirtyStage::Wdm);
+        let (plan, resident) =
+            wdm::plan_resident_with(candidates, choice, &resolved.optical, &self.exec)?;
+        let stats = &plan.stats;
+        stage.record("wdm_cold_solves", stats.cold_solves);
+        stage.record("wdm_warm_trials", stats.warm_trials);
+        stage.record("wdm_dijkstra_passes", stats.mcmf.dijkstra_passes);
+        stage.record("wdm_repair_rounds", stats.mcmf.repair_rounds);
+        stage.record("wdm_warm_fallbacks", stats.mcmf.warm_fallbacks);
+        stage.record("wdm_undo_entries", stats.mcmf.undo_entries);
+        stage.record("wdm_rollbacks", stats.mcmf.rollbacks);
+        stage.record("wdm_networks_cloned", stats.mcmf.networks_cloned);
+        self.stats.wdm.accumulate(stats);
+        Ok((plan, resident))
     }
 
-    fn summarize(state: &WarmState, warm: bool, dirty: DirtyStage) -> RouteSummary {
+    /// The configuration with its crossing-sharing factor resolved for
+    /// `nets`, exactly as a cold run derives it.
+    fn resolved<'a>(&self, nets: impl Iterator<Item = &'a HyperNet>) -> OperonConfig {
+        self.config.resolved_for(nets.map(HyperNet::bit_count))
+    }
+
+    /// Stamps the configuration's fingerprint on the first stage a route
+    /// re-runs, so run reports attribute the work to an exact config
+    /// lattice point.
+    fn stamp(&self, stage: &mut StageScope<'_>, first: bool) {
+        if first {
+            stage.label(
+                "config_fingerprint",
+                format!("{:016x}", self.config.fingerprint()),
+            );
+        }
+    }
+
+    /// Installs `state` as the resident result of a route whose first
+    /// re-run stage was `from` and returns the route's digest.
+    fn install(&mut self, state: WarmState, warm: bool, from: DirtyStage) -> RouteSummary {
+        self.stats.stages_reused += u64::from(from.stages_reused());
+        self.stats.stages_rerun += u64::from(from.stages_rerun());
         let optical = state
             .candidates
             .iter()
             .zip(&state.selection.choice)
             .filter(|(nc, &j)| !nc.candidates[j].is_pure_electrical())
             .count();
-        let _ = &state.resolved; // resolved config is kept for future delta checks
-        RouteSummary {
+        let summary = RouteSummary {
             warm,
             hyper_nets: state.hyper_nets.len(),
             optical,
@@ -912,9 +959,11 @@ impl WarmSession {
             proven_optimal: state.selection.proven_optimal,
             wdm_initial: state.wdm.initial_count,
             wdm_final: state.wdm.final_count(),
-            stages_reused: dirty.stages_reused(),
-            stages_rerun: dirty.stages_rerun(),
-        }
+            stages_reused: from.stages_reused(),
+            stages_rerun: from.stages_rerun(),
+        };
+        self.state = Some(state);
+        summary
     }
 }
 
@@ -954,6 +1003,15 @@ mod tests {
         ));
         assert!(matches!(
             s.add_bus("b", 0, Point::new(0, 0), Point::new(1, 1), 1),
+            Err(OperonError::EcoRejected(_))
+        ));
+        // Coordinates past i64 are rejected, not wrapped (or panicked on).
+        assert!(matches!(
+            s.move_pins(0, i64::MAX, 0),
+            Err(OperonError::EcoRejected(_))
+        ));
+        assert!(matches!(
+            s.add_bus("b", 2, Point::new(1, 1), Point::new(2, 2), i64::MAX),
             Err(OperonError::EcoRejected(_))
         ));
         assert!(s.is_routed());
@@ -1080,6 +1138,60 @@ mod tests {
                 None => baseline = Some(stats),
                 Some(b) => assert_eq!(*b, stats, "stats diverged at {threads} threads"),
             }
+        }
+    }
+
+    /// Removing a non-last group shifts the dense index of every later
+    /// group's nets, so a tiled session can reuse neither the crossing
+    /// index nor a tile's hit list: it rebuilds the sharded index from
+    /// scratch and still matches a fresh unsharded run.
+    #[test]
+    fn tiled_eco_that_shifts_indices_rebuilds_every_tile() {
+        let design = quadrant_design();
+        let mut trimmed = Design::new(design.name(), design.die());
+        for g in design.groups().iter().filter(|g| g.id().index() != 1) {
+            let id = GroupId::new(trimmed.group_count() as u32);
+            trimmed.push_group(SignalGroup::new(id, g.name(), g.bits().to_vec()));
+        }
+        for threads in [1, 2, 8] {
+            let mut s = WarmSession::open(
+                design.clone(),
+                OperonConfig::default(),
+                Executor::new(threads),
+            )
+            .unwrap()
+            .with_tiles(2, 2);
+            s.route().unwrap();
+            let before = s.stats();
+            let eco = s.apply_design(trimmed.clone()).unwrap();
+            let after = s.stats();
+            assert!(eco.warm);
+            assert_eq!(after.groups_reused, before.groups_reused + 4);
+            assert_eq!(after.groups_reclustered, before.groups_reclustered);
+            assert_eq!(
+                after.crossing_full_builds,
+                before.crossing_full_builds + 1,
+                "shifted indices must force a full sharded build ({after:?})"
+            );
+            assert_eq!(after.tiles_reused, before.tiles_reused);
+
+            let fresh = OperonFlow::new(OperonConfig::default())
+                .with_threads(threads)
+                .run(&trimmed)
+                .unwrap();
+            assert_eq!(s.selection().unwrap().choice, fresh.selection.choice);
+            assert_eq!(eco.power_mw.to_bits(), fresh.total_power_mw().to_bits());
+            assert_eq!(s.wdm_plan().unwrap().wdms, fresh.wdm.wdms);
+            assert_eq!(s.hyper_nets().unwrap(), fresh.hyper_nets.as_slice());
+
+            // A design without groups is rejected and changes nothing.
+            let fp = s.fingerprint();
+            let empty = Design::new("empty", design.die());
+            assert_eq!(s.apply_design(empty), Err(OperonError::EmptyDesign));
+            assert!(s.is_routed());
+            assert_eq!(s.fingerprint(), fp);
+            assert_eq!(s.stats(), after);
+            assert_eq!(s.design(), &trimmed);
         }
     }
 

@@ -37,11 +37,11 @@
 //! # Scheduling
 //!
 //! [`ShardPartition::schedule`] linearizes the nets tile by tile with
-//! the boundary nets last. The flow's per-net parallel stages (candidate
-//! generation, LR pricing) iterate in that order and scatter results
-//! back to global net positions — same pure per-net functions, same
-//! outputs, better locality — and the boundary chunk prices last,
-//! against the merged crossing index (the reconciliation pass).
+//! the boundary nets last. A tiled [`crate::session::WarmSession`] runs
+//! LR pricing in that order and scatters results back to global net
+//! positions — same pure per-net functions, same outputs, better
+//! locality — and the boundary chunk prices last, against the merged
+//! crossing index (the reconciliation pass).
 
 use crate::codesign::NetCandidates;
 use crate::crossing::{
@@ -371,24 +371,12 @@ impl ShardCache {
 pub(crate) fn build_cache(nets: &[NetCandidates], grid: TileGrid, exec: &Executor) -> ShardCache {
     let bboxes = net_bboxes(nets);
     let part = ShardPartition::new(&bboxes, &grid);
-    build_cache_with(nets, grid, &bboxes, part, exec)
-}
-
-/// [`build_cache`] against precomputed bboxes and a partition (the flow
-/// computes them once and reuses them for the stage schedule).
-pub(crate) fn build_cache_with(
-    nets: &[NetCandidates],
-    grid: TileGrid,
-    bboxes: &[Option<BoundingBox>],
-    part: ShardPartition,
-    exec: &Executor,
-) -> ShardCache {
     let involved: Vec<Vec<u32>> = (0..grid.tile_count())
         .map(|t| {
             if part.interior[t].is_empty() {
                 Vec::new()
             } else {
-                tile_involved(&grid, &part, bboxes, t)
+                tile_involved(&grid, &part, &bboxes, t)
             }
         })
         .collect();

@@ -8,6 +8,8 @@
 
 use operon::config::{OperonConfig, Selector};
 use operon::flow::{FlowResult, OperonFlow};
+use operon::session::WarmSession;
+use operon_exec::Executor;
 use operon_netlist::synth::{generate, SynthConfig};
 
 fn run_with_threads(threads: usize, config: &OperonConfig, seed: u64) -> FlowResult {
@@ -267,11 +269,14 @@ fn parallel_flow_reports_its_stages() {
 #[test]
 fn eco_rerun_is_bit_identical_across_thread_counts() {
     let design = generate(&SynthConfig::small(), 21);
-    let seq = OperonFlow::new(OperonConfig::default());
-    let par = OperonFlow::new(OperonConfig::default()).with_threads(8);
-    let prev_seq = seq.run(&design).expect("seq run");
-    let prev_par = par.run(&design).expect("par run");
-    let eco_seq = seq.run_eco(&design, &design, &prev_seq).expect("seq eco");
-    let eco_par = par.run_eco(&design, &design, &prev_par).expect("par eco");
+    let eco = |exec: Executor| {
+        let mut session =
+            WarmSession::open(design.clone(), OperonConfig::default(), exec).expect("open");
+        session.route().expect("route");
+        session.apply_design(design.clone()).expect("eco");
+        session.into_result().expect("eco result")
+    };
+    let eco_seq = eco(Executor::sequential());
+    let eco_par = eco(Executor::new(8));
     assert_identical(&eco_seq, &eco_par, "eco threads 8");
 }

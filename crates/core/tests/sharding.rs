@@ -1,11 +1,10 @@
-//! Tile-sharded flow identity: `OperonFlow::run_sharded` must reproduce
-//! `OperonFlow::run` bit for bit on every design, for every tile grid,
-//! at every thread count.
+//! Tile-sharded flow identity: `OperonFlow::with_tiles(..).run` must
+//! reproduce `OperonFlow::run` bit for bit on every design, for every
+//! tile grid, at every thread count.
 //!
-//! The sharded flow re-schedules three things — candidate generation
-//! order, crossing discovery (per-tile passes + boundary reconciliation
-//! merged through the canonical sort/dedup funnel), and the LR pricing
-//! map order — none of which may change a single output byte. These
+//! The sharded flow re-schedules crossing discovery (per-tile passes +
+//! boundary reconciliation merged through the canonical sort/dedup
+//! funnel), which must not change a single output byte. These
 //! tests pin that contract on synthesized fixtures and on random bus
 //! soups whose geometry exercises interior, boundary, and excluded nets
 //! in every tile class.
@@ -71,7 +70,8 @@ fn sharded_flow_matches_unsharded_on_synth_fixtures() {
             for threads in THREADS {
                 let sharded = OperonFlow::new(OperonConfig::default())
                     .with_threads(threads)
-                    .run_sharded(&design, tiles)
+                    .with_tiles(tiles.0, tiles.1)
+                    .run(&design)
                     .expect("sharded run");
                 assert_plan_identical(
                     &reference,
@@ -134,7 +134,8 @@ proptest! {
             for threads in THREADS {
                 let sharded = OperonFlow::new(OperonConfig::default())
                     .with_threads(threads)
-                    .run_sharded(&design, tiles)
+                    .with_tiles(tiles.0, tiles.1)
+                    .run(&design)
                     .expect("sharded run");
                 assert_plan_identical(
                     &reference,

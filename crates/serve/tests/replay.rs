@@ -133,3 +133,53 @@ fn replay_is_byte_identical_across_thread_counts() {
         assert_eq!(fingerprint.len(), 16);
     }
 }
+
+/// ECO requests whose pin arithmetic leaves the `i64` range get an error
+/// response instead of panicking (or wrapping) the daemon: the session
+/// they address keeps its routed state, and the other session still
+/// routes.
+#[test]
+fn overflowing_eco_is_an_error_response_and_sessions_survive() {
+    let design = generate(&SynthConfig::small(), 42);
+    let design_text = operon_netlist::io::write_design(&design);
+    let mut lines: Vec<String> = Vec::new();
+    for session in ["a", "b"] {
+        lines.push(
+            Value::object(vec![
+                ("op", "open_design".into()),
+                ("session", session.into()),
+                ("design", design_text.as_str().into()),
+            ])
+            .compact(),
+        );
+        lines.push(format!("{{\"op\":\"route\",\"session\":\"{session}\"}}"));
+    }
+    let bad = [
+        r#"{"op":"eco_move_pins","session":"a","group":0,"dx":9223372036854775807,"dy":0}"#,
+        r#"{"op":"eco_add_bus","session":"a","name":"far","bits":3,"source":[1,1],"sink":[2,2],"pitch":9223372036854775807}"#,
+    ];
+    lines.extend(bad.iter().map(|l| (*l).to_owned()));
+    for session in ["b", "a"] {
+        lines.push(format!(
+            "{{\"op\":\"eco_move_pins\",\"session\":\"{session}\",\"group\":0,\"dx\":0,\"dy\":0}}"
+        ));
+        lines.push(format!("{{\"op\":\"route\",\"session\":\"{session}\"}}"));
+    }
+    let trace = lines.join("\n") + "\n";
+
+    let out = Server::new(Executor::new(2), 2).run_trace(&trace);
+    let responses: Vec<Value> = out
+        .lines()
+        .map(|l| json::parse(l).expect("response is valid JSON"))
+        .collect();
+    assert_eq!(responses.len(), lines.len(), "one response per request");
+    let ok = |r: &Value| r.get("ok").and_then(Value::as_bool);
+    for (i, r) in responses.iter().enumerate() {
+        let expect = !(4..4 + bad.len()).contains(&i);
+        assert_eq!(ok(r), Some(expect), "request {i} ({}): {r:?}", lines[i]);
+    }
+    let power = |r: &Value| r.get("power_mw").and_then(Value::as_f64);
+    // Session "a" answers exactly as before the rejected requests.
+    assert_eq!(power(&responses[1]), power(&responses[responses.len() - 1]));
+    assert_eq!(power(&responses[3]), power(&responses[7]));
+}

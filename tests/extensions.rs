@@ -6,6 +6,7 @@ use operon::config::OperonConfig;
 use operon::flow::OperonFlow;
 use operon::render::{render_svg, RenderOptions};
 use operon::report::{laser_report, thermal_report};
+use operon::session::WarmSession;
 use operon::wdm::channels::{assign_channels, validate_channels};
 use operon::CrossingIndex;
 use operon_netlist::stats::DesignStats;
@@ -114,7 +115,13 @@ fn svg_renders_every_selected_route() {
 fn eco_after_group_removal_matches_fresh() {
     let design = generate(&SynthConfig::small(), 31);
     let flow = OperonFlow::new(OperonConfig::default());
-    let previous = flow.run(&design).expect("run");
+    let mut session = WarmSession::open(
+        design.clone(),
+        flow.config().clone(),
+        flow.executor().clone(),
+    )
+    .expect("open");
+    session.route().expect("run");
 
     // Remove the last group (ids stay dense).
     let mut trimmed = operon_netlist::Design::new(design.name(), design.die());
@@ -122,10 +129,14 @@ fn eco_after_group_removal_matches_fresh() {
     for g in design.groups().iter().take(keep) {
         trimmed.push_group(g.clone());
     }
-    let eco = flow.run_eco(&trimmed, &design, &previous).expect("eco");
+    let eco = session.apply_design(trimmed.clone()).expect("eco");
+    assert!(eco.warm);
     let fresh = flow.run(&trimmed).expect("fresh");
-    assert_eq!(eco.selection.choice, fresh.selection.choice);
-    assert_eq!(eco.total_power_mw(), fresh.total_power_mw());
+    assert_eq!(
+        session.selection().expect("routed").choice,
+        fresh.selection.choice
+    );
+    assert_eq!(eco.power_mw, fresh.total_power_mw());
 }
 
 #[test]
