@@ -25,7 +25,7 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> crossing_bench --smoke (kernel identity gate: brute/grid/sweep builds, LR arena pricing)"
+echo "==> crossing_bench --smoke (kernel identity gate: grid == brute crossing builds, LR arena pricing)"
 cargo run -p operon-bench --release -q --bin crossing_bench -- --smoke
 
 echo "==> wdm_bench --smoke (transactional trial identity gate)"

@@ -1,6 +1,6 @@
-//! Measures the crossing/pricing kernels — the spatial crossing builds
-//! (grid and Bentley–Ottmann sweep), the incremental LR pricing loop,
-//! and the warm-started MCMF re-solves — and writes
+//! Measures the crossing/pricing kernels — the grid crossing build, the
+//! incremental LR pricing loop, and the warm-started MCMF re-solves —
+//! and writes
 //! `BENCH_crossing.json` at the repository root.
 //!
 //! ```text
@@ -10,21 +10,14 @@
 //!
 //! Three measurements:
 //!
-//! 1. **Grid and sweep vs brute-force crossing build** over three
+//! 1. **Grid vs brute-force crossing build** over three
 //!    segment-density regimes (sparse scattered nets, far-apart
 //!    clusters, a crowded core where every bounding box overlaps every
-//!    other). Both spatial builds must be byte-identical to
-//!    `CrossingIndex::build_reference` on every fixture — the grid at 1,
-//!    2, and 8 threads, the (sequential) sweep once — and the
-//!    `Auto` heuristic's pick is recorded and must match one of them
-//!    (asserted). Timing criteria are same-run ratios, so they hold on
-//!    noisy shared hardware: the dense fixture's grid build at least 5×
-//!    over brute force, and the sweep at least 1.3× over the grid on
-//!    `dense_core`, whose die-spanning chords defeat uniform cells
-//!    (asserted; 1.5–2.3× observed). On `clustered_hotspots` the grid
-//!    legitimately wins — segments are short and uniform within each
-//!    cluster — and the `Auto` heuristic picks it, so no sweep floor is
-//!    asserted there.
+//!    other). The grid build must be byte-identical to
+//!    `CrossingIndex::build_reference` on every fixture at 1, 2, and 8
+//!    threads (asserted). The timing criterion is a same-run ratio, so
+//!    it holds on noisy shared hardware: the dense fixture's grid build
+//!    at least 5× over brute force (asserted).
 //! 2. **Incremental vs reference LR pricing** on synthesized designs:
 //!    wall time of `select_lr_in` (persistent workspace, as a resident
 //!    session runs it) against the retained `select_lr_reference`
@@ -44,10 +37,8 @@
 //!    The end-to-end `wdm::plan` vs `wdm::plan_cold_reference` wall
 //!    times and work counters ride along.
 //!
-//! `--smoke` shrinks every fixture, keeps every identity assertion
-//! (including sweep-vs-reference and the deterministic strategy/parallel
-//! provenance checks), and skips the timing criteria and the JSON write
-//! — the cheap CI gate.
+//! `--smoke` shrinks every fixture, keeps every identity assertion, and
+//! skips the timing criteria and the JSON write — the cheap CI gate.
 //!
 //! Numbers in the committed `BENCH_crossing.json` come from whatever
 //! machine last ran this binary; `hardware_threads` records the truth.
@@ -56,7 +47,7 @@ use operon::codesign::{analyze_assignment, generate_candidates, EdgeMedium, NetC
 use operon::config::OperonConfig;
 use operon::lr::{select_lr_in, select_lr_reference, select_lr_with, LrWorkspace};
 use operon::wdm;
-use operon::{BuildStrategy, ChosenBuild, CrossingIndex};
+use operon::CrossingIndex;
 use operon_cluster::build_hyper_nets;
 use operon_exec::json::Value;
 use operon_exec::{Executor, Stopwatch};
@@ -82,7 +73,7 @@ fn main() {
     let (mcmf, plans) = bench_warm_mcmf(smoke);
 
     if smoke {
-        println!("crossing_bench --smoke: all identity checks passed (brute/grid/sweep)");
+        println!("crossing_bench --smoke: all identity checks passed (brute/grid)");
         return;
     }
 
@@ -236,7 +227,7 @@ fn dense_nets(rings: usize, chords: usize) -> Vec<NetCandidates> {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Grid and sweep vs brute-force crossing build
+// 1. Grid vs brute-force crossing build
 // ---------------------------------------------------------------------------
 
 fn assert_index_eq(a: &CrossingIndex, b: &CrossingIndex, label: &str) {
@@ -247,36 +238,16 @@ fn assert_index_eq(a: &CrossingIndex, b: &CrossingIndex, label: &str) {
     }
 }
 
-fn strategy_name(chosen: ChosenBuild) -> &'static str {
-    match chosen {
-        ChosenBuild::BruteForce => "brute_force",
-        ChosenBuild::Grid => "grid",
-        ChosenBuild::Sweep => "sweep",
-        ChosenBuild::Delta => "delta",
-        ChosenBuild::Sharded => "sharded",
-    }
-}
-
 fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
     let scale = if smoke { 4 } else { 1 };
-    // (name, nets, grid ≥5× vs brute?, sweep-vs-grid floor)
-    let fixtures: Vec<(&str, Vec<NetCandidates>, bool, Option<f64>)> = vec![
-        ("sparse_scattered", sparse_nets(240 / scale), false, None),
-        (
-            "clustered_hotspots",
-            clustered_nets(8, 28 / scale),
-            false,
-            None,
-        ),
-        (
-            "dense_core",
-            dense_nets(320 / scale, 12),
-            !smoke,
-            (!smoke).then_some(1.3),
-        ),
+    // (name, nets, grid ≥5× vs brute?)
+    let fixtures: Vec<(&str, Vec<NetCandidates>, bool)> = vec![
+        ("sparse_scattered", sparse_nets(240 / scale), false),
+        ("clustered_hotspots", clustered_nets(8, 28 / scale), false),
+        ("dense_core", dense_nets(320 / scale, 12), !smoke),
     ];
     let mut out = Vec::new();
-    for (name, nets, must_speed_up, sweep_floor) in fixtures {
+    for (name, nets, must_speed_up) in fixtures {
         let reference = CrossingIndex::build_reference(&nets);
         let mut reference_ms = f64::INFINITY;
         for _ in 0..ITERS {
@@ -286,7 +257,6 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             assert_eq!(r.len(), reference.len(), "{name}: reference unstable");
         }
 
-        let exec1 = Executor::new(1);
         let mut grid_seq_ms = f64::INFINITY;
         let mut per_thread = Vec::new();
         for threads in THREADS {
@@ -294,7 +264,7 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             let mut best_ms = f64::INFINITY;
             for _ in 0..ITERS {
                 let sw = Stopwatch::start();
-                let grid = CrossingIndex::build_with_strategy(&nets, &exec, BuildStrategy::Grid);
+                let grid = CrossingIndex::build_with(&nets, &exec);
                 best_ms = best_ms.min(sw.elapsed().as_secs_f64() * 1e3);
                 assert_index_eq(
                     &grid,
@@ -311,34 +281,10 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             ]));
         }
 
-        let mut sweep_ms = f64::INFINITY;
-        for _ in 0..ITERS {
-            let sw = Stopwatch::start();
-            let sweep = CrossingIndex::build_with_strategy(&nets, &exec1, BuildStrategy::Sweep);
-            sweep_ms = sweep_ms.min(sw.elapsed().as_secs_f64() * 1e3);
-            assert_index_eq(&sweep, &reference, &format!("{name}, sweep"));
-        }
-
-        // The Auto heuristic's pick is a pure function of the candidate
-        // set: record it, re-check identity, and make sure it resolved to
-        // one of the two spatial builds (never brute force).
-        let auto = CrossingIndex::build_with(&nets, &exec1);
-        assert_index_eq(&auto, &reference, &format!("{name}, auto"));
-        let auto_info = auto.build_info();
-        assert!(
-            matches!(auto_info.strategy, ChosenBuild::Grid | ChosenBuild::Sweep),
-            "{name}: auto heuristic must pick a spatial build, got {:?}",
-            auto_info.strategy
-        );
-        let auto_strategy = strategy_name(auto_info.strategy);
-
         let speedup = reference_ms / grid_seq_ms;
-        let sweep_speedup_vs_brute = reference_ms / sweep_ms;
-        let sweep_speedup_vs_grid = grid_seq_ms / sweep_ms;
         println!(
             "crossing {name}: {nets} nets, {pairs} pairs, brute {reference_ms:.2} ms, \
-             grid {grid_seq_ms:.2} ms ({speedup:.1}x), sweep {sweep_ms:.2} ms \
-             ({sweep_speedup_vs_grid:.1}x vs grid), auto={auto_strategy}",
+             grid {grid_seq_ms:.2} ms ({speedup:.1}x)",
             nets = nets.len(),
             pairs = reference.len(),
         );
@@ -349,13 +295,6 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
                  force ({speedup:.1}x)"
             );
         }
-        if let Some(floor) = sweep_floor {
-            assert!(
-                sweep_speedup_vs_grid >= floor,
-                "{name}: sweep build must be at least {floor}x faster than \
-                 the grid ({sweep_speedup_vs_grid:.2}x)"
-            );
-        }
         out.push(Value::object(vec![
             ("name", Value::from(name)),
             ("nets", Value::from(nets.len())),
@@ -363,13 +302,6 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             ("brute_force_best_ms", Value::from(reference_ms)),
             ("grid_best_ms", Value::from(grid_seq_ms)),
             ("speedup", Value::from(speedup)),
-            ("sweep_best_ms", Value::from(sweep_ms)),
-            (
-                "sweep_speedup_vs_brute",
-                Value::from(sweep_speedup_vs_brute),
-            ),
-            ("sweep_speedup_vs_grid", Value::from(sweep_speedup_vs_grid)),
-            ("auto_strategy", Value::from(auto_strategy)),
             ("grid_by_threads", Value::Array(per_thread)),
         ]));
     }

@@ -9,31 +9,27 @@
 //! reads the same index when pricing candidates against the previous
 //! iterate (Eq. (5)).
 //!
-//! # Build strategies
+//! # Builders
 //!
-//! Three interchangeable builders produce byte-identical indexes:
+//! One spatial kernel builds the index; an all-pairs oracle checks it:
 //!
+//! * **Grid** ([`CrossingIndex::build_with`]) — buckets every candidate
+//!   segment into a uniform [`SegmentGrid`] and tests only pairs that
+//!   co-occupy a cell. A cell reports a crossing only if it owns the
+//!   exact crossing point ([`SegmentGrid::owns_crossing`]), so each
+//!   crossing is found once however many cells the two segments share.
+//!   Below a deterministic work threshold the per-cell tests run inline
+//!   instead of on the executor, because the fan-out/merge overhead
+//!   exceeds the work at small sizes.
 //! * **Brute force** ([`CrossingIndex::build_reference`]) — all candidate
 //!   pairs behind net- and candidate-level bounding-box prefilters (the
 //!   paper's "non-overlapped bounding boxes" variable reduction).
 //!   Retained as the equivalence oracle for tests and benchmarks.
-//! * **Grid** — buckets every candidate segment into a uniform
-//!   [`SegmentGrid`] and tests only pairs that co-occupy a cell. Below a
-//!   deterministic work threshold the per-cell tests run inline instead
-//!   of on the executor, because the fan-out/merge overhead exceeds the
-//!   work at small sizes.
-//! * **Sweep** — the Bentley–Ottmann sweep line
-//!   ([`operon_geom::sweep_crossings`]), output-sensitive
-//!   `O((n + k) log n)`. Wins when segment lengths are widely dispersed:
-//!   a few die-spanning trunks force uniform grid cells to be either too
-//!   coarse for the short segments or too numerous for the long ones.
 //!
-//! [`CrossingIndex::build_with`] picks grid vs sweep with a documented
-//! segment-length dispersion heuristic (see [`BuildStrategy::Auto`]).
-//! Every strategy funnels its discovered crossings through the same
-//! packed-hit global sort + dedup + assembly (see `Hit`), so the
-//! index is a pure function of the candidate set — independent of
-//! strategy, cell count, iteration order, and thread count.
+//! Both funnel their crossings through the same packed-hit global sort +
+//! dedup + assembly (see `Hit`), so the index is a pure function of the
+//! candidate set — independent of builder, cell count, iteration order,
+//! and thread count.
 //!
 //! # Arena layout
 //!
@@ -44,13 +40,13 @@
 //! incremental LR pricing walks every iteration is a second CSR
 //! (`net_neighbors`), precomputed once per build. Record handles are
 //! stable `u32` indexes; [`CrossingIndex::rebuild_delta`] re-derives the
-//! arena from retained rows plus a localized re-sweep of the dirty
+//! arena from retained rows plus a grid pass over the dirty
 //! neighborhood, so handles stay valid across ECOs exactly when the rows
 //! they name are unchanged.
 
 use crate::codesign::NetCandidates;
 use operon_exec::Executor;
-use operon_geom::{sweep_crossings, BoundingBox, Segment, SegmentGrid, SWEEP_COORD_LIMIT};
+use operon_geom::{BoundingBox, Segment, SegmentGrid};
 
 /// Crossing counts between one ordered pair of candidates.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -92,24 +88,6 @@ impl Neighbor {
     }
 }
 
-/// Which crossing builder to run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BuildStrategy {
-    /// Pick grid vs sweep by segment-length dispersion: the deciles of
-    /// the Manhattan length distribution are compared, and `p90 ≥ 4·p10`
-    /// selects the sweep. Widely dispersed lengths are exactly the
-    /// regime where no uniform cell size fits both tails; tightly
-    /// clustered lengths let the grid's O(n) bucketing win.
-    #[default]
-    Auto,
-    /// All-pairs scan with bounding-box prefilters (the oracle).
-    BruteForce,
-    /// Uniform-grid cell bucketing.
-    Grid,
-    /// Bentley–Ottmann sweep line.
-    Sweep,
-}
-
 /// How an index was actually constructed — recorded for run reports.
 /// Not part of the index's semantic value: equality ignores it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -119,8 +97,6 @@ pub enum ChosenBuild {
     /// Uniform-grid cell bucketing.
     #[default]
     Grid,
-    /// Bentley–Ottmann sweep line.
-    Sweep,
     /// Incremental [`CrossingIndex::rebuild_delta`] patch.
     Delta,
     /// Tile-sharded build: per-tile hit discovery merged in tile order
@@ -128,28 +104,15 @@ pub enum ChosenBuild {
     Sharded,
 }
 
-impl ChosenBuild {
-    /// Stable counter suffix for the run report.
-    pub fn counter_name(self) -> &'static str {
-        match self {
-            ChosenBuild::BruteForce => "brute",
-            ChosenBuild::Grid => "grid",
-            ChosenBuild::Sweep => "sweep",
-            ChosenBuild::Delta => "delta",
-            ChosenBuild::Sharded => "sharded",
-        }
-    }
-}
-
-/// Provenance of the last build: which strategy ran and whether the pair
+/// Provenance of the last build: which builder ran and whether the pair
 /// tests used the executor's workers or the sequential small-input path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildInfo {
-    /// The strategy that actually ran (never `Auto`).
+    /// The builder that ran.
     pub strategy: ChosenBuild,
     /// Whether pair tests were spread over the executor's workers.
-    /// `false` for the sweep (sequential by design), for delta patches,
-    /// and for grid builds under the parallel work threshold.
+    /// `false` for delta patches and for grid builds under the parallel
+    /// work threshold.
     pub parallel: bool,
 }
 
@@ -163,6 +126,11 @@ pub struct BuildInfo {
 /// grid dims, so the chosen path is deterministic; either path yields
 /// the identical index because of the global sort + dedup.
 const GRID_PARALLEL_MIN_PAIR_TESTS: u64 = 4_000_000;
+
+/// Cell runs per worker on the parallel path: enough for work stealing
+/// to even out dense and sparse runs, few enough that each run's pair
+/// buffer is large.
+const GRID_TASKS_PER_WORKER: usize = 4;
 
 /// One flattened candidate segment: the unit all builders work on.
 struct SegRef {
@@ -216,37 +184,11 @@ impl CrossingIndex {
         Self::build_with(nets, &Executor::sequential())
     }
 
-    /// [`build`](Self::build) with strategy [`BuildStrategy::Auto`]: the
-    /// dispersion heuristic picks grid or sweep, and grid pair tests are
-    /// spread over `exec`'s workers when the estimated work clears the
-    /// parallel threshold. Identical output for every choice.
+    /// [`build`](Self::build) on the grid, with the pair tests spread
+    /// over `exec`'s workers when the estimated work clears the parallel
+    /// threshold. Identical output for every thread count.
     pub fn build_with(nets: &[NetCandidates], exec: &Executor) -> Self {
-        Self::build_with_strategy(nets, exec, BuildStrategy::Auto)
-    }
-
-    /// Builds with an explicit strategy. All strategies produce
-    /// byte-identical indexes; only the work profile differs.
-    pub fn build_with_strategy(
-        nets: &[NetCandidates],
-        exec: &Executor,
-        strategy: BuildStrategy,
-    ) -> Self {
-        match strategy {
-            BuildStrategy::BruteForce => Self::build_reference_with(nets, exec),
-            BuildStrategy::Grid => Self::build_grid(nets, exec, None),
-            BuildStrategy::Sweep => {
-                let segs = collect_segments(nets);
-                Self::build_sweep(nets, &segs)
-            }
-            BuildStrategy::Auto => {
-                let segs = collect_segments(nets);
-                if pick_sweep(&segs) {
-                    Self::build_sweep(nets, &segs)
-                } else {
-                    Self::build_grid_from_segs(nets, exec, None, segs)
-                }
-            }
-        }
+        Self::build_grid(nets, exec, None)
     }
 
     /// Provenance of the build that produced this index.
@@ -258,8 +200,16 @@ impl CrossingIndex {
     /// Grid build (auto-sized cells unless `dims` is given; the explicit
     /// dims are the escape hatch the equivalence proptests use).
     fn build_grid(nets: &[NetCandidates], exec: &Executor, dims: Option<(usize, usize)>) -> Self {
-        let segs = collect_segments(nets);
-        Self::build_grid_from_segs(nets, exec, dims, segs)
+        let (mut hits, parallel) = grid_hits(&collect_segments(nets, |_| true), dims, exec);
+        hits.sort_unstable();
+        hits.dedup();
+        Self::from_pair_list(
+            assemble_runs(nets, &hits),
+            BuildInfo {
+                strategy: ChosenBuild::Grid,
+                parallel,
+            },
+        )
     }
 
     #[cfg(test)]
@@ -271,51 +221,10 @@ impl CrossingIndex {
         Self::build_grid(nets, exec, dims)
     }
 
-    fn build_grid_from_segs(
-        nets: &[NetCandidates],
-        exec: &Executor,
-        dims: Option<(usize, usize)>,
-        segs: Vec<SegRef>,
-    ) -> Self {
-        if segs.len() < 2 {
-            return Self::default();
-        }
-        let (mut hits, parallel) = grid_hits(&segs, dims, exec);
-        hits.sort_unstable();
-        hits.dedup();
-        Self::from_hits(
-            nets,
-            &hits,
-            BuildInfo {
-                strategy: ChosenBuild::Grid,
-                parallel,
-            },
-        )
-    }
-
-    /// Sweep-line build: one global Bentley–Ottmann pass over every
-    /// candidate segment, then the same assembly as the other builders.
-    fn build_sweep(nets: &[NetCandidates], segs: &[SegRef]) -> Self {
-        if segs.len() < 2 {
-            return Self::default();
-        }
-        let mut hits = sweep_hits(segs);
-        hits.sort_unstable();
-        hits.dedup();
-        Self::from_hits(
-            nets,
-            &hits,
-            BuildInfo {
-                strategy: ChosenBuild::Sweep,
-                parallel: false,
-            },
-        )
-    }
-
     /// The pre-grid all-pairs build: scans every net pair with a
     /// bounding-box prefilter, then every candidate pair with overlapping
-    /// optical boxes. Retained as the equivalence oracle — the grid and
-    /// sweep builds must produce a byte-identical index.
+    /// optical boxes. Retained as the equivalence oracle — the grid build
+    /// must produce a byte-identical index.
     pub fn build_reference(nets: &[NetCandidates]) -> Self {
         Self::build_reference_with(nets, &Executor::sequential())
     }
@@ -373,11 +282,9 @@ impl CrossingIndex {
     ///
     /// Implementation: retained rows are copied across; the dirty
     /// neighborhood — changed nets plus every net whose bounding box
-    /// overlaps a changed net's — is re-swept locally, which patches
-    /// exactly the event ranges the change invalidated instead of
-    /// replaying the whole event queue. Pairs between two unchanged
-    /// nets found by the local sweep are discarded (their retained rows
-    /// are already exact), so the merge is conflict-free.
+    /// overlaps a changed net's — gets its own grid pass. Pairs between
+    /// two unchanged nets found by that pass are discarded (their
+    /// retained rows are already exact), so the merge is conflict-free.
     pub fn rebuild_delta(&self, nets: &[NetCandidates], changed: &[usize]) -> Self {
         let mut is_changed = vec![false; nets.len()];
         for &i in changed {
@@ -397,7 +304,7 @@ impl CrossingIndex {
 
         // Dirty neighborhood: changed nets and bbox-overlapping others.
         // A pair crossing a changed net must overlap its bbox, so the
-        // local sweep sees every pair that needs recounting.
+        // local grid pass sees every pair that needs recounting.
         let net_bbox = net_bboxes(nets);
         let changed_boxes: Vec<BoundingBox> = (0..nets.len())
             .filter(|&i| is_changed[i])
@@ -410,17 +317,8 @@ impl CrossingIndex {
                 involved[i] = true;
             }
         }
-        let segs = collect_involved_segments(nets, &involved);
-        let mut hits = if segs
-            .iter()
-            .all(|sr| in_sweep_range(sr.s.a) && in_sweep_range(sr.s.b))
-        {
-            sweep_hits(&segs)
-        } else {
-            // Out-of-range coordinates (beyond the sweep's exactness
-            // bound) fall back to brute pair tests over the same set.
-            brute_hits(&segs)
-        };
+        let involved_segs = collect_segments(nets, |i| involved[i]);
+        let (mut hits, _) = grid_hits(&involved_segs, None, &Executor::sequential());
         hits.retain(|&(key, _)| {
             is_changed[(key >> 96) as usize] || is_changed[(key >> 32) as u32 as usize]
         });
@@ -436,14 +334,6 @@ impl CrossingIndex {
                 parallel: false,
             },
         )
-    }
-
-    /// Assembles the arena from deduplicated, globally sorted packed
-    /// crossing hits. `pub(crate)` so the tile-sharded build
-    /// ([`crate::shard`]) can funnel its ordered merge through the same
-    /// canonical assembly as every other builder.
-    pub(crate) fn from_hits(nets: &[NetCandidates], hits: &[Hit], info: BuildInfo) -> Self {
-        Self::from_pair_list(assemble_runs(nets, hits), info)
     }
 
     /// Assembles the dense record vector, the CSR neighbor arena, and
@@ -711,33 +601,13 @@ fn unpack_owner(packed: u128) -> (usize, usize) {
     ((packed >> 64) as usize, packed as u64 as usize)
 }
 
-/// Flattens every non-degenerate optical segment in (net, cand, seg)
-/// order; degenerate segments can never properly cross anything.
-fn collect_segments(nets: &[NetCandidates]) -> Vec<SegRef> {
+/// Flattens every non-degenerate optical segment of the nets `keep`
+/// accepts, in (net, cand, seg) order; degenerate segments can never
+/// properly cross anything.
+fn collect_segments(nets: &[NetCandidates], keep: impl Fn(usize) -> bool) -> Vec<SegRef> {
     let mut segs: Vec<SegRef> = Vec::new();
     for (i, nc) in nets.iter().enumerate() {
-        for (j, c) in nc.candidates.iter().enumerate() {
-            for (k, s) in c.optical_segments.iter().enumerate() {
-                if s.is_degenerate() {
-                    continue;
-                }
-                segs.push(SegRef {
-                    net: i as u32,
-                    cand: j as u32,
-                    seg: k as u32,
-                    s: *s,
-                });
-            }
-        }
-    }
-    segs
-}
-
-/// [`collect_segments`] restricted to nets flagged in `involved`.
-fn collect_involved_segments(nets: &[NetCandidates], involved: &[bool]) -> Vec<SegRef> {
-    let mut segs: Vec<SegRef> = Vec::new();
-    for (i, nc) in nets.iter().enumerate() {
-        if !involved[i] {
+        if !keep(i) {
             continue;
         }
         for (j, c) in nc.candidates.iter().enumerate() {
@@ -757,154 +627,99 @@ fn collect_involved_segments(nets: &[NetCandidates], involved: &[bool]) -> Vec<S
     segs
 }
 
-fn in_sweep_range(p: operon_geom::Point) -> bool {
-    p.x.abs() < SWEEP_COORD_LIMIT && p.y.abs() < SWEEP_COORD_LIMIT
-}
-
-/// The documented strategy heuristic: decile dispersion of Manhattan
-/// segment lengths. `p90 ≥ 4 · p10` means the length distribution has
-/// both short and long tails — short segments demand fine grid cells,
-/// long ones then smear across many of them, so the output-sensitive
-/// sweep wins. Pure integer math over the candidate set: deterministic.
-fn pick_sweep(segs: &[SegRef]) -> bool {
-    if segs.len() < 2 {
-        return false;
-    }
-    if !segs
-        .iter()
-        .all(|sr| in_sweep_range(sr.s.a) && in_sweep_range(sr.s.b))
-    {
-        // Beyond the sweep's exact-arithmetic bound: the grid handles
-        // arbitrary i64 coordinates.
-        return false;
-    }
-    let mut lens: Vec<i64> = segs.iter().map(|sr| sr.s.manhattan_length()).collect();
-    lens.sort_unstable();
-    let p10 = lens[lens.len() / 10];
-    let p90 = lens[(9 * lens.len()) / 10];
-    p90 >= 4 * p10.max(1)
-}
-
-/// Runs the sweep over the flattened segments and maps segment-id pairs
-/// back to packed hits (same-net pairs drop).
-fn sweep_hits(segs: &[SegRef]) -> Vec<Hit> {
-    let shapes: Vec<Segment> = segs.iter().map(|sr| sr.s).collect();
-    let crossing_ids = sweep_crossings(&shapes);
-    let mut hits: Vec<Hit> = Vec::with_capacity(crossing_ids.len());
-    for (ia, ib) in crossing_ids {
-        let a = &segs[ia as usize];
-        let b = &segs[ib as usize];
-        if a.net == b.net {
-            continue;
-        }
-        let (p, q) = if a.net < b.net { (a, b) } else { (b, a) };
-        hits.push(pack_hit(p, q));
-    }
-    hits
-}
-
-/// Grid-bucketed packed hits over the flattened segments: the body of
-/// the grid build, shared with [`subset_hits`]. Returns the raw
-/// (unsorted, possibly duplicated) hits and whether the pair tests ran
-/// on the executor's workers.
+/// Grid-bucketed packed hits over the flattened segments: the one
+/// crossing kernel, shared by the full build, [`CrossingIndex::rebuild_delta`]
+/// and [`subset_hits`]. Returns the unsorted hits and whether the pair
+/// tests ran on the executor's workers.
+///
+/// Each crossing is reported once, by the cell that owns its crossing
+/// point; only [`SegmentGrid::owns_crossing`]'s overflow fallback (far
+/// beyond die-scale coordinates) can repeat a hit, so callers keep their
+/// dedup as the safety net.
 fn grid_hits(segs: &[SegRef], dims: Option<(usize, usize)>, exec: &Executor) -> (Vec<Hit>, bool) {
     if segs.len() < 2 {
         return (Vec::new(), false);
     }
-    let mut extent = BoundingBox::new(segs[0].s.a, segs[0].s.b);
-    for sr in &segs[1..] {
-        extent = extent.union(&BoundingBox::new(sr.s.a, sr.s.b));
-    }
+    let (pairs, parallel) = {
+        let mut extent = BoundingBox::new(segs[0].s.a, segs[0].s.b);
+        for sr in &segs[1..] {
+            extent = extent.union(&BoundingBox::new(sr.s.a, sr.s.b));
+        }
+        let mut grid = match dims {
+            Some((cols, rows)) => SegmentGrid::new(extent, cols, rows),
+            None => SegmentGrid::sized(extent, segs.len()),
+        };
+        for (id, sr) in segs.iter().enumerate() {
+            grid.insert(id as u32, sr.s);
+        }
+        let cells: Vec<usize> = grid
+            .nonempty_cells()
+            .into_iter()
+            .filter(|&c| grid.cell_items(c).len() >= 2)
+            .collect();
 
-    let mut grid = match dims {
-        Some((cols, rows)) => SegmentGrid::new(extent, cols, rows),
-        None => SegmentGrid::sized(extent, segs.len()),
-    };
-    for (id, sr) in segs.iter().enumerate() {
-        grid.insert(id as u32, sr.s);
-    }
-
-    let cells: Vec<usize> = grid
-        .nonempty_cells()
-        .into_iter()
-        .filter(|&c| grid.cell_items(c).len() >= 2)
-        .collect();
-
-    // Every properly-crossing segment pair co-occupies the cell of
-    // its crossing point, so testing within cells finds all of them;
-    // a pair sharing several cells is found several times and
-    // deduplicated by the caller's sort.
-    let pair_tests: u64 = cells
-        .iter()
-        .map(|&c| {
-            let n = grid.cell_items(c).len() as u64;
-            n * (n - 1) / 2
-        })
-        .sum();
-    let test_cell = |cell: usize| {
-        let ids = grid.cell_items(cell);
-        let mut out = Vec::new();
-        for (x, &ia) in ids.iter().enumerate() {
-            let a = &segs[ia as usize];
-            for &ib in &ids[x + 1..] {
-                let b = &segs[ib as usize];
-                if a.net == b.net || !a.s.crosses(&b.s) {
-                    continue;
+        // Every properly-crossing segment pair co-occupies the cell of
+        // its crossing point (the grid's coverage invariant), and only
+        // that cell reports it.
+        let pair_tests: u64 = cells
+            .iter()
+            .map(|&c| {
+                let n = grid.cell_items(c).len() as u64;
+                n * (n - 1) / 2
+            })
+            .sum();
+        let test_cell = |cell: usize, out: &mut Vec<(u32, u32)>| {
+            let ids = grid.cell_items(cell);
+            for (x, &ia) in ids.iter().enumerate() {
+                let a = &segs[ia as usize];
+                for &ib in &ids[x + 1..] {
+                    let b = &segs[ib as usize];
+                    if a.net != b.net && a.s.crosses(&b.s) && grid.owns_crossing(cell, &a.s, &b.s) {
+                        out.push((ia, ib));
+                    }
                 }
-                let (p, q) = if a.net < b.net { (a, b) } else { (b, a) };
-                out.push(pack_hit(p, q));
             }
-        }
-        out
+        };
+        // Small builds run as one inline task: the executor's fan-out
+        // overhead exceeds the pair-test work. Larger ones split the
+        // cells into a few contiguous runs per worker, each with one
+        // pair buffer; thousands of per-cell buffers left worker heaps
+        // holding ~20 MiB more on I5. The caller's global sort makes
+        // every split byte-identical.
+        let parallel = pair_tests >= GRID_PARALLEL_MIN_PAIR_TESTS;
+        let tasks = if parallel {
+            GRID_TASKS_PER_WORKER * exec.threads()
+        } else {
+            1
+        };
+        let runs: Vec<&[usize]> = cells.chunks(cells.len().div_ceil(tasks).max(1)).collect();
+        let pairs: Vec<Vec<(u32, u32)>> = exec.par_map_coarse(&runs, |run| {
+            let mut out = Vec::new();
+            for &cell in *run {
+                test_cell(cell, &mut out);
+            }
+            out
+        });
+        (pairs, parallel)
     };
-    let parallel = pair_tests >= GRID_PARALLEL_MIN_PAIR_TESTS;
-    let hits: Vec<Hit> = if parallel {
-        let per_cell: Vec<Vec<Hit>> = exec.par_map(&cells, |&cell| test_cell(cell));
-        per_cell.into_iter().flatten().collect()
-    } else {
-        // Small build: the executor's fan-out overhead exceeds the
-        // pair-test work, so run the cells inline. The caller's global
-        // sort makes both paths byte-identical.
-        let mut flat = Vec::new();
-        for &cell in &cells {
-            flat.append(&mut test_cell(cell));
-        }
-        flat
-    };
+
+    // The 8-byte id pairs grow while the cells are tested; the 32-byte
+    // hits are packed once, into a buffer of exact size.
+    let mut hits: Vec<Hit> = Vec::with_capacity(pairs.iter().map(Vec::len).sum());
+    for &(ia, ib) in pairs.iter().flatten() {
+        let (a, b) = (&segs[ia as usize], &segs[ib as usize]);
+        let (p, q) = if a.net < b.net { (a, b) } else { (b, a) };
+        hits.push(pack_hit(p, q));
+    }
     (hits, parallel)
 }
 
-/// Packed hits among the nets flagged in `involved`, using the same
-/// strategy heuristic as [`CrossingIndex::build_with`] on the subset's
-/// segments. Raw output — unsorted and possibly duplicated; the caller
-/// owns the sort + dedup (the tile-sharded build filters, merges, and
-/// deduplicates tile outputs before assembly).
+/// Packed hits among the nets flagged in `involved`, from a grid pass
+/// over the subset's segments. Unsorted; the caller owns the sort +
+/// dedup (the tile-sharded build filters, merges, and deduplicates tile
+/// outputs before assembly).
 pub(crate) fn subset_hits(nets: &[NetCandidates], involved: &[bool], exec: &Executor) -> Vec<Hit> {
-    let segs = collect_involved_segments(nets, involved);
-    if segs.len() < 2 {
-        return Vec::new();
-    }
-    if pick_sweep(&segs) {
-        sweep_hits(&segs)
-    } else {
-        grid_hits(&segs, None, exec).0
-    }
-}
-
-/// All-pairs packed hits over the flattened segments (the delta
-/// fallback for coordinates beyond the sweep's exactness bound).
-fn brute_hits(segs: &[SegRef]) -> Vec<Hit> {
-    let mut hits: Vec<Hit> = Vec::new();
-    for (x, a) in segs.iter().enumerate() {
-        for b in &segs[x + 1..] {
-            if a.net == b.net || !a.s.crosses(&b.s) {
-                continue;
-            }
-            let (p, q) = if a.net < b.net { (a, b) } else { (b, a) };
-            hits.push(pack_hit(p, q));
-        }
-    }
-    hits
+    grid_hits(&collect_segments(nets, |i| involved[i]), None, exec).0
 }
 
 /// Groups sorted hit tuples into per-key runs and assembles one record
@@ -1376,29 +1191,9 @@ mod tests {
         assert!(!reference.is_empty());
         for threads in [1, 2, 4, 8] {
             let exec = Executor::new(threads);
-            let grid = CrossingIndex::build_with_strategy(&nets, &exec, BuildStrategy::Grid);
+            let grid = CrossingIndex::build_with(&nets, &exec);
             assert_index_eq(&grid, &reference, &format!("threads={threads}"));
         }
-    }
-
-    #[test]
-    fn sweep_build_matches_reference_on_spanning_diagonals() {
-        let nets: Vec<NetCandidates> = (0..24)
-            .map(|k| {
-                let y0 = (k as i64) * 700;
-                optical_net(k, Point::new(0, y0), Point::new(20_000, 18_000 - y0))
-            })
-            .collect();
-        let reference = CrossingIndex::build_reference(&nets);
-        assert!(!reference.is_empty());
-        let sweep = CrossingIndex::build_with_strategy(
-            &nets,
-            &Executor::sequential(),
-            BuildStrategy::Sweep,
-        );
-        assert_index_eq(&sweep, &reference, "sweep vs reference");
-        assert_eq!(sweep.build_info().strategy, ChosenBuild::Sweep);
-        assert!(!sweep.build_info().parallel);
     }
 
     #[test]
@@ -1424,36 +1219,14 @@ mod tests {
             optical_net(0, Point::new(0, 0), Point::new(100, 100)),
             optical_net(1, Point::new(0, 100), Point::new(100, 0)),
         ];
-        let idx = CrossingIndex::build_with_strategy(&nets, &Executor::new(8), BuildStrategy::Grid);
+        let idx = CrossingIndex::build_with(&nets, &Executor::new(8));
         assert_eq!(idx.build_info().strategy, ChosenBuild::Grid);
         assert!(!idx.build_info().parallel);
         assert_eq!(idx.len(), 1);
     }
 
-    #[test]
-    fn auto_strategy_picks_sweep_on_dispersed_lengths() {
-        // A few die-spanning trunks over a field of short stubs: decile
-        // dispersion far beyond 4x, so Auto must choose the sweep.
-        let mut nets: Vec<NetCandidates> = (0..12)
-            .map(|k| {
-                let x = 10 + (k as i64) * 40;
-                optical_net(k, Point::new(x, 0), Point::new(x + 8, 9))
-            })
-            .collect();
-        for t in 0..3 {
-            nets.push(optical_net(
-                12 + t,
-                Point::new(0, 2 + t as i64),
-                Point::new(1000, 7 - t as i64),
-            ));
-        }
-        let idx = CrossingIndex::build(&nets);
-        assert_eq!(idx.build_info().strategy, ChosenBuild::Sweep);
-        assert_index_eq(&idx, &CrossingIndex::build_reference(&nets), "auto sweep");
-    }
-
-    /// The dispersed-length mix of `auto_strategy_picks_sweep_on_dispersed_lengths`,
-    /// translated so every coordinate sits near `offset`.
+    /// Short stubs crossed by three long trunks, translated so every
+    /// coordinate sits near `offset`.
     fn dispersed_nets_at(offset: i64) -> Vec<NetCandidates> {
         let mut nets: Vec<NetCandidates> = (0..12)
             .map(|k| {
@@ -1472,49 +1245,110 @@ mod tests {
     }
 
     #[test]
-    fn auto_strategy_falls_back_to_grid_beyond_the_sweep_coord_limit() {
-        // The same length dispersion that picks the sweep at die scale,
-        // but translated past the sweep's exact-arithmetic bound: Auto
-        // must fall back to the grid (which handles arbitrary i64
-        // coordinates) instead of tripping the sweep's range assert —
-        // and still match the brute-force reference exactly.
-        let nets = dispersed_nets_at(SWEEP_COORD_LIMIT);
+    fn grid_build_matches_reference_beyond_2_pow_40() {
+        // The grid's exact i128 rasterization handles any i64
+        // coordinate; far from the origin it must still match the
+        // brute-force reference exactly.
+        let nets = dispersed_nets_at(1 << 41);
         for threads in [1, 8] {
             let idx = CrossingIndex::build_with(&nets, &Executor::new(threads));
             assert_eq!(idx.build_info().strategy, ChosenBuild::Grid);
             assert_index_eq(
                 &idx,
                 &CrossingIndex::build_reference(&nets),
-                "grid fallback beyond 2^40",
+                "grid beyond 2^40",
             );
         }
     }
 
     #[test]
-    fn sweep_stays_selected_and_exact_just_below_the_coord_limit() {
-        // Every coordinate within the bound (if only just): the
-        // dispersion heuristic keeps the sweep, whose rationals must
-        // stay exact at these magnitudes.
-        let nets = dispersed_nets_at(SWEEP_COORD_LIMIT - 2_000);
-        let idx = CrossingIndex::build(&nets);
-        assert_eq!(idx.build_info().strategy, ChosenBuild::Sweep);
-        assert_index_eq(
-            &idx,
-            &CrossingIndex::build_reference(&nets),
-            "sweep just below 2^40",
+    fn rebuild_delta_equals_full_build_beyond_2_pow_40() {
+        let offset = 1i64 << 41;
+        let mut nets = dispersed_nets_at(offset);
+        let before = CrossingIndex::build(&nets);
+        assert!(!before.is_empty());
+        // Move one stub onto a trunk's path and retire one trunk.
+        nets[4] = optical_net(
+            4,
+            Point::new(offset + 500, offset),
+            Point::new(offset + 510, offset + 9),
         );
+        nets[13] = optical_net(
+            13,
+            Point::new(offset + 5000, offset + 5000),
+            Point::new(offset + 6000, offset + 6000),
+        );
+        let delta = before.rebuild_delta(&nets, &[4, 13]);
+        assert_index_eq(&delta, &CrossingIndex::build(&nets), "delta beyond 2^40");
+        assert_eq!(delta.build_info().strategy, ChosenBuild::Delta);
+    }
+
+    /// One net per segment, laid out for a `cols × rows` grid over
+    /// `[0, 240]²` so crossings land exactly on cell edges and corners:
+    /// a small X centered on every interior cell corner and on the
+    /// midpoint of every interior cell edge, full-height verticals and
+    /// full-width horizontals along the interior edges, and both die
+    /// diagonals.
+    fn edge_and_corner_nets(cols: i64, rows: i64) -> Vec<NetCandidates> {
+        let size = 240i64;
+        // `SegmentGrid::new`'s cell size over the extent the frame
+        // segments span.
+        let (w, h) = (size / cols + 1, size / rows + 1);
+        let mut shapes: Vec<(Point, Point)> = vec![
+            (Point::new(0, 0), Point::new(size, size)),
+            (Point::new(0, size), Point::new(size, 0)),
+            (Point::new(0, 0), Point::new(size, 0)),
+            (Point::new(0, 0), Point::new(0, size)),
+        ];
+        let mut x_at = |x: i64, y: i64| {
+            shapes.push((Point::new(x - 4, y - 4), Point::new(x + 4, y + 4)));
+            shapes.push((Point::new(x - 4, y + 4), Point::new(x + 4, y - 4)));
+        };
+        for c in 1..cols {
+            for r in 0..rows {
+                x_at(c * w, r * h + h / 2);
+            }
+        }
+        for r in 1..rows {
+            for c in 0..cols {
+                x_at(c * w + w / 2, r * h);
+            }
+            for c in 1..cols {
+                x_at(c * w, r * h);
+            }
+        }
+        for c in 1..cols {
+            shapes.push((Point::new(c * w, 0), Point::new(c * w, size)));
+        }
+        for r in 1..rows {
+            shapes.push((Point::new(0, r * h), Point::new(size, r * h)));
+        }
+        shapes
+            .into_iter()
+            .enumerate()
+            .map(|(i, (a, b))| optical_net(i, a, b))
+            .collect()
     }
 
     #[test]
-    fn auto_strategy_picks_grid_on_uniform_lengths() {
-        let nets: Vec<NetCandidates> = (0..8)
-            .map(|k| {
-                let y0 = (k as i64) * 90;
-                optical_net(k, Point::new(0, y0), Point::new(1000, 900 - y0))
-            })
-            .collect();
-        let idx = CrossingIndex::build(&nets);
-        assert_eq!(idx.build_info().strategy, ChosenBuild::Grid);
+    fn grid_hits_report_each_crossing_once_on_cell_edges_and_corners() {
+        for (cols, rows) in [(1, 1), (2, 2), (3, 2), (4, 4), (5, 7), (8, 8)] {
+            let nets = edge_and_corner_nets(cols as i64, rows as i64);
+            let segs = collect_segments(&nets, |_| true);
+            let exec = Executor::sequential();
+            let (hits, _) = grid_hits(&segs, Some((cols, rows)), &exec);
+            let mut unique = hits.clone();
+            unique.sort_unstable();
+            unique.dedup();
+            let label = format!("{cols}x{rows}");
+            assert_eq!(hits.len(), unique.len(), "{label}: duplicate hits");
+            let reference = CrossingIndex::build_reference(&nets);
+            let crossings: usize = reference.iter().map(|(_, pc)| pc.total).sum();
+            assert!(crossings > 0, "{label}: fixture has no crossing");
+            assert_eq!(hits.len(), crossings, "{label}: one hit per crossing");
+            let sized = CrossingIndex::build_with_grid_dims(&nets, &exec, Some((cols, rows)));
+            assert_index_eq(&sized, &reference, &label);
+        }
     }
 
     #[test]
@@ -1588,11 +1422,12 @@ mod tests {
     }
 
     proptest! {
-        /// The tentpole equivalence contract: for random multi-candidate,
-        /// multi-segment nets — including collinear, shared-endpoint, and
-        /// zero-length segments from the cramped coordinate range — every
-        /// build strategy equals the brute-force reference byte for byte,
-        /// for every cell size and thread count.
+        /// The equivalence contract: for random multi-candidate,
+        /// multi-segment nets — including collinear overlaps, shared
+        /// endpoints, verticals and zero-length segments, which the
+        /// cramped `0..24` set packs densely — the grid build equals the
+        /// brute-force reference byte for byte, for every cell size and
+        /// thread count.
         #[test]
         fn grid_build_equals_reference_on_random_candidate_sets(
             raw in proptest::collection::vec(
@@ -1602,56 +1437,38 @@ mod tests {
                 ),
                 2..7,
             ),
-            cols in 1usize..20,
-            rows in 1usize..20,
-        ) {
-            let nets = random_nets(&raw);
-            let reference = CrossingIndex::build_reference(&nets);
-            for threads in [1usize, 2, 8] {
-                let exec = Executor::new(threads);
-                let auto = CrossingIndex::build_with(&nets, &exec);
-                assert_index_eq(&auto, &reference, &format!("auto, threads={threads}"));
-                let sized = CrossingIndex::build_with_grid_dims(
-                    &nets,
-                    &exec,
-                    Some((cols, rows)),
-                );
-                assert_index_eq(
-                    &sized,
-                    &reference,
-                    &format!("{cols}x{rows} grid, threads={threads}"),
-                );
-            }
-        }
-
-        /// Sweep-specific equivalence pin: the cramped 0..24 range packs
-        /// the segments with collinear overlaps, shared endpoints, and
-        /// verticals — the sweep's event-bundling edge cases — and the
-        /// index must still match the reference at every thread count.
-        #[test]
-        fn sweep_build_equals_reference_on_random_candidate_sets(
-            raw in proptest::collection::vec(
+            cramped in proptest::collection::vec(
                 proptest::collection::vec(
                     proptest::collection::vec((0i64..24, 0i64..24), 2..6),
                     1..3,
                 ),
                 2..8,
             ),
+            cols in 1usize..20,
+            rows in 1usize..20,
         ) {
-            let nets = random_nets(&raw);
-            let reference = CrossingIndex::build_reference(&nets);
-            for threads in [1usize, 2, 8] {
-                let exec = Executor::new(threads);
-                let sweep = CrossingIndex::build_with_strategy(
-                    &nets,
-                    &exec,
-                    BuildStrategy::Sweep,
-                );
-                assert_index_eq(&sweep, &reference, &format!("sweep, threads={threads}"));
+            for (set, raw) in [("wide", &raw), ("cramped", &cramped)] {
+                let nets = random_nets(raw);
+                let reference = CrossingIndex::build_reference(&nets);
+                for threads in [1usize, 2, 8] {
+                    let exec = Executor::new(threads);
+                    let grid = CrossingIndex::build_with(&nets, &exec);
+                    assert_index_eq(&grid, &reference, &format!("{set}, threads={threads}"));
+                    let sized = CrossingIndex::build_with_grid_dims(
+                        &nets,
+                        &exec,
+                        Some((cols, rows)),
+                    );
+                    assert_index_eq(
+                        &sized,
+                        &reference,
+                        &format!("{set}, {cols}x{rows} grid, threads={threads}"),
+                    );
+                }
             }
         }
 
-        /// `rebuild_delta` (localized sweep patch) against a full rebuild
+        /// `rebuild_delta` (localized grid pass) against a full rebuild
         /// after replacing a random subset of nets.
         #[test]
         fn rebuild_delta_equals_full_rebuild_on_random_changes(

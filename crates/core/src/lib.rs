@@ -56,7 +56,7 @@ pub mod wdm;
 
 pub use codesign::{CandidateRoute, EdgeMedium, NetCandidates, PathLoss};
 pub use config::{DirtyStage, OperonConfig};
-pub use crossing::{BuildInfo, BuildStrategy, ChosenBuild, CrossingIndex};
+pub use crossing::{BuildInfo, ChosenBuild, CrossingIndex};
 pub use error::OperonError;
 pub use flow::{FlowResult, OperonFlow};
 pub use session::{RouteSummary, SessionStats, WarmSession};

@@ -811,14 +811,13 @@ impl WarmSession {
                 (CrossingIndex::build_with(candidates, &self.exec), None)
             }
         };
-        // Which strategy ran, whether the pair tests used the workers,
+        // Which builder ran, whether the pair tests used the workers,
         // and the pair count: pure functions of the candidate set, so
         // run reports stay thread-count invariant.
         let info = idx.build_info();
         let strategy = match info.strategy {
             ChosenBuild::BruteForce => "crossing_build_brute",
             ChosenBuild::Grid => "crossing_build_grid",
-            ChosenBuild::Sweep => "crossing_build_sweep",
             ChosenBuild::Delta => "crossing_build_delta",
             ChosenBuild::Sharded => "crossing_build_sharded",
         };

@@ -793,6 +793,11 @@ pub fn plan(
     plan_with(nets, choice, lib, &Executor::sequential())
 }
 
+/// One orientation's planning result: initial sweep count, final WDMs,
+/// the reduction's work counters, and the resident committed network
+/// (`None` when the orientation has no connections).
+type OrientationPlan = (usize, Vec<Wdm>, WdmStats, Option<OrientationResident>);
+
 /// [`plan`] with the two orientations planned on `exec`'s workers.
 ///
 /// Horizontal and vertical tracks share nothing — separate connections,
@@ -800,11 +805,10 @@ pub fn plan(
 /// placement + assignment (including its MCMF reduction loop) runs as one
 /// coarse parallel task. Results are concatenated in the fixed
 /// horizontal-then-vertical order, identical to the sequential [`plan`].
-/// One orientation's planning result: initial sweep count, final WDMs,
-/// the reduction's work counters, and the resident committed network
-/// (`None` when the orientation has no connections).
-type OrientationPlan = (usize, Vec<Wdm>, WdmStats, Option<OrientationResident>);
-
+///
+/// # Errors
+///
+/// Same failure modes as [`plan`].
 pub fn plan_with(
     nets: &[NetCandidates],
     choice: &[usize],

@@ -4,8 +4,9 @@
 //!
 //! 1. **Power maps** (paper Fig. 9): each cell accumulates the power
 //!    dissipated by the wires and converters it covers.
-//! 2. **Crossing-count acceleration**: candidate segment pairs are pruned
-//!    to those whose bounding boxes touch common cells.
+//! 2. **Crossing-count acceleration** ([`SegmentGrid`]): candidate segment
+//!    pairs are pruned to those that traverse a common cell, and each
+//!    crossing is reported only by the cell that owns its crossing point.
 
 use crate::{BoundingBox, Point, Segment};
 use core::fmt;
@@ -230,6 +231,10 @@ impl fmt::Display for Grid {
 /// die-spanning diagonal therefore occupies `O(rows + cols)` cells, not
 /// every cell of its bounding box.
 ///
+/// A pair sharing several cells is seen in each of them;
+/// [`owns_crossing`](Self::owns_crossing) picks the one cell that reports
+/// it.
+///
 /// Everything about the structure is deterministic: cell geometry is
 /// integer arithmetic on dbu coordinates, and each cell lists item ids in
 /// insertion order.
@@ -413,6 +418,63 @@ impl SegmentGrid {
             }
         }
     }
+
+    /// Whether cell `cell` owns the proper crossing point of `s` and `t`:
+    /// the cell holding the exact rational crossing point, clamped to the
+    /// boundary cells the way [`insert`](Self::insert) clamps. By the
+    /// coverage invariant that cell holds both segments, so testing pairs
+    /// only where this returns `true` reports each crossing exactly once.
+    ///
+    /// Comparisons are exact multiply-only `i128` arithmetic. When one
+    /// would overflow (coordinates far beyond die scale), or the segments
+    /// are parallel, the answer is `true`: the caller may then see the
+    /// pair in several cells and must deduplicate.
+    pub fn owns_crossing(&self, cell: usize, s: &Segment, t: &Segment) -> bool {
+        self.owns_crossing_exact(cell, s, t).unwrap_or(true)
+    }
+
+    fn owns_crossing_exact(&self, cell: usize, s: &Segment, t: &Segment) -> Option<bool> {
+        let diff = |p: Point, q: Point| {
+            (
+                i128::from(q.x) - i128::from(p.x),
+                i128::from(q.y) - i128::from(p.y),
+            )
+        };
+        let cross = |u: (i128, i128), v: (i128, i128)| {
+            u.0.checked_mul(v.1)?.checked_sub(u.1.checked_mul(v.0)?)
+        };
+        let (d1, d2) = (diff(s.a, s.b), diff(t.a, t.b));
+        // The crossing point is s.a + d1 · num / den.
+        let den = cross(d1, d2)?;
+        if den == 0 {
+            return None;
+        }
+        let num = cross(diff(s.a, t.a), d2)?;
+        let (num, den) = if den < 0 {
+            (num.checked_neg()?, den.checked_neg()?)
+        } else {
+            (num, den)
+        };
+        // Whether the coordinate `a + d · num / den` is at least `bound`.
+        let at_least = |a: i64, d: i128, bound: i128| -> Option<bool> {
+            let lhs = (i128::from(a) - bound).checked_mul(den)?;
+            Some(lhs.checked_add(d.checked_mul(num)?)? >= 0)
+        };
+        // Band `idx` of `n` owns `[lo + idx·size, lo + (idx+1)·size)`,
+        // with the first and last bands open towards the outside.
+        let in_band = |a: i64, d: i128, lo: i64, size: i64, idx: usize, n: usize| {
+            let start = i128::from(lo) + idx as i128 * i128::from(size);
+            let above = idx == 0 || at_least(a, d, start)?;
+            let below = idx + 1 == n || !at_least(a, d, start + i128::from(size))?;
+            Some(above && below)
+        };
+        let lo = self.extent.lo();
+        let (col, row) = (cell % self.cols, cell / self.cols);
+        Some(
+            in_band(s.a.x, d1.0, lo.x, self.cell_w, col, self.cols)?
+                && in_band(s.a.y, d1.1, lo.y, self.cell_h, row, self.rows)?,
+        )
+    }
 }
 
 /// Floor division for `i128` with a positive divisor.
@@ -573,6 +635,30 @@ mod tests {
         }
     }
 
+    #[test]
+    fn crossing_on_cell_corner_is_owned_by_the_upper_right_cell() {
+        // 4×4 cells of side 26 over 0..=100: the diagonals cross at
+        // (52, 52), exactly on the corner shared by cells (1,1), (1,2),
+        // (2,1) and (2,2). Floor semantics give it to (2, 2).
+        let mut g = SegmentGrid::new(die(), 4, 4);
+        let s = Segment::new(Point::new(4, 4), Point::new(100, 100));
+        let t = Segment::new(Point::new(4, 100), Point::new(100, 4));
+        g.insert(0, s);
+        g.insert(1, t);
+        let owners: Vec<usize> = (0..16).filter(|&c| g.owns_crossing(c, &s, &t)).collect();
+        assert_eq!(owners, [2 * 4 + 2]);
+    }
+
+    #[test]
+    fn owns_crossing_falls_back_to_true_on_overflow() {
+        let big = i64::MAX / 2;
+        let extent = BoundingBox::new(Point::new(-big, -big), Point::new(big, big));
+        let g = SegmentGrid::new(extent, 4, 4);
+        let s = Segment::new(Point::new(-big, -big), Point::new(big, big));
+        let t = Segment::new(Point::new(-big, big), Point::new(big, -big));
+        assert!((0..16).all(|c| g.owns_crossing(c, &s, &t)));
+    }
+
     proptest! {
         #[test]
         fn segment_grid_crossing_pairs_share_a_cell(
@@ -613,6 +699,45 @@ mod tests {
                     "endpoint {p:?} cell {cell} not covered"
                 );
             }
+        }
+    }
+
+    proptest! {
+        // Most random pairs do not cross and are skipped, so this runs
+        // enough cases to test a few hundred crossings.
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The once-per-crossing rule: over random properly crossing
+        /// pairs (lattice and rational crossing points alike) and random
+        /// grid dims, exactly one cell holding both segments owns the
+        /// crossing.
+        #[test]
+        fn exactly_one_shared_cell_owns_each_crossing(
+            ax in 0i64..200, ay in 0i64..200, bx in 0i64..200, by in 0i64..200,
+            cx in 0i64..200, cy in 0i64..200, dx in 0i64..200, dy in 0i64..200,
+            cols in 1usize..24, rows in 1usize..24,
+        ) {
+            let s1 = Segment::new(Point::new(ax, ay), Point::new(bx, by));
+            let s2 = Segment::new(Point::new(cx, cy), Point::new(dx, dy));
+            prop_assume!(s1.crosses(&s2));
+            let extent = BoundingBox::from_points(
+                [s1.a, s1.b, s2.a, s2.b].into_iter(),
+            ).unwrap();
+            let mut g = SegmentGrid::new(extent, cols, rows);
+            g.insert(0, s1);
+            g.insert(1, s2);
+            let owners = g
+                .nonempty_cells()
+                .into_iter()
+                .filter(|&c| g.cell_items(c) == [0, 1] && g.owns_crossing(c, &s1, &s2))
+                .count();
+            prop_assert_eq!(owners, 1, "one shared cell must own the crossing");
+            // Ownership belongs to the point, not to the argument order,
+            // and no cell outside the shared ones claims it.
+            let swapped = (0..cols * rows)
+                .filter(|&c| g.owns_crossing(c, &s2, &s1))
+                .count();
+            prop_assert_eq!(swapped, 1);
         }
     }
 

@@ -12,12 +12,10 @@
 //!   ILP variable-reduction speed-up of the paper),
 //! * [`Segment`] — line segments with exact intersection predicates (used
 //!   to count waveguide crossings for the crossing-loss term),
-//! * [`Grid`] — uniform spatial binning (used for hotspot power maps and
-//!   to accelerate all-pairs segment intersection queries),
-//! * [`sweep_crossings`] — output-sensitive Bentley–Ottmann sweep line
-//!   reporting proper segment crossings with exact rational event
-//!   ordering (the third crossing-build strategy next to brute force and
-//!   the grid).
+//! * [`Grid`] — uniform `f64` binning (used for hotspot power maps),
+//! * [`SegmentGrid`] — uniform segment bucketing that accelerates
+//!   all-pairs segment intersection queries, with an exact owner-cell
+//!   rule so each crossing is reported once.
 //!
 //! # Examples
 //!
@@ -35,13 +33,11 @@ mod bbox;
 mod grid;
 mod point;
 mod segment;
-mod sweep;
 
 pub use bbox::BoundingBox;
 pub use grid::{Grid, GridCell, SegmentGrid};
 pub use point::{FPoint, Point};
 pub use segment::{Orientation, Segment};
-pub use sweep::{sweep_crossings, SWEEP_COORD_LIMIT};
 
 /// Database units per centimeter (`1 dbu = 1 µm`).
 ///

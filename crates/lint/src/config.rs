@@ -90,8 +90,8 @@ impl Config {
     /// Whether `rule` names `path` explicitly in its `only_paths`.
     ///
     /// Solver-scoped rules use this to opt individual files of
-    /// non-solver crates into the gate — e.g. P002 on the geom sweep
-    /// kernel, which is hot-path code in an infrastructure crate.
+    /// non-solver crates into the gate — e.g. P002 on a geom kernel
+    /// that is hot-path code in an infrastructure crate.
     pub fn path_explicitly_scoped(&self, rule: &str, path: &str) -> bool {
         self.rules
             .get(rule)

@@ -22,7 +22,7 @@
 //! (non-`src/bin`) code of the configured solver crates. P002 alone
 //! also fires in non-solver crates on files named explicitly in its
 //! `only_paths` — hot-path kernels hosted by infrastructure crates
-//! (the geom sweep builder) opt into the allocation gate that way.
+//! (say, a geom kernel) opt into the allocation gate that way.
 
 use crate::config::Config;
 use crate::diagnostics::{Diagnostic, Level};
@@ -117,7 +117,7 @@ pub fn analyze_source(path: &str, source: &str, config: &Config) -> FileAnalysis
     let solver = config.solver_crates.iter().any(|c| c == &crate_name);
     // P002 also gates files of non-solver crates when they are named
     // explicitly in its `only_paths` — hot-path kernels living in
-    // infrastructure crates (e.g. `crates/geom/src/sweep.rs`) carry the
+    // infrastructure crates (e.g. `crates/geom/src/grid.rs`) carry the
     // same no-per-iteration-allocation contract as solver code.
     let p002_opt_in = config.path_explicitly_scoped("P002", path);
 
@@ -1350,12 +1350,12 @@ fn f(exec: &Executor, items: &[f64]) {
             .expect("P002 configured")
             .only_paths = vec![
             "crates/core/src/lr.rs".to_owned(),
-            "crates/geom/src/sweep.rs".to_owned(),
+            "crates/geom/src/grid.rs".to_owned(),
         ];
         let src = "fn f(n: u32) {\n    for _ in 0..n {\n        let v: Vec<u32> = Vec::new();\n        drop(v);\n    }\n}\n";
         // Named explicitly in only_paths: the allocation gate applies
         // even though geom is not a solver crate.
-        let d = lint_source("crates/geom/src/sweep.rs", src, &config);
+        let d = lint_source("crates/geom/src/grid.rs", src, &config);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "P002");
         // Geom files the scope does not name stay exempt.
