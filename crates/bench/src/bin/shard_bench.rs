@@ -25,8 +25,12 @@
 //!    from another machine or an earlier commit.
 //!
 //! `--smoke` checks identity on a shrunken die-scale instance at tile
-//! grids {2x2, 4x4} and thread counts {1, 2}, skipping the child
-//! processes and the JSON write — the cheap CI gate. `--probe
+//! grids {2x2, 4x4} and thread counts {1, 2}, then routes the 10k die
+//! once without tiles and checks its plan fingerprint against the 10k
+//! entry of the committed `BENCH_shard.json`, read at run time, so a
+//! solver change that moves any plan (a tie-break among equal-cost
+//! flows, say) fails CI. It skips the child processes and the JSON
+//! write — the cheap CI gate. `--probe
 //! <variant> <bits>` runs one cell in-process and prints the executor
 //! run report (per-stage wall + peak RSS) — the memory-attribution
 //! tool this benchmark's acceptance bound was tuned with.
@@ -193,7 +197,33 @@ fn run_smoke() {
             assert_identity(2_000, tiles, threads);
         }
     }
-    println!("shard_bench --smoke: all identity checks passed");
+    let bits = SIZES[0];
+    let pinned = pinned_fingerprint(bits);
+    let routed = format!("{:016x}", fingerprint(&run_variant("unsharded", bits)));
+    assert_eq!(
+        routed, pinned,
+        "{bits} bits: plan fingerprint moved from the one pinned in BENCH_shard.json"
+    );
+    println!("shard_bench --smoke: all identity checks passed ({bits} bits: {routed})");
+}
+
+/// The plan fingerprint the committed `BENCH_shard.json` records for
+/// `bits`.
+fn pinned_fingerprint(bits: usize) -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
+    let text = std::fs::read_to_string(path).expect("read BENCH_shard.json");
+    let bench = json::parse(&text).expect("BENCH_shard.json is valid JSON");
+    let Some(Value::Array(sizes)) = bench.get("sizes") else {
+        panic!("BENCH_shard.json has no sizes array");
+    };
+    let row = sizes
+        .iter()
+        .find(|row| row.get("nets").and_then(Value::as_i64) == Some(bits as i64))
+        .unwrap_or_else(|| panic!("BENCH_shard.json has no {bits}-net row"));
+    match row.get("fingerprint") {
+        Some(Value::Str(fp)) => fp.clone(),
+        other => panic!("{bits}-net row has no fingerprint: {other:?}"),
+    }
 }
 
 fn run_full() {

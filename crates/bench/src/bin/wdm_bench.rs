@@ -371,6 +371,7 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
             ("cold_solves", Value::from(stats.cold_solves)),
             ("warm_trials", Value::from(stats.warm_trials)),
             ("dijkstra_passes", Value::from(stats.mcmf.dijkstra_passes)),
+            ("arcs_scanned", Value::from(stats.mcmf.arcs_scanned)),
             ("repair_rounds", Value::from(stats.mcmf.repair_rounds)),
             ("warm_fallbacks", Value::from(stats.mcmf.warm_fallbacks)),
             ("undo_entries", Value::from(stats.mcmf.undo_entries)),

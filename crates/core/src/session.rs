@@ -911,6 +911,7 @@ impl WarmSession {
         stage.record("wdm_cold_solves", stats.cold_solves);
         stage.record("wdm_warm_trials", stats.warm_trials);
         stage.record("wdm_dijkstra_passes", stats.mcmf.dijkstra_passes);
+        stage.record("wdm_arcs_scanned", stats.mcmf.arcs_scanned);
         stage.record("wdm_repair_rounds", stats.mcmf.repair_rounds);
         stage.record("wdm_warm_fallbacks", stats.mcmf.warm_fallbacks);
         stage.record("wdm_undo_entries", stats.mcmf.undo_entries);

@@ -72,6 +72,14 @@ impl Wdm {
 /// more executor threads the batched trials may pre-compute extra
 /// re-solves, but only the trials the sequential loop would have run are
 /// counted, so the stats are identical for every thread count.
+///
+/// A waveguide whose tentative deletion failed is never trialed again.
+/// Every later active set is a subset of the one the trial saw, so the
+/// later reduced network is a subgraph of the failed one and its max-flow
+/// value can only be lower: the deletion stays infeasible. Only counted
+/// trials mark a waveguide, so the skips — and `warm_trials` — are the
+/// same for every thread count, and the plan equals the all-cold
+/// reference, which re-trials every waveguide each round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WdmStats {
     /// Cold MCMF solves: the initial assignment plus one re-solve per
@@ -200,7 +208,8 @@ fn legalize(wdms: &mut [Wdm], min_pitch: i64) {
 /// and only the first in-order success is committed — so the committed
 /// deletion sequence is bit-identical to the sequential one for every
 /// thread count; extra threads merely pre-compute trials the sequential
-/// loop would have run next.
+/// loop would have run next. A waveguide whose deletion failed once is
+/// never trialed again (see [`WdmStats`]).
 ///
 /// Trials are *warm-started and transactional*: each one opens a
 /// [`checkout`](McmfGraph::checkout) on the committed solved network,
@@ -238,6 +247,9 @@ fn assign_orientation(
 
     let mut stats = WdmStats::default();
     let mut active: Vec<bool> = vec![true; placed.len()];
+    // WDMs whose deletion already failed on a superset of the current
+    // active set (see `WdmStats`): never trialed again.
+    let mut undeletable: Vec<bool> = vec![false; placed.len()];
     let mut committed = build_network(connections, &placed, &active, &sweep_wdm, lib);
     let first = {
         let (s, t) = (committed.g.node(0), committed.g.node(1));
@@ -302,7 +314,7 @@ fn assign_orientation(
                 removed_any = true;
                 None
             } else {
-                Some(wi)
+                (!undeletable[wi]).then_some(wi)
             }
         }));
         if removed_any {
@@ -341,6 +353,7 @@ fn assign_orientation(
             for (&wi, (feasible, trial_stats)) in chunk.iter().zip(trials) {
                 stats.warm_trials += 1;
                 stats.mcmf.accumulate(&trial_stats);
+                undeletable[wi] = !feasible;
                 if feasible {
                     // Commit with a cold solve of the reduced network so
                     // the assignment is bit-identical to the all-cold
@@ -393,15 +406,17 @@ fn assign_orientation(
 }
 
 /// The pre-warm-start reduction loop: every tentative deletion is a full
-/// cold re-solve. Retained as the identity reference for
-/// [`assign_orientation`] — the two must produce the same WDM set.
+/// cold re-solve, and every loaded waveguide is re-trialed each round.
+/// Retained as the identity reference for [`assign_orientation`] — the
+/// two must produce the same WDM set. Also returns the number of cold
+/// solves it ran (the initial one plus one per tentative deletion).
 fn assign_orientation_reference(
     connections: &[(usize, &Connection)],
     placed: Vec<Wdm>,
     lib: &OpticalLib,
-) -> Result<Vec<Wdm>, OperonError> {
+) -> Result<(Vec<Wdm>, u64), OperonError> {
     if connections.is_empty() {
-        return Ok(Vec::new());
+        return Ok((Vec::new(), 0));
     }
     let mut sweep_wdm = vec![usize::MAX; connections.len()];
     for (wi, w) in placed.iter().enumerate() {
@@ -411,6 +426,7 @@ fn assign_orientation_reference(
     }
 
     let mut active: Vec<bool> = vec![true; placed.len()];
+    let mut solves = 1u64;
     let mut best =
         solve_assignment(connections, &placed, &active, &sweep_wdm, lib).ok_or_else(|| {
             OperonError::WdmInfeasible(format!(
@@ -448,6 +464,7 @@ fn assign_orientation_reference(
             // cannot carry the demand (same decisions as a cloned trial
             // set, without the per-trial allocation).
             active[wi] = false;
+            solves += 1;
             if let Some(assignment) =
                 solve_assignment(connections, &placed, &active, &sweep_wdm, lib)
             {
@@ -462,13 +479,14 @@ fn assign_orientation_reference(
         }
     }
 
-    Ok(best
+    let wdms = best
         .into_iter()
         .enumerate()
         .filter(|&(wi, _)| active[wi])
         .map(|(_, w)| w)
         .filter(|w| w.used() > 0)
-        .collect())
+        .collect();
+    Ok((wdms, solves))
 }
 
 /// One warm tentative-deletion trial, run *in place* on `g` (the
@@ -888,9 +906,10 @@ pub fn plan_resident_with(
 
 /// The all-cold reference planner: identical placement, assignment and
 /// reduction decisions to [`plan`], but every tentative deletion pays a
-/// full cold re-solve and no work counters are collected. Retained to pin
-/// the warm-started reduction — `plan(...)` and `plan_cold_reference(...)`
-/// must agree on the final WDM set exactly.
+/// full cold re-solve and every loaded waveguide is re-trialed each
+/// round. Of the work counters only `stats.cold_solves` is recorded.
+/// Retained to pin the warm-started reduction — `plan(...)` and
+/// `plan_cold_reference(...)` must agree on the final WDM set exactly.
 ///
 /// # Errors
 ///
@@ -904,6 +923,7 @@ pub fn plan_cold_reference(
     let orientations = [TrackOrientation::Horizontal, TrackOrientation::Vertical];
     let mut wdms = Vec::new();
     let mut initial_count = 0usize;
+    let mut stats = WdmStats::default();
     for orientation in orientations {
         let oriented: Vec<(usize, &Connection)> = connections
             .iter()
@@ -922,7 +942,8 @@ pub fn plan_cold_reference(
             .collect();
         let placed = place_orientation(&local, lib)?;
         initial_count += placed.len();
-        let mut assigned = assign_orientation_reference(&local, placed, lib)?;
+        let (mut assigned, solves) = assign_orientation_reference(&local, placed, lib)?;
+        stats.cold_solves += solves;
         for w in &mut assigned {
             for slot in &mut w.assigned {
                 slot.0 = oriented[slot.0].0;
@@ -934,7 +955,7 @@ pub fn plan_cold_reference(
         connections,
         initial_count,
         wdms,
-        stats: WdmStats::default(),
+        stats,
     })
 }
 
@@ -1218,6 +1239,48 @@ mod tests {
                 .expect("feasible")
                 .stats;
             assert_eq!(stats, base, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn failed_deletions_are_never_retrialed() {
+        // Three 20-bit connections pack into two of their three sweep
+        // waveguides; a lone 2-bit connection beyond `dis_u` of them sits
+        // on the emptiest waveguide, whose deletion can never succeed.
+        // Round 1 trials it (fails) before committing a 20-bit deletion;
+        // round 2 would trial it again, and now skips it. The plan still
+        // equals the all-cold reference (which re-trials everything each
+        // round) at every thread count, with strictly fewer trials.
+        use operon_geom::Point;
+        let tracks = [(0i64, 20usize), (100, 20), (200, 20), (50_000, 2)];
+        let nets: Vec<NetCandidates> = tracks
+            .iter()
+            .enumerate()
+            .map(|(k, &(y, bits))| seg_net(k, Point::new(0, y), Point::new(12_000, y), bits))
+            .collect();
+        let choice = vec![0usize; nets.len()];
+        let reference = plan_cold_reference(&nets, &choice, &lib()).expect("feasible");
+        // One orientation: the reference's first solve, then one cold
+        // solve per tentative deletion.
+        let reference_trials = reference.stats.cold_solves - 1;
+        for threads in [1, 2, 8] {
+            let warm =
+                plan_with(&nets, &choice, &lib(), &Executor::new(threads)).expect("feasible");
+            assert_eq!(warm.wdms, reference.wdms, "threads={threads}");
+            assert_eq!((warm.initial_count, warm.final_count()), (4, 3));
+            // Each waveguide fails at most one trial.
+            let commits = warm.stats.cold_solves - 1;
+            let failures = warm.stats.warm_trials - commits;
+            assert!(
+                failures <= warm.initial_count as u64,
+                "{failures} failed trials over {} waveguides",
+                warm.initial_count
+            );
+            assert!(
+                warm.stats.warm_trials < reference_trials,
+                "threads={threads}: {} warm trials vs {reference_trials} reference trials",
+                warm.stats.warm_trials
+            );
         }
     }
 

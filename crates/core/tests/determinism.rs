@@ -250,6 +250,37 @@ fn ilp_flow_surfaces_search_counters_in_the_run_report() {
 }
 
 #[test]
+fn wdm_arcs_scanned_is_identical_across_thread_counts() {
+    // The MCMF kernel's arc-scan count is a work counter that repeats
+    // exactly: canonical for the sequential reduction order at every
+    // thread count, and surfaced as the `wdm_arcs_scanned` stage counter.
+    let design = generate(&SynthConfig::small(), 21);
+    let scanned = |threads: usize| {
+        let flow = OperonFlow::new(OperonConfig::default()).with_threads(threads);
+        let result = flow.run(&design).expect("flow succeeds");
+        let report = flow.executor().report();
+        let wdm = report
+            .stages
+            .iter()
+            .find(|s| s.name == "wdm")
+            .expect("wdm stage recorded");
+        let counter = wdm
+            .counters
+            .iter()
+            .find(|(k, _)| k == "wdm_arcs_scanned")
+            .map(|&(_, v)| v)
+            .expect("wdm_arcs_scanned recorded");
+        assert_eq!(counter, result.wdm.stats.mcmf.arcs_scanned);
+        counter
+    };
+    let base = scanned(1);
+    assert!(base > 0, "the WDM stage must scan arcs");
+    for threads in [2, 8] {
+        assert_eq!(scanned(threads), base, "threads={threads}");
+    }
+}
+
+#[test]
 fn parallel_flow_reports_its_stages() {
     let design = generate(&SynthConfig::small(), 21);
     let flow = OperonFlow::new(OperonConfig::default()).with_threads(2);

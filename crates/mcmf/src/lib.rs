@@ -9,6 +9,30 @@
 //! "uni-modular property" the paper relies on to read the WDM assignment
 //! directly off the flow without rounding.
 //!
+//! # Sink-bounded search
+//!
+//! Each augmentation needs only the shortest path to the sink `t`, so
+//! the Dijkstra search returns as soon as `t` is popped: its distance
+//! `d_t` and the parent arcs along its path are final at that point,
+//! while nodes farther than `t` are never settled. The potentials are
+//! then updated with the capped rule `p[v] += min(dist[v], d_t)`, where
+//! a node the search never reached counts as `dist[v] = ∞`. Every node
+//! left unsettled has a true reduced distance of at least `d_t`, so the
+//! update equals `p[v] += min(δ(v), d_t)` for the true distances `δ`.
+//! The map `x ↦ min(x, d_t)` is monotone and 1-Lipschitz, and
+//! `δ(v) ≤ δ(u) + c̄(u, v)` holds on every residual arc, so
+//! `min(δ(v), d_t) ≤ min(δ(u), d_t) + c̄(u, v)`: every reduced cost stays
+//! non-negative. The arcs of the augmenting path have reduced cost 0
+//! under the new potentials (both ends were settled), so their reverse
+//! twins enter the residual network feasible too. Flow value and cost
+//! are those of a search that settles the whole network; only the
+//! potentials of nodes beyond `t` differ.
+//!
+//! The search buffers (distances, parent arcs, the heap) and a spare
+//! potential buffer live on the graph and are reused by every pass.
+//! They are scratch only: [`fingerprint`](McmfGraph::fingerprint)
+//! ignores them and cloning a graph does not copy them.
+//!
 //! # Storage layout
 //!
 //! Arcs live in a flat struct-of-arrays arena: residual twins are paired
@@ -120,6 +144,11 @@ pub struct McmfStats {
     /// reduction pattern) surface their clone traffic — "zero-clone" is
     /// measured rather than claimed. The solver itself never clones.
     pub networks_cloned: u64,
+    /// Residual arcs the Dijkstra passes examined: the out-degree summed
+    /// over every node a search settled before reaching the sink. The
+    /// sink-bounded search (see the crate docs) saves exactly the arcs
+    /// of the nodes it leaves unsettled.
+    pub arcs_scanned: u64,
 }
 
 impl McmfStats {
@@ -132,6 +161,7 @@ impl McmfStats {
         self.undo_entries += other.undo_entries;
         self.rollbacks += other.rollbacks;
         self.networks_cloned += other.networks_cloned;
+        self.arcs_scanned += other.arcs_scanned;
     }
 
     /// The per-counter difference `self - before`, for reading the work
@@ -149,6 +179,7 @@ impl McmfStats {
             undo_entries: self.undo_entries.saturating_sub(before.undo_entries),
             rollbacks: self.rollbacks.saturating_sub(before.rollbacks),
             networks_cloned: self.networks_cloned.saturating_sub(before.networks_cloned),
+            arcs_scanned: self.arcs_scanned.saturating_sub(before.arcs_scanned),
         }
     }
 }
@@ -198,6 +229,23 @@ pub struct McmfGraph {
     /// overwrite inside a transaction (buffer reused across trials).
     saved_potential: Vec<i64>,
     potential_saved: bool,
+    // --- search scratch (never copied, never fingerprinted) ---
+    search: SearchScratch,
+}
+
+/// Buffers reused by every shortest-path search on one graph. Their
+/// contents are meaningless between passes: [`McmfGraph::dijkstra`]
+/// resets what it reads, so clones start with empty buffers.
+#[derive(Debug, Default)]
+struct SearchScratch {
+    /// Reduced distance from the source (`i64::MAX` = not reached).
+    dist: Vec<i64>,
+    /// Arc through which each reached node was last relaxed.
+    parent: Vec<u32>,
+    heap: BinaryHeap<Reverse<(i64, u32)>>,
+    /// A spare potential vector: solve entry points fill it instead of
+    /// allocating, and the potentials a solve replaces land back here.
+    spare_potential: Vec<i64>,
 }
 
 impl Clone for McmfGraph {
@@ -224,12 +272,14 @@ impl Clone for McmfGraph {
             undo_edge_caps: self.undo_edge_caps.clone(),
             saved_potential: self.saved_potential.clone(),
             potential_saved: self.potential_saved,
+            search: SearchScratch::default(),
         }
     }
 
     /// Allocation-reusing copy: `Vec::clone_from` keeps the existing
     /// buffers, so refreshing a same-shape scratch replica is a straight
-    /// memcpy with no allocator traffic.
+    /// memcpy with no allocator traffic. The search scratch keeps its own
+    /// buffers and is not copied.
     fn clone_from(&mut self, source: &Self) {
         self.n_nodes = source.n_nodes;
         self.arc_to.clone_from(&source.arc_to);
@@ -563,14 +613,27 @@ impl McmfGraph {
     }
 
     /// Replaces the stored solve potentials, stashing the pre-image once
-    /// per transaction so rollback restores them bitwise.
+    /// per transaction so rollback restores them bitwise. The replaced
+    /// buffer becomes the spare potential buffer.
     fn store_potentials(&mut self, p: Vec<i64>) {
         if self.txn_active && !self.potential_saved {
             std::mem::swap(&mut self.potential, &mut self.saved_potential);
             self.potential_saved = true;
             self.stats.undo_entries += 1;
         }
-        self.potential = p;
+        self.search.spare_potential = std::mem::replace(&mut self.potential, p);
+    }
+
+    /// The spare potential buffer, refilled with `fill` (or zeros when
+    /// `fill` is `None`) to one entry per node.
+    fn take_potential(&mut self, fill: Option<&[i64]>) -> Vec<i64> {
+        let mut p = std::mem::take(&mut self.search.spare_potential);
+        p.clear();
+        match fill {
+            Some(prior) => p.extend_from_slice(prior),
+            None => p.resize(self.n_nodes, 0),
+        }
+        p
     }
 
     /// Rebuilds the CSR adjacency index if edges or nodes were added
@@ -719,11 +782,9 @@ impl McmfGraph {
         assert!(s != t, "source and sink must differ");
         assert!(max_flow >= 0, "max_flow must be non-negative");
         self.ensure_csr();
-        let n = self.n_nodes;
-        let mut potential = vec![0i64; n];
+        let mut potential = self.take_potential(None);
         if self.needs_bellman_ford() {
-            let (dist, rounds) = self.bellman_ford_potentials(s.0);
-            potential = dist;
+            let rounds = self.bellman_ford_potentials(s.0, &mut potential);
             self.stats.bellman_ford_rounds += rounds;
         }
         self.run_ssp(s, t, max_flow, potential)
@@ -765,13 +826,13 @@ impl McmfGraph {
             let cancel_budget = self.n_nodes + self.edge_cap.len();
             // One scratch buffer across cancel retries; each round
             // restarts from the caller's prior potentials.
-            let mut potential = vec![0i64; self.n_nodes];
+            let mut potential = self.take_potential(None);
             for _ in 0..=cancel_budget {
                 potential.copy_from_slice(prior);
                 if self.repair_potentials(&mut potential) {
                     let pre_flow = self.flow_value(s);
                     let pre_cost = self.flow_cost();
-                    let pushed = self.run_ssp(s, t, i64::MAX, std::mem::take(&mut potential));
+                    let pushed = self.run_ssp(s, t, i64::MAX, potential);
                     return FlowResult {
                         flow: pre_flow + pushed.flow,
                         cost: pre_cost + pushed.cost,
@@ -781,6 +842,7 @@ impl McmfGraph {
                     break;
                 }
             }
+            self.search.spare_potential = potential;
         }
         self.stats.warm_fallbacks += 1;
         self.reset_flow_keep_potentials();
@@ -828,11 +890,8 @@ impl McmfGraph {
         assert!(from != to, "reroute endpoints must differ");
         assert!(amount >= 0, "amount must be non-negative");
         self.ensure_csr();
-        let mut potential = if prior.len() == self.n_nodes {
-            prior.to_vec()
-        } else {
-            vec![0i64; self.n_nodes]
-        };
+        let fill = (prior.len() == self.n_nodes).then_some(prior);
+        let mut potential = self.take_potential(fill);
         let repaired = self.repair_potentials(&mut potential);
         assert!(
             repaired,
@@ -926,9 +985,10 @@ impl McmfGraph {
 
     /// The successive-shortest-paths augmentation loop shared by the
     /// cold and warm entry points. `potential` must give non-negative
-    /// reduced costs on every residual arc. Stores the final potentials
-    /// for later warm starts and returns the flow *pushed by this
-    /// call* (not any flow already routed).
+    /// reduced costs on every residual arc; the capped update (see the
+    /// crate docs) keeps it so after every sink-bounded search. Stores
+    /// the final potentials for later warm starts and returns the flow
+    /// *pushed by this call* (not any flow already routed).
     fn run_ssp(
         &mut self,
         s: NodeId,
@@ -936,32 +996,28 @@ impl McmfGraph {
         max_flow: i64,
         mut potential: Vec<i64>,
     ) -> FlowResult {
-        let n = self.n_nodes;
         let mut total_flow = 0i64;
         let mut total_cost = 0i64;
         while total_flow < max_flow {
             self.stats.dijkstra_passes += 1;
-            let Some((dist, parent)) = self.dijkstra(s.0, t.0, &potential) else {
+            let Some(dist_t) = self.dijkstra(s.0, t.0, &potential) else {
                 break; // sink unreachable in residual graph
             };
-            // Update potentials for reachable nodes.
-            for v in 0..n {
-                if dist[v] < i64::MAX {
-                    potential[v] += dist[v];
-                }
+            for (p, &d) in potential.iter_mut().zip(&self.search.dist) {
+                *p += d.min(dist_t);
             }
             // Bottleneck along the path.
             let mut push = max_flow - total_flow;
             let mut v = t.0;
             while v != s.0 {
-                let arc = parent[v];
+                let arc = self.search.parent[v] as usize;
                 push = push.min(self.arc_cap[arc]);
                 v = self.arc_tail(arc);
             }
             // Apply.
             let mut v = t.0;
             while v != s.0 {
-                let arc = parent[v];
+                let arc = self.search.parent[v] as usize;
                 self.write_cap(arc, self.arc_cap[arc] - push);
                 self.write_cap(arc ^ 1, self.arc_cap[arc ^ 1] + push);
                 total_cost += push * self.arc_cost[arc];
@@ -976,17 +1032,18 @@ impl McmfGraph {
         }
     }
 
-    /// Bellman-Ford from `s` to initialize potentials when negative edge
-    /// costs exist. Unreachable nodes keep potential 0 (they can never be
-    /// on an augmenting path from `s` anyway). Returns the potentials and
-    /// the number of relaxation rounds executed.
+    /// Bellman-Ford from `s` into `potential` (one entry per node) to
+    /// initialize potentials when negative edge costs exist. Unreachable
+    /// nodes get potential 0 (they can never be on an augmenting path
+    /// from `s` anyway). Returns the number of relaxation rounds
+    /// executed.
     ///
     /// # Panics
     ///
     /// Panics on a negative cycle reachable from `s`.
-    fn bellman_ford_potentials(&self, s: usize) -> (Vec<i64>, u64) {
+    fn bellman_ford_potentials(&self, s: usize, dist: &mut [i64]) -> u64 {
         let n = self.n_nodes;
-        let mut dist = vec![i64::MAX; n];
+        dist.fill(i64::MAX);
         let mut rounds = 0u64;
         dist[s] = 0;
         for round in 0..n {
@@ -1013,33 +1070,52 @@ impl McmfGraph {
                 "negative-cost cycle detected; min-cost flow is unbounded"
             );
         }
-        let potentials = dist
-            .iter()
-            .map(|&d| if d == i64::MAX { 0 } else { d })
-            .collect();
-        (potentials, rounds)
+        for d in dist.iter_mut().filter(|d| **d == i64::MAX) {
+            *d = 0;
+        }
+        rounds
     }
 
-    /// Dijkstra on reduced costs. Returns `(dist, parent_arc)` or `None`
-    /// when `t` is unreachable.
-    fn dijkstra(&self, s: usize, t: usize, potential: &[i64]) -> Option<(Vec<i64>, Vec<usize>)> {
+    /// Sink-bounded Dijkstra on reduced costs into the search scratch:
+    /// returns `t`'s distance as soon as `t` is popped, or `None` when
+    /// `t` is unreachable. Afterwards `search.dist` holds a final
+    /// distance for every settled node, a tentative distance (never
+    /// below `t`'s) for reached but unsettled ones and `i64::MAX` for the
+    /// rest, and `search.parent` the shortest-path tree arc of every node
+    /// on the path to `t`.
+    fn dijkstra(&mut self, s: usize, t: usize, potential: &[i64]) -> Option<i64> {
+        debug_assert!(self.csr_valid, "CSR index is stale");
         let n = self.n_nodes;
-        let mut dist = vec![i64::MAX; n];
-        let mut parent = vec![usize::MAX; n];
-        let mut heap = BinaryHeap::new();
+        let SearchScratch {
+            dist, parent, heap, ..
+        } = &mut self.search;
+        dist.clear();
+        dist.resize(n, i64::MAX);
+        // Only entries written this pass are ever read back.
+        parent.resize(n, u32::MAX);
+        heap.clear();
+        let mut scanned = 0u64;
         dist[s] = 0;
-        heap.push(Reverse((0i64, s)));
+        heap.push(Reverse((0i64, s as u32)));
+        let mut reached = None;
         while let Some(Reverse((d, u))) = heap.pop() {
+            let u = u as usize;
             if d > dist[u] {
                 continue;
             }
-            for &ai in self.out_arcs(u) {
-                let ai = ai as usize;
-                if self.arc_cap[ai] <= 0 {
+            if u == t {
+                reached = Some(d);
+                break;
+            }
+            let arcs = &self.adj_arcs[self.adj_start[u] as usize..self.adj_start[u + 1] as usize];
+            scanned += arcs.len() as u64;
+            for &ai in arcs {
+                let a = ai as usize;
+                if self.arc_cap[a] <= 0 {
                     continue;
                 }
-                let to = self.arc_to[ai] as usize;
-                let reduced = self.arc_cost[ai] + potential[u] - potential[to];
+                let to = self.arc_to[a] as usize;
+                let reduced = self.arc_cost[a] + potential[u] - potential[to];
                 debug_assert!(
                     reduced >= 0,
                     "reduced cost must be non-negative (got {reduced})"
@@ -1048,15 +1124,12 @@ impl McmfGraph {
                 if nd < dist[to] {
                     dist[to] = nd;
                     parent[to] = ai;
-                    heap.push(Reverse((nd, to)));
+                    heap.push(Reverse((nd, to as u32)));
                 }
             }
         }
-        if dist[t] == i64::MAX {
-            None
-        } else {
-            Some((dist, parent))
-        }
+        self.stats.arcs_scanned += scanned;
+        reached
     }
 }
 
@@ -1661,6 +1734,48 @@ mod tests {
         }
     }
 
+    /// Whether every residual arc with spare capacity has a non-negative
+    /// reduced cost under the stored potentials — the invariant every
+    /// Dijkstra pass relies on.
+    fn potentials_feasible(g: &McmfGraph) -> bool {
+        let p = g.potentials();
+        (0..g.arc_cap.len()).all(|a| {
+            let (u, v) = (g.arc_tail(a), g.arc_to[a] as usize);
+            g.arc_cap[a] <= 0 || g.arc_cost[a] + p[u] - p[v] >= 0
+        })
+    }
+
+    #[test]
+    fn search_stops_at_the_sink_before_a_costly_branch() {
+        // s -> t costs 1; the side branch s -> a -> b -> t costs 5 per
+        // arc. The first search settles only s, then pops t at distance
+        // 1: a (distance 5) and b are never settled, so only s's arcs
+        // are scanned. The second search must route through the branch.
+        let edges = [(0, 1, 1, 1), (0, 2, 1, 5), (2, 3, 1, 5), (3, 1, 1, 5)];
+        let mut g = McmfGraph::new(4);
+        for &(u, v, cap, cost) in &edges {
+            g.add_edge(g.node(u), g.node(v), cap, cost);
+        }
+        let (s, t) = (g.node(0), g.node(1));
+        let first = g.min_cost_flow_bounded(s, t, 1);
+        assert_eq!(first, FlowResult { flow: 1, cost: 1 });
+        assert_eq!(g.stats().dijkstra_passes, 1);
+        assert_eq!(g.stats().arcs_scanned, 2, "only s was settled");
+        // Capped update: settled s gets 0, t gets d_t = 1, and the
+        // unsettled a (tentative 5) and unreached b are capped at 1.
+        assert_eq!(g.potentials(), &[0, 1, 1, 1]);
+        assert!(potentials_feasible(&g));
+        let rest = g.min_cost_max_flow(s, t);
+        assert_eq!(
+            FlowResult {
+                flow: first.flow + rest.flow,
+                cost: first.cost + rest.cost,
+            },
+            ssp_bellman_oracle(4, &edges, 0, 1)
+        );
+        assert!(potentials_feasible(&g));
+    }
+
     /// Oracle: plain Bellman-Ford successive shortest paths (no
     /// potentials). Slower but independent of the Dijkstra machinery.
     fn ssp_bellman_oracle(
@@ -1827,6 +1942,60 @@ mod tests {
             prop_assert_eq!(net[n - 1], -r.flow);
             for &imbalance in &net[1..n - 1] {
                 prop_assert_eq!(imbalance, 0);
+            }
+        }
+
+        /// The sink-bounded search's capped potential update keeps every
+        /// residual reduced cost non-negative after cold, warm and
+        /// reroute solves and after a rollback. Edge costs are
+        /// non-negative, so the zero potentials the cold solve starts
+        /// from are feasible on every arc, reachable or not.
+        #[test]
+        fn potentials_stay_feasible(
+            n in 2usize..8,
+            raw_edges in proptest::collection::vec(
+                (0usize..8, 0usize..8, 0i64..10, 0i64..20), 1..24),
+            trials in proptest::collection::vec((any::<bool>(), 0usize..24), 1..6),
+        ) {
+            let edges: Vec<_> = raw_edges
+                .into_iter()
+                .map(|(u, v, cap, cost)| (u % n, v % n, cap, cost))
+                .filter(|&(u, v, _, _)| u != v)
+                .collect();
+            if edges.is_empty() {
+                return Ok(());
+            }
+            let mut g = McmfGraph::new(n);
+            let handles: Vec<_> = edges
+                .iter()
+                .map(|&(u, v, cap, cost)| g.add_edge(g.node(u), g.node(v), cap, cost))
+                .collect();
+            let (s, t) = (g.node(0), g.node(1));
+            let cold = g.min_cost_max_flow(s, t);
+            prop_assert!(potentials_feasible(&g), "after min_cost_max_flow");
+            prop_assert_eq!(cold, ssp_bellman_oracle(n, &edges, 0, 1));
+            let prior = g.potentials().to_vec();
+            for &(warm, which) in &trials {
+                let e = handles[which % handles.len()];
+                let (u, v, _, _) = edges[which % handles.len()];
+                let mut txn = g.checkout();
+                // Delete one edge the way the WDM trials do: withdraw its
+                // flow and zero its capacity (arc removals only).
+                let f = txn.flow(e);
+                if f > 0 {
+                    txn.withdraw_edge_flow(e, f);
+                }
+                txn.set_edge_capacity(e, 0);
+                if warm {
+                    let _ = txn.min_cost_max_flow_warm(s, t, &prior);
+                    prop_assert!(potentials_feasible(&txn), "after min_cost_max_flow_warm");
+                } else {
+                    let _ = txn.min_cost_reroute(NodeId(u), NodeId(v), f, &prior);
+                    prop_assert!(potentials_feasible(&txn), "after min_cost_reroute");
+                }
+                txn.rollback();
+                prop_assert!(potentials_feasible(&g), "after rollback");
+                prop_assert_eq!(g.potentials(), &prior[..]);
             }
         }
 
