@@ -17,7 +17,8 @@
 //!    `CrossingIndex::build_reference` on every fixture at 1, 2, and 8
 //!    threads (asserted). The timing criterion is a same-run ratio, so
 //!    it holds on noisy shared hardware: the dense fixture's grid build
-//!    at least 5× over brute force (asserted).
+//!    at least 5× over brute force (asserted). Each row also records the
+//!    built index's heap size (`index_kib`).
 //! 2. **Incremental vs reference LR pricing** on synthesized designs:
 //!    wall time of `select_lr_in` (persistent workspace, as a resident
 //!    session runs it) against the retained `select_lr_reference`
@@ -258,6 +259,7 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
         }
 
         let mut grid_seq_ms = f64::INFINITY;
+        let mut index_kib = 0;
         let mut per_thread = Vec::new();
         for threads in THREADS {
             let exec = Executor::new(threads);
@@ -271,6 +273,7 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
                     &reference,
                     &format!("{name}, grid threads={threads}"),
                 );
+                index_kib = grid.heap_bytes().div_ceil(1024);
             }
             if threads == 1 {
                 grid_seq_ms = best_ms;
@@ -283,8 +286,8 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
 
         let speedup = reference_ms / grid_seq_ms;
         println!(
-            "crossing {name}: {nets} nets, {pairs} pairs, brute {reference_ms:.2} ms, \
-             grid {grid_seq_ms:.2} ms ({speedup:.1}x)",
+            "crossing {name}: {nets} nets, {pairs} pairs, {index_kib} KiB index, \
+             brute {reference_ms:.2} ms, grid {grid_seq_ms:.2} ms ({speedup:.1}x)",
             nets = nets.len(),
             pairs = reference.len(),
         );
@@ -299,6 +302,7 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             ("name", Value::from(name)),
             ("nets", Value::from(nets.len())),
             ("crossing_pairs", Value::from(reference.len())),
+            ("index_kib", Value::from(index_kib)),
             ("brute_force_best_ms", Value::from(reference_ms)),
             ("grid_best_ms", Value::from(grid_seq_ms)),
             ("speedup", Value::from(speedup)),

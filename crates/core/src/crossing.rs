@@ -26,35 +26,57 @@
 //!   paper's "non-overlapped bounding boxes" variable reduction).
 //!   Retained as the equivalence oracle for tests and benchmarks.
 //!
-//! Both funnel their crossings through the same packed-hit global sort +
-//! dedup + assembly (see `Hit`), so the index is a pure function of the
-//! candidate set — independent of builder, cell count, iteration order,
-//! and thread count.
+//! The spatial builds funnel their crossings through the same packed-hit
+//! global sort + dedup + assembly (see `Hit`), and every build fills the
+//! same arenas in ascending key order, so the index is a pure function of
+//! the candidate set — independent of builder, cell count, iteration
+//! order, and thread count.
 //!
 //! # Arena layout
 //!
-//! The index stores sorted flat vectors only — no tree maps on any hot
-//! path. `keys`/`records` are parallel arrays in sorted [`PairKey`]
-//! order; `pair()` is a binary search. Neighbor lists live in one CSR
-//! arena (`adj_keys`/`adj_off`/`adj`), and the net-level coupling graph
-//! incremental LR pricing walks every iteration is a second CSR
-//! (`net_neighbors`), precomputed once per build. Record handles are
-//! stable `u32` indexes; [`CrossingIndex::rebuild_delta`] re-derives the
-//! arena from retained rows plus a grid pass over the dirty
-//! neighborhood, so handles stay valid across ECOs exactly when the rows
-//! they name are unchanged.
+//! No record owns a heap allocation: the index is a handful of flat
+//! vectors, so building, cloning and dropping it touch a few large
+//! buffers, and no tree map sits on any hot path.
+//!
+//! * **Records.** `keys` holds the packed pair keys in ascending order
+//!   (integer order is `(net_a, cand_a, net_b, cand_b)` order); record
+//!   `i` belongs to `keys[i]`. All per-path counts share one `counts`
+//!   arena of `(path, crossings)` entries: with `(a_end, b_end) =
+//!   ends[i]` and `start` the previous record's `b_end`, side A is
+//!   `counts[start..a_end]` and side B `counts[a_end..b_end]`.
+//!   `totals[i]` is the pair's segment-crossing count. [`PairCross`] is a
+//!   `Copy` view of one record; `pair()` is a binary search over `keys`.
+//! * **Neighbor lists.** Candidates get dense global ids in `(net, cand)`
+//!   order — net `n`'s candidates are ids `cand_base[n]..cand_base[n +
+//!   1]` — and candidate `g`'s list is `adj[adj_off[g]..adj_off[g + 1]]`,
+//!   an O(1) slice. A 12-byte [`Neighbor`] names the other candidate and
+//!   the record, with the list owner's side in the handle's top bit. The
+//!   lists are filled by a counting sort in record order, so each one is
+//!   ascending by record.
+//! * **Net coupling.** The rows LR pricing walks every iteration
+//!   ([`CrossingIndex::net_neighbors`]) are a second CSR
+//!   (`net_adj_off`/`net_adj`): per net, the sorted distinct nets its
+//!   candidates' neighbor lists name.
+//!
+//! Builds append records straight from the sorted hits: the grid build
+//! in one pass, [`CrossingIndex::rebuild_delta`] by merging its retained
+//! rows with the recounted runs, the tile-sharded build by a k-way merge
+//! of its per-tile runs. The neighbor and net arenas are derived last,
+//! after the hit buffer is freed. Record handles are positions in key
+//! order, re-derived by every build.
 
-use crate::codesign::NetCandidates;
+use crate::codesign::{CandidateRoute, NetCandidates, PathLoss};
 use operon_exec::Executor;
 use operon_geom::{BoundingBox, Segment, SegmentGrid};
 
-/// Crossing counts between one ordered pair of candidates.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PairCross {
-    /// `(path index in candidate A, crossings on that path)`.
-    pub per_path_a: Vec<(usize, usize)>,
-    /// `(path index in candidate B, crossings on that path)`.
-    pub per_path_b: Vec<(usize, usize)>,
+/// Crossing counts between one ordered pair of candidates: a borrowed
+/// view of one record of a [`CrossingIndex`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PairCross<'a> {
+    /// `(path index in candidate A, crossings on that path)`, ascending.
+    pub per_path_a: &'a PathCounts,
+    /// `(path index in candidate B, crossings on that path)`, ascending.
+    pub per_path_b: &'a PathCounts,
     /// Total segment crossings between the two candidates.
     pub total: usize,
 }
@@ -63,28 +85,45 @@ pub struct PairCross {
 pub(crate) type PairKey = (usize, usize, usize, usize);
 
 /// One side's `(path index, crossings)` counts of a crossing record.
-pub type PathCounts = [(usize, usize)];
+pub type PathCounts = [(u32, u32)];
+
+/// Top bit of a [`Neighbor`]'s record handle: the list owner is side A.
+const OWNER_IS_A: u32 = 1 << 31;
 
 /// One entry of a candidate's neighbor list: a candidate of another net
 /// that it crosses, plus a direct handle to the shared crossing record so
-/// hot pricing loops read per-path counts without any map walk per query.
+/// hot pricing loops read per-path counts without any search per query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Neighbor {
-    /// The crossing net.
-    pub net: usize,
-    /// The crossing net's candidate index.
-    pub cand: usize,
-    /// Index into `CrossingIndex::records`.
-    record: u32,
-    /// Whether the list owner is side A of the record.
-    owner_is_a: bool,
+    net: u32,
+    cand: u32,
+    /// Record index, with [`OWNER_IS_A`] set when the list owner is
+    /// side A of the record.
+    handle: u32,
 }
 
 impl Neighbor {
+    /// The crossing net.
+    #[inline]
+    pub fn net(&self) -> usize {
+        self.net as usize
+    }
+
+    /// The crossing net's candidate index.
+    #[inline]
+    pub fn cand(&self) -> usize {
+        self.cand as usize
+    }
+
     /// The `(net, cand)` pair of this neighbor.
     #[inline]
     pub fn key(&self) -> (usize, usize) {
-        (self.net, self.cand)
+        (self.net(), self.cand())
+    }
+
+    #[inline]
+    fn record(&self) -> usize {
+        (self.handle & !OWNER_IS_A) as usize
     }
 }
 
@@ -135,6 +174,7 @@ const GRID_TASKS_PER_WORKER: usize = 4;
 /// One flattened candidate segment: the unit all builders work on.
 struct SegRef {
     net: u32,
+    /// Global candidate id (see [`CandIds`]).
     cand: u32,
     seg: u32,
     s: Segment,
@@ -142,25 +182,29 @@ struct SegRef {
 
 /// All pairwise crossing counts over a candidate set.
 ///
-/// Flat sorted arenas throughout (see the module docs): parallel
-/// `keys`/`records` arrays, one CSR neighbor arena, and a CSR net-level
-/// coupling graph. Iteration order is the sorted key order, so runs are
-/// bit-reproducible without any tree map.
+/// Flat arenas throughout (see the module docs): sorted packed keys with
+/// one shared path-count arena, a CSR neighbor arena indexed by global
+/// candidate id, and a CSR net-level coupling graph. Iteration order is
+/// the sorted key order, so runs are bit-reproducible without any tree
+/// map.
 #[derive(Clone, Debug, Default)]
 pub struct CrossingIndex {
-    /// Sorted pair keys; `records[i]` belongs to `keys[i]`.
-    keys: Vec<PairKey>,
-    /// Crossing records in sorted key order.
-    records: Vec<PairCross>,
-    /// Sorted distinct `(net, cand)` owners of neighbor lists.
-    adj_keys: Vec<(usize, usize)>,
-    /// CSR offsets into `adj`; `adj_keys.len() + 1` entries.
+    /// Sorted packed pair keys ([`pack_key`]); record `i` is `keys[i]`.
+    keys: Vec<u128>,
+    /// Per-path count arena, record by record, side A before side B.
+    counts: Vec<(u32, u32)>,
+    /// Per record, the end offsets of its side-A and side-B counts.
+    ends: Vec<(u32, u32)>,
+    /// Per record, the total segment crossings.
+    totals: Vec<u32>,
+    /// Global candidate id prefix over nets, `nets + 1` entries.
+    cand_base: Vec<u32>,
+    /// CSR offsets into `adj`, one row per global candidate id.
     adj_off: Vec<u32>,
-    /// Neighbor arena: owner `adj_keys[i]`'s list is
-    /// `adj[adj_off[i]..adj_off[i + 1]]`.
+    /// Neighbor arena: candidate `g`'s list is
+    /// `adj[adj_off[g]..adj_off[g + 1]]`.
     adj: Vec<Neighbor>,
-    /// CSR offsets into `net_adj`, one row per net id up to the highest
-    /// net with a crossing.
+    /// CSR offsets into `net_adj`, one row per net.
     net_adj_off: Vec<u32>,
     /// Sorted, deduplicated coupled-net ids per row.
     net_adj: Vec<u32>,
@@ -170,10 +214,14 @@ pub struct CrossingIndex {
 
 impl PartialEq for CrossingIndex {
     fn eq(&self, other: &Self) -> bool {
-        // The CSR arenas are pure functions of `keys`, and `info` is
-        // provenance, not content: two indexes are equal iff their pair
-        // maps are.
-        self.keys == other.keys && self.records == other.records
+        // The record arenas are laid out canonically (key order, side A
+        // first), the neighbor and net arenas are pure functions of the
+        // keys, and `info` is provenance, not content: two indexes are
+        // equal iff their pair maps are.
+        self.keys == other.keys
+            && self.totals == other.totals
+            && self.ends == other.ends
+            && self.counts == other.counts
     }
 }
 
@@ -200,11 +248,16 @@ impl CrossingIndex {
     /// Grid build (auto-sized cells unless `dims` is given; the explicit
     /// dims are the escape hatch the equivalence proptests use).
     fn build_grid(nets: &[NetCandidates], exec: &Executor, dims: Option<(usize, usize)>) -> Self {
-        let (mut hits, parallel) = grid_hits(&collect_segments(nets, |_| true), dims, exec);
+        let ids = CandIds::new(nets);
+        let (mut hits, parallel) = grid_hits(&collect_segments(nets, &ids, |_| true), dims, exec);
         hits.sort_unstable();
         hits.dedup();
-        Self::from_pair_list(
-            assemble_runs(nets, &hits),
+        let records = assemble_runs(nets, &ids, &hits);
+        // The hits go before the neighbor arena goes up.
+        drop(hits);
+        Self::from_records(
+            records,
+            ids.base,
             BuildInfo {
                 strategy: ChosenBuild::Grid,
                 parallel,
@@ -231,13 +284,13 @@ impl CrossingIndex {
 
     /// [`build_reference`](Self::build_reference) with net `a`'s row (its
     /// pairs against all `b > a`) spread over `exec`'s workers; rows are
-    /// merged in net order afterwards, so the index is identical for
-    /// every thread count.
+    /// sorted by key afterwards, so the index is identical for every
+    /// thread count.
     pub fn build_reference_with(nets: &[NetCandidates], exec: &Executor) -> Self {
         // Net-level prefilter: union bbox of all optical candidates.
         let net_bbox = net_bboxes(nets);
 
-        let rows: Vec<Vec<(PairKey, PairCross)>> = exec.par_map_indexed(&net_bbox, |a, bb_a| {
+        let rows: Vec<Vec<(u128, OwnedRecord)>> = exec.par_map_indexed(&net_bbox, |a, bb_a| {
             let mut row = Vec::new();
             let Some(bb_a) = bb_a else { return row };
             for b in a + 1..nets.len() {
@@ -256,9 +309,9 @@ impl CrossingIndex {
                         if !cbb_a.overlaps(&cbb_b) {
                             continue;
                         }
-                        let cross = count_pair(ca, cb);
-                        if cross.total > 0 {
-                            row.push(((a, ai, b, bi), cross));
+                        if let Some(record) = count_pair(ca, cb) {
+                            let key = pack_key(a as u32, ai as u32, b as u32, bi as u32);
+                            row.push((key, record));
                         }
                     }
                 }
@@ -266,8 +319,15 @@ impl CrossingIndex {
             row
         });
 
-        Self::from_pair_list(
-            rows.into_iter().flatten().collect(),
+        let mut rows: Vec<(u128, OwnedRecord)> = rows.into_iter().flatten().collect();
+        rows.sort_unstable_by_key(|row| row.0);
+        let mut records = Records::with_capacity(rows.len());
+        for (key, (per_a, per_b, total)) in &rows {
+            records.push(*key, per_a, per_b, *total);
+        }
+        Self::from_records(
+            records,
+            CandIds::new(nets).base,
             BuildInfo {
                 strategy: ChosenBuild::BruteForce,
                 parallel: true,
@@ -280,11 +340,11 @@ impl CrossingIndex {
     /// Equivalent to a full [`build`](Self::build) of the new candidate
     /// set, at the cost of the changed rows only.
     ///
-    /// Implementation: retained rows are copied across; the dirty
-    /// neighborhood — changed nets plus every net whose bounding box
-    /// overlaps a changed net's — gets its own grid pass. Pairs between
-    /// two unchanged nets found by that pass are discarded (their
-    /// retained rows are already exact), so the merge is conflict-free.
+    /// Implementation: the dirty neighborhood — changed nets plus every
+    /// net whose bounding box overlaps a changed net's — gets its own
+    /// grid pass, whose hits are kept only when they involve a changed
+    /// net. Every retained row involves no changed net, so the two key
+    /// sets are disjoint and one linear merge appends both in key order.
     pub fn rebuild_delta(&self, nets: &[NetCandidates], changed: &[usize]) -> Self {
         let mut is_changed = vec![false; nets.len()];
         for &i in changed {
@@ -292,19 +352,11 @@ impl CrossingIndex {
                 is_changed[i] = true;
             }
         }
-        // Retained rows: both nets unchanged. Record contents are cloned
-        // into the new arena; their new handles follow the sorted order.
-        let mut list: Vec<(PairKey, PairCross)> = Vec::with_capacity(self.keys.len());
-        for (key, rec) in self.keys.iter().zip(&self.records) {
-            if key.0 < nets.len() && key.2 < nets.len() && !is_changed[key.0] && !is_changed[key.2]
-            {
-                list.push((*key, rec.clone()));
-            }
-        }
 
         // Dirty neighborhood: changed nets and bbox-overlapping others.
         // A pair crossing a changed net must overlap its bbox, so the
         // local grid pass sees every pair that needs recounting.
+        let ids = CandIds::new(nets);
         let net_bbox = net_bboxes(nets);
         let changed_boxes: Vec<BoundingBox> = (0..nets.len())
             .filter(|&i| is_changed[i])
@@ -317,18 +369,38 @@ impl CrossingIndex {
                 involved[i] = true;
             }
         }
-        let involved_segs = collect_segments(nets, |i| involved[i]);
+        let involved_segs = collect_segments(nets, &ids, |i| involved[i]);
         let (mut hits, _) = grid_hits(&involved_segs, None, &Executor::sequential());
-        hits.retain(|&(key, _)| {
-            is_changed[(key >> 96) as usize] || is_changed[(key >> 32) as u32 as usize]
+        drop(involved_segs);
+        hits.retain(|&hit| {
+            let (a, b) = ids.hit_nets(hit);
+            is_changed[a] || is_changed[b]
         });
         hits.sort_unstable();
         hits.dedup();
 
-        let mut runs = assemble_runs(nets, &hits);
-        list.append(&mut runs);
-        Self::from_pair_list(
-            list,
+        // Retained rows (both nets unchanged) interleaved with the
+        // recounted runs, in key order.
+        let mut records = Records::with_capacity(self.len() + count_runs(&hits));
+        let mut scratch = AssembleScratch::new(nets, &ids);
+        let mut runs = hits.chunk_by(same_pair).peekable();
+        for (i, &key) in self.keys.iter().enumerate() {
+            let (na, nb) = key_nets(key);
+            if na >= nets.len() || nb >= nets.len() || is_changed[na] || is_changed[nb] {
+                continue;
+            }
+            while let Some(run) = runs.next_if(|run| ids.hit_key(run[0]) < key) {
+                scratch.push_run(run, &mut records);
+            }
+            let pc = self.view(i);
+            records.push(key, pc.per_path_a, pc.per_path_b, pc.total);
+        }
+        for run in runs {
+            scratch.push_run(run, &mut records);
+        }
+        Self::from_records(
+            records,
+            ids.base,
             BuildInfo {
                 strategy: ChosenBuild::Delta,
                 parallel: false,
@@ -336,110 +408,109 @@ impl CrossingIndex {
         )
     }
 
-    /// Assembles the dense record vector, the CSR neighbor arena, and
-    /// the net-level coupling CSR from a `(key, record)` list. The list
-    /// need not be sorted; keys must be unique. `pub(crate)` so the
-    /// tile-sharded build can drop its per-tile hit lists *before* the
-    /// arena is built — the peak-memory edge over the monolithic path,
-    /// which must keep its hit buffer alive through this call.
-    pub(crate) fn from_pair_list(mut list: Vec<(PairKey, PairCross)>, info: BuildInfo) -> Self {
-        // Keys are unique, so an unstable sort is exact; spatial builds
-        // hand the list over already sorted and pay only the scan.
-        list.sort_unstable_by_key(|x| x.0);
-        let n = list.len();
-        let mut keys = Vec::with_capacity(n);
-        let mut records = Vec::with_capacity(n);
-        // Both directions of every record, keyed by owner and ordered by
-        // (owner, record handle). The a-side entries inherit that order
-        // from the sorted key list (a record's a-owner is its key
-        // prefix), so only the b-side is sorted, then a linear two-way
-        // merge assembles the CSR without an intermediate 2n-entry sort.
-        let mut b_side: Vec<(u128, Neighbor)> = Vec::with_capacity(n);
-        for (idx, (key, pc)) in list.into_iter().enumerate() {
-            let (na, ca, nb, cb) = key;
-            keys.push(key);
-            records.push(pc);
-            b_side.push((
-                pack_owner(nb, cb),
-                Neighbor {
-                    net: na,
-                    cand: ca,
-                    record: idx as u32,
-                    owner_is_a: false,
-                },
-            ));
-        }
-        b_side.sort_unstable_by_key(|&(owner, nb)| (owner, nb.record));
+    /// Completes an index from its record arenas: derives the neighbor
+    /// CSR and the net-level coupling CSR. `cand_base` is the global
+    /// candidate id prefix over the nets the records were built from.
+    pub(crate) fn from_records(records: Records, cand_base: Vec<u32>, info: BuildInfo) -> Self {
+        let Records {
+            mut keys,
+            mut counts,
+            mut ends,
+            mut totals,
+        } = records;
+        // Capacities were estimates (the count arena doubles when sides
+        // list several paths); the index keeps exactly what it holds.
+        keys.shrink_to_fit();
+        counts.shrink_to_fit();
+        ends.shrink_to_fit();
+        totals.shrink_to_fit();
+        let n_cands = cand_base.last().map_or(0, |&n| n as usize);
+        let id = |net: u32, cand: u32| cand_base[net as usize] as usize + cand as usize;
 
-        let mut adj_keys: Vec<(usize, usize)> = Vec::new();
-        let mut adj_off: Vec<u32> = Vec::new();
-        let mut adj: Vec<Neighbor> = Vec::with_capacity(2 * n);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < n || j < b_side.len() {
-            let take_a = if i == n {
-                false
-            } else if j == b_side.len() {
-                true
-            } else {
-                let (na, ca, _, _) = keys[i];
-                (pack_owner(na, ca), i as u32) <= (b_side[j].0, b_side[j].1.record)
-            };
-            let (owner, nb) = if take_a {
-                let (na, ca, onet, ocand) = keys[i];
-                let nb = Neighbor {
-                    net: onet,
-                    cand: ocand,
-                    record: i as u32,
-                    owner_is_a: true,
-                };
-                i += 1;
-                ((na, ca), nb)
-            } else {
-                let (packed, nb) = b_side[j];
-                j += 1;
-                (unpack_owner(packed), nb)
-            };
-            if adj_keys.last() != Some(&owner) {
-                adj_keys.push(owner);
-                adj_off.push(adj.len() as u32);
-            }
-            adj.push(nb);
+        // Neighbor CSR by counting sort: degrees, prefix sums, then one
+        // pass in record order, so every list is ascending by record.
+        let mut adj_off = vec![0u32; n_cands + 1];
+        for &key in &keys {
+            let (na, ca, nb, cb) = split_key(key);
+            adj_off[id(na, ca) + 1] += 1;
+            adj_off[id(nb, cb) + 1] += 1;
         }
-        adj_off.push(adj.len() as u32);
+        for g in 0..n_cands {
+            adj_off[g + 1] += adj_off[g];
+        }
+        let mut cursor = adj_off.clone();
+        let placeholder = Neighbor {
+            net: 0,
+            cand: 0,
+            handle: 0,
+        };
+        let mut adj = vec![placeholder; 2 * keys.len()];
+        debug_assert!(
+            keys.len() <= OWNER_IS_A as usize,
+            "record handles overflow 31 bits"
+        );
+        for (i, &key) in keys.iter().enumerate() {
+            let (na, ca, nb, cb) = split_key(key);
+            let (ga, gb) = (id(na, ca), id(nb, cb));
+            adj[cursor[ga] as usize] = Neighbor {
+                net: nb,
+                cand: cb,
+                handle: i as u32 | OWNER_IS_A,
+            };
+            cursor[ga] += 1;
+            adj[cursor[gb] as usize] = Neighbor {
+                net: na,
+                cand: ca,
+                handle: i as u32,
+            };
+            cursor[gb] += 1;
+        }
 
-        // Net-level coupling CSR: sorted deduplicated rows, one per net
-        // id up to the highest net that crosses anything. Pairs are
-        // packed into u64s so the sort runs on plain integers.
-        let net_hi = keys.iter().map(|k| k.2 + 1).max().unwrap_or(0);
-        let mut pairs_nn: Vec<u64> = Vec::with_capacity(2 * keys.len());
-        for &(a, _, b, _) in &keys {
-            pairs_nn.push(((a as u64) << 32) | b as u64);
-            pairs_nn.push(((b as u64) << 32) | a as u64);
-        }
-        pairs_nn.sort_unstable();
-        pairs_nn.dedup();
-        let mut net_adj_off = vec![0u32; net_hi + 1];
-        let mut net_adj = Vec::with_capacity(pairs_nn.len());
-        for packed in pairs_nn {
-            let (n, o) = ((packed >> 32) as usize, packed as u32);
-            net_adj.push(o);
-            net_adj_off[n + 1] = net_adj.len() as u32;
-        }
-        for i in 0..net_hi {
-            if net_adj_off[i + 1] < net_adj_off[i] {
-                net_adj_off[i + 1] = net_adj_off[i];
+        // Net-level coupling CSR: per net, the distinct nets its
+        // candidates' lists name, sorted.
+        let n_nets = cand_base.len().saturating_sub(1);
+        let mut net_adj_off = Vec::with_capacity(n_nets + 1);
+        net_adj_off.push(0u32);
+        let mut net_adj: Vec<u32> = Vec::new();
+        let mut seen = vec![u32::MAX; n_nets];
+        for n in 0..n_nets {
+            let row = net_adj.len();
+            let lo = adj_off[cand_base[n] as usize] as usize;
+            let hi = adj_off[cand_base[n + 1] as usize] as usize;
+            for nb in &adj[lo..hi] {
+                if seen[nb.net as usize] != n as u32 {
+                    seen[nb.net as usize] = n as u32;
+                    net_adj.push(nb.net);
+                }
             }
+            net_adj[row..].sort_unstable();
+            net_adj_off.push(net_adj.len() as u32);
         }
+        net_adj.shrink_to_fit();
 
         Self {
             keys,
-            records,
-            adj_keys,
+            counts,
+            ends,
+            totals,
+            cand_base,
             adj_off,
             adj,
             net_adj_off,
             net_adj,
             info,
+        }
+    }
+
+    /// Record `i` as a view into the arenas.
+    #[inline]
+    fn view(&self, i: usize) -> PairCross<'_> {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p].1 as usize);
+        let (a_end, b_end) = (self.ends[i].0 as usize, self.ends[i].1 as usize);
+        PairCross {
+            per_path_a: &self.counts[start..a_end],
+            per_path_b: &self.counts[a_end..b_end],
+            total: self.totals[i] as usize,
         }
     }
 
@@ -451,19 +522,23 @@ impl CrossingIndex {
         cand_a: usize,
         net_b: usize,
         cand_b: usize,
-    ) -> Option<&PairCross> {
-        let key = if net_a < net_b {
-            (net_a, cand_a, net_b, cand_b)
+    ) -> Option<PairCross<'_>> {
+        let (a, b) = if net_a < net_b {
+            ((net_a, cand_a), (net_b, cand_b))
         } else {
-            (net_b, cand_b, net_a, cand_a)
+            ((net_b, cand_b), (net_a, cand_a))
         };
-        self.keys.binary_search(&key).ok().map(|i| &self.records[i])
+        // Keys pack `u32` ids: a larger id names no record and must not
+        // alias one by truncation.
+        let id = |v: usize| u32::try_from(v).ok();
+        let key = pack_key(id(a.0)?, id(a.1)?, id(b.0)?, id(b.1)?);
+        self.keys.binary_search(&key).ok().map(|i| self.view(i))
     }
 
-    /// The crossing record behind a neighbor-list entry — no map walk.
+    /// The crossing record behind a neighbor-list entry — no search.
     #[inline]
-    pub fn record(&self, nb: &Neighbor) -> &PairCross {
-        &self.records[nb.record as usize]
+    pub fn record(&self, nb: &Neighbor) -> PairCross<'_> {
+        self.view(nb.record())
     }
 
     /// Per-path crossing counts of a neighbor-list entry, as
@@ -471,11 +546,11 @@ impl CrossingIndex {
     /// `pair()` lookup plus the `net < other` side selection.
     #[inline]
     pub fn per_path(&self, nb: &Neighbor) -> (&PathCounts, &PathCounts) {
-        let pc = &self.records[nb.record as usize];
-        if nb.owner_is_a {
-            (&pc.per_path_a, &pc.per_path_b)
+        let pc = self.view(nb.record());
+        if nb.handle & OWNER_IS_A != 0 {
+            (pc.per_path_a, pc.per_path_b)
         } else {
-            (&pc.per_path_b, &pc.per_path_a)
+            (pc.per_path_b, pc.per_path_a)
         }
     }
 
@@ -493,28 +568,43 @@ impl CrossingIndex {
             return 0;
         };
         let per_path = if net < other_net {
-            &pc.per_path_a
+            pc.per_path_a
         } else {
-            &pc.per_path_b
+            pc.per_path_b
         };
         per_path
             .iter()
-            .find(|&&(p, _)| p == path)
-            .map_or(0, |&(_, n)| n)
+            .find(|&&(p, _)| p as usize == path)
+            .map_or(0, |&(_, n)| n as usize)
     }
 
     /// Iterates over all crossing pairs as
     /// `((net_a, cand_a, net_b, cand_b), record)` in sorted key order.
-    pub fn iter(&self) -> impl Iterator<Item = (PairKey, &PairCross)> {
-        self.keys.iter().copied().zip(self.records.iter())
+    pub fn iter(&self) -> impl Iterator<Item = (PairKey, PairCross<'_>)> {
+        self.keys.iter().enumerate().map(|(i, &key)| {
+            let (na, ca, nb, cb) = split_key(key);
+            (
+                (na as usize, ca as usize, nb as usize, cb as usize),
+                self.view(i),
+            )
+        })
     }
 
-    /// The candidates of other nets that cross `(net, cand)`.
+    /// The candidates of other nets that cross `(net, cand)`, ascending
+    /// by record — an O(1) slice of the neighbor arena.
     pub fn neighbors(&self, net: usize, cand: usize) -> &[Neighbor] {
-        match self.adj_keys.binary_search(&(net, cand)) {
-            Ok(i) => &self.adj[self.adj_off[i] as usize..self.adj_off[i + 1] as usize],
-            Err(_) => &[],
+        if net >= self.cand_base.len().saturating_sub(1) {
+            return &[];
         }
+        let (base, next) = (
+            self.cand_base[net] as usize,
+            self.cand_base[net + 1] as usize,
+        );
+        if cand >= next - base {
+            return &[];
+        }
+        let g = base + cand;
+        &self.adj[self.adj_off[g] as usize..self.adj_off[g + 1] as usize]
     }
 
     /// The nets coupled to `net` through at least one crossing candidate
@@ -522,7 +612,7 @@ impl CrossingIndex {
     /// time so pricing loops pay no per-call assembly.
     #[inline]
     pub fn net_neighbors(&self, net: usize) -> &[u32] {
-        if net + 1 >= self.net_adj_off.len() {
+        if net >= self.net_adj_off.len().saturating_sub(1) {
             return &[];
         }
         &self.net_adj[self.net_adj_off[net] as usize..self.net_adj_off[net + 1] as usize]
@@ -553,58 +643,211 @@ impl CrossingIndex {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
+
+    /// Proper segment crossings summed over all pairs: the number of
+    /// distinct hits the spatial builds found.
+    pub fn segment_crossings(&self) -> u64 {
+        self.totals.iter().map(|&t| u64::from(t)).sum()
+    }
+
+    /// Heap bytes the index holds: the capacity of every arena.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.keys.capacity() * size_of::<u128>()
+            + self.counts.capacity() * size_of::<(u32, u32)>()
+            + self.ends.capacity() * size_of::<(u32, u32)>()
+            + (self.totals.capacity()
+                + self.cand_base.capacity()
+                + self.adj_off.capacity()
+                + self.net_adj_off.capacity()
+                + self.net_adj.capacity())
+                * size_of::<u32>()
+            + self.adj.capacity() * size_of::<Neighbor>()
+    }
 }
 
-/// A spatial-build crossing tuple in packed form: the candidate-pair
-/// key folded into a `u128` whose integer order equals [`PairKey`]
-/// order (all handles are `u32`), and the crossing segment indexes
-/// folded into a `u64`. Sorting and deduplicating millions of these is
-/// a fraction of the cost of the 40-byte tuple they replace.
-pub(crate) type Hit = (u128, u64);
+/// Record arenas under construction, appended in ascending key order —
+/// the one assembly target every builder fills.
+pub(crate) struct Records {
+    keys: Vec<u128>,
+    counts: Vec<(u32, u32)>,
+    ends: Vec<(u32, u32)>,
+    totals: Vec<u32>,
+}
+
+impl Records {
+    /// Room for `pairs` records; almost every side has one path entry.
+    fn with_capacity(pairs: usize) -> Self {
+        Self {
+            keys: Vec::with_capacity(pairs),
+            counts: Vec::with_capacity(2 * pairs),
+            ends: Vec::with_capacity(pairs),
+            totals: Vec::with_capacity(pairs),
+        }
+    }
+
+    /// Closes the record of `key` whose side-A counts end at `a_end` and
+    /// whose side-B counts run to the end of the arena.
+    #[inline]
+    fn close(&mut self, key: u128, a_end: usize, total: usize) {
+        debug_assert!(
+            self.keys.last().is_none_or(|&k| k < key),
+            "records out of key order"
+        );
+        self.keys.push(key);
+        self.ends.push((a_end as u32, self.counts.len() as u32));
+        self.totals.push(total as u32);
+    }
+
+    /// Appends a whole record.
+    fn push(&mut self, key: u128, per_a: &PathCounts, per_b: &PathCounts, total: usize) {
+        self.counts.extend_from_slice(per_a);
+        let a_end = self.counts.len();
+        self.counts.extend_from_slice(per_b);
+        self.close(key, a_end, total);
+    }
+}
+
+/// Dense global candidate ids in `(net, cand)` order: net `n`'s
+/// candidates are ids `base[n]..base[n + 1]`, and `net_of` maps an id
+/// back to its net. Hits name candidates by id, so two ids compare like
+/// their `(net, cand)` pairs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct CandIds {
+    base: Vec<u32>,
+    net_of: Vec<u32>,
+}
+
+impl CandIds {
+    pub(crate) fn new(nets: &[NetCandidates]) -> Self {
+        let mut base = Vec::with_capacity(nets.len() + 1);
+        base.push(0u32);
+        let total: usize = nets.iter().map(|nc| nc.candidates.len()).sum();
+        let mut net_of = Vec::with_capacity(total);
+        for (i, nc) in nets.iter().enumerate() {
+            net_of.resize(net_of.len() + nc.candidates.len(), i as u32);
+            base.push(net_of.len() as u32);
+        }
+        Self { base, net_of }
+    }
+
+    /// The id prefix over nets, `nets + 1` entries.
+    pub(crate) fn base(&self) -> &[u32] {
+        &self.base
+    }
+
+    pub(crate) fn into_base(self) -> Vec<u32> {
+        self.base
+    }
+
+    /// The `(net, cand)` of global candidate id `id`.
+    #[inline]
+    fn split(&self, id: u32) -> (u32, u32) {
+        let net = self.net_of[id as usize];
+        (net, id - self.base[net as usize])
+    }
+
+    /// The `(net_a, net_b)` pair of a hit (`net_a < net_b`) — the delta
+    /// and tile-sharded retain filters classify hits by net id.
+    #[inline]
+    pub(crate) fn hit_nets(&self, hit: Hit) -> (usize, usize) {
+        let (a, b) = hit_cands(hit);
+        (
+            self.net_of[a as usize] as usize,
+            self.net_of[b as usize] as usize,
+        )
+    }
+
+    /// The packed pair key of a hit.
+    #[inline]
+    fn hit_key(&self, hit: Hit) -> u128 {
+        let (a, b) = hit_cands(hit);
+        let ((na, ca), (nb, cb)) = (self.split(a), self.split(b));
+        pack_key(na, ca, nb, cb)
+    }
+
+    /// `hits`, found under these ids, restated in `to`'s ids. Every net a
+    /// hit names must have the same candidate count under both; the map
+    /// is monotone, so a sorted list stays sorted.
+    pub(crate) fn remap(&self, to: &CandIds, hits: &[Hit]) -> Vec<Hit> {
+        let shift = |id: u32| {
+            let (net, cand) = self.split(id);
+            to.base[net as usize] + cand
+        };
+        hits.iter()
+            .map(|&hit| {
+                let (a, b) = hit_cands(hit);
+                (u128::from(shift(a)) << 96)
+                    | (u128::from(shift(b)) << 64)
+                    | (hit & u128::from(u64::MAX))
+            })
+            .collect()
+    }
+}
+
+/// A spatial-build crossing in packed form: global candidate ids of
+/// sides A and B (A's net is the lower), then the crossing segment
+/// indexes of A and B, 32 bits each from the top. Integer order is
+/// `(pair key, segments)` order, so sorting and deduplicating plain
+/// `u128`s groups each pair's hits into one run.
+pub(crate) type Hit = u128;
 
 #[inline]
 fn pack_hit(p: &SegRef, q: &SegRef) -> Hit {
+    (u128::from(p.cand) << 96)
+        | (u128::from(q.cand) << 64)
+        | (u128::from(p.seg) << 32)
+        | u128::from(q.seg)
+}
+
+/// The `(cand_a, cand_b)` global ids of a hit.
+#[inline]
+fn hit_cands(hit: Hit) -> (u32, u32) {
+    ((hit >> 96) as u32, (hit >> 64) as u32)
+}
+
+/// Whether two hits belong to the same candidate pair.
+#[inline]
+fn same_pair(x: &Hit, y: &Hit) -> bool {
+    x >> 64 == y >> 64
+}
+
+/// Distinct candidate pairs in a sorted hit list.
+fn count_runs(hits: &[Hit]) -> usize {
+    hits.chunk_by(same_pair).count()
+}
+
+/// `(net_a, cand_a, net_b, cand_b)` packed so that integer order equals
+/// tuple order.
+#[inline]
+fn pack_key(na: u32, ca: u32, nb: u32, cb: u32) -> u128 {
+    (u128::from(na) << 96) | (u128::from(ca) << 64) | (u128::from(nb) << 32) | u128::from(cb)
+}
+
+#[inline]
+fn split_key(key: u128) -> (u32, u32, u32, u32) {
     (
-        ((p.net as u128) << 96)
-            | ((p.cand as u128) << 64)
-            | ((q.net as u128) << 32)
-            | q.cand as u128,
-        ((p.seg as u64) << 32) | q.seg as u64,
+        (key >> 96) as u32,
+        (key >> 64) as u32,
+        (key >> 32) as u32,
+        key as u32,
     )
 }
 
+/// The `(net_a, net_b)` pair of a packed key.
 #[inline]
-fn hit_key(packed: u128) -> PairKey {
-    (
-        (packed >> 96) as usize,
-        (packed >> 64) as u32 as usize,
-        (packed >> 32) as u32 as usize,
-        packed as u32 as usize,
-    )
-}
-
-/// The `(net_a, net_b)` pair of a packed hit key (`net_a < net_b`) —
-/// the tile-sharded build's retain filters classify hits by net id.
-#[inline]
-pub(crate) fn hit_nets(packed: u128) -> (usize, usize) {
-    ((packed >> 96) as usize, (packed >> 32) as u32 as usize)
-}
-
-/// `(net, cand)` packed so that integer order equals tuple order.
-#[inline]
-fn pack_owner(net: usize, cand: usize) -> u128 {
-    ((net as u128) << 64) | cand as u128
-}
-
-#[inline]
-fn unpack_owner(packed: u128) -> (usize, usize) {
-    ((packed >> 64) as usize, packed as u64 as usize)
+fn key_nets(key: u128) -> (usize, usize) {
+    ((key >> 96) as usize, (key >> 32) as u32 as usize)
 }
 
 /// Flattens every non-degenerate optical segment of the nets `keep`
 /// accepts, in (net, cand, seg) order; degenerate segments can never
 /// properly cross anything.
-fn collect_segments(nets: &[NetCandidates], keep: impl Fn(usize) -> bool) -> Vec<SegRef> {
+fn collect_segments(
+    nets: &[NetCandidates],
+    ids: &CandIds,
+    keep: impl Fn(usize) -> bool,
+) -> Vec<SegRef> {
     let mut segs: Vec<SegRef> = Vec::new();
     for (i, nc) in nets.iter().enumerate() {
         if !keep(i) {
@@ -617,7 +860,7 @@ fn collect_segments(nets: &[NetCandidates], keep: impl Fn(usize) -> bool) -> Vec
                 }
                 segs.push(SegRef {
                     net: i as u32,
-                    cand: j as u32,
+                    cand: ids.base[i] + j as u32,
                     seg: k as u32,
                     s: *s,
                 });
@@ -703,7 +946,7 @@ fn grid_hits(segs: &[SegRef], dims: Option<(usize, usize)>, exec: &Executor) -> 
         (pairs, parallel)
     };
 
-    // The 8-byte id pairs grow while the cells are tested; the 32-byte
+    // The 8-byte id pairs grow while the cells are tested; the 16-byte
     // hits are packed once, into a buffer of exact size.
     let mut hits: Vec<Hit> = Vec::with_capacity(pairs.iter().map(Vec::len).sum());
     for &(ia, ib) in pairs.iter().flatten() {
@@ -715,41 +958,35 @@ fn grid_hits(segs: &[SegRef], dims: Option<(usize, usize)>, exec: &Executor) -> 
 }
 
 /// Packed hits among the nets flagged in `involved`, from a grid pass
-/// over the subset's segments. Unsorted; the caller owns the sort +
-/// dedup (the tile-sharded build filters, merges, and deduplicates tile
-/// outputs before assembly).
-pub(crate) fn subset_hits(nets: &[NetCandidates], involved: &[bool], exec: &Executor) -> Vec<Hit> {
-    grid_hits(&collect_segments(nets, |i| involved[i]), None, exec).0
+/// over the subset's segments, with candidates named by `ids`. Unsorted;
+/// the caller owns the sort + dedup (the tile-sharded build filters,
+/// merges, and deduplicates tile outputs before assembly).
+pub(crate) fn subset_hits(
+    nets: &[NetCandidates],
+    ids: &CandIds,
+    involved: &[bool],
+    exec: &Executor,
+) -> Vec<Hit> {
+    grid_hits(&collect_segments(nets, ids, |i| involved[i]), None, exec).0
 }
 
-/// Groups sorted hit tuples into per-key runs and assembles one record
-/// per run, reproducing `count_pair`'s attribution exactly. Attribution
-/// runs over a lazily-built per-candidate inverted path index plus
-/// reusable accumulator scratch, so a candidate's path structure is
-/// walked once no matter how many pairs it participates in.
-fn assemble_runs(nets: &[NetCandidates], hits: &[Hit]) -> Vec<(PairKey, PairCross)> {
-    let mut out: Vec<(PairKey, PairCross)> = Vec::with_capacity(hits.len());
-    let mut scratch = AssembleScratch::new(nets);
-    let mut i = 0;
-    while i < hits.len() {
-        let packed = hits[i].0;
-        let mut j = i + 1;
-        while j < hits.len() && hits[j].0 == packed {
-            j += 1;
-        }
-        let key = hit_key(packed);
-        out.push((key, scratch.assemble_pair(nets, key, &hits[i..j])));
-        i = j;
+/// Assembles one record per run of equal-pair hits in a sorted,
+/// deduplicated hit list, reproducing `count_pair`'s attribution
+/// exactly.
+fn assemble_runs(nets: &[NetCandidates], ids: &CandIds, hits: &[Hit]) -> Records {
+    let mut records = Records::with_capacity(count_runs(hits));
+    let mut scratch = AssembleScratch::new(nets, ids);
+    for run in hits.chunk_by(same_pair) {
+        scratch.push_run(run, &mut records);
     }
-    out
+    records
 }
 
 /// Assembles crossing records from several sorted, deduplicated,
 /// **key-disjoint** hit runs via a k-way merge — the tile-sharded
 /// build's funnel. Equivalent to concatenating the runs, sorting,
 /// deduplicating, and calling [`assemble_runs`], but without ever
-/// materializing the merged hit buffer: the peak is one record list
-/// instead of two hit copies.
+/// materializing the merged hit buffer.
 ///
 /// Disjointness (no key occurs in two runs) is what the shard retain
 /// rule guarantees; every hit of a key therefore sits contiguously in
@@ -757,34 +994,28 @@ fn assemble_runs(nets: &[NetCandidates], hits: &[Hit]) -> Vec<(PairKey, PairCros
 /// run slice.
 pub(crate) fn assemble_sorted_runs(
     nets: &[NetCandidates],
+    ids: &CandIds,
     runs: &[&[Hit]],
-) -> Vec<(PairKey, PairCross)> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out: Vec<(PairKey, PairCross)> = Vec::with_capacity(total);
-    let mut scratch = AssembleScratch::new(nets);
+) -> Records {
+    let pairs: usize = runs.iter().map(|run| count_runs(run)).sum();
+    let mut records = Records::with_capacity(pairs);
+    let mut scratch = AssembleScratch::new(nets, ids);
     let mut pos = vec![0usize; runs.len()];
     loop {
         // The run holding the smallest unconsumed key.
         let mut best: Option<usize> = None;
         for (r, run) in runs.iter().enumerate() {
-            if pos[r] < run.len() && best.is_none_or(|b: usize| run[pos[r]].0 < runs[b][pos[b]].0) {
+            if pos[r] < run.len() && best.is_none_or(|b: usize| run[pos[r]] < runs[b][pos[b]]) {
                 best = Some(r);
             }
         }
         let Some(r) = best else { break };
-        let run = runs[r];
-        let i = pos[r];
-        let packed = run[i].0;
-        let mut j = i + 1;
-        while j < run.len() && run[j].0 == packed {
-            j += 1;
-        }
-        let key = hit_key(packed);
-        out.push((key, scratch.assemble_pair(nets, key, &run[i..j])));
-        pos[r] = j;
+        let run = &runs[r][pos[r]..];
+        let len = run.iter().take_while(|hit| same_pair(hit, &run[0])).count();
+        scratch.push_run(&run[..len], &mut records);
+        pos[r] += len;
     }
-    debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "runs not disjoint");
-    out
+    records
 }
 
 /// Union bbox of each net's optical candidates (the net-level prefilter;
@@ -800,12 +1031,12 @@ pub(crate) fn net_bboxes(nets: &[NetCandidates]) -> Vec<Option<BoundingBox>> {
         .collect()
 }
 
+/// One record outside the arenas: side A counts, side B counts, total.
+type OwnedRecord = (Vec<(u32, u32)>, Vec<(u32, u32)>, usize);
+
 /// Counts proper crossings between two candidates and attributes them to
-/// detector paths on both sides.
-fn count_pair(
-    a: &crate::codesign::CandidateRoute,
-    b: &crate::codesign::CandidateRoute,
-) -> PairCross {
+/// detector paths on both sides, or `None` when they do not cross.
+fn count_pair(a: &CandidateRoute, b: &CandidateRoute) -> Option<OwnedRecord> {
     // Crossings per segment of each candidate.
     let mut seg_a = vec![0usize; a.optical_segments.len()];
     let mut seg_b = vec![0usize; b.optical_segments.len()];
@@ -819,14 +1050,13 @@ fn count_pair(
             }
         }
     }
-    if total == 0 {
-        return PairCross::default();
-    }
-    PairCross {
-        per_path_a: attribute(&a.paths, &seg_a),
-        per_path_b: attribute(&b.paths, &seg_b),
-        total,
-    }
+    (total > 0).then(|| {
+        (
+            attribute(&a.paths, &seg_a),
+            attribute(&b.paths, &seg_b),
+            total,
+        )
+    })
 }
 
 /// Per-candidate inverted path index: for each optical segment, the
@@ -839,7 +1069,7 @@ struct SegPathIndex {
     n_paths: usize,
 }
 
-fn seg_path_index(c: &crate::codesign::CandidateRoute) -> SegPathIndex {
+fn seg_path_index(c: &CandidateRoute) -> SegPathIndex {
     let nsegs = c.optical_segments.len();
     let mut off = vec![0u32; nsegs + 1];
     for p in &c.paths {
@@ -865,74 +1095,66 @@ fn seg_path_index(c: &crate::codesign::CandidateRoute) -> SegPathIndex {
     }
 }
 
-/// Reusable state for [`assemble_runs`]: lazily-built inverted indexes
-/// (one slot per candidate, filled the first time the candidate appears
-/// in a hit) and the path-count accumulator, zeroed between uses via the
-/// touched list.
-struct AssembleScratch {
-    cand_off: Vec<usize>,
+/// Reusable state for record assembly: lazily-built inverted indexes
+/// (one slot per global candidate id, filled the first time the
+/// candidate appears in a hit, so its path structure is walked once no
+/// matter how many pairs it joins) and the path-count accumulator,
+/// zeroed between uses via the touched list.
+struct AssembleScratch<'a> {
+    nets: &'a [NetCandidates],
+    ids: &'a CandIds,
     inv: Vec<Option<SegPathIndex>>,
-    acc: Vec<usize>,
+    acc: Vec<u32>,
     touched: Vec<u32>,
 }
 
-impl AssembleScratch {
-    fn new(nets: &[NetCandidates]) -> Self {
-        let mut cand_off = Vec::with_capacity(nets.len() + 1);
-        cand_off.push(0usize);
-        for nc in nets {
-            let prev = *cand_off.last().unwrap_or(&0);
-            cand_off.push(prev + nc.candidates.len());
-        }
-        let total = *cand_off.last().unwrap_or(&0);
+impl<'a> AssembleScratch<'a> {
+    fn new(nets: &'a [NetCandidates], ids: &'a CandIds) -> Self {
         let mut inv: Vec<Option<SegPathIndex>> = Vec::new();
-        inv.resize_with(total, || None);
+        inv.resize_with(ids.net_of.len(), || None);
         Self {
-            cand_off,
+            nets,
+            ids,
             inv,
             acc: Vec::new(),
             touched: Vec::new(),
         }
     }
 
-    /// Builds one pair record from the deduplicated packed hits a
-    /// spatial build found for `key`.
-    fn assemble_pair(&mut self, nets: &[NetCandidates], key: PairKey, hits: &[Hit]) -> PairCross {
-        let (na, ca, nb, cb) = key;
-        PairCross {
-            per_path_a: self.per_path_side(nets, na, ca, hits, true),
-            per_path_b: self.per_path_side(nets, nb, cb, hits, false),
-            total: hits.len(),
-        }
+    /// Appends the record of one pair from the deduplicated hits a
+    /// spatial build found for it.
+    fn push_run(&mut self, run: &[Hit], records: &mut Records) {
+        let (a, b) = hit_cands(run[0]);
+        self.push_side(a, run, true, &mut records.counts);
+        let a_end = records.counts.len();
+        self.push_side(b, run, false, &mut records.counts);
+        records.close(self.ids.hit_key(run[0]), a_end, run.len());
     }
 
-    /// Path attribution for one side of a pair: ascending
-    /// `(path index, count)` over paths with at least one crossing —
-    /// byte-identical to [`attribute`] over per-segment counts.
-    fn per_path_side(
-        &mut self,
-        nets: &[NetCandidates],
-        net: usize,
-        cand: usize,
-        hits: &[Hit],
-        side_a: bool,
-    ) -> Vec<(usize, usize)> {
-        let slot = self.cand_off[net] + cand;
+    /// Path attribution for one side of a pair, appended to `out`:
+    /// ascending `(path index, count)` over paths with at least one
+    /// crossing — byte-identical to [`attribute`] over per-segment
+    /// counts.
+    fn push_side(&mut self, id: u32, run: &[Hit], side_a: bool, out: &mut Vec<(u32, u32)>) {
+        let slot = id as usize;
         if self.inv[slot].is_none() {
-            self.inv[slot] = Some(seg_path_index(&nets[net].candidates[cand]));
+            let (net, cand) = self.ids.split(id);
+            self.inv[slot] = Some(seg_path_index(
+                &self.nets[net as usize].candidates[cand as usize],
+            ));
         }
         let Some(idx) = self.inv[slot].as_ref() else {
-            return Vec::new();
+            return;
         };
         if self.acc.len() < idx.n_paths {
             self.acc.resize(idx.n_paths, 0);
         }
         self.touched.clear();
-        for &(_, segs) in hits {
+        for &hit in run {
             let s = if side_a {
-                segs >> 32
+                (hit >> 32) as u32
             } else {
-                segs as u32 as u64
+                hit as u32
             } as usize;
             for &p in &idx.paths[idx.off[s] as usize..idx.off[s + 1] as usize] {
                 if self.acc[p as usize] == 0 {
@@ -942,27 +1164,22 @@ impl AssembleScratch {
             }
         }
         self.touched.sort_unstable();
-        let out: Vec<(usize, usize)> = self
-            .touched
-            .iter()
-            .map(|&p| (p as usize, self.acc[p as usize]))
-            .collect();
         for &p in &self.touched {
+            out.push((p, self.acc[p as usize]));
             self.acc[p as usize] = 0;
         }
-        out
     }
 }
 
 /// Sums per-segment crossing counts along each detector path, keeping
 /// `(path index, count)` for paths that suffer at least one crossing.
-fn attribute(paths: &[crate::codesign::PathLoss], seg: &[usize]) -> Vec<(usize, usize)> {
+fn attribute(paths: &[PathLoss], seg: &[usize]) -> Vec<(u32, u32)> {
     paths
         .iter()
         .enumerate()
         .filter_map(|(pi, p)| {
             let n: usize = p.segments.iter().map(|&s| seg[s]).sum();
-            (n > 0).then_some((pi, n))
+            (n > 0).then_some((pi as u32, n as u32))
         })
         .collect::<Vec<_>>()
 }
@@ -1029,14 +1246,16 @@ mod tests {
         }
     }
 
-    /// Full structural equality: semantic value (keys + records) plus the
-    /// derived CSR arenas, so a builder that corrupted neighbor lists or
+    /// Full structural equality: semantic value (keys + record arenas)
+    /// plus the candidate ids and the derived CSR arenas, so a builder that corrupted neighbor lists or
     /// the net coupling graph cannot hide behind the `PartialEq` impl.
     fn assert_index_eq(a: &CrossingIndex, b: &CrossingIndex, label: &str) {
         assert_eq!(a.len(), b.len(), "{label}: pair count");
         assert_eq!(a.keys, b.keys, "{label}: keys");
-        assert_eq!(a.records, b.records, "{label}: records");
-        assert_eq!(a.adj_keys, b.adj_keys, "{label}: neighbor owners");
+        assert_eq!(a.counts, b.counts, "{label}: path counts");
+        assert_eq!(a.ends, b.ends, "{label}: record ends");
+        assert_eq!(a.totals, b.totals, "{label}: totals");
+        assert_eq!(a.cand_base, b.cand_base, "{label}: candidate ids");
         assert_eq!(a.adj_off, b.adj_off, "{label}: neighbor offsets");
         assert_eq!(a.adj, b.adj, "{label}: neighbor arena");
         assert_eq!(a.net_adj_off, b.net_adj_off, "{label}: net CSR offsets");
@@ -1053,8 +1272,8 @@ mod tests {
         assert_eq!(idx.len(), 1);
         let pc = idx.pair(0, 0, 1, 0).expect("pair crosses");
         assert_eq!(pc.total, 1);
-        assert_eq!(pc.per_path_a, vec![(0, 1)]);
-        assert_eq!(pc.per_path_b, vec![(0, 1)]);
+        assert_eq!(pc.per_path_a, [(0, 1)]);
+        assert_eq!(pc.per_path_b, [(0, 1)]);
         // Query in both net orders.
         assert_eq!(idx.crossings_on_path(0, 0, 0, 1, 0), 1);
         assert_eq!(idx.crossings_on_path(1, 0, 0, 0, 0), 1);
@@ -1122,7 +1341,7 @@ mod tests {
         // arm); net 1's single path suffers both.
         assert_eq!(pc.per_path_a.len(), 2);
         assert!(pc.per_path_a.iter().all(|&(_, n)| n == 1));
-        assert_eq!(pc.per_path_b, vec![(0, 2)]);
+        assert_eq!(pc.per_path_b, [(0, 2)]);
     }
 
     #[test]
@@ -1160,15 +1379,15 @@ mod tests {
         }
         for net in 0..nets.len() {
             for nb in idx.neighbors(net, 0) {
-                let via_map = idx.pair(net, 0, nb.net, nb.cand).expect("pair exists");
+                let via_map = idx.pair(net, 0, nb.net(), nb.cand()).expect("pair exists");
                 assert_eq!(idx.record(nb), via_map);
                 let (own, other) = idx.per_path(nb);
-                if net < nb.net {
-                    assert_eq!(own, via_map.per_path_a.as_slice());
-                    assert_eq!(other, via_map.per_path_b.as_slice());
+                if net < nb.net() {
+                    assert_eq!(own, via_map.per_path_a);
+                    assert_eq!(other, via_map.per_path_b);
                 } else {
-                    assert_eq!(own, via_map.per_path_b.as_slice());
-                    assert_eq!(other, via_map.per_path_a.as_slice());
+                    assert_eq!(own, via_map.per_path_b);
+                    assert_eq!(other, via_map.per_path_a);
                 }
             }
         }
@@ -1334,7 +1553,7 @@ mod tests {
     fn grid_hits_report_each_crossing_once_on_cell_edges_and_corners() {
         for (cols, rows) in [(1, 1), (2, 2), (3, 2), (4, 4), (5, 7), (8, 8)] {
             let nets = edge_and_corner_nets(cols as i64, rows as i64);
-            let segs = collect_segments(&nets, |_| true);
+            let segs = collect_segments(&nets, &CandIds::new(&nets), |_| true);
             let exec = Executor::sequential();
             let (hits, _) = grid_hits(&segs, Some((cols, rows)), &exec);
             let mut unique = hits.clone();
@@ -1408,6 +1627,109 @@ mod tests {
         assert!(idx.neighbors(5, 9).is_empty());
     }
 
+    #[test]
+    fn ids_beyond_u32_never_alias_a_pair() {
+        let nets = vec![
+            optical_net(0, Point::new(0, 0), Point::new(100, 100)),
+            optical_net(1, Point::new(0, 100), Point::new(100, 0)),
+        ];
+        let idx = CrossingIndex::build(&nets);
+        assert!(idx.pair(0, 0, 1, 0).is_some());
+        // Each id truncates to the crossing pair's own id in 32 bits.
+        let wrap = 1usize << 32;
+        for (na, ca, nb, cb) in [
+            (0, 0, 1, wrap),
+            (0, wrap, 1, 0),
+            (0, 0, wrap + 1, 0),
+            (wrap, 0, 1, 0),
+            (1, wrap, 0, wrap),
+            (0, usize::MAX, 1, 0),
+        ] {
+            assert_eq!(idx.pair(na, ca, nb, cb), None, "({na}, {ca}, {nb}, {cb})");
+            assert_eq!(idx.crossings_on_path(na, ca, 0, nb, cb), 0);
+        }
+        assert!(idx.neighbors(0, wrap).is_empty());
+        assert!(idx.neighbors(wrap + 1, 0).is_empty());
+        assert!(idx.neighbors(usize::MAX, usize::MAX).is_empty());
+        assert!(idx.net_neighbors(wrap + 1).is_empty());
+        assert!(idx.net_neighbors(usize::MAX).is_empty());
+    }
+
+    #[test]
+    fn arena_entries_stay_compact() {
+        assert_eq!(std::mem::size_of::<Neighbor>(), 12);
+        assert_eq!(std::mem::size_of::<Hit>(), 16);
+        let nets = vec![
+            optical_net(0, Point::new(0, 0), Point::new(100, 100)),
+            optical_net(1, Point::new(0, 100), Point::new(100, 0)),
+        ];
+        let idx = CrossingIndex::build(&nets);
+        assert_eq!(idx.segment_crossings(), 1);
+        assert!(idx.heap_bytes() > 0);
+        assert_eq!(CrossingIndex::default().heap_bytes(), 0);
+    }
+
+    /// Checks the neighbor arena and the net rows against lists derived
+    /// naively from `iter()`, for every `(net, cand)` of `nets` plus
+    /// out-of-range ids: each record appears in both owners' lists, in
+    /// record order, with the owner's side and the record's counts.
+    fn assert_csr_matches_records(idx: &CrossingIndex, nets: &[NetCandidates], label: &str) {
+        // (other net, other cand, record, owner is side A) per entry.
+        type Entry = (usize, usize, usize, bool);
+        let mut lists: Vec<Vec<Vec<Entry>>> = nets
+            .iter()
+            .map(|nc| vec![Vec::new(); nc.candidates.len()])
+            .collect();
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); nets.len()];
+        for (r, ((na, ca, nb, cb), _)) in idx.iter().enumerate() {
+            lists[na][ca].push((nb, cb, r, true));
+            lists[nb][cb].push((na, ca, r, false));
+            rows[na].push(nb as u32);
+            rows[nb].push(na as u32);
+        }
+        let widest = nets.iter().map(|nc| nc.candidates.len()).max().unwrap_or(0);
+        for net in 0..nets.len() + 2 {
+            for cand in 0..widest + 2 {
+                let got = idx.neighbors(net, cand);
+                let want = lists
+                    .get(net)
+                    .and_then(|l| l.get(cand))
+                    .map_or(&[][..], Vec::as_slice);
+                assert_eq!(
+                    got.len(),
+                    want.len(),
+                    "{label}: ({net}, {cand}) list length"
+                );
+                for (nb, &(onet, ocand, r, owner_is_a)) in got.iter().zip(want) {
+                    assert_eq!(nb.key(), (onet, ocand), "{label}: ({net}, {cand})");
+                    assert_eq!(nb.record(), r, "{label}: ({net}, {cand}) record");
+                    let pc = idx.record(nb);
+                    let expect = if owner_is_a {
+                        (pc.per_path_a, pc.per_path_b)
+                    } else {
+                        (pc.per_path_b, pc.per_path_a)
+                    };
+                    assert_eq!(idx.per_path(nb), expect, "{label}: ({net}, {cand}) side");
+                }
+            }
+            let mut want = rows.get(net).cloned().unwrap_or_default();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(
+                idx.net_neighbors(net),
+                want.as_slice(),
+                "{label}: net {net} row"
+            );
+        }
+        for (net, cand) in [(usize::MAX, 0), (0, usize::MAX), (1 << 32, 0), (0, 1 << 32)] {
+            assert!(
+                idx.neighbors(net, cand).is_empty(),
+                "{label}: ({net}, {cand})"
+            );
+        }
+        assert!(idx.net_neighbors(usize::MAX).is_empty(), "{label}");
+    }
+
     fn random_nets(raw: &[Vec<Vec<(i64, i64)>>]) -> Vec<NetCandidates> {
         raw.iter()
             .enumerate()
@@ -1466,6 +1788,45 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// The neighbor arena and net rows of every builder, against
+        /// lists derived from the records alone: the builders share one
+        /// CSR builder, so comparing them with each other cannot catch a
+        /// bug in it.
+        #[test]
+        fn neighbor_csr_matches_records_on_random_candidate_sets(
+            raw in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec((0i64..48, 0i64..48), 2..5),
+                    1..4,
+                ),
+                2..8,
+            ),
+            replacement in proptest::collection::vec(
+                proptest::collection::vec((0i64..48, 0i64..48), 2..5),
+                1..4,
+            ),
+            which in 0usize..8,
+        ) {
+            let mut nets = random_nets(&raw);
+            let grid = CrossingIndex::build(&nets);
+            assert_csr_matches_records(&grid, &nets, "grid");
+            assert_csr_matches_records(&CrossingIndex::build_reference(&nets), &nets, "reference");
+            let die = BoundingBox::new(Point::new(0, 0), Point::new(47, 47));
+            let tiles = crate::shard::TileGrid::new(die, 2, 2);
+            let sharded = crate::shard::build_sharded(&nets, &tiles, &Executor::sequential());
+            assert_csr_matches_records(&sharded, &nets, "sharded");
+            // A replacement with a different candidate count shifts every
+            // later net's global candidate ids.
+            let target = which % nets.len();
+            let pts: Vec<Vec<Point>> = replacement
+                .iter()
+                .map(|c| c.iter().map(|&(x, y)| Point::new(x, y)).collect())
+                .collect();
+            nets[target] = chain_net(target, &pts);
+            let delta = grid.rebuild_delta(&nets, &[target]);
+            assert_csr_matches_records(&delta, &nets, "delta");
         }
 
         /// `rebuild_delta` (localized grid pass) against a full rebuild

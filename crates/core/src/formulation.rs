@@ -79,12 +79,12 @@ pub fn loaded_path_losses_for(
     let cand = &nets[i].candidates[j];
     let mut losses: Vec<f64> = cand.paths.iter().map(|p| p.fixed_db).collect();
     for nb in crossings.neighbors(i, j) {
-        if nb.net == i || choice[nb.net] != nb.cand {
+        if nb.net() == i || choice[nb.net()] != nb.cand() {
             continue;
         }
         let (per_path, _) = crossings.per_path(nb);
         for &(pi, cnt) in per_path {
-            losses[pi] += lib.crossing_loss_db(cnt);
+            losses[pi as usize] += lib.crossing_loss_db(cnt as usize);
         }
     }
     losses
@@ -171,17 +171,19 @@ pub fn select_ilp_with(
     // every other candidate that crosses it.
     let mut loaders: LoaderMap = BTreeMap::new();
     for ((na, ca, nb, cb), pc) in crossings.iter() {
-        for &(pi, n) in &pc.per_path_a {
-            loaders
-                .entry((na, ca, pi))
-                .or_default()
-                .push((lib.crossing_loss_db(n), nb, cb));
+        for &(pi, n) in pc.per_path_a {
+            loaders.entry((na, ca, pi as usize)).or_default().push((
+                lib.crossing_loss_db(n as usize),
+                nb,
+                cb,
+            ));
         }
-        for &(pi, n) in &pc.per_path_b {
-            loaders
-                .entry((nb, cb, pi))
-                .or_default()
-                .push((lib.crossing_loss_db(n), na, ca));
+        for &(pi, n) in pc.per_path_b {
+            loaders.entry((nb, cb, pi as usize)).or_default().push((
+                lib.crossing_loss_db(n as usize),
+                na,
+                ca,
+            ));
         }
     }
     // Presolve 1: drop constraints that no selection can violate.

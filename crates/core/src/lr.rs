@@ -612,12 +612,12 @@ impl LoadCache {
             return;
         }
         for nb in crossings.neighbors(i, old_j) {
-            if choice[nb.net] == nb.cand {
+            if choice[nb.net()] == nb.cand() {
                 self.adjust(crossings, nb, -1.0, lib);
             }
         }
         for nb in crossings.neighbors(i, new_j) {
-            if choice[nb.net] == nb.cand {
+            if choice[nb.net()] == nb.cand() {
                 self.adjust(crossings, nb, 1.0, lib);
             }
         }
@@ -636,7 +636,7 @@ impl LoadCache {
     ) {
         let (_, per_path_m) = crossings.per_path(nb);
         for &(pm, n) in per_path_m {
-            self.loads[nb.net][pm] += sign * lib.crossing_loss_db(n);
+            self.loads[nb.net()][pm as usize] += sign * lib.crossing_loss_db(n as usize);
         }
     }
 
@@ -667,18 +667,14 @@ impl LoadCache {
             self.delta.clear();
             self.delta.resize(self.loads[m].len(), 0.0);
             if let Some(pc) = crossings.pair(i, old_j, m, sel_m) {
-                let per_path_m = if i < m {
-                    &pc.per_path_b
-                } else {
-                    &pc.per_path_a
-                };
+                let per_path_m = if i < m { pc.per_path_b } else { pc.per_path_a };
                 for &(pm, n) in per_path_m {
-                    self.delta[pm] -= lib.crossing_loss_db(n);
+                    self.delta[pm as usize] -= lib.crossing_loss_db(n as usize);
                 }
             }
             let (_, per_path_m) = crossings.per_path(nb);
             for &(pm, n) in per_path_m {
-                self.delta[pm] += lib.crossing_loss_db(n);
+                self.delta[pm as usize] += lib.crossing_loss_db(n as usize);
             }
             for (load, d) in self.loads[m].iter().zip(&self.delta) {
                 if load + d > lib.max_loss_db + 1e-9 {
@@ -785,19 +781,19 @@ fn best_candidate(
             // Only candidates this one actually crosses contribute; the
             // neighbor entry carries the per-path counts directly.
             for nb in crossings.neighbors(i, j) {
-                if prev[nb.net] != nb.cand {
+                if prev[nb.net()] != nb.cand() {
                     continue;
                 }
                 let (per_path_own, per_path_other) = crossings.per_path(nb);
                 // Crossing load on this candidate's own paths.
                 for &(pi, cnt) in per_path_own {
-                    cost += lam_own[pi] * lib.crossing_loss_db(cnt);
+                    cost += lam_own[pi as usize] * lib.crossing_loss_db(cnt as usize);
                 }
                 // Loss inflicted on the previously selected paths of other
                 // nets (the a_mn · a'_ij term of Eq. (5)).
-                let lam_other = lambda.paths(nb.net, nb.cand);
+                let lam_other = lambda.paths(nb.net(), nb.cand());
                 for &(pm, cnt) in per_path_other {
-                    cost += lam_other[pm] * lib.crossing_loss_db(cnt);
+                    cost += lam_other[pm as usize] * lib.crossing_loss_db(cnt as usize);
                 }
             }
         }

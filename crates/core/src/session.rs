@@ -346,8 +346,8 @@ impl WarmSession {
     /// first unless the resident result is current. This is what
     /// [`crate::flow::OperonFlow::run`] calls: nothing reuses a one-shot
     /// session's tile hit lists, so a sharded crossing stage frees them
-    /// before the index arena goes up, which keeps the sharded peak RSS
-    /// below the unsharded one.
+    /// before the neighbor arena goes up, as the unsharded build frees
+    /// its hit buffer.
     ///
     /// # Errors
     ///
@@ -812,7 +812,8 @@ impl WarmSession {
             }
         };
         // Which builder ran, whether the pair tests used the workers,
-        // and the pair count: pure functions of the candidate set, so
+        // the pair and segment-crossing counts, and the index's heap
+        // size: pure functions of the candidate set and the builder, so
         // run reports stay thread-count invariant.
         let info = idx.build_info();
         let strategy = match info.strategy {
@@ -824,6 +825,8 @@ impl WarmSession {
         stage.record(strategy, 1);
         stage.record("crossing_build_parallel", u64::from(info.parallel));
         stage.record("crossing_pairs", idx.len() as u64);
+        stage.record("crossing_hits", idx.segment_crossings());
+        stage.record("crossing_index_kib", idx.heap_bytes().div_ceil(1024) as u64);
         (idx, shard)
     }
 

@@ -28,11 +28,20 @@
 //! * boundary × boundary — covered by the dedicated boundary pass.
 //!
 //! The per-pass hit lists are therefore key-disjoint and jointly
-//! complete. Each pass funnels through the same packed-hit discovery as
-//! the monolithic build ([`crate::crossing`]'s `subset_hits`), the merged
-//! list goes through the same global sort + dedup + assembly, and the
-//! result equals [`CrossingIndex::build_with`] byte for byte — pinned by
-//! proptests across tile dims and thread counts.
+//! complete. Each pass runs the same packed-hit discovery as the
+//! monolithic build ([`crate::crossing`]'s `subset_hits`) and sorts and
+//! deduplicates its list; a k-way merge of the lists appends the records
+//! to the same arena the monolithic build fills, in the same key order,
+//! so the result equals [`CrossingIndex::build_with`] byte for byte —
+//! pinned by proptests across tile dims and thread counts.
+//!
+//! # Memory
+//!
+//! A hit names its candidates by global id and packs into 16 bytes, so
+//! a resident tile cache holds 16 bytes per segment crossing. A one-shot
+//! build frees its tile lists before the neighbor arena goes up
+//! (`ShardCache::into_index`), but so does the monolithic build with
+//! its hit buffer, so the sharded peak only matches the unsharded one.
 //!
 //! # Scheduling
 //!
@@ -45,7 +54,7 @@
 
 use crate::codesign::NetCandidates;
 use crate::crossing::{
-    assemble_sorted_runs, hit_nets, net_bboxes, subset_hits, BuildInfo, ChosenBuild, Hit,
+    assemble_sorted_runs, net_bboxes, subset_hits, BuildInfo, CandIds, ChosenBuild, Hit,
 };
 use crate::CrossingIndex;
 use operon_exec::Executor;
@@ -270,6 +279,7 @@ pub(crate) fn tile_involved(
 /// pass). Internally sequential — the pass level fans out instead.
 fn tile_pass(
     nets: &[NetCandidates],
+    ids: &CandIds,
     part: &ShardPartition,
     involved_ids: &[u32],
     t: usize,
@@ -278,24 +288,27 @@ fn tile_pass(
     for &i in involved_ids {
         involved[i as usize] = true;
     }
-    let mut hits = subset_hits(nets, &involved, &Executor::sequential());
+    let mut hits = subset_hits(nets, ids, &involved, &Executor::sequential());
     let t = t as u32;
-    hits.retain(|&(key, _)| {
-        let (a, b) = hit_nets(key);
+    hits.retain(|&hit| {
+        let (a, b) = ids.hit_nets(hit);
         part.tile_of[a] == TileClass::Interior(t) || part.tile_of[b] == TileClass::Interior(t)
     });
     hits.sort_unstable();
     hits.dedup();
+    // The list stays resident until assembly; the boundary × boundary
+    // hits the retain dropped must not stay resident with it.
+    hits.shrink_to_fit();
     hits
 }
 
 /// The boundary pass: sorted deduplicated hits among the boundary nets.
-fn boundary_pass(nets: &[NetCandidates], part: &ShardPartition) -> Vec<Hit> {
+fn boundary_pass(nets: &[NetCandidates], ids: &CandIds, part: &ShardPartition) -> Vec<Hit> {
     let mut involved = vec![false; nets.len()];
     for &b in &part.boundary {
         involved[b as usize] = true;
     }
-    let mut hits = subset_hits(nets, &involved, &Executor::sequential());
+    let mut hits = subset_hits(nets, ids, &involved, &Executor::sequential());
     hits.sort_unstable();
     hits.dedup();
     hits
@@ -310,6 +323,8 @@ fn boundary_pass(nets: &[NetCandidates], part: &ShardPartition) -> Vec<Hit> {
 pub(crate) struct ShardCache {
     pub(crate) grid: TileGrid,
     pub(crate) part: ShardPartition,
+    /// The global candidate ids the hit lists name candidates by.
+    ids: CandIds,
     /// Ascending involved net ids per tile (empty when the tile has no
     /// interior net — such a tile can retain no hit).
     pub(crate) involved: Vec<Vec<u32>>,
@@ -348,22 +363,26 @@ impl ShardCache {
     /// dedup + assembly, without materializing the merged hit buffer.
     /// Keeps the cache resident (the warm-session path).
     pub(crate) fn assemble(&self, nets: &[NetCandidates]) -> CrossingIndex {
-        let list = assemble_sorted_runs(nets, &self.runs());
-        CrossingIndex::from_pair_list(list, self.build_info())
+        let records = assemble_sorted_runs(nets, &self.ids, &self.runs());
+        CrossingIndex::from_records(records, self.ids.base().to_vec(), self.build_info())
     }
 
     /// [`assemble`](Self::assemble) for one-shot builds: consumes the
-    /// cache so every per-tile hit list is freed *before* the index
-    /// arena goes up. The monolithic build must keep its global hit
-    /// buffer alive through arena assembly, so the sharded one-shot
-    /// peak (hits + records, then records + arena) stays strictly below
-    /// the unsharded peak (hits + records + arena) — the memory edge
-    /// `shard_bench` pins at 100k nets.
+    /// cache so every per-tile hit list is freed before the neighbor
+    /// arena goes up. The monolithic build frees its hit buffer at the
+    /// same point, so both one-shot peaks are records + hits, then
+    /// records + neighbor arena.
     pub(crate) fn into_index(self, nets: &[NetCandidates]) -> CrossingIndex {
         let info = self.build_info();
-        let list = assemble_sorted_runs(nets, &self.runs());
-        drop(self);
-        CrossingIndex::from_pair_list(list, info)
+        let records = assemble_sorted_runs(nets, &self.ids, &self.runs());
+        let ShardCache {
+            ids,
+            tile_hits,
+            boundary_hits,
+            ..
+        } = self;
+        drop((tile_hits, boundary_hits));
+        CrossingIndex::from_records(records, ids.into_base(), info)
     }
 }
 
@@ -383,6 +402,7 @@ pub(crate) fn build_cache(nets: &[NetCandidates], grid: TileGrid, exec: &Executo
     let mut cache = ShardCache {
         grid,
         part,
+        ids: CandIds::new(nets),
         involved,
         tile_hits: vec![Vec::new(); grid.tile_count()],
         boundary_hits: Vec::new(),
@@ -403,7 +423,9 @@ pub(crate) fn build_cache(nets: &[NetCandidates], grid: TileGrid, exec: &Executo
 /// The result is identical to [`build_cache`] on the new candidate set:
 /// a pass's hit list is a pure function of its involved nets' candidate
 /// geometry, and an unchanged involved set over unchanged nets pins
-/// exactly that input.
+/// exactly that input. Only the global candidate ids can move (a changed
+/// net with a new candidate count shifts every later net's ids), so a
+/// reused list is restated in the new ids when they differ.
 pub(crate) fn refresh_cache(
     prev: &ShardCache,
     nets: &[NetCandidates],
@@ -413,6 +435,14 @@ pub(crate) fn refresh_cache(
     let grid = prev.grid;
     let bboxes = net_bboxes(nets);
     let part = ShardPartition::new(&bboxes, &grid);
+    let ids = CandIds::new(nets);
+    let reuse = |hits: &[Hit]| {
+        if prev.ids == ids {
+            hits.to_vec()
+        } else {
+            prev.ids.remap(&ids, hits)
+        }
+    };
     let mut is_changed = vec![false; nets.len()];
     for &i in changed {
         if i < nets.len() {
@@ -439,7 +469,7 @@ pub(crate) fn refresh_cache(
         let clean = prev.involved.get(t).map(Vec::as_slice) == Some(involved[t].as_slice())
             && !involved[t].iter().any(|&i| is_changed[i as usize]);
         if clean {
-            tile_hits[t] = prev.tile_hits[t].clone();
+            tile_hits[t] = reuse(&prev.tile_hits[t]);
             reused += 1;
         } else {
             dirty_tiles.push(t);
@@ -449,16 +479,18 @@ pub(crate) fn refresh_cache(
         && !part.boundary.iter().any(|&b| is_changed[b as usize]);
     let resharded = dirty_tiles.len() as u64 + u64::from(!boundary_clean);
 
+    let boundary_hits = if boundary_clean {
+        reuse(&prev.boundary_hits)
+    } else {
+        Vec::new()
+    };
     let mut cache = ShardCache {
         grid,
         part,
+        ids,
         involved,
         tile_hits,
-        boundary_hits: if boundary_clean {
-            prev.boundary_hits.clone()
-        } else {
-            Vec::new()
-        },
+        boundary_hits,
     };
     run_passes(nets, &mut cache, &dirty_tiles, !boundary_clean, exec);
     (cache, reused, resharded)
@@ -480,8 +512,11 @@ fn run_passes(
     // Pass outputs are pure functions of the candidate set, so the
     // merged cache is thread-invariant.
     let outs: Vec<(Option<usize>, Vec<Hit>)> = exec.par_map_coarse(&passes, |pass| match *pass {
-        Pass::Tile(t) => (Some(t), tile_pass(nets, &cache.part, &cache.involved[t], t)),
-        Pass::Boundary => (None, boundary_pass(nets, &cache.part)),
+        Pass::Tile(t) => (
+            Some(t),
+            tile_pass(nets, &cache.ids, &cache.part, &cache.involved[t], t),
+        ),
+        Pass::Boundary => (None, boundary_pass(nets, &cache.ids, &cache.part)),
     });
     for (slot, hits) in outs {
         match slot {
@@ -632,6 +667,33 @@ mod tests {
                 assert_eq!(sharded.build_info().strategy, ChosenBuild::Sharded);
             }
         }
+    }
+
+    #[test]
+    fn refresh_restates_reused_tiles_when_candidate_ids_shift() {
+        // Net 0 (tile 0) gains a candidate, which shifts the global
+        // candidate ids of nets 1 and 2; their tile (3) stays clean, so
+        // its cached hits must be restated in the new ids.
+        let mut nets = vec![
+            optical_net(0, Point::new(10, 10), Point::new(200, 200)),
+            optical_net(1, Point::new(600, 600), Point::new(900, 900)),
+            optical_net(2, Point::new(600, 900), Point::new(900, 600)),
+            optical_net(3, Point::new(10, 200), Point::new(200, 10)),
+        ];
+        let grid = TileGrid::new(die(1000), 2, 2);
+        let exec = Executor::sequential();
+        let prev = build_cache(&nets, grid, &exec);
+        assert_eq!(prev.assemble(&nets), CrossingIndex::build(&nets));
+        let extra = optical_net(0, Point::new(10, 100), Point::new(300, 120));
+        nets[0].candidates.extend(extra.candidates);
+        let (cache, reused, resharded) = refresh_cache(&prev, &nets, &[0], &exec);
+        assert_eq!((reused, resharded), (1, 1));
+        assert_ne!(cache.ids, prev.ids);
+        let refreshed = cache.assemble(&nets);
+        let full = CrossingIndex::build(&nets);
+        assert_eq!(refreshed.len(), 3);
+        assert_eq!(refreshed, full);
+        assert_eq!(cache.into_index(&nets), full);
     }
 
     #[test]

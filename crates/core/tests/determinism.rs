@@ -9,6 +9,7 @@
 use operon::config::{OperonConfig, Selector};
 use operon::flow::{FlowResult, OperonFlow};
 use operon::session::WarmSession;
+use operon::CrossingIndex;
 use operon_exec::Executor;
 use operon_netlist::synth::{generate, SynthConfig};
 
@@ -277,6 +278,45 @@ fn wdm_arcs_scanned_is_identical_across_thread_counts() {
     assert!(base > 0, "the WDM stage must scan arcs");
     for threads in [2, 8] {
         assert_eq!(scanned(threads), base, "threads={threads}");
+    }
+}
+
+#[test]
+fn crossing_counters_are_identical_across_thread_counts() {
+    // Segment crossings and the index's heap size are functions of the
+    // candidate set and the builder, never of how the pair tests were
+    // split over workers.
+    let design = generate(&SynthConfig::small(), 21);
+    let counters = |threads: usize| {
+        let flow = OperonFlow::new(OperonConfig::default()).with_threads(threads);
+        let result = flow.run(&design).expect("flow succeeds");
+        let report = flow.executor().report();
+        let crossing = report
+            .stages
+            .iter()
+            .find(|s| s.name == "crossing")
+            .expect("crossing stage recorded");
+        let counter = |name: &str| {
+            crossing
+                .counters
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|&(_, v)| v)
+                .unwrap_or_else(|| panic!("{name} recorded"))
+        };
+        let idx = CrossingIndex::build_with(&result.candidates, flow.executor());
+        assert_eq!(counter("crossing_hits"), idx.segment_crossings());
+        assert_eq!(
+            counter("crossing_index_kib"),
+            idx.heap_bytes().div_ceil(1024) as u64
+        );
+        (counter("crossing_hits"), counter("crossing_index_kib"))
+    };
+    let base = counters(1);
+    assert!(base.0 > 0, "the fixture must have crossings");
+    assert!(base.1 > 0, "the index must hold heap memory");
+    for threads in [2, 8] {
+        assert_eq!(counters(threads), base, "threads={threads}");
     }
 }
 
