@@ -8,7 +8,7 @@
 //! cargo run -p operon-bench --release --bin wdm_bench -- --smoke
 //! ```
 //!
-//! Two measurements:
+//! Three measurements:
 //!
 //! 1. **Clone-style vs transactional deletion sweeps** on an
 //!    assignment network in the WDM-reduction shape: every
@@ -25,6 +25,12 @@
 //!    trial (all asserted). On the I2-class fixture the warm planner
 //!    must beat the cold reference in wall time (asserted) — the
 //!    ROADMAP gap this PR closes.
+//! 3. **Orientation reuse** on the same fixtures: a second selection
+//!    sends one net electrical, which changes one orientation and shifts
+//!    the other's connection indices. Planning it with the first plan's
+//!    resident state must equal planning it from scratch — plan and
+//!    resident fingerprint — at 1, 2 and 8 threads, with exactly one
+//!    orientation reused (asserted). Reports both wall times.
 //!
 //! `--smoke` shrinks every fixture, keeps every identity assertion, and
 //! skips the timing criteria and the JSON write — the cheap CI gate.
@@ -346,6 +352,7 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
             stats.mcmf.rollbacks, stats.warm_trials,
             "{name}: one rollback per warm trial"
         );
+        let reuse = bench_reuse(name, &candidates, &choice.choice, &config.optical);
         if must_beat_cold {
             assert!(
                 warm_ms < cold_ms,
@@ -377,7 +384,95 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
             ("undo_entries", Value::from(stats.mcmf.undo_entries)),
             ("rollbacks", Value::from(stats.mcmf.rollbacks)),
             ("networks_cloned", Value::from(stats.mcmf.networks_cloned)),
+            ("reuse", reuse),
         ]));
     }
     out
+}
+
+/// A second selection that differs from `choice` in one orientation
+/// only: the first net whose chosen candidate's connections all share
+/// one orientation, with connections of the other orientation after it,
+/// goes electrical. Dropping its connections re-plans its orientation
+/// and shifts the other orientation's global connection indices.
+fn one_orientation_change(candidates: &[NetCandidates], choice: &[usize]) -> Vec<usize> {
+    let all = wdm::extract_connections(candidates, choice);
+    let mut before = 0;
+    for (i, nc) in candidates.iter().enumerate() {
+        let own = wdm::extract_connections(&candidates[i..=i], &choice[i..=i]);
+        before += own.len();
+        let Some(first) = own.first() else { continue };
+        let single = own.iter().all(|c| c.orientation == first.orientation);
+        let other_after = all[before..]
+            .iter()
+            .any(|c| c.orientation != first.orientation);
+        if single && other_after && nc.electrical_idx != choice[i] {
+            let mut next = choice.to_vec();
+            next[i] = nc.electrical_idx;
+            return next;
+        }
+    }
+    panic!("fixture has no net that feeds one orientation ahead of the other");
+}
+
+/// The reuse identity gate: over a selection pair that differs in one
+/// orientation, planning with the first plan's resident state must equal
+/// planning from scratch — the plan field by field and the resident
+/// fingerprint — at 1, 2 and 8 threads, with exactly one orientation
+/// reused. Reports the best wall time of both.
+fn bench_reuse(
+    name: &str,
+    candidates: &[NetCandidates],
+    choice: &[usize],
+    lib: &operon_optics::OpticalLib,
+) -> Value {
+    let next = one_orientation_change(candidates, choice);
+    let plan = |choice: &[usize], prev, exec: &Executor| {
+        wdm::plan_resident_with(candidates, choice, lib, prev, exec).expect("plan feasible")
+    };
+    for threads in THREADS {
+        let exec = Executor::new(threads);
+        let (_, prev) = plan(choice, None, &exec);
+        let (warm, warm_resident) = plan(&next, Some(prev), &exec);
+        let (cold, cold_resident) = plan(&next, None, &exec);
+        let at = format!("{name}: reuse at {threads} threads");
+        assert_eq!(warm.connections, cold.connections, "{at}: connections");
+        assert_eq!(
+            warm.initial_count, cold.initial_count,
+            "{at}: initial count"
+        );
+        assert_eq!(warm.wdms, cold.wdms, "{at}: waveguides");
+        assert_eq!(
+            warm_resident.fingerprint(),
+            cold_resident.fingerprint(),
+            "{at}: resident fingerprint"
+        );
+        assert_eq!(
+            warm.stats.orientations_reused, 1,
+            "{at}: one orientation reused"
+        );
+    }
+
+    let exec = Executor::sequential();
+    let (mut reuse_ms, mut replan_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ITERS {
+        let (_, prev) = plan(choice, None, &exec);
+        let sw = Stopwatch::start();
+        let reused = plan(&next, Some(prev), &exec);
+        reuse_ms = reuse_ms.min(sw.elapsed().as_secs_f64() * 1e3);
+        drop(reused);
+        let sw = Stopwatch::start();
+        let replanned = plan(&next, None, &exec);
+        replan_ms = replan_ms.min(sw.elapsed().as_secs_f64() * 1e3);
+        drop(replanned);
+    }
+    println!(
+        "wdm {name}: one-orientation change, reuse {reuse_ms:.3} ms vs \
+         replan {replan_ms:.3} ms"
+    );
+    Value::object(vec![
+        ("orientations_reused", Value::from(1u64)),
+        ("reuse_best_ms", Value::from(reuse_ms)),
+        ("replan_best_ms", Value::from(replan_ms)),
+    ])
 }

@@ -42,8 +42,11 @@
 //!   the lists through the canonical funnel;
 //! * selection re-runs globally (a local change can shift the crossing
 //!   coupling anywhere), with the LR pricer's within-call dirty sets;
-//! * WDM planning re-runs via [`wdm::plan_resident_with`], and the
-//!   committed networks stay resident so deletion what-ifs
+//! * WDM planning re-runs via [`wdm::plan_resident_with`], which is
+//!   handed the previous route's committed networks: an orientation
+//!   whose connection list and WDM knobs did not change is taken over
+//!   unsolved (`wdm_orientations_reused`), the other one is re-planned;
+//! * the committed networks stay resident so deletion what-ifs
 //!   ([`WarmSession::probe_wdm`]) are transactional
 //!   checkout/reroute/rollback probes — `networks_cloned` stays 0 for
 //!   the whole session lifecycle.
@@ -591,8 +594,19 @@ impl WarmSession {
     /// first stage whose inputs changed, taking everything upstream from
     /// `reuse`, and installs the result as the resident state. A cold
     /// route is an ECO that reuses nothing.
-    fn run_from(&mut self, from: DirtyStage, reuse: Reuse) -> Result<RouteSummary, OperonError> {
+    fn run_from(
+        &mut self,
+        from: DirtyStage,
+        mut reuse: Reuse,
+    ) -> Result<RouteSummary, OperonError> {
         let warm = !matches!(reuse, Reuse::Nothing);
+        // The WDM stage reuses any orientation whose inputs did not change.
+        let prior_wdm = match &mut reuse {
+            Reuse::Groups(_, prev) | Reuse::Prefix(prev) => {
+                Some(std::mem::take(&mut prev.resident))
+            }
+            Reuse::Nothing => None,
+        };
         let (hyper_nets, candidates, crossings, shard, kept_selection) = match reuse {
             // Selection or WDM dirty: stages 1–3 keep their outputs.
             Reuse::Prefix(prev) if from <= DirtyStage::Selection => (
@@ -630,7 +644,8 @@ impl WarmSession {
                 self.selection_stage(from, &candidates, &crossings, shard.as_ref(), &resolved)?
             }
         };
-        let (wdm, resident) = self.wdm_stage(from, &candidates, &selection.choice, &resolved)?;
+        let (wdm, resident) =
+            self.wdm_stage(from, &candidates, &selection.choice, &resolved, prior_wdm)?;
         let state = WarmState {
             hyper_nets,
             candidates,
@@ -898,21 +913,24 @@ impl WarmSession {
     }
 
     /// Stage 5, WDM placement + assignment, keeping the committed flow
-    /// networks resident for deletion probes.
+    /// networks resident for deletion probes. An orientation whose inputs
+    /// equal those `prior` was planned from is taken over unsolved.
     fn wdm_stage(
         &mut self,
         from: DirtyStage,
         candidates: &[NetCandidates],
         choice: &[usize],
         resolved: &OperonConfig,
+        prior: Option<ResidentAssignment>,
     ) -> Result<(WdmPlan, ResidentAssignment), OperonError> {
         let mut stage = self.exec.stage("wdm");
         self.stamp(&mut stage, from == DirtyStage::Wdm);
         let (plan, resident) =
-            wdm::plan_resident_with(candidates, choice, &resolved.optical, &self.exec)?;
+            wdm::plan_resident_with(candidates, choice, &resolved.optical, prior, &self.exec)?;
         let stats = &plan.stats;
         stage.record("wdm_cold_solves", stats.cold_solves);
         stage.record("wdm_warm_trials", stats.warm_trials);
+        stage.record("wdm_orientations_reused", stats.orientations_reused);
         stage.record("wdm_dijkstra_passes", stats.mcmf.dijkstra_passes);
         stage.record("wdm_arcs_scanned", stats.mcmf.arcs_scanned);
         stage.record("wdm_repair_rounds", stats.mcmf.repair_rounds);

@@ -22,9 +22,8 @@ pub mod channels;
 use crate::codesign::NetCandidates;
 use crate::error::OperonError;
 use operon_exec::Executor;
-use operon_mcmf::{EdgeId, McmfGraph, McmfStats};
+use operon_mcmf::{EdgeId, FlowResult, McmfGraph, McmfStats};
 use operon_optics::OpticalLib;
-use std::sync::Mutex;
 
 /// Orientation of a connection or WDM track.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -68,18 +67,20 @@ impl Wdm {
 
 /// Work counters for the WDM assignment and reduction stage.
 ///
-/// The counters are canonical for the *sequential* reduction order: with
-/// more executor threads the batched trials may pre-compute extra
-/// re-solves, but only the trials the sequential loop would have run are
-/// counted, so the stats are identical for every thread count.
+/// The reduction runs its tentative deletions one at a time, in rank
+/// order, so the counters depend only on the planner's inputs — never
+/// on the executor's thread count.
 ///
 /// A waveguide whose tentative deletion failed is never trialed again.
 /// Every later active set is a subset of the one the trial saw, so the
 /// later reduced network is a subgraph of the failed one and its max-flow
-/// value can only be lower: the deletion stays infeasible. Only counted
-/// trials mark a waveguide, so the skips — and `warm_trials` — are the
-/// same for every thread count, and the plan equals the all-cold
-/// reference, which re-trials every waveguide each round.
+/// value can only be lower: the deletion stays infeasible. The plan
+/// still equals the all-cold reference, which re-trials every waveguide
+/// each round.
+///
+/// An orientation reused from the previous plan (see
+/// [`plan_resident_with`]) runs no solve, so it adds only to
+/// `orientations_reused`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WdmStats {
     /// Cold MCMF solves: the initial assignment plus one re-solve per
@@ -87,6 +88,9 @@ pub struct WdmStats {
     pub cold_solves: u64,
     /// Warm-started tentative-deletion feasibility trials.
     pub warm_trials: u64,
+    /// Orientations whose inputs equalled the previous plan's, so their
+    /// waveguides and committed network were taken over unsolved.
+    pub orientations_reused: u64,
     /// Aggregated network-solver counters across those solves.
     pub mcmf: McmfStats,
 }
@@ -96,6 +100,7 @@ impl WdmStats {
     pub fn accumulate(&mut self, other: &WdmStats) {
         self.cold_solves += other.cold_solves;
         self.warm_trials += other.warm_trials;
+        self.orientations_reused += other.orientations_reused;
         self.mcmf.accumulate(&other.mcmf);
     }
 }
@@ -144,41 +149,45 @@ pub fn extract_connections(nets: &[NetCandidates], choice: &[usize]) -> Vec<Conn
     out
 }
 
-/// Greedy sweep placement (§4.1) over one orientation; `connections` must
-/// all share the orientation. Returns WDMs with their sweep assignments.
+/// Greedy sweep placement (§4.1) over one orientation's connections,
+/// given as `(track, bits)` in extraction order. Returns WDMs with their
+/// sweep assignments, which refer to connections by their position in
+/// `conns`.
 ///
 /// # Errors
 ///
 /// [`OperonError::WdmInfeasible`] if a connection demands more than the
 /// WDM capacity.
 fn place_orientation(
-    connections: &[(usize, &Connection)],
+    conns: &[(i64, usize)],
+    orientation: TrackOrientation,
     lib: &OpticalLib,
 ) -> Result<Vec<Wdm>, OperonError> {
-    let mut order: Vec<&(usize, &Connection)> = connections.iter().collect();
-    order.sort_by_key(|(_, c)| c.track);
+    let mut order: Vec<usize> = (0..conns.len()).collect();
+    order.sort_by_key(|&pos| conns[pos].0);
 
     let mut wdms: Vec<Wdm> = Vec::new();
-    for &&(idx, conn) in &order {
-        if conn.bits > lib.wdm_capacity {
+    for pos in order {
+        let (track, bits) = conns[pos];
+        if bits > lib.wdm_capacity {
             // operon-lint: allow(P002, reason = "error path: formats once for an infeasible connection, then returns")
             return Err(OperonError::WdmInfeasible(format!(
                 "connection demands {} channels, capacity is {}",
-                conn.bits, lib.wdm_capacity
+                bits, lib.wdm_capacity
             )));
         }
         match wdms.last_mut() {
             Some(w)
-                if w.used() + conn.bits <= lib.wdm_capacity
-                    && (conn.track - w.track).abs() <= lib.wdm_max_displacement =>
+                if w.used() + bits <= lib.wdm_capacity
+                    && (track - w.track).abs() <= lib.wdm_max_displacement =>
             {
-                w.assigned.push((idx, conn.bits));
+                w.assigned.push((pos, bits));
             }
             _ => wdms.push(Wdm {
-                orientation: conn.orientation,
-                track: conn.track,
+                orientation,
+                track,
                 // operon-lint: allow(P002, reason = "constructs the new WDM's assignment list; sweep placement runs once per connection, not per solver iteration")
-                assigned: vec![(idx, conn.bits)],
+                assigned: vec![(pos, bits)],
             }),
         }
     }
@@ -197,60 +206,58 @@ fn legalize(wdms: &mut [Wdm], min_pitch: i64) {
     }
 }
 
-/// Min-cost max-flow re-assignment (§4.2) of one orientation, followed by
-/// under-fill reduction. Connections keep a guaranteed edge to their
-/// sweep-assigned WDM so the network always carries the full demand.
-///
-/// The reduction's tentative-deletion re-solves are evaluated in batches
-/// of `exec.threads()` concurrent MCMF trials. Each trial in a batch
-/// starts from the same base active set (exactly what the sequential loop
-/// sees, because failed deletions are reactivated before the next trial),
-/// and only the first in-order success is committed — so the committed
-/// deletion sequence is bit-identical to the sequential one for every
-/// thread count; extra threads merely pre-compute trials the sequential
-/// loop would have run next. A waveguide whose deletion failed once is
-/// never trialed again (see [`WdmStats`]).
-///
-/// Trials are *warm-started and transactional*: each one opens a
-/// [`checkout`](McmfGraph::checkout) on the committed solved network,
-/// withdraws the deleted WDM's sink-edge flow (residual-arc removals,
-/// which keep the committed potentials feasible), re-routes just the
-/// displaced units to the sink along successive shortest paths, and
-/// rolls back — the undo log restores the committed network bitwise, so
-/// no trial ever copies the network. Sequential trials run directly on the
-/// committed network; with more threads each worker slot keeps one
-/// scratch replica that is refreshed (allocation-reusing `clone_from`)
-/// only when a commit or idle removal actually changes the committed
-/// network, then rolls back between trials exactly like the sequential
-/// path. Feasibility is decided by the max-flow *value*, which is
-/// unique, so warm and cold trials always agree; the committed
-/// assignment after a successful trial is re-solved cold on the reduced
-/// network, keeping the final plan bit-identical to the all-cold
-/// reference ([`assign_orientation_reference`]).
-fn assign_orientation(
-    connections: &[(usize, &Connection)],
-    placed: Vec<Wdm>,
-    lib: &OpticalLib,
-    exec: &Executor,
-) -> Result<(Vec<Wdm>, WdmStats, Option<OrientationResident>), OperonError> {
-    if connections.is_empty() {
-        return Ok((Vec::new(), WdmStats::default(), None));
-    }
-    // Sweep WDM of each connection (for the feasibility edge).
-    let mut sweep_wdm = vec![usize::MAX; connections.len()];
+/// Sweep WDM of each connection: the WDM the placement assigned it to,
+/// which keeps an assignment edge in every network so the sweep itself
+/// witnesses feasibility.
+fn sweep_wdms(n_conn: usize, placed: &[Wdm]) -> Vec<usize> {
+    let mut sweep_wdm = vec![usize::MAX; n_conn];
     for (wi, w) in placed.iter().enumerate() {
         for &(conn_pos, _) in &w.assigned {
-            // `assigned` stores positions into `connections`.
             sweep_wdm[conn_pos] = wi;
         }
     }
+    sweep_wdm
+}
+
+/// One reduced orientation: its final waveguides (connections by local
+/// position), the reduction's work counters, the committed network, and
+/// the network wdm index of each final waveguide.
+type Reduced = (Vec<Wdm>, WdmStats, AssignmentNetwork, Vec<usize>);
+
+/// Min-cost max-flow re-assignment (§4.2) of one orientation, followed by
+/// under-fill reduction. `conns` are the orientation's `(track, bits)`
+/// connections and `placed` their track-sorted sweep placement.
+/// Connections keep a guaranteed edge to their sweep-assigned WDM so the
+/// network always carries the full demand.
+///
+/// The reduction ranks the active waveguides by fill each round and
+/// tries to delete them in that order, one at a time, committing the
+/// first success. A waveguide whose deletion failed once is never
+/// trialed again (see [`WdmStats`]).
+///
+/// Trials are *warm-started and transactional* ([`warm_trial`]): each
+/// one opens a [`checkout`](McmfGraph::checkout) on the committed solved
+/// network, withdraws the deleted WDM's sink-edge flow, re-routes just
+/// the displaced units to the sink along successive shortest paths, and
+/// rolls back — the undo log restores the committed network bitwise, so
+/// no trial ever copies the network. Feasibility is decided by the
+/// max-flow *value*, which is unique, so warm and cold trials always
+/// agree; the committed assignment after a successful trial is re-solved
+/// cold on the reduced network, keeping the final plan bit-identical to
+/// the all-cold reference ([`assign_orientation_reference`]).
+fn assign_orientation(
+    conns: &[(i64, usize)],
+    placed: Vec<Wdm>,
+    lib: &OpticalLib,
+) -> Result<Reduced, OperonError> {
+    let sweep_wdm = sweep_wdms(conns.len(), &placed);
 
     let mut stats = WdmStats::default();
     let mut active: Vec<bool> = vec![true; placed.len()];
     // WDMs whose deletion already failed on a superset of the current
     // active set (see `WdmStats`): never trialed again.
     let mut undeletable: Vec<bool> = vec![false; placed.len()];
-    let mut committed = build_network(connections, &placed, &active, &sweep_wdm, lib);
+    let mut committed = build_network(conns, &placed, &active, &sweep_wdm, lib);
     let first = {
         let (s, t) = (committed.g.node(0), committed.g.node(1));
         committed.g.min_cost_max_flow(s, t)
@@ -262,35 +269,17 @@ fn assign_orientation(
     if first.flow < committed.idx.total_demand {
         return Err(OperonError::WdmInfeasible(format!(
             "flow network cannot carry {} connections over {} sweep WDMs",
-            connections.len(),
+            conns.len(),
             placed.len()
         )));
     }
     let mut best = extract_assignment(&committed.g, &committed.idx, &placed);
 
     // Reduction: try deleting WDMs, emptiest first. Idle WDMs go outright;
-    // the loaded candidates need a tentative-deletion re-solve each, and
-    // those run `exec.threads()` at a time.
-    let batch = exec.threads().max(1);
-    // Scratch replicas for concurrent trials, one per batch slot. A
-    // replica is refreshed from the committed network only when
-    // `committed_epoch` moved (commit or idle removal); between epochs,
-    // transactional rollback already leaves it bitwise equal to the
-    // committed network, so trials reuse it copy-free. Sequential runs
-    // (batch == 1) skip the pool entirely and run trials directly on the
-    // committed network.
-    let mut committed_epoch = 1u64;
-    let pool: Vec<Mutex<TrialScratch>> = if batch > 1 {
-        (0..batch)
-            .map(|_| Mutex::new(TrialScratch::default()))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut prior_buf: Vec<i64> = Vec::new();
-    // Ranking buffers, refilled in place each reduction round.
+    // the loaded candidates need a tentative-deletion trial each.
+    let mut prior: Vec<i64> = Vec::new();
+    // Ranking buffer, refilled in place each reduction round.
     let mut candidates: Vec<(usize, usize)> = Vec::new();
-    let mut loaded: Vec<usize> = Vec::new();
     loop {
         candidates.clear();
         candidates.extend(
@@ -301,82 +290,48 @@ fn assign_orientation(
         );
         candidates.sort_unstable();
         let mut removed_any = false;
-        // Idle WDMs sort first; dropping them needs no re-solve. Zeroing
-        // their sink edge keeps the committed network in step with the
-        // active set (they carry no flow, so nothing to withdraw).
-        loaded.clear();
-        loaded.extend(candidates.iter().filter_map(|&(used, wi)| {
+        for &(used, wi) in &candidates {
             if used == 0 {
+                // Idle WDMs sort first; dropping them needs no re-solve.
+                // Zeroing their sink edge keeps the committed network in
+                // step with the active set (they carry no flow, so
+                // nothing to withdraw).
                 active[wi] = false;
                 if let Some(e) = committed.idx.wdm_edges[wi] {
                     committed.g.set_edge_capacity(e, 0);
                 }
                 removed_any = true;
-                None
-            } else {
-                (!undeletable[wi]).then_some(wi)
+                continue;
             }
-        }));
-        if removed_any {
-            committed_epoch += 1; // replicas must resync the zeroed sinks
-        }
-        // Every trial in a batch removes one candidate from the same base
-        // active set; committing the first in-order success reproduces the
-        // sequential deletion order exactly. Stats are accumulated only
-        // for the trials the sequential loop would have run (up to and
-        // including the first success), so they are thread-count
-        // invariant: a trial's counter delta depends only on the network
-        // state and prior potentials, which are bitwise identical whether
-        // it runs on the committed network or a synced replica.
-        'pass: for chunk in loaded.chunks(batch) {
-            let trials: Vec<(bool, McmfStats)> = if batch == 1 {
-                chunk
-                    .iter()
-                    .map(|&wi| warm_trial(&mut committed.g, &committed.idx, &mut prior_buf, wi))
-                    // operon-lint: allow(P002, reason = "one small result vec per trial chunk; chunk count is bounded by the surviving waveguide count and each entry is the output of a full MCMF solve")
-                    .collect()
-            } else {
-                // operon-lint: allow(P002, reason = "slot tags for wave_map, one tiny vec per chunk; dwarfed by the per-trial MCMF solves it fans out")
-                let items: Vec<(usize, usize)> = chunk.iter().copied().enumerate().collect();
-                exec.wave_map(&items, |&(slot, wi)| {
-                    let mut scratch = pool[slot]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if scratch.epoch != committed_epoch {
-                        scratch.g.clone_from(&committed.g);
-                        scratch.epoch = committed_epoch;
-                    }
-                    let TrialScratch { g, prior, .. } = &mut *scratch;
-                    warm_trial(g, &committed.idx, prior, wi)
-                })
-            };
-            for (&wi, (feasible, trial_stats)) in chunk.iter().zip(trials) {
-                stats.warm_trials += 1;
-                stats.mcmf.accumulate(&trial_stats);
-                undeletable[wi] = !feasible;
-                if feasible {
-                    // Commit with a cold solve of the reduced network so
-                    // the assignment is bit-identical to the all-cold
-                    // reduction path.
-                    active[wi] = false;
-                    let mut net = build_network(connections, &placed, &active, &sweep_wdm, lib);
-                    let (s, t) = (net.g.node(0), net.g.node(1));
-                    let r = net.g.min_cost_max_flow(s, t);
-                    stats.cold_solves += 1;
-                    stats.mcmf.accumulate(&net.g.stats());
-                    if r.flow == net.idx.total_demand {
-                        best = extract_assignment(&net.g, &net.idx, &placed);
-                        committed = net;
-                        committed_epoch += 1;
-                        removed_any = true;
-                        break 'pass; // re-rank by the new fill levels
-                    }
-                    // The warm trial certified feasibility, so the cold
-                    // solve of the same reduced network cannot disagree;
-                    // reactivate defensively if it ever does.
-                    active[wi] = true;
-                }
+            if undeletable[wi] {
+                continue;
             }
+            let (displaced, reroute, trial_stats) =
+                warm_trial(&mut committed.g, &committed.idx, &mut prior, wi);
+            stats.warm_trials += 1;
+            stats.mcmf.accumulate(&trial_stats);
+            if reroute.flow != displaced {
+                undeletable[wi] = true;
+                continue;
+            }
+            // Commit with a cold solve of the reduced network so the
+            // assignment is bit-identical to the all-cold reduction path.
+            active[wi] = false;
+            let mut net = build_network(conns, &placed, &active, &sweep_wdm, lib);
+            let (s, t) = (net.g.node(0), net.g.node(1));
+            let r = net.g.min_cost_max_flow(s, t);
+            stats.cold_solves += 1;
+            stats.mcmf.accumulate(&net.g.stats());
+            if r.flow == net.idx.total_demand {
+                best = extract_assignment(&net.g, &net.idx, &placed);
+                committed = net;
+                removed_any = true;
+                break; // re-rank by the new fill levels
+            }
+            // The warm trial certified feasibility, so the cold solve of
+            // the same reduced network cannot disagree; reactivate
+            // defensively if it ever does.
+            active[wi] = true;
         }
         if !removed_any {
             break;
@@ -392,17 +347,11 @@ fn assign_orientation(
         .enumerate()
         .filter(|(wi, w)| active[*wi] && w.used() > 0)
         .map(|(wi, w)| {
-            finals.push((wi, w.track, w.used()));
+            finals.push(wi);
             w
         })
         .collect();
-    let resident = OrientationResident {
-        orientation: connections[0].1.orientation,
-        committed,
-        finals,
-        prior: prior_buf,
-    };
-    Ok((wdms, stats, Some(resident)))
+    Ok((wdms, stats, committed, finals))
 }
 
 /// The pre-warm-start reduction loop: every tentative deletion is a full
@@ -411,30 +360,24 @@ fn assign_orientation(
 /// two must produce the same WDM set. Also returns the number of cold
 /// solves it ran (the initial one plus one per tentative deletion).
 fn assign_orientation_reference(
-    connections: &[(usize, &Connection)],
+    conns: &[(i64, usize)],
     placed: Vec<Wdm>,
     lib: &OpticalLib,
 ) -> Result<(Vec<Wdm>, u64), OperonError> {
-    if connections.is_empty() {
+    if conns.is_empty() {
         return Ok((Vec::new(), 0));
     }
-    let mut sweep_wdm = vec![usize::MAX; connections.len()];
-    for (wi, w) in placed.iter().enumerate() {
-        for &(conn_pos, _) in &w.assigned {
-            sweep_wdm[conn_pos] = wi;
-        }
-    }
+    let sweep_wdm = sweep_wdms(conns.len(), &placed);
 
     let mut active: Vec<bool> = vec![true; placed.len()];
     let mut solves = 1u64;
-    let mut best =
-        solve_assignment(connections, &placed, &active, &sweep_wdm, lib).ok_or_else(|| {
-            OperonError::WdmInfeasible(format!(
-                "flow network cannot carry {} connections over {} sweep WDMs",
-                connections.len(),
-                placed.len()
-            ))
-        })?;
+    let mut best = solve_assignment(conns, &placed, &active, &sweep_wdm, lib).ok_or_else(|| {
+        OperonError::WdmInfeasible(format!(
+            "flow network cannot carry {} connections over {} sweep WDMs",
+            conns.len(),
+            placed.len()
+        ))
+    })?;
 
     loop {
         let mut candidates: Vec<(usize, usize)> = best
@@ -465,9 +408,7 @@ fn assign_orientation_reference(
             // set, without the per-trial allocation).
             active[wi] = false;
             solves += 1;
-            if let Some(assignment) =
-                solve_assignment(connections, &placed, &active, &sweep_wdm, lib)
-            {
+            if let Some(assignment) = solve_assignment(conns, &placed, &active, &sweep_wdm, lib) {
                 best = assignment;
                 removed_any = true;
                 break;
@@ -489,26 +430,27 @@ fn assign_orientation_reference(
     Ok((wdms, solves))
 }
 
-/// One warm tentative-deletion trial, run *in place* on `g` (the
-/// committed network or a synced scratch replica): open a transaction,
-/// withdraw the flow on WDM `wi`'s sink edge and zero its capacity —
-/// pure residual-arc removals, which keep the committed potentials
-/// feasible — then [`min_cost_reroute`](McmfGraph::min_cost_reroute)
-/// the displaced units from `wi`'s node to the sink along successive
-/// shortest paths, and roll back — the undo log restores `g` bitwise,
-/// so the next trial starts from the committed state without any copy.
-/// The reduced network carries the full demand exactly when every
-/// displaced unit re-routes, so the trial decides feasibility without
-/// touching the rest of the committed flow (no path withdrawals, no
-/// potential repair, no cycle canceling). `prior` is a reusable buffer
-/// for the warm-start potentials. Returns the feasibility verdict plus
+/// One warm tentative-deletion trial, run *in place* on the committed
+/// network `g`: open a transaction, withdraw the flow on WDM `wi`'s sink
+/// edge and zero its capacity — pure residual-arc removals, which keep
+/// the committed potentials feasible — then
+/// [`min_cost_reroute`](McmfGraph::min_cost_reroute) the displaced units
+/// from `wi`'s node to the sink along successive shortest paths, and
+/// roll back — the undo log restores `g` bitwise, so the next trial
+/// starts from the committed state without any copy. The reduced network
+/// carries the full demand exactly when every displaced unit re-routes,
+/// so the trial decides feasibility without touching the rest of the
+/// committed flow (no path withdrawals, no potential repair, no cycle
+/// canceling). `prior` is a reusable buffer for the warm-start
+/// potentials. Returns the displaced units, the reroute's result (the
+/// deletion is feasible when its flow equals the displaced units) and
 /// the solver counters the trial added.
 fn warm_trial(
     g: &mut McmfGraph,
     idx: &NetIndex,
     prior: &mut Vec<i64>,
     wi: usize,
-) -> (bool, McmfStats) {
+) -> (i64, FlowResult, McmfStats) {
     let before = g.stats();
     prior.clear();
     prior.extend_from_slice(g.potentials());
@@ -525,19 +467,7 @@ fn warm_trial(
     }
     let r = txn.min_cost_reroute(wdm_node, t, displaced, prior);
     txn.rollback();
-    (r.flow == displaced, g.stats().delta_since(&before))
-}
-
-/// Per-slot scratch state for concurrent tentative-deletion trials: a
-/// replica of the committed network (refreshed lazily via the
-/// allocation-reusing `clone_from` when `epoch` falls behind) and a
-/// reusable warm-start potential buffer.
-#[derive(Default)]
-struct TrialScratch {
-    g: McmfGraph,
-    prior: Vec<i64>,
-    /// `committed_epoch` value `g` was last synced against (0 = never).
-    epoch: u64,
+    (displaced, r, g.stats().delta_since(&before))
 }
 
 /// The assignment flow network of one orientation: the residual network
@@ -568,26 +498,59 @@ pub struct WdmProbe {
     pub reroute_cost: i64,
 }
 
-/// One orientation's share of a [`ResidentAssignment`]: the committed
-/// solved network plus the identity of each emitted waveguide.
+/// Everything an orientation's placement, assignment and reduction
+/// read: its connections' `(track, bits)` in extraction order and the
+/// three WDM knobs `(wdm_capacity, wdm_max_displacement,
+/// wdm_min_pitch)`. Equal inputs give a bitwise-equal plan and committed
+/// network, which is what lets [`plan_resident_with`] reuse them.
+#[derive(PartialEq, Eq)]
+struct OrientationInputs {
+    conns: Vec<(i64, usize)>,
+    knobs: (usize, i64, i64),
+}
+
+impl OrientationInputs {
+    fn new(connections: &[Connection], orientation: TrackOrientation, lib: &OpticalLib) -> Self {
+        Self {
+            conns: connections
+                .iter()
+                .filter(|c| c.orientation == orientation)
+                .map(|c| (c.track, c.bits))
+                .collect(),
+            knobs: (
+                lib.wdm_capacity,
+                lib.wdm_max_displacement,
+                lib.wdm_min_pitch,
+            ),
+        }
+    }
+}
+
+/// One orientation's share of a [`ResidentAssignment`]: the inputs it
+/// was planned from, its plan, and the committed solved network.
 struct OrientationResident {
     orientation: TrackOrientation,
+    inputs: OrientationInputs,
+    /// WDM count right after the sweep placement.
+    initial: usize,
+    /// The final waveguides, their connections given by position in
+    /// `inputs.conns`.
+    wdms: Vec<Wdm>,
     committed: AssignmentNetwork,
-    /// `(network wdm index, track, used)` of each final waveguide, in
-    /// the order [`WdmPlan::wdms`] lists them within this orientation.
-    finals: Vec<(usize, i64, usize)>,
-    /// Reusable warm-start potential buffer.
-    prior: Vec<i64>,
+    /// Network wdm index of each entry of `wdms`.
+    finals: Vec<usize>,
 }
 
 /// The committed assignment networks of a finished WDM plan, kept
 /// resident so a session can answer what-if questions warm — no network
 /// is ever rebuilt or cloned; every probe is a transactional
 /// checkout/reroute/rollback on the committed state, exactly the
-/// machinery the reduction loop used.
+/// machinery the reduction loop used — and hand an unchanged
+/// orientation over to the next plan.
 ///
 /// Returned by [`plan_resident_with`]; dropped (cheaply) by callers that
 /// only want the plan.
+#[derive(Default)]
 pub struct ResidentAssignment {
     parts: Vec<OrientationResident>,
 }
@@ -595,48 +558,30 @@ pub struct ResidentAssignment {
 impl ResidentAssignment {
     /// Probes, for every final waveguide in plan order (horizontal
     /// orientation first), whether deleting it would still leave a
-    /// feasible assignment, and at what re-route cost. Each probe is a
-    /// warm transactional trial rolled back before the next one starts,
-    /// so the committed networks are bitwise unchanged afterwards
+    /// feasible assignment, and at what re-route cost. Each probe is the
+    /// reduction's warm tentative-deletion trial, rolled back before the
+    /// next one starts, so the
+    /// committed networks are bitwise unchanged afterwards
     /// ([`fingerprint`](ResidentAssignment::fingerprint) is invariant)
     /// and `networks_cloned` stays zero. Returns the probes plus the
     /// solver counters the probes added.
     pub fn probe_deletions(&mut self) -> (Vec<WdmProbe>, McmfStats) {
         let mut probes = Vec::new();
         let mut stats = McmfStats::default();
+        let mut prior = Vec::new();
         for part in &mut self.parts {
-            let OrientationResident {
-                orientation,
-                committed,
-                finals,
-                prior,
-            } = part;
-            let AssignmentNetwork { g, idx } = committed;
-            for &(wi, track, used) in finals.iter() {
-                let before = g.stats();
-                prior.clear();
-                prior.extend_from_slice(g.potentials());
-                let t = g.node(1);
-                let wdm_node = g.node(2 + idx.conn_edges.len() + wi);
-                let mut txn = g.checkout();
-                let mut displaced = 0;
-                if let Some(sink) = idx.wdm_edges[wi] {
-                    displaced = txn.flow(sink);
-                    if displaced > 0 {
-                        txn.withdraw_edge_flow(sink, displaced);
-                    }
-                    txn.set_edge_capacity(sink, 0);
-                }
-                let r = txn.min_cost_reroute(wdm_node, t, displaced, prior);
-                txn.rollback();
-                stats.accumulate(&g.stats().delta_since(&before));
+            let AssignmentNetwork { g, idx } = &mut part.committed;
+            for (w, &wi) in part.wdms.iter().zip(&part.finals) {
+                let (displaced, r, trial_stats) = warm_trial(g, idx, &mut prior, wi);
+                stats.accumulate(&trial_stats);
+                let deletable = r.flow == displaced;
                 probes.push(WdmProbe {
-                    orientation: *orientation,
-                    track,
-                    used,
-                    deletable: r.flow == displaced,
+                    orientation: part.orientation,
+                    track: w.track,
+                    used: w.used(),
+                    deletable,
                     displaced,
-                    reroute_cost: if r.flow == displaced { r.cost } else { 0 },
+                    reroute_cost: if deletable { r.cost } else { 0 },
                 });
             }
         }
@@ -661,10 +606,10 @@ impl ResidentAssignment {
         for part in &self.parts {
             h = eat(h, part.orientation as u64);
             h = eat(h, part.committed.g.fingerprint());
-            for &(wi, track, used) in &part.finals {
+            for (w, &wi) in part.wdms.iter().zip(&part.finals) {
                 h = eat(h, wi as u64);
-                h = eat(h, track as u64);
-                h = eat(h, used as u64);
+                h = eat(h, w.track as u64);
+                h = eat(h, w.used() as u64);
             }
         }
         h
@@ -692,17 +637,22 @@ struct NetIndex {
 }
 
 /// Builds the (unsolved) assignment network over the active WDMs,
-/// recording every edge handle. Edge insertion order matches the original
-/// in-line construction exactly, so solving it cold reproduces the same
-/// flow byte-for-byte.
+/// recording every edge handle. `placed` must be track-sorted, as
+/// [`legalize`] leaves it: each connection then reaches the contiguous
+/// window of WDMs within `wdm_max_displacement` of its track, plus its
+/// sweep WDM wherever legalization pushed that one. Arcs go in per
+/// connection, in ascending WDM order — the order of a scan over every
+/// connection × WDM pair — so solving the network cold reproduces the
+/// same flow byte-for-byte.
 fn build_network(
-    connections: &[(usize, &Connection)],
+    conns: &[(i64, usize)],
     placed: &[Wdm],
     active: &[bool],
     sweep_wdm: &[usize],
     lib: &OpticalLib,
 ) -> AssignmentNetwork {
-    let n_conn = connections.len();
+    debug_assert!(placed.windows(2).all(|p| p[0].track <= p[1].track));
+    let n_conn = conns.len();
     let n_wdm = placed.len();
     let mut g = McmfGraph::new(2 + n_conn + n_wdm);
     let s = g.node(0);
@@ -710,35 +660,41 @@ fn build_network(
     let conn_node = |i: usize| 2 + i;
     let wdm_node = |w: usize| 2 + n_conn + w;
 
-    let total_demand: i64 = connections.iter().map(|(_, c)| c.bits as i64).sum();
+    let total_demand: i64 = conns.iter().map(|&(_, bits)| bits as i64).sum();
     let mut conn_edges = Vec::with_capacity(n_conn);
-    for (i, (_, c)) in connections.iter().enumerate() {
-        conn_edges.push(g.add_edge(s, g.node(conn_node(i)), c.bits as i64, 0));
+    for (i, &(_, bits)) in conns.iter().enumerate() {
+        conn_edges.push(g.add_edge(s, g.node(conn_node(i)), bits as i64, 0));
     }
     // Displacement costs normalized so WDM usage (handled by the
     // reduction loop) dominates; scaled to integers.
+    let reach = lib.wdm_max_displacement;
     let mut assign_edges = Vec::new();
-    for (i, (_, c)) in connections.iter().enumerate() {
-        for (wi, w) in placed.iter().enumerate() {
+    for (i, &(track, bits)) in conns.iter().enumerate() {
+        let lo = placed.partition_point(|w| w.track < track.saturating_sub(reach));
+        let hi = placed
+            .partition_point(|w| w.track <= track.saturating_add(reach))
+            .max(lo);
+        let sweep = sweep_wdm[i];
+        let (before, after) = if sweep < lo {
+            (Some(sweep), None)
+        } else if sweep >= hi && sweep < n_wdm {
+            (None, Some(sweep))
+        } else {
+            (None, None)
+        };
+        for wi in before.into_iter().chain(lo..hi).chain(after) {
             if !active[wi] {
                 continue;
             }
-            let dist = (c.track - w.track).abs();
-            let reachable = dist <= lib.wdm_max_displacement || sweep_wdm[i] == wi;
-            if reachable {
-                let cost = if lib.wdm_max_displacement > 0 {
-                    (dist * 100) / lib.wdm_max_displacement
-                } else {
-                    0
-                };
-                let e = g.add_edge(
-                    g.node(conn_node(i)),
-                    g.node(wdm_node(wi)),
-                    c.bits as i64,
-                    cost,
-                );
-                assign_edges.push((i, wi, e));
-            }
+            let dist = (track - placed[wi].track).abs();
+            let cost = if reach > 0 { (dist * 100) / reach } else { 0 };
+            let e = g.add_edge(
+                g.node(conn_node(i)),
+                g.node(wdm_node(wi)),
+                bits as i64,
+                cost,
+            );
+            assign_edges.push((i, wi, e));
         }
     }
     let mut wdm_edges = vec![None; n_wdm];
@@ -781,19 +737,43 @@ fn extract_assignment(g: &McmfGraph, idx: &NetIndex, placed: &[Wdm]) -> Vec<Wdm>
 /// Builds and solves the assignment network over the active WDMs.
 /// Returns `None` when the active set cannot carry the full demand.
 fn solve_assignment(
-    connections: &[(usize, &Connection)],
+    conns: &[(i64, usize)],
     placed: &[Wdm],
     active: &[bool],
     sweep_wdm: &[usize],
     lib: &OpticalLib,
 ) -> Option<Vec<Wdm>> {
-    let mut net = build_network(connections, placed, active, sweep_wdm, lib);
+    let mut net = build_network(conns, placed, active, sweep_wdm, lib);
     let (s, t) = (net.g.node(0), net.g.node(1));
     let result = net.g.min_cost_max_flow(s, t);
     if result.flow < net.idx.total_demand {
         return None;
     }
     Some(extract_assignment(&net.g, &net.idx, placed))
+}
+
+/// Restates `wdms`' local connection positions as indices into
+/// `connections`, whose `orientation` entries the positions count.
+fn to_global<'a>(
+    wdms: &'a [Wdm],
+    connections: &[Connection],
+    orientation: TrackOrientation,
+) -> impl Iterator<Item = Wdm> + 'a {
+    let global: Vec<usize> = connections
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.orientation == orientation)
+        .map(|(i, _)| i)
+        .collect();
+    wdms.iter().map(move |w| Wdm {
+        orientation: w.orientation,
+        track: w.track,
+        assigned: w
+            .assigned
+            .iter()
+            .map(|&(pos, bits)| (global[pos], bits))
+            .collect(),
+    })
 }
 
 /// Runs placement and assignment over a full selection.
@@ -810,11 +790,6 @@ pub fn plan(
 ) -> Result<WdmPlan, OperonError> {
     plan_with(nets, choice, lib, &Executor::sequential())
 }
-
-/// One orientation's planning result: initial sweep count, final WDMs,
-/// the reduction's work counters, and the resident committed network
-/// (`None` when the orientation has no connections).
-type OrientationPlan = (usize, Vec<Wdm>, WdmStats, Option<OrientationResident>);
 
 /// [`plan`] with the two orientations planned on `exec`'s workers.
 ///
@@ -833,13 +808,23 @@ pub fn plan_with(
     lib: &OpticalLib,
     exec: &Executor,
 ) -> Result<WdmPlan, OperonError> {
-    plan_resident_with(nets, choice, lib, exec).map(|(plan, _)| plan)
+    plan_resident_with(nets, choice, lib, None, exec).map(|(plan, _)| plan)
 }
 
 /// [`plan_with`], additionally returning the [`ResidentAssignment`] —
 /// the committed per-orientation flow networks — so a session can keep
 /// them warm across requests and answer deletion what-ifs without
-/// re-planning. The plan itself is identical to [`plan_with`]'s.
+/// re-planning.
+///
+/// `prev` is the previous plan's resident state, if any. An orientation
+/// whose inputs — its connections' `(track, bits)` in extraction order
+/// and the `wdm_capacity`, `wdm_max_displacement` and `wdm_min_pitch`
+/// knobs — equal those it was planned from is not planned again: its waveguides and committed network are
+/// taken over, its connection positions restated through the new global
+/// indices, and it counts in `stats.orientations_reused` instead of the
+/// solver counters. Every other orientation plans from scratch, after
+/// its stale part is dropped. Either way the plan and the resident
+/// state equal [`plan_with`]'s on the same inputs.
 ///
 /// # Errors
 ///
@@ -848,55 +833,66 @@ pub fn plan_resident_with(
     nets: &[NetCandidates],
     choice: &[usize],
     lib: &OpticalLib,
+    prev: Option<ResidentAssignment>,
     exec: &Executor,
 ) -> Result<(WdmPlan, ResidentAssignment), OperonError> {
     let connections = extract_connections(nets, choice);
-    let orientations = [TrackOrientation::Horizontal, TrackOrientation::Vertical];
-    let per_orientation: Vec<Result<OrientationPlan, OperonError>> =
-        exec.par_map_coarse(&orientations, |&orientation| {
-            let oriented: Vec<(usize, &Connection)> = connections
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.orientation == orientation)
-                .collect();
-            if oriented.is_empty() {
-                return Ok((0, Vec::new(), WdmStats::default(), None));
-            }
-            // Positions within `oriented` index its WDM assignments; remap the
-            // sweep output to use those local positions consistently.
-            let local: Vec<(usize, &Connection)> = oriented
-                .iter()
-                .enumerate()
-                .map(|(pos, &(_, c))| (pos, c))
-                .collect();
-            let placed = place_orientation(&local, lib)?;
+    let mut prev_parts = prev.map(|p| p.parts).unwrap_or_default();
+    let mut reused = Vec::new();
+    let mut slots = Vec::new();
+    for orientation in [TrackOrientation::Horizontal, TrackOrientation::Vertical] {
+        let inputs = OrientationInputs::new(&connections, orientation, lib);
+        let old = prev_parts
+            .iter()
+            .position(|p| p.orientation == orientation)
+            .map(|i| prev_parts.swap_remove(i));
+        // A stale part drops here, before the new plan is built.
+        let reuse = old.filter(|part| part.inputs == inputs);
+        let replan = reuse.is_none() && !inputs.conns.is_empty();
+        reused.push(reuse);
+        slots.push((orientation, inputs, replan));
+    }
+    // One coarse task per orientation, reused or not, so the schedule
+    // does not depend on what was reused.
+    let planned = exec.par_map_coarse(&slots, |(orientation, inputs, replan)| {
+        replan.then(|| {
+            let placed = place_orientation(&inputs.conns, *orientation, lib)?;
             let initial = placed.len();
-            let (mut assigned, stats, resident) = assign_orientation(&local, placed, lib, exec)?;
-            // Remap local connection positions back to global indices.
-            for w in &mut assigned {
-                for slot in &mut w.assigned {
-                    slot.0 = oriented[slot.0].0;
+            assign_orientation(&inputs.conns, placed, lib).map(|reduced| (initial, reduced))
+        })
+    });
+
+    let mut stats = WdmStats::default();
+    let mut wdms = Vec::new();
+    let mut parts = Vec::new();
+    for (((orientation, inputs, _), planned), reused) in slots.into_iter().zip(planned).zip(reused)
+    {
+        let part = match (reused, planned) {
+            (Some(part), _) => {
+                stats.orientations_reused += 1;
+                part
+            }
+            (None, Some(result)) => {
+                let (initial, (wdms, orientation_stats, committed, finals)) = result?;
+                stats.accumulate(&orientation_stats);
+                OrientationResident {
+                    orientation,
+                    inputs,
+                    initial,
+                    wdms,
+                    committed,
+                    finals,
                 }
             }
-            Ok((initial, assigned, stats, resident))
-        });
-    let mut wdms = Vec::new();
-    let mut initial_count = 0usize;
-    let mut stats = WdmStats::default();
-    let mut parts = Vec::new();
-    for result in per_orientation {
-        let (initial, assigned, orientation_stats, resident) = result?;
-        initial_count += initial;
-        wdms.extend(assigned);
-        stats.accumulate(&orientation_stats);
-        if let Some(resident) = resident {
-            parts.push(resident);
-        }
+            (None, None) => continue,
+        };
+        wdms.extend(to_global(&part.wdms, &connections, orientation));
+        parts.push(part);
     }
     Ok((
         WdmPlan {
+            initial_count: parts.iter().map(|p| p.initial).sum(),
             connections,
-            initial_count,
             wdms,
             stats,
         },
@@ -920,36 +916,19 @@ pub fn plan_cold_reference(
     lib: &OpticalLib,
 ) -> Result<WdmPlan, OperonError> {
     let connections = extract_connections(nets, choice);
-    let orientations = [TrackOrientation::Horizontal, TrackOrientation::Vertical];
     let mut wdms = Vec::new();
     let mut initial_count = 0usize;
     let mut stats = WdmStats::default();
-    for orientation in orientations {
-        let oriented: Vec<(usize, &Connection)> = connections
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.orientation == orientation)
-            // operon-lint: allow(P002, reason = "runs once per orientation (two iterations total), outside any solver loop")
-            .collect();
-        if oriented.is_empty() {
+    for orientation in [TrackOrientation::Horizontal, TrackOrientation::Vertical] {
+        let inputs = OrientationInputs::new(&connections, orientation, lib);
+        if inputs.conns.is_empty() {
             continue;
         }
-        let local: Vec<(usize, &Connection)> = oriented
-            .iter()
-            .enumerate()
-            .map(|(pos, &(_, c))| (pos, c))
-            // operon-lint: allow(P002, reason = "runs once per orientation (two iterations total), outside any solver loop")
-            .collect();
-        let placed = place_orientation(&local, lib)?;
+        let placed = place_orientation(&inputs.conns, orientation, lib)?;
         initial_count += placed.len();
-        let (mut assigned, solves) = assign_orientation_reference(&local, placed, lib)?;
+        let (assigned, solves) = assign_orientation_reference(&inputs.conns, placed, lib)?;
         stats.cold_solves += solves;
-        for w in &mut assigned {
-            for slot in &mut w.assigned {
-                slot.0 = oriented[slot.0].0;
-            }
-        }
-        wdms.extend(assigned);
+        wdms.extend(to_global(&assigned, &connections, orientation));
     }
     Ok(WdmPlan {
         connections,
@@ -976,8 +955,8 @@ mod tests {
         }
     }
 
-    fn local(conns: &[Connection]) -> Vec<(usize, &Connection)> {
-        conns.iter().enumerate().collect()
+    fn local(conns: &[Connection]) -> Vec<(i64, usize)> {
+        conns.iter().map(|c| (c.track, c.bits)).collect()
     }
 
     #[test]
@@ -989,10 +968,9 @@ mod tests {
         let l = lib();
         let conns = vec![conn(0, 20), conn(100, 20), conn(200, 20)];
         let lc = local(&conns);
-        let placed = place_orientation(&lc, &l).expect("feasible");
+        let placed = place_orientation(&lc, TrackOrientation::Horizontal, &l).expect("feasible");
         assert_eq!(placed.len(), 3, "sweep cannot pack 20+20 into one WDM");
-        let (final_wdms, stats, _) =
-            assign_orientation(&lc, placed, &l, &Executor::sequential()).expect("feasible");
+        let (final_wdms, stats, ..) = assign_orientation(&lc, placed, &l).expect("feasible");
         assert_eq!(final_wdms.len(), 2, "flow assignment saves one WDM");
         assert!(stats.cold_solves >= 2, "initial solve + committed deletion");
         assert!(stats.warm_trials >= 1, "reduction ran warm trials");
@@ -1009,7 +987,7 @@ mod tests {
         // Two far-apart connections cannot share despite spare capacity.
         let conns = vec![conn(0, 4), conn(100_000, 4)];
         let lc = local(&conns);
-        let placed = place_orientation(&lc, &l).expect("feasible");
+        let placed = place_orientation(&lc, TrackOrientation::Horizontal, &l).expect("feasible");
         assert_eq!(placed.len(), 2);
     }
 
@@ -1018,7 +996,7 @@ mod tests {
         let l = lib();
         let conns: Vec<Connection> = (0..4).map(|i| conn(i * 10, 8)).collect();
         let lc = local(&conns);
-        let placed = place_orientation(&lc, &l).expect("feasible");
+        let placed = place_orientation(&lc, TrackOrientation::Horizontal, &l).expect("feasible");
         assert_eq!(placed.len(), 1, "4 x 8 = 32 fits one WDM");
         assert_eq!(placed[0].used(), 32);
     }
@@ -1028,7 +1006,8 @@ mod tests {
         let l = lib();
         let conns = vec![conn(0, 64)];
         let lc = local(&conns);
-        let err = place_orientation(&lc, &l).expect_err("64 > capacity must fail");
+        let err = place_orientation(&lc, TrackOrientation::Horizontal, &l)
+            .expect_err("64 > capacity must fail");
         assert!(matches!(err, OperonError::WdmInfeasible(_)));
         assert!(err.to_string().contains("capacity"));
     }
@@ -1039,7 +1018,7 @@ mod tests {
         // Many full WDMs forced at nearly the same track.
         let conns: Vec<Connection> = (0..5).map(|i| conn(i, 32)).collect();
         let lc = local(&conns);
-        let placed = place_orientation(&lc, &l).expect("feasible");
+        let placed = place_orientation(&lc, TrackOrientation::Horizontal, &l).expect("feasible");
         assert_eq!(placed.len(), 5);
         for pair in placed.windows(2) {
             assert!(pair[1].track - pair[0].track >= l.wdm_min_pitch);
@@ -1051,9 +1030,8 @@ mod tests {
         let l = lib();
         let conns: Vec<Connection> = (0..10).map(|i| conn(i * 50, 7)).collect();
         let lc = local(&conns);
-        let placed = place_orientation(&lc, &l).expect("feasible");
-        let (final_wdms, _, _) =
-            assign_orientation(&lc, placed, &l, &Executor::sequential()).expect("feasible");
+        let placed = place_orientation(&lc, TrackOrientation::Horizontal, &l).expect("feasible");
+        let (final_wdms, ..) = assign_orientation(&lc, placed, &l).expect("feasible");
         let total: usize = final_wdms.iter().map(Wdm::used).sum();
         assert_eq!(total, 70);
         for w in &final_wdms {
@@ -1068,10 +1046,9 @@ mod tests {
             .map(|i| conn((i * i * 37) % 3_000, (5 + (i % 9)) as usize))
             .collect();
         let lc = local(&conns);
-        let placed = place_orientation(&lc, &l).expect("feasible");
+        let placed = place_orientation(&lc, TrackOrientation::Horizontal, &l).expect("feasible");
         let initial = placed.len();
-        let (final_wdms, _, _) =
-            assign_orientation(&lc, placed, &l, &Executor::sequential()).expect("feasible");
+        let (final_wdms, ..) = assign_orientation(&lc, placed, &l).expect("feasible");
         assert!(final_wdms.len() <= initial);
         // Lower bound: ceil(total bits / capacity).
         let total: usize = conns.iter().map(|c| c.bits).sum();
@@ -1281,6 +1258,124 @@ mod tests {
                 "threads={threads}: {} warm trials vs {reference_trials} reference trials",
                 warm.stats.warm_trials
             );
+        }
+    }
+
+    #[test]
+    fn unchanged_orientation_is_reused_with_shifted_indices() {
+        // Dropping the first vertical net re-plans the vertical
+        // orientation and shifts the last horizontal connection's global
+        // index from 3 to 2; the horizontal orientation is reused and
+        // must still equal a plan from scratch, field by field.
+        use operon_geom::Point;
+        let h = |k, y: i64| seg_net(k, Point::new(0, y), Point::new(10_000, y + 40), 12);
+        let v = |k, x: i64| seg_net(k, Point::new(x, 0), Point::new(x + 20, 9_000), 9);
+        let before = vec![h(0, 0), v(1, 3_000), v(2, 3_090), h(3, 120)];
+        let after = vec![h(0, 0), v(2, 3_090), h(3, 120)];
+        for threads in [1, 2, 8] {
+            let exec = Executor::new(threads);
+            let (_, prev) =
+                plan_resident_with(&before, &[0; 4], &lib(), None, &exec).expect("feasible");
+            let (warm, warm_resident) =
+                plan_resident_with(&after, &[0; 3], &lib(), Some(prev), &exec).expect("feasible");
+            let (cold, cold_resident) =
+                plan_resident_with(&after, &[0; 3], &lib(), None, &exec).expect("feasible");
+            assert_eq!(warm.connections, cold.connections);
+            assert_eq!(warm.initial_count, cold.initial_count);
+            assert_eq!(warm.wdms, cold.wdms, "threads={threads}");
+            assert!(warm
+                .wdms
+                .iter()
+                .any(|w| w.assigned.iter().any(|&(c, _)| c == 2)));
+            assert_eq!(warm_resident.fingerprint(), cold_resident.fingerprint());
+            assert_eq!(warm.stats.orientations_reused, 1);
+            assert_eq!(cold.stats.orientations_reused, 0);
+            // Only the vertical orientation solved anything.
+            assert!(warm.stats.cold_solves >= 1);
+            assert!(warm.stats.cold_solves < cold.stats.cold_solves);
+        }
+    }
+
+    /// The all-pairs scan the windowed [`build_network`] replaced: every
+    /// connection tested against every placed WDM.
+    fn build_network_all_pairs(
+        conns: &[(i64, usize)],
+        placed: &[Wdm],
+        active: &[bool],
+        sweep_wdm: &[usize],
+        lib: &OpticalLib,
+    ) -> AssignmentNetwork {
+        let n_conn = conns.len();
+        let mut g = McmfGraph::new(2 + n_conn + placed.len());
+        let (s, t) = (g.node(0), g.node(1));
+        let mut conn_edges = Vec::new();
+        for (i, &(_, bits)) in conns.iter().enumerate() {
+            conn_edges.push(g.add_edge(s, g.node(2 + i), bits as i64, 0));
+        }
+        let reach = lib.wdm_max_displacement;
+        let mut assign_edges = Vec::new();
+        for (i, &(track, bits)) in conns.iter().enumerate() {
+            for (wi, w) in placed.iter().enumerate() {
+                let dist = (track - w.track).abs();
+                if active[wi] && (dist <= reach || sweep_wdm[i] == wi) {
+                    let cost = if reach > 0 { (dist * 100) / reach } else { 0 };
+                    let (from, to) = (g.node(2 + i), g.node(2 + n_conn + wi));
+                    assign_edges.push((i, wi, g.add_edge(from, to, bits as i64, cost)));
+                }
+            }
+        }
+        let mut wdm_edges = vec![None; placed.len()];
+        for (wi, edge) in wdm_edges.iter_mut().enumerate() {
+            if active[wi] {
+                let from = g.node(2 + n_conn + wi);
+                *edge = Some(g.add_edge(from, t, lib.wdm_capacity as i64, 1));
+            }
+        }
+        AssignmentNetwork {
+            g,
+            idx: NetIndex {
+                conn_edges,
+                assign_edges,
+                wdm_edges,
+                total_demand: conns.iter().map(|&(_, b)| b as i64).sum(),
+            },
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Over random tracks, demands, pitches and reaches — pitches
+        /// wide enough that legalization pushes sweep WDMs above their
+        /// connections' windows, negative reaches that leave them below
+        /// empty ones — and random active sets, the windowed
+        /// network has the all-pairs scan's arcs in the same order and
+        /// solves to the same bitwise state.
+        #[test]
+        fn windowed_network_equals_all_pairs_scan(
+            conns in proptest::collection::vec((0i64..4_000, 1usize..33), 1..40),
+            pitch in -50i64..400,
+            reach in -50i64..600,
+            capacity in 32usize..65,
+            mask in proptest::collection::vec(0u8..4, 40),
+        ) {
+            let mut l = lib();
+            l.wdm_min_pitch = pitch;
+            l.wdm_max_displacement = reach;
+            l.wdm_capacity = capacity;
+            let placed = place_orientation(&conns, TrackOrientation::Horizontal, &l)
+                .expect("demands fit the capacity");
+            let sweep = sweep_wdms(conns.len(), &placed);
+            let active: Vec<bool> = (0..placed.len()).map(|wi| mask[wi % 40] != 0).collect();
+            let mut windowed = build_network(&conns, &placed, &active, &sweep, &l);
+            let mut all_pairs = build_network_all_pairs(&conns, &placed, &active, &sweep, &l);
+            prop_assert_eq!(&windowed.idx.assign_edges, &all_pairs.idx.assign_edges);
+            prop_assert_eq!(&windowed.idx.wdm_edges, &all_pairs.idx.wdm_edges);
+            for net in [&mut windowed, &mut all_pairs] {
+                let (s, t) = (net.g.node(0), net.g.node(1));
+                net.g.min_cost_max_flow(s, t);
+            }
+            prop_assert_eq!(windowed.g.fingerprint(), all_pairs.g.fingerprint());
         }
     }
 

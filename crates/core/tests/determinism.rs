@@ -77,7 +77,8 @@ fn ilp_flow_is_bit_identical_across_threads_at_every_wave_size() {
     // The wave-synchronous search explores a tree that depends on the
     // wave size but never on the thread count: at a fixed wave size every
     // thread count must reproduce the same flow result bit for bit (this
-    // also pins the batched WDM reduction, which runs inside every flow).
+    // also pins the WDM stage, which plans its two orientations as
+    // parallel tasks inside every flow).
     // The tightened loss budget makes crossing constraints bind, so the
     // solver genuinely branches instead of presolving everything away.
     for wave_size in [1, 4, 16] {

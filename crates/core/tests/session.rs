@@ -5,10 +5,11 @@
 use operon::config::OperonConfig;
 use operon::flow::OperonFlow;
 use operon::session::WarmSession;
+use operon::wdm::TrackOrientation;
 use operon_exec::Executor;
-use operon_geom::Point;
+use operon_geom::{BoundingBox, Point};
 use operon_netlist::synth::{generate, SynthConfig};
-use operon_netlist::{Bit, Design, SignalGroup};
+use operon_netlist::{Bit, BitId, Design, GroupId, SignalGroup};
 
 /// The same pin translation `move_pins` applies, rebuilt standalone so
 /// the fresh-run reference routes an identical design.
@@ -134,6 +135,7 @@ fn session_lifecycle_matches_fresh_runs_and_never_clones_networks() {
 #[test]
 fn session_stats_are_thread_invariant() {
     let design = generate(&SynthConfig::small(), 7);
+    let crossbar = crossbar_design();
     let run = |threads: usize| {
         let mut session = WarmSession::open(
             design.clone(),
@@ -144,12 +146,174 @@ fn session_stats_are_thread_invariant() {
         session.route().expect("route");
         session.move_pins(0, 24, 0).expect("eco");
         session.probe_wdm().expect("probe");
-        (session.fingerprint(), session.close())
+        // An ECO that reuses one WDM orientation.
+        let mut reusing = WarmSession::open(
+            crossbar.clone(),
+            OperonConfig::default(),
+            Executor::new(threads),
+        )
+        .expect("open");
+        reusing.route().expect("route");
+        reusing.probe_wdm().expect("probe");
+        reusing
+            .apply_design(without_first_group(&crossbar))
+            .expect("eco");
+        reusing.probe_wdm().expect("probe");
+        (
+            [session.fingerprint(), reusing.fingerprint()],
+            [session.close(), reusing.close()],
+        )
     };
     let (fp1, stats1) = run(1);
+    assert_eq!(stats1[1].wdm.orientations_reused, 1, "{:?}", stats1[1]);
     for threads in [2usize, 8] {
         let (fp, stats) = run(threads);
         assert_eq!(fp, fp1, "fingerprint diverged at {threads} threads");
         assert_eq!(stats, stats1, "stats diverged at {threads} threads");
     }
+}
+
+/// A 2 cm die with three long, pin-aligned 4-bit buses: a vertical one
+/// (`vert_a`), a horizontal one (`horiz`) and a second vertical one
+/// (`vert_b`), in that group order. Each bus is one straight optical
+/// connection, so the vertical buses feed only the vertical orientation
+/// and `horiz` only the horizontal one.
+fn crossbar_design() -> Design {
+    let die = BoundingBox::new(Point::new(0, 0), Point::new(19_999, 19_999));
+    let mut d = Design::new("crossbar", die);
+    let bus = |name: &str, g: u32, vertical: bool, at: i64| {
+        let bits = (0..4)
+            .map(|i| {
+                let off = at + 12 * i as i64;
+                let (a, b) = if vertical {
+                    (Point::new(off, 1_000), Point::new(off, 18_000))
+                } else {
+                    (Point::new(1_000, off), Point::new(18_000, off))
+                };
+                Bit::new(BitId::new(i), a, vec![b])
+            })
+            .collect();
+        SignalGroup::new(GroupId::new(g), name, bits)
+    };
+    d.push_group(bus("vert_a", 0, true, 3_000));
+    d.push_group(bus("horiz", 1, false, 6_000));
+    d.push_group(bus("vert_b", 2, true, 15_000));
+    d
+}
+
+/// `design` without its first group: every later connection's global
+/// index shifts down.
+fn without_first_group(design: &Design) -> Design {
+    let mut next = Design::new(design.name(), design.die());
+    for g in design.groups().iter().skip(1) {
+        let id = GroupId::new(next.group_count() as u32);
+        next.push_group(SignalGroup::new(id, g.name(), g.bits().to_vec()));
+    }
+    next
+}
+
+/// Asserts that `warm`'s resident result equals a fresh session's cold
+/// route of the same design under the same configuration: the WDM plan
+/// field by field, the resident networks' digest, and the deletion
+/// probes answered from them.
+fn assert_matches_cold(warm: &mut WarmSession, label: &str) {
+    let mut cold = WarmSession::open(
+        warm.design().clone(),
+        warm.config().clone(),
+        Executor::sequential(),
+    )
+    .expect("open");
+    cold.route().expect("cold route");
+    let (w, c) = (
+        warm.wdm_plan().expect("routed"),
+        cold.wdm_plan().expect("routed"),
+    );
+    assert_eq!(w.connections, c.connections, "{label}: connections");
+    assert_eq!(w.initial_count, c.initial_count, "{label}: initial count");
+    assert_eq!(w.wdms, c.wdms, "{label}: wdms");
+    assert_eq!(
+        warm.fingerprint(),
+        cold.fingerprint(),
+        "{label}: fingerprint"
+    );
+    assert_eq!(
+        warm.probe_wdm().expect("probe"),
+        cold.probe_wdm().expect("probe"),
+        "{label}: probes"
+    );
+}
+
+#[test]
+fn eco_reuses_the_unchanged_orientation_and_matches_cold() {
+    let design = crossbar_design();
+    let trimmed = without_first_group(&design);
+    for threads in [1usize, 2, 8] {
+        let mut s = WarmSession::open(
+            design.clone(),
+            OperonConfig::default(),
+            Executor::new(threads),
+        )
+        .expect("open");
+        s.route().expect("route");
+        let plan = s.wdm_plan().expect("routed");
+        let horizontal = |p: &operon::wdm::WdmPlan| {
+            p.wdms
+                .iter()
+                .filter(|w| w.orientation == TrackOrientation::Horizontal)
+                .flat_map(|w| w.assigned.iter().map(|&(c, _)| c))
+                .collect::<Vec<_>>()
+        };
+        let before = horizontal(plan);
+        assert!(
+            !before.is_empty(),
+            "the horizontal bus must route optically"
+        );
+        let reused = s.stats().wdm.orientations_reused;
+
+        // Dropping `vert_a` re-plans the vertical orientation and moves
+        // every horizontal connection to a lower global index.
+        let eco = s.apply_design(trimmed.clone()).expect("eco");
+        assert!(eco.warm);
+        assert_eq!(
+            s.stats().wdm.orientations_reused - reused,
+            1,
+            "threads={threads}: the horizontal orientation is reused"
+        );
+        let after = horizontal(s.wdm_plan().expect("routed"));
+        assert_ne!(before, after, "the reused orientation's indices shift");
+        assert_matches_cold(&mut s, &format!("eco threads={threads}"));
+    }
+}
+
+#[test]
+fn wdm_knob_change_replans_both_orientations() {
+    let design = crossbar_design();
+    let mut s = WarmSession::open(design, OperonConfig::default(), Executor::new(2)).expect("open");
+    s.route().expect("route");
+    let mut config = OperonConfig::default();
+    config.optical.wdm_max_displacement += 40;
+    s.set_config(config).expect("valid config");
+    let reused = s.stats().wdm.orientations_reused;
+    let partial = s.route().expect("partial route");
+    assert!(partial.warm);
+    assert_eq!(
+        s.stats().wdm.orientations_reused,
+        reused,
+        "a WDM knob change reuses no orientation"
+    );
+    assert_matches_cold(&mut s, "wdm_max_displacement");
+}
+
+#[test]
+fn eco_after_probe_matches_cold() {
+    let design = crossbar_design();
+    let mut s =
+        WarmSession::open(design.clone(), OperonConfig::default(), Executor::new(2)).expect("open");
+    s.route().expect("route");
+    let fingerprint = s.fingerprint();
+    assert!(!s.probe_wdm().expect("probe").is_empty());
+    assert_eq!(s.fingerprint(), fingerprint);
+    s.apply_design(without_first_group(&design)).expect("eco");
+    assert!(s.stats().wdm.orientations_reused > 0);
+    assert_matches_cold(&mut s, "eco after probe");
 }

@@ -163,13 +163,13 @@ impl Executor {
     /// a small batch of heavy, mutually independent subproblems, counted
     /// in the metrics (see [`RunReport::total_waves`](crate::RunReport)).
     ///
-    /// Wave-synchronous solvers — the ILP branch-and-bound expanding its
-    /// `wave_size` best frontier nodes per round, the WDM reduction loop
-    /// evaluating a batch of tentative deletions — alternate a concurrent
-    /// expansion with a sequential deterministic merge. This helper is the
-    /// expansion half: like [`par_map_coarse`](Self::par_map_coarse) it
-    /// parallelizes from two items up, and it additionally bumps the wave
-    /// counter so run reports expose how many solver rounds a stage took.
+    /// Wave-synchronous solvers — such as the ILP branch-and-bound
+    /// expanding its `wave_size` best frontier nodes per round —
+    /// alternate a concurrent expansion with a sequential deterministic
+    /// merge. This helper is the expansion half: like
+    /// [`par_map_coarse`](Self::par_map_coarse) it parallelizes from two
+    /// items up, and it additionally bumps the wave counter so run
+    /// reports expose how many solver rounds a stage took.
     ///
     /// Determinism: identical to `items.iter().map(f).collect()` for any
     /// thread count — the wave boundary is what lets the caller merge

@@ -800,6 +800,10 @@ fn handle_session_request(
                 ("wdm_cold_solves", Value::Int(stats.wdm.cold_solves as i64)),
                 ("wdm_warm_trials", Value::Int(stats.wdm.warm_trials as i64)),
                 (
+                    "wdm_orientations_reused",
+                    Value::Int(stats.wdm.orientations_reused as i64),
+                ),
+                (
                     "wdm_undo_entries",
                     Value::Int(stats.wdm.mcmf.undo_entries as i64),
                 ),
