@@ -13,12 +13,17 @@
 //! 1. **Grid vs brute-force crossing build** over three
 //!    segment-density regimes (sparse scattered nets, far-apart
 //!    clusters, a crowded core where every bounding box overlaps every
-//!    other). The grid build must be byte-identical to
-//!    `CrossingIndex::build_reference` on every fixture at 1, 2, and 8
-//!    threads (asserted). The timing criterion is a same-run ratio, so
-//!    it holds on noisy shared hardware: the dense fixture's grid build
-//!    at least 5× over brute force (asserted). Each row also records the
-//!    built index's heap size (`index_kib`).
+//!    other) plus the Table 1 I2 candidate set, which stays above the
+//!    build's parallel threshold at both sizes (`--smoke` takes its
+//!    first 250 hyper nets). The grid build must be
+//!    byte-identical to `CrossingIndex::build_reference` on every
+//!    fixture at 1, 2, and 8 threads, and the I2 builds at 2 and 8
+//!    threads must take the parallel path, so the identity gate covers
+//!    the multi-range funnel (asserted). The timing criterion is a
+//!    same-run ratio, so it holds on noisy shared hardware: the dense
+//!    fixture's grid build at least 5× over brute force (asserted). Each
+//!    row also records the built index's heap size (`index_kib`) and
+//!    whether each thread count ran the parallel path.
 //! 2. **Incremental vs reference LR pricing** on synthesized designs:
 //!    wall time of `select_lr_in` (persistent workspace, as a resident
 //!    session runs it) against the retained `select_lr_reference`
@@ -54,7 +59,7 @@ use operon_exec::json::Value;
 use operon_exec::{Executor, Stopwatch};
 use operon_geom::Point;
 use operon_mcmf::{EdgeId, McmfGraph};
-use operon_netlist::synth::{generate, SynthConfig};
+use operon_netlist::synth::{generate, paper_suite, SynthConfig};
 use operon_optics::{ElectricalParams, OpticalLib};
 use operon_steiner::{NodeKind, RouteTree};
 
@@ -227,6 +232,33 @@ fn dense_nets(rings: usize, chords: usize) -> Vec<NetCandidates> {
     nets
 }
 
+/// The candidate sets of a synthesized design's hyper nets, as the flow
+/// generates them under `config`, and the configuration resolved for
+/// the design.
+fn design_candidates(
+    config: OperonConfig,
+    synth: &SynthConfig,
+    seed: u64,
+) -> (OperonConfig, Vec<NetCandidates>) {
+    let design = generate(synth, seed);
+    let nets = build_hyper_nets(&design, &config.cluster);
+    let config = config.resolved_for(nets.iter().map(|n| n.bit_count()));
+    let candidates = nets
+        .iter()
+        .enumerate()
+        .map(|(i, n)| generate_candidates(n, i, &config))
+        .collect();
+    (config, candidates)
+}
+
+/// Table 1's I2 circuit (synthesized from the Table 1 harness seed):
+/// the first `limit` hyper nets' candidate sets, or all of them.
+fn paper_i2_nets(limit: Option<usize>) -> Vec<NetCandidates> {
+    let (_, mut nets) = design_candidates(OperonConfig::default(), &paper_suite()[1], 2018);
+    nets.truncate(limit.unwrap_or(nets.len()));
+    nets
+}
+
 // ---------------------------------------------------------------------------
 // 1. Grid vs brute-force crossing build
 // ---------------------------------------------------------------------------
@@ -241,14 +273,20 @@ fn assert_index_eq(a: &CrossingIndex, b: &CrossingIndex, label: &str) {
 
 fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
     let scale = if smoke { 4 } else { 1 };
-    // (name, nets, grid ≥5× vs brute?)
-    let fixtures: Vec<(&str, Vec<NetCandidates>, bool)> = vec![
-        ("sparse_scattered", sparse_nets(240 / scale), false),
-        ("clustered_hotspots", clustered_nets(8, 28 / scale), false),
-        ("dense_core", dense_nets(320 / scale, 12), !smoke),
+    // (name, nets, grid ≥5× vs brute?, above the parallel threshold?)
+    let fixtures: Vec<(&str, Vec<NetCandidates>, bool, bool)> = vec![
+        ("sparse_scattered", sparse_nets(240 / scale), false, false),
+        (
+            "clustered_hotspots",
+            clustered_nets(8, 28 / scale),
+            false,
+            false,
+        ),
+        ("dense_core", dense_nets(320 / scale, 12), !smoke, false),
+        ("paper_i2", paper_i2_nets(smoke.then_some(250)), false, true),
     ];
     let mut out = Vec::new();
-    for (name, nets, must_speed_up) in fixtures {
+    for (name, nets, must_speed_up, parallel) in fixtures {
         let reference = CrossingIndex::build_reference(&nets);
         let mut reference_ms = f64::INFINITY;
         for _ in 0..ITERS {
@@ -264,6 +302,7 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
         for threads in THREADS {
             let exec = Executor::new(threads);
             let mut best_ms = f64::INFINITY;
+            let mut ran_parallel = false;
             for _ in 0..ITERS {
                 let sw = Stopwatch::start();
                 let grid = CrossingIndex::build_with(&nets, &exec);
@@ -273,6 +312,13 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
                     &reference,
                     &format!("{name}, grid threads={threads}"),
                 );
+                if parallel && threads > 1 {
+                    assert!(
+                        grid.build_info().parallel,
+                        "{name}: threads={threads} must take the parallel path"
+                    );
+                }
+                ran_parallel = grid.build_info().parallel;
                 index_kib = grid.heap_bytes().div_ceil(1024);
             }
             if threads == 1 {
@@ -281,6 +327,7 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             per_thread.push(Value::object(vec![
                 ("threads", Value::from(threads)),
                 ("best_wall_ms", Value::from(best_ms)),
+                ("parallel", Value::from(ran_parallel)),
             ]));
         }
 
@@ -339,14 +386,7 @@ fn bench_lr_pricing(smoke: bool) -> Vec<Value> {
         if let Some(db) = budget {
             config.optical.max_loss_db = db;
         }
-        let design = generate(&synth, seed);
-        let nets = build_hyper_nets(&design, &config.cluster);
-        let config = config.resolved_for(nets.iter().map(|n| n.bit_count()));
-        let candidates: Vec<NetCandidates> = nets
-            .iter()
-            .enumerate()
-            .map(|(i, n)| generate_candidates(n, i, &config))
-            .collect();
+        let (config, candidates) = design_candidates(config, &synth, seed);
         let crossings = CrossingIndex::build(&candidates);
 
         let reference = select_lr_reference(&candidates, &crossings, &config);
@@ -571,15 +611,7 @@ fn bench_warm_mcmf(smoke: bool) -> (Value, Vec<Value>) {
     }
     let mut plans = Vec::new();
     for (name, synth, seed) in fixtures {
-        let config = OperonConfig::default();
-        let design = generate(&synth, seed);
-        let nets = build_hyper_nets(&design, &config.cluster);
-        let config = config.resolved_for(nets.iter().map(|n| n.bit_count()));
-        let candidates: Vec<NetCandidates> = nets
-            .iter()
-            .enumerate()
-            .map(|(i, n)| generate_candidates(n, i, &config))
-            .collect();
+        let (config, candidates) = design_candidates(OperonConfig::default(), &synth, seed);
         let crossings = CrossingIndex::build(&candidates);
         let choice = select_lr_with(&candidates, &crossings, &config, &Executor::sequential());
 

@@ -18,18 +18,21 @@
 //!   co-occupy a cell. A cell reports a crossing only if it owns the
 //!   exact crossing point ([`SegmentGrid::owns_crossing`]), so each
 //!   crossing is found once however many cells the two segments share.
-//!   Below a deterministic work threshold the per-cell tests run inline
-//!   instead of on the executor, because the fan-out/merge overhead
-//!   exceeds the work at small sizes.
+//!   Below a deterministic work threshold the per-cell tests and the
+//!   funnel run inline instead of on the executor, because the
+//!   fan-out/merge overhead exceeds the work at small sizes.
 //! * **Brute force** ([`CrossingIndex::build_reference`]) — all candidate
 //!   pairs behind net- and candidate-level bounding-box prefilters (the
 //!   paper's "non-overlapped bounding boxes" variable reduction).
 //!   Retained as the equivalence oracle for tests and benchmarks.
 //!
-//! The spatial builds funnel their crossings through the same packed-hit
-//! global sort + dedup + assembly (see `Hit`), and every build fills the
-//! same arenas in ascending key order, so the index is a pure function of
-//! the candidate set — independent of builder, cell count, iteration
+//! The spatial builds pass their crossings through one funnel (see
+//! `funnel`): a counting sort buckets the packed hits (see `Hit`) by
+//! candidate A, and contiguous candidate ranges then sort, deduplicate
+//! and assemble their buckets on the executor's workers, each into its
+//! own window of the arenas. Every build fills the same arenas in
+//! ascending key order, so the index is a pure function of the candidate
+//! set — independent of builder, cell count, range count, iteration
 //! order, and thread count.
 //!
 //! # Arena layout
@@ -58,16 +61,17 @@
 //!   (`net_adj_off`/`net_adj`): per net, the sorted distinct nets its
 //!   candidates' neighbor lists name.
 //!
-//! Builds append records straight from the sorted hits: the grid build
-//! in one pass, [`CrossingIndex::rebuild_delta`] by merging its retained
-//! rows with the recounted runs, the tile-sharded build by a k-way merge
-//! of its per-tile runs. The neighbor and net arenas are derived last,
-//! after the hit buffer is freed. Record handles are positions in key
+//! Builds write records straight from the sorted hits: the grid build
+//! through the funnel, [`CrossingIndex::rebuild_delta`] by merging its
+//! retained rows with the funnel's recounted records, the tile-sharded
+//! build by a k-way merge of its per-tile runs. The neighbor and net
+//! arenas are derived last, after the hit buffer is freed. Record handles are positions in key
 //! order, re-derived by every build.
 
 use crate::codesign::{CandidateRoute, NetCandidates, PathLoss};
 use operon_exec::Executor;
 use operon_geom::{BoundingBox, Segment, SegmentGrid};
+use std::sync::{Mutex, PoisonError};
 
 /// Crossing counts between one ordered pair of candidates: a borrowed
 /// view of one record of a [`CrossingIndex`].
@@ -149,27 +153,42 @@ pub enum ChosenBuild {
 pub struct BuildInfo {
     /// The builder that ran.
     pub strategy: ChosenBuild,
-    /// Whether pair tests were spread over the executor's workers.
-    /// `false` for delta patches and for grid builds under the parallel
-    /// work threshold.
+    /// Whether the pair tests and the funnel took the parallel path:
+    /// spread over the executor's workers, or one task on a one-worker
+    /// executor. `false` for delta patches and for grid builds under the
+    /// parallel work threshold.
     pub parallel: bool,
 }
 
 /// Estimated grid pair tests below which the build runs inline.
 ///
-/// `grid_by_threads` in `BENCH_crossing.json` showed threads 2 and 8
-/// consistently *slower* than 1 up to and including the dense_core
-/// fixture (~1M cell pair tests): the executor's fan-out/merge overhead
-/// dominates until roughly this much work. The estimate — Σ per cell of
-/// `|cell|·(|cell|−1)/2` — is a pure function of the candidate set and
-/// grid dims, so the chosen path is deterministic; either path yields
-/// the identical index because of the global sort + dedup.
-const GRID_PARALLEL_MIN_PAIR_TESTS: u64 = 4_000_000;
+/// With the die-scale ownership test and the parallel funnel, 2
+/// workers on 2 vCPUs beat the inline build from ~40k pair tests up
+/// (prefixes of the Table 1 I2 candidate set: 284k tests in 13 vs
+/// 17 ms, 1.03M in 42 vs 63 ms). Oversubscribed executors (8 workers on
+/// 2 vCPUs) lose below ~500k and break even near 1M, so the bar sits
+/// between the two; `dense_core` and `paper_i2` in `BENCH_crossing.json`
+/// run above it. The estimate — Σ per cell of `|cell|·(|cell|−1)/2` —
+/// is a pure function of the candidate set and grid dims, so the chosen
+/// path is deterministic; either path yields the identical index
+/// because the funnel sorts within each candidate's bucket.
+const GRID_PARALLEL_MIN_PAIR_TESTS: u64 = 250_000;
 
-/// Cell runs per worker on the parallel path: enough for work stealing
-/// to even out dense and sparse runs, few enough that each run's pair
-/// buffer is large.
+/// Cell runs (and funnel ranges) per worker on the parallel path:
+/// enough for work stealing to even out dense and sparse runs, few
+/// enough that each run's pair buffer is large.
 const GRID_TASKS_PER_WORKER: usize = 4;
+
+/// Tasks a grid pass (its pair tests, or its funnel ranges) splits into:
+/// a few per worker when it runs parallel on more than one worker, else
+/// one, since a single worker gains nothing from the split.
+fn grid_tasks(parallel: bool, exec: &Executor) -> usize {
+    if parallel && exec.threads() > 1 {
+        GRID_TASKS_PER_WORKER * exec.threads()
+    } else {
+        1
+    }
+}
 
 /// One flattened candidate segment: the unit all builders work on.
 struct SegRef {
@@ -236,7 +255,7 @@ impl CrossingIndex {
     /// over `exec`'s workers when the estimated work clears the parallel
     /// threshold. Identical output for every thread count.
     pub fn build_with(nets: &[NetCandidates], exec: &Executor) -> Self {
-        Self::build_grid(nets, exec, None)
+        Self::build_grid(nets, exec, None, None)
     }
 
     /// Provenance of the build that produced this index.
@@ -246,15 +265,20 @@ impl CrossingIndex {
     }
 
     /// Grid build (auto-sized cells unless `dims` is given; the explicit
-    /// dims are the escape hatch the equivalence proptests use).
-    fn build_grid(nets: &[NetCandidates], exec: &Executor, dims: Option<(usize, usize)>) -> Self {
+    /// dims are the escape hatch the equivalence proptests use). The
+    /// funnel splits its work into `ranges` candidate ranges when given,
+    /// else into as many as the pair tests ran in.
+    fn build_grid(
+        nets: &[NetCandidates],
+        exec: &Executor,
+        dims: Option<(usize, usize)>,
+        ranges: Option<usize>,
+    ) -> Self {
         let ids = CandIds::new(nets);
-        let (mut hits, parallel) = grid_hits(&collect_segments(nets, &ids, |_| true), dims, exec);
-        hits.sort_unstable();
-        hits.dedup();
-        let records = assemble_runs(nets, &ids, &hits);
-        // The hits go before the neighbor arena goes up.
-        drop(hits);
+        let segs = collect_segments(nets, &ids, |_| true);
+        let (pairs, parallel) = grid_pairs(&segs, dims, exec);
+        let ranges = ranges.unwrap_or(grid_tasks(parallel, exec));
+        let records = funnel(nets, &ids, segs, pairs, |_, _| true, ranges, exec);
         Self::from_records(
             records,
             ids.base,
@@ -271,7 +295,14 @@ impl CrossingIndex {
         exec: &Executor,
         dims: Option<(usize, usize)>,
     ) -> Self {
-        Self::build_grid(nets, exec, dims)
+        Self::build_grid(nets, exec, dims, None)
+    }
+
+    /// A grid build whose funnel runs `ranges` candidate ranges whatever
+    /// the input size, so small fixtures exercise the multi-range path.
+    #[cfg(test)]
+    fn build_with_funnel_ranges(nets: &[NetCandidates], exec: &Executor, ranges: usize) -> Self {
+        Self::build_grid(nets, exec, None, Some(ranges))
     }
 
     /// The pre-grid all-pairs build: scans every net pair with a
@@ -370,33 +401,36 @@ impl CrossingIndex {
             }
         }
         let involved_segs = collect_segments(nets, &ids, |i| involved[i]);
-        let (mut hits, _) = grid_hits(&involved_segs, None, &Executor::sequential());
-        drop(involved_segs);
-        hits.retain(|&hit| {
-            let (a, b) = ids.hit_nets(hit);
-            is_changed[a] || is_changed[b]
-        });
-        hits.sort_unstable();
-        hits.dedup();
+        let (pairs, _) = grid_pairs(&involved_segs, None, &Executor::sequential());
+        let changed_pair =
+            |p: &SegRef, q: &SegRef| is_changed[p.net as usize] || is_changed[q.net as usize];
+        let recount = funnel(
+            nets,
+            &ids,
+            involved_segs,
+            pairs,
+            changed_pair,
+            1,
+            &Executor::sequential(),
+        );
 
         // Retained rows (both nets unchanged) interleaved with the
-        // recounted runs, in key order.
-        let mut records = Records::with_capacity(self.len() + count_runs(&hits));
-        let mut scratch = AssembleScratch::new(nets, &ids);
-        let mut runs = hits.chunk_by(same_pair).peekable();
+        // recounted records, in key order.
+        let mut records = Records::with_capacity(self.len() + recount.keys.len());
+        let mut fresh = (0..recount.keys.len()).peekable();
         for (i, &key) in self.keys.iter().enumerate() {
             let (na, nb) = key_nets(key);
             if na >= nets.len() || nb >= nets.len() || is_changed[na] || is_changed[nb] {
                 continue;
             }
-            while let Some(run) = runs.next_if(|run| ids.hit_key(run[0]) < key) {
-                scratch.push_run(run, &mut records);
+            while let Some(j) = fresh.next_if(|&j| recount.keys[j] < key) {
+                records.push_record(&recount, j);
             }
             let pc = self.view(i);
             records.push(key, pc.per_path_a, pc.per_path_b, pc.total);
         }
-        for run in runs {
-            scratch.push_run(run, &mut records);
+        for j in fresh {
+            records.push_record(&recount, j);
         }
         Self::from_records(
             records,
@@ -505,13 +539,7 @@ impl CrossingIndex {
     /// Record `i` as a view into the arenas.
     #[inline]
     fn view(&self, i: usize) -> PairCross<'_> {
-        let start = i.checked_sub(1).map_or(0, |p| self.ends[p].1 as usize);
-        let (a_end, b_end) = (self.ends[i].0 as usize, self.ends[i].1 as usize);
-        PairCross {
-            per_path_a: &self.counts[start..a_end],
-            per_path_b: &self.counts[a_end..b_end],
-            total: self.totals[i] as usize,
-        }
+        record_view(&self.counts, &self.ends, &self.totals, i)
     }
 
     /// The crossing record of a candidate pair, if they cross. The nets
@@ -706,6 +734,38 @@ impl Records {
         self.counts.extend_from_slice(per_b);
         self.close(key, a_end, total);
     }
+
+    /// Appends record `i` of `from`.
+    fn push_record(&mut self, from: &Records, i: usize) {
+        let pc = record_view(&from.counts, &from.ends, &from.totals, i);
+        self.push(from.keys[i], pc.per_path_a, pc.per_path_b, pc.total);
+    }
+
+    /// Appends the record of one pair from the deduplicated hits a
+    /// spatial build found for it.
+    fn push_run(&mut self, asm: &mut Assembler<'_>, run: &[Hit]) {
+        let start = self.counts.len();
+        let (key, a_len) = asm.record(run, |entry| self.counts.push(entry));
+        self.close(key, start + a_len, run.len());
+    }
+}
+
+/// Record `i` of a set of record arenas: its side-A counts start where
+/// record `i − 1`'s side B ended.
+#[inline]
+fn record_view<'a>(
+    counts: &'a [(u32, u32)],
+    ends: &[(u32, u32)],
+    totals: &[u32],
+    i: usize,
+) -> PairCross<'a> {
+    let start = i.checked_sub(1).map_or(0, |p| ends[p].1 as usize);
+    let (a_end, b_end) = (ends[i].0 as usize, ends[i].1 as usize);
+    PairCross {
+        per_path_a: &counts[start..a_end],
+        per_path_b: &counts[a_end..b_end],
+        total: totals[i] as usize,
+    }
 }
 
 /// Dense global candidate ids in `(net, cand)` order: net `n`'s
@@ -870,91 +930,91 @@ fn collect_segments(
     segs
 }
 
-/// Grid-bucketed packed hits over the flattened segments: the one
+/// Grid-bucketed crossing pairs over the flattened segments: the one
 /// crossing kernel, shared by the full build, [`CrossingIndex::rebuild_delta`]
-/// and [`subset_hits`]. Returns the unsorted hits and whether the pair
-/// tests ran on the executor's workers.
+/// and [`subset_hits`]. Returns one buffer of `(side A, side B)` segment
+/// indexes per run of cells, side A on the lower net, and whether the
+/// pair tests ran on the executor's workers.
 ///
 /// Each crossing is reported once, by the cell that owns its crossing
 /// point; only [`SegmentGrid::owns_crossing`]'s overflow fallback (far
-/// beyond die-scale coordinates) can repeat a hit, so callers keep their
-/// dedup as the safety net.
-fn grid_hits(segs: &[SegRef], dims: Option<(usize, usize)>, exec: &Executor) -> (Vec<Hit>, bool) {
+/// beyond die-scale coordinates) can repeat a pair, so the funnel keeps
+/// its dedup as the safety net.
+fn grid_pairs(
+    segs: &[SegRef],
+    dims: Option<(usize, usize)>,
+    exec: &Executor,
+) -> (Vec<Vec<(u32, u32)>>, bool) {
     if segs.len() < 2 {
         return (Vec::new(), false);
     }
-    let (pairs, parallel) = {
-        let mut extent = BoundingBox::new(segs[0].s.a, segs[0].s.b);
-        for sr in &segs[1..] {
-            extent = extent.union(&BoundingBox::new(sr.s.a, sr.s.b));
-        }
-        let mut grid = match dims {
-            Some((cols, rows)) => SegmentGrid::new(extent, cols, rows),
-            None => SegmentGrid::sized(extent, segs.len()),
-        };
-        for (id, sr) in segs.iter().enumerate() {
-            grid.insert(id as u32, sr.s);
-        }
-        let cells: Vec<usize> = grid
-            .nonempty_cells()
-            .into_iter()
-            .filter(|&c| grid.cell_items(c).len() >= 2)
-            .collect();
+    let mut extent = BoundingBox::new(segs[0].s.a, segs[0].s.b);
+    for sr in &segs[1..] {
+        extent = extent.union(&BoundingBox::new(sr.s.a, sr.s.b));
+    }
+    let mut grid = match dims {
+        Some((cols, rows)) => SegmentGrid::new(extent, cols, rows),
+        None => SegmentGrid::sized(extent, segs.len()),
+    };
+    for (id, sr) in segs.iter().enumerate() {
+        grid.insert(id as u32, sr.s);
+    }
+    let cells: Vec<usize> = grid
+        .nonempty_cells()
+        .into_iter()
+        .filter(|&c| grid.cell_items(c).len() >= 2)
+        .collect();
 
-        // Every properly-crossing segment pair co-occupies the cell of
-        // its crossing point (the grid's coverage invariant), and only
-        // that cell reports it.
-        let pair_tests: u64 = cells
-            .iter()
-            .map(|&c| {
-                let n = grid.cell_items(c).len() as u64;
-                n * (n - 1) / 2
-            })
-            .sum();
-        let test_cell = |cell: usize, out: &mut Vec<(u32, u32)>| {
-            let ids = grid.cell_items(cell);
-            for (x, &ia) in ids.iter().enumerate() {
-                let a = &segs[ia as usize];
-                for &ib in &ids[x + 1..] {
-                    let b = &segs[ib as usize];
-                    if a.net != b.net && a.s.crosses(&b.s) && grid.owns_crossing(cell, &a.s, &b.s) {
-                        out.push((ia, ib));
-                    }
+    // Every properly-crossing segment pair co-occupies the cell of its
+    // crossing point (the grid's coverage invariant), and only that cell
+    // reports it.
+    let pair_tests: u64 = cells
+        .iter()
+        .map(|&c| {
+            let n = grid.cell_items(c).len() as u64;
+            n * (n - 1) / 2
+        })
+        .sum();
+    let test_cell = |cell: usize, out: &mut Vec<(u32, u32)>| {
+        let ids = grid.cell_items(cell);
+        for (x, &ia) in ids.iter().enumerate() {
+            let a = &segs[ia as usize];
+            for &ib in &ids[x + 1..] {
+                let b = &segs[ib as usize];
+                if a.net != b.net && a.s.crosses(&b.s) && grid.owns_crossing(cell, &a.s, &b.s) {
+                    out.push(if a.net < b.net { (ia, ib) } else { (ib, ia) });
                 }
             }
-        };
-        // Small builds run as one inline task: the executor's fan-out
-        // overhead exceeds the pair-test work. Larger ones split the
-        // cells into a few contiguous runs per worker, each with one
-        // pair buffer; thousands of per-cell buffers left worker heaps
-        // holding ~20 MiB more on I5. The caller's global sort makes
-        // every split byte-identical.
-        let parallel = pair_tests >= GRID_PARALLEL_MIN_PAIR_TESTS;
-        let tasks = if parallel {
-            GRID_TASKS_PER_WORKER * exec.threads()
-        } else {
-            1
-        };
-        let runs: Vec<&[usize]> = cells.chunks(cells.len().div_ceil(tasks).max(1)).collect();
-        let pairs: Vec<Vec<(u32, u32)>> = exec.par_map_coarse(&runs, |run| {
-            let mut out = Vec::new();
-            for &cell in *run {
-                test_cell(cell, &mut out);
-            }
-            out
-        });
-        (pairs, parallel)
+        }
     };
-
-    // The 8-byte id pairs grow while the cells are tested; the 16-byte
-    // hits are packed once, into a buffer of exact size.
-    let mut hits: Vec<Hit> = Vec::with_capacity(pairs.iter().map(Vec::len).sum());
-    for &(ia, ib) in pairs.iter().flatten() {
-        let (a, b) = (&segs[ia as usize], &segs[ib as usize]);
-        let (p, q) = if a.net < b.net { (a, b) } else { (b, a) };
-        hits.push(pack_hit(p, q));
-    }
-    (hits, parallel)
+    // Small builds run as one inline task: the executor's fan-out
+    // overhead exceeds the pair-test work. Larger ones split the cells
+    // into a few contiguous runs per worker, each with one pair buffer;
+    // thousands of per-cell buffers left worker heaps holding ~20 MiB
+    // more on I5. The funnel's per-candidate sort makes every split
+    // byte-identical.
+    let parallel = pair_tests >= GRID_PARALLEL_MIN_PAIR_TESTS;
+    let tasks = grid_tasks(parallel, exec);
+    // Each run's buffer is allocated here, on the calling thread, and a
+    // worker grows it by `realloc`, which stays in the heap that owns the
+    // block: no worker heap keeps pair memory after the build. (Any
+    // nonzero capacity does; an empty `Vec` would first allocate in the
+    // worker.)
+    let runs: Vec<_> = cells
+        .chunks(cells.len().div_ceil(tasks).max(1))
+        .map(|run| (run, Mutex::new(Vec::with_capacity(1024))))
+        .collect();
+    exec.par_map_coarse(&runs, |(run, out)| {
+        let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+        for &cell in *run {
+            test_cell(cell, &mut out);
+        }
+    });
+    let pairs = runs
+        .into_iter()
+        .map(|(_, out)| out.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect();
+    (pairs, parallel)
 }
 
 /// Packed hits among the nets flagged in `involved`, from a grid pass
@@ -967,25 +1027,210 @@ pub(crate) fn subset_hits(
     involved: &[bool],
     exec: &Executor,
 ) -> Vec<Hit> {
-    grid_hits(&collect_segments(nets, ids, |i| involved[i]), None, exec).0
+    let segs = collect_segments(nets, ids, |i| involved[i]);
+    let (pairs, _) = grid_pairs(&segs, None, exec);
+    pairs
+        .iter()
+        .flatten()
+        .map(|&(ia, ib)| pack_hit(&segs[ia as usize], &segs[ib as usize]))
+        .collect()
 }
 
-/// Assembles one record per run of equal-pair hits in a sorted,
-/// deduplicated hit list, reproducing `count_pair`'s attribution
-/// exactly.
-fn assemble_runs(nets: &[NetCandidates], ids: &CandIds, hits: &[Hit]) -> Records {
-    let mut records = Records::with_capacity(count_runs(hits));
-    let mut scratch = AssembleScratch::new(nets, ids);
-    for run in hits.chunk_by(same_pair) {
-        scratch.push_run(run, &mut records);
+/// The crossing funnel: turns the grid's pair buffers into records in
+/// key order, keeping only the pairs `keep` accepts.
+///
+/// A counting sort buckets the hits by candidate A, scattering straight
+/// from the 8-byte pair buffers into one 16-byte hit buffer. The
+/// candidate ids are then cut into `ranges` contiguous ranges of about
+/// equal hit count, which run on the executor twice: once to sort and
+/// deduplicate their buckets and size their records, once to assemble
+/// the records. Key order is (candidate A, candidate B, segments), so the
+/// ranges' records, laid end to end, are the canonical arenas for any
+/// range count and thread count.
+///
+/// Every buffer the ranges fill is allocated here, on the calling
+/// thread, so no worker heap keeps output memory: the record arenas are
+/// sized exactly from the first pass, and each range writes its own
+/// window of them in the second.
+fn funnel(
+    nets: &[NetCandidates],
+    ids: &CandIds,
+    segs: Vec<SegRef>,
+    pairs: Vec<Vec<(u32, u32)>>,
+    keep: impl Fn(&SegRef, &SegRef) -> bool,
+    ranges: usize,
+    exec: &Executor,
+) -> Records {
+    let n_cands = ids.net_of.len();
+    // Bucket offsets by candidate A; candidate B only needs marking for
+    // the path index.
+    let mut off = vec![0u32; n_cands + 1];
+    let mut used = vec![false; n_cands];
+    for &(ia, ib) in pairs.iter().flatten() {
+        let (p, q) = (&segs[ia as usize], &segs[ib as usize]);
+        if keep(p, q) {
+            off[p.cand as usize + 1] += 1;
+            used[q.cand as usize] = true;
+        }
     }
-    records
+    for c in 0..n_cands {
+        used[c] |= off[c + 1] > 0;
+        off[c + 1] += off[c];
+    }
+    let mut cursor = off.clone();
+    let mut hits: Vec<Hit> = vec![0; off[n_cands] as usize];
+    for buf in pairs {
+        for (ia, ib) in buf {
+            let (p, q) = (&segs[ia as usize], &segs[ib as usize]);
+            if keep(p, q) {
+                let slot = &mut cursor[p.cand as usize];
+                hits[*slot as usize] = pack_hit(p, q);
+                *slot += 1;
+            }
+        }
+    }
+    drop((cursor, segs));
+    let paths = SegPaths::new(nets, ids, &used);
+    drop(used);
+
+    // Candidate ranges of about equal hit count: range `r` starts at the
+    // first candidate whose bucket starts at or past `r/ranges` of the
+    // hits.
+    let ranges = ranges.max(1);
+    let total = hits.len();
+    let mut starts: Vec<usize> = (0..ranges)
+        .map(|r| off.partition_point(|&o| (o as usize) < r * total / ranges))
+        .collect();
+    starts.push(n_cands);
+    starts.dedup();
+    // Each range's mutex hands its window to the one task that locks
+    // it; a panicking task fails the whole map, so no caller ever sees
+    // a poisoned one.
+    let mut windows: Vec<(std::ops::Range<usize>, Mutex<&mut [Hit]>)> = Vec::new();
+    let mut rest = hits.as_mut_slice();
+    for w in starts.windows(2) {
+        let (head, tail) = rest.split_at_mut((off[w[1]] - off[w[0]]) as usize);
+        windows.push((w[0]..w[1], Mutex::new(head)));
+        rest = tail;
+    }
+
+    // Per range: sort each bucket, drop repeated hits (compacting the
+    // range's window), and size its records.
+    let sized: Vec<RangeSize> = exec.par_map_coarse(&windows, |(cands, window)| {
+        let mut window = window.lock().unwrap_or_else(PoisonError::into_inner);
+        let base = off[cands.start] as usize;
+        let mut hits = 0;
+        for c in cands.clone() {
+            let (lo, hi) = (off[c] as usize - base, off[c + 1] as usize - base);
+            window[lo..hi].sort_unstable();
+            for i in lo..hi {
+                if hits == 0 || window[i] != window[hits - 1] {
+                    window[hits] = window[i];
+                    hits += 1;
+                }
+            }
+        }
+        let mut asm = Assembler::new(ids, &paths);
+        let (mut pairs, mut counts) = (0, 0);
+        for run in window[..hits].chunk_by(same_pair) {
+            pairs += 1;
+            asm.record(run, |_| counts += 1);
+        }
+        RangeSize {
+            hits,
+            pairs,
+            counts,
+        }
+    });
+
+    // The record arenas, exact, cut into one window per range.
+    let n_pairs: usize = sized.iter().map(|r| r.pairs).sum();
+    let n_counts: usize = sized.iter().map(|r| r.counts).sum();
+    let mut keys = vec![0u128; n_pairs];
+    let mut ends = vec![(0u32, 0u32); n_pairs];
+    let mut totals = vec![0u32; n_pairs];
+    let mut counts = vec![(0u32, 0u32); n_counts];
+    let mut outs = Vec::with_capacity(windows.len());
+    let (mut k, mut e, mut t, mut c) = (
+        &mut keys[..],
+        &mut ends[..],
+        &mut totals[..],
+        &mut counts[..],
+    );
+    let mut base = 0;
+    for ((_, window), size) in windows.into_iter().zip(&sized) {
+        let window = window.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let (kr, kt) = k.split_at_mut(size.pairs);
+        let (er, et) = e.split_at_mut(size.pairs);
+        let (tr, tt) = t.split_at_mut(size.pairs);
+        let (cr, ct) = c.split_at_mut(size.counts);
+        (k, e, t, c) = (kt, et, tt, ct);
+        outs.push(Mutex::new(RangeOut {
+            hits: &window[..size.hits],
+            base,
+            keys: kr,
+            ends: er,
+            totals: tr,
+            counts: cr,
+        }));
+        base += size.counts;
+    }
+    exec.par_map_coarse(&outs, |out| {
+        let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+        let RangeOut {
+            hits,
+            base,
+            keys,
+            ends,
+            totals,
+            counts,
+        } = &mut *out;
+        let mut asm = Assembler::new(ids, &paths);
+        let mut pos = 0;
+        for (i, run) in hits.chunk_by(same_pair).enumerate() {
+            let start = *base + pos;
+            let (key, a_len) = asm.record(run, |entry| {
+                counts[pos] = entry;
+                pos += 1;
+            });
+            keys[i] = key;
+            ends[i] = ((start + a_len) as u32, (*base + pos) as u32);
+            totals[i] = run.len() as u32;
+        }
+    });
+    Records {
+        keys,
+        counts,
+        ends,
+        totals,
+    }
+}
+
+/// What one funnel range holds after its sort + dedup.
+struct RangeSize {
+    /// Distinct hits.
+    hits: usize,
+    /// Crossing pairs, one record each.
+    pairs: usize,
+    /// Path-count entries over its records.
+    counts: usize,
+}
+
+/// One funnel range's input hits and its windows of the record arenas;
+/// `base` is where its `counts` window starts in the whole arena.
+struct RangeOut<'a> {
+    hits: &'a [Hit],
+    base: usize,
+    keys: &'a mut [u128],
+    ends: &'a mut [(u32, u32)],
+    totals: &'a mut [u32],
+    counts: &'a mut [(u32, u32)],
 }
 
 /// Assembles crossing records from several sorted, deduplicated,
 /// **key-disjoint** hit runs via a k-way merge — the tile-sharded
-/// build's funnel. Equivalent to concatenating the runs, sorting,
-/// deduplicating, and calling [`assemble_runs`], but without ever
+/// build's funnel. Equivalent to concatenating the runs, sorting and
+/// deduplicating, then assembling one record per pair, but without ever
 /// materializing the merged hit buffer.
 ///
 /// Disjointness (no key occurs in two runs) is what the shard retain
@@ -999,7 +1244,15 @@ pub(crate) fn assemble_sorted_runs(
 ) -> Records {
     let pairs: usize = runs.iter().map(|run| count_runs(run)).sum();
     let mut records = Records::with_capacity(pairs);
-    let mut scratch = AssembleScratch::new(nets, ids);
+    let mut used = vec![false; ids.net_of.len()];
+    for &hit in runs.iter().copied().flatten() {
+        let (a, b) = hit_cands(hit);
+        used[a as usize] = true;
+        used[b as usize] = true;
+    }
+    let paths = SegPaths::new(nets, ids, &used);
+    drop(used);
+    let mut asm = Assembler::new(ids, &paths);
     let mut pos = vec![0usize; runs.len()];
     loop {
         // The run holding the smallest unconsumed key.
@@ -1012,7 +1265,7 @@ pub(crate) fn assemble_sorted_runs(
         let Some(r) = best else { break };
         let run = &runs[r][pos[r]..];
         let len = run.iter().take_while(|hit| same_pair(hit, &run[0])).count();
-        scratch.push_run(&run[..len], &mut records);
+        records.push_run(&mut asm, &run[..len]);
         pos[r] += len;
     }
     records
@@ -1059,104 +1312,126 @@ fn count_pair(a: &CandidateRoute, b: &CandidateRoute) -> Option<OwnedRecord> {
     })
 }
 
-/// Per-candidate inverted path index: for each optical segment, the
-/// detector paths that traverse it (CSR, with multiplicity). The
-/// transpose of `PathLoss::segments`, so hit attribution touches only
-/// the segments that actually cross instead of every path × segment.
-struct SegPathIndex {
+/// Inverted path index of the candidates a funnel assembles: for each
+/// optical segment, the detector paths that traverse it (CSR, with
+/// multiplicity). The transpose of `PathLoss::segments`, so hit
+/// attribution touches only the segments that actually cross instead of
+/// every path × segment. Flat over every candidate the hits name, built
+/// once on the calling thread and shared read-only by the ranges.
+struct SegPaths {
+    /// Per global candidate id, the index in `off` of its segment 0
+    /// (unused candidates: 0).
+    first: Vec<u32>,
+    /// Candidate `g`'s segment `s` lists
+    /// `paths[off[first[g] + s]..off[first[g] + s + 1]]`.
     off: Vec<u32>,
     paths: Vec<u32>,
-    n_paths: usize,
+    /// The most detector paths of any indexed candidate.
+    max_paths: usize,
 }
 
-fn seg_path_index(c: &CandidateRoute) -> SegPathIndex {
-    let nsegs = c.optical_segments.len();
-    let mut off = vec![0u32; nsegs + 1];
-    for p in &c.paths {
-        for &s in &p.segments {
-            off[s + 1] += 1;
+impl SegPaths {
+    /// The index over the candidates `used` flags.
+    fn new(nets: &[NetCandidates], ids: &CandIds, used: &[bool]) -> Self {
+        let cand = |g: usize| {
+            let (net, c) = ids.split(g as u32);
+            &nets[net as usize].candidates[c as usize]
+        };
+        let mut first = vec![0u32; used.len()];
+        let mut n_segs = 0usize;
+        let mut max_paths = 0;
+        for g in (0..used.len()).filter(|&g| used[g]) {
+            first[g] = n_segs as u32;
+            n_segs += cand(g).optical_segments.len();
+            max_paths = max_paths.max(cand(g).paths.len());
+        }
+        // Degrees per segment, prefix sums, then one fill pass in path
+        // order, so every segment's list is ascending.
+        let mut off = vec![0u32; n_segs + 1];
+        for g in (0..used.len()).filter(|&g| used[g]) {
+            for p in &cand(g).paths {
+                for &s in &p.segments {
+                    off[first[g] as usize + s + 1] += 1;
+                }
+            }
+        }
+        for i in 0..n_segs {
+            off[i + 1] += off[i];
+        }
+        let mut cursor = off.clone();
+        let mut paths = vec![0u32; off[n_segs] as usize];
+        for g in (0..used.len()).filter(|&g| used[g]) {
+            for (pi, p) in cand(g).paths.iter().enumerate() {
+                for &s in &p.segments {
+                    let slot = &mut cursor[first[g] as usize + s];
+                    paths[*slot as usize] = pi as u32;
+                    *slot += 1;
+                }
+            }
+        }
+        Self {
+            first,
+            off,
+            paths,
+            max_paths,
         }
     }
-    for i in 0..nsegs {
-        off[i + 1] += off[i];
-    }
-    let mut cursor = off.clone();
-    let mut paths = vec![0u32; off[nsegs] as usize];
-    for (pi, p) in c.paths.iter().enumerate() {
-        for &s in &p.segments {
-            paths[cursor[s] as usize] = pi as u32;
-            cursor[s] += 1;
-        }
-    }
-    SegPathIndex {
-        off,
-        paths,
-        n_paths: c.paths.len(),
+
+    /// The paths through segment `seg` of candidate `cand`.
+    #[inline]
+    fn of(&self, cand: u32, seg: u32) -> &[u32] {
+        let i = (self.first[cand as usize] + seg) as usize;
+        &self.paths[self.off[i] as usize..self.off[i + 1] as usize]
     }
 }
 
-/// Reusable state for record assembly: lazily-built inverted indexes
-/// (one slot per global candidate id, filled the first time the
-/// candidate appears in a hit, so its path structure is walked once no
-/// matter how many pairs it joins) and the path-count accumulator,
-/// zeroed between uses via the touched list.
-struct AssembleScratch<'a> {
-    nets: &'a [NetCandidates],
+/// Record assembly for one range: the shared path index plus a
+/// path-count accumulator, zeroed between uses via the touched list.
+struct Assembler<'a> {
     ids: &'a CandIds,
-    inv: Vec<Option<SegPathIndex>>,
+    paths: &'a SegPaths,
     acc: Vec<u32>,
     touched: Vec<u32>,
 }
 
-impl<'a> AssembleScratch<'a> {
-    fn new(nets: &'a [NetCandidates], ids: &'a CandIds) -> Self {
-        let mut inv: Vec<Option<SegPathIndex>> = Vec::new();
-        inv.resize_with(ids.net_of.len(), || None);
+impl<'a> Assembler<'a> {
+    fn new(ids: &'a CandIds, paths: &'a SegPaths) -> Self {
         Self {
-            nets,
             ids,
-            inv,
-            acc: Vec::new(),
+            paths,
+            acc: vec![0; paths.max_paths],
             touched: Vec::new(),
         }
     }
 
-    /// Appends the record of one pair from the deduplicated hits a
-    /// spatial build found for it.
-    fn push_run(&mut self, run: &[Hit], records: &mut Records) {
+    /// One pair's record from its deduplicated hits: emits side A's
+    /// path-count entries, then side B's, and returns the record's key
+    /// and how many of the entries belong to side A. Every record is
+    /// assembled here, whatever arena it lands in.
+    fn record(&mut self, run: &[Hit], mut emit: impl FnMut((u32, u32))) -> (u128, usize) {
         let (a, b) = hit_cands(run[0]);
-        self.push_side(a, run, true, &mut records.counts);
-        let a_end = records.counts.len();
-        self.push_side(b, run, false, &mut records.counts);
-        records.close(self.ids.hit_key(run[0]), a_end, run.len());
+        let mut a_len = 0;
+        self.side(a, run, true, |entry| {
+            a_len += 1;
+            emit(entry);
+        });
+        self.side(b, run, false, emit);
+        (self.ids.hit_key(run[0]), a_len)
     }
 
-    /// Path attribution for one side of a pair, appended to `out`:
-    /// ascending `(path index, count)` over paths with at least one
-    /// crossing — byte-identical to [`attribute`] over per-segment
-    /// counts.
-    fn push_side(&mut self, id: u32, run: &[Hit], side_a: bool, out: &mut Vec<(u32, u32)>) {
-        let slot = id as usize;
-        if self.inv[slot].is_none() {
-            let (net, cand) = self.ids.split(id);
-            self.inv[slot] = Some(seg_path_index(
-                &self.nets[net as usize].candidates[cand as usize],
-            ));
-        }
-        let Some(idx) = self.inv[slot].as_ref() else {
-            return;
-        };
-        if self.acc.len() < idx.n_paths {
-            self.acc.resize(idx.n_paths, 0);
-        }
+    /// Path attribution for one side of a pair, from its deduplicated
+    /// hits: emits ascending `(path index, count)` over paths with at
+    /// least one crossing — byte-identical to [`attribute`] over
+    /// per-segment counts.
+    fn side(&mut self, cand: u32, run: &[Hit], side_a: bool, mut emit: impl FnMut((u32, u32))) {
         self.touched.clear();
         for &hit in run {
-            let s = if side_a {
+            let seg = if side_a {
                 (hit >> 32) as u32
             } else {
                 hit as u32
-            } as usize;
-            for &p in &idx.paths[idx.off[s] as usize..idx.off[s + 1] as usize] {
+            };
+            for &p in self.paths.of(cand, seg) {
                 if self.acc[p as usize] == 0 {
                     self.touched.push(p);
                 }
@@ -1165,7 +1440,7 @@ impl<'a> AssembleScratch<'a> {
         }
         self.touched.sort_unstable();
         for &p in &self.touched {
-            out.push((p, self.acc[p as usize]));
+            emit((p, self.acc[p as usize]));
             self.acc[p as usize] = 0;
         }
     }
@@ -1555,7 +1830,8 @@ mod tests {
             let nets = edge_and_corner_nets(cols as i64, rows as i64);
             let segs = collect_segments(&nets, &CandIds::new(&nets), |_| true);
             let exec = Executor::sequential();
-            let (hits, _) = grid_hits(&segs, Some((cols, rows)), &exec);
+            let (pairs, _) = grid_pairs(&segs, Some((cols, rows)), &exec);
+            let hits: Vec<(u32, u32)> = pairs.into_iter().flatten().collect();
             let mut unique = hits.clone();
             unique.sort_unstable();
             unique.dedup();
@@ -1567,6 +1843,70 @@ mod tests {
             assert_eq!(hits.len(), crossings, "{label}: one hit per crossing");
             let sized = CrossingIndex::build_with_grid_dims(&nets, &exec, Some((cols, rows)));
             assert_index_eq(&sized, &reference, &label);
+        }
+    }
+
+    /// 24 die-spanning diagonals with every coordinate times `scale`,
+    /// plus two-sink forks across them, so sides list several paths.
+    fn diagonals_and_forks(scale: i64) -> Vec<NetCandidates> {
+        let p = |x: i64, y: i64| Point::new(x * scale, y * scale);
+        let mut nets: Vec<NetCandidates> = (0..24)
+            .map(|k| {
+                let y0 = (k as i64) * 700;
+                optical_net(k, p(0, y0), p(20_000, 18_000 - y0))
+            })
+            .collect();
+        for f in 0..6 {
+            let x = 1_500 + 3_000 * f as i64;
+            let mut tree = RouteTree::new(p(x, 0));
+            let s = tree.add_child(tree.root(), p(x, 9_000), NodeKind::Steiner);
+            tree.add_child(s, p(x - 1_000, 18_000), NodeKind::Terminal);
+            tree.add_child(s, p(x + 1_000, 18_000), NodeKind::Terminal);
+            let fork = analyze_assignment(
+                &tree,
+                &[EdgeMedium::Optical; 3],
+                1,
+                &OpticalLib::paper_defaults(),
+                &ElectricalParams::paper_defaults(),
+            );
+            nets.push(NetCandidates {
+                net_index: nets.len(),
+                bits: 1,
+                candidates: vec![fork],
+                electrical_idx: 0,
+                fanout_power_mw: 0.0,
+            });
+        }
+        nets
+    }
+
+    #[test]
+    fn multi_range_funnel_matches_one_range_and_reference() {
+        // Past 2^40 the ownership test overflows, so the grid reports a
+        // crossing in every cell the pair shares: the funnel's dedup
+        // must drop the repeats, in whichever range they land.
+        let far = diagonals_and_forks(1 << 30);
+        let segs = collect_segments(&far, &CandIds::new(&far), |_| true);
+        let raw: usize = grid_pairs(&segs, None, &Executor::sequential())
+            .0
+            .iter()
+            .map(Vec::len)
+            .sum();
+        let crossings = CrossingIndex::build_reference(&far).segment_crossings();
+        assert!(raw as u64 > crossings, "the fixture must repeat hits");
+        for (label, nets) in [("die scale", diagonals_and_forks(1)), ("past 2^40", far)] {
+            let reference = CrossingIndex::build_reference(&nets);
+            assert!(reference.iter().any(|(_, pc)| pc.per_path_b.len() > 1));
+            let one = CrossingIndex::build_with_funnel_ranges(&nets, &Executor::sequential(), 1);
+            assert_index_eq(&one, &reference, &format!("{label}: one range"));
+            for threads in [1, 2, 8] {
+                let exec = Executor::new(threads);
+                for ranges in [3, 5, 64] {
+                    let multi = CrossingIndex::build_with_funnel_ranges(&nets, &exec, ranges);
+                    let case = format!("{label}: {ranges} ranges, threads={threads}");
+                    assert_index_eq(&multi, &one, &case);
+                }
+            }
         }
     }
 
@@ -1785,6 +2125,12 @@ mod tests {
                         &sized,
                         &reference,
                         &format!("{set}, {cols}x{rows} grid, threads={threads}"),
+                    );
+                    let ranged = CrossingIndex::build_with_funnel_ranges(&nets, &exec, cols);
+                    assert_index_eq(
+                        &ranged,
+                        &reference,
+                        &format!("{set}, {cols} funnel ranges, threads={threads}"),
                     );
                 }
             }

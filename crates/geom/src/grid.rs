@@ -8,7 +8,7 @@
 //!    pairs are pruned to those that traverse a common cell, and each
 //!    crossing is reported only by the cell that owns its crossing point.
 
-use crate::{BoundingBox, Point, Segment};
+use crate::{at_die_scale, BoundingBox, Point, Segment, DIE_SCALE};
 use core::fmt;
 
 /// Index of a cell in a [`Grid`].
@@ -261,6 +261,10 @@ pub struct SegmentGrid {
     rows: usize,
     cell_w: i64,
     cell_h: i64,
+    /// Whether the origin lies within [`DIE_SCALE`] and both grid spans
+    /// within `4 · DIE_SCALE`: with die-scale endpoints,
+    /// [`owns_crossing`](Self::owns_crossing) then cannot overflow.
+    die_scale: bool,
     cells: Vec<Vec<u32>>,
 }
 
@@ -280,12 +284,19 @@ impl SegmentGrid {
         // x maps to a column strictly below `cols` (same for rows).
         let cell_w = extent.width() / cols as i64 + 1;
         let cell_h = extent.height() / rows as i64 + 1;
+        let lo = extent.lo();
+        let span = |n: usize, size: i64| n as i128 * i128::from(size);
+        let die_scale = lo.x.abs() < DIE_SCALE
+            && lo.y.abs() < DIE_SCALE
+            && span(cols, cell_w) <= 4 * i128::from(DIE_SCALE)
+            && span(rows, cell_h) <= 4 * i128::from(DIE_SCALE);
         Self {
             extent,
             cols,
             rows,
             cell_w,
             cell_h,
+            die_scale,
             cells: vec![Vec::new(); cols * rows],
         }
     }
@@ -425,24 +436,51 @@ impl SegmentGrid {
     /// coverage invariant that cell holds both segments, so testing pairs
     /// only where this returns `true` reports each crossing exactly once.
     ///
-    /// Comparisons are exact multiply-only `i128` arithmetic. When one
-    /// would overflow (coordinates far beyond die scale), or the segments
-    /// are parallel, the answer is `true`: the caller may then see the
-    /// pair in several cells and must deduplicate.
+    /// Comparisons are exact multiply-only `i128` arithmetic. Die-scale
+    /// inputs — every endpoint and the grid origin within 2^30, each grid
+    /// span within 2^32 — run it unchecked: then every band bound is
+    /// within 2^33, the crossing-point fraction's `num` and `den` within
+    /// 2^63, and each comparison's `(a − bound)·den + d·num` within
+    /// 2^98. Other inputs take the same formula with checked ops; when
+    /// one would overflow (coordinates far beyond die scale), or the
+    /// segments are parallel, the answer is `true`: the caller may then
+    /// see the pair in several cells and must deduplicate.
+    #[inline]
     pub fn owns_crossing(&self, cell: usize, s: &Segment, t: &Segment) -> bool {
-        self.owns_crossing_exact(cell, s, t).unwrap_or(true)
+        if self.die_scale
+            && at_die_scale(s.a)
+            && at_die_scale(s.b)
+            && at_die_scale(t.a)
+            && at_die_scale(t.b)
+        {
+            self.owns_crossing_exact::<false>(cell, s, t)
+        } else {
+            self.owns_crossing_exact::<true>(cell, s, t)
+        }
+        .unwrap_or(true)
     }
 
-    fn owns_crossing_exact(&self, cell: usize, s: &Segment, t: &Segment) -> Option<bool> {
+    /// The ownership test, with every `i128` op overflow-checked when
+    /// `CHECKED` and plain otherwise (only for inputs whose bounds rule
+    /// overflow out — see [`owns_crossing`](Self::owns_crossing)).
+    #[inline]
+    fn owns_crossing_exact<const CHECKED: bool>(
+        &self,
+        cell: usize,
+        s: &Segment,
+        t: &Segment,
+    ) -> Option<bool> {
+        let mul = |x, y| op::<CHECKED>(x, y, i128::checked_mul, |a, b| a * b);
+        let add = |x, y| op::<CHECKED>(x, y, i128::checked_add, |a, b| a + b);
+        let sub = |x, y| op::<CHECKED>(x, y, i128::checked_sub, |a, b| a - b);
+        let neg = |x| op::<CHECKED>(x, 0, |a, _| a.checked_neg(), |a, _| -a);
         let diff = |p: Point, q: Point| {
             (
                 i128::from(q.x) - i128::from(p.x),
                 i128::from(q.y) - i128::from(p.y),
             )
         };
-        let cross = |u: (i128, i128), v: (i128, i128)| {
-            u.0.checked_mul(v.1)?.checked_sub(u.1.checked_mul(v.0)?)
-        };
+        let cross = |u: (i128, i128), v: (i128, i128)| sub(mul(u.0, v.1)?, mul(u.1, v.0)?);
         let (d1, d2) = (diff(s.a, s.b), diff(t.a, t.b));
         // The crossing point is s.a + d1 · num / den.
         let den = cross(d1, d2)?;
@@ -451,14 +489,13 @@ impl SegmentGrid {
         }
         let num = cross(diff(s.a, t.a), d2)?;
         let (num, den) = if den < 0 {
-            (num.checked_neg()?, den.checked_neg()?)
+            (neg(num)?, neg(den)?)
         } else {
             (num, den)
         };
         // Whether the coordinate `a + d · num / den` is at least `bound`.
         let at_least = |a: i64, d: i128, bound: i128| -> Option<bool> {
-            let lhs = (i128::from(a) - bound).checked_mul(den)?;
-            Some(lhs.checked_add(d.checked_mul(num)?)? >= 0)
+            Some(add(mul(i128::from(a) - bound, den)?, mul(d, num)?)? >= 0)
         };
         // Band `idx` of `n` owns `[lo + idx·size, lo + (idx+1)·size)`,
         // with the first and last bands open towards the outside.
@@ -474,6 +511,22 @@ impl SegmentGrid {
             in_band(s.a.x, d1.0, lo.x, self.cell_w, col, self.cols)?
                 && in_band(s.a.y, d1.1, lo.y, self.cell_h, row, self.rows)?,
         )
+    }
+}
+
+/// `x ∘ y` by `checked` when `CHECKED`, else by `plain`: the one switch
+/// between [`SegmentGrid::owns_crossing`]'s two arithmetic modes.
+#[inline(always)]
+fn op<const CHECKED: bool>(
+    x: i128,
+    y: i128,
+    checked: fn(i128, i128) -> Option<i128>,
+    plain: fn(i128, i128) -> i128,
+) -> Option<i128> {
+    if CHECKED {
+        checked(x, y)
+    } else {
+        Some(plain(x, y))
     }
 }
 
@@ -738,6 +791,110 @@ mod tests {
                 .filter(|&c| g.owns_crossing(c, &s2, &s1))
                 .count();
             prop_assert_eq!(swapped, 1);
+        }
+    }
+
+    /// Asserts that the die-scale (unchecked) and the checked ownership
+    /// tests agree on every cell for a properly crossing pair the gate
+    /// sends down the die-scale path.
+    fn assert_paths_agree(g: &SegmentGrid, s: &Segment, t: &Segment) -> Result<(), TestCaseError> {
+        prop_assert!(g.die_scale, "grid {:?} must qualify", g.extent);
+        prop_assert!([s.a, s.b, t.a, t.b].into_iter().all(at_die_scale));
+        let mut owners = 0;
+        for c in 0..g.cols * g.rows {
+            let fast = g.owns_crossing_exact::<false>(c, s, t);
+            prop_assert_eq!(fast, g.owns_crossing_exact::<true>(c, s, t), "cell {}", c);
+            prop_assert!(fast.is_some(), "no overflow at die scale");
+            owners += usize::from(g.owns_crossing(c, s, t));
+        }
+        prop_assert_eq!(owners, 1, "one cell owns the crossing");
+        Ok(())
+    }
+
+    /// Strictly inside ±2^30: the die-scale gate's limit.
+    const NEAR: i64 = DIE_SCALE - 1;
+
+    #[test]
+    fn die_scale_gate_rejects_far_grids_and_endpoints() {
+        let wide = BoundingBox::new(Point::new(-NEAR, -NEAR), Point::new(NEAR, NEAR));
+        assert!(SegmentGrid::new(wide, 24, 24).die_scale);
+        let far = BoundingBox::new(Point::new(-DIE_SCALE, 0), Point::new(0, 10));
+        assert!(!SegmentGrid::new(far, 4, 4).die_scale);
+        let long = BoundingBox::new(Point::new(0, 0), Point::new(5 * DIE_SCALE, 10));
+        assert!(!SegmentGrid::new(long, 4, 4).die_scale);
+        // A die-scale grid with an endpoint past 2^30 takes the checked
+        // path and still answers exactly.
+        let g = SegmentGrid::new(die(), 4, 4);
+        let s = Segment::new(Point::new(0, 0), Point::new(DIE_SCALE, DIE_SCALE));
+        let t = Segment::new(Point::new(0, 100), Point::new(100, 0));
+        let owners: Vec<usize> = (0..16).filter(|&c| g.owns_crossing(c, &s, &t)).collect();
+        assert_eq!(owners, [4 + 1]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random crossing pairs in a 400-dbu window placed anywhere in
+        /// ±2^30 — up against either limit, and with negative extents.
+        #[test]
+        fn die_scale_ownership_equals_checked_near_the_limits(
+            origin in prop_oneof![
+                Just((-NEAR, -NEAR)),
+                Just((NEAR - 400, NEAR - 400)),
+                Just((-NEAR, NEAR - 400)),
+                (-NEAR..NEAR - 400, -NEAR..NEAR - 400),
+            ],
+            pts in proptest::collection::vec((0i64..=400, 0i64..=400), 4),
+            cols in 1usize..24, rows in 1usize..24,
+        ) {
+            let p = |i: usize| Point::new(origin.0 + pts[i].0, origin.1 + pts[i].1);
+            let (s, t) = (Segment::new(p(0), p(1)), Segment::new(p(2), p(3)));
+            prop_assume!(s.crosses(&t));
+            let extent = BoundingBox::from_points([s.a, s.b, t.a, t.b].into_iter()).unwrap();
+            assert_paths_agree(&SegmentGrid::new(extent, cols, rows), &s, &t)?;
+        }
+
+        /// Random crossing pairs with endpoints anywhere in ±2^30, so
+        /// every product in the test reaches its largest magnitudes.
+        #[test]
+        fn die_scale_ownership_equals_checked_on_die_spanning_pairs(
+            pts in proptest::collection::vec((-NEAR..=NEAR, -NEAR..=NEAR), 4),
+            cols in 1usize..24, rows in 1usize..24,
+        ) {
+            let p = |i: usize| Point::new(pts[i].0, pts[i].1);
+            let (s, t) = (Segment::new(p(0), p(1)), Segment::new(p(2), p(3)));
+            prop_assume!(s.crosses(&t));
+            let extent = BoundingBox::from_points([s.a, s.b, t.a, t.b].into_iter()).unwrap();
+            assert_paths_agree(&SegmentGrid::new(extent, cols, rows), &s, &t)?;
+        }
+
+        /// Crossings exactly on a cell edge or corner: an X centered on
+        /// the boundary point, over a grid whose origin may be negative
+        /// or near ±2^30.
+        #[test]
+        fn die_scale_ownership_equals_checked_on_cell_edges_and_corners(
+            origin in prop_oneof![
+                Just(-NEAR + 8),
+                Just(NEAR - 1008),
+                -NEAR + 8..NEAR - 1008,
+            ],
+            cols in 1usize..12, rows in 1usize..12,
+            (i, j) in (0usize..12, 0usize..12),
+            (half, on_x, on_y) in (1i64..5, any::<bool>(), any::<bool>()),
+        ) {
+            let extent = BoundingBox::new(
+                Point::new(origin, origin),
+                Point::new(origin + 1000, origin + 1000),
+            );
+            let g = SegmentGrid::new(extent, cols, rows);
+            // A point on a column edge and/or a row edge (a corner when
+            // both), or a cell center when neither.
+            let x = origin + (i % cols) as i64 * g.cell_w + if on_x { 0 } else { g.cell_w / 2 };
+            let y = origin + (j % rows) as i64 * g.cell_h + if on_y { 0 } else { g.cell_h / 2 };
+            let s = Segment::new(Point::new(x - half, y - half), Point::new(x + half, y + half));
+            let t = Segment::new(Point::new(x - half, y + half), Point::new(x + half, y - half));
+            prop_assert!(s.crosses(&t));
+            assert_paths_agree(&g, &s, &t)?;
         }
     }
 

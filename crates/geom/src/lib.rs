@@ -46,6 +46,18 @@ pub use segment::{Orientation, Segment};
 /// constant before applying the propagation-loss coefficient.
 pub const DBU_PER_CM: f64 = 10_000.0;
 
+/// Coordinate magnitude below which the exact predicates
+/// ([`Segment::orientation`], [`SegmentGrid::owns_crossing`]) take their
+/// die-scale fast paths: narrower or unchecked integer arithmetic whose
+/// bounds rule out overflow.
+pub(crate) const DIE_SCALE: i64 = 1 << 30;
+
+/// Whether both coordinates of `p` lie strictly within [`DIE_SCALE`].
+#[inline]
+pub(crate) fn at_die_scale(p: Point) -> bool {
+    p.x.abs() < DIE_SCALE && p.y.abs() < DIE_SCALE
+}
+
 /// Converts a length in database units to centimeters.
 ///
 /// # Examples

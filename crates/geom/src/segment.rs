@@ -4,7 +4,7 @@
 //! predicates here are exact (integer arithmetic, no epsilon tuning) so
 //! crossing counts are deterministic.
 
-use crate::{BoundingBox, Point};
+use crate::{at_die_scale, BoundingBox, Point};
 use core::fmt;
 
 /// Orientation of an ordered point triple.
@@ -97,14 +97,7 @@ impl Segment {
         // Die-scale fast path: with every coordinate under 2^30 the
         // differences fit 31 bits and the cross product is exact in
         // i64 — no 128-bit multiplies on the hot pair-test predicate.
-        const M: i64 = 1 << 30;
-        let cross = if p.x.abs() < M
-            && p.y.abs() < M
-            && q.x.abs() < M
-            && q.y.abs() < M
-            && r.x.abs() < M
-            && r.y.abs() < M
-        {
+        let cross = if at_die_scale(p) && at_die_scale(q) && at_die_scale(r) {
             ((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)) as i128
         } else {
             (q.x - p.x) as i128 * (r.y - p.y) as i128 - (q.y - p.y) as i128 * (r.x - p.x) as i128
@@ -385,8 +378,9 @@ mod tests {
     /// Point coordinates straddling the 2^30 fast-path cutoff of
     /// [`Segment::orientation`], either sign.
     fn arb_boundary_coord() -> impl Strategy<Value = i64> {
-        const M: i64 = 1 << 30;
-        (any::<bool>(), M - 1_000..M + 1_000).prop_map(|(neg, c)| if neg { -c } else { c })
+        use crate::DIE_SCALE;
+        (any::<bool>(), DIE_SCALE - 1_000..DIE_SCALE + 1_000)
+            .prop_map(|(neg, c)| if neg { -c } else { c })
     }
 
     proptest! {
