@@ -37,7 +37,7 @@ cargo run -p operon-bench --release -q --bin serve_bench -- --smoke
 echo "==> lint_bench --smoke (scan-cache identity gate)"
 cargo run -p operon-bench --release -q --bin lint_bench -- --smoke
 
-echo "==> shard_bench --smoke (tile-sharded flow identity gate)"
+echo "==> shard_bench --smoke (die-scale plan fingerprint + thread identity gate)"
 cargo run -p operon-bench --release -q --bin shard_bench -- --smoke
 
 echo "==> explore_bench --smoke (warm-sweep identity gate)"

@@ -1,39 +1,39 @@
-//! Measures the tile-sharded flow against the monolithic flow on
-//! die-scale designs, and writes `BENCH_shard.json` at the repository
-//! root.
+//! Routes die-scale designs through the one flow, one fresh process per
+//! size, and writes `BENCH_shard.json` at the repository root: wall time,
+//! peak RSS and a plan fingerprint per size.
 //!
 //! ```text
 //! cargo run -p operon-bench --release --bin shard_bench
 //! cargo run -p operon-bench --release --bin shard_bench -- --smoke
+//! cargo run -p operon-bench --release --bin shard_bench -- --measure <bits>
+//! cargo run -p operon-bench --release --bin shard_bench -- --probe <bits>
 //! ```
 //!
 //! Fixtures are `SynthConfig::die_scale` designs at 10k, 50k, and 100k
-//! signal bits on a 5 cm die, seeded with [`HARNESS_SEED`]. Three
+//! signal bits on a 5 cm die, seeded with [`HARNESS_SEED`]. Two
 //! criteria:
 //!
-//! 1. **Identity**: `OperonFlow::with_tiles(..).run` must reproduce
-//!    `OperonFlow::run` byte for byte — asserted in-process at the
-//!    smallest size (candidate choices, power bits, WDM plan), and via
-//!    plan fingerprints across every measured child process.
-//! 2. **Peak memory**: at the largest size the sharded run's peak RSS
-//!    (`VmHWM`) must be strictly below the unsharded run's. `VmHWM` is
-//!    a monotone per-process high-water mark, so every (variant, size)
-//!    cell re-executes this binary as a fresh child process
-//!    (`--measure`) and reports its own peak.
-//! 3. **Ratio floors are same-run**: every asserted ratio compares two
-//!    measurements from this invocation — nothing is gated on numbers
-//!    from another machine or an earlier commit.
+//! 1. **Identity**: the plan must not depend on the thread count or on
+//!    the process that routes it — asserted in-process at the smallest
+//!    size (threads 1 against one worker per hardware thread: candidate
+//!    choices, power bits, WDM plan), and by checking that size's child
+//!    process reports the same plan fingerprint.
+//! 2. **Same-run numbers only**: peak RSS (`VmHWM`) is a monotone
+//!    per-process high-water mark, so every size re-executes this binary
+//!    as a fresh child process (`--measure <bits>`) and reports its own
+//!    peak. Nothing is gated on numbers from another machine or an
+//!    earlier commit.
 //!
-//! `--smoke` checks identity on a shrunken die-scale instance at tile
-//! grids {2x2, 4x4} and thread counts {1, 2}, then routes the 10k die
-//! once without tiles and checks its plan fingerprint against the 10k
-//! entry of the committed `BENCH_shard.json`, read at run time, so a
-//! solver change that moves any plan (a tie-break among equal-cost
-//! flows, say) fails CI. It skips the child processes and the JSON
-//! write — the cheap CI gate. `--probe
-//! <variant> <bits>` runs one cell in-process and prints the executor
-//! run report (per-stage wall + peak RSS) — the memory-attribution
-//! tool this benchmark's acceptance bound was tuned with.
+//! `--smoke` checks thread identity (threads {1, 2}) on a shrunken
+//! 2k-bit die, then routes the 10k die once and checks its plan
+//! fingerprint against the 10k entry of the committed
+//! `BENCH_shard.json`, read at run time, so a solver change that moves
+//! any plan (a tie-break among equal-cost flows, say) fails CI. It skips
+//! the child processes and the JSON write — the cheap CI gate.
+//! `--measure <bits>` routes one size and prints its JSON line (wall,
+//! peak RSS, fingerprint). `--probe <bits>` routes one size in-process
+//! and prints the executor run report (per-stage wall + peak RSS) — the
+//! memory-attribution tool.
 //!
 //! Numbers in the committed `BENCH_shard.json` come from whatever
 //! machine last ran this binary; `hardware_threads` records the truth.
@@ -45,30 +45,27 @@ use operon_exec::json::{self, Value};
 use operon_exec::{peak_rss_kib, Stopwatch};
 use operon_netlist::synth::{generate, SynthConfig};
 
-/// Tile grid used for every sharded measurement.
-const TILES: (usize, usize) = (4, 4);
 /// Die-scale sizes, in signal bits ("#Net" of the paper's Table 1).
 const SIZES: [usize; 3] = [10_000, 50_000, 100_000];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--measure") {
-        return measure_child(&args[1..]);
+    let bits = || -> usize {
+        args.get(1)
+            .and_then(|s| s.parse().ok())
+            .expect("--measure <bits> | --probe <bits>")
+    };
+    match args.first().map(String::as_str) {
+        Some("--measure") => measure_child(bits()),
+        Some("--probe") => {
+            let design = generate(&SynthConfig::die_scale(bits()), HARNESS_SEED);
+            let flow = OperonFlow::new(OperonConfig::default());
+            flow.run(&design).expect("flow");
+            println!("{}", flow.executor().report().to_json());
+        }
+        Some("--smoke") => run_smoke(),
+        _ => run_full(),
     }
-    if args.first().map(String::as_str) == Some("--probe") {
-        let variant = args.get(1).expect("--probe <variant> <bits>").clone();
-        let bits: usize = args.get(2).and_then(|s| s.parse().ok()).expect("bits");
-        let design = generate(&SynthConfig::die_scale(bits), HARNESS_SEED);
-        let flow = flow_for(&variant);
-        flow.run(&design).expect("flow");
-        println!("{}", flow.executor().report().to_json());
-        return;
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    if smoke {
-        return run_smoke();
-    }
-    run_full();
 }
 
 /// FNV-1a over everything the plan exposes: one number that two runs
@@ -100,37 +97,22 @@ fn fingerprint(result: &FlowResult) -> u64 {
     h
 }
 
-/// The flow of one variant: `sharded` on the [`TILES`] grid, or
-/// `unsharded`.
-fn flow_for(variant: &str) -> OperonFlow {
-    let flow = OperonFlow::new(OperonConfig::default());
-    match variant {
-        "sharded" => flow.with_tiles(TILES.0, TILES.1),
-        "unsharded" => flow,
-        other => panic!("unknown variant {other:?}"),
-    }
-}
-
-fn run_variant(variant: &str, bits: usize) -> FlowResult {
+/// Routes the `bits`-bit die on `threads` workers.
+fn route(bits: usize, threads: usize) -> FlowResult {
     let design = generate(&SynthConfig::die_scale(bits), HARNESS_SEED);
-    flow_for(variant)
+    OperonFlow::new(OperonConfig::default())
+        .with_threads(threads)
         .run(&design)
         .expect("die-scale flow succeeds")
 }
 
-/// Child mode: route one (variant, size) cell and print a JSON line
-/// with wall time, this process's peak RSS, and the plan fingerprint.
-fn measure_child(args: &[String]) {
-    let variant = args.first().expect("--measure <variant> <bits>");
-    let bits: usize = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .expect("--measure <variant> <bits>");
+/// Child mode: route one size on one worker and print a JSON line with
+/// wall time, this process's peak RSS, and the plan fingerprint.
+fn measure_child(bits: usize) {
     let sw = Stopwatch::start();
-    let result = run_variant(variant, bits);
+    let result = route(bits, 1);
     let wall_s = sw.elapsed().as_secs_f64();
     let line = Value::object(vec![
-        ("variant", Value::from(variant.as_str())),
         ("bits", Value::from(bits)),
         ("wall_s", Value::from(wall_s)),
         ("peak_rss_kib", Value::from(peak_rss_kib())),
@@ -142,17 +124,16 @@ fn measure_child(args: &[String]) {
     println!("{}", line.compact());
 }
 
-/// Spawns a fresh child for one (variant, size) cell and parses its
-/// report.
-fn spawn_cell(variant: &str, bits: usize) -> (f64, u64, String) {
+/// Spawns a fresh child for one size and parses its report.
+fn spawn_cell(bits: usize) -> (f64, u64, String) {
     let exe = std::env::current_exe().expect("own executable path");
     let out = std::process::Command::new(exe)
-        .args(["--measure", variant, &bits.to_string()])
+        .args(["--measure", &bits.to_string()])
         .output()
         .expect("spawn measurement child");
     assert!(
         out.status.success(),
-        "child {variant}/{bits} failed: {}",
+        "child {bits} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).expect("child output is UTF-8");
@@ -170,36 +151,29 @@ fn spawn_cell(variant: &str, bits: usize) -> (f64, u64, String) {
     (wall, rss, fp)
 }
 
-fn assert_identity(bits: usize, tiles: (usize, usize), threads: usize) {
-    let design = generate(&SynthConfig::die_scale(bits), HARNESS_SEED);
-    let reference = OperonFlow::new(OperonConfig::default())
-        .with_threads(1)
-        .run(&design)
-        .expect("reference flow");
-    let sharded = OperonFlow::new(OperonConfig::default())
-        .with_threads(threads)
-        .with_tiles(tiles.0, tiles.1)
-        .run(&design)
-        .expect("sharded flow");
+/// Routes the `bits`-bit die at `threads` workers and at one, asserts
+/// the plans are byte-identical, and returns their fingerprint.
+fn assert_identity(bits: usize, threads: usize) -> String {
+    let reference = route(bits, 1);
+    let routed = route(bits, threads);
     assert_eq!(
         fingerprint(&reference),
-        fingerprint(&sharded),
-        "sharded plan diverged at {bits} bits, tiles {tiles:?}, {threads} threads"
+        fingerprint(&routed),
+        "plan diverged at {bits} bits, {threads} threads"
     );
-    assert_eq!(reference.selection.choice, sharded.selection.choice);
-    assert_eq!(reference.wdm.wdms, sharded.wdm.wdms);
-    assert_eq!(reference.hyper_nets, sharded.hyper_nets);
+    assert_eq!(reference.selection.choice, routed.selection.choice);
+    assert_eq!(reference.wdm.wdms, routed.wdm.wdms);
+    assert_eq!(reference.hyper_nets, routed.hyper_nets);
+    format!("{:016x}", fingerprint(&reference))
 }
 
 fn run_smoke() {
-    for tiles in [(2, 2), (4, 4)] {
-        for threads in [1, 2] {
-            assert_identity(2_000, tiles, threads);
-        }
+    for threads in [1, 2] {
+        assert_identity(2_000, threads);
     }
     let bits = SIZES[0];
     let pinned = pinned_fingerprint(bits);
-    let routed = format!("{:016x}", fingerprint(&run_variant("unsharded", bits)));
+    let routed = format!("{:016x}", fingerprint(&route(bits, 1)));
     assert_eq!(
         routed, pinned,
         "{bits} bits: plan fingerprint moved from the one pinned in BENCH_shard.json"
@@ -229,55 +203,33 @@ fn pinned_fingerprint(bits: usize) -> String {
 fn run_full() {
     let hardware = std::thread::available_parallelism().map_or(1, usize::from);
 
-    // Criterion 1, in-process: byte identity at the smallest size.
-    assert_identity(SIZES[0], TILES, 0);
+    // Criterion 1, in-process: thread identity at the smallest size.
+    let in_process = assert_identity(SIZES[0], 0);
 
     let mut rows: Vec<Value> = Vec::new();
-    let mut last_ratio = f64::NAN;
-    for (pos, &bits) in SIZES.iter().enumerate() {
-        let (wall_un, rss_un, fp_un) = spawn_cell("unsharded", bits);
-        let (wall_sh, rss_sh, fp_sh) = spawn_cell("sharded", bits);
-        assert_eq!(
-            fp_un, fp_sh,
-            "{bits} bits: sharded child's plan diverged from unsharded"
-        );
-        let rss_ratio = rss_sh as f64 / rss_un as f64;
-        println!(
-            "{bits} bits: wall {wall_un:.2} s -> {wall_sh:.2} s, \
-             peak RSS {rss_un} KiB -> {rss_sh} KiB ({rss_ratio:.3}x)"
-        );
-        if pos == SIZES.len() - 1 {
-            // Criterion 2, same-run: the acceptance bound at 100k.
-            assert!(
-                rss_sh < rss_un,
-                "at {bits} bits the sharded peak RSS ({rss_sh} KiB) must be \
-                 strictly below the unsharded run's ({rss_un} KiB)"
+    for &bits in &SIZES {
+        let (wall_s, rss, fp) = spawn_cell(bits);
+        if bits == SIZES[0] {
+            assert_eq!(
+                fp, in_process,
+                "{bits} bits: the child's plan diverged from the in-process one"
             );
-            last_ratio = rss_ratio;
         }
+        println!("{bits} bits: wall {wall_s:.2} s, peak RSS {rss} KiB, plan {fp}");
         rows.push(Value::object(vec![
             ("nets", Value::from(bits)),
-            ("unsharded_wall_s", Value::from(wall_un)),
-            ("sharded_wall_s", Value::from(wall_sh)),
-            ("unsharded_peak_rss_kib", Value::from(rss_un as usize)),
-            ("sharded_peak_rss_kib", Value::from(rss_sh as usize)),
-            ("peak_rss_ratio", Value::from(rss_ratio)),
-            ("wall_ratio", Value::from(wall_sh / wall_un)),
-            ("fingerprint", Value::from(fp_sh)),
+            ("wall_s", Value::from(wall_s)),
+            ("peak_rss_kib", Value::from(rss as usize)),
+            ("fingerprint", Value::from(fp)),
         ]));
     }
 
     let out = Value::object(vec![
-        ("benchmark", Value::from("tile_sharded_flow")),
+        ("benchmark", Value::from("die_scale_flow")),
         ("hardware_threads", Value::from(hardware)),
-        (
-            "tiles",
-            Value::Array(vec![Value::Int(TILES.0 as i64), Value::Int(TILES.1 as i64)]),
-        ),
         ("seed", Value::from(HARNESS_SEED as usize)),
         ("sizes", Value::Array(rows)),
         ("identical_results", Value::from(true)),
-        ("peak_rss_ratio_at_largest", Value::from(last_ratio)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
     std::fs::write(path, out.pretty() + "\n").expect("write BENCH_shard.json");

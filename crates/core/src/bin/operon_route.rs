@@ -1,11 +1,10 @@
 //! Command-line front end for the OPERON flow.
 //!
 //! ```text
-//! operon_route <design.sig>... [--threads N|auto] [--tiles RxC|N]
-//!              [--run-report FILE] [--ilp SECS] [--ilp-wave-size N]
-//!              [--capacity N] [--max-loss DB] [--max-delay PS]
-//!              [--scale N/D] [--maps] [--nets] [--svg FILE]
-//!              [--emit-trace FILE]
+//! operon_route <design.sig>... [--threads N|auto] [--run-report FILE]
+//!              [--ilp SECS] [--ilp-wave-size N] [--capacity N]
+//!              [--max-loss DB] [--max-delay PS] [--scale N/D] [--maps]
+//!              [--nets] [--svg FILE] [--emit-trace FILE]
 //! ```
 //!
 //! Reads designs in the `operon-netlist` text format (see
@@ -16,10 +15,6 @@
 //! thread; results are bit-identical for every count), `--run-report`
 //! writes the executor's per-stage JSON instrumentation, including each
 //! stage's wall time.
-//! `--tiles COLSxROWS` (or a single integer `N` for `NxN`) shards the
-//! crossing stage on a fixed die tile grid: discovery runs tile by tile
-//! with a boundary reconciliation pass, producing bit-identical results
-//! to the unsharded flow at a lower peak working set.
 //! `--ilp-wave-size` sets how many branch-and-bound nodes the exact
 //! selector expands per parallel wave (default 1 = sequential best-first;
 //! the explored tree depends on the wave size but never on the thread
@@ -38,7 +33,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: operon_route <design.sig>... [--threads N|auto] [--tiles RxC|N] \
+        "usage: operon_route <design.sig>... [--threads N|auto] \
          [--run-report FILE] [--ilp SECS] [--ilp-wave-size N] [--capacity N] [--max-loss DB] \
          [--max-delay PS] [--scale N/D] [--maps] [--nets] [--svg FILE] [--emit-trace FILE]"
     );
@@ -52,20 +47,6 @@ struct Options {
     scale: Option<(i64, i64)>,
     svg_path: Option<String>,
     emit_trace: bool,
-    /// Tile-shard the flow on a fixed (cols, rows) grid.
-    tiles: Option<(usize, usize)>,
-}
-
-/// Parses a `--tiles` spec: `COLSxROWS` or a single integer `N` = `NxN`.
-fn parse_tiles(spec: &str) -> Option<(usize, usize)> {
-    let (cols, rows) = match spec.split_once('x') {
-        Some((c, r)) => (c.parse::<usize>().ok()?, r.parse::<usize>().ok()?),
-        None => {
-            let n = spec.parse::<usize>().ok()?;
-            (n, n)
-        }
-    };
-    (cols > 0 && rows > 0).then_some((cols, rows))
 }
 
 fn main() -> ExitCode {
@@ -79,7 +60,6 @@ fn main() -> ExitCode {
         scale: None,
         svg_path: None,
         emit_trace: false,
-        tiles: None,
     };
     let mut threads = 0usize; // 0 = one worker per hardware thread
     let mut report_path: Option<String> = None;
@@ -101,13 +81,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 threads = n;
-                i += 2;
-            }
-            "--tiles" => {
-                let Some(tiles) = args.get(i + 1).and_then(|s| parse_tiles(s)) else {
-                    return usage();
-                };
-                opts.tiles = Some(tiles);
                 i += 2;
             }
             "--run-report" => {
@@ -334,11 +307,8 @@ fn route_one(
     }
 
     let config = opts.config.clone();
-    let mut flow = OperonFlow::new(config.clone()).with_executor(exec.clone());
-    if let Some((cols, rows)) = opts.tiles {
-        flow = flow.with_tiles(cols, rows);
-    }
-    let result = flow
+    let result = OperonFlow::new(config.clone())
+        .with_executor(exec.clone())
         .run(&design)
         .map_err(|e| format!("{path}: flow failed: {e}"))?;
 

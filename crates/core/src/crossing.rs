@@ -63,10 +63,9 @@
 //!
 //! Builds write records straight from the sorted hits: the grid build
 //! through the funnel, [`CrossingIndex::rebuild_delta`] by merging its
-//! retained rows with the funnel's recounted records, the tile-sharded
-//! build by a k-way merge of its per-tile runs. The neighbor and net
-//! arenas are derived last, after the hit buffer is freed. Record handles are positions in key
-//! order, re-derived by every build.
+//! retained rows with the funnel's recounted records. The neighbor and
+//! net arenas are derived last, after the hit buffer is freed. Record
+//! handles are positions in key order, re-derived by every build.
 
 use crate::codesign::{CandidateRoute, NetCandidates, PathLoss};
 use operon_exec::Executor;
@@ -142,9 +141,6 @@ pub enum ChosenBuild {
     Grid,
     /// Incremental [`CrossingIndex::rebuild_delta`] patch.
     Delta,
-    /// Tile-sharded build: per-tile hit discovery merged in tile order
-    /// (see [`crate::shard`]).
-    Sharded,
 }
 
 /// Provenance of the last build: which builder ran and whether the pair
@@ -445,7 +441,7 @@ impl CrossingIndex {
     /// Completes an index from its record arenas: derives the neighbor
     /// CSR and the net-level coupling CSR. `cand_base` is the global
     /// candidate id prefix over the nets the records were built from.
-    pub(crate) fn from_records(records: Records, cand_base: Vec<u32>, info: BuildInfo) -> Self {
+    fn from_records(records: Records, cand_base: Vec<u32>, info: BuildInfo) -> Self {
         let Records {
             mut keys,
             mut counts,
@@ -696,7 +692,7 @@ impl CrossingIndex {
 
 /// Record arenas under construction, appended in ascending key order —
 /// the one assembly target every builder fills.
-pub(crate) struct Records {
+struct Records {
     keys: Vec<u128>,
     counts: Vec<(u32, u32)>,
     ends: Vec<(u32, u32)>,
@@ -740,14 +736,6 @@ impl Records {
         let pc = record_view(&from.counts, &from.ends, &from.totals, i);
         self.push(from.keys[i], pc.per_path_a, pc.per_path_b, pc.total);
     }
-
-    /// Appends the record of one pair from the deduplicated hits a
-    /// spatial build found for it.
-    fn push_run(&mut self, asm: &mut Assembler<'_>, run: &[Hit]) {
-        let start = self.counts.len();
-        let (key, a_len) = asm.record(run, |entry| self.counts.push(entry));
-        self.close(key, start + a_len, run.len());
-    }
 }
 
 /// Record `i` of a set of record arenas: its side-A counts start where
@@ -772,14 +760,14 @@ fn record_view<'a>(
 /// candidates are ids `base[n]..base[n + 1]`, and `net_of` maps an id
 /// back to its net. Hits name candidates by id, so two ids compare like
 /// their `(net, cand)` pairs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct CandIds {
+#[derive(Debug)]
+struct CandIds {
     base: Vec<u32>,
     net_of: Vec<u32>,
 }
 
 impl CandIds {
-    pub(crate) fn new(nets: &[NetCandidates]) -> Self {
+    fn new(nets: &[NetCandidates]) -> Self {
         let mut base = Vec::with_capacity(nets.len() + 1);
         base.push(0u32);
         let total: usize = nets.iter().map(|nc| nc.candidates.len()).sum();
@@ -791,31 +779,11 @@ impl CandIds {
         Self { base, net_of }
     }
 
-    /// The id prefix over nets, `nets + 1` entries.
-    pub(crate) fn base(&self) -> &[u32] {
-        &self.base
-    }
-
-    pub(crate) fn into_base(self) -> Vec<u32> {
-        self.base
-    }
-
     /// The `(net, cand)` of global candidate id `id`.
     #[inline]
     fn split(&self, id: u32) -> (u32, u32) {
         let net = self.net_of[id as usize];
         (net, id - self.base[net as usize])
-    }
-
-    /// The `(net_a, net_b)` pair of a hit (`net_a < net_b`) — the delta
-    /// and tile-sharded retain filters classify hits by net id.
-    #[inline]
-    pub(crate) fn hit_nets(&self, hit: Hit) -> (usize, usize) {
-        let (a, b) = hit_cands(hit);
-        (
-            self.net_of[a as usize] as usize,
-            self.net_of[b as usize] as usize,
-        )
     }
 
     /// The packed pair key of a hit.
@@ -825,24 +793,6 @@ impl CandIds {
         let ((na, ca), (nb, cb)) = (self.split(a), self.split(b));
         pack_key(na, ca, nb, cb)
     }
-
-    /// `hits`, found under these ids, restated in `to`'s ids. Every net a
-    /// hit names must have the same candidate count under both; the map
-    /// is monotone, so a sorted list stays sorted.
-    pub(crate) fn remap(&self, to: &CandIds, hits: &[Hit]) -> Vec<Hit> {
-        let shift = |id: u32| {
-            let (net, cand) = self.split(id);
-            to.base[net as usize] + cand
-        };
-        hits.iter()
-            .map(|&hit| {
-                let (a, b) = hit_cands(hit);
-                (u128::from(shift(a)) << 96)
-                    | (u128::from(shift(b)) << 64)
-                    | (hit & u128::from(u64::MAX))
-            })
-            .collect()
-    }
 }
 
 /// A spatial-build crossing in packed form: global candidate ids of
@@ -850,7 +800,7 @@ impl CandIds {
 /// indexes of A and B, 32 bits each from the top. Integer order is
 /// `(pair key, segments)` order, so sorting and deduplicating plain
 /// `u128`s groups each pair's hits into one run.
-pub(crate) type Hit = u128;
+type Hit = u128;
 
 #[inline]
 fn pack_hit(p: &SegRef, q: &SegRef) -> Hit {
@@ -870,11 +820,6 @@ fn hit_cands(hit: Hit) -> (u32, u32) {
 #[inline]
 fn same_pair(x: &Hit, y: &Hit) -> bool {
     x >> 64 == y >> 64
-}
-
-/// Distinct candidate pairs in a sorted hit list.
-fn count_runs(hits: &[Hit]) -> usize {
-    hits.chunk_by(same_pair).count()
 }
 
 /// `(net_a, cand_a, net_b, cand_b)` packed so that integer order equals
@@ -931,10 +876,10 @@ fn collect_segments(
 }
 
 /// Grid-bucketed crossing pairs over the flattened segments: the one
-/// crossing kernel, shared by the full build, [`CrossingIndex::rebuild_delta`]
-/// and [`subset_hits`]. Returns one buffer of `(side A, side B)` segment
-/// indexes per run of cells, side A on the lower net, and whether the
-/// pair tests ran on the executor's workers.
+/// crossing kernel, shared by the full build and
+/// [`CrossingIndex::rebuild_delta`]. Returns one buffer of `(side A,
+/// side B)` segment indexes per run of cells, side A on the lower net,
+/// and whether the pair tests ran on the executor's workers.
 ///
 /// Each crossing is reported once, by the cell that owns its crossing
 /// point; only [`SegmentGrid::owns_crossing`]'s overflow fallback (far
@@ -1015,25 +960,6 @@ fn grid_pairs(
         .map(|(_, out)| out.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect();
     (pairs, parallel)
-}
-
-/// Packed hits among the nets flagged in `involved`, from a grid pass
-/// over the subset's segments, with candidates named by `ids`. Unsorted;
-/// the caller owns the sort + dedup (the tile-sharded build filters,
-/// merges, and deduplicates tile outputs before assembly).
-pub(crate) fn subset_hits(
-    nets: &[NetCandidates],
-    ids: &CandIds,
-    involved: &[bool],
-    exec: &Executor,
-) -> Vec<Hit> {
-    let segs = collect_segments(nets, ids, |i| involved[i]);
-    let (pairs, _) = grid_pairs(&segs, None, exec);
-    pairs
-        .iter()
-        .flatten()
-        .map(|&(ia, ib)| pack_hit(&segs[ia as usize], &segs[ib as usize]))
-        .collect()
 }
 
 /// The crossing funnel: turns the grid's pair buffers into records in
@@ -1227,53 +1153,8 @@ struct RangeOut<'a> {
     counts: &'a mut [(u32, u32)],
 }
 
-/// Assembles crossing records from several sorted, deduplicated,
-/// **key-disjoint** hit runs via a k-way merge — the tile-sharded
-/// build's funnel. Equivalent to concatenating the runs, sorting and
-/// deduplicating, then assembling one record per pair, but without ever
-/// materializing the merged hit buffer.
-///
-/// Disjointness (no key occurs in two runs) is what the shard retain
-/// rule guarantees; every hit of a key therefore sits contiguously in
-/// exactly one run, so each group can be assembled straight from its
-/// run slice.
-pub(crate) fn assemble_sorted_runs(
-    nets: &[NetCandidates],
-    ids: &CandIds,
-    runs: &[&[Hit]],
-) -> Records {
-    let pairs: usize = runs.iter().map(|run| count_runs(run)).sum();
-    let mut records = Records::with_capacity(pairs);
-    let mut used = vec![false; ids.net_of.len()];
-    for &hit in runs.iter().copied().flatten() {
-        let (a, b) = hit_cands(hit);
-        used[a as usize] = true;
-        used[b as usize] = true;
-    }
-    let paths = SegPaths::new(nets, ids, &used);
-    drop(used);
-    let mut asm = Assembler::new(ids, &paths);
-    let mut pos = vec![0usize; runs.len()];
-    loop {
-        // The run holding the smallest unconsumed key.
-        let mut best: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            if pos[r] < run.len() && best.is_none_or(|b: usize| run[pos[r]] < runs[b][pos[b]]) {
-                best = Some(r);
-            }
-        }
-        let Some(r) = best else { break };
-        let run = &runs[r][pos[r]..];
-        let len = run.iter().take_while(|hit| same_pair(hit, &run[0])).count();
-        records.push_run(&mut asm, &run[..len]);
-        pos[r] += len;
-    }
-    records
-}
-
-/// Union bbox of each net's optical candidates (the net-level prefilter;
-/// also the tile-sharded build's interior/boundary classifier).
-pub(crate) fn net_bboxes(nets: &[NetCandidates]) -> Vec<Option<BoundingBox>> {
+/// Union bbox of each net's optical candidates (the net-level prefilter).
+fn net_bboxes(nets: &[NetCandidates]) -> Vec<Option<BoundingBox>> {
     nets.iter()
         .map(|nc| {
             nc.candidates
@@ -2159,10 +2040,6 @@ mod tests {
             let grid = CrossingIndex::build(&nets);
             assert_csr_matches_records(&grid, &nets, "grid");
             assert_csr_matches_records(&CrossingIndex::build_reference(&nets), &nets, "reference");
-            let die = BoundingBox::new(Point::new(0, 0), Point::new(47, 47));
-            let tiles = crate::shard::TileGrid::new(die, 2, 2);
-            let sharded = crate::shard::build_sharded(&nets, &tiles, &Executor::sequential());
-            assert_csr_matches_records(&sharded, &nets, "sharded");
             // A replacement with a different candidate count shifts every
             // later net's global candidate ids.
             let target = which % nets.len();

@@ -184,8 +184,6 @@ impl FlowResult {
 pub struct OperonFlow {
     config: OperonConfig,
     exec: Executor,
-    /// Tile-shard the crossing stage on this `(cols, rows)` grid.
-    tiles: Option<(usize, usize)>,
 }
 
 impl OperonFlow {
@@ -200,7 +198,6 @@ impl OperonFlow {
         Self {
             config,
             exec: Executor::sequential(),
-            tiles: None,
         }
     }
 
@@ -233,24 +230,6 @@ impl OperonFlow {
         &self.config
     }
 
-    /// Shards the crossing stage on a fixed `cols × rows` tile grid over
-    /// the design's die (see [`crate::shard`] and
-    /// [`WarmSession::with_tiles`]). The per-tile hit lists are freed as
-    /// soon as the index is merged, so die-scale runs peak lower. The
-    /// result is **bit-identical** to the unsharded run for every tile
-    /// grid and thread count — sharding changes the work schedule and
-    /// the peak working set, never the answer.
-    ///
-    /// # Panics
-    ///
-    /// When `cols` or `rows` is zero.
-    #[must_use]
-    pub fn with_tiles(mut self, cols: usize, rows: usize) -> Self {
-        assert!(cols > 0 && rows > 0, "tile grid needs at least one tile");
-        self.tiles = Some((cols, rows));
-        self
-    }
-
     /// Runs the full flow on `design`: a one-shot [`WarmSession`] on a
     /// copy of it, consumed by [`WarmSession::into_result`]. The
     /// executor's run report gets one record per stage.
@@ -265,12 +244,7 @@ impl OperonFlow {
     /// * [`OperonError::WdmInfeasible`] if the WDM stage cannot carry the
     ///   selected channel demand.
     pub fn run(&self, design: &Design) -> Result<FlowResult, OperonError> {
-        let mut session =
-            WarmSession::open(design.clone(), self.config.clone(), self.exec.clone())?;
-        if let Some((cols, rows)) = self.tiles {
-            session = session.with_tiles(cols, rows);
-        }
-        session.into_result()
+        WarmSession::open(design.clone(), self.config.clone(), self.exec.clone())?.into_result()
     }
 
     /// Runs the GLOW-like optical baseline on the same clustering, for

@@ -49,7 +49,6 @@ pub mod lr;
 pub mod render;
 pub mod report;
 pub mod session;
-pub mod shard;
 pub mod timing;
 pub mod topology;
 pub mod wdm;
@@ -60,4 +59,3 @@ pub use crossing::{BuildInfo, ChosenBuild, CrossingIndex};
 pub use error::OperonError;
 pub use flow::{FlowResult, OperonFlow};
 pub use session::{RouteSummary, SessionStats, WarmSession};
-pub use shard::{ShardPartition, TileGrid};

@@ -222,26 +222,6 @@ pub fn select_lr_in(
     exec: &Executor,
     ws: &mut LrWorkspace,
 ) -> SelectionResult {
-    select_lr_in_ordered(nets, crossings, config, exec, ws, None)
-}
-
-/// [`select_lr_in`] with the per-net parallel maps iterated in an
-/// explicit net `order` (the tile-sharded flow's schedule: interior
-/// nets tile by tile, boundary nets last, so the boundary chunk prices
-/// against the merged crossing index as the reconciliation pass).
-/// Results are scattered back to global net positions; since the two
-/// maps are pure per-net functions of the frozen previous iterate, the
-/// outcome is bit-identical to [`select_lr_in`] for every schedule and
-/// thread count. The sequential multiplier updates, convergence test,
-/// and repair pass are untouched — they stay in global net order.
-pub fn select_lr_in_ordered(
-    nets: &[NetCandidates],
-    crossings: &CrossingIndex,
-    config: &OperonConfig,
-    exec: &Executor,
-    ws: &mut LrWorkspace,
-    order: Option<&[u32]>,
-) -> SelectionResult {
     let start = operon_exec::Stopwatch::start();
     let lib = &config.optical;
 
@@ -259,7 +239,7 @@ pub fn select_lr_in_ordered(
     } = ws;
 
     // Start from the unloaded greedy selection.
-    let mut choice: Vec<usize> = crate::shard::ordered_map_indexed(exec, nets, order, |i, nc| {
+    let mut choice: Vec<usize> = exec.par_map_indexed(nets, |i, nc| {
         best_candidate(nc, i, lambda, None, crossings, lib)
     });
 
@@ -287,7 +267,7 @@ pub fn select_lr_in_ordered(
                     .iter()
                     .any(|&m| lambda_changed[m as usize] || prev_selection_changed[m as usize]);
         }
-        choice = crate::shard::ordered_map_indexed(exec, nets, order, |i, nc| {
+        choice = exec.par_map_indexed(nets, |i, nc| {
             if price_dirty[i] {
                 best_candidate(nc, i, lambda, Some(&previous), crossings, lib)
             } else {
@@ -315,10 +295,9 @@ pub fn select_lr_in_ordered(
                     .iter()
                     .any(|&m| selection_changed[m as usize]);
         }
-        let fresh: Vec<Option<Vec<f64>>> =
-            crate::shard::ordered_map_indexed(exec, nets, order, |i, _| {
-                loads_dirty[i].then(|| loaded_path_losses(nets, crossings, &choice, i, lib))
-            });
+        let fresh: Vec<Option<Vec<f64>>> = exec.par_map_indexed(nets, |i, _| {
+            loads_dirty[i].then(|| loaded_path_losses(nets, crossings, &choice, i, lib))
+        });
         for (row, f) in loads.iter_mut().zip(fresh) {
             if let Some(v) = f {
                 *row = v;

@@ -36,10 +36,6 @@
 //! * when every reused hyper net keeps its dense index, the crossing
 //!   index is patched via [`CrossingIndex::rebuild_delta`] instead of
 //!   rebuilt;
-//! * tile-sharded sessions ([`WarmSession::with_tiles`]) additionally
-//!   keep each tile's discovered hit list; an ECO re-runs crossing
-//!   discovery only on tiles whose involved nets changed and re-merges
-//!   the lists through the canonical funnel;
 //! * selection re-runs globally (a local change can shift the crossing
 //!   coupling anywhere), with the LR pricer's within-call dirty sets;
 //! * WDM planning re-runs via [`wdm::plan_resident_with`], which is
@@ -58,8 +54,7 @@ use crate::config::{DirtyStage, OperonConfig, Selector};
 use crate::crossing::ChosenBuild;
 use crate::flow::FlowResult;
 use crate::formulation::{select_ilp_with, selection_feasible, SelectionResult};
-use crate::lr::{select_lr_in_ordered, LrStats, LrWorkspace};
-use crate::shard::{build_cache, refresh_cache, ShardCache, TileGrid};
+use crate::lr::{select_lr_in, LrStats, LrWorkspace};
 use crate::wdm::{self, ResidentAssignment, WdmPlan, WdmProbe, WdmStats};
 use crate::{CrossingIndex, OperonError};
 use operon_cluster::{group_clusters, HyperNet, HyperNetId};
@@ -91,8 +86,8 @@ pub struct SessionStats {
     /// crossing, selection, WDM) answered from resident artifacts,
     /// summed over every route. Cached routes count all five; a
     /// config-partial route counts its clean prefix; ECO routes count
-    /// zero (their reuse is finer-grained — see the group/net/tile
-    /// counters).
+    /// zero (their reuse is finer-grained — see the group, net and
+    /// crossing counters).
     pub stages_reused: u64,
     /// Whole pipeline stages re-run, summed over every route.
     pub stages_rerun: u64,
@@ -108,13 +103,6 @@ pub struct SessionStats {
     pub crossing_delta_rebuilds: u64,
     /// Crossing indexes built from scratch.
     pub crossing_full_builds: u64,
-    /// Sharded sessions only: tile passes whose cached hit lists were
-    /// reused across an ECO (involved set unchanged, no involved net
-    /// touched).
-    pub tiles_reused: u64,
-    /// Sharded sessions only: tile/boundary passes that re-ran
-    /// discovery.
-    pub tiles_resharded: u64,
     /// WDM deletion what-if probes run.
     pub probes: u64,
     /// Configuration replacements.
@@ -158,10 +146,6 @@ struct WarmState {
     hyper_nets: Vec<HyperNet>,
     candidates: Vec<NetCandidates>,
     crossings: CrossingIndex,
-    /// The sharded crossing build's resident per-tile state, kept so
-    /// ECOs re-run discovery only on dirty tiles. `None` for unsharded
-    /// sessions.
-    shard: Option<ShardCache>,
     selection: SelectionResult,
     wdm: WdmPlan,
     resident: ResidentAssignment,
@@ -207,14 +191,6 @@ pub struct WarmSession {
     config: OperonConfig,
     exec: Executor,
     design: Design,
-    /// Tile-shard the crossing stage on this fixed grid (cols, rows).
-    /// `None` routes monolithically. Purely a scheduling choice — the
-    /// resident result is identical either way.
-    tiles: Option<(usize, usize)>,
-    /// Set by [`into_result`](WarmSession::into_result): no later
-    /// request reuses a tile's hit list, so the crossing stage frees
-    /// them before the index arena goes up.
-    one_shot: bool,
     state: Option<WarmState>,
     /// First pipeline stage the resident state is stale for, escalated
     /// across `set_config` calls since the last route. Meaningful only
@@ -244,31 +220,11 @@ impl WarmSession {
             config,
             exec,
             design,
-            tiles: None,
-            one_shot: false,
             state: None,
             dirty: DirtyStage::Clean,
             stats: SessionStats::default(),
             lr_ws: LrWorkspace::new(),
         })
-    }
-
-    /// Shards the crossing stage on a fixed `cols` × `rows` tile grid:
-    /// cold routes run the per-tile discovery passes concurrently, and
-    /// ECOs re-run discovery only on tiles whose involved nets changed.
-    /// Results stay identical to the unsharded session — sharding is a
-    /// schedule, not an approximation. Drops any resident state.
-    ///
-    /// # Panics
-    ///
-    /// When `cols` or `rows` is zero.
-    #[must_use]
-    pub fn with_tiles(mut self, cols: usize, rows: usize) -> Self {
-        assert!(cols > 0 && rows > 0, "tile grid needs at least one tile");
-        self.tiles = Some((cols, rows));
-        self.state = None;
-        self.dirty = DirtyStage::Clean;
-        self
     }
 
     /// The current design.
@@ -347,16 +303,12 @@ impl WarmSession {
 
     /// Consumes the session and hands over its routed artifacts, routing
     /// first unless the resident result is current. This is what
-    /// [`crate::flow::OperonFlow::run`] calls: nothing reuses a one-shot
-    /// session's tile hit lists, so a sharded crossing stage frees them
-    /// before the neighbor arena goes up, as the unsharded build frees
-    /// its hit buffer.
+    /// [`crate::flow::OperonFlow::run`] calls.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`route`](WarmSession::route).
     pub fn into_result(mut self) -> Result<FlowResult, OperonError> {
-        self.one_shot = true;
         self.route()?;
         let Some(state) = self.state else {
             return Err(OperonError::SelectionFailed(
@@ -607,13 +559,12 @@ impl WarmSession {
             }
             Reuse::Nothing => None,
         };
-        let (hyper_nets, candidates, crossings, shard, kept_selection) = match reuse {
+        let (hyper_nets, candidates, crossings, kept_selection) = match reuse {
             // Selection or WDM dirty: stages 1–3 keep their outputs.
             Reuse::Prefix(prev) if from <= DirtyStage::Selection => (
                 prev.hyper_nets,
                 prev.candidates,
                 prev.crossings,
-                prev.shard,
                 (from <= DirtyStage::Wdm).then_some(prev.selection),
             ),
             reuse => {
@@ -625,24 +576,22 @@ impl WarmSession {
                     ),
                     Reuse::Groups(old, prev) => (
                         self.clustering_stage(Some((&old, prev.hyper_nets, prev.candidates))),
-                        Some((prev.crossings, prev.shard)),
+                        Some(prev.crossings),
                     ),
                     Reuse::Prefix(_) | Reuse::Nothing => (self.clustering_stage(None), None),
                 };
                 let resolved = self.resolved(clustered.iter().map(|(net, _)| net));
                 let (hyper_nets, candidates, changed, in_place) =
                     self.codesign_stage(from, clustered, &resolved);
-                let (crossings, shard) =
+                let crossings =
                     self.crossing_stage(&candidates, patch.filter(|_| in_place), &changed);
-                (hyper_nets, candidates, crossings, shard, None)
+                (hyper_nets, candidates, crossings, None)
             }
         };
         let resolved = self.resolved(hyper_nets.iter());
         let selection = match kept_selection {
             Some(selection) => selection,
-            None => {
-                self.selection_stage(from, &candidates, &crossings, shard.as_ref(), &resolved)?
-            }
+            None => self.selection_stage(from, &candidates, &crossings, &resolved)?,
         };
         let (wdm, resident) =
             self.wdm_stage(from, &candidates, &selection.choice, &resolved, prior_wdm)?;
@@ -650,7 +599,6 @@ impl WarmSession {
             hyper_nets,
             candidates,
             crossings,
-            shard,
             selection,
             wdm,
             resident,
@@ -771,59 +719,25 @@ impl WarmSession {
         (hyper_nets, candidates, changed, in_place)
     }
 
-    /// Stage 3, crossing analysis: patches `patch` — the resident index
-    /// and tile cache, offered only while every kept net kept its index
-    /// — for the `changed` nets, or builds from scratch. Tiled sessions
-    /// discover hits tile by tile and re-run only dirty tiles.
+    /// Stage 3, crossing analysis: patches `patch` — the resident index,
+    /// offered only while every kept net kept its index — for the
+    /// `changed` nets, or builds from scratch.
     fn crossing_stage(
         &mut self,
         candidates: &[NetCandidates],
-        patch: Option<(CrossingIndex, Option<ShardCache>)>,
+        patch: Option<CrossingIndex>,
         changed: &[usize],
-    ) -> (CrossingIndex, Option<ShardCache>) {
+    ) -> CrossingIndex {
         let mut stage = self.exec.stage("crossing");
-        let (idx, shard) = match (self.tiles, patch) {
-            (Some((cols, rows)), patch) => {
-                let grid = TileGrid::new(self.design.die(), cols, rows);
-                // A cached tile's hit list keys nets by dense index, so
-                // reuse needs the delta patch's index stability — and
-                // the same grid.
-                let cache = match patch
-                    .and_then(|(_, shard)| shard)
-                    .filter(|c| c.grid == grid)
-                {
-                    Some(prev) => {
-                        let (cache, reused, resharded) =
-                            refresh_cache(&prev, candidates, changed, &self.exec);
-                        stage.record("tiles_reused", reused);
-                        self.stats.tiles_reused += reused;
-                        stage.record("tiles_resharded", resharded);
-                        self.stats.tiles_resharded += resharded;
-                        cache
-                    }
-                    None => {
-                        self.stats.crossing_full_builds += 1;
-                        let cache = build_cache(candidates, grid, &self.exec);
-                        let resharded = cache.pass_count() as u64;
-                        stage.record("tiles_resharded", resharded);
-                        self.stats.tiles_resharded += resharded;
-                        cache
-                    }
-                };
-                if self.one_shot {
-                    (cache.into_index(candidates), None)
-                } else {
-                    (cache.assemble(candidates), Some(cache))
-                }
-            }
-            (None, Some((prev, _))) => {
+        let idx = match patch {
+            Some(prev) => {
                 stage.record("crossing_delta_rebuild", 1);
                 self.stats.crossing_delta_rebuilds += 1;
-                (prev.rebuild_delta(candidates, changed), None)
+                prev.rebuild_delta(candidates, changed)
             }
-            (None, None) => {
+            None => {
                 self.stats.crossing_full_builds += 1;
-                (CrossingIndex::build_with(candidates, &self.exec), None)
+                CrossingIndex::build_with(candidates, &self.exec)
             }
         };
         // Which builder ran, whether the pair tests used the workers,
@@ -835,40 +749,28 @@ impl WarmSession {
             ChosenBuild::BruteForce => "crossing_build_brute",
             ChosenBuild::Grid => "crossing_build_grid",
             ChosenBuild::Delta => "crossing_build_delta",
-            ChosenBuild::Sharded => "crossing_build_sharded",
         };
         stage.record(strategy, 1);
         stage.record("crossing_build_parallel", u64::from(info.parallel));
         stage.record("crossing_pairs", idx.len() as u64);
         stage.record("crossing_hits", idx.segment_crossings());
         stage.record("crossing_index_kib", idx.heap_bytes().div_ceil(1024) as u64);
-        (idx, shard)
+        idx
     }
 
     /// Stage 4, selection: the exact ILP warm-started by the LR
     /// heuristic, or the LR heuristic alone, on the session's pricing
-    /// arenas. A tiled session prices net by net in tile order with the
-    /// boundary nets last; the scatter restores net order, so the
-    /// choice is the same for every schedule.
+    /// arenas.
     fn selection_stage(
         &mut self,
         from: DirtyStage,
         candidates: &[NetCandidates],
         crossings: &CrossingIndex,
-        shard: Option<&ShardCache>,
         resolved: &OperonConfig,
     ) -> Result<SelectionResult, OperonError> {
         let mut stage = self.exec.stage("selection");
         self.stamp(&mut stage, from == DirtyStage::Selection);
-        let order = shard.map(|cache| cache.part.schedule());
-        let lr = select_lr_in_ordered(
-            candidates,
-            crossings,
-            resolved,
-            &self.exec,
-            &mut self.lr_ws,
-            order.as_deref(),
-        );
+        let lr = select_lr_in(candidates, crossings, resolved, &self.exec, &mut self.lr_ws);
         let selection = match resolved.selector {
             Selector::Ilp { time_limit_secs } => {
                 // The LR choice warm-starts the exact solver, so a
@@ -1041,10 +943,9 @@ mod tests {
     }
 
     /// A 2 cm die split into four quadrants, one long optical-capable
-    /// bus interior to each, plus a die-spanning diagonal bus that stays
-    /// boundary under any non-trivial tile grid. Hand-placed so a 2x2
-    /// shard has one interior net per tile — ECOs touching one quadrant
-    /// must leave the other three tiles' cached hit lists untouched.
+    /// bus interior to each, plus one die-spanning diagonal bus.
+    /// Hand-placed so an ECO can touch one quadrant while the others
+    /// stay put.
     fn quadrant_design() -> Design {
         let die = operon_geom::BoundingBox::new(Point::new(0, 0), Point::new(19_999, 19_999));
         let mut d = Design::new("quad", die);
@@ -1083,91 +984,59 @@ mod tests {
         d
     }
 
-    #[test]
-    fn sharded_session_matches_unsharded_across_ecos() {
-        let design = quadrant_design();
-        for threads in [1, 2, 8] {
-            let mut plain = WarmSession::open(
-                design.clone(),
-                OperonConfig::default(),
-                Executor::new(threads),
-            )
+    /// Asserts the session's resident result equals a fresh one-shot
+    /// run of its current design at `threads` workers.
+    fn assert_matches_fresh(s: &WarmSession, threads: usize) {
+        let fresh = OperonFlow::new(OperonConfig::default())
+            .with_threads(threads)
+            .run(s.design())
             .unwrap();
-            let mut sharded = WarmSession::open(
-                design.clone(),
-                OperonConfig::default(),
-                Executor::new(threads),
-            )
-            .unwrap()
-            .with_tiles(2, 2);
-
-            let a = plain.route().unwrap();
-            let b = sharded.route().unwrap();
-            assert_eq!(a, b, "cold sharded route diverged at {threads} threads");
-
-            // An appended bus interior to quadrant 0 keeps every prior
-            // net's dense index, so only tile 0 re-runs discovery.
-            let p = Point::new(600, 600);
-            let q = Point::new(8_800, 8_800);
-            let a = plain.add_bus("eco", 4, p, q, 12).unwrap();
-            let b = sharded.add_bus("eco", 4, p, q, 12).unwrap();
-            assert_eq!(a, b, "post-ECO sharded route diverged at {threads} threads");
-
-            // Nudging quadrant 3's bus dirties only tile 3.
-            let a = plain.move_pins(3, 15, -9).unwrap();
-            let b = sharded.move_pins(3, 15, -9).unwrap();
-            assert_eq!(a.power_mw, b.power_mw);
-            assert_eq!(a.wdm_final, b.wdm_final);
-
-            let stats = sharded.stats();
-            assert_eq!(
-                stats.tiles_reused, 6,
-                "each ECO must reuse the three untouched tiles (stats: {stats:?})"
-            );
-            assert_eq!(
-                stats.tiles_resharded,
-                5 + 2,
-                "cold build runs all five passes; each ECO re-runs one tile"
-            );
-            assert_eq!(plain.fingerprint(), sharded.fingerprint());
-
-            // The resident result also matches a fresh monolithic run.
-            let fresh = OperonFlow::new(OperonConfig::default())
-                .run(sharded.design())
-                .unwrap();
-            assert_eq!(fresh.selection.choice, sharded.selection().unwrap().choice);
-        }
+        assert_eq!(s.selection().unwrap().choice, fresh.selection.choice);
+        assert_eq!(
+            s.selection().unwrap().power_mw.to_bits(),
+            fresh.total_power_mw().to_bits()
+        );
+        assert_eq!(s.wdm_plan().unwrap().wdms, fresh.wdm.wdms);
+        assert_eq!(s.hyper_nets().unwrap(), fresh.hyper_nets.as_slice());
     }
 
+    /// ECOs that keep every prior net's dense index (an appended bus, a
+    /// pin move) patch the crossing index instead of rebuilding it, and
+    /// the patched session still matches a fresh run.
     #[test]
-    fn sharded_session_stats_are_thread_invariant() {
-        let design = generate(&SynthConfig::medium(), 5);
-        let mut baseline = None;
+    fn index_keeping_ecos_take_the_delta_path() {
+        let design = quadrant_design();
         for threads in [1, 2, 8] {
             let mut s = WarmSession::open(
                 design.clone(),
                 OperonConfig::default(),
                 Executor::new(threads),
             )
-            .unwrap()
-            .with_tiles(2, 2);
+            .unwrap();
             s.route().unwrap();
-            s.add_bus("w", 3, Point::new(64, 64), Point::new(512, 512), 8)
-                .unwrap();
-            let stats = s.close();
-            match &baseline {
-                None => baseline = Some(stats),
-                Some(b) => assert_eq!(*b, stats, "stats diverged at {threads} threads"),
-            }
+            assert_eq!(s.stats().crossing_full_builds, 1);
+
+            let p = Point::new(600, 600);
+            let q = Point::new(8_800, 8_800);
+            assert!(s.add_bus("eco", 4, p, q, 12).unwrap().warm);
+            assert_matches_fresh(&s, threads);
+            assert!(s.move_pins(3, 15, -9).unwrap().warm);
+            assert_matches_fresh(&s, threads);
+
+            let stats = s.stats();
+            assert_eq!(
+                (stats.crossing_full_builds, stats.crossing_delta_rebuilds),
+                (1, 2),
+                "index-keeping ECOs must patch the index ({stats:?})"
+            );
         }
     }
 
     /// Removing a non-last group shifts the dense index of every later
-    /// group's nets, so a tiled session can reuse neither the crossing
-    /// index nor a tile's hit list: it rebuilds the sharded index from
-    /// scratch and still matches a fresh unsharded run.
+    /// group's nets, so the session cannot patch the crossing index: it
+    /// builds it from scratch and still matches a fresh run.
     #[test]
-    fn tiled_eco_that_shifts_indices_rebuilds_every_tile() {
+    fn eco_that_shifts_indices_rebuilds_the_crossing_index() {
         let design = quadrant_design();
         let mut trimmed = Design::new(design.name(), design.die());
         for g in design.groups().iter().filter(|g| g.id().index() != 1) {
@@ -1180,8 +1049,7 @@ mod tests {
                 OperonConfig::default(),
                 Executor::new(threads),
             )
-            .unwrap()
-            .with_tiles(2, 2);
+            .unwrap();
             s.route().unwrap();
             let before = s.stats();
             let eco = s.apply_design(trimmed.clone()).unwrap();
@@ -1192,18 +1060,14 @@ mod tests {
             assert_eq!(
                 after.crossing_full_builds,
                 before.crossing_full_builds + 1,
-                "shifted indices must force a full sharded build ({after:?})"
+                "shifted indices must force a full crossing build ({after:?})"
             );
-            assert_eq!(after.tiles_reused, before.tiles_reused);
-
-            let fresh = OperonFlow::new(OperonConfig::default())
-                .with_threads(threads)
-                .run(&trimmed)
-                .unwrap();
-            assert_eq!(s.selection().unwrap().choice, fresh.selection.choice);
-            assert_eq!(eco.power_mw.to_bits(), fresh.total_power_mw().to_bits());
-            assert_eq!(s.wdm_plan().unwrap().wdms, fresh.wdm.wdms);
-            assert_eq!(s.hyper_nets().unwrap(), fresh.hyper_nets.as_slice());
+            assert_eq!(
+                after.crossing_delta_rebuilds,
+                before.crossing_delta_rebuilds
+            );
+            assert_eq!(s.design(), &trimmed);
+            assert_matches_fresh(&s, threads);
 
             // A design without groups is rejected and changes nothing.
             let fp = s.fingerprint();

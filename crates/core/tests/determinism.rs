@@ -3,15 +3,18 @@
 //! The `operon-exec` contract says parallelism never changes results —
 //! only which worker computes them. These tests pin that down end to end:
 //! the same seeded benchmark routed with 1, 2, and 8 workers must produce
-//! bit-identical total power, the same per-net candidate choices, and the
-//! same WDM plan.
+//! bit-identical total power, the same per-net candidate choices, the
+//! same LR work counters, and the same WDM plan.
 
 use operon::config::{OperonConfig, Selector};
 use operon::flow::{FlowResult, OperonFlow};
 use operon::session::WarmSession;
 use operon::CrossingIndex;
 use operon_exec::Executor;
+use operon_geom::{BoundingBox, Point};
 use operon_netlist::synth::{generate, SynthConfig};
+use operon_netlist::{Bit, BitId, Design, GroupId, SignalGroup};
+use proptest::prelude::*;
 
 fn run_with_threads(threads: usize, config: &OperonConfig, seed: u64) -> FlowResult {
     let design = generate(&SynthConfig::small(), seed);
@@ -29,6 +32,10 @@ fn assert_identical(a: &FlowResult, b: &FlowResult, label: &str) {
         "{label}: power bits ({} vs {})",
         a.total_power_mw(),
         b.total_power_mw()
+    );
+    assert_eq!(
+        a.selection.lr_stats, b.selection.lr_stats,
+        "{label}: LR stats"
     );
     assert_eq!(
         a.wdm.connections, b.wdm.connections,
@@ -56,6 +63,77 @@ fn lr_flow_is_bit_identical_across_thread_counts() {
             let many = run_with_threads(threads, &config, seed);
             assert_identical(&one, &many, &format!("seed {seed}, threads {threads}"));
         }
+    }
+}
+
+/// Runs `design` at threads {1, 2, 8} and checks each plan against a
+/// first run at one thread.
+fn assert_thread_identical(design: &Design, label: &str) {
+    let run = |threads: usize| {
+        OperonFlow::new(OperonConfig::default())
+            .with_threads(threads)
+            .run(design)
+            .expect("flow succeeds")
+    };
+    let reference = run(1);
+    for threads in [1, 2, 8] {
+        assert_identical(
+            &reference,
+            &run(threads),
+            &format!("{label}, threads {threads}"),
+        );
+    }
+}
+
+#[test]
+fn medium_fixture_is_bit_identical_across_thread_counts() {
+    let design = generate(&SynthConfig::medium(), 5);
+    assert_thread_identical(&design, "medium seed 5");
+}
+
+/// A random soup of buses on a 2 cm die: a mix of long (optical-capable)
+/// and short (electrical-only) runs at arbitrary positions.
+fn arb_design() -> impl Strategy<Value = Design> {
+    let bus = (
+        0i64..12_000,
+        0i64..12_000,
+        proptest::collection::vec((-7_900i64..7_900, -7_900i64..7_900), 1..3),
+        1usize..5,
+    );
+    proptest::collection::vec(bus, 2..10).prop_map(|buses| {
+        let die = BoundingBox::new(Point::new(0, 0), Point::new(19_999, 19_999));
+        let mut d = Design::new("soup", die);
+        for (g, (x, y, sinks, bits)) in buses.into_iter().enumerate() {
+            let clamp = |v: i64| v.clamp(0, 19_950);
+            let group_bits = (0..bits)
+                .map(|i| {
+                    let off = 10 * i as i64;
+                    Bit::new(
+                        BitId::new(i as u32),
+                        Point::new(clamp(x), clamp(y + off)),
+                        sinks
+                            .iter()
+                            .map(|&(dx, dy)| Point::new(clamp(x + dx), clamp(y + dy + off)))
+                            .collect(),
+                    )
+                })
+                .collect();
+            d.push_group(SignalGroup::new(
+                GroupId::new(g as u32),
+                format!("b{g}"),
+                group_bits,
+            ));
+        }
+        d
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn random_designs_are_bit_identical_across_thread_counts(design in arb_design()) {
+        assert_thread_identical(&design, "random bus soup");
     }
 }
 

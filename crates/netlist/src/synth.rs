@@ -102,13 +102,12 @@ impl SynthConfig {
         }
     }
 
-    /// A die-scale configuration for the tile-sharded flow: `target_bits`
-    /// total bits (benches use 10k–100k+) on a large PIC-class die, as
-    /// wide buses between clustered hub regions. Hub count grows with the
-    /// design so traffic stays *regionally* clustered — buses flow
-    /// between nearby hub clusters and the edge interface bands instead
-    /// of criss-crossing the whole die, which is what makes a spatial
-    /// tile decomposition effective.
+    /// A die-scale configuration: `target_bits` total bits (benches use
+    /// 10k–100k+) on a large PIC-class die, as wide buses between
+    /// clustered hub regions. Hub count grows with the design so traffic
+    /// stays *regionally* clustered — buses flow between nearby hub
+    /// clusters and the edge interface bands instead of criss-crossing
+    /// the whole die.
     pub fn die_scale(target_bits: usize) -> Self {
         Self {
             name: format!("die{}k", target_bits.div_ceil(1000)),
