@@ -16,6 +16,9 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc -D warnings: no broken intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> operon-lint --workspace (v2: call graph + R003/N001/P002, zero deny)"
 cargo run -p operon-lint --release -q -- --workspace
 

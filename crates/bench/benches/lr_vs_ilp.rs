@@ -9,9 +9,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use operon::codesign::{generate_candidates, NetCandidates};
 use operon::config::OperonConfig;
 use operon::formulation::select_ilp;
-use operon::lr::select_lr;
+use operon::lr::{select_lr, LrWorkspace};
 use operon::CrossingIndex;
 use operon_cluster::build_hyper_nets;
+use operon_exec::Executor;
 use operon_netlist::synth::{generate, SynthConfig};
 use std::time::Duration;
 
@@ -42,7 +43,7 @@ fn selection_instance(
         .enumerate()
         .map(|(i, n)| generate_candidates(n, i, &config))
         .collect();
-    let crossings = CrossingIndex::build(&candidates);
+    let crossings = CrossingIndex::build_with(&candidates, &Executor::sequential());
     (candidates, crossings, config)
 }
 
@@ -52,7 +53,15 @@ fn bench_selectors(c: &mut Criterion) {
     let mut group = c.benchmark_group("selection");
     group.sample_size(10);
     group.bench_function("lr_600bits_contested", |b| {
-        b.iter(|| select_lr(&nets, &crossings, &config))
+        b.iter(|| {
+            select_lr(
+                &nets,
+                &crossings,
+                &config,
+                &Executor::sequential(),
+                &mut LrWorkspace::new(),
+            )
+        })
     });
     group.bench_function("ilp_600bits_contested_5s_budget", |b| {
         b.iter(|| {
@@ -62,6 +71,8 @@ fn bench_selectors(c: &mut Criterion) {
                 &config.optical,
                 Duration::from_secs(5),
                 None,
+                1,
+                &Executor::sequential(),
             )
             .expect("solvable")
         })
@@ -74,7 +85,15 @@ fn bench_selectors(c: &mut Criterion) {
     for bits in [100usize, 400, 800] {
         let (nets, crossings, config) = selection_instance(bits, 2, false);
         group.bench_function(format!("lr_{bits}bits"), |b| {
-            b.iter(|| select_lr(&nets, &crossings, &config))
+            b.iter(|| {
+                select_lr(
+                    &nets,
+                    &crossings,
+                    &config,
+                    &Executor::sequential(),
+                    &mut LrWorkspace::new(),
+                )
+            })
         });
     }
     group.finish();

@@ -12,6 +12,7 @@ use operon::wdm;
 use operon::CrossingIndex;
 use operon_cluster::{build_hyper_nets, HyperNet};
 use operon_exec::json::Value;
+use operon_exec::Executor;
 use operon_netlist::synth::{generate, SynthConfig};
 use operon_netlist::Design;
 use std::time::Instant;
@@ -46,17 +47,27 @@ fn bench_stages(c: &mut Criterion) {
         .map(|(i, n)| generate_candidates(n, i, &config))
         .collect();
 
+    let exec = Executor::sequential();
     c.bench_function("stage_crossing_index_400bits", |b| {
-        b.iter(|| CrossingIndex::build(&candidates))
+        b.iter(|| CrossingIndex::build_with(&candidates, &exec))
     });
 
-    let crossings = CrossingIndex::build(&candidates);
-    let selection = operon::lr::select_lr(&candidates, &crossings, &config);
+    let crossings = CrossingIndex::build_with(&candidates, &exec);
+    let selection = operon::lr::select_lr(
+        &candidates,
+        &crossings,
+        &config,
+        &exec,
+        &mut operon::lr::LrWorkspace::new(),
+    );
 
     let mut group = c.benchmark_group("stage_wdm");
     group.sample_size(10);
     group.bench_function("wdm_400bits", |b| {
-        b.iter(|| wdm::plan(&candidates, &selection.choice, &config.optical).expect("feasible"))
+        b.iter(|| {
+            wdm::plan(&candidates, &selection.choice, &config.optical, None, &exec)
+                .expect("feasible")
+        })
     });
     group.finish();
 }

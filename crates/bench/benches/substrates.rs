@@ -1,11 +1,12 @@
 //! Benches of the algorithmic substrates built for this reproduction:
 //! BI1S RSMT construction, the min-cost max-flow solver, the
-//! capacity-constrained K-Means, and the two-phase simplex.
+//! capacity-constrained K-Means, and the bounded-variable simplex behind
+//! the ILP's LP relaxations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use operon_cluster::kmeans::{cluster_capacitated, KmeansParams};
 use operon_geom::Point;
-use operon_ilp::simplex::{solve_lp, LpRow};
+use operon_ilp::bounded::{solve_lp_bounded, LpRow};
 use operon_ilp::Cmp;
 use operon_mcmf::McmfGraph;
 use operon_steiner::{euclidean, rsmt_bi1s, rsmt_exact};
@@ -83,24 +84,21 @@ fn bench_kmeans(c: &mut Criterion) {
     });
 }
 
-fn bench_simplex(c: &mut Criterion) {
-    // A random dense LP of the size a mid-size B&B node solves.
+fn bench_bounded_lp(c: &mut Criterion) {
+    // A random dense LP of the size a mid-size B&B node solves, with the
+    // relaxed binaries' `x <= 1` bounds native rather than as rows.
     let (n, m) = (60usize, 40usize);
     let mut rng = StdRng::seed_from_u64(23);
     let cost: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
-    let mut rows: Vec<LpRow> = (0..m)
+    let rows: Vec<LpRow> = (0..m)
         .map(|_| {
             let coeffs: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..2.0)).collect();
             LpRow::new(coeffs, Cmp::Le, rng.gen_range(5.0..20.0))
         })
         .collect();
-    for j in 0..n {
-        let mut coeffs = vec![0.0; n];
-        coeffs[j] = 1.0;
-        rows.push(LpRow::new(coeffs, Cmp::Le, 1.0));
-    }
-    c.bench_function("simplex_60vars_100rows", |b| {
-        b.iter(|| solve_lp(&cost, &rows))
+    let upper = [1.0; 60];
+    c.bench_function("bounded_lp_60vars_40rows", |b| {
+        b.iter(|| solve_lp_bounded(&cost, &rows, &upper, None))
     });
 }
 
@@ -109,6 +107,6 @@ criterion_group!(
     bench_steiner,
     bench_mcmf,
     bench_kmeans,
-    bench_simplex
+    bench_bounded_lp
 );
 criterion_main!(benches);

@@ -25,7 +25,7 @@
 //!    row also records the built index's heap size (`index_kib`) and
 //!    whether each thread count ran the parallel path.
 //! 2. **Incremental vs reference LR pricing** on synthesized designs:
-//!    wall time of `select_lr_in` (persistent workspace, as a resident
+//!    wall time of `select_lr` (persistent workspace, as a resident
 //!    session runs it) against the retained `select_lr_reference`
 //!    full-recomputation loop, plus the priced/reused work counters.
 //!    Choices and power must be bit-identical (asserted), the dirty
@@ -51,7 +51,7 @@
 
 use operon::codesign::{analyze_assignment, generate_candidates, EdgeMedium, NetCandidates};
 use operon::config::OperonConfig;
-use operon::lr::{select_lr_in, select_lr_reference, select_lr_with, LrWorkspace};
+use operon::lr::{select_lr, select_lr_reference, LrWorkspace};
 use operon::wdm;
 use operon::CrossingIndex;
 use operon_cluster::build_hyper_nets;
@@ -314,11 +314,11 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
                 );
                 if parallel && threads > 1 {
                     assert!(
-                        grid.build_info().parallel,
+                        grid.built_parallel(),
                         "{name}: threads={threads} must take the parallel path"
                     );
                 }
-                ran_parallel = grid.build_info().parallel;
+                ran_parallel = grid.built_parallel();
                 index_kib = grid.heap_bytes().div_ceil(1024);
             }
             if threads == 1 {
@@ -387,7 +387,7 @@ fn bench_lr_pricing(smoke: bool) -> Vec<Value> {
             config.optical.max_loss_db = db;
         }
         let (config, candidates) = design_candidates(config, &synth, seed);
-        let crossings = CrossingIndex::build(&candidates);
+        let crossings = CrossingIndex::build_with(&candidates, &Executor::sequential());
 
         let reference = select_lr_reference(&candidates, &crossings, &config);
 
@@ -410,7 +410,7 @@ fn bench_lr_pricing(smoke: bool) -> Vec<Value> {
             assert_eq!(r.choice, reference.choice, "{name}: reference unstable");
 
             let sw = Stopwatch::start();
-            let r = select_lr_in(&candidates, &crossings, &config, &exec, &mut ws);
+            let r = select_lr(&candidates, &crossings, &config, &exec, &mut ws);
             incremental_ms = incremental_ms.min(sw.elapsed().as_secs_f64() * 1e3);
             last = Some(r);
         }
@@ -612,8 +612,15 @@ fn bench_warm_mcmf(smoke: bool) -> (Value, Vec<Value>) {
     let mut plans = Vec::new();
     for (name, synth, seed) in fixtures {
         let (config, candidates) = design_candidates(OperonConfig::default(), &synth, seed);
-        let crossings = CrossingIndex::build(&candidates);
-        let choice = select_lr_with(&candidates, &crossings, &config, &Executor::sequential());
+        let exec = Executor::sequential();
+        let crossings = CrossingIndex::build_with(&candidates, &exec);
+        let choice = select_lr(
+            &candidates,
+            &crossings,
+            &config,
+            &exec,
+            &mut LrWorkspace::new(),
+        );
 
         let mut cold_ms = f64::INFINITY;
         let mut cold_plan = None;
@@ -630,7 +637,8 @@ fn bench_warm_mcmf(smoke: bool) -> (Value, Vec<Value>) {
         let mut warm_plan = None;
         for _ in 0..ITERS {
             let sw = Stopwatch::start();
-            let p = wdm::plan(&candidates, &choice.choice, &config.optical).expect("plan feasible");
+            let (p, _) = wdm::plan(&candidates, &choice.choice, &config.optical, None, &exec)
+                .expect("plan feasible");
             warm_ms = warm_ms.min(sw.elapsed().as_secs_f64() * 1e3);
             warm_plan = Some(p);
         }

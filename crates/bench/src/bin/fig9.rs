@@ -14,6 +14,7 @@ use operon::config::OperonConfig;
 use operon::flow::OperonFlow;
 use operon::report::power_maps;
 use operon_bench::instance;
+use operon_exec::Executor;
 use operon_netlist::synth::paper_benchmark;
 
 fn main() {
@@ -78,7 +79,7 @@ fn main() {
     // loss (with splitting) violates the detection budget — the
     // "potential malfunction" the paper's introduction warns about.
     let resolved = config.resolved_for(glow.nets.iter().map(|n| n.bits));
-    let glow_crossings = operon::CrossingIndex::build(&glow.nets);
+    let glow_crossings = operon::CrossingIndex::build_with(&glow.nets, &Executor::sequential());
     let mut undetectable = 0usize;
     let mut glow_optical = 0usize;
     for (i, nc) in glow.nets.iter().enumerate() {

@@ -8,7 +8,7 @@
 //! Three measurements:
 //!
 //! 1. **Threads × waves matrix** — the full ILP selection
-//!    (`select_ilp_with`) over two crossing-bound fixtures, every
+//!    (`select_ilp`) over two crossing-bound fixtures, every
 //!    combination of `threads ∈ {1, 2, 8}` and `wave_size ∈ {1, 8}`:
 //!    best wall time, explored nodes, and nodes/second. Results at a
 //!    fixed wave size must be bit-identical for every thread count
@@ -27,8 +27,8 @@
 //! measure overhead, not speedup; `hardware_threads` records the truth.
 
 use operon::config::OperonConfig;
-use operon::formulation::select_ilp_with;
-use operon::lr::select_lr;
+use operon::formulation::select_ilp;
+use operon::lr::{select_lr, LrWorkspace};
 use operon::CrossingIndex;
 use operon_cluster::build_hyper_nets;
 use operon_exec::json::Value;
@@ -89,7 +89,7 @@ fn main() {
     println!("wrote {path}");
 }
 
-/// Times `select_ilp_with` over the threads × waves matrix on one
+/// Times `select_ilp` over the threads × waves matrix on one
 /// crossing-bound fixture and asserts the determinism contract.
 fn bench_fixture(name: &str, synth: &SynthConfig, seed: u64) -> Value {
     // A loss budget tight enough that crossing constraints bind, so the
@@ -105,8 +105,15 @@ fn bench_fixture(name: &str, synth: &SynthConfig, seed: u64) -> Value {
         .enumerate()
         .map(|(i, n)| operon::codesign::generate_candidates(n, i, &config))
         .collect();
-    let crossings = CrossingIndex::build(&candidates);
-    let warm = select_lr(&candidates, &crossings, &config);
+    let seq = Executor::sequential();
+    let crossings = CrossingIndex::build_with(&candidates, &seq);
+    let warm = select_lr(
+        &candidates,
+        &crossings,
+        &config,
+        &seq,
+        &mut LrWorkspace::new(),
+    );
 
     let mut runs: Vec<Value> = Vec::new();
     let mut power_bits: Option<u64> = None;
@@ -118,7 +125,7 @@ fn bench_fixture(name: &str, synth: &SynthConfig, seed: u64) -> Value {
             let mut last = None;
             for _ in 0..ITERS {
                 let sw = Stopwatch::start();
-                let sel = select_ilp_with(
+                let sel = select_ilp(
                     &candidates,
                     &crossings,
                     &config.optical,

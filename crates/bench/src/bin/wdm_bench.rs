@@ -40,7 +40,7 @@
 
 use operon::codesign::{generate_candidates, NetCandidates};
 use operon::config::OperonConfig;
-use operon::lr::select_lr_with;
+use operon::lr::{select_lr, LrWorkspace};
 use operon::wdm;
 use operon::CrossingIndex;
 use operon_cluster::build_hyper_nets;
@@ -289,8 +289,15 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
             .enumerate()
             .map(|(i, n)| generate_candidates(n, i, &config))
             .collect();
-        let crossings = CrossingIndex::build(&candidates);
-        let choice = select_lr_with(&candidates, &crossings, &config, &Executor::sequential());
+        let exec = Executor::sequential();
+        let crossings = CrossingIndex::build_with(&candidates, &exec);
+        let choice = select_lr(
+            &candidates,
+            &crossings,
+            &config,
+            &exec,
+            &mut LrWorkspace::new(),
+        );
 
         let mut cold_ms = f64::INFINITY;
         let mut cold_plan = None;
@@ -307,7 +314,8 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
         let mut warm_plan = None;
         for _ in 0..ITERS {
             let sw = Stopwatch::start();
-            let p = wdm::plan(&candidates, &choice.choice, &config.optical).expect("plan feasible");
+            let (p, _) = wdm::plan(&candidates, &choice.choice, &config.optical, None, &exec)
+                .expect("plan feasible");
             warm_ms = warm_ms.min(sw.elapsed().as_secs_f64() * 1e3);
             warm_plan = Some(p);
         }
@@ -323,10 +331,11 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
         );
         // Same plan for every thread count, byte for byte.
         for threads in THREADS {
-            let p = wdm::plan_with(
+            let (p, _) = wdm::plan(
                 &candidates,
                 &choice.choice,
                 &config.optical,
+                None,
                 &Executor::new(threads),
             )
             .expect("plan feasible");
@@ -428,7 +437,7 @@ fn bench_reuse(
 ) -> Value {
     let next = one_orientation_change(candidates, choice);
     let plan = |choice: &[usize], prev, exec: &Executor| {
-        wdm::plan_resident_with(candidates, choice, lib, prev, exec).expect("plan feasible")
+        wdm::plan(candidates, choice, lib, prev, exec).expect("plan feasible")
     };
     for threads in THREADS {
         let exec = Executor::new(threads);

@@ -14,6 +14,7 @@ use crate::codesign::{analyze_assignment, EdgeMedium, NetCandidates};
 use crate::config::OperonConfig;
 use crate::formulation::{selection_power_mw, SelectionResult};
 use operon_cluster::HyperNet;
+use operon_exec::Executor;
 use operon_geom::dbu_to_cm;
 use operon_netlist::Design;
 use operon_optics::ElectricalParams;
@@ -116,7 +117,7 @@ pub fn glow_baseline(nets: &[HyperNet], config: &OperonConfig) -> BaselineSelect
 
     // GLOW's feasibility repair: propagation + crossing loss must fit the
     // budget — splitting loss is (deliberately, faithfully) ignored.
-    let crossings = crate::CrossingIndex::build(&out_nets);
+    let crossings = crate::CrossingIndex::build_with(&out_nets, &Executor::sequential());
     loop {
         let mut worst: Option<(usize, f64)> = None;
         for (i, nc) in out_nets.iter().enumerate() {

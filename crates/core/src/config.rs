@@ -121,7 +121,7 @@ pub struct OperonConfig {
     /// Label cap per node in the co-design dynamic program.
     pub max_labels: usize,
     /// Branch-and-bound nodes the ILP selector expands concurrently per
-    /// wave (see [`crate::formulation::select_ilp_with`]). The explored
+    /// wave (see [`crate::formulation::select_ilp`]). The explored
     /// tree depends on this value but never on the thread count, so
     /// results are reproducible across machines at a fixed wave size.
     /// `1` (the default) is the classic sequential best-first search.

@@ -130,32 +130,6 @@ impl Neighbor {
     }
 }
 
-/// How an index was actually constructed — recorded for run reports.
-/// Not part of the index's semantic value: equality ignores it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ChosenBuild {
-    /// All-pairs reference scan.
-    BruteForce,
-    /// Uniform-grid cell bucketing.
-    #[default]
-    Grid,
-    /// Incremental [`CrossingIndex::rebuild_delta`] patch.
-    Delta,
-}
-
-/// Provenance of the last build: which builder ran and whether the pair
-/// tests used the executor's workers or the sequential small-input path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BuildInfo {
-    /// The builder that ran.
-    pub strategy: ChosenBuild,
-    /// Whether the pair tests and the funnel took the parallel path:
-    /// spread over the executor's workers, or one task on a one-worker
-    /// executor. `false` for delta patches and for grid builds under the
-    /// parallel work threshold.
-    pub parallel: bool,
-}
-
 /// Estimated grid pair tests below which the build runs inline.
 ///
 /// With the die-scale ownership test and the parallel funnel, 2
@@ -223,15 +197,16 @@ pub struct CrossingIndex {
     net_adj_off: Vec<u32>,
     /// Sorted, deduplicated coupled-net ids per row.
     net_adj: Vec<u32>,
-    /// Provenance of the last build (excluded from equality).
-    info: BuildInfo,
+    /// Whether the last build's pair tests and funnel took the parallel
+    /// path (excluded from equality).
+    parallel: bool,
 }
 
 impl PartialEq for CrossingIndex {
     fn eq(&self, other: &Self) -> bool {
         // The record arenas are laid out canonically (key order, side A
         // first), the neighbor and net arenas are pure functions of the
-        // keys, and `info` is provenance, not content: two indexes are
+        // keys, and `parallel` is provenance, not content: two indexes are
         // equal iff their pair maps are.
         self.keys == other.keys
             && self.totals == other.totals
@@ -242,22 +217,22 @@ impl PartialEq for CrossingIndex {
 
 impl CrossingIndex {
     /// Builds the index over every candidate pair from different hyper
-    /// nets whose optical segments properly cross.
-    pub fn build(nets: &[NetCandidates]) -> Self {
-        Self::build_with(nets, &Executor::sequential())
-    }
-
-    /// [`build`](Self::build) on the grid, with the pair tests spread
-    /// over `exec`'s workers when the estimated work clears the parallel
-    /// threshold. Identical output for every thread count.
+    /// nets whose optical segments properly cross, on the grid, with the
+    /// pair tests spread over `exec`'s workers when the estimated work
+    /// clears the parallel threshold. Identical output for every thread
+    /// count.
     pub fn build_with(nets: &[NetCandidates], exec: &Executor) -> Self {
         Self::build_grid(nets, exec, None, None)
     }
 
-    /// Provenance of the build that produced this index.
+    /// Whether the build that produced this index ran its pair tests and
+    /// funnel on the parallel path: spread over the executor's workers,
+    /// or one task on a one-worker executor. `false` for delta patches,
+    /// the reference build, and grid builds under the parallel work
+    /// threshold.
     #[inline]
-    pub fn build_info(&self) -> BuildInfo {
-        self.info
+    pub fn built_parallel(&self) -> bool {
+        self.parallel
     }
 
     /// Grid build (auto-sized cells unless `dims` is given; the explicit
@@ -275,14 +250,7 @@ impl CrossingIndex {
         let (pairs, parallel) = grid_pairs(&segs, dims, exec);
         let ranges = ranges.unwrap_or(grid_tasks(parallel, exec));
         let records = funnel(nets, &ids, segs, pairs, |_, _| true, ranges, exec);
-        Self::from_records(
-            records,
-            ids.base,
-            BuildInfo {
-                strategy: ChosenBuild::Grid,
-                parallel,
-            },
-        )
+        Self::from_records(records, ids.base, parallel)
     }
 
     #[cfg(test)]
@@ -306,20 +274,12 @@ impl CrossingIndex {
     /// optical boxes. Retained as the equivalence oracle — the grid build
     /// must produce a byte-identical index.
     pub fn build_reference(nets: &[NetCandidates]) -> Self {
-        Self::build_reference_with(nets, &Executor::sequential())
-    }
-
-    /// [`build_reference`](Self::build_reference) with net `a`'s row (its
-    /// pairs against all `b > a`) spread over `exec`'s workers; rows are
-    /// sorted by key afterwards, so the index is identical for every
-    /// thread count.
-    pub fn build_reference_with(nets: &[NetCandidates], exec: &Executor) -> Self {
         // Net-level prefilter: union bbox of all optical candidates.
         let net_bbox = net_bboxes(nets);
 
-        let rows: Vec<Vec<(u128, OwnedRecord)>> = exec.par_map_indexed(&net_bbox, |a, bb_a| {
-            let mut row = Vec::new();
-            let Some(bb_a) = bb_a else { return row };
+        let mut rows: Vec<(u128, OwnedRecord)> = Vec::new();
+        for (a, bb_a) in net_bbox.iter().enumerate() {
+            let Some(bb_a) = bb_a else { continue };
             for b in a + 1..nets.len() {
                 let Some(bb_b) = net_bbox[b] else { continue };
                 if !bb_a.overlaps(&bb_b) {
@@ -338,34 +298,25 @@ impl CrossingIndex {
                         }
                         if let Some(record) = count_pair(ca, cb) {
                             let key = pack_key(a as u32, ai as u32, b as u32, bi as u32);
-                            row.push((key, record));
+                            rows.push((key, record));
                         }
                     }
                 }
             }
-            row
-        });
+        }
 
-        let mut rows: Vec<(u128, OwnedRecord)> = rows.into_iter().flatten().collect();
         rows.sort_unstable_by_key(|row| row.0);
         let mut records = Records::with_capacity(rows.len());
         for (key, (per_a, per_b, total)) in &rows {
             records.push(*key, per_a, per_b, *total);
         }
-        Self::from_records(
-            records,
-            CandIds::new(nets).base,
-            BuildInfo {
-                strategy: ChosenBuild::BruteForce,
-                parallel: true,
-            },
-        )
+        Self::from_records(records, CandIds::new(nets).base, false)
     }
 
     /// Rebuilds the index after the candidates of `changed` nets were
     /// replaced, reusing every record that involves no changed net.
-    /// Equivalent to a full [`build`](Self::build) of the new candidate
-    /// set, at the cost of the changed rows only.
+    /// Equivalent to a full [`build_with`](Self::build_with) of the new
+    /// candidate set, at the cost of the changed rows only.
     ///
     /// Implementation: the dirty neighborhood — changed nets plus every
     /// net whose bounding box overlaps a changed net's — gets its own
@@ -428,20 +379,13 @@ impl CrossingIndex {
         for j in fresh {
             records.push_record(&recount, j);
         }
-        Self::from_records(
-            records,
-            ids.base,
-            BuildInfo {
-                strategy: ChosenBuild::Delta,
-                parallel: false,
-            },
-        )
+        Self::from_records(records, ids.base, false)
     }
 
     /// Completes an index from its record arenas: derives the neighbor
     /// CSR and the net-level coupling CSR. `cand_base` is the global
     /// candidate id prefix over the nets the records were built from.
-    fn from_records(records: Records, cand_base: Vec<u32>, info: BuildInfo) -> Self {
+    fn from_records(records: Records, cand_base: Vec<u32>, parallel: bool) -> Self {
         let Records {
             mut keys,
             mut counts,
@@ -528,7 +472,7 @@ impl CrossingIndex {
             adj,
             net_adj_off,
             net_adj,
-            info,
+            parallel,
         }
     }
 
@@ -1424,7 +1368,7 @@ mod tests {
             optical_net(0, Point::new(0, 0), Point::new(100, 100)),
             optical_net(1, Point::new(0, 100), Point::new(100, 0)),
         ];
-        let idx = CrossingIndex::build(&nets);
+        let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
         assert_eq!(idx.len(), 1);
         let pc = idx.pair(0, 0, 1, 0).expect("pair crosses");
         assert_eq!(pc.total, 1);
@@ -1441,7 +1385,7 @@ mod tests {
             optical_net(0, Point::new(0, 0), Point::new(100, 0)),
             optical_net(1, Point::new(0, 10), Point::new(100, 10)),
         ];
-        let idx = CrossingIndex::build(&nets);
+        let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
         assert!(idx.is_empty());
         assert_eq!(idx.crossings_on_path(0, 0, 0, 1, 0), 0);
     }
@@ -1452,7 +1396,7 @@ mod tests {
             optical_net(0, Point::new(0, 0), Point::new(10, 10)),
             optical_net(1, Point::new(1000, 1000), Point::new(1010, 1010)),
         ];
-        let idx = CrossingIndex::build(&nets);
+        let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
         assert!(idx.is_empty());
     }
 
@@ -1462,7 +1406,7 @@ mod tests {
             optical_net(0, Point::new(0, 0), Point::new(100, 100)),
             optical_net(1, Point::new(100, 100), Point::new(200, 0)),
         ];
-        let idx = CrossingIndex::build(&nets);
+        let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
         assert!(idx.is_empty());
     }
 
@@ -1490,7 +1434,7 @@ mod tests {
             },
             optical_net(1, Point::new(-50, 150), Point::new(150, 150)),
         ];
-        let idx = CrossingIndex::build(&nets);
+        let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
         let pc = idx.pair(0, 0, 1, 0).expect("crossing");
         assert_eq!(pc.total, 2);
         // Both of net 0's sink paths suffer one crossing (on their own
@@ -1513,7 +1457,7 @@ mod tests {
             electrical_idx: 0,
             fanout_power_mw: 0.0,
         };
-        let idx = CrossingIndex::build(&[merged]);
+        let idx = CrossingIndex::build_with(&[merged], &Executor::sequential());
         assert!(idx.is_empty());
     }
 
@@ -1524,7 +1468,7 @@ mod tests {
             optical_net(1, Point::new(0, 100), Point::new(100, 0)),
             optical_net(2, Point::new(50, 0), Point::new(50, 100)),
         ];
-        let idx = CrossingIndex::build(&nets);
+        let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
         // Every pair entry appears in both endpoints' neighbor lists, and
         // every neighbor entry resolves to the same record via the cached
         // handle and the binary-search lookup.
@@ -1579,7 +1523,7 @@ mod tests {
                 optical_net(k, Point::new(0, y0), Point::new(20_000, 18_000 - y0))
             })
             .collect();
-        let seq = CrossingIndex::build(&nets);
+        let seq = CrossingIndex::build_with(&nets, &Executor::sequential());
         for threads in [2, 4, 8] {
             let par = CrossingIndex::build_with(&nets, &Executor::new(threads));
             assert_index_eq(&par, &seq, &format!("threads={threads}"));
@@ -1595,8 +1539,7 @@ mod tests {
             optical_net(1, Point::new(0, 100), Point::new(100, 0)),
         ];
         let idx = CrossingIndex::build_with(&nets, &Executor::new(8));
-        assert_eq!(idx.build_info().strategy, ChosenBuild::Grid);
-        assert!(!idx.build_info().parallel);
+        assert!(!idx.built_parallel());
         assert_eq!(idx.len(), 1);
     }
 
@@ -1627,7 +1570,6 @@ mod tests {
         let nets = dispersed_nets_at(1 << 41);
         for threads in [1, 8] {
             let idx = CrossingIndex::build_with(&nets, &Executor::new(threads));
-            assert_eq!(idx.build_info().strategy, ChosenBuild::Grid);
             assert_index_eq(
                 &idx,
                 &CrossingIndex::build_reference(&nets),
@@ -1640,7 +1582,7 @@ mod tests {
     fn rebuild_delta_equals_full_build_beyond_2_pow_40() {
         let offset = 1i64 << 41;
         let mut nets = dispersed_nets_at(offset);
-        let before = CrossingIndex::build(&nets);
+        let before = CrossingIndex::build_with(&nets, &Executor::sequential());
         assert!(!before.is_empty());
         // Move one stub onto a trunk's path and retire one trunk.
         nets[4] = optical_net(
@@ -1654,8 +1596,11 @@ mod tests {
             Point::new(offset + 6000, offset + 6000),
         );
         let delta = before.rebuild_delta(&nets, &[4, 13]);
-        assert_index_eq(&delta, &CrossingIndex::build(&nets), "delta beyond 2^40");
-        assert_eq!(delta.build_info().strategy, ChosenBuild::Delta);
+        assert_index_eq(
+            &delta,
+            &CrossingIndex::build_with(&nets, &Executor::sequential()),
+            "delta beyond 2^40",
+        );
     }
 
     /// One net per segment, laid out for a `cols × rows` grid over
@@ -1799,15 +1744,14 @@ mod tests {
                 optical_net(k, Point::new(0, y0), Point::new(1000, 900 - y0))
             })
             .collect();
-        let before = CrossingIndex::build(&nets);
+        let before = CrossingIndex::build_with(&nets, &Executor::sequential());
         // Replace two nets' geometry (one reroute, one that stops
         // crossing anything) and patch the index.
         nets[3] = optical_net(3, Point::new(0, 500), Point::new(1000, 70));
         nets[7] = optical_net(7, Point::new(5000, 5000), Point::new(6000, 6000));
         let delta = before.rebuild_delta(&nets, &[3, 7]);
-        let full = CrossingIndex::build(&nets);
+        let full = CrossingIndex::build_with(&nets, &Executor::sequential());
         assert_index_eq(&delta, &full, "delta vs full");
-        assert_eq!(delta.build_info().strategy, ChosenBuild::Delta);
         // No-op delta reproduces the index too.
         let noop = before.rebuild_delta(
             &(0..10)
@@ -1828,7 +1772,7 @@ mod tests {
             optical_net(1, Point::new(0, 100), Point::new(100, 0)),
             optical_net(2, Point::new(2000, 0), Point::new(2000, 100)),
         ];
-        let idx = CrossingIndex::build(&nets);
+        let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
         let adj = idx.net_adjacency(3);
         assert_eq!(adj[0], vec![1]);
         assert_eq!(adj[1], vec![0]);
@@ -1843,7 +1787,7 @@ mod tests {
     #[test]
     fn neighbors_of_unknown_candidate_is_empty() {
         let nets = vec![optical_net(0, Point::new(0, 0), Point::new(100, 100))];
-        let idx = CrossingIndex::build(&nets);
+        let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
         assert!(idx.neighbors(0, 0).is_empty());
         assert!(idx.neighbors(5, 9).is_empty());
     }
@@ -1854,7 +1798,7 @@ mod tests {
             optical_net(0, Point::new(0, 0), Point::new(100, 100)),
             optical_net(1, Point::new(0, 100), Point::new(100, 0)),
         ];
-        let idx = CrossingIndex::build(&nets);
+        let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
         assert!(idx.pair(0, 0, 1, 0).is_some());
         // Each id truncates to the crossing pair's own id in 32 bits.
         let wrap = 1usize << 32;
@@ -1884,7 +1828,7 @@ mod tests {
             optical_net(0, Point::new(0, 0), Point::new(100, 100)),
             optical_net(1, Point::new(0, 100), Point::new(100, 0)),
         ];
-        let idx = CrossingIndex::build(&nets);
+        let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
         assert_eq!(idx.segment_crossings(), 1);
         assert!(idx.heap_bytes() > 0);
         assert_eq!(CrossingIndex::default().heap_bytes(), 0);
@@ -2037,7 +1981,7 @@ mod tests {
             which in 0usize..8,
         ) {
             let mut nets = random_nets(&raw);
-            let grid = CrossingIndex::build(&nets);
+            let grid = CrossingIndex::build_with(&nets, &Executor::sequential());
             assert_csr_matches_records(&grid, &nets, "grid");
             assert_csr_matches_records(&CrossingIndex::build_reference(&nets), &nets, "reference");
             // A replacement with a different candidate count shifts every
@@ -2070,7 +2014,7 @@ mod tests {
             which in 0usize..8,
         ) {
             let mut nets = random_nets(&raw);
-            let before = CrossingIndex::build(&nets);
+            let before = CrossingIndex::build_with(&nets, &Executor::sequential());
             let target = which % nets.len();
             let pts: Vec<Vec<Point>> = replacement
                 .iter()
@@ -2078,7 +2022,7 @@ mod tests {
                 .collect();
             nets[target] = chain_net(target, &pts);
             let delta = before.rebuild_delta(&nets, &[target]);
-            let full = CrossingIndex::build(&nets);
+            let full = CrossingIndex::build_with(&nets, &Executor::sequential());
             assert_index_eq(&delta, &full, "random delta vs full");
         }
     }

@@ -123,40 +123,17 @@ pub fn selection_feasible(
 /// optimality; otherwise the run reproduces the ">3000 s" behaviour of
 /// Table 1.
 ///
+/// Each component sub-ILP expands `wave_size` branch-and-bound nodes per
+/// round on `exec`. The solve is bit-identical for any thread count at a
+/// fixed `wave_size`; `wave_size = 1` performs the classic sequential
+/// search.
+///
 /// # Errors
 ///
 /// Returns [`OperonError::SelectionFailed`] if a sub-ILP reports
 /// infeasibility, which cannot happen while every net retains its
 /// electrical fallback.
 pub fn select_ilp(
-    nets: &[NetCandidates],
-    crossings: &CrossingIndex,
-    lib: &OpticalLib,
-    time_limit: Duration,
-    warm_start: Option<&[usize]>,
-) -> Result<SelectionResult, OperonError> {
-    select_ilp_with(
-        nets,
-        crossings,
-        lib,
-        time_limit,
-        warm_start,
-        1,
-        &Executor::sequential(),
-    )
-}
-
-/// [`select_ilp`] with explicit wave-synchronous search knobs: each
-/// component sub-ILP expands `wave_size` branch-and-bound nodes per round
-/// on `exec`. The solve is bit-identical for any thread count at a fixed
-/// `wave_size`; `wave_size = 1` performs the classic sequential search.
-///
-/// # Errors
-///
-/// Returns [`OperonError::SelectionFailed`] if a sub-ILP reports
-/// infeasibility, which cannot happen while every net retains its
-/// electrical fallback.
-pub fn select_ilp_with(
     nets: &[NetCandidates],
     crossings: &CrossingIndex,
     lib: &OpticalLib,
@@ -422,13 +399,26 @@ mod tests {
         }
     }
 
+    /// The sequential exact solve with a 10 s limit and no warm start.
+    fn exact(nets: &[NetCandidates], crossings: &CrossingIndex) -> SelectionResult {
+        select_ilp(
+            nets,
+            crossings,
+            &lib(),
+            Duration::from_secs(10),
+            None,
+            1,
+            &Executor::sequential(),
+        )
+        .expect("solvable")
+    }
+
     #[test]
     fn lone_long_net_goes_optical() {
         // 2 cm span: electrical costs 2 mW/bit, optical 0.885 mW/bit.
         let nets = vec![two_pin_net(0, Point::new(0, 0), Point::new(20_000, 0), 1)];
-        let crossings = CrossingIndex::build(&nets);
-        let r =
-            select_ilp(&nets, &crossings, &lib(), Duration::from_secs(10), None).expect("solvable");
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
+        let r = exact(&nets, &crossings);
         assert!(r.proven_optimal);
         assert_eq!(r.choice, vec![0]);
         assert!((r.power_mw - 0.885).abs() < 1e-6);
@@ -438,9 +428,8 @@ mod tests {
     fn lone_short_net_stays_electrical() {
         // 0.2 cm span: electrical 0.4 mW < optical 0.885 mW.
         let nets = vec![two_pin_net(0, Point::new(0, 0), Point::new(2_000, 0), 1)];
-        let crossings = CrossingIndex::build(&nets);
-        let r =
-            select_ilp(&nets, &crossings, &lib(), Duration::from_secs(10), None).expect("solvable");
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
+        let r = exact(&nets, &crossings);
         assert_eq!(r.choice, vec![1]);
         assert!((r.power_mw - 0.4).abs() < 1e-6);
     }
@@ -467,10 +456,9 @@ mod tests {
             fragile_net(0, Point::new(0, 0), Point::new(30_000, 30_000)),
             fragile_net(1, Point::new(0, 30_000), Point::new(30_000, 0)),
         ];
-        let crossings = CrossingIndex::build(&nets);
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
         assert_eq!(crossings.len(), 1, "the optical candidates cross");
-        let r =
-            select_ilp(&nets, &crossings, &lib(), Duration::from_secs(10), None).expect("solvable");
+        let r = exact(&nets, &crossings);
         assert!(r.proven_optimal);
         let optical_count = r.choice.iter().filter(|&&j| j == 0).count();
         assert_eq!(optical_count, 1, "exactly one net can stay optical");
@@ -483,9 +471,8 @@ mod tests {
             two_pin_net(0, Point::new(0, 0), Point::new(30_000, 30_000), 1),
             two_pin_net(1, Point::new(0, 30_000), Point::new(30_000, 0), 1),
         ];
-        let crossings = CrossingIndex::build(&nets);
-        let r =
-            select_ilp(&nets, &crossings, &lib(), Duration::from_secs(10), None).expect("solvable");
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
+        let r = exact(&nets, &crossings);
         assert_eq!(r.choice, vec![0, 0], "budget absorbs one crossing");
         assert!(selection_feasible(&nets, &crossings, &r.choice, &lib()));
     }
@@ -496,7 +483,7 @@ mod tests {
             two_pin_net(0, Point::new(0, 0), Point::new(30_000, 30_000), 1),
             two_pin_net(1, Point::new(0, 30_000), Point::new(30_000, 0), 1),
         ];
-        let crossings = CrossingIndex::build(&nets);
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
         let both_optical = vec![0, 0];
         let lib = lib();
         let loaded = loaded_path_losses(&nets, &crossings, &both_optical, 0, &lib);

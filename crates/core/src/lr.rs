@@ -21,7 +21,7 @@
 //! multipliers `λ[i]`, the multipliers `λ[m]` of the nets it crosses, and
 //! those nets' previous selections. When none of them moved (bitwise)
 //! since the last iteration, re-running the argmin would reproduce the
-//! cached answer bit for bit — so [`select_lr_with`] skips it and reuses
+//! cached answer bit for bit — so [`select_lr`] skips it and reuses
 //! the cached one. The same reasoning caches the loaded-loss evaluations
 //! feeding the sub-gradient. The iterate sequence is therefore identical
 //! to the full recomputation loop, which is retained as
@@ -180,42 +180,22 @@ impl LrWorkspace {
     }
 }
 
-/// Runs the LR-based selection.
+/// Runs the LR-based selection, with the per-net work spread over
+/// `exec`'s workers, against a caller-owned workspace (resident callers
+/// hold one across calls; one-shot callers pass `&mut
+/// LrWorkspace::new()`).
 ///
 /// Always returns a feasible selection; `proven_optimal` is always
 /// `false` (LR is a heuristic speed-up).
-pub fn select_lr(
-    nets: &[NetCandidates],
-    crossings: &CrossingIndex,
-    config: &OperonConfig,
-) -> SelectionResult {
-    select_lr_with(nets, crossings, config, &Executor::sequential())
-}
-
-/// [`select_lr`] with the per-net work spread over `exec`'s workers.
-///
-/// Allocates a fresh [`LrWorkspace`]; resident callers should hold one
-/// and use [`select_lr_in`] instead.
-pub fn select_lr_with(
-    nets: &[NetCandidates],
-    crossings: &CrossingIndex,
-    config: &OperonConfig,
-    exec: &Executor,
-) -> SelectionResult {
-    select_lr_in(nets, crossings, config, exec, &mut LrWorkspace::new())
-}
-
-/// [`select_lr_with`] against a caller-owned workspace.
 ///
 /// Each iteration's pricing subproblems (line 5 of Algorithm 1) read only
 /// the *previous* iterate and the multipliers, so every net prices
 /// independently; the loaded-loss evaluations feeding the sub-gradient
 /// are likewise per-net pure functions of the frozen joint selection.
 /// Multiplier updates and the repair/polish pass stay sequential — they
-/// are order-dependent by construction. Results are identical to the
-/// sequential [`select_lr`] for every thread count and any workspace
-/// history.
-pub fn select_lr_in(
+/// are order-dependent by construction. Results are identical for every
+/// thread count and any workspace history.
+pub fn select_lr(
     nets: &[NetCandidates],
     crossings: &CrossingIndex,
     config: &OperonConfig,
@@ -423,7 +403,7 @@ pub fn select_lr_reference(
             .iter()
             .enumerate()
             .map(|(i, nc)| best_candidate(nc, i, &lambda, Some(&previous), crossings, lib))
-            // operon-lint: allow(P002, reason = "cold sequential reference oracle; the warm path in select_lr_in is the hot one and reuses buffers")
+            // operon-lint: allow(P002, reason = "cold sequential reference oracle; the warm path in select_lr is the hot one and reuses buffers")
             .collect();
 
         let all_loads: Vec<Vec<f64>> = (0..nets.len())
@@ -814,11 +794,26 @@ mod tests {
         OperonConfig::default()
     }
 
+    /// Sequential LR on a fresh workspace.
+    fn seq_lr(
+        nets: &[NetCandidates],
+        crossings: &CrossingIndex,
+        config: &OperonConfig,
+    ) -> SelectionResult {
+        select_lr(
+            nets,
+            crossings,
+            config,
+            &Executor::sequential(),
+            &mut LrWorkspace::new(),
+        )
+    }
+
     #[test]
     fn lr_picks_optical_for_long_nets() {
         let nets = vec![two_pin_net(0, Point::new(0, 0), Point::new(20_000, 0), 1)];
-        let crossings = CrossingIndex::build(&nets);
-        let r = select_lr(&nets, &crossings, &config());
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
+        let r = seq_lr(&nets, &crossings, &config());
         assert_eq!(r.choice, vec![0]);
         assert!(!r.proven_optimal);
     }
@@ -826,8 +821,8 @@ mod tests {
     #[test]
     fn lr_picks_electrical_for_short_nets() {
         let nets = vec![two_pin_net(0, Point::new(0, 0), Point::new(2_000, 0), 1)];
-        let crossings = CrossingIndex::build(&nets);
-        let r = select_lr(&nets, &crossings, &config());
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
+        let r = seq_lr(&nets, &crossings, &config());
         assert_eq!(r.choice, vec![1]);
     }
 
@@ -848,9 +843,9 @@ mod tests {
                 p.fixed_db = lib.max_loss_db - 0.1;
             }
         }
-        let crossings = CrossingIndex::build(&nets);
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
         assert!(!crossings.is_empty());
-        let r = select_lr(&nets, &crossings, &config());
+        let r = seq_lr(&nets, &crossings, &config());
         assert!(selection_feasible(&nets, &crossings, &r.choice, &lib));
     }
 
@@ -865,11 +860,19 @@ mod tests {
                 two_pin_net(k, Point::new(0, y0), Point::new(25_000, y0 + 2_000), 1)
             })
             .collect();
-        let crossings = CrossingIndex::build(&nets);
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
         let lib = OpticalLib::paper_defaults();
-        let ilp =
-            select_ilp(&nets, &crossings, &lib, Duration::from_secs(20), None).expect("solvable");
-        let lr = select_lr(&nets, &crossings, &config());
+        let ilp = select_ilp(
+            &nets,
+            &crossings,
+            &lib,
+            Duration::from_secs(20),
+            None,
+            1,
+            &Executor::sequential(),
+        )
+        .expect("solvable");
+        let lr = seq_lr(&nets, &crossings, &config());
         assert!(ilp.proven_optimal);
         assert!(
             lr.power_mw >= ilp.power_mw - 1e-6,
@@ -891,9 +894,9 @@ mod tests {
                 two_pin_net(k, Point::new(0, y0), Point::new(28_000, 28_000 - y0), 1)
             })
             .collect();
-        let crossings = CrossingIndex::build(&nets);
-        let a = select_lr(&nets, &crossings, &config());
-        let b = select_lr(&nets, &crossings, &config());
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
+        let a = seq_lr(&nets, &crossings, &config());
+        let b = seq_lr(&nets, &crossings, &config());
         assert_eq!(a.choice, b.choice);
         assert_eq!(a.power_mw, b.power_mw);
     }
@@ -906,10 +909,16 @@ mod tests {
                 two_pin_net(k, Point::new(0, y0), Point::new(28_000, 28_000 - y0), 2)
             })
             .collect();
-        let crossings = CrossingIndex::build(&nets);
-        let seq = select_lr(&nets, &crossings, &config());
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
+        let seq = seq_lr(&nets, &crossings, &config());
         for threads in [2, 4, 8] {
-            let par = select_lr_with(&nets, &crossings, &config(), &Executor::new(threads));
+            let par = select_lr(
+                &nets,
+                &crossings,
+                &config(),
+                &Executor::new(threads),
+                &mut LrWorkspace::new(),
+            );
             assert_eq!(par.choice, seq.choice, "threads={threads}");
             assert_eq!(
                 par.power_mw.to_bits(),
@@ -937,10 +946,16 @@ mod tests {
                 p.fixed_db = lib.max_loss_db - 1.0;
             }
         }
-        let crossings = CrossingIndex::build(&nets);
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
         let reference = select_lr_reference(&nets, &crossings, &config());
         for threads in [1, 2, 8] {
-            let r = select_lr_with(&nets, &crossings, &config(), &Executor::new(threads));
+            let r = select_lr(
+                &nets,
+                &crossings,
+                &config(),
+                &Executor::new(threads),
+                &mut LrWorkspace::new(),
+            );
             assert_eq!(r.choice, reference.choice, "threads={threads}");
             assert_eq!(
                 r.power_mw.to_bits(),
@@ -975,11 +990,17 @@ mod tests {
         }
         let exec = Executor::sequential();
         let mut ws = LrWorkspace::new();
-        let big_idx = CrossingIndex::build(&big);
-        let _ = select_lr_in(&big, &big_idx, &config(), &exec, &mut ws);
-        let small_idx = CrossingIndex::build(&small);
-        let warm = select_lr_in(&small, &small_idx, &config(), &exec, &mut ws);
-        let cold = select_lr_with(&small, &small_idx, &config(), &exec);
+        let big_idx = CrossingIndex::build_with(&big, &Executor::sequential());
+        let _ = select_lr(&big, &big_idx, &config(), &exec, &mut ws);
+        let small_idx = CrossingIndex::build_with(&small, &Executor::sequential());
+        let warm = select_lr(&small, &small_idx, &config(), &exec, &mut ws);
+        let cold = select_lr(
+            &small,
+            &small_idx,
+            &config(),
+            &exec,
+            &mut LrWorkspace::new(),
+        );
         assert_eq!(warm.choice, cold.choice);
         assert_eq!(warm.power_mw.to_bits(), cold.power_mw.to_bits());
         assert_eq!(warm.lr_stats, cold.lr_stats);
@@ -1004,9 +1025,9 @@ mod tests {
             .enumerate()
             .map(|(i, n)| generate_candidates(n, i, &config))
             .collect();
-        let crossings = CrossingIndex::build(&nets);
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
         let reference = select_lr_reference(&nets, &crossings, &config);
-        let r = select_lr(&nets, &crossings, &config);
+        let r = seq_lr(&nets, &crossings, &config);
         assert_eq!(r.choice, reference.choice);
         assert_eq!(r.power_mw.to_bits(), reference.power_mw.to_bits());
         let stats = r.lr_stats.expect("LR path records stats");
@@ -1084,10 +1105,10 @@ mod tests {
                     p.fixed_db = lib.max_loss_db - 1.2;
                 }
             }
-            let crossings = CrossingIndex::build(&nets);
+            let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
             let naive = naive_drop_selection(&nets, &crossings, &lib);
             let naive_power = selection_power_mw(&nets, &naive);
-            let lr = select_lr(&nets, &crossings, &config());
+            let lr = seq_lr(&nets, &crossings, &config());
             assert!(
                 lr.power_mw <= naive_power + 1e-6,
                 "spread {spread}: LR {} vs naive {naive_power}",
@@ -1129,8 +1150,8 @@ mod tests {
                         }
                     }
                 }
-                let crossings = CrossingIndex::build(&nets);
-                let lr = select_lr(&nets, &crossings, &config());
+                let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
+                let lr = seq_lr(&nets, &crossings, &config());
                 prop_assert!(selection_feasible(&nets, &crossings, &lr.choice, &lib));
                 let ilp = select_ilp(
                     &nets,
@@ -1138,6 +1159,8 @@ mod tests {
                     &lib,
                     Duration::from_secs(20),
                     Some(&lr.choice),
+                    1,
+                    &Executor::sequential(),
                 )
                 .expect("solvable");
                 prop_assert!(selection_feasible(&nets, &crossings, &ilp.choice, &lib));
@@ -1170,8 +1193,8 @@ mod tests {
                 p.fixed_db = lib.max_loss_db - 0.1; // any crossing kills it
             }
         }
-        let crossings = CrossingIndex::build(&nets);
-        let r = select_lr(&nets, &crossings, &config());
+        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
+        let r = seq_lr(&nets, &crossings, &config());
         let optical = r.choice.iter().filter(|&&j| j == 0).count();
         assert_eq!(
             optical, 1,

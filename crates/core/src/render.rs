@@ -236,8 +236,14 @@ mod tests {
     fn wdm_tracks_render_when_requested() {
         let nets = vec![net(vec![EdgeMedium::Optical; 3])];
         let choice = vec![0usize];
-        let plan =
-            crate::wdm::plan(&nets, &choice, &OpticalLib::paper_defaults()).expect("feasible");
+        let (plan, _) = crate::wdm::plan(
+            &nets,
+            &choice,
+            &OpticalLib::paper_defaults(),
+            None,
+            &operon_exec::Executor::sequential(),
+        )
+        .expect("feasible");
         let with = render_svg(
             die(),
             &nets,

@@ -296,13 +296,14 @@ pub struct LaserReport {
 /// use operon::flow::OperonFlow;
 /// use operon::report::laser_report;
 /// use operon::CrossingIndex;
+/// use operon_exec::Executor;
 /// use operon_netlist::synth::{generate, SynthConfig};
 /// use operon_optics::linkbudget::LinkBudget;
 ///
 /// let design = generate(&SynthConfig::small(), 1);
 /// let config = OperonConfig::default();
 /// let result = OperonFlow::new(config.clone()).run(&design)?;
-/// let crossings = CrossingIndex::build(&result.candidates);
+/// let crossings = CrossingIndex::build_with(&result.candidates, &Executor::sequential());
 /// let report = laser_report(
 ///     &result.candidates,
 ///     &crossings,
@@ -472,6 +473,7 @@ mod tests {
 
     #[test]
     fn laser_report_prices_optical_nets_only() {
+        use operon_exec::Executor;
         use operon_optics::linkbudget::LinkBudget;
         let optical = net(vec![EdgeMedium::Optical]);
         let electrical = net(vec![EdgeMedium::Electrical]);
@@ -479,14 +481,14 @@ mod tests {
         let lib = OpticalLib::paper_defaults();
 
         let nets = vec![electrical];
-        let idx = crate::CrossingIndex::build(&nets);
+        let idx = crate::CrossingIndex::build_with(&nets, &Executor::sequential());
         let r = laser_report(&nets, &idx, &[0], &budget, &lib);
         assert_eq!(r.optical_nets, 0);
         assert_eq!(r.total_laser_mw, 0.0);
         assert_eq!(r.worst_headroom_db, budget.max_loss_db());
 
         let nets = vec![optical];
-        let idx = crate::CrossingIndex::build(&nets);
+        let idx = crate::CrossingIndex::build_with(&nets, &Executor::sequential());
         let r = laser_report(&nets, &idx, &[0], &budget, &lib);
         assert_eq!(r.optical_nets, 1);
         let loss = nets[0].candidates[0].worst_fixed_loss_db();

@@ -38,10 +38,10 @@
 //!   rebuilt;
 //! * selection re-runs globally (a local change can shift the crossing
 //!   coupling anywhere), with the LR pricer's within-call dirty sets;
-//! * WDM planning re-runs via [`wdm::plan_resident_with`], which is
-//!   handed the previous route's committed networks: an orientation
-//!   whose connection list and WDM knobs did not change is taken over
-//!   unsolved (`wdm_orientations_reused`), the other one is re-planned;
+//! * WDM planning re-runs via [`wdm::plan`], which is handed the
+//!   previous route's committed networks: an orientation whose
+//!   connection list and WDM knobs did not change is taken over unsolved
+//!   (`wdm_orientations_reused`), the other one is re-planned;
 //! * the committed networks stay resident so deletion what-ifs
 //!   ([`WarmSession::probe_wdm`]) are transactional
 //!   checkout/reroute/rollback probes — `networks_cloned` stays 0 for
@@ -51,10 +51,9 @@
 
 use crate::codesign::{generate_candidates, NetCandidates};
 use crate::config::{DirtyStage, OperonConfig, Selector};
-use crate::crossing::ChosenBuild;
 use crate::flow::FlowResult;
-use crate::formulation::{select_ilp_with, selection_feasible, SelectionResult};
-use crate::lr::{select_lr_in, LrStats, LrWorkspace};
+use crate::formulation::{select_ilp, selection_feasible, SelectionResult};
+use crate::lr::{select_lr, LrStats, LrWorkspace};
 use crate::wdm::{self, ResidentAssignment, WdmPlan, WdmProbe, WdmStats};
 use crate::{CrossingIndex, OperonError};
 use operon_cluster::{group_clusters, HyperNet, HyperNetId};
@@ -729,29 +728,24 @@ impl WarmSession {
         changed: &[usize],
     ) -> CrossingIndex {
         let mut stage = self.exec.stage("crossing");
-        let idx = match patch {
-            Some(prev) => {
-                stage.record("crossing_delta_rebuild", 1);
-                self.stats.crossing_delta_rebuilds += 1;
-                prev.rebuild_delta(candidates, changed)
-            }
-            None => {
-                self.stats.crossing_full_builds += 1;
-                CrossingIndex::build_with(candidates, &self.exec)
-            }
-        };
         // Which builder ran, whether the pair tests used the workers,
         // the pair and segment-crossing counts, and the index's heap
         // size: pure functions of the candidate set and the builder, so
         // run reports stay thread-count invariant.
-        let info = idx.build_info();
-        let strategy = match info.strategy {
-            ChosenBuild::BruteForce => "crossing_build_brute",
-            ChosenBuild::Grid => "crossing_build_grid",
-            ChosenBuild::Delta => "crossing_build_delta",
+        let idx = match patch {
+            Some(prev) => {
+                stage.record("crossing_delta_rebuild", 1);
+                stage.record("crossing_build_delta", 1);
+                self.stats.crossing_delta_rebuilds += 1;
+                prev.rebuild_delta(candidates, changed)
+            }
+            None => {
+                stage.record("crossing_build_grid", 1);
+                self.stats.crossing_full_builds += 1;
+                CrossingIndex::build_with(candidates, &self.exec)
+            }
         };
-        stage.record(strategy, 1);
-        stage.record("crossing_build_parallel", u64::from(info.parallel));
+        stage.record("crossing_build_parallel", u64::from(idx.built_parallel()));
         stage.record("crossing_pairs", idx.len() as u64);
         stage.record("crossing_hits", idx.segment_crossings());
         stage.record("crossing_index_kib", idx.heap_bytes().div_ceil(1024) as u64);
@@ -770,13 +764,13 @@ impl WarmSession {
     ) -> Result<SelectionResult, OperonError> {
         let mut stage = self.exec.stage("selection");
         self.stamp(&mut stage, from == DirtyStage::Selection);
-        let lr = select_lr_in(candidates, crossings, resolved, &self.exec, &mut self.lr_ws);
+        let lr = select_lr(candidates, crossings, resolved, &self.exec, &mut self.lr_ws);
         let selection = match resolved.selector {
             Selector::Ilp { time_limit_secs } => {
                 // The LR choice warm-starts the exact solver, so a
                 // limit-terminated solve still returns a strong
                 // incumbent.
-                let mut ilp = select_ilp_with(
+                let mut ilp = select_ilp(
                     candidates,
                     crossings,
                     &resolved.optical,
@@ -827,8 +821,7 @@ impl WarmSession {
     ) -> Result<(WdmPlan, ResidentAssignment), OperonError> {
         let mut stage = self.exec.stage("wdm");
         self.stamp(&mut stage, from == DirtyStage::Wdm);
-        let (plan, resident) =
-            wdm::plan_resident_with(candidates, choice, &resolved.optical, prior, &self.exec)?;
+        let (plan, resident) = wdm::plan(candidates, choice, &resolved.optical, prior, &self.exec)?;
         let stats = &plan.stats;
         stage.record("wdm_cold_solves", stats.cold_solves);
         stage.record("wdm_warm_trials", stats.warm_trials);
@@ -940,144 +933,6 @@ mod tests {
         assert!(s.is_routed());
         assert_eq!(s.fingerprint(), fp);
         assert_eq!(s.route().unwrap().power_mw, routed.power_mw);
-    }
-
-    /// A 2 cm die split into four quadrants, one long optical-capable
-    /// bus interior to each, plus one die-spanning diagonal bus.
-    /// Hand-placed so an ECO can touch one quadrant while the others
-    /// stay put.
-    fn quadrant_design() -> Design {
-        let die = operon_geom::BoundingBox::new(Point::new(0, 0), Point::new(19_999, 19_999));
-        let mut d = Design::new("quad", die);
-        let quads = [
-            (500i64, 500i64),
-            (10_500, 500),
-            (500, 10_500),
-            (10_500, 10_500),
-        ];
-        for (g, (qx, qy)) in quads.iter().enumerate() {
-            let bits = (0..4)
-                .map(|i| {
-                    Bit::new(
-                        BitId::new(i as u32),
-                        Point::new(*qx, qy + 12 * i as i64),
-                        vec![Point::new(qx + 8300, qy + 8300 + 12 * i as i64)],
-                    )
-                })
-                .collect();
-            d.push_group(SignalGroup::new(
-                GroupId::new(g as u32),
-                format!("quad{g}"),
-                bits,
-            ));
-        }
-        let bits = (0..4)
-            .map(|i| {
-                Bit::new(
-                    BitId::new(i as u32),
-                    Point::new(700, 700 + 12 * i as i64),
-                    vec![Point::new(19_000, 19_000 + 12 * i as i64)],
-                )
-            })
-            .collect();
-        d.push_group(SignalGroup::new(GroupId::new(4), "diag", bits));
-        d
-    }
-
-    /// Asserts the session's resident result equals a fresh one-shot
-    /// run of its current design at `threads` workers.
-    fn assert_matches_fresh(s: &WarmSession, threads: usize) {
-        let fresh = OperonFlow::new(OperonConfig::default())
-            .with_threads(threads)
-            .run(s.design())
-            .unwrap();
-        assert_eq!(s.selection().unwrap().choice, fresh.selection.choice);
-        assert_eq!(
-            s.selection().unwrap().power_mw.to_bits(),
-            fresh.total_power_mw().to_bits()
-        );
-        assert_eq!(s.wdm_plan().unwrap().wdms, fresh.wdm.wdms);
-        assert_eq!(s.hyper_nets().unwrap(), fresh.hyper_nets.as_slice());
-    }
-
-    /// ECOs that keep every prior net's dense index (an appended bus, a
-    /// pin move) patch the crossing index instead of rebuilding it, and
-    /// the patched session still matches a fresh run.
-    #[test]
-    fn index_keeping_ecos_take_the_delta_path() {
-        let design = quadrant_design();
-        for threads in [1, 2, 8] {
-            let mut s = WarmSession::open(
-                design.clone(),
-                OperonConfig::default(),
-                Executor::new(threads),
-            )
-            .unwrap();
-            s.route().unwrap();
-            assert_eq!(s.stats().crossing_full_builds, 1);
-
-            let p = Point::new(600, 600);
-            let q = Point::new(8_800, 8_800);
-            assert!(s.add_bus("eco", 4, p, q, 12).unwrap().warm);
-            assert_matches_fresh(&s, threads);
-            assert!(s.move_pins(3, 15, -9).unwrap().warm);
-            assert_matches_fresh(&s, threads);
-
-            let stats = s.stats();
-            assert_eq!(
-                (stats.crossing_full_builds, stats.crossing_delta_rebuilds),
-                (1, 2),
-                "index-keeping ECOs must patch the index ({stats:?})"
-            );
-        }
-    }
-
-    /// Removing a non-last group shifts the dense index of every later
-    /// group's nets, so the session cannot patch the crossing index: it
-    /// builds it from scratch and still matches a fresh run.
-    #[test]
-    fn eco_that_shifts_indices_rebuilds_the_crossing_index() {
-        let design = quadrant_design();
-        let mut trimmed = Design::new(design.name(), design.die());
-        for g in design.groups().iter().filter(|g| g.id().index() != 1) {
-            let id = GroupId::new(trimmed.group_count() as u32);
-            trimmed.push_group(SignalGroup::new(id, g.name(), g.bits().to_vec()));
-        }
-        for threads in [1, 2, 8] {
-            let mut s = WarmSession::open(
-                design.clone(),
-                OperonConfig::default(),
-                Executor::new(threads),
-            )
-            .unwrap();
-            s.route().unwrap();
-            let before = s.stats();
-            let eco = s.apply_design(trimmed.clone()).unwrap();
-            let after = s.stats();
-            assert!(eco.warm);
-            assert_eq!(after.groups_reused, before.groups_reused + 4);
-            assert_eq!(after.groups_reclustered, before.groups_reclustered);
-            assert_eq!(
-                after.crossing_full_builds,
-                before.crossing_full_builds + 1,
-                "shifted indices must force a full crossing build ({after:?})"
-            );
-            assert_eq!(
-                after.crossing_delta_rebuilds,
-                before.crossing_delta_rebuilds
-            );
-            assert_eq!(s.design(), &trimmed);
-            assert_matches_fresh(&s, threads);
-
-            // A design without groups is rejected and changes nothing.
-            let fp = s.fingerprint();
-            let empty = Design::new("empty", design.die());
-            assert_eq!(s.apply_design(empty), Err(OperonError::EmptyDesign));
-            assert!(s.is_routed());
-            assert_eq!(s.fingerprint(), fp);
-            assert_eq!(s.stats(), after);
-            assert_eq!(s.design(), &trimmed);
-        }
     }
 
     #[test]

@@ -172,8 +172,9 @@ pub fn validate_channels(
 mod tests {
     use super::*;
     use crate::wdm::{Connection, TrackOrientation};
+    use operon_exec::Executor;
 
-    fn plan_with(wdms: Vec<Wdm>, connections: Vec<Connection>) -> WdmPlan {
+    fn plan_of(wdms: Vec<Wdm>, connections: Vec<Connection>) -> WdmPlan {
         WdmPlan {
             connections,
             initial_count: wdms.len(),
@@ -201,7 +202,7 @@ mod tests {
 
     #[test]
     fn single_connection_starts_at_zero() {
-        let plan = plan_with(vec![wdm(vec![(0, 20)])], vec![conn(20)]);
+        let plan = plan_of(vec![wdm(vec![(0, 20)])], vec![conn(20)]);
         let ch = assign_channels(&plan, 32);
         assert_eq!(
             ch[0].blocks,
@@ -216,7 +217,7 @@ mod tests {
 
     #[test]
     fn blocks_are_contiguous_and_disjoint() {
-        let plan = plan_with(vec![wdm(vec![(0, 20), (1, 12)])], vec![conn(20), conn(12)]);
+        let plan = plan_of(vec![wdm(vec![(0, 20), (1, 12)])], vec![conn(20), conn(12)]);
         let ch = assign_channels(&plan, 32);
         assert!(ch[0].is_conflict_free());
         assert_eq!(ch[0].used(), 32);
@@ -231,7 +232,7 @@ mod tests {
     fn split_connection_gets_channels_on_both_waveguides() {
         // Connection 1 split 12 + 8 across two waveguides (the Fig. 6
         // outcome).
-        let plan = plan_with(
+        let plan = plan_of(
             vec![wdm(vec![(0, 20), (1, 12)]), wdm(vec![(1, 8), (2, 20)])],
             vec![conn(20), conn(20), conn(20)],
         );
@@ -242,13 +243,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds capacity")]
     fn overfull_waveguide_rejected() {
-        let plan = plan_with(vec![wdm(vec![(0, 40)])], vec![conn(40)]);
+        let plan = plan_of(vec![wdm(vec![(0, 40)])], vec![conn(40)]);
         let _ = assign_channels(&plan, 32);
     }
 
     #[test]
     fn validation_catches_conflicts() {
-        let plan = plan_with(vec![wdm(vec![(0, 4), (1, 4)])], vec![conn(4), conn(4)]);
+        let plan = plan_of(vec![wdm(vec![(0, 4), (1, 4)])], vec![conn(4), conn(4)]);
         let mut ch = assign_channels(&plan, 32);
         ch[0].blocks[1].first = 2; // force an overlap
         let err = validate_channels(&plan, &ch, 32).expect_err("overlap");
@@ -257,7 +258,7 @@ mod tests {
 
     #[test]
     fn validation_catches_short_connections() {
-        let plan = plan_with(vec![wdm(vec![(0, 4)])], vec![conn(6)]);
+        let plan = plan_of(vec![wdm(vec![(0, 4)])], vec![conn(6)]);
         let ch = assign_channels(&plan, 32);
         let err = validate_channels(&plan, &ch, 32).expect_err("short");
         assert!(err.contains("connection 0"));
@@ -296,7 +297,8 @@ mod tests {
             })
             .collect();
         let choice = vec![0usize; nets.len()];
-        let plan = crate::wdm::plan(&nets, &choice, &lib).expect("feasible");
+        let (plan, _) = crate::wdm::plan(&nets, &choice, &lib, None, &Executor::sequential())
+            .expect("feasible");
         let ch = assign_channels(&plan, lib.wdm_capacity);
         assert!(validate_channels(&plan, &ch, lib.wdm_capacity).is_ok());
     }

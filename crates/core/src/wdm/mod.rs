@@ -78,9 +78,8 @@ impl Wdm {
 /// still equals the all-cold reference, which re-trials every waveguide
 /// each round.
 ///
-/// An orientation reused from the previous plan (see
-/// [`plan_resident_with`]) runs no solve, so it adds only to
-/// `orientations_reused`.
+/// An orientation reused from the previous plan (see [`plan`]) runs no
+/// solve, so it adds only to `orientations_reused`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WdmStats {
     /// Cold MCMF solves: the initial assignment plus one re-solve per
@@ -502,7 +501,7 @@ pub struct WdmProbe {
 /// read: its connections' `(track, bits)` in extraction order and the
 /// three WDM knobs `(wdm_capacity, wdm_max_displacement,
 /// wdm_min_pitch)`. Equal inputs give a bitwise-equal plan and committed
-/// network, which is what lets [`plan_resident_with`] reuse them.
+/// network, which is what lets [`plan`] reuse them.
 #[derive(PartialEq, Eq)]
 struct OrientationInputs {
     conns: Vec<(i64, usize)>,
@@ -548,8 +547,8 @@ struct OrientationResident {
 /// machinery the reduction loop used — and hand an unchanged
 /// orientation over to the next plan.
 ///
-/// Returned by [`plan_resident_with`]; dropped (cheaply) by callers that
-/// only want the plan.
+/// Returned by [`plan`]; dropped (cheaply) by callers that only want the
+/// plan.
 #[derive(Default)]
 pub struct ResidentAssignment {
     parts: Vec<OrientationResident>,
@@ -776,7 +775,29 @@ fn to_global<'a>(
     })
 }
 
-/// Runs placement and assignment over a full selection.
+/// Runs placement and assignment over a full selection, with the two
+/// orientations planned on `exec`'s workers, and returns the plan with
+/// its [`ResidentAssignment`] — the committed per-orientation flow
+/// networks — so a session can keep them warm across requests and answer
+/// deletion what-ifs without re-planning. One-shot callers pass `prev =
+/// None` and drop the resident state.
+///
+/// Horizontal and vertical tracks share nothing — separate connections,
+/// separate WDMs, separate flow networks — so each orientation's
+/// placement + assignment (including its MCMF reduction loop) runs as one
+/// coarse parallel task. Results are concatenated in the fixed
+/// horizontal-then-vertical order, identical for every thread count.
+///
+/// `prev` is the previous plan's resident state, if any. An orientation
+/// whose inputs — its connections' `(track, bits)` in extraction order
+/// and the `wdm_capacity`, `wdm_max_displacement` and `wdm_min_pitch`
+/// knobs — equal those it was planned from is not planned again: its
+/// waveguides and committed network are taken over, its connection
+/// positions restated through the new global indices, and it counts in
+/// `stats.orientations_reused` instead of the solver counters. Every
+/// other orientation plans from scratch, after its stale part is
+/// dropped. Either way the plan and the resident state equal those of
+/// `prev = None` on the same inputs.
 ///
 /// # Errors
 ///
@@ -784,52 +805,6 @@ fn to_global<'a>(
 /// than one WDM carries, or the assignment network cannot route the full
 /// demand.
 pub fn plan(
-    nets: &[NetCandidates],
-    choice: &[usize],
-    lib: &OpticalLib,
-) -> Result<WdmPlan, OperonError> {
-    plan_with(nets, choice, lib, &Executor::sequential())
-}
-
-/// [`plan`] with the two orientations planned on `exec`'s workers.
-///
-/// Horizontal and vertical tracks share nothing — separate connections,
-/// separate WDMs, separate flow networks — so each orientation's
-/// placement + assignment (including its MCMF reduction loop) runs as one
-/// coarse parallel task. Results are concatenated in the fixed
-/// horizontal-then-vertical order, identical to the sequential [`plan`].
-///
-/// # Errors
-///
-/// Same failure modes as [`plan`].
-pub fn plan_with(
-    nets: &[NetCandidates],
-    choice: &[usize],
-    lib: &OpticalLib,
-    exec: &Executor,
-) -> Result<WdmPlan, OperonError> {
-    plan_resident_with(nets, choice, lib, None, exec).map(|(plan, _)| plan)
-}
-
-/// [`plan_with`], additionally returning the [`ResidentAssignment`] —
-/// the committed per-orientation flow networks — so a session can keep
-/// them warm across requests and answer deletion what-ifs without
-/// re-planning.
-///
-/// `prev` is the previous plan's resident state, if any. An orientation
-/// whose inputs — its connections' `(track, bits)` in extraction order
-/// and the `wdm_capacity`, `wdm_max_displacement` and `wdm_min_pitch`
-/// knobs — equal those it was planned from is not planned again: its waveguides and committed network are
-/// taken over, its connection positions restated through the new global
-/// indices, and it counts in `stats.orientations_reused` instead of the
-/// solver counters. Every other orientation plans from scratch, after
-/// its stale part is dropped. Either way the plan and the resident
-/// state equal [`plan_with`]'s on the same inputs.
-///
-/// # Errors
-///
-/// Same failure modes as [`plan`].
-pub fn plan_resident_with(
     nets: &[NetCandidates],
     choice: &[usize],
     lib: &OpticalLib,
@@ -946,6 +921,15 @@ mod tests {
         OpticalLib::paper_defaults()
     }
 
+    /// A plan from scratch on `exec`, without its resident state.
+    fn plan_on(
+        nets: &[NetCandidates],
+        choice: &[usize],
+        exec: &Executor,
+    ) -> Result<WdmPlan, OperonError> {
+        plan(nets, choice, &lib(), None, exec).map(|(plan, _)| plan)
+    }
+
     fn conn(track: i64, bits: usize) -> Connection {
         Connection {
             net_index: 0,
@@ -1057,7 +1041,7 @@ mod tests {
 
     #[test]
     fn empty_connection_list_yields_empty_plan() {
-        let plan = super::plan(&[], &[], &lib()).expect("empty plan is feasible");
+        let plan = plan_on(&[], &[], &Executor::sequential()).expect("empty plan is feasible");
         assert_eq!(plan.connections.len(), 0);
         assert_eq!(plan.initial_count, 0);
         assert_eq!(plan.final_count(), 0);
@@ -1131,7 +1115,7 @@ mod tests {
             seg_net(1, Point::new(0, 200), Point::new(10_000, 260), 8),
             seg_net(2, Point::new(5_000, 0), Point::new(5_100, 10_000), 8),
         ];
-        let plan = super::plan(&nets, &[0, 0, 0], &lib()).expect("feasible");
+        let plan = plan_on(&nets, &[0, 0, 0], &Executor::sequential()).expect("feasible");
         assert_eq!(plan.connections.len(), 3);
         let horizontal = plan
             .wdms
@@ -1168,8 +1152,7 @@ mod tests {
             let choice = vec![0usize; nets.len()];
             let reference = plan_cold_reference(&nets, &choice, &lib()).expect("feasible");
             for threads in [1, 2, 8] {
-                let warm =
-                    plan_with(&nets, &choice, &lib(), &Executor::new(threads)).expect("feasible");
+                let warm = plan_on(&nets, &choice, &Executor::new(threads)).expect("feasible");
                 assert_eq!(
                     warm.wdms, reference.wdms,
                     "spread={spread} threads={threads}"
@@ -1207,12 +1190,12 @@ mod tests {
             })
             .collect();
         let choice = vec![0usize; nets.len()];
-        let base = plan_with(&nets, &choice, &lib(), &Executor::sequential())
+        let base = plan_on(&nets, &choice, &Executor::sequential())
             .expect("feasible")
             .stats;
         assert!(base.warm_trials > 0, "reduction should run trials");
         for threads in [2, 8] {
-            let stats = plan_with(&nets, &choice, &lib(), &Executor::new(threads))
+            let stats = plan_on(&nets, &choice, &Executor::new(threads))
                 .expect("feasible")
                 .stats;
             assert_eq!(stats, base, "threads={threads}");
@@ -1241,8 +1224,7 @@ mod tests {
         // solve per tentative deletion.
         let reference_trials = reference.stats.cold_solves - 1;
         for threads in [1, 2, 8] {
-            let warm =
-                plan_with(&nets, &choice, &lib(), &Executor::new(threads)).expect("feasible");
+            let warm = plan_on(&nets, &choice, &Executor::new(threads)).expect("feasible");
             assert_eq!(warm.wdms, reference.wdms, "threads={threads}");
             assert_eq!((warm.initial_count, warm.final_count()), (4, 3));
             // Each waveguide fails at most one trial.
@@ -1274,12 +1256,11 @@ mod tests {
         let after = vec![h(0, 0), v(2, 3_090), h(3, 120)];
         for threads in [1, 2, 8] {
             let exec = Executor::new(threads);
-            let (_, prev) =
-                plan_resident_with(&before, &[0; 4], &lib(), None, &exec).expect("feasible");
+            let (_, prev) = super::plan(&before, &[0; 4], &lib(), None, &exec).expect("feasible");
             let (warm, warm_resident) =
-                plan_resident_with(&after, &[0; 3], &lib(), Some(prev), &exec).expect("feasible");
+                super::plan(&after, &[0; 3], &lib(), Some(prev), &exec).expect("feasible");
             let (cold, cold_resident) =
-                plan_resident_with(&after, &[0; 3], &lib(), None, &exec).expect("feasible");
+                super::plan(&after, &[0; 3], &lib(), None, &exec).expect("feasible");
             assert_eq!(warm.connections, cold.connections);
             assert_eq!(warm.initial_count, cold.initial_count);
             assert_eq!(warm.wdms, cold.wdms, "threads={threads}");
@@ -1393,7 +1374,7 @@ mod tests {
             })
             .collect();
         let choice = vec![0usize; nets.len()];
-        let plan = super::plan(&nets, &choice, &lib()).expect("feasible");
+        let plan = plan_on(&nets, &choice, &Executor::sequential()).expect("feasible");
         assert!(plan
             .wdms
             .iter()

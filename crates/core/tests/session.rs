@@ -6,7 +6,8 @@ use operon::config::OperonConfig;
 use operon::flow::OperonFlow;
 use operon::session::WarmSession;
 use operon::wdm::TrackOrientation;
-use operon_exec::Executor;
+use operon::OperonError;
+use operon_exec::{Executor, StageRecord};
 use operon_geom::{BoundingBox, Point};
 use operon_netlist::synth::{generate, SynthConfig};
 use operon_netlist::{Bit, BitId, Design, GroupId, SignalGroup};
@@ -316,4 +317,181 @@ fn eco_after_probe_matches_cold() {
     s.apply_design(without_first_group(&design)).expect("eco");
     assert!(s.stats().wdm.orientations_reused > 0);
     assert_matches_cold(&mut s, "eco after probe");
+}
+
+/// A 2 cm die split into four quadrants, one long optical-capable
+/// bus interior to each, plus one die-spanning diagonal bus.
+/// Hand-placed so an ECO can touch one quadrant while the others
+/// stay put.
+fn quadrant_design() -> Design {
+    let die = BoundingBox::new(Point::new(0, 0), Point::new(19_999, 19_999));
+    let mut d = Design::new("quad", die);
+    let quads = [
+        (500i64, 500i64),
+        (10_500, 500),
+        (500, 10_500),
+        (10_500, 10_500),
+    ];
+    for (g, (qx, qy)) in quads.iter().enumerate() {
+        let bits = (0..4)
+            .map(|i| {
+                Bit::new(
+                    BitId::new(i as u32),
+                    Point::new(*qx, qy + 12 * i as i64),
+                    vec![Point::new(qx + 8300, qy + 8300 + 12 * i as i64)],
+                )
+            })
+            .collect();
+        d.push_group(SignalGroup::new(
+            GroupId::new(g as u32),
+            format!("quad{g}"),
+            bits,
+        ));
+    }
+    let bits = (0..4)
+        .map(|i| {
+            Bit::new(
+                BitId::new(i as u32),
+                Point::new(700, 700 + 12 * i as i64),
+                vec![Point::new(19_000, 19_000 + 12 * i as i64)],
+            )
+        })
+        .collect();
+    d.push_group(SignalGroup::new(GroupId::new(4), "diag", bits));
+    d
+}
+
+/// Asserts the session's resident result equals a fresh one-shot
+/// run of its current design at `threads` workers.
+fn assert_matches_fresh(s: &WarmSession, threads: usize) {
+    let fresh = OperonFlow::new(OperonConfig::default())
+        .with_threads(threads)
+        .run(s.design())
+        .unwrap();
+    assert_eq!(s.selection().unwrap().choice, fresh.selection.choice);
+    assert_eq!(
+        s.selection().unwrap().power_mw.to_bits(),
+        fresh.total_power_mw().to_bits()
+    );
+    assert_eq!(s.wdm_plan().unwrap().wdms, fresh.wdm.wdms);
+    assert_eq!(s.hyper_nets().unwrap(), fresh.hyper_nets.as_slice());
+}
+
+/// ECOs that keep every prior net's dense index (an appended bus, a
+/// pin move) patch the crossing index instead of rebuilding it, and
+/// the patched session still matches a fresh run.
+#[test]
+fn index_keeping_ecos_take_the_delta_path() {
+    let design = quadrant_design();
+    for threads in [1, 2, 8] {
+        let mut s = WarmSession::open(
+            design.clone(),
+            OperonConfig::default(),
+            Executor::new(threads),
+        )
+        .unwrap();
+        s.route().unwrap();
+        assert_eq!(s.stats().crossing_full_builds, 1);
+
+        let p = Point::new(600, 600);
+        let q = Point::new(8_800, 8_800);
+        assert!(s.add_bus("eco", 4, p, q, 12).unwrap().warm);
+        assert_matches_fresh(&s, threads);
+        assert!(s.move_pins(3, 15, -9).unwrap().warm);
+        assert_matches_fresh(&s, threads);
+
+        let stats = s.stats();
+        assert_eq!(
+            (stats.crossing_full_builds, stats.crossing_delta_rebuilds),
+            (1, 2),
+            "index-keeping ECOs must patch the index ({stats:?})"
+        );
+    }
+}
+
+/// Removing a non-last group shifts the dense index of every later
+/// group's nets, so the session cannot patch the crossing index: it
+/// builds it from scratch and still matches a fresh run.
+#[test]
+fn eco_that_shifts_indices_rebuilds_the_crossing_index() {
+    let design = quadrant_design();
+    let mut trimmed = Design::new(design.name(), design.die());
+    for g in design.groups().iter().filter(|g| g.id().index() != 1) {
+        let id = GroupId::new(trimmed.group_count() as u32);
+        trimmed.push_group(SignalGroup::new(id, g.name(), g.bits().to_vec()));
+    }
+    for threads in [1, 2, 8] {
+        let mut s = WarmSession::open(
+            design.clone(),
+            OperonConfig::default(),
+            Executor::new(threads),
+        )
+        .unwrap();
+        s.route().unwrap();
+        let before = s.stats();
+        let eco = s.apply_design(trimmed.clone()).unwrap();
+        let after = s.stats();
+        assert!(eco.warm);
+        assert_eq!(after.groups_reused, before.groups_reused + 4);
+        assert_eq!(after.groups_reclustered, before.groups_reclustered);
+        assert_eq!(
+            after.crossing_full_builds,
+            before.crossing_full_builds + 1,
+            "shifted indices must force a full crossing build ({after:?})"
+        );
+        assert_eq!(
+            after.crossing_delta_rebuilds,
+            before.crossing_delta_rebuilds
+        );
+        assert_eq!(s.design(), &trimmed);
+        assert_matches_fresh(&s, threads);
+
+        // A design without groups is rejected and changes nothing.
+        let fp = s.fingerprint();
+        let empty = Design::new("empty", design.die());
+        assert_eq!(s.apply_design(empty), Err(OperonError::EmptyDesign));
+        assert!(s.is_routed());
+        assert_eq!(s.fingerprint(), fp);
+        assert_eq!(s.stats(), after);
+        assert_eq!(s.design(), &trimmed);
+    }
+}
+
+/// Each crossing stage record names the build that ran: a cold route's
+/// full grid build records `crossing_build_grid`, an index-keeping ECO's
+/// patch `crossing_build_delta`, and no record names a brute-force build.
+#[test]
+fn crossing_records_name_the_build_that_ran() {
+    let counter =
+        |r: &StageRecord, key: &str| r.counters.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+    for threads in [1usize, 2, 8] {
+        let exec = Executor::new(threads);
+        let mut s = WarmSession::open(quadrant_design(), OperonConfig::default(), exec.clone())
+            .expect("open");
+        s.route().expect("cold route");
+        assert!(s.move_pins(3, 15, -9).expect("eco").warm);
+
+        let stages = exec.report().stages;
+        let builds: Vec<_> = stages
+            .iter()
+            .filter(|r| r.name == "crossing")
+            .map(|r| {
+                (
+                    counter(r, "crossing_build_grid"),
+                    counter(r, "crossing_build_delta"),
+                )
+            })
+            .collect();
+        assert_eq!(
+            builds,
+            [(Some(1), None), (None, Some(1))],
+            "threads={threads}: cold grid build, then a delta patch"
+        );
+        assert!(
+            stages
+                .iter()
+                .all(|r| counter(r, "crossing_build_brute").is_none()),
+            "threads={threads}"
+        );
+    }
 }

@@ -4,7 +4,7 @@
 //!
 //! A `par_map` call splits `0..n` into one contiguous range per worker.
 //! Each worker claims a *chunk* of indices from the front of its own
-//! range (coarse range splitting: up to [`CLAIM_CHUNK_MAX`] indices per
+//! range (coarse range splitting: up to `CLAIM_CHUNK_MAX` indices per
 //! CAS, so large maps don't pay one atomic round-trip per item); a
 //! worker whose range is exhausted scans the others and steals the
 //! *back half* of the largest remaining range (the classic

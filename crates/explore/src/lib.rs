@@ -19,7 +19,7 @@
 //!
 //! * [`lattice`] — knob table, axis declarations, mixed-radix point
 //!   enumeration, JSON spec parsing;
-//! * [`sweep`] — the grouped warm driver, objective measurement, and
+//! * [`sweep`](mod@sweep) — the grouped warm driver, objective measurement, and
 //!   the serve-protocol trace emitter;
 //! * [`pareto`] — incremental dominance filtering with a quadratic
 //!   reference oracle;

@@ -1,24 +1,25 @@
-//! Dense two-phase primal simplex with *native* variable upper bounds.
+//! Dense two-phase primal simplex with *native* variable upper bounds:
+//! the LP relaxation solver behind the branch and bound.
 //!
-//! The plain simplex in [`crate::simplex`] needs an explicit `x_j <= u_j`
-//! row per bounded variable, which doubles the row count of 0/1 LP
-//! relaxations. The bounded-variable method keeps those bounds out of the
-//! basis entirely: a nonbasic variable rests at its *lower or upper*
-//! bound, the ratio test additionally considers basics hitting their
-//! upper bounds and the entering variable flipping straight to its other
-//! bound, and everything else proceeds as usual. For the OPERON
+//! A plain simplex needs an explicit `x_j <= u_j` row per bounded
+//! variable, which doubles the row count of 0/1 LP relaxations (the
+//! crate keeps one, test-only, as this module's oracle). The
+//! bounded-variable method keeps those bounds out of the basis entirely:
+//! a nonbasic variable rests at its *lower or upper* bound, the ratio
+//! test additionally considers basics hitting their upper bounds and the
+//! entering variable flipping straight to its other bound, and
+//! everything else proceeds as usual. For the OPERON
 //! relaxations this roughly halves the tableau and the pivot work.
 //!
 //! # Examples
 //!
 //! ```
-//! use operon_ilp::bounded::solve_lp_bounded;
-//! use operon_ilp::simplex::{LpOutcome, LpRow};
+//! use operon_ilp::bounded::{solve_lp_bounded, LpOutcome, LpRow};
 //! use operon_ilp::Cmp;
 //!
 //! // min -x0 - 2 x1  s.t. x0 + x1 <= 1.5, 0 <= x <= 1.
 //! let rows = vec![LpRow::new(vec![1.0, 1.0], Cmp::Le, 1.5)];
-//! match solve_lp_bounded(&[-1.0, -2.0], &rows, &[1.0, 1.0]) {
+//! match solve_lp_bounded(&[-1.0, -2.0], &rows, &[1.0, 1.0], None).outcome {
 //!     LpOutcome::Optimal { objective, x } => {
 //!         assert!((objective + 2.5).abs() < 1e-6);
 //!         assert!((x[1] - 1.0).abs() < 1e-6);
@@ -27,17 +28,51 @@
 //! }
 //! ```
 
-use crate::simplex::{LpOutcome, LpRow};
 use crate::Cmp;
 
 const EPS: f64 = 1e-9;
 const FEAS_EPS: f64 = 1e-7;
 
+/// One LP constraint row: `coeffs · x cmp rhs`.
+#[derive(Clone, Debug)]
+pub struct LpRow {
+    /// Dense coefficient vector (length = number of variables).
+    pub coeffs: Vec<f64>,
+    /// Comparison sense.
+    pub cmp: Cmp,
+    /// Right-hand side.
+    pub rhs: f64,
+}
+
+impl LpRow {
+    /// Creates a row.
+    pub fn new(coeffs: Vec<f64>, cmp: Cmp, rhs: f64) -> Self {
+        Self { coeffs, cmp, rhs }
+    }
+}
+
+/// Result of an LP solve.
+#[derive(Clone, Debug)]
+pub enum LpOutcome {
+    /// An optimal basic solution was found.
+    Optimal {
+        /// The minimized objective value.
+        objective: f64,
+        /// The primal solution (length = number of variables).
+        x: Vec<f64>,
+    },
+    /// No feasible point exists.
+    Infeasible,
+    /// The objective is unbounded below (cannot happen when every
+    /// variable has a finite upper bound).
+    Unbounded,
+}
+
 /// Where a nonbasic variable currently rests.
 ///
 /// Also the unit of warm-start information between branch-and-bound
 /// nodes: a parent LP's per-variable rests, replayed into a child's
-/// initial tableau via [`solve_lp_bounded_with`], start the child search
+/// initial tableau via [`solve_lp_bounded`], start the child search
 /// near the parent vertex and cut pivot counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rest {
@@ -50,7 +85,7 @@ pub enum Rest {
 /// Result of a bounded solve, with the extras warm-started callers need.
 #[derive(Clone, Debug)]
 pub struct BoundedSolve {
-    /// The LP outcome (same as [`solve_lp_bounded`] returns).
+    /// The LP outcome.
     pub outcome: LpOutcome,
     /// Rest-bound summary of each structural variable at the optimum —
     /// empty unless optimal. Feed it back as the `hint` of a related
@@ -61,22 +96,13 @@ pub struct BoundedSolve {
     pub iterations: u64,
 }
 
-/// Solves `min c·x` subject to `rows` and `0 <= x_j <= upper[j]`.
+/// Solves `min c·x` subject to `rows` and `0 <= x_j <= upper[j]`, with
+/// an optional warm-start rest `hint` (one [`Rest`] per structural
+/// variable), returning the rests and iteration count alongside the
+/// outcome.
 ///
 /// `upper[j]` may be `f64::INFINITY` for a free-above variable. Slack and
 /// artificial variables are managed internally.
-///
-/// # Panics
-///
-/// Panics on dimension mismatches or non-finite input data (infinite
-/// upper bounds excepted).
-pub fn solve_lp_bounded(c: &[f64], rows: &[LpRow], upper: &[f64]) -> LpOutcome {
-    solve_lp_bounded_with(c, rows, upper, None).outcome
-}
-
-/// [`solve_lp_bounded`] with an optional warm-start rest `hint` (one
-/// [`Rest`] per structural variable), returning the rests and iteration
-/// count alongside the outcome.
 ///
 /// Hinted columns are flipped to their upper bound before phase 1 when
 /// doing so keeps every basic value feasible and does not increase the
@@ -88,7 +114,7 @@ pub fn solve_lp_bounded(c: &[f64], rows: &[LpRow], upper: &[f64]) -> LpOutcome {
 ///
 /// Panics on dimension mismatches or non-finite input data (infinite
 /// upper bounds excepted).
-pub fn solve_lp_bounded_with(
+pub fn solve_lp_bounded(
     c: &[f64],
     rows: &[LpRow],
     upper: &[f64],
@@ -601,14 +627,14 @@ mod tests {
 
     #[test]
     fn unconstrained_negative_costs_hit_upper_bounds() {
-        let (obj, x) = opt(solve_lp_bounded(&[-3.0, -4.0], &[], &[1.0, 1.0]));
+        let (obj, x) = opt(solve_lp_bounded(&[-3.0, -4.0], &[], &[1.0, 1.0], None).outcome);
         assert!((obj + 7.0).abs() < 1e-7);
         assert!((x[0] - 1.0).abs() < 1e-7 && (x[1] - 1.0).abs() < 1e-7);
     }
 
     #[test]
     fn unconstrained_positive_costs_stay_at_zero() {
-        let (obj, x) = opt(solve_lp_bounded(&[2.0, 3.0], &[], &[1.0, 1.0]));
+        let (obj, x) = opt(solve_lp_bounded(&[2.0, 3.0], &[], &[1.0, 1.0], None).outcome);
         assert!(obj.abs() < 1e-9);
         assert!(x.iter().all(|&v| v.abs() < 1e-9));
     }
@@ -618,11 +644,8 @@ mod tests {
         // min -3a -4b -5c s.t. 2a + 3b + 4c <= 6, x in [0,1]^3.
         // LP: take a=1, b=1 (weight 5), c=1/4 -> obj -(3+4+1.25).
         let rows = vec![LpRow::new(vec![2.0, 3.0, 4.0], Cmp::Le, 6.0)];
-        let (obj, x) = opt(solve_lp_bounded(
-            &[-3.0, -4.0, -5.0],
-            &rows,
-            &[1.0, 1.0, 1.0],
-        ));
+        let (obj, x) =
+            opt(solve_lp_bounded(&[-3.0, -4.0, -5.0], &rows, &[1.0, 1.0, 1.0], None).outcome);
         assert!((obj + 8.25).abs() < 1e-7, "obj {obj}");
         assert!((x[2] - 0.25).abs() < 1e-7);
     }
@@ -634,7 +657,7 @@ mod tests {
             LpRow::new(vec![1.0, 1.0], Cmp::Eq, 1.0),
             LpRow::new(vec![1.0, -1.0], Cmp::Ge, -0.5),
         ];
-        let (obj, x) = opt(solve_lp_bounded(&[1.0, 2.0], &rows, &[1.0, 1.0]));
+        let (obj, x) = opt(solve_lp_bounded(&[1.0, 2.0], &rows, &[1.0, 1.0], None).outcome);
         // Optimal: maximize x subject to x+y=1 and x >= y-0.5 -> x=1,y=0
         // gives obj 1; check x - y = 1 >= -0.5 ok.
         assert!((obj - 1.0).abs() < 1e-7, "obj {obj}");
@@ -645,7 +668,7 @@ mod tests {
     fn infeasible_detected() {
         let rows = vec![LpRow::new(vec![1.0, 1.0], Cmp::Ge, 3.0)];
         assert!(matches!(
-            solve_lp_bounded(&[1.0, 1.0], &rows, &[1.0, 1.0]),
+            solve_lp_bounded(&[1.0, 1.0], &rows, &[1.0, 1.0], None).outcome,
             LpOutcome::Infeasible
         ));
     }
@@ -653,7 +676,7 @@ mod tests {
     #[test]
     fn unbounded_detected_with_infinite_upper() {
         assert!(matches!(
-            solve_lp_bounded(&[-1.0], &[], &[f64::INFINITY]),
+            solve_lp_bounded(&[-1.0], &[], &[f64::INFINITY], None).outcome,
             LpOutcome::Unbounded
         ));
     }
@@ -665,7 +688,8 @@ mod tests {
             LpRow::new(vec![0.0, 1.0, 1.0], Cmp::Ge, 1.0),
             LpRow::new(vec![1.0, 0.0, 1.0], Cmp::Ge, 1.0),
         ];
-        let (obj, x) = opt(solve_lp_bounded(&[1.0, 1.0, 1.0], &rows, &[1.0, 1.0, 1.0]));
+        let (obj, x) =
+            opt(solve_lp_bounded(&[1.0, 1.0, 1.0], &rows, &[1.0, 1.0, 1.0], None).outcome);
         assert!((obj - 1.5).abs() < 1e-7, "obj {obj}");
         assert!(x.iter().all(|&v| (v - 0.5).abs() < 1e-6));
     }
@@ -677,11 +701,11 @@ mod tests {
         // the same objective in no more iterations.
         let rows = vec![LpRow::new(vec![2.0, 3.0, 4.0], Cmp::Le, 6.0)];
         let c = [-3.0, -4.0, -5.0];
-        let cold = solve_lp_bounded_with(&c, &rows, &[1.0, 1.0, 1.0], None);
+        let cold = solve_lp_bounded(&c, &rows, &[1.0, 1.0, 1.0], None);
         let LpOutcome::Optimal { objective: o1, .. } = cold.outcome else {
             panic!("cold solve must be optimal");
         };
-        let warm = solve_lp_bounded_with(&c, &rows, &[1.0, 1.0, 1.0], Some(&cold.rests));
+        let warm = solve_lp_bounded(&c, &rows, &[1.0, 1.0, 1.0], Some(&cold.rests));
         let LpOutcome::Optimal { objective: o2, .. } = warm.outcome else {
             panic!("warm solve must be optimal");
         };
@@ -696,7 +720,7 @@ mod tests {
         // the flip is rejected and the solve still succeeds.
         let rows = vec![LpRow::new(vec![1.0, 0.0], Cmp::Le, 0.0)];
         let hint = [Rest::Upper, Rest::Upper];
-        let got = solve_lp_bounded_with(&[1.0, -1.0], &rows, &[1.0, 1.0], Some(&hint));
+        let got = solve_lp_bounded(&[1.0, -1.0], &rows, &[1.0, 1.0], Some(&hint));
         let LpOutcome::Optimal { objective, x } = got.outcome else {
             panic!("must stay solvable under a bad hint");
         };
@@ -708,7 +732,7 @@ mod tests {
     fn mixed_bounds_with_negative_rhs() {
         // -x <= -0.4  (x >= 0.4), min x -> 0.4.
         let rows = vec![LpRow::new(vec![-1.0], Cmp::Le, -0.4)];
-        let (obj, x) = opt(solve_lp_bounded(&[1.0], &rows, &[1.0]));
+        let (obj, x) = opt(solve_lp_bounded(&[1.0], &rows, &[1.0], None).outcome);
         assert!((obj - 0.4).abs() < 1e-7);
         assert!((x[0] - 0.4).abs() < 1e-7);
     }
@@ -757,7 +781,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let got = solve_lp_bounded(&c, &rows, &upper);
+            let got = solve_lp_bounded(&c, &rows, &upper, None).outcome;
             let want = reference(&c, &rows, &upper);
             match (got, want) {
                 (
@@ -822,8 +846,8 @@ mod tests {
                     )
                 })
                 .collect();
-            let cold = solve_lp_bounded_with(&c, &rows, &upper, None);
-            let warm = solve_lp_bounded_with(&c, &rows, &upper, Some(&hint));
+            let cold = solve_lp_bounded(&c, &rows, &upper, None);
+            let warm = solve_lp_bounded(&c, &rows, &upper, Some(&hint));
             match (cold.outcome, warm.outcome) {
                 (
                     LpOutcome::Optimal { objective: a, .. },

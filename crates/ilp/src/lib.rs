@@ -10,7 +10,10 @@
 //! Architecture:
 //!
 //! * [`Model`] — variables, linear expressions, constraints.
-//! * Dense two-phase primal simplex for the LP relaxation ([`simplex`]).
+//! * Dense two-phase bounded-variable primal simplex for the LP
+//!   relaxation ([`bounded`]): the 0/1 bounds stay out of the tableau.
+//!   A plain dense tableau with explicit bound rows is kept test-only, as
+//!   its oracle.
 //! * Best-first branch and bound with LP bounding, fractional branching,
 //!   rounding heuristics, warm starts, and a wall-clock time limit
 //!   ([`Model::solve`]).
@@ -40,7 +43,8 @@
 
 pub mod bounded;
 mod model;
-pub mod simplex;
+#[cfg(test)]
+mod simplex;
 mod solver;
 
 pub use model::{Cmp, LinExpr, Model, VarId};

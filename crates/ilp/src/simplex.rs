@@ -1,71 +1,18 @@
-//! Dense two-phase primal simplex.
+//! Dense two-phase primal simplex: the test oracle for
+//! [`crate::bounded`].
 //!
 //! Solves `min c·x` subject to `A x {<=,>=,==} b` and `x >= 0`. Upper
 //! bounds (`x <= 1` for the relaxed binaries) are ordinary rows supplied
 //! by the caller. The implementation is a classic dense tableau with
 //! Dantzig pricing and a Bland's-rule fallback to guarantee termination
-//! under degeneracy — sized for the few-thousand-variable relaxations the
-//! OPERON formulation produces, not for general-purpose LP work.
-//!
-//! # Examples
-//!
-//! ```
-//! use operon_ilp::simplex::{solve_lp, LpOutcome, LpRow};
-//! use operon_ilp::Cmp;
-//!
-//! // min -x0 - 2 x1  s.t. x0 + x1 <= 1.5, x0 <= 1, x1 <= 1
-//! let rows = vec![
-//!     LpRow::new(vec![1.0, 1.0], Cmp::Le, 1.5),
-//!     LpRow::new(vec![1.0, 0.0], Cmp::Le, 1.0),
-//!     LpRow::new(vec![0.0, 1.0], Cmp::Le, 1.0),
-//! ];
-//! match solve_lp(&[-1.0, -2.0], &rows) {
-//!     LpOutcome::Optimal { objective, x } => {
-//!         assert!((objective + 2.5).abs() < 1e-6);
-//!         assert!((x[1] - 1.0).abs() < 1e-6);
-//!     }
-//!     other => panic!("unexpected outcome {other:?}"),
-//! }
-//! ```
+//! under degeneracy. The solver's bounded-variable method must agree
+//! with it on every LP (`bounded`'s `matches_plain_simplex` proptest);
+//! no production path calls it.
 
+use crate::bounded::{LpOutcome, LpRow};
 use crate::Cmp;
 
 const EPS: f64 = 1e-9;
-
-/// One LP constraint row: `coeffs · x cmp rhs`.
-#[derive(Clone, Debug)]
-pub struct LpRow {
-    /// Dense coefficient vector (length = number of variables).
-    pub coeffs: Vec<f64>,
-    /// Comparison sense.
-    pub cmp: Cmp,
-    /// Right-hand side.
-    pub rhs: f64,
-}
-
-impl LpRow {
-    /// Creates a row.
-    pub fn new(coeffs: Vec<f64>, cmp: Cmp, rhs: f64) -> Self {
-        Self { coeffs, cmp, rhs }
-    }
-}
-
-/// Result of an LP solve.
-#[derive(Clone, Debug)]
-pub enum LpOutcome {
-    /// An optimal basic solution was found.
-    Optimal {
-        /// The minimized objective value.
-        objective: f64,
-        /// The primal solution (length = number of variables).
-        x: Vec<f64>,
-    },
-    /// No feasible point exists.
-    Infeasible,
-    /// The objective is unbounded below (cannot happen when every
-    /// variable carries an upper-bound row).
-    Unbounded,
-}
 
 /// Solves `min c·x` over the given rows with `x >= 0`.
 ///

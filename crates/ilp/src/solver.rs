@@ -16,8 +16,7 @@
 //! at-upper-bound columns pre-flipped, which cuts simplex iterations
 //! without affecting the relaxation's optimum value.
 
-use crate::bounded::{solve_lp_bounded_with, Rest};
-use crate::simplex::{LpOutcome, LpRow};
+use crate::bounded::{solve_lp_bounded, LpOutcome, LpRow, Rest};
 use crate::{Cmp, Model, VarId};
 use operon_exec::Executor;
 use std::cmp::Ordering;
@@ -642,7 +641,7 @@ impl Model {
 
         // Project the full-length hint onto the free columns.
         let col_hint: Option<Vec<Rest>> = hint.map(|h| free_vars.iter().map(|&i| h[i]).collect());
-        let solve = solve_lp_bounded_with(&cost, &rows, &vec![1.0; n_free], col_hint.as_deref());
+        let solve = solve_lp_bounded(&cost, &rows, &vec![1.0; n_free], col_hint.as_deref());
         let iters = solve.iterations;
         match solve.outcome {
             LpOutcome::Optimal { objective, x } => {

@@ -647,7 +647,7 @@ impl fmt::Display for OperonError {
 
     #[test]
     fn use_groups_and_aliases() {
-        let src = "use std::collections::{BTreeMap, BTreeSet};\nuse operon_mcmf::McmfGraph as Graph;\nuse crate::lr::select_lr_with;\n";
+        let src = "use std::collections::{BTreeMap, BTreeSet};\nuse operon_mcmf::McmfGraph as Graph;\nuse crate::lr::select_lr;\n";
         let (_, file) = parsed(src);
         assert_eq!(
             file.uses.get("BTreeMap").unwrap(),
@@ -658,8 +658,8 @@ impl fmt::Display for OperonError {
             &["operon_mcmf", "McmfGraph"]
         );
         assert_eq!(
-            file.uses.get("select_lr_with").unwrap(),
-            &["crate", "lr", "select_lr_with"]
+            file.uses.get("select_lr").unwrap(),
+            &["crate", "lr", "select_lr"]
         );
     }
 

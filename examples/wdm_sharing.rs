@@ -8,6 +8,7 @@
 
 use operon::codesign::{analyze_assignment, EdgeMedium, NetCandidates};
 use operon::wdm;
+use operon_exec::Executor;
 use operon_geom::Point;
 use operon_optics::{ElectricalParams, OpticalLib};
 use operon_steiner::{NodeKind, RouteTree};
@@ -38,7 +39,10 @@ fn main() {
     let nets: Vec<NetCandidates> = (0..3).map(|k| connection(k, k as i64 * 100, 20)).collect();
     let choice = vec![0usize; nets.len()];
 
-    let plan = wdm::plan(&nets, &choice, &lib).expect("demo plan is feasible");
+    // A plan from scratch (no previous plan to reuse); the committed flow
+    // networks it also returns are only needed by warm sessions.
+    let (plan, _) = wdm::plan(&nets, &choice, &lib, None, &Executor::sequential())
+        .expect("demo plan is feasible");
     println!(
         "connections: {} (20 bits each, WDM capacity {})",
         plan.connections.len(),

@@ -26,7 +26,7 @@ pub mod test_runner;
 pub mod collection {
     use crate::strategy::{Strategy, VecStrategy};
 
-    /// A range of lengths for [`vec`].
+    /// A range of lengths for [`vec`](fn@vec).
     pub trait SizeRange {
         /// `(min, max)` inclusive bounds.
         fn bounds(&self) -> (usize, usize);

@@ -9,6 +9,7 @@ use operon::report::{laser_report, thermal_report};
 use operon::session::WarmSession;
 use operon::wdm::channels::{assign_channels, validate_channels};
 use operon::CrossingIndex;
+use operon_exec::Executor;
 use operon_netlist::stats::DesignStats;
 use operon_netlist::synth::{generate, SynthConfig};
 use operon_optics::linkbudget::LinkBudget;
@@ -41,7 +42,7 @@ fn wavelength_channels_validate_on_real_flows() {
 #[test]
 fn laser_budget_closes_for_accepted_selections() {
     let (config, _design, result) = flow_and_result();
-    let crossings = CrossingIndex::build(&result.candidates);
+    let crossings = CrossingIndex::build_with(&result.candidates, &Executor::sequential());
     let resolved = config.resolved_for(result.hyper_nets.iter().map(|n| n.bit_count()));
     // A budget matching the configured l_m must close every link.
     let budget = LinkBudget::paper_defaults();

@@ -5,6 +5,7 @@ use operon::config::{OperonConfig, Selector};
 use operon::flow::OperonFlow;
 use operon::formulation::{loaded_path_losses, selection_feasible};
 use operon::CrossingIndex;
+use operon_exec::Executor;
 use operon_netlist::synth::{generate, SynthConfig};
 
 fn small() -> operon_netlist::Design {
@@ -43,7 +44,7 @@ fn final_selection_meets_detection_constraints() {
     // Rebuild the crossing index and verify every loaded path fits the
     // budget under the instance-resolved sharing factor.
     let resolved = config.resolved_for(result.hyper_nets.iter().map(|n| n.bit_count()));
-    let crossings = CrossingIndex::build(&result.candidates);
+    let crossings = CrossingIndex::build_with(&result.candidates, &Executor::sequential());
     assert!(selection_feasible(
         &result.candidates,
         &crossings,
