@@ -31,7 +31,7 @@ cargo test --workspace -q
 echo "==> crossing_bench --smoke (kernel identity gate: grid == brute crossing builds, LR arena pricing)"
 cargo run -p operon-bench --release -q --bin crossing_bench -- --smoke
 
-echo "==> wdm_bench --smoke (transactional trial identity gate)"
+echo "==> wdm_bench --smoke (transactional trial identity gate + plan fingerprints pinned in BENCH_wdm.json)"
 cargo run -p operon-bench --release -q --bin wdm_bench -- --smoke
 
 echo "==> serve_bench --smoke (warm-session identity gate)"

@@ -24,7 +24,11 @@
 //!    warm fallbacks, zero networks cloned, and one rollback per warm
 //!    trial (all asserted). On the I2-class fixture the warm planner
 //!    must beat the cold reference in wall time (asserted) — the
-//!    ROADMAP gap this PR closes.
+//!    ROADMAP gap this PR closes. Each fixture's plan fingerprint must
+//!    equal the one pinned in the committed `BENCH_wdm.json` (asserted,
+//!    read at run time): the planner and its cold reference share the
+//!    MCMF kernel, so only the pin sees a kernel change that moves a
+//!    tie-break.
 //! 3. **Orientation reuse** on the same fixtures: a second selection
 //!    sends one net electrical, which changes one orientation and shifts
 //!    the other's connection indices. Planning it with the first plan's
@@ -41,10 +45,10 @@
 use operon::codesign::{generate_candidates, NetCandidates};
 use operon::config::OperonConfig;
 use operon::lr::{select_lr, LrWorkspace};
-use operon::wdm;
+use operon::wdm::{self, TrackOrientation, WdmPlan};
 use operon::CrossingIndex;
 use operon_cluster::build_hyper_nets;
-use operon_exec::json::Value;
+use operon_exec::json::{self, Value};
 use operon_exec::{Executor, Stopwatch};
 use operon_mcmf::{EdgeId, FlowResult, McmfGraph, McmfStats, NodeId};
 use operon_netlist::synth::{generate, SynthConfig};
@@ -56,11 +60,12 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let hardware = std::thread::available_parallelism().map_or(1, usize::from);
 
+    let pins = pinned_plan_fingerprints();
     let styles = bench_trial_styles(smoke);
-    let plans = bench_plans(smoke);
+    let plans = bench_plans(smoke, &pins);
 
     if smoke {
-        println!("wdm_bench --smoke: all identity checks passed");
+        println!("wdm_bench --smoke: all identity checks and plan pins passed");
         return;
     }
 
@@ -270,7 +275,53 @@ fn bench_trial_styles(smoke: bool) -> Value {
 // 2. Warm vs cold WDM planning, end to end
 // ---------------------------------------------------------------------------
 
-fn bench_plans(smoke: bool) -> Vec<Value> {
+/// FNV-1a over everything a WDM plan decides: the initial waveguide
+/// count, then each surviving waveguide's orientation, track and
+/// `(connection, channels)` list. Byte-identical plans share it, and
+/// any other plan moves it, barring an FNV collision.
+fn plan_fingerprint(plan: &WdmPlan) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: u64| {
+        for byte in v.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(plan.initial_count as u64);
+    eat(plan.wdms.len() as u64);
+    for w in &plan.wdms {
+        eat(match w.orientation {
+            TrackOrientation::Horizontal => 0,
+            TrackOrientation::Vertical => 1,
+        });
+        eat(w.track as u64);
+        eat(w.assigned.len() as u64);
+        for &(conn, channels) in &w.assigned {
+            eat(conn as u64);
+            eat(channels as u64);
+        }
+    }
+    format!("{h:016x}")
+}
+
+/// The `(fixture name, plan fingerprint)` pins of the committed
+/// `BENCH_wdm.json`, read before this run rewrites it.
+fn pinned_plan_fingerprints() -> Vec<(String, String)> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wdm.json");
+    let text = std::fs::read_to_string(path).expect("read BENCH_wdm.json");
+    let bench = json::parse(&text).expect("BENCH_wdm.json is valid JSON");
+    let Some(Value::Array(rows)) = bench.get("wdm_plan") else {
+        panic!("BENCH_wdm.json has no wdm_plan array");
+    };
+    rows.iter()
+        .map(|row| match (row.get("name"), row.get("plan_fingerprint")) {
+            (Some(Value::Str(name)), Some(Value::Str(fp))) => (name.clone(), fp.clone()),
+            other => panic!("BENCH_wdm.json row without a pinned plan fingerprint: {other:?}"),
+        })
+        .collect()
+}
+
+fn bench_plans(smoke: bool, pins: &[(String, String)]) -> Vec<Value> {
     let mut fixtures = vec![("I1_small_seed42", SynthConfig::small(), 42u64, false)];
     if !smoke {
         // The I2-class fixture carries the PR's acceptance criterion:
@@ -329,6 +380,16 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
             warm_plan.initial_count, cold_plan.initial_count,
             "{name}: initial waveguide count"
         );
+        let fingerprint = plan_fingerprint(&warm_plan);
+        let pinned = pins
+            .iter()
+            .find(|(pin, _)| pin == name)
+            .map(|(_, fp)| fp)
+            .unwrap_or_else(|| panic!("BENCH_wdm.json pins no plan for {name}"));
+        assert_eq!(
+            &fingerprint, pinned,
+            "{name}: plan fingerprint moved from the one pinned in BENCH_wdm.json"
+        );
         // Same plan for every thread count, byte for byte.
         for threads in THREADS {
             let (p, _) = wdm::plan(
@@ -381,6 +442,7 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
         out.push(Value::object(vec![
             ("name", Value::from(name)),
             ("waveguides", Value::from(warm_plan.wdms.len())),
+            ("plan_fingerprint", Value::from(fingerprint)),
             ("cold_reference_best_ms", Value::from(cold_ms)),
             ("warm_best_ms", Value::from(warm_ms)),
             ("speedup", Value::from(cold_ms / warm_ms)),

@@ -33,6 +33,67 @@
 //! They are scratch only: [`fingerprint`](McmfGraph::fingerprint)
 //! ignores them and cloning a graph does not copy them.
 //!
+//! # Cached source layer
+//!
+//! Assignment networks (`s → connections → waveguides → t`, the shape of
+//! the WDM reduction) spend nearly every search re-settling the
+//! connections: each unsaturated connection sits at reduced distance 0
+//! and offers the same arcs as in the pass before. A cold solve
+//! ([`min_cost_flow_bounded`](McmfGraph::min_cost_flow_bounded) and
+//! [`min_cost_max_flow`](McmfGraph::min_cost_max_flow)) therefore caches
+//! that layer when the graph has this shape, checked once per solve in
+//! O(m):
+//!
+//! - every arc out of `s` is a forward arc, and their heads are distinct
+//!   and are neither `s` nor `t` — these heads form the layer `L`;
+//! - no layer node has an in-edge other than its `s → u`;
+//! - every other edge out of a layer node leads to a node that is
+//!   neither `s` nor `t` and whose id is above every layer id.
+//!
+//! For each node `w` above the layer the cache keeps its best *eligible*
+//! arc `u → w` (both `s → u` and `u → w` have residual capacity) under
+//! the key `(c(s, u) + c(u, w), u, arc index)`, which does not depend on
+//! the potentials. A pass then seeds the search instead of starting from
+//! `s` alone: `s` and every unsaturated `u` at distance 0 with parent
+//! `s → u`, every cached `w` at `c(u, w) + p[u] − p[w]` with its cached
+//! arc as parent, all in one heapified queue. The same settle loop as in
+//! a plain pass runs from there. After an augmentation only the nodes
+//! whose arc from a layer node the path used or reversed are refreshed,
+//! plus every neighbour of a connection whose `s → u` arc saturated: no
+//! other arc changed its eligibility.
+//!
+//! **Why the flow is byte-identical.** Suppose every unsaturated `u` has
+//! reduced cost 0 on `s → u` (checked per pass in O(|L|); a pass that
+//! fails the check seeds from `s` as before). The plain search pops `s`,
+//! which reaches exactly the unsaturated layer at distance 0. It then
+//! pops all of them before anything else, in id order: every other node
+//! it can push while doing so is a waveguide, whose id is above every
+//! layer id, or `s` again, which keeps distance 0. Relaxing `u`'s arcs
+//! gives `w` the tentative distance `c(u, w) + p[u] − p[w] = c(s, u) +
+//! c(u, w) + p[s] − p[w]`. The relaxation is strict, connections come in
+//! id order and each one's arcs in arc-index order. So after this phase
+//! every `w` holds the minimum over its eligible arcs, with the first
+//! minimal arc in `(u, arc index)` order as its parent, and that is
+//! exactly the cached arc. The heap entries still valid at that point
+//! are the same in both searches: the seeded queue holds one per cached
+//! `w`, and the plain one holds those plus stale entries it will skip.
+//! The loop pops by `(distance, id)`, a total order, so from there both
+//! searches settle the same nodes with the same distances and parents.
+//! The path, the push and the capped potentials `p += min(dist, d_t)`
+//! are equal, and so is every flow and
+//! [`fingerprint`](McmfGraph::fingerprint). From zero flow the check
+//! holds in every pass when the potentials start at Bellman-Ford
+//! distances, where `p[u] = c(s, u)` because `s → u` is `u`'s only in-arc
+//! with capacity, or at 0 with every `c(s, u) = 0`, as in the WDM
+//! reduction. The capped update then adds 0 to `s` and to every
+//! unsaturated `u`, and a saturated `s → u` never regains capacity,
+//! because no augmenting path re-enters `s`.
+//!
+//! Graphs without this shape, warm starts
+//! ([`min_cost_max_flow_warm`](McmfGraph::min_cost_max_flow_warm)) and
+//! re-routes ([`min_cost_reroute`](McmfGraph::min_cost_reroute)) seed
+//! every search from the source alone.
+//!
 //! # Storage layout
 //!
 //! Arcs live in a flat struct-of-arrays arena: residual twins are paired
@@ -144,10 +205,12 @@ pub struct McmfStats {
     /// reduction pattern) surface their clone traffic — "zero-clone" is
     /// measured rather than claimed. The solver itself never clones.
     pub networks_cloned: u64,
-    /// Residual arcs the Dijkstra passes examined: the out-degree summed
-    /// over every node a search settled before reaching the sink. The
-    /// sink-bounded search (see the crate docs) saves exactly the arcs
-    /// of the nodes it leaves unsettled.
+    /// Residual arcs the shortest-path searches examined, in total: the
+    /// out-degree of every node a search settled before reaching the
+    /// sink, plus every arc the cached source layer (see the crate docs)
+    /// read when it was built and on each refresh. The sink-bounded
+    /// search saves the arcs of the nodes it leaves unsettled, and the
+    /// layer cache those of the connections it does not re-settle.
     pub arcs_scanned: u64,
 }
 
@@ -234,7 +297,7 @@ pub struct McmfGraph {
 }
 
 /// Buffers reused by every shortest-path search on one graph. Their
-/// contents are meaningless between passes: [`McmfGraph::dijkstra`]
+/// contents are meaningless between passes: each search's seeding
 /// resets what it reads, so clones start with empty buffers.
 #[derive(Debug, Default)]
 struct SearchScratch {
@@ -246,7 +309,30 @@ struct SearchScratch {
     /// A spare potential vector: solve entry points fill it instead of
     /// allocating, and the potentials a solve replaces land back here.
     spare_potential: Vec<i64>,
+    /// The cached source layer of the current cold solve.
+    layer: LayerCache,
 }
+
+/// The cached source layer of a cold solve (see the crate docs): the
+/// layer `L` of heads of the source's arcs and, for every node above
+/// `L`, its best eligible in-arc from `L`. Valid only between
+/// [`McmfGraph::build_layer_cache`] and the end of that solve.
+#[derive(Debug, Default)]
+struct LayerCache {
+    /// Per node: the arc `s → u` when `u` is in the layer, else `NONE`.
+    src_arc: Vec<u32>,
+    /// The layer nodes, in id order.
+    nodes: Vec<u32>,
+    /// Nodes below this id are `s`, `t` or in the layer, or have no
+    /// in-arc from the layer.
+    first_head: usize,
+    /// Per node from `first_head` on: its best eligible arc `u → w`
+    /// under the key `(c(s, u) + c(u, w), u, arc)`, or `NONE`.
+    best: Vec<u32>,
+}
+
+/// The "no arc" sentinel of the search scratch.
+const NONE: u32 = u32::MAX;
 
 impl Clone for McmfGraph {
     fn clone(&self) -> Self {
@@ -779,6 +865,14 @@ impl McmfGraph {
     /// Panics if `s == t`, `max_flow` is negative, or a negative cycle is
     /// detected.
     pub fn min_cost_flow_bounded(&mut self, s: NodeId, t: NodeId, max_flow: i64) -> FlowResult {
+        self.cold_solve(s, t, max_flow, true)
+    }
+
+    /// The cold solve behind [`min_cost_flow_bounded`](Self::min_cost_flow_bounded):
+    /// zero (or Bellman-Ford) potentials, then successive shortest
+    /// paths, seeded from the cached source layer when `layered` and the
+    /// graph has the layer shape (see the crate docs).
+    fn cold_solve(&mut self, s: NodeId, t: NodeId, max_flow: i64, layered: bool) -> FlowResult {
         assert!(s != t, "source and sink must differ");
         assert!(max_flow >= 0, "max_flow must be non-negative");
         self.ensure_csr();
@@ -787,7 +881,8 @@ impl McmfGraph {
             let rounds = self.bellman_ford_potentials(s.0, &mut potential);
             self.stats.bellman_ford_rounds += rounds;
         }
-        self.run_ssp(s, t, max_flow, potential)
+        let layered = layered && self.build_layer_cache(s.0, t.0);
+        self.run_ssp(s, t, max_flow, potential, layered)
     }
 
     /// Computes a maximum flow of minimum cost, warm-started from
@@ -832,7 +927,7 @@ impl McmfGraph {
                 if self.repair_potentials(&mut potential) {
                     let pre_flow = self.flow_value(s);
                     let pre_cost = self.flow_cost();
-                    let pushed = self.run_ssp(s, t, i64::MAX, potential);
+                    let pushed = self.run_ssp(s, t, i64::MAX, potential, false);
                     return FlowResult {
                         flow: pre_flow + pushed.flow,
                         cost: pre_cost + pushed.cost,
@@ -897,7 +992,7 @@ impl McmfGraph {
             repaired,
             "negative-cost residual cycle: reroute requires a cycle-free pseudo-flow"
         );
-        self.run_ssp(from, to, amount, potential)
+        self.run_ssp(from, to, amount, potential, false)
     }
 
     /// Finds one negative-cost cycle in the residual network and cancels
@@ -986,21 +1081,29 @@ impl McmfGraph {
     /// The successive-shortest-paths augmentation loop shared by the
     /// cold and warm entry points. `potential` must give non-negative
     /// reduced costs on every residual arc; the capped update (see the
-    /// crate docs) keeps it so after every sink-bounded search. Stores
-    /// the final potentials for later warm starts and returns the flow
-    /// *pushed by this call* (not any flow already routed).
+    /// crate docs) keeps it so after every sink-bounded search. With
+    /// `layered` (a cold solve whose layer cache is built) each search
+    /// is seeded from the cached source layer whenever the pass's
+    /// potentials allow it, and the cache is refreshed after every
+    /// augmentation. Stores the final potentials for later warm starts
+    /// and returns the flow *pushed by this call* (not any flow already
+    /// routed).
     fn run_ssp(
         &mut self,
         s: NodeId,
         t: NodeId,
         max_flow: i64,
         mut potential: Vec<i64>,
+        layered: bool,
     ) -> FlowResult {
         let mut total_flow = 0i64;
         let mut total_cost = 0i64;
         while total_flow < max_flow {
             self.stats.dijkstra_passes += 1;
-            let Some(dist_t) = self.dijkstra(s.0, t.0, &potential) else {
+            if !(layered && self.seed_from_layer(s.0, &potential)) {
+                self.seed_from_source(s.0);
+            }
+            let Some(dist_t) = self.settle(t.0, &potential) else {
                 break; // sink unreachable in residual graph
             };
             for (p, &d) in potential.iter_mut().zip(&self.search.dist) {
@@ -1022,6 +1125,9 @@ impl McmfGraph {
                 self.write_cap(arc ^ 1, self.arc_cap[arc ^ 1] + push);
                 total_cost += push * self.arc_cost[arc];
                 v = self.arc_tail(arc);
+            }
+            if layered {
+                self.refresh_layer_along_path(s.0, t.0);
             }
             total_flow += push;
         }
@@ -1076,15 +1182,8 @@ impl McmfGraph {
         rounds
     }
 
-    /// Sink-bounded Dijkstra on reduced costs into the search scratch:
-    /// returns `t`'s distance as soon as `t` is popped, or `None` when
-    /// `t` is unreachable. Afterwards `search.dist` holds a final
-    /// distance for every settled node, a tentative distance (never
-    /// below `t`'s) for reached but unsettled ones and `i64::MAX` for the
-    /// rest, and `search.parent` the shortest-path tree arc of every node
-    /// on the path to `t`.
-    fn dijkstra(&mut self, s: usize, t: usize, potential: &[i64]) -> Option<i64> {
-        debug_assert!(self.csr_valid, "CSR index is stale");
+    /// Plain seeding of a search: only `s` is reached, at distance 0.
+    fn seed_from_source(&mut self, s: usize) {
         let n = self.n_nodes;
         let SearchScratch {
             dist, parent, heap, ..
@@ -1092,11 +1191,176 @@ impl McmfGraph {
         dist.clear();
         dist.resize(n, i64::MAX);
         // Only entries written this pass are ever read back.
-        parent.resize(n, u32::MAX);
+        parent.resize(n, NONE);
         heap.clear();
-        let mut scanned = 0u64;
         dist[s] = 0;
         heap.push(Reverse((0i64, s as u32)));
+    }
+
+    /// Layer seeding of a search (see the crate docs): `s` and every
+    /// unsaturated layer node settled at distance 0, and every node with
+    /// a cached best arc reached through it, in a heapified queue — the
+    /// state the plain search reaches once it has popped the layer.
+    /// Returns `false`, with the scratch unspecified, when an
+    /// unsaturated `s → u` arc has a non-zero reduced cost under
+    /// `potential`; the pass must then seed from the source.
+    fn seed_from_layer(&mut self, s: usize, potential: &[i64]) -> bool {
+        let n = self.n_nodes;
+        let SearchScratch {
+            dist,
+            parent,
+            heap,
+            layer,
+            ..
+        } = &mut self.search;
+        dist.clear();
+        dist.resize(n, i64::MAX);
+        parent.resize(n, NONE);
+        dist[s] = 0;
+        for &u in &layer.nodes {
+            let u = u as usize;
+            let a = layer.src_arc[u] as usize;
+            if self.arc_cap[a] <= 0 {
+                continue;
+            }
+            if self.arc_cost[a] + potential[s] - potential[u] != 0 {
+                return false;
+            }
+            dist[u] = 0;
+            parent[u] = a as u32;
+        }
+        let mut queue = std::mem::take(heap).into_vec();
+        queue.clear();
+        for w in layer.first_head..n {
+            let a = layer.best[w];
+            if a == NONE {
+                continue;
+            }
+            let u = self.arc_to[a as usize ^ 1] as usize;
+            let d = self.arc_cost[a as usize] + potential[u] - potential[w];
+            dist[w] = d;
+            parent[w] = a;
+            queue.push(Reverse((d, w as u32)));
+        }
+        *heap = BinaryHeap::from(queue);
+        true
+    }
+
+    /// Builds the layer cache for a cold solve from `s` to `t` when the
+    /// graph has the layer shape (see the crate docs), in O(m). Returns
+    /// whether it does; the cache is then current for the residual
+    /// network as it stands.
+    fn build_layer_cache(&mut self, s: usize, t: usize) -> bool {
+        let n = self.n_nodes;
+        let layer = &mut self.search.layer;
+        layer.src_arc.clear();
+        layer.src_arc.resize(n, NONE);
+        layer.nodes.clear();
+        let out_s = &self.adj_arcs[self.adj_start[s] as usize..self.adj_start[s + 1] as usize];
+        for &a in out_s {
+            let u = self.arc_to[a as usize] as usize;
+            if a & 1 == 1 || u == s || u == t || layer.src_arc[u] != NONE {
+                return false;
+            }
+            layer.src_arc[u] = a;
+            layer.nodes.push(u as u32);
+        }
+        layer.nodes.sort_unstable();
+        let Some(&top) = layer.nodes.last() else {
+            return false;
+        };
+        for f in (0..self.arc_to.len()).step_by(2) {
+            let head = self.arc_to[f] as usize;
+            if layer.src_arc[head] != NONE && layer.src_arc[head] as usize != f {
+                return false; // a layer node with a second in-edge
+            }
+            let tail = self.arc_to[f ^ 1] as usize;
+            if layer.src_arc[tail] != NONE && (head == s || head == t || head <= top as usize) {
+                return false; // a layer arc that does not lead above the layer
+            }
+        }
+        layer.first_head = top as usize + 1;
+        layer.best.clear();
+        layer.best.resize(n, NONE);
+        for w in layer.first_head..n {
+            self.refresh_best_arc(w);
+        }
+        true
+    }
+
+    /// Recomputes node `w`'s cached best eligible arc from the layer by
+    /// scanning `w`'s residual arcs: under the layer shape every arc
+    /// from `w` to a layer node `u` is the twin of a user edge `u → w`,
+    /// which is eligible while it and `s → u` both have capacity.
+    fn refresh_best_arc(&mut self, w: usize) {
+        let layer = &mut self.search.layer;
+        let arcs = &self.adj_arcs[self.adj_start[w] as usize..self.adj_start[w + 1] as usize];
+        self.stats.arcs_scanned += arcs.len() as u64;
+        let mut best = NONE;
+        let mut best_key = (i128::MAX, u32::MAX, u32::MAX);
+        for &r in arcs {
+            let u = self.arc_to[r as usize];
+            let src = layer.src_arc[u as usize];
+            let a = r ^ 1;
+            if src == NONE || self.arc_cap[src as usize] <= 0 || self.arc_cap[a as usize] <= 0 {
+                continue;
+            }
+            let cost =
+                i128::from(self.arc_cost[src as usize]) + i128::from(self.arc_cost[a as usize]);
+            let key = (cost, u, a);
+            if key < best_key {
+                best_key = key;
+                best = a;
+            }
+        }
+        layer.best[w] = best;
+    }
+
+    /// Refreshes the layer cache after an augmentation along the
+    /// current search path: the nodes whose arc from a layer node the
+    /// path used or reversed, and every neighbour of the path's first
+    /// layer node when its `s → u` arc saturated. No other arc's
+    /// eligibility changed.
+    fn refresh_layer_along_path(&mut self, s: usize, t: usize) {
+        let mut v = t;
+        while v != s {
+            let arc = self.search.parent[v] as usize;
+            let x = self.arc_tail(arc);
+            let src_arc = &self.search.layer.src_arc;
+            if x == s {
+                if self.arc_cap[arc] <= 0 {
+                    let (lo, hi) = (self.adj_start[v] as usize, self.adj_start[v + 1] as usize);
+                    self.stats.arcs_scanned += (hi - lo) as u64;
+                    for i in lo..hi {
+                        let a = self.adj_arcs[i] as usize;
+                        if a & 1 == 0 {
+                            self.refresh_best_arc(self.arc_to[a] as usize);
+                        }
+                    }
+                }
+            } else if src_arc[x] != NONE {
+                self.refresh_best_arc(v);
+            } else if src_arc[v] != NONE {
+                self.refresh_best_arc(x);
+            }
+            v = x;
+        }
+    }
+
+    /// The settle loop of the sink-bounded Dijkstra on reduced costs,
+    /// run on the queue a seeding left in the search scratch: returns
+    /// `t`'s distance as soon as `t` is popped, or `None` when `t` is
+    /// unreachable. Afterwards `search.dist` holds a final distance for
+    /// every settled node, a tentative distance (never below `t`'s) for
+    /// reached but unsettled ones and `i64::MAX` for the rest, and
+    /// `search.parent` the shortest-path tree arc of every node on the
+    /// path to `t`.
+    fn settle(&mut self, t: usize, potential: &[i64]) -> Option<i64> {
+        debug_assert!(self.csr_valid, "CSR index is stale");
+        let SearchScratch {
+            dist, parent, heap, ..
+        } = &mut self.search;
+        let mut scanned = 0u64;
         let mut reached = None;
         while let Some(Reverse((d, u))) = heap.pop() {
             let u = u as usize;
@@ -1776,6 +2040,110 @@ mod tests {
         assert!(potentials_feasible(&g));
     }
 
+    /// A cold solve seeded from the source on every pass: the search
+    /// the cached source layer must reproduce exactly.
+    fn plain_cold_solve(g: &mut McmfGraph, s: NodeId, t: NodeId, max_flow: i64) -> FlowResult {
+        g.cold_solve(s, t, max_flow, false)
+    }
+
+    #[test]
+    fn layer_cache_counts_every_arc_it_examines() {
+        // s = 0, t = 1, connections 2 and 3, waveguides 4 and 5. Edges
+        // e0..e6 own arcs 2e (forward) and 2e + 1 (reverse); out-arcs:
+        //   s: 0 2 | t: 11 13 | u2: 1 4 6 | u3: 3 8 | w4: 5 9 10 | w5: 7 12
+        // Build: refresh w4 (3 arcs) and w5 (2): 5. best[w4] = arc 8
+        // (u3, key 0 beats u2's 1), best[w5] = arc 6.
+        // Pass 1: seeded heap {(0, w4), (0, w5)}; pops w4 (3 arcs, t at
+        // 1), w5 (2), then t: 5. Path s → u3 → w4 → t; refresh w4 (3),
+        // then s → u3 saturated: u3's arcs (2) and w4 again (3): 8.
+        // Pass 2: heap {(1, w4), (0, w5)}; pops w5 (2 arcs, t at 0),
+        // then t: 2. Path s → u2 → w5 → t; refresh w5 (2), then s → u2
+        // saturated: u2's arcs (3), w4 (3) and w5 (2): 10.
+        // Pass 3: both connections saturated, nothing cached: 0.
+        // Total 5 + 5 + 8 + 2 + 10 = 30. The plain search scans 21
+        // (passes of 12, 7 and 2): on a network this small the cache
+        // costs more than it saves.
+        let edges = [
+            (0, 2, 1, 0),
+            (0, 3, 1, 0),
+            (2, 4, 1, 1),
+            (2, 5, 1, 0),
+            (3, 4, 1, 0),
+            (4, 1, 1, 1),
+            (5, 1, 1, 1),
+        ];
+        let build = || {
+            let mut g = McmfGraph::new(6);
+            for &(u, v, cap, cost) in &edges {
+                g.add_edge(g.node(u), g.node(v), cap, cost);
+            }
+            g
+        };
+        let (mut cached, mut plain) = (build(), build());
+        let (s, t) = (NodeId(0), NodeId(1));
+        let r = cached.min_cost_max_flow(s, t);
+        assert_eq!(r, FlowResult { flow: 2, cost: 2 });
+        assert_eq!(r, plain_cold_solve(&mut plain, s, t, i64::MAX));
+        assert_eq!(cached.fingerprint(), plain.fingerprint());
+        assert_eq!(cached.stats().dijkstra_passes, 3);
+        assert_eq!(cached.stats().arcs_scanned, 30);
+        assert_eq!(plain.stats().arcs_scanned, 21);
+    }
+
+    /// Builds an assignment-shaped network: `s → u` per connection,
+    /// `u → w` assignment arcs (parallel and zero-capacity ones
+    /// included) and `w → t` per waveguide, inserted in one of three
+    /// orders, with the sink either below or above every other node.
+    /// Returns the graph, its edges as `(u, v, cap, cost)` in insertion
+    /// order, and `(s, t)`.
+    #[allow(clippy::type_complexity)]
+    fn assignment_network(
+        conns: &[(i64, i64)],
+        assign: &[(usize, usize, i64, i64)],
+        sinks: &[(i64, i64)],
+        order: u8,
+        sink_last: bool,
+    ) -> (McmfGraph, Vec<(usize, usize, i64, i64)>, NodeId, NodeId) {
+        let (n_conn, n_w) = (conns.len(), sinks.len());
+        let n = 2 + n_conn + n_w;
+        let base = if sink_last { 1 } else { 2 };
+        let (s, t) = (0, if sink_last { n - 1 } else { 1 });
+        let conn = |i: usize| base + i;
+        let wg = |w: usize| base + n_conn + w;
+        let src: Vec<_> = conns
+            .iter()
+            .enumerate()
+            .map(|(i, &(cap, cost))| (s, conn(i), cap, cost))
+            .collect();
+        let mid: Vec<_> = assign
+            .iter()
+            .map(|&(i, w, cap, cost)| (conn(i % n_conn), wg(w % n_w), cap, cost))
+            .collect();
+        let snk: Vec<_> = sinks
+            .iter()
+            .enumerate()
+            .map(|(w, &(cap, cost))| (wg(w), t, cap, cost))
+            .collect();
+        let edges: Vec<_> = match order {
+            0 => [src, mid, snk].concat(),
+            1 => {
+                let rev = |v: Vec<_>| v.into_iter().rev().collect::<Vec<_>>();
+                [snk, rev(mid), rev(src)].concat()
+            }
+            _ => [mid, src, snk].concat(),
+        };
+        let mut g = McmfGraph::new(n);
+        for &(u, v, cap, cost) in &edges {
+            g.add_edge(NodeId(u), NodeId(v), cap, cost);
+        }
+        (g, edges, NodeId(s), NodeId(t))
+    }
+
+    /// Per-edge flows of a solved graph.
+    fn edge_flows(g: &McmfGraph) -> Vec<i64> {
+        (0..g.edge_count()).map(|e| g.flow(EdgeId(e))).collect()
+    }
+
     /// Oracle: plain Bellman-Ford successive shortest paths (no
     /// potentials). Slower but independent of the Dijkstra machinery.
     fn ssp_bellman_oracle(
@@ -1856,6 +2224,80 @@ mod tests {
             flow += push;
         }
         FlowResult { flow, cost }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+        /// The cached source layer reproduces the plain seeding
+        /// exactly on assignment-shaped networks: flow, cost, every
+        /// edge's flow and the fingerprint (potentials included), for a
+        /// bounded first solve and for a second cold solve that starts
+        /// from the flow the first one left. Negative costs force the
+        /// Bellman-Ford init; duplicate tracks and small cost ranges
+        /// force ties; zero capacities and parallel arcs appear.
+        #[test]
+        fn cached_layer_matches_plain_seeding(
+            conns in proptest::collection::vec((0i64..5, 0u8..8), 1..7),
+            assign in proptest::collection::vec(
+                (0usize..7, 0usize..5, 0i64..4, -1i64..3), 0..24),
+            sinks in proptest::collection::vec((0i64..6, 0i64..3), 1..6),
+            order in 0u8..3,
+            sink_last in any::<bool>(),
+            bound in 0i64..12,
+            bounded in any::<bool>(),
+        ) {
+            let conns: Vec<_> = conns
+                .into_iter()
+                .map(|(cap, c)| (cap, [0, 0, 0, 0, 0, -2, 1, 3][c as usize]))
+                .collect();
+            let (mut cached, edges, s, t) =
+                assignment_network(&conns, &assign, &sinks, order, sink_last);
+            let (mut plain, _, _, _) =
+                assignment_network(&conns, &assign, &sinks, order, sink_last);
+            let max_flow = if bounded { bound } else { i64::MAX };
+            let first = cached.min_cost_flow_bounded(s, t, max_flow);
+            prop_assert_eq!(first, plain_cold_solve(&mut plain, s, t, max_flow));
+            prop_assert_eq!(edge_flows(&cached), edge_flows(&plain));
+            prop_assert_eq!(cached.fingerprint(), plain.fingerprint());
+            let rest = cached.min_cost_max_flow(s, t);
+            prop_assert_eq!(rest, plain_cold_solve(&mut plain, s, t, i64::MAX));
+            prop_assert_eq!(edge_flows(&cached), edge_flows(&plain));
+            prop_assert_eq!(cached.fingerprint(), plain.fingerprint());
+            let n = cached.node_count();
+            prop_assert_eq!(
+                FlowResult { flow: first.flow + rest.flow, cost: first.cost + rest.cost },
+                ssp_bellman_oracle(n, &edges, s.0, t.0)
+            );
+        }
+
+        /// On general graphs the shape check mostly fails and the solve
+        /// seeds from the source; either way it matches the plain
+        /// seeding and the Bellman-Ford oracle.
+        #[test]
+        fn cold_solve_matches_plain_seeding_on_general_graphs(
+            n in 3usize..8,
+            raw_edges in proptest::collection::vec(
+                (0usize..8, 0usize..8, 0i64..6, 0i64..6), 0..20),
+        ) {
+            let edges: Vec<_> = raw_edges
+                .into_iter()
+                .map(|(u, v, cap, cost)| (u % n, v % n, cap, cost))
+                .filter(|&(u, v, _, _)| u != v)
+                .collect();
+            let build = || {
+                let mut g = McmfGraph::new(n);
+                for &(u, v, cap, cost) in &edges {
+                    g.add_edge(NodeId(u), NodeId(v), cap, cost);
+                }
+                g
+            };
+            let (mut cached, mut plain) = (build(), build());
+            let (s, t) = (NodeId(0), NodeId(n - 1));
+            let got = cached.min_cost_max_flow(s, t);
+            prop_assert_eq!(got, plain_cold_solve(&mut plain, s, t, i64::MAX));
+            prop_assert_eq!(cached.fingerprint(), plain.fingerprint());
+            prop_assert_eq!(got, ssp_bellman_oracle(n, &edges, 0, n - 1));
+        }
     }
 
     proptest! {
