@@ -28,12 +28,14 @@
 //! 2k-bit die, then routes the 10k die once and checks its plan
 //! fingerprint against the 10k entry of the committed
 //! `BENCH_shard.json`, read at run time, so a solver change that moves
-//! any plan (a tie-break among equal-cost flows, say) fails CI. It skips
+//! any plan (a tie-break among equal-cost flows, say) fails CI, and
+//! checks that its run report holds all five pipeline stages. It skips
 //! the child processes and the JSON write — the cheap CI gate.
 //! `--measure <bits>` routes one size and prints its JSON line (wall,
-//! peak RSS, fingerprint). `--probe <bits>` routes one size in-process
-//! and prints the executor run report (per-stage wall + peak RSS) — the
-//! memory-attribution tool.
+//! peak RSS, fingerprint, and `stage_ms`: the wall of each of the five
+//! stages, from the executor's stage records). `--probe <bits>` routes
+//! one size in-process and prints the executor run report (per-stage
+//! wall + peak RSS) — the memory-attribution tool.
 //!
 //! Numbers in the committed `BENCH_shard.json` come from whatever
 //! machine last ran this binary; `hardware_threads` records the truth.
@@ -42,11 +44,14 @@ use operon::config::OperonConfig;
 use operon::flow::{FlowResult, OperonFlow};
 use operon_bench::HARNESS_SEED;
 use operon_exec::json::{self, Value};
-use operon_exec::{peak_rss_kib, Stopwatch};
+use operon_exec::{peak_rss_kib, RunReport, Stopwatch};
 use operon_netlist::synth::{generate, SynthConfig};
 
 /// Die-scale sizes, in signal bits ("#Net" of the paper's Table 1).
 const SIZES: [usize; 3] = [10_000, 50_000, 100_000];
+
+/// The five pipeline stages, in flow order, as the executor names them.
+const STAGES: [&str; 5] = ["clustering", "codesign", "crossing", "selection", "wdm"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,20 +102,40 @@ fn fingerprint(result: &FlowResult) -> u64 {
     h
 }
 
-/// Routes the `bits`-bit die on `threads` workers.
-fn route(bits: usize, threads: usize) -> FlowResult {
+/// Routes the `bits`-bit die on `threads` workers, with the executor's
+/// run report.
+fn route(bits: usize, threads: usize) -> (FlowResult, RunReport) {
     let design = generate(&SynthConfig::die_scale(bits), HARNESS_SEED);
-    OperonFlow::new(OperonConfig::default())
-        .with_threads(threads)
-        .run(&design)
-        .expect("die-scale flow succeeds")
+    let flow = OperonFlow::new(OperonConfig::default()).with_threads(threads);
+    let result = flow.run(&design).expect("die-scale flow succeeds");
+    (result, flow.executor().report())
+}
+
+/// The wall of each of the five stages in `report`, in ms, as a JSON
+/// object in flow order.
+///
+/// # Panics
+///
+/// Panics if a stage has no record.
+fn stage_ms(report: &RunReport) -> Value {
+    let split = STAGES.map(|name| {
+        let mut records = report.stages.iter().filter(|r| r.name == name).peekable();
+        assert!(
+            records.peek().is_some(),
+            "the run report has no `{name}` stage"
+        );
+        let ms: f64 = records.map(|r| r.wall.as_secs_f64() * 1e3).sum();
+        (name, Value::from(ms))
+    });
+    Value::object(Vec::from(split))
 }
 
 /// Child mode: route one size on one worker and print a JSON line with
-/// wall time, this process's peak RSS, and the plan fingerprint.
+/// wall time, this process's peak RSS, the plan fingerprint and the
+/// per-stage split.
 fn measure_child(bits: usize) {
     let sw = Stopwatch::start();
-    let result = route(bits, 1);
+    let (result, report) = route(bits, 1);
     let wall_s = sw.elapsed().as_secs_f64();
     let line = Value::object(vec![
         ("bits", Value::from(bits)),
@@ -120,12 +145,13 @@ fn measure_child(bits: usize) {
             "fingerprint",
             Value::from(format!("{:016x}", fingerprint(&result))),
         ),
+        ("stage_ms", stage_ms(&report)),
     ]);
     println!("{}", line.compact());
 }
 
 /// Spawns a fresh child for one size and parses its report.
-fn spawn_cell(bits: usize) -> (f64, u64, String) {
+fn spawn_cell(bits: usize) -> (f64, u64, String, Value) {
     let exe = std::env::current_exe().expect("own executable path");
     let out = std::process::Command::new(exe)
         .args(["--measure", &bits.to_string()])
@@ -148,14 +174,15 @@ fn spawn_cell(bits: usize) -> (f64, u64, String) {
         Some(Value::Str(s)) => s.clone(),
         other => panic!("fingerprint missing: {other:?}"),
     };
-    (wall, rss, fp)
+    let stages = v.get("stage_ms").expect("stage_ms").clone();
+    (wall, rss, fp, stages)
 }
 
 /// Routes the `bits`-bit die at `threads` workers and at one, asserts
 /// the plans are byte-identical, and returns their fingerprint.
 fn assert_identity(bits: usize, threads: usize) -> String {
-    let reference = route(bits, 1);
-    let routed = route(bits, threads);
+    let (reference, _) = route(bits, 1);
+    let (routed, _) = route(bits, threads);
     assert_eq!(
         fingerprint(&reference),
         fingerprint(&routed),
@@ -173,12 +200,17 @@ fn run_smoke() {
     }
     let bits = SIZES[0];
     let pinned = pinned_fingerprint(bits);
-    let routed = format!("{:016x}", fingerprint(&route(bits, 1)));
+    let (result, report) = route(bits, 1);
+    let routed = format!("{:016x}", fingerprint(&result));
     assert_eq!(
         routed, pinned,
         "{bits} bits: plan fingerprint moved from the one pinned in BENCH_shard.json"
     );
-    println!("shard_bench --smoke: all identity checks passed ({bits} bits: {routed})");
+    let split = stage_ms(&report);
+    println!(
+        "shard_bench --smoke: all identity checks passed ({bits} bits: {routed}, stage ms {})",
+        split.compact()
+    );
 }
 
 /// The plan fingerprint the committed `BENCH_shard.json` records for
@@ -208,19 +240,23 @@ fn run_full() {
 
     let mut rows: Vec<Value> = Vec::new();
     for &bits in &SIZES {
-        let (wall_s, rss, fp) = spawn_cell(bits);
+        let (wall_s, rss, fp, stages) = spawn_cell(bits);
         if bits == SIZES[0] {
             assert_eq!(
                 fp, in_process,
                 "{bits} bits: the child's plan diverged from the in-process one"
             );
         }
-        println!("{bits} bits: wall {wall_s:.2} s, peak RSS {rss} KiB, plan {fp}");
+        println!(
+            "{bits} bits: wall {wall_s:.2} s, peak RSS {rss} KiB, plan {fp}, stage ms {}",
+            stages.compact()
+        );
         rows.push(Value::object(vec![
             ("nets", Value::from(bits)),
             ("wall_s", Value::from(wall_s)),
             ("peak_rss_kib", Value::from(rss as usize)),
             ("fingerprint", Value::from(fp)),
+            ("stage_ms", stages),
         ]));
     }
 

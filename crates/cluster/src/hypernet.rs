@@ -1,9 +1,9 @@
 //! Hyper nets and hyper pins.
 
-use crate::agglomerate::{agglomerate, gravity_center};
+use crate::agglomerate::agglomerate;
 use crate::kmeans::{cluster_capacitated, KmeansParams};
 use core::fmt;
-use operon_geom::{BoundingBox, Point};
+use operon_geom::{BoundingBox, FPoint, Point};
 use operon_netlist::{BitId, Design, GroupId};
 
 /// Identifier of a [`HyperNet`] within a design's hyper-net list.
@@ -66,13 +66,10 @@ impl HyperPin {
     ///
     /// Panics if `members` is empty.
     pub fn new(members: Vec<ElectricalPin>) -> Self {
-        assert!(!members.is_empty(), "hyper pin must have member pins");
-        let pts: Vec<Point> = members.iter().map(|m| m.location).collect();
-        let idx: Vec<usize> = (0..pts.len()).collect();
-        Self {
-            location: gravity_center(&pts, &idx),
-            members,
-        }
+        let location = FPoint::centroid(members.iter().map(|m| m.location.to_fpoint()))
+            .expect("hyper pin must have member pins")
+            .round();
+        Self { location, members }
     }
 
     /// The gravity center representing this hyper pin.
@@ -283,18 +280,17 @@ pub fn group_clusters(
         seed: config.seed,
     };
 
-    // Represent each bit by the centroid of its pins for clustering.
-    let bit_centroids: Vec<Point> = group
-        .bits()
-        .iter()
-        .map(|bit| {
-            let pts: Vec<Point> = bit.pins().collect();
-            let idx: Vec<usize> = (0..pts.len()).collect();
-            gravity_center(&pts, &idx)
-        })
-        .collect();
-
     let clusters = if group.bit_count() > config.capacity {
+        // Represent each bit by the centroid of its pins for clustering.
+        let bit_centroids: Vec<Point> = group
+            .bits()
+            .iter()
+            .map(|bit| {
+                FPoint::centroid(bit.pins().map(Point::to_fpoint))
+                    .expect("a bit has a source pin")
+                    .round()
+            })
+            .collect();
         cluster_capacitated(&bit_centroids, &params)
     } else {
         vec![(0..group.bit_count()).collect()]

@@ -610,7 +610,8 @@ impl WarmSession {
     /// nothing is reused). Under an ECO, `prev` holds the previous
     /// design with its hyper nets and candidate pools; a group whose
     /// name and bits match an old group keeps that group's nets, re-filed
-    /// under their new ids, and its pools.
+    /// under their new ids, and its pools. The other groups are
+    /// clustered in parallel, one executor task per group.
     fn clustering_stage(
         &mut self,
         prev: Option<(&Design, Vec<HyperNet>, Vec<NetCandidates>)>,
@@ -636,15 +637,35 @@ impl WarmSession {
             by_name.entry(g.name()).or_default().push_back(o);
         }
 
+        let groups = self.design.groups();
+        let kept: Vec<Option<_>> = groups
+            .iter()
+            .map(|group| {
+                by_name
+                    .get_mut(group.name())
+                    .and_then(VecDeque::pop_front)
+                    .filter(|&o| old_groups.get(o).is_some_and(|g| g.bits() == group.bits()))
+                    .and_then(|o| old_nets.get_mut(o))
+                    .map(std::mem::take)
+            })
+            .collect();
+        // Re-cluster the groups nothing carries over, one independent
+        // task per group; ids are dealt afterwards in group order.
+        let todo: Vec<&SignalGroup> = groups
+            .iter()
+            .zip(&kept)
+            .filter(|(_, nets)| nets.is_none())
+            .map(|(group, _)| group)
+            .collect();
+        let cluster = &self.config.cluster;
+        let mut fresh = self
+            .exec
+            .par_map(&todo, |group| group_clusters(group, cluster))
+            .into_iter();
+
         let mut out: Clustered = Vec::new();
         let (mut reused, mut reclustered) = (0u64, 0u64);
-        for group in self.design.groups() {
-            let kept = by_name
-                .get_mut(group.name())
-                .and_then(VecDeque::pop_front)
-                .filter(|&o| old_groups.get(o).is_some_and(|g| g.bits() == group.bits()))
-                .and_then(|o| old_nets.get_mut(o))
-                .map(std::mem::take);
+        for (group, kept) in groups.iter().zip(kept) {
             if let Some(nets) = kept {
                 reused += 1;
                 for (net, nc, old_index) in nets {
@@ -653,7 +674,7 @@ impl WarmSession {
                 }
             } else {
                 reclustered += 1;
-                for (bits, pins) in group_clusters(group, &self.config.cluster) {
+                for (bits, pins) in fresh.next().unwrap_or_default() {
                     let id = HyperNetId::new(out.len() as u32);
                     out.push((HyperNet::new(id, group.id(), bits, pins), None));
                 }

@@ -7,6 +7,7 @@ use operon::flow::OperonFlow;
 use operon::session::WarmSession;
 use operon::wdm::TrackOrientation;
 use operon::OperonError;
+use operon_cluster::build_hyper_nets;
 use operon_exec::{Executor, StageRecord};
 use operon_geom::{BoundingBox, Point};
 use operon_netlist::synth::{generate, SynthConfig};
@@ -493,5 +494,103 @@ fn crossing_records_name_the_build_that_ran() {
                 .all(|r| counter(r, "crossing_build_brute").is_none()),
             "threads={threads}"
         );
+    }
+}
+
+/// A small die with at least 32 signal groups, so the clustering stage
+/// maps its groups over the executor's workers (the executor runs a map
+/// of fewer than 16 items inline).
+fn many_group_design() -> Design {
+    let config = SynthConfig {
+        target_bits: 200,
+        ..SynthConfig::small()
+    };
+    let design = generate(&config, 11);
+    assert!(
+        design.group_count() >= 32,
+        "{} groups",
+        design.group_count()
+    );
+    design
+}
+
+/// The clustering stage's record in `exec`'s report, the `nth` one.
+fn clustering_record(exec: &Executor, nth: usize) -> StageRecord {
+    exec.report()
+        .stages
+        .into_iter()
+        .filter(|r| r.name == "clustering")
+        .nth(nth)
+        .expect("a clustering stage record")
+}
+
+/// A cold route clusters its groups in parallel and still yields the
+/// sequential `build_hyper_nets` nets, ids and plan at threads {1, 2, 8}.
+#[test]
+fn parallel_group_clustering_is_thread_invariant() {
+    let design = many_group_design();
+    let config = OperonConfig::default();
+    let sequential = build_hyper_nets(&design, &config.cluster);
+    let mut reference = None;
+    for threads in [1usize, 2, 8] {
+        let exec = Executor::new(threads);
+        let mut s = WarmSession::open(design.clone(), config.clone(), exec.clone()).expect("open");
+        s.route().expect("cold route");
+        assert_eq!(s.hyper_nets().expect("routed"), sequential.as_slice());
+        let tasks = clustering_record(&exec, 0).tasks;
+        if threads == 1 {
+            assert_eq!(tasks, 0, "one worker runs the map inline");
+        } else {
+            assert_eq!(tasks, design.group_count() as u64, "threads={threads}");
+        }
+        let plan = (
+            s.fingerprint(),
+            s.selection().expect("routed").choice.clone(),
+            s.wdm_plan().expect("routed").wdms.clone(),
+        );
+        match &reference {
+            None => reference = Some(plan),
+            Some(expected) => assert_eq!(&plan, expected, "threads={threads}"),
+        }
+    }
+}
+
+/// An ECO that moves two groups of every three re-clusters those groups
+/// in parallel, reuses the rest, and matches a fresh run, with the same
+/// reuse counts at every thread count.
+#[test]
+fn eco_mixing_reused_and_reclustered_groups_matches_fresh() {
+    let design = many_group_design();
+    let mut next = design.clone();
+    for g in (0..design.group_count()).filter(|g| g % 3 != 0) {
+        next = shifted(&next, g, 24, -24);
+    }
+    let moved = (0..design.group_count()).filter(|g| g % 3 != 0).count() as u64;
+    assert!(moved >= 16, "{moved} moved groups");
+    for threads in [1usize, 2, 8] {
+        let exec = Executor::new(threads);
+        let mut s =
+            WarmSession::open(design.clone(), OperonConfig::default(), exec.clone()).expect("open");
+        s.route().expect("cold route");
+        let before = s.stats();
+        assert!(s.apply_design(next.clone()).expect("eco").warm);
+        let after = s.stats();
+        assert_eq!(
+            after.groups_reclustered - before.groups_reclustered,
+            moved,
+            "threads={threads}"
+        );
+        assert_eq!(
+            after.groups_reused - before.groups_reused,
+            design.group_count() as u64 - moved,
+            "threads={threads}"
+        );
+        let tasks = clustering_record(&exec, 1).tasks;
+        assert_eq!(
+            tasks,
+            if threads == 1 { 0 } else { moved },
+            "threads={threads}"
+        );
+        assert_matches_fresh(&s, threads);
     }
 }
