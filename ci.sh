@@ -28,7 +28,7 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> crossing_bench --smoke (kernel identity gate: grid == brute crossing builds, LR arena pricing)"
+echo "==> crossing_bench --smoke (crossing build identity gate: grid == brute at threads 1/2/8)"
 cargo run -p operon-bench --release -q --bin crossing_bench -- --smoke
 
 echo "==> wdm_bench --smoke (transactional trial identity gate + plan fingerprints pinned in BENCH_wdm.json)"

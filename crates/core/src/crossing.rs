@@ -56,15 +56,11 @@
 //!   the record, with the list owner's side in the handle's top bit. The
 //!   lists are filled by a counting sort in record order, so each one is
 //!   ascending by record.
-//! * **Net coupling.** The rows LR pricing walks every iteration
-//!   ([`CrossingIndex::net_neighbors`]) are a second CSR
-//!   (`net_adj_off`/`net_adj`): per net, the sorted distinct nets its
-//!   candidates' neighbor lists name.
 //!
 //! Builds write records straight from the sorted hits: the grid build
 //! through the funnel, [`CrossingIndex::rebuild_delta`] by merging its
-//! retained rows with the funnel's recounted records. The neighbor and
-//! net arenas are derived last, after the hit buffer is freed. Record
+//! retained rows with the funnel's recounted records. The neighbor arena
+//! is derived last, after the hit buffer is freed. Record
 //! handles are positions in key order, re-derived by every build.
 
 use crate::codesign::{CandidateRoute, NetCandidates, PathLoss};
@@ -193,10 +189,6 @@ pub struct CrossingIndex {
     /// Neighbor arena: candidate `g`'s list is
     /// `adj[adj_off[g]..adj_off[g + 1]]`.
     adj: Vec<Neighbor>,
-    /// CSR offsets into `net_adj`, one row per net.
-    net_adj_off: Vec<u32>,
-    /// Sorted, deduplicated coupled-net ids per row.
-    net_adj: Vec<u32>,
     /// Whether the last build's pair tests and funnel took the parallel
     /// path (excluded from equality).
     parallel: bool,
@@ -205,9 +197,9 @@ pub struct CrossingIndex {
 impl PartialEq for CrossingIndex {
     fn eq(&self, other: &Self) -> bool {
         // The record arenas are laid out canonically (key order, side A
-        // first), the neighbor and net arenas are pure functions of the
-        // keys, and `parallel` is provenance, not content: two indexes are
-        // equal iff their pair maps are.
+        // first), the neighbor arena is a pure function of the keys, and
+        // `parallel` is provenance, not content: two indexes are equal
+        // iff their pair maps are.
         self.keys == other.keys
             && self.totals == other.totals
             && self.ends == other.ends
@@ -383,7 +375,7 @@ impl CrossingIndex {
     }
 
     /// Completes an index from its record arenas: derives the neighbor
-    /// CSR and the net-level coupling CSR. `cand_base` is the global
+    /// CSR. `cand_base` is the global
     /// candidate id prefix over the nets the records were built from.
     fn from_records(records: Records, cand_base: Vec<u32>, parallel: bool) -> Self {
         let Records {
@@ -440,28 +432,6 @@ impl CrossingIndex {
             cursor[gb] += 1;
         }
 
-        // Net-level coupling CSR: per net, the distinct nets its
-        // candidates' lists name, sorted.
-        let n_nets = cand_base.len().saturating_sub(1);
-        let mut net_adj_off = Vec::with_capacity(n_nets + 1);
-        net_adj_off.push(0u32);
-        let mut net_adj: Vec<u32> = Vec::new();
-        let mut seen = vec![u32::MAX; n_nets];
-        for n in 0..n_nets {
-            let row = net_adj.len();
-            let lo = adj_off[cand_base[n] as usize] as usize;
-            let hi = adj_off[cand_base[n + 1] as usize] as usize;
-            for nb in &adj[lo..hi] {
-                if seen[nb.net as usize] != n as u32 {
-                    seen[nb.net as usize] = n as u32;
-                    net_adj.push(nb.net);
-                }
-            }
-            net_adj[row..].sort_unstable();
-            net_adj_off.push(net_adj.len() as u32);
-        }
-        net_adj.shrink_to_fit();
-
         Self {
             keys,
             counts,
@@ -470,8 +440,6 @@ impl CrossingIndex {
             cand_base,
             adj_off,
             adj,
-            net_adj_off,
-            net_adj,
             parallel,
         }
     }
@@ -575,33 +543,6 @@ impl CrossingIndex {
         &self.adj[self.adj_off[g] as usize..self.adj_off[g + 1] as usize]
     }
 
-    /// The nets coupled to `net` through at least one crossing candidate
-    /// pair, sorted ascending — a borrowed CSR row, precomputed at build
-    /// time so pricing loops pay no per-call assembly.
-    #[inline]
-    pub fn net_neighbors(&self, net: usize) -> &[u32] {
-        if net >= self.net_adj_off.len().saturating_sub(1) {
-            return &[];
-        }
-        &self.net_adj[self.net_adj_off[net] as usize..self.net_adj_off[net + 1] as usize]
-    }
-
-    /// Net-level adjacency over `net_count` nets: `adj[i]` lists, sorted
-    /// ascending, the nets sharing at least one crossing candidate pair
-    /// with net `i`. Materialized from the CSR rows; hot paths should
-    /// use [`net_neighbors`](Self::net_neighbors) directly.
-    pub fn net_adjacency(&self, net_count: usize) -> Vec<Vec<usize>> {
-        (0..net_count)
-            .map(|i| {
-                self.net_neighbors(i)
-                    .iter()
-                    .map(|&n| n as usize)
-                    .filter(|&n| n < net_count)
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Number of crossing candidate pairs.
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -624,11 +565,7 @@ impl CrossingIndex {
         self.keys.capacity() * size_of::<u128>()
             + self.counts.capacity() * size_of::<(u32, u32)>()
             + self.ends.capacity() * size_of::<(u32, u32)>()
-            + (self.totals.capacity()
-                + self.cand_base.capacity()
-                + self.adj_off.capacity()
-                + self.net_adj_off.capacity()
-                + self.net_adj.capacity())
+            + (self.totals.capacity() + self.cand_base.capacity() + self.adj_off.capacity())
                 * size_of::<u32>()
             + self.adj.capacity() * size_of::<Neighbor>()
     }
@@ -1347,8 +1284,9 @@ mod tests {
     }
 
     /// Full structural equality: semantic value (keys + record arenas)
-    /// plus the candidate ids and the derived CSR arenas, so a builder that corrupted neighbor lists or
-    /// the net coupling graph cannot hide behind the `PartialEq` impl.
+    /// plus the candidate ids and the derived neighbor CSR, so a builder
+    /// that corrupted neighbor lists cannot hide behind the `PartialEq`
+    /// impl.
     fn assert_index_eq(a: &CrossingIndex, b: &CrossingIndex, label: &str) {
         assert_eq!(a.len(), b.len(), "{label}: pair count");
         assert_eq!(a.keys, b.keys, "{label}: keys");
@@ -1358,8 +1296,6 @@ mod tests {
         assert_eq!(a.cand_base, b.cand_base, "{label}: candidate ids");
         assert_eq!(a.adj_off, b.adj_off, "{label}: neighbor offsets");
         assert_eq!(a.adj, b.adj, "{label}: neighbor arena");
-        assert_eq!(a.net_adj_off, b.net_adj_off, "{label}: net CSR offsets");
-        assert_eq!(a.net_adj, b.net_adj, "{label}: net CSR");
     }
 
     #[test]
@@ -1766,25 +1702,6 @@ mod tests {
     }
 
     #[test]
-    fn net_adjacency_lists_coupled_nets() {
-        let nets = vec![
-            optical_net(0, Point::new(0, 0), Point::new(100, 100)),
-            optical_net(1, Point::new(0, 100), Point::new(100, 0)),
-            optical_net(2, Point::new(2000, 0), Point::new(2000, 100)),
-        ];
-        let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
-        let adj = idx.net_adjacency(3);
-        assert_eq!(adj[0], vec![1]);
-        assert_eq!(adj[1], vec![0]);
-        assert!(adj[2].is_empty());
-        // The CSR rows agree with the materialized lists.
-        assert_eq!(idx.net_neighbors(0), &[1]);
-        assert_eq!(idx.net_neighbors(1), &[0]);
-        assert!(idx.net_neighbors(2).is_empty());
-        assert!(idx.net_neighbors(99).is_empty());
-    }
-
-    #[test]
     fn neighbors_of_unknown_candidate_is_empty() {
         let nets = vec![optical_net(0, Point::new(0, 0), Point::new(100, 100))];
         let idx = CrossingIndex::build_with(&nets, &Executor::sequential());
@@ -1816,8 +1733,6 @@ mod tests {
         assert!(idx.neighbors(0, wrap).is_empty());
         assert!(idx.neighbors(wrap + 1, 0).is_empty());
         assert!(idx.neighbors(usize::MAX, usize::MAX).is_empty());
-        assert!(idx.net_neighbors(wrap + 1).is_empty());
-        assert!(idx.net_neighbors(usize::MAX).is_empty());
     }
 
     #[test]
@@ -1834,8 +1749,8 @@ mod tests {
         assert_eq!(CrossingIndex::default().heap_bytes(), 0);
     }
 
-    /// Checks the neighbor arena and the net rows against lists derived
-    /// naively from `iter()`, for every `(net, cand)` of `nets` plus
+    /// Checks the neighbor arena against lists derived naively from
+    /// `iter()`, for every `(net, cand)` of `nets` plus
     /// out-of-range ids: each record appears in both owners' lists, in
     /// record order, with the owner's side and the record's counts.
     fn assert_csr_matches_records(idx: &CrossingIndex, nets: &[NetCandidates], label: &str) {
@@ -1845,12 +1760,9 @@ mod tests {
             .iter()
             .map(|nc| vec![Vec::new(); nc.candidates.len()])
             .collect();
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); nets.len()];
         for (r, ((na, ca, nb, cb), _)) in idx.iter().enumerate() {
             lists[na][ca].push((nb, cb, r, true));
             lists[nb][cb].push((na, ca, r, false));
-            rows[na].push(nb as u32);
-            rows[nb].push(na as u32);
         }
         let widest = nets.iter().map(|nc| nc.candidates.len()).max().unwrap_or(0);
         for net in 0..nets.len() + 2 {
@@ -1877,14 +1789,6 @@ mod tests {
                     assert_eq!(idx.per_path(nb), expect, "{label}: ({net}, {cand}) side");
                 }
             }
-            let mut want = rows.get(net).cloned().unwrap_or_default();
-            want.sort_unstable();
-            want.dedup();
-            assert_eq!(
-                idx.net_neighbors(net),
-                want.as_slice(),
-                "{label}: net {net} row"
-            );
         }
         for (net, cand) in [(usize::MAX, 0), (0, usize::MAX), (1 << 32, 0), (0, 1 << 32)] {
             assert!(
@@ -1892,7 +1796,6 @@ mod tests {
                 "{label}: ({net}, {cand})"
             );
         }
-        assert!(idx.net_neighbors(usize::MAX).is_empty(), "{label}");
     }
 
     fn random_nets(raw: &[Vec<Vec<(i64, i64)>>]) -> Vec<NetCandidates> {
@@ -1961,7 +1864,7 @@ mod tests {
             }
         }
 
-        /// The neighbor arena and net rows of every builder, against
+        /// The neighbor arena of every builder, against
         /// lists derived from the records alone: the builders share one
         /// CSR builder, so comparing them with each other cannot catch a
         /// bug in it.

@@ -15,31 +15,22 @@
 //! fallback so the returned selection is always feasible — the paper's
 //! "residual nets have to be completed through electrical wires".
 //!
-//! # Incremental pricing
+//! # Pricing
 //!
-//! Net `i`'s pricing subproblem reads exactly three inputs: its own
-//! multipliers `λ[i]`, the multipliers `λ[m]` of the nets it crosses, and
-//! those nets' previous selections. When none of them moved (bitwise)
-//! since the last iteration, re-running the argmin would reproduce the
-//! cached answer bit for bit — so [`select_lr`] skips it and reuses
-//! the cached one. The same reasoning caches the loaded-loss evaluations
-//! feeding the sub-gradient. The iterate sequence is therefore identical
-//! to the full recomputation loop, which is retained as
-//! [`select_lr_reference`] and pinned by fixture tests.
+//! Every iteration prices every net and evaluates every net's loaded
+//! losses, so [`LrStats::priced_nets`] and [`LrStats::load_evals`] both
+//! equal `iterations × nets`. Both are per-net pure functions of the
+//! previous iterate (pricing) or the frozen current one (loads), so they
+//! run on the executor's workers; the multiplier update between them is
+//! sequential and in net order.
 //!
 //! # Arena state
 //!
-//! All per-call state lives in flat arenas inside [`LrWorkspace`]: the
-//! multipliers are one contiguous `Vec<f64>` indexed through CSR offsets
-//! (`LambdaArena`), the dirty bits are refilled in place, and the cached
-//! load vectors are scattered into persistent rows. A [`LrWorkspace`] is
-//! reusable across calls — `WarmSession` owns one, so resident re-solves
-//! allocate nothing proportional to the design in the iteration loop
-//! (the P002 lint keeps this path allocation-free). The coupling graph
-//! consulted by the dirty sets is the crossing index's precomputed CSR
-//! ([`CrossingIndex::net_neighbors`]); building a per-call adjacency here
-//! was what made incremental pricing slower than the reference at small
-//! iteration counts.
+//! The multipliers live in one flat arena inside [`LrWorkspace`]: a
+//! contiguous `Vec<f64>` indexed through CSR offsets (`LambdaArena`). A
+//! [`LrWorkspace`] is reusable across calls — `WarmSession` owns one, so
+//! resident re-solves refill the arena in place instead of reallocating
+//! it.
 
 use crate::codesign::NetCandidates;
 use crate::config::OperonConfig;
@@ -51,20 +42,15 @@ use crate::CrossingIndex;
 use operon_exec::Executor;
 use operon_optics::OpticalLib;
 
-/// Work counters of one LR selection: how much pricing the incremental
-/// dirty sets actually performed versus reused.
+/// Work counters of one LR selection.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LrStats {
     /// Sub-gradient iterations run (≤ `lr_max_iters`).
     pub iterations: u64,
-    /// Pricing subproblems actually solved.
+    /// Pricing subproblems solved: every net, every iteration.
     pub priced_nets: u64,
-    /// Pricing subproblems skipped because no input moved.
-    pub reused_prices: u64,
-    /// Loaded-loss vectors actually evaluated.
+    /// Loaded-loss vectors evaluated: every net, every iteration.
     pub load_evals: u64,
-    /// Loaded-loss vectors reused from the previous iteration.
-    pub reused_loads: u64,
 }
 
 impl LrStats {
@@ -73,9 +59,7 @@ impl LrStats {
     pub fn accumulate(&mut self, other: &LrStats) {
         self.iterations += other.iterations;
         self.priced_nets += other.priced_nets;
-        self.reused_prices += other.reused_prices;
         self.load_evals += other.load_evals;
-        self.reused_loads += other.reused_loads;
     }
 }
 
@@ -130,53 +114,21 @@ impl LambdaArena {
     }
 }
 
-/// Persistent scratch state of the incremental LR loop.
+/// Persistent scratch state of the LR loop: the multiplier arena.
 ///
-/// Owning one across calls (as `WarmSession` does) makes repeated
-/// selections allocation-free in the iteration loop: the multiplier
-/// arena, the dirty bits, and the load rows are all resized in place.
-/// The workspace carries no results between calls — every call fully
-/// re-initializes it — so reuse can never change an outcome, only skip
-/// allocator traffic.
+/// Owning one across calls (as `WarmSession` does) refills the arena in
+/// place instead of reallocating it. The workspace carries no results
+/// between calls — every call fully re-initializes it — so reuse can
+/// never change an outcome, only skip allocator traffic.
 #[derive(Clone, Debug, Default)]
 pub struct LrWorkspace {
     lambda: LambdaArena,
-    /// Whether net `i`'s multipliers moved in the last update.
-    lambda_changed: Vec<bool>,
-    /// Whether net `i`'s selection moved in the previous iteration.
-    prev_selection_changed: Vec<bool>,
-    /// Per-iteration dirty bits, refilled in place.
-    price_dirty: Vec<bool>,
-    selection_changed: Vec<bool>,
-    loads_dirty: Vec<bool>,
-    /// Cached loaded-loss vectors of the previous iteration; rows of
-    /// clean nets survive untouched (the old implementation cloned them
-    /// through the executor every iteration).
-    loads: Vec<Vec<f64>>,
 }
 
 impl LrWorkspace {
     /// An empty workspace; grows to fit on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sizes every buffer for `nets` and resets the per-call flags.
-    fn reset(&mut self, nets: &[NetCandidates], lib: &OpticalLib) {
-        let n = nets.len();
-        self.lambda.init(nets, lib);
-        self.lambda_changed.clear();
-        self.lambda_changed.resize(n, true);
-        self.prev_selection_changed.clear();
-        self.prev_selection_changed.resize(n, true);
-        self.price_dirty.clear();
-        self.price_dirty.resize(n, false);
-        self.selection_changed.clear();
-        self.selection_changed.resize(n, false);
-        self.loads_dirty.clear();
-        self.loads_dirty.resize(n, false);
-        self.loads.truncate(n);
-        self.loads.resize_with(n, Vec::new);
     }
 }
 
@@ -205,18 +157,8 @@ pub fn select_lr(
     let start = operon_exec::Stopwatch::start();
     let lib = &config.optical;
 
-    ws.reset(nets, lib);
-    // Split borrows: the pricing closures read `lambda` and the dirty
-    // bits concurrently while the sequential update below writes them.
-    let LrWorkspace {
-        lambda,
-        lambda_changed,
-        prev_selection_changed,
-        price_dirty,
-        selection_changed,
-        loads_dirty,
-        loads,
-    } = ws;
+    let lambda = &mut ws.lambda;
+    lambda.init(nets, lib);
 
     // Start from the unloaded greedy selection.
     let mut choice: Vec<usize> = exec.par_map_indexed(nets, |i, nc| {
@@ -226,73 +168,29 @@ pub fn select_lr(
     let mut prev_power = f64::INFINITY;
     let mut prev_violation = f64::INFINITY;
     let mut stats = LrStats::default();
-    // Whether `loads` holds this call's previous-iteration vectors.
-    let mut loads_primed = false;
 
     for iter in 1..=config.lr_max_iters {
         stats.iterations += 1;
-        // Select per net against the previous iterate (lines 5). Net `i`
-        // must re-price iff its own or a neighbor's multipliers moved, or
-        // a neighbor's previous selection moved. Iteration 1 prices all:
-        // the cold start ran without crossing terms. The coupling graph
-        // is the crossing index's precomputed CSR rows — nothing is
-        // built per call.
+        // Select per net against the previous iterate (line 5).
         let previous = choice;
-        let first = iter == 1;
-        for (i, dirty) in price_dirty.iter_mut().enumerate() {
-            *dirty = first
-                || lambda_changed[i]
-                || crossings
-                    .net_neighbors(i)
-                    .iter()
-                    .any(|&m| lambda_changed[m as usize] || prev_selection_changed[m as usize]);
-        }
         choice = exec.par_map_indexed(nets, |i, nc| {
-            if price_dirty[i] {
-                best_candidate(nc, i, lambda, Some(&previous), crossings, lib)
-            } else {
-                previous[i]
-            }
+            best_candidate(nc, i, lambda, Some(&previous), crossings, lib)
         });
-        let priced = price_dirty.iter().filter(|&&d| d).count() as u64;
-        stats.priced_nets += priced;
-        stats.reused_prices += nets.len() as u64 - priced;
+        stats.priced_nets += nets.len() as u64;
 
         // Violations under the current joint selection (line 6). The
         // loaded losses are pure per-net functions of the frozen
-        // `choice`, so the dirty ones batch-evaluate in parallel; a net
-        // whose selection and neighbor selections are unchanged keeps
-        // last iteration's row in place — no clone, no copy. The
-        // multiplier updates below consume them in net order.
-        for (i, changed) in selection_changed.iter_mut().enumerate() {
-            *changed = choice[i] != previous[i];
-        }
-        for (i, dirty) in loads_dirty.iter_mut().enumerate() {
-            *dirty = !loads_primed
-                || selection_changed[i]
-                || crossings
-                    .net_neighbors(i)
-                    .iter()
-                    .any(|&m| selection_changed[m as usize]);
-        }
-        let fresh: Vec<Option<Vec<f64>>> = exec.par_map_indexed(nets, |i, _| {
-            loads_dirty[i].then(|| loaded_path_losses(nets, crossings, &choice, i, lib))
+        // `choice`, so they batch-evaluate in parallel; the multiplier
+        // updates below consume them in net order.
+        let loads = exec.par_map_indexed(nets, |i, _| {
+            loaded_path_losses(nets, crossings, &choice, i, lib)
         });
-        for (row, f) in loads.iter_mut().zip(fresh) {
-            if let Some(v) = f {
-                *row = v;
-            }
-        }
-        loads_primed = true;
-        let evaluated = loads_dirty.iter().filter(|&&d| d).count() as u64;
-        stats.load_evals += evaluated;
-        stats.reused_loads += nets.len() as u64 - evaluated;
+        stats.load_evals += nets.len() as u64;
 
         let mut total_violation = 0.0f64;
         let step = 1.0 / iter as f64;
         for (i, loaded) in loads.iter().enumerate() {
             let ci = choice[i];
-            let mut changed = false;
             let lam_sel = lambda.paths_mut(i, ci);
             for (pi, &load) in loaded.iter().enumerate() {
                 let subgradient = load - lib.max_loss_db;
@@ -300,129 +198,10 @@ pub fn select_lr(
                     total_violation += subgradient;
                 }
                 let l = &mut lam_sel[pi];
-                let updated = (*l + step * subgradient * 0.1).max(0.0);
-                changed |= updated.to_bits() != l.to_bits();
-                *l = updated;
+                *l = (*l + step * subgradient * 0.1).max(0.0);
             }
             // Paths of unselected candidates relax toward zero (their
             // constraint LHS is 0, sub-gradient -l_m).
-            for j in 0..nets[i].candidates.len() {
-                if j != ci {
-                    for l in lambda.paths_mut(i, j) {
-                        let updated = (*l - step * lib.max_loss_db * 0.01).max(0.0);
-                        changed |= updated.to_bits() != l.to_bits();
-                        *l = updated;
-                    }
-                }
-            }
-            lambda_changed[i] = changed;
-        }
-        std::mem::swap(prev_selection_changed, selection_changed);
-
-        let power = selection_power_mw(nets, &choice);
-        let power_gain = (prev_power - power) / prev_power.max(1e-12);
-        let viol_gain = if prev_violation > 0.0 {
-            (prev_violation - total_violation) / prev_violation
-        } else {
-            0.0
-        };
-        let converged = prev_power.is_finite()
-            && power_gain.abs() < config.lr_converge_ratio
-            && viol_gain.abs() < config.lr_converge_ratio;
-        prev_power = power;
-        prev_violation = total_violation;
-        if converged {
-            break;
-        }
-    }
-
-    // Repair + polish the LR iterate, and — as a second start — the plain
-    // cheapest-per-net selection; keep whichever lands lower. The second
-    // start guards against the LR iterate digging itself into a repair
-    // basin worse than the trivial greedy one on crossing-dense instances.
-    let polished_lr = repair_and_polish(nets, crossings, choice, lib);
-    let greedy: Vec<usize> = nets
-        .iter()
-        .map(|nc| {
-            nc.candidates
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_power_mw().total_cmp(&b.1.total_power_mw()))
-                .map(|(j, _)| j)
-                .unwrap_or(nc.electrical_idx)
-        })
-        .collect();
-    let polished_greedy = repair_and_polish(nets, crossings, greedy, lib);
-
-    let choice =
-        if selection_power_mw(nets, &polished_lr) <= selection_power_mw(nets, &polished_greedy) {
-            polished_lr
-        } else {
-            polished_greedy
-        };
-    debug_assert!(selection_feasible(nets, crossings, &choice, lib));
-
-    SelectionResult {
-        power_mw: selection_power_mw(nets, &choice),
-        proven_optimal: false,
-        elapsed: start.elapsed(),
-        choice,
-        ilp_stats: None,
-        lr_stats: Some(stats),
-    }
-}
-
-/// The pre-incremental LR loop: every net re-priced and every loaded loss
-/// re-evaluated, every iteration, sequentially. Retained as the oracle
-/// that pins [`select_lr`]'s iterate sequence — the incremental dirty-set
-/// loop must reproduce this result bit for bit (see the fixture tests and
-/// `crossing_bench`).
-pub fn select_lr_reference(
-    nets: &[NetCandidates],
-    crossings: &CrossingIndex,
-    config: &OperonConfig,
-) -> SelectionResult {
-    let start = operon_exec::Stopwatch::start();
-    let lib = &config.optical;
-
-    let mut lambda = LambdaArena::default();
-    lambda.init(nets, lib);
-
-    let mut choice: Vec<usize> = nets
-        .iter()
-        .enumerate()
-        .map(|(i, nc)| best_candidate(nc, i, &lambda, None, crossings, lib))
-        .collect();
-
-    let mut prev_power = f64::INFINITY;
-    let mut prev_violation = f64::INFINITY;
-
-    for iter in 1..=config.lr_max_iters {
-        let previous = choice;
-        choice = nets
-            .iter()
-            .enumerate()
-            .map(|(i, nc)| best_candidate(nc, i, &lambda, Some(&previous), crossings, lib))
-            // operon-lint: allow(P002, reason = "cold sequential reference oracle; the warm path in select_lr is the hot one and reuses buffers")
-            .collect();
-
-        let all_loads: Vec<Vec<f64>> = (0..nets.len())
-            .map(|i| loaded_path_losses(nets, crossings, &choice, i, lib))
-            // operon-lint: allow(P002, reason = "cold sequential reference oracle; per-iteration loads are consumed immediately below")
-            .collect();
-        let mut total_violation = 0.0f64;
-        let step = 1.0 / iter as f64;
-        for (i, loaded) in all_loads.into_iter().enumerate() {
-            let ci = choice[i];
-            let lam_sel = lambda.paths_mut(i, ci);
-            for (pi, load) in loaded.into_iter().enumerate() {
-                let subgradient = load - lib.max_loss_db;
-                if subgradient > 0.0 {
-                    total_violation += subgradient;
-                }
-                let l = &mut lam_sel[pi];
-                *l = (*l + step * subgradient * 0.1).max(0.0);
-            }
             for j in 0..nets[i].candidates.len() {
                 if j != ci {
                     for l in lambda.paths_mut(i, j) {
@@ -449,6 +228,30 @@ pub fn select_lr_reference(
         }
     }
 
+    let choice = polish_with_greedy_start(nets, crossings, choice, lib);
+    debug_assert!(selection_feasible(nets, crossings, &choice, lib));
+
+    SelectionResult {
+        power_mw: selection_power_mw(nets, &choice),
+        proven_optimal: false,
+        elapsed: start.elapsed(),
+        choice,
+        ilp_stats: None,
+        lr_stats: Some(stats),
+    }
+}
+
+/// Repairs and polishes the LR iterate and — as a second start — the
+/// plain cheapest-per-net selection, and keeps whichever lands lower.
+/// The second start guards against the LR iterate digging itself into a
+/// repair basin worse than the trivial greedy one on crossing-dense
+/// instances.
+fn polish_with_greedy_start(
+    nets: &[NetCandidates],
+    crossings: &CrossingIndex,
+    choice: Vec<usize>,
+    lib: &OpticalLib,
+) -> Vec<usize> {
     let polished_lr = repair_and_polish(nets, crossings, choice, lib);
     let greedy: Vec<usize> = nets
         .iter()
@@ -462,21 +265,10 @@ pub fn select_lr_reference(
         })
         .collect();
     let polished_greedy = repair_and_polish(nets, crossings, greedy, lib);
-
-    let choice =
-        if selection_power_mw(nets, &polished_lr) <= selection_power_mw(nets, &polished_greedy) {
-            polished_lr
-        } else {
-            polished_greedy
-        };
-
-    SelectionResult {
-        power_mw: selection_power_mw(nets, &choice),
-        proven_optimal: false,
-        elapsed: start.elapsed(),
-        choice,
-        ilp_stats: None,
-        lr_stats: None,
+    if selection_power_mw(nets, &polished_lr) <= selection_power_mw(nets, &polished_greedy) {
+        polished_lr
+    } else {
+        polished_greedy
     }
 }
 
@@ -809,6 +601,88 @@ mod tests {
         )
     }
 
+    /// The plain sequential LR loop: no executor, no workspace, fresh
+    /// vectors every iteration. The oracle that pins [`select_lr`]'s
+    /// iterate sequence bit for bit at every thread count.
+    fn select_lr_reference(
+        nets: &[NetCandidates],
+        crossings: &CrossingIndex,
+        config: &OperonConfig,
+    ) -> SelectionResult {
+        let lib = &config.optical;
+        let mut lambda = LambdaArena::default();
+        lambda.init(nets, lib);
+
+        let mut choice: Vec<usize> = nets
+            .iter()
+            .enumerate()
+            .map(|(i, nc)| best_candidate(nc, i, &lambda, None, crossings, lib))
+            .collect();
+
+        let mut prev_power = f64::INFINITY;
+        let mut prev_violation = f64::INFINITY;
+
+        for iter in 1..=config.lr_max_iters {
+            let previous = choice;
+            choice = nets
+                .iter()
+                .enumerate()
+                .map(|(i, nc)| best_candidate(nc, i, &lambda, Some(&previous), crossings, lib))
+                .collect();
+
+            let all_loads: Vec<Vec<f64>> = (0..nets.len())
+                .map(|i| loaded_path_losses(nets, crossings, &choice, i, lib))
+                .collect();
+            let mut total_violation = 0.0f64;
+            let step = 1.0 / iter as f64;
+            for (i, loaded) in all_loads.into_iter().enumerate() {
+                let ci = choice[i];
+                let lam_sel = lambda.paths_mut(i, ci);
+                for (pi, load) in loaded.into_iter().enumerate() {
+                    let subgradient = load - lib.max_loss_db;
+                    if subgradient > 0.0 {
+                        total_violation += subgradient;
+                    }
+                    let l = &mut lam_sel[pi];
+                    *l = (*l + step * subgradient * 0.1).max(0.0);
+                }
+                for j in 0..nets[i].candidates.len() {
+                    if j != ci {
+                        for l in lambda.paths_mut(i, j) {
+                            *l = (*l - step * lib.max_loss_db * 0.01).max(0.0);
+                        }
+                    }
+                }
+            }
+
+            let power = selection_power_mw(nets, &choice);
+            let power_gain = (prev_power - power) / prev_power.max(1e-12);
+            let viol_gain = if prev_violation > 0.0 {
+                (prev_violation - total_violation) / prev_violation
+            } else {
+                0.0
+            };
+            let converged = prev_power.is_finite()
+                && power_gain.abs() < config.lr_converge_ratio
+                && viol_gain.abs() < config.lr_converge_ratio;
+            prev_power = power;
+            prev_violation = total_violation;
+            if converged {
+                break;
+            }
+        }
+
+        let choice = polish_with_greedy_start(nets, crossings, choice, lib);
+        SelectionResult {
+            power_mw: selection_power_mw(nets, &choice),
+            proven_optimal: false,
+            elapsed: Duration::ZERO,
+            choice,
+            ilp_stats: None,
+            lr_stats: None,
+        }
+    }
+
     #[test]
     fn lr_picks_optical_for_long_nets() {
         let nets = vec![two_pin_net(0, Point::new(0, 0), Point::new(20_000, 0), 1)];
@@ -930,10 +804,9 @@ mod tests {
 
     #[test]
     fn incremental_lr_matches_reference_selector() {
-        // Contested two-pin bundle: crossing-coupled nets exercise the
-        // dirty-set propagation and fragile candidates force repair, so
-        // the incremental loop must hit both the reuse and recompute
-        // branches while staying bit-identical to the plain selector.
+        // Contested two-pin bundle: crossing-coupled nets move each
+        // other's prices and fragile candidates force repair, while the
+        // executor-mapped loop stays bit-identical to the plain selector.
         let lib = OpticalLib::paper_defaults();
         let mut nets: Vec<NetCandidates> = (0..8)
             .map(|k| {
@@ -1008,38 +881,57 @@ mod tests {
 
     #[test]
     fn incremental_lr_matches_reference_on_synth_fixture() {
-        // Full synthetic design (I1-class): real candidate sets, real
-        // crossing structure. Pins the incremental pricing loop against
-        // the retained reference selector and checks the stats counters
-        // actually record reuse.
+        // Full synthetic designs with real candidate sets and real
+        // crossing structure, at the default loss budget and at a
+        // tightened 4 dB one where crossing constraints bind and the
+        // loop runs its full iteration budget. Pins the executor-mapped
+        // pricing loop against the sequential reference at every
+        // thread count and checks the work counters' exact invariant.
         use crate::codesign::generate_candidates;
         use operon_cluster::build_hyper_nets;
         use operon_netlist::synth::{generate, SynthConfig};
 
-        let design = generate(&SynthConfig::small(), 42);
-        let config = OperonConfig::default();
-        let hyper = build_hyper_nets(&design, &config.cluster);
-        let config = config.resolved_for(hyper.iter().map(|n| n.bit_count()));
-        let nets: Vec<NetCandidates> = hyper
-            .iter()
-            .enumerate()
-            .map(|(i, n)| generate_candidates(n, i, &config))
-            .collect();
-        let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
-        let reference = select_lr_reference(&nets, &crossings, &config);
-        let r = seq_lr(&nets, &crossings, &config);
-        assert_eq!(r.choice, reference.choice);
-        assert_eq!(r.power_mw.to_bits(), reference.power_mw.to_bits());
-        let stats = r.lr_stats.expect("LR path records stats");
-        assert!(stats.iterations > 0);
-        assert_eq!(
-            stats.priced_nets + stats.reused_prices,
-            stats.iterations * nets.len() as u64
-        );
-        assert!(
-            stats.reused_prices > 0,
-            "incremental pricing should reuse at least some prices: {stats:?}"
-        );
+        let fixtures = [
+            ("I1_small_seed42", SynthConfig::small(), 42, None),
+            ("I1_small_seed42_4db", SynthConfig::small(), 42, Some(4.0)),
+            ("I2_medium_seed3", SynthConfig::medium(), 3, None),
+            ("I2_medium_seed3_4db", SynthConfig::medium(), 3, Some(4.0)),
+        ];
+        for (name, synth, seed, budget) in fixtures {
+            let design = generate(&synth, seed);
+            let mut config = OperonConfig::default();
+            if let Some(db) = budget {
+                config.optical.max_loss_db = db;
+            }
+            let hyper = build_hyper_nets(&design, &config.cluster);
+            let config = config.resolved_for(hyper.iter().map(|n| n.bit_count()));
+            let nets: Vec<NetCandidates> = hyper
+                .iter()
+                .enumerate()
+                .map(|(i, n)| generate_candidates(n, i, &config))
+                .collect();
+            let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
+            let reference = select_lr_reference(&nets, &crossings, &config);
+            let mut ws = LrWorkspace::new();
+            for threads in [1, 2, 8] {
+                let exec = Executor::new(threads);
+                let r = select_lr(&nets, &crossings, &config, &exec, &mut ws);
+                assert_eq!(r.choice, reference.choice, "{name} threads={threads}");
+                assert_eq!(
+                    r.power_mw.to_bits(),
+                    reference.power_mw.to_bits(),
+                    "{name} threads={threads}"
+                );
+                let stats = r.lr_stats.expect("LR path records stats");
+                assert!(stats.iterations > 0, "{name}");
+                assert_eq!(
+                    stats.priced_nets,
+                    stats.iterations * nets.len() as u64,
+                    "{name}: every net priced every iteration"
+                );
+                assert_eq!(stats.load_evals, stats.priced_nets, "{name}");
+            }
+        }
     }
 
     /// A naive reference repair: start from per-net cheapest, drop the

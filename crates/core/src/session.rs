@@ -37,7 +37,7 @@
 //!   index is patched via [`CrossingIndex::rebuild_delta`] instead of
 //!   rebuilt;
 //! * selection re-runs globally (a local change can shift the crossing
-//!   coupling anywhere), with the LR pricer's within-call dirty sets;
+//!   coupling anywhere) against the session's resident LR workspace;
 //! * WDM planning re-runs via [`wdm::plan`], which is handed the
 //!   previous route's committed networks: an orientation whose
 //!   connection list and WDM knobs did not change is taken over unsolved
@@ -821,9 +821,7 @@ impl WarmSession {
         if let Some(lr) = selection.lr_stats {
             stage.record("lr_iterations", lr.iterations);
             stage.record("lr_priced_nets", lr.priced_nets);
-            stage.record("lr_reused_prices", lr.reused_prices);
             stage.record("lr_load_evals", lr.load_evals);
-            stage.record("lr_reused_loads", lr.reused_loads);
             self.stats.lr.accumulate(&lr);
         }
         Ok(selection)
@@ -850,7 +848,6 @@ impl WarmSession {
         stage.record("wdm_dijkstra_passes", stats.mcmf.dijkstra_passes);
         stage.record("wdm_arcs_scanned", stats.mcmf.arcs_scanned);
         stage.record("wdm_repair_rounds", stats.mcmf.repair_rounds);
-        stage.record("wdm_warm_fallbacks", stats.mcmf.warm_fallbacks);
         stage.record("wdm_undo_entries", stats.mcmf.undo_entries);
         stage.record("wdm_rollbacks", stats.mcmf.rollbacks);
         stage.record("wdm_networks_cloned", stats.mcmf.networks_cloned);

@@ -46,11 +46,15 @@ pub use segment::{Orientation, Segment};
 /// constant before applying the propagation-loss coefficient.
 pub const DBU_PER_CM: f64 = 10_000.0;
 
-/// Coordinate magnitude below which the exact predicates
+/// Coordinate magnitude (2^30 dbu) below which the exact predicates
 /// ([`Segment::orientation`], [`SegmentGrid::owns_crossing`]) take their
 /// die-scale fast paths: narrower or unchecked integer arithmetic whose
 /// bounds rule out overflow.
-pub(crate) const DIE_SCALE: i64 = 1 << 30;
+///
+/// Design readers reject any die corner at or beyond this magnitude, so
+/// every coordinate a route sees (pins lie inside the die) stays far
+/// from `i64` overflow in widths, distances and midpoints.
+pub const DIE_SCALE: i64 = 1 << 30;
 
 /// Whether both coordinates of `p` lie strictly within [`DIE_SCALE`].
 #[inline]

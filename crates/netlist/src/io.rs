@@ -31,7 +31,7 @@
 
 use crate::{Bit, BitId, Design, GroupId, SignalGroup};
 use core::fmt;
-use operon_geom::{BoundingBox, Point};
+use operon_geom::{BoundingBox, Point, DIE_SCALE};
 use std::error::Error;
 
 /// Error returned by [`read_design`].
@@ -97,8 +97,9 @@ pub fn write_design(design: &Design) -> String {
 /// # Errors
 ///
 /// Returns a [`ParseDesignError`] naming the offending line on any
-/// malformed input: missing header, unclosed group, bad coordinates, pins
-/// outside the die, or empty groups.
+/// malformed input: missing header, unclosed group, bad coordinates, a
+/// die corner at or beyond [`DIE_SCALE`] in magnitude, pins outside the
+/// die, or empty groups.
 pub fn read_design(text: &str) -> Result<Design, ParseDesignError> {
     let mut name: Option<String> = None;
     let mut design: Option<Design> = None;
@@ -125,6 +126,15 @@ pub fn read_design(text: &str) -> Result<Design, ParseDesignError> {
             }
             "die" => {
                 let nums = parse_i64s(&mut tokens, 4, lineno)?;
+                if nums
+                    .iter()
+                    .any(|c| c.unsigned_abs() >= DIE_SCALE.unsigned_abs())
+                {
+                    return Err(ParseDesignError::new(
+                        lineno,
+                        format!("die corner coordinates must lie strictly within ±{DIE_SCALE}"),
+                    ));
+                }
                 let d =
                     BoundingBox::new(Point::new(nums[0], nums[1]), Point::new(nums[2], nums[3]));
                 let Some(n) = name.clone() else {
@@ -302,6 +312,44 @@ mod tests {
         let e = err_of("design t\ndie 0 0 abc 100\n");
         assert_eq!(e.line(), 2);
         assert!(e.to_string().contains("bad integer"));
+    }
+
+    #[test]
+    fn die_beyond_die_scale_is_error() {
+        // Width overflows i64: BoundingBox::width would panic (debug) or
+        // wrap (release).
+        let e = err_of("design t\ndie -9000000000000000000 0 9000000000000000000 10\n");
+        assert_eq!(e.line(), 2);
+        assert!(e.to_string().contains("die corner"), "{e}");
+        // Parses today up to the die check, with both bits inside it;
+        // routing would overflow a Manhattan distance.
+        let e = err_of(
+            "design t\ndie -4000000000000000000 -4000000000000000000 \
+             4000000000000000000 4000000000000000000\ngroup a\n\
+             bit -3000000000000000000 -3000000000000000000 : \
+             3000000000000000000 3000000000000000000\n\
+             bit 0 0 : 3000000000000000000 -3000000000000000000\nend\n",
+        );
+        assert_eq!(e.line(), 2);
+        // The bound is exclusive, on every corner, and i64::MIN has no
+        // positive counterpart to overflow into.
+        let s = DIE_SCALE;
+        for corners in [
+            format!("{s} 0 0 10"),
+            format!("0 {} 10 10", -s),
+            format!("0 0 10 {s}"),
+            format!("{} 0 0 10", i64::MIN),
+        ] {
+            let e = err_of(&format!("design t\ndie {corners}\n"));
+            assert!(e.to_string().contains("die corner"), "{corners}: {e}");
+        }
+        let edge = s - 1;
+        let d = read_design(&format!(
+            "design t\ndie {} {} {edge} {edge}\ngroup a\nbit {} {} : {edge} {edge}\nend\n",
+            -edge, -edge, -edge, -edge
+        ))
+        .expect("corners just inside the bound parse");
+        assert_eq!(d.die().width(), 2 * edge);
     }
 
     #[test]

@@ -894,6 +894,58 @@ mod tests {
     }
 
     #[test]
+    fn die_beyond_die_scale_is_rejected_and_sessions_survive() {
+        let mut server = Server::new(Executor::sequential(), 1);
+        assert!(server
+            .handle_line(&open_line("good"))
+            .contains("\"ok\":true"));
+        let huge = "design h\ndie -4000000000000000000 -4000000000000000000 \
+                    4000000000000000000 4000000000000000000\ngroup a\n\
+                    bit 0 0 : 3000000000000000000 3000000000000000000\n\
+                    bit 5 5 : -3000000000000000000 7\nend\n";
+        for (session, design) in [
+            (
+                "wide",
+                "design w\ndie -9000000000000000000 0 9000000000000000000 10\n",
+            ),
+            ("huge", huge),
+        ] {
+            let line = Value::object(vec![
+                ("op", "open_design".into()),
+                ("session", session.into()),
+                ("design", design.into()),
+            ])
+            .compact();
+            let resp = server.handle_line(&line);
+            assert!(resp.contains("\"ok\":false"), "{resp}");
+            assert!(resp.contains("die corner"), "{resp}");
+        }
+        assert_eq!(server.session_count(), 1);
+        // A die just inside the bound, with pins on its far corners,
+        // opens and routes.
+        let edge = operon_geom::DIE_SCALE - 1;
+        let corner = Value::object(vec![
+            ("op", "open_design".into()),
+            ("session", "corner".into()),
+            (
+                "design",
+                format!(
+                    "design c\ndie {n} {n} {edge} {edge}\ngroup a\n\
+                     bit {n} {n} : {edge} {edge}\nbit {edge} {n} : {n} {edge}\nend\n",
+                    n = -edge
+                )
+                .into(),
+            ),
+        ])
+        .compact();
+        assert!(server.handle_line(&corner).contains("\"ok\":true"));
+        let route = server.handle_line("{\"op\":\"route\",\"session\":\"corner\"}");
+        assert!(route.contains("\"power_mw\""), "{route}");
+        let route = server.handle_line("{\"op\":\"route\",\"session\":\"good\"}");
+        assert!(route.contains("\"power_mw\""), "{route}");
+    }
+
+    #[test]
     fn eco_responses_match_between_batched_and_single() {
         let trace = [
             open_line("a"),
