@@ -15,6 +15,12 @@
 //! thread; results are bit-identical for every count), `--run-report`
 //! writes the executor's per-stage JSON instrumentation, including each
 //! stage's wall time.
+//! The config flags set knobs through `OperonConfig::set_knob`, the
+//! setter `operon_serve`'s `set_config` and `operon_explore` lattices use
+//! too: `--ilp S` sets `selector` to `ilp:S`, and `--ilp-wave-size`,
+//! `--capacity`, `--max-loss` and `--max-delay` set `ilp_wave_size`,
+//! `capacity`, `max_loss` and `max_delay`. A value the setter rejects
+//! prints its error and the usage.
 //! `--ilp-wave-size` sets how many branch-and-bound nodes the exact
 //! selector expands per parallel wave (default 1 = sequential best-first;
 //! the explored tree depends on the wave size but never on the thread
@@ -25,7 +31,7 @@
 //! `open_design`/`set_config`/`route`/`close` session per design, in
 //! input order — consumable by `operon_serve --replay`.
 
-use operon::config::{OperonConfig, Selector};
+use operon::config::{KnobValue, OperonConfig};
 use operon::flow::OperonFlow;
 use operon_exec::Executor;
 use std::fmt::Write as _;
@@ -35,13 +41,27 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: operon_route <design.sig>... [--threads N|auto] \
          [--run-report FILE] [--ilp SECS] [--ilp-wave-size N] [--capacity N] [--max-loss DB] \
-         [--max-delay PS] [--scale N/D] [--maps] [--nets] [--svg FILE] [--emit-trace FILE]"
+         [--max-delay PS] [--scale N/D] [--maps] [--nets] [--svg FILE] [--emit-trace FILE]\n\n\
+         config flags set knobs: --ilp SECS selector=ilp:SECS, --ilp-wave-size ilp_wave_size, \
+         --capacity capacity, --max-loss max_loss, --max-delay max_delay"
     );
     ExitCode::from(2)
 }
 
+/// The config flags and the knob each sets (`--ilp S` sets
+/// `selector` to `ilp:S`).
+const CONFIG_FLAGS: [(&str, &str); 5] = [
+    ("--ilp", "selector"),
+    ("--ilp-wave-size", "ilp_wave_size"),
+    ("--capacity", "capacity"),
+    ("--max-loss", "max_loss"),
+    ("--max-delay", "max_delay"),
+];
+
 struct Options {
     config: OperonConfig,
+    /// The knobs the config flags set, in flag order.
+    knobs: Vec<(&'static str, KnobValue)>,
     show_maps: bool,
     show_nets: bool,
     scale: Option<(i64, i64)>,
@@ -55,6 +75,7 @@ fn main() -> ExitCode {
     let mut paths: Vec<String> = Vec::new();
     let mut opts = Options {
         config: OperonConfig::default(),
+        knobs: Vec::new(),
         show_maps: false,
         show_nets: false,
         scale: None,
@@ -66,6 +87,23 @@ fn main() -> ExitCode {
     let mut trace_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
+        if let Some(&(flag, knob)) = CONFIG_FLAGS.iter().find(|(f, _)| *f == args[i]) {
+            let Some(token) = args.get(i + 1) else {
+                return usage();
+            };
+            let value = if flag == "--ilp" {
+                KnobValue::Text(format!("ilp:{token}"))
+            } else {
+                KnobValue::parse(token)
+            };
+            if let Err(e) = opts.config.set_knob(knob, &value) {
+                eprintln!("{flag}: {e}");
+                return usage();
+            }
+            opts.knobs.push((knob, value));
+            i += 2;
+            continue;
+        }
         match args[i].as_str() {
             "--threads" => {
                 // "auto" (the default) means one worker per hardware
@@ -88,43 +126,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 report_path = Some(path.clone());
-                i += 2;
-            }
-            "--ilp" => {
-                let Some(secs) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                    return usage();
-                };
-                opts.config.selector = Selector::Ilp {
-                    time_limit_secs: secs,
-                };
-                i += 2;
-            }
-            "--ilp-wave-size" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                    return usage();
-                };
-                opts.config.ilp_wave_size = n;
-                i += 2;
-            }
-            "--capacity" => {
-                let Some(cap) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                    return usage();
-                };
-                opts.config = opts.config.with_wdm_capacity(cap);
-                i += 2;
-            }
-            "--max-loss" => {
-                let Some(db) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) else {
-                    return usage();
-                };
-                opts.config.optical.max_loss_db = db;
-                i += 2;
-            }
-            "--max-delay" => {
-                let Some(ps) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) else {
-                    return usage();
-                };
-                opts.config.max_delay_ps = Some(ps);
                 i += 2;
             }
             "--maps" => {
@@ -236,11 +237,10 @@ fn main() -> ExitCode {
 
 /// Renders one design's invocation as a JSONL request-trace session
 /// (`open_design`/`set_config`/`route`/`close`) replayable by
-/// `operon_serve --replay`. The `set_config` line carries exactly the
-/// knobs this CLI run changed from the defaults, so the daemon routes
-/// under the same configuration.
-fn trace_session(design: &operon_netlist::Design, config: &OperonConfig) -> String {
-    use operon::config::Selector;
+/// `operon_serve --replay`. The `set_config` line carries the knobs
+/// this CLI run's config flags set, so the daemon routes under the same
+/// configuration.
+fn trace_session(design: &operon_netlist::Design, knobs: &[(&str, KnobValue)]) -> String {
     use operon_exec::json::Value;
 
     let mut lines = String::new();
@@ -255,29 +255,9 @@ fn trace_session(design: &operon_netlist::Design, config: &OperonConfig) -> Stri
     );
     lines.push('\n');
 
-    let defaults = OperonConfig::default();
-    let mut knobs: Vec<(&str, Value)> = Vec::new();
-    if config.optical.max_loss_db != defaults.optical.max_loss_db {
-        knobs.push(("max_loss", Value::Float(config.optical.max_loss_db)));
-    }
-    if config.optical.wdm_capacity != defaults.optical.wdm_capacity {
-        knobs.push(("capacity", Value::Int(config.optical.wdm_capacity as i64)));
-    }
-    if config.max_delay_ps != defaults.max_delay_ps {
-        if let Some(ps) = config.max_delay_ps {
-            knobs.push(("max_delay", Value::Float(ps)));
-        }
-    }
-    if let Selector::Ilp { time_limit_secs } = config.selector {
-        knobs.push(("selector", "ilp".into()));
-        knobs.push(("ilp_secs", Value::Int(time_limit_secs as i64)));
-    }
-    if config.ilp_wave_size != defaults.ilp_wave_size {
-        knobs.push(("ilp_wave_size", Value::Int(config.ilp_wave_size as i64)));
-    }
     if !knobs.is_empty() {
         let mut fields = vec![("op", "set_config".into()), ("session", session.into())];
-        fields.extend(knobs);
+        fields.extend(knobs.iter().map(|(knob, value)| (*knob, value.to_json())));
         lines.push_str(&Value::object(fields).compact());
         lines.push('\n');
     }
@@ -403,6 +383,6 @@ fn route_one(
         std::fs::write(svg_out, svg).map_err(|e| format!("cannot write {svg_out}: {e}"))?;
         writeln!(w, "layout written to {svg_out}").expect("write to string");
     }
-    let trace = opts.emit_trace.then(|| trace_session(&design, &config));
+    let trace = opts.emit_trace.then(|| trace_session(&design, &opts.knobs));
     Ok((out, trace))
 }

@@ -2,8 +2,9 @@
 
 use crate::OperonError;
 use operon_cluster::ClusterConfig;
+use operon_exec::json::Value;
 use operon_optics::{DelayParams, ElectricalParams, OpticalLib};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// The earliest pipeline stage a configuration change invalidates.
 ///
@@ -73,6 +74,96 @@ pub enum Selector {
     },
     /// The Lagrangian-relaxation speed-up (Algorithm 1).
     LagrangianRelaxation,
+}
+
+/// The knobs every front end sets by name through
+/// [`OperonConfig::set_knob`]: `operon_serve` `set_config` fields,
+/// `operon_explore` lattice axes and base assignments, and the
+/// `operon_route` config flags. Which pipeline stage a change to each
+/// invalidates is [`OperonConfig::first_dirty_stage`]'s business.
+pub const KNOBS: [&str; 11] = [
+    "capacity",
+    "merge_threshold",
+    "max_loss",
+    "max_delay",
+    "max_candidates",
+    "selector",
+    "ilp_wave_size",
+    "lr_iters",
+    "lr_converge",
+    "wdm_pitch",
+    "wdm_displacement",
+];
+
+/// One knob assignment value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum KnobValue {
+    /// Integer-valued knobs (`capacity`, `lr_iters`, `wdm_pitch`, …).
+    Int(i64),
+    /// Real-valued knobs (`max_loss`, `lr_converge`, …). Integer
+    /// literals coerce.
+    Float(f64),
+    /// Textual knobs (`selector`: `"lr"` or `"ilp:<secs>"`).
+    Text(String),
+}
+
+impl KnobValue {
+    /// JSON rendering; [`KnobValue::from_json`] reads it back.
+    pub fn to_json(&self) -> Value {
+        match self {
+            KnobValue::Int(v) => Value::Int(*v),
+            KnobValue::Float(v) => Value::Float(*v),
+            KnobValue::Text(t) => Value::Str(t.clone()),
+        }
+    }
+
+    /// Parses a CLI token: integer, then real, then text.
+    pub fn parse(token: &str) -> KnobValue {
+        if let Ok(v) = token.parse::<i64>() {
+            return KnobValue::Int(v);
+        }
+        if let Ok(v) = token.parse::<f64>() {
+            return KnobValue::Float(v);
+        }
+        KnobValue::Text(token.to_owned())
+    }
+
+    /// Reads the JSON value of knob `name`.
+    ///
+    /// # Errors
+    ///
+    /// [`OperonError::InvalidConfig`] naming the knob when the value is
+    /// not an integer, float or string.
+    pub fn from_json(name: &str, value: &Value) -> Result<KnobValue, OperonError> {
+        match value {
+            Value::Int(v) => Ok(KnobValue::Int(*v)),
+            Value::Float(v) => Ok(KnobValue::Float(*v)),
+            Value::Str(s) => Ok(KnobValue::Text(s.clone())),
+            other => Err(OperonError::InvalidConfig(format!(
+                "knob {name:?} needs an integer, float or string value, got {}",
+                other.compact()
+            ))),
+        }
+    }
+}
+
+impl fmt::Display for KnobValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KnobValue::Int(v) => write!(f, "{v}"),
+            KnobValue::Float(v) => write!(f, "{v}"),
+            KnobValue::Text(t) => write!(f, "{t}"),
+        }
+    }
+}
+
+/// Parses a `selector` knob value: `"lr"` or `"ilp:<secs>"`.
+fn parse_selector(text: &str) -> Option<Selector> {
+    if text == "lr" {
+        return Some(Selector::LagrangianRelaxation);
+    }
+    let time_limit_secs = text.strip_prefix("ilp:")?.parse::<u64>().ok()?;
+    Some(Selector::Ilp { time_limit_secs })
 }
 
 /// Configuration of the whole OPERON flow.
@@ -191,6 +282,83 @@ impl OperonConfig {
         self.optical.wdm_capacity = k;
         self.cluster.capacity = k;
         self
+    }
+
+    /// Sets knob `name` (one of [`KNOBS`]) to `value`. A failed call
+    /// leaves the configuration unchanged. Checks are per knob; the
+    /// combined configuration is checked by [`OperonConfig::validate`].
+    ///
+    /// # Errors
+    ///
+    /// [`OperonError::InvalidConfig`] naming the knob for an unknown
+    /// name, a value of the wrong type, a count that is not positive,
+    /// or a selector other than `"lr"` or `"ilp:<secs>"`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use operon::config::{KnobValue, OperonConfig, Selector};
+    ///
+    /// let mut cfg = OperonConfig::default();
+    /// cfg.set_knob("selector", &KnobValue::Text("ilp:30".to_owned()))?;
+    /// cfg.set_knob("capacity", &KnobValue::Int(16))?;
+    /// assert_eq!(cfg.selector, Selector::Ilp { time_limit_secs: 30 });
+    /// assert_eq!(cfg.cluster.capacity, 16);
+    /// assert!(cfg.set_knob("lr_iter", &KnobValue::Int(5)).is_err());
+    /// # Ok::<(), operon::OperonError>(())
+    /// ```
+    pub fn set_knob(&mut self, name: &str, value: &KnobValue) -> Result<(), OperonError> {
+        let bad = |what: &str| {
+            OperonError::InvalidConfig(format!("knob {name:?} needs {what}, got {value}"))
+        };
+        // Floats never coerce down: an integer knob given `2.5` is an
+        // error, not a rounding request.
+        let int = || match value {
+            KnobValue::Int(v) => Ok(*v),
+            _ => Err(bad("an integer")),
+        };
+        let positive = || {
+            int().and_then(|v| {
+                usize::try_from(v)
+                    .ok()
+                    .filter(|&v| v > 0)
+                    .ok_or_else(|| bad("a positive integer"))
+            })
+        };
+        let real = || match value {
+            KnobValue::Int(v) => Ok(*v as f64),
+            KnobValue::Float(v) => Ok(*v),
+            KnobValue::Text(_) => Err(bad("a number")),
+        };
+        match name {
+            "capacity" => {
+                let k = positive()?;
+                *self = std::mem::take(self).with_wdm_capacity(k);
+            }
+            "merge_threshold" => self.cluster.merge_threshold = real()?,
+            "max_loss" => self.optical.max_loss_db = real()?,
+            "max_delay" => self.max_delay_ps = Some(real()?),
+            "max_candidates" => self.max_candidates = positive()?,
+            "selector" => {
+                self.selector = match value {
+                    KnobValue::Text(t) => parse_selector(t),
+                    _ => None,
+                }
+                .ok_or_else(|| bad("\"lr\" or \"ilp:<secs>\""))?;
+            }
+            "ilp_wave_size" => self.ilp_wave_size = positive()?,
+            "lr_iters" => self.lr_max_iters = positive()?,
+            "lr_converge" => self.lr_converge_ratio = real()?,
+            "wdm_pitch" => self.optical.wdm_min_pitch = int()?,
+            "wdm_displacement" => self.optical.wdm_max_displacement = int()?,
+            other => {
+                return Err(OperonError::InvalidConfig(format!(
+                    "unknown knob {other:?} (known: {})",
+                    KNOBS.join(", ")
+                )))
+            }
+        }
+        Ok(())
     }
 
     /// Canonical textual encoding of every configuration field.
@@ -610,6 +778,85 @@ mod tests {
         both.lr_max_iters = 4;
         both.optical.max_loss_db *= 0.8;
         assert_eq!(base.first_dirty_stage(&both), DirtyStage::Codesign);
+    }
+
+    #[test]
+    fn every_declared_knob_applies_and_classifies() {
+        let base = OperonConfig::default();
+        let table = [
+            ("capacity", KnobValue::Int(16), DirtyStage::Clustering),
+            (
+                "merge_threshold",
+                KnobValue::Float(base.cluster.merge_threshold * 2.0),
+                DirtyStage::Clustering,
+            ),
+            ("max_loss", KnobValue::Float(21.5), DirtyStage::Codesign),
+            ("max_delay", KnobValue::Float(2000.0), DirtyStage::Codesign),
+            ("max_candidates", KnobValue::Int(3), DirtyStage::Codesign),
+            (
+                "selector",
+                KnobValue::Text("ilp:3".to_owned()),
+                DirtyStage::Selection,
+            ),
+            ("ilp_wave_size", KnobValue::Int(3), DirtyStage::Selection),
+            ("lr_iters", KnobValue::Int(3), DirtyStage::Selection),
+            ("lr_converge", KnobValue::Float(0.05), DirtyStage::Selection),
+            ("wdm_pitch", KnobValue::Int(24), DirtyStage::Wdm),
+            ("wdm_displacement", KnobValue::Int(800), DirtyStage::Wdm),
+        ];
+        let names: Vec<&str> = table.iter().map(|(n, _, _)| *n).collect();
+        assert_eq!(names, KNOBS, "the table covers every knob, in order");
+        for (name, value, tier) in table {
+            let mut next = base.clone();
+            next.set_knob(name, &value).unwrap();
+            next.validate().unwrap();
+            assert_eq!(
+                base.first_dirty_stage(&next),
+                tier,
+                "knob {name} must dirty exactly its tier"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_knobs_are_errors_naming_the_knob_and_change_nothing() {
+        let base = OperonConfig::default();
+        for (name, value) in [
+            ("lr_iter", KnobValue::Int(5)),
+            ("ilp_secs", KnobValue::Int(30)),
+            ("capacity", KnobValue::Int(-4)),
+            ("capacity", KnobValue::Int(0)),
+            ("capacity", KnobValue::Float(1.5)),
+            ("max_loss", KnobValue::Text("high".to_owned())),
+            ("selector", KnobValue::Text("ilp".to_owned())),
+            ("selector", KnobValue::Text("ilp:-1".to_owned())),
+            ("selector", KnobValue::Int(3)),
+            ("ilp_wave_size", KnobValue::Int(-1)),
+            ("wdm_pitch", KnobValue::Float(20.0)),
+        ] {
+            let mut cfg = base.clone();
+            let err = cfg.set_knob(name, &value).unwrap_err().to_string();
+            assert!(err.contains(name), "{name}={value}: {err}");
+            assert_eq!(cfg, base, "{name}={value} changed the config");
+        }
+        assert!(
+            KnobValue::from_json("max_loss", &Value::Array(vec![Value::Int(1)]))
+                .unwrap_err()
+                .to_string()
+                .contains("max_loss")
+        );
+    }
+
+    #[test]
+    fn knob_values_round_trip_through_json_and_cli_tokens() {
+        for value in [
+            KnobValue::Int(-7),
+            KnobValue::Float(25.5),
+            KnobValue::Text("ilp:30".to_owned()),
+        ] {
+            assert_eq!(KnobValue::from_json("k", &value.to_json()).unwrap(), value);
+            assert_eq!(KnobValue::parse(&value.to_string()), value);
+        }
     }
 
     #[test]

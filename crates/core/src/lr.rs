@@ -883,25 +883,52 @@ mod tests {
     fn incremental_lr_matches_reference_on_synth_fixture() {
         // Full synthetic designs with real candidate sets and real
         // crossing structure, at the default loss budget and at a
-        // tightened 4 dB one where crossing constraints bind and the
-        // loop runs its full iteration budget. Pins the executor-mapped
-        // pricing loop against the sequential reference at every
-        // thread count and checks the work counters' exact invariant.
+        // tightened 4 dB one where crossing constraints bind. These
+        // converge within 2-5 iterations, and at 4 dB the I2 iterate
+        // never leaves its start. So one more fixture turns convergence
+        // off (ratio 0) on I1 seed 15 at 4 dB: it runs the full
+        // iteration budget with choices still moving in its last
+        // iteration, where a stale price changes the answer. Pins the
+        // executor-mapped pricing loop against the sequential reference
+        // at every thread count and checks the work counters' exact
+        // invariant.
         use crate::codesign::generate_candidates;
         use operon_cluster::build_hyper_nets;
         use operon_netlist::synth::{generate, SynthConfig};
 
         let fixtures = [
-            ("I1_small_seed42", SynthConfig::small(), 42, None),
-            ("I1_small_seed42_4db", SynthConfig::small(), 42, Some(4.0)),
-            ("I2_medium_seed3", SynthConfig::medium(), 3, None),
-            ("I2_medium_seed3_4db", SynthConfig::medium(), 3, Some(4.0)),
+            ("I1_small_seed42", SynthConfig::small(), 42, None, None),
+            (
+                "I1_small_seed42_4db",
+                SynthConfig::small(),
+                42,
+                Some(4.0),
+                None,
+            ),
+            ("I2_medium_seed3", SynthConfig::medium(), 3, None, None),
+            (
+                "I2_medium_seed3_4db",
+                SynthConfig::medium(),
+                3,
+                Some(4.0),
+                None,
+            ),
+            (
+                "I1_small_seed15_4db_full_budget",
+                SynthConfig::small(),
+                15,
+                Some(4.0),
+                Some(0.0),
+            ),
         ];
-        for (name, synth, seed, budget) in fixtures {
+        for (name, synth, seed, budget, converge) in fixtures {
             let design = generate(&synth, seed);
             let mut config = OperonConfig::default();
             if let Some(db) = budget {
                 config.optical.max_loss_db = db;
+            }
+            if let Some(ratio) = converge {
+                config.lr_converge_ratio = ratio;
             }
             let hyper = build_hyper_nets(&design, &config.cluster);
             let config = config.resolved_for(hyper.iter().map(|n| n.bit_count()));
@@ -924,6 +951,12 @@ mod tests {
                 );
                 let stats = r.lr_stats.expect("LR path records stats");
                 assert!(stats.iterations > 0, "{name}");
+                if converge == Some(0.0) {
+                    assert_eq!(
+                        stats.iterations, config.lr_max_iters as u64,
+                        "{name}: no convergence test, full budget"
+                    );
+                }
                 assert_eq!(
                     stats.priced_nets,
                     stats.iterations * nets.len() as u64,

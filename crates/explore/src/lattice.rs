@@ -4,183 +4,15 @@
 //! A [`Lattice`] is the cross product of a base configuration (itself a
 //! list of knob assignments over [`OperonConfig::default`]) and one or
 //! more [`Axis`] declarations. Every lattice point is a fully validated
-//! [`OperonConfig`]; the knob names double as the `operon_serve`
-//! `set_config` protocol fields, so any lattice can also be emitted as a
+//! [`OperonConfig`]. Knobs are set through
+//! [`OperonConfig::set_knob`], the one setter `operon_serve`'s
+//! `set_config` request also applies, so the knob names double as the
+//! `set_config` protocol fields and any lattice can also be emitted as a
 //! replayable request trace (see [`crate::sweep::sweep_trace`]).
 
-use operon::config::{DirtyStage, OperonConfig, Selector};
+pub use operon::config::KnobValue;
+use operon::config::{OperonConfig, KNOBS};
 use operon_exec::json::{self, Value};
-use std::fmt;
-
-/// One knob assignment value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum KnobValue {
-    /// Integer-valued knobs (`capacity`, `lr_iters`, `wdm_pitch`, …).
-    Int(i64),
-    /// Real-valued knobs (`max_loss`, `lr_converge`, …). Integer
-    /// literals coerce.
-    Float(f64),
-    /// Textual knobs (`selector`: `"lr"` or `"ilp:<secs>"`).
-    Text(String),
-}
-
-impl KnobValue {
-    /// Real view of a numeric value.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            KnobValue::Int(v) => Some(*v as f64),
-            KnobValue::Float(v) => Some(*v),
-            KnobValue::Text(_) => None,
-        }
-    }
-
-    /// Integer view (floats never coerce down — an integer knob given
-    /// `2.5` is a declaration error, not a rounding request).
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            KnobValue::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// JSON rendering (used by sweep results and request traces).
-    pub fn to_json(&self) -> Value {
-        match self {
-            KnobValue::Int(v) => Value::Int(*v),
-            KnobValue::Float(v) => Value::Float(*v),
-            KnobValue::Text(t) => Value::Str(t.clone()),
-        }
-    }
-
-    /// Parses a CLI token: integer, then real, then text.
-    pub fn parse(token: &str) -> KnobValue {
-        if let Ok(v) = token.parse::<i64>() {
-            return KnobValue::Int(v);
-        }
-        if let Ok(v) = token.parse::<f64>() {
-            return KnobValue::Float(v);
-        }
-        KnobValue::Text(token.to_owned())
-    }
-
-    fn from_json(value: &Value) -> Result<KnobValue, String> {
-        match value {
-            Value::Int(v) => Ok(KnobValue::Int(*v)),
-            Value::Float(v) => Ok(KnobValue::Float(*v)),
-            Value::Str(s) => Ok(KnobValue::Text(s.clone())),
-            other => Err(format!("knob values must be scalars, got {other:?}")),
-        }
-    }
-}
-
-impl fmt::Display for KnobValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            KnobValue::Int(v) => write!(f, "{v}"),
-            KnobValue::Float(v) => write!(f, "{v}"),
-            KnobValue::Text(t) => write!(f, "{t}"),
-        }
-    }
-}
-
-/// Every sweepable knob with the first pipeline stage a change to it
-/// invalidates (mirrors [`OperonConfig::first_dirty_stage`]). The sweep
-/// driver groups lattice points that differ only in `Selection`-or-later
-/// knobs onto one warm session.
-pub const KNOBS: [(&str, DirtyStage); 11] = [
-    ("capacity", DirtyStage::Clustering),
-    ("merge_threshold", DirtyStage::Clustering),
-    ("max_loss", DirtyStage::Codesign),
-    ("max_delay", DirtyStage::Codesign),
-    ("max_candidates", DirtyStage::Codesign),
-    ("selector", DirtyStage::Selection),
-    ("ilp_wave_size", DirtyStage::Selection),
-    ("lr_iters", DirtyStage::Selection),
-    ("lr_converge", DirtyStage::Selection),
-    ("wdm_pitch", DirtyStage::Wdm),
-    ("wdm_displacement", DirtyStage::Wdm),
-];
-
-/// The stage a knob invalidates, or `None` for an unknown name.
-pub fn knob_tier(name: &str) -> Option<DirtyStage> {
-    KNOBS.iter().find(|(n, _)| *n == name).map(|(_, t)| *t)
-}
-
-fn int_field(name: &str, value: &KnobValue) -> Result<i64, String> {
-    value
-        .as_int()
-        .ok_or_else(|| format!("knob {name:?} needs an integer value, got {value}"))
-}
-
-fn positive_usize(name: &str, value: &KnobValue) -> Result<usize, String> {
-    let v = int_field(name, value)?;
-    usize::try_from(v)
-        .ok()
-        .filter(|&v| v > 0)
-        .ok_or_else(|| format!("knob {name:?} needs a positive integer, got {v}"))
-}
-
-fn float_field(name: &str, value: &KnobValue) -> Result<f64, String> {
-    value
-        .as_f64()
-        .ok_or_else(|| format!("knob {name:?} needs a numeric value, got {value}"))
-}
-
-/// Parses a `selector` knob value: `"lr"` or `"ilp:<secs>"`.
-pub fn parse_selector(text: &str) -> Result<Selector, String> {
-    if text == "lr" {
-        return Ok(Selector::LagrangianRelaxation);
-    }
-    if let Some(secs) = text
-        .strip_prefix("ilp:")
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        return Ok(Selector::Ilp {
-            time_limit_secs: secs,
-        });
-    }
-    Err(format!(
-        "selector value {text:?} is not \"lr\" or \"ilp:<secs>\""
-    ))
-}
-
-/// Applies one knob assignment, returning the updated configuration.
-///
-/// # Errors
-///
-/// Unknown knob names and type mismatches; validation of the combined
-/// configuration happens per lattice point, not per knob.
-pub fn apply_knob(
-    config: OperonConfig,
-    name: &str,
-    value: &KnobValue,
-) -> Result<OperonConfig, String> {
-    let mut config = config;
-    match name {
-        "capacity" => return Ok(config.with_wdm_capacity(positive_usize(name, value)?)),
-        "merge_threshold" => config.cluster.merge_threshold = float_field(name, value)?,
-        "max_loss" => config.optical.max_loss_db = float_field(name, value)?,
-        "max_delay" => config.max_delay_ps = Some(float_field(name, value)?),
-        "max_candidates" => config.max_candidates = positive_usize(name, value)?,
-        "selector" => match value {
-            KnobValue::Text(t) => config.selector = parse_selector(t)?,
-            other => return Err(format!("knob \"selector\" needs text, got {other}")),
-        },
-        "ilp_wave_size" => config.ilp_wave_size = positive_usize(name, value)?,
-        "lr_iters" => config.lr_max_iters = positive_usize(name, value)?,
-        "lr_converge" => config.lr_converge_ratio = float_field(name, value)?,
-        "wdm_pitch" => config.optical.wdm_min_pitch = int_field(name, value)?,
-        "wdm_displacement" => config.optical.wdm_max_displacement = int_field(name, value)?,
-        other => {
-            let known: Vec<&str> = KNOBS.iter().map(|(n, _)| *n).collect();
-            return Err(format!(
-                "unknown knob {other:?} (known: {})",
-                known.join(", ")
-            ));
-        }
-    }
-    Ok(config)
-}
 
 /// One lattice axis: a knob name and the values it sweeps over.
 #[derive(Clone, Debug, PartialEq)]
@@ -273,15 +105,14 @@ impl Lattice {
         }
         let mut base = OperonConfig::default();
         for (name, value) in &base_knobs {
-            base = apply_knob(base, name, value)?;
+            base.set_knob(name, value).map_err(|e| e.to_string())?;
         }
         for (i, axis) in axes.iter().enumerate() {
-            if knob_tier(&axis.knob).is_none() {
-                let known: Vec<&str> = KNOBS.iter().map(|(n, _)| *n).collect();
+            if !KNOBS.contains(&axis.knob.as_str()) {
                 return Err(format!(
                     "unknown axis knob {:?} (known: {})",
                     axis.knob,
-                    known.join(", ")
+                    KNOBS.join(", ")
                 ));
             }
             if axis.values.is_empty() {
@@ -342,7 +173,9 @@ impl Lattice {
         let mut knobs = Vec::with_capacity(self.axes.len());
         for (axis, &d) in self.axes.iter().zip(&digits) {
             let value = &axis.values[d];
-            config = apply_knob(config, &axis.knob, value)?;
+            config
+                .set_knob(&axis.knob, value)
+                .map_err(|e| format!("lattice point {index}: {e}"))?;
             knobs.push((axis.knob.clone(), value.clone()));
         }
         config
@@ -379,7 +212,8 @@ pub fn parse_spec(text: &str) -> Result<Lattice, String> {
             return Err("lattice spec: \"base\" must be an object".to_owned());
         };
         for (name, value) in pairs {
-            base_knobs.push((name.clone(), KnobValue::from_json(value)?));
+            let value = KnobValue::from_json(name, value).map_err(|e| e.to_string())?;
+            base_knobs.push((name.clone(), value));
         }
     }
     let axes_value = root
@@ -396,11 +230,14 @@ pub fn parse_spec(text: &str) -> Result<Lattice, String> {
             .get("values")
             .and_then(Value::as_array)
             .ok_or_else(|| format!("lattice spec: axis {knob:?} misses \"values\""))?;
-        let values: Result<Vec<KnobValue>, String> =
-            values.iter().map(KnobValue::from_json).collect();
+        let values = values
+            .iter()
+            .map(|v| KnobValue::from_json(knob, v))
+            .collect::<Result<Vec<KnobValue>, _>>()
+            .map_err(|e| e.to_string())?;
         axes.push(Axis {
             knob: knob.to_owned(),
-            values: values?,
+            values,
         });
     }
     Lattice::new(base_knobs, axes)
@@ -409,6 +246,7 @@ pub fn parse_spec(text: &str) -> Result<Lattice, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use operon::config::Selector;
 
     #[test]
     fn mixed_radix_enumeration_covers_the_cross_product() {
@@ -473,7 +311,8 @@ mod tests {
             lattice.point(1).unwrap().config.selector,
             Selector::Ilp { time_limit_secs: 5 }
         );
-        assert!(parse_selector("ilp").is_err());
+        let bare = Lattice::new(vec![], vec![Axis::parse("selector=ilp").unwrap()]).unwrap();
+        assert!(bare.point(0).is_err());
     }
 
     #[test]
@@ -496,30 +335,5 @@ mod tests {
 
         assert!(parse_spec("{\"axes\": 3}").is_err());
         assert!(parse_spec("not json").is_err());
-    }
-
-    #[test]
-    fn every_declared_knob_applies_and_classifies() {
-        let base = OperonConfig::default();
-        for (name, tier) in KNOBS {
-            let value = match name {
-                "selector" => KnobValue::Text("ilp:3".to_owned()),
-                "max_loss" => KnobValue::Float(21.5),
-                "max_delay" => KnobValue::Float(2000.0),
-                "merge_threshold" => KnobValue::Float(base.cluster.merge_threshold * 2.0),
-                "lr_converge" => KnobValue::Float(0.05),
-                "capacity" => KnobValue::Int(16),
-                "wdm_pitch" => KnobValue::Int(24),
-                "wdm_displacement" => KnobValue::Int(800),
-                _ => KnobValue::Int(3),
-            };
-            let next = apply_knob(base.clone(), name, &value).unwrap();
-            next.validate().unwrap();
-            assert_eq!(
-                base.first_dirty_stage(&next),
-                tier,
-                "knob {name} must dirty exactly its declared tier"
-            );
-        }
     }
 }

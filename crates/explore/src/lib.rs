@@ -17,8 +17,8 @@
 //!
 //! Modules:
 //!
-//! * [`lattice`] — knob table, axis declarations, mixed-radix point
-//!   enumeration, JSON spec parsing;
+//! * [`lattice`] — axis declarations over core's knob setter,
+//!   mixed-radix point enumeration, JSON spec parsing;
 //! * [`sweep`](mod@sweep) — the grouped warm driver, objective measurement, and
 //!   the serve-protocol trace emitter;
 //! * [`pareto`] — incremental dominance filtering with a quadratic
@@ -52,7 +52,7 @@ pub mod pareto;
 pub mod render;
 pub mod sweep;
 
-pub use lattice::{apply_knob, parse_spec, Axis, KnobValue, Lattice, SweepPoint, KNOBS};
+pub use lattice::{parse_spec, Axis, KnobValue, Lattice, SweepPoint};
 pub use pareto::{dominates, pareto_reference, ParetoFront};
 pub use render::render_front_svg;
 pub use sweep::{

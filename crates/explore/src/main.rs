@@ -17,8 +17,9 @@
 //! JSONL request trace, and `--run-report` dumps the executor's staged
 //! instrumentation (including the `"sweep"` reuse counters).
 
+use operon::config::{KnobValue, KNOBS};
 use operon_exec::{Executor, Stopwatch};
-use operon_explore::lattice::{Axis, KnobValue, Lattice, KNOBS};
+use operon_explore::lattice::{Axis, Lattice};
 use operon_explore::render::render_front_svg;
 use operon_explore::sweep::{sweep, sweep_trace, SweepOptions, OBJECTIVE_NAMES};
 use operon_netlist::synth::{generate, SynthConfig};
@@ -26,13 +27,12 @@ use operon_netlist::Design;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    let knobs: Vec<&str> = KNOBS.iter().map(|(n, _)| *n).collect();
     eprintln!(
         "usage: operon_explore <design.sig> | --synth small|medium[:SEED] \
          [--spec FILE] [--knob name=v1,v2,...]... [--base name=v]... \
          [--threads N|auto] [--seed S] [--cold] [--json FILE] [--svg FILE] \
          [--run-report FILE] [--emit-trace FILE]\n\nknobs: {}",
-        knobs.join(", ")
+        KNOBS.join(", ")
     );
     ExitCode::from(2)
 }

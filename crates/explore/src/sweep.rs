@@ -366,48 +366,6 @@ pub fn sweep(
     })
 }
 
-/// Appends one knob assignment as its `operon_serve` `set_config`
-/// protocol field(s).
-fn knob_protocol_fields(
-    name: &str,
-    value: &KnobValue,
-    fields: &mut Vec<(String, Value)>,
-) -> Result<(), String> {
-    match name {
-        "capacity" | "max_candidates" | "ilp_wave_size" | "lr_iters" | "wdm_pitch"
-        | "wdm_displacement" => {
-            let v = value
-                .as_int()
-                .ok_or_else(|| format!("knob {name:?} needs an integer value, got {value}"))?;
-            fields.push((name.to_owned(), Value::Int(v)));
-        }
-        "max_loss" | "max_delay" | "merge_threshold" | "lr_converge" => {
-            let v = value
-                .as_f64()
-                .ok_or_else(|| format!("knob {name:?} needs a numeric value, got {value}"))?;
-            fields.push((name.to_owned(), Value::Float(v)));
-        }
-        "selector" => match value {
-            KnobValue::Text(t) if t == "lr" => {
-                fields.push(("selector".to_owned(), Value::Str("lr".to_owned())));
-            }
-            KnobValue::Text(t) => {
-                let secs = t
-                    .strip_prefix("ilp:")
-                    .and_then(|s| s.parse::<i64>().ok())
-                    .ok_or_else(|| {
-                        format!("selector value {t:?} is not \"lr\" or \"ilp:<secs>\"")
-                    })?;
-                fields.push(("selector".to_owned(), Value::Str("ilp".to_owned())));
-                fields.push(("ilp_secs".to_owned(), Value::Int(secs)));
-            }
-            other => return Err(format!("knob \"selector\" needs text, got {other}")),
-        },
-        other => return Err(format!("knob {other:?} has no serve-protocol mapping")),
-    }
-    Ok(())
-}
-
 /// Renders the whole sweep as an `operon_serve` JSONL request trace:
 /// one session, then per lattice point a `set_config` (base knobs +
 /// that point's axis assignments, so replay applies each point's exact
@@ -419,7 +377,7 @@ fn knob_protocol_fields(
 ///
 /// # Errors
 ///
-/// Lattice declaration errors and knobs without a protocol mapping.
+/// The errors of [`Lattice::point`].
 pub fn sweep_trace(design: &Design, lattice: &Lattice) -> Result<String, String> {
     let session = format!("{}-sweep", design.name());
     let mut out = String::new();
@@ -442,7 +400,7 @@ pub fn sweep_trace(design: &Design, lattice: &Lattice) -> Result<String, String>
             ("session".to_owned(), Value::Str(session.clone())),
         ];
         for (name, value) in lattice.base_knobs().iter().chain(point.knobs.iter()) {
-            knob_protocol_fields(name, value, &mut fields)?;
+            fields.push((name.clone(), value.to_json()));
         }
         out.push_str(&Value::object(fields).compact());
         out.push('\n');

@@ -5,6 +5,7 @@
 //! and the emitted request trace replays through the serve daemon with
 //! byte-equal route digests.
 
+use operon::config::{Selector, KNOBS};
 use operon_exec::json::{self, Value};
 use operon_exec::Executor;
 use operon_explore::lattice::{Axis, KnobValue, Lattice};
@@ -111,11 +112,55 @@ fn schedule_seed_never_moves_the_front() {
     }
 }
 
+/// Every knob of [`KNOBS`] set in the base, the ILP selector included,
+/// plus one WDM-tier axis. The ILP budget is far above what the small
+/// design needs, so its search always finishes and stays deterministic.
+fn every_knob_lattice() -> Lattice {
+    let base = vec![
+        ("capacity", KnobValue::Int(16)),
+        ("merge_threshold", KnobValue::Float(300.0)),
+        ("max_loss", KnobValue::Int(24)),
+        ("max_delay", KnobValue::Float(5000.0)),
+        ("max_candidates", KnobValue::Int(6)),
+        ("selector", KnobValue::Text("ilp:60".to_owned())),
+        ("ilp_wave_size", KnobValue::Int(2)),
+        ("lr_iters", KnobValue::Int(8)),
+        ("lr_converge", KnobValue::Float(0.02)),
+        ("wdm_pitch", KnobValue::Int(20)),
+        ("wdm_displacement", KnobValue::Int(500)),
+    ];
+    let mut names: Vec<&str> = base.iter().map(|(n, _)| *n).collect();
+    names.sort_unstable();
+    let mut all = KNOBS;
+    all.sort_unstable();
+    assert_eq!(names, all, "the base names every knob");
+    Lattice::new(
+        base.into_iter().map(|(n, v)| (n.to_owned(), v)).collect(),
+        vec![Axis::parse("wdm_pitch=20,40").unwrap()],
+    )
+    .unwrap()
+}
+
 #[test]
 fn emitted_trace_replays_through_the_daemon_with_matching_digests() {
+    assert_trace_replays(&lattice());
+}
+
+#[test]
+fn trace_over_every_knob_replays_with_matching_digests() {
+    let lattice = every_knob_lattice();
+    assert_eq!(
+        lattice.point(0).unwrap().config.selector,
+        Selector::Ilp {
+            time_limit_secs: 60
+        }
+    );
+    assert_trace_replays(&lattice);
+}
+
+fn assert_trace_replays(lattice: &Lattice) {
     let design = design();
-    let lattice = lattice();
-    let trace = sweep_trace(&design, &lattice).unwrap();
+    let trace = sweep_trace(&design, lattice).unwrap();
     // open + (set_config + route) per point + report + close.
     assert_eq!(trace.lines().count(), 1 + 2 * lattice.len() + 2);
 
@@ -139,7 +184,7 @@ fn emitted_trace_replays_through_the_daemon_with_matching_digests() {
     // its power digests are bit-equal to the sweep's objectives.
     let result = sweep(
         &design,
-        &lattice,
+        lattice,
         &Executor::sequential(),
         &SweepOptions::default(),
     )
@@ -152,4 +197,16 @@ fn emitted_trace_replays_through_the_daemon_with_matching_digests() {
             record.index
         );
     }
+    // The last `set_config` line restates every knob of the last point:
+    // the daemon ends on exactly that point's configuration.
+    let report = responses
+        .lines()
+        .filter_map(|l| json::parse(l).ok())
+        .find(|v| v.get("op").and_then(Value::as_str) == Some("report"))
+        .expect("the trace ends with a report");
+    let last = result.points.last().expect("lattices are never empty");
+    assert_eq!(
+        report.get("config_fingerprint").and_then(Value::as_str),
+        Some(format!("{:016x}", last.fingerprint).as_str())
+    );
 }

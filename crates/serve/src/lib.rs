@@ -17,7 +17,7 @@
 //! | `route`         | `session`                                           |
 //! | `eco_move_pins` | `session`, `group`, `dx`, `dy`                      |
 //! | `eco_add_bus`   | `session`, `name`, `bits`, `source`, `sink`, `pitch`|
-//! | `set_config`    | `session`, knobs (see [`Request::SetConfig`])       |
+//! | `set_config`    | `session`, knobs ([`operon::config::KNOBS`])        |
 //! | `probe_wdm`     | `session`                                           |
 //! | `report`        | `session`                                           |
 //! | `close`         | `session`                                           |
@@ -52,7 +52,7 @@
 //! flow also parallelizes internally — the admission width is the
 //! outer-vs-inner balance knob.
 
-use operon::config::{OperonConfig, Selector};
+use operon::config::{KnobValue, OperonConfig};
 use operon::session::WarmSession;
 use operon::OperonError;
 use operon_exec::json::{self, Value};
@@ -103,34 +103,18 @@ pub enum Request {
         /// Per-bit y spacing.
         pitch: i64,
     },
-    /// Replaces configuration knobs (unset knobs keep their values).
+    /// Sets configuration knobs; knobs the request does not name keep
+    /// their values. Every key of the request object except `op` and
+    /// `session` is a knob from [`operon::config::KNOBS`], applied in
+    /// request order through [`OperonConfig::set_knob`] to a copy of
+    /// the session's config. An unknown name, a value of the wrong type
+    /// or an invalid result is an error response naming the problem,
+    /// and the session keeps its config.
     SetConfig {
         /// Target session.
         session: String,
-        /// `max_loss` — optical detection budget, dB.
-        max_loss: Option<f64>,
-        /// `capacity` — WDM channel capacity (also the cluster cap).
-        capacity: Option<usize>,
-        /// `max_delay` — arrival-time bound, ps.
-        max_delay: Option<f64>,
-        /// `selector` — `"lr"` or `"ilp"`.
-        selector: Option<String>,
-        /// `ilp_secs` — ILP time limit (with `selector: "ilp"`).
-        ilp_secs: Option<u64>,
-        /// `ilp_wave_size` — branch-and-bound wave width.
-        ilp_wave_size: Option<usize>,
-        /// `lr_iters` — LR iteration cap.
-        lr_iters: Option<usize>,
-        /// `lr_converge` — LR convergence ratio.
-        lr_converge: Option<f64>,
-        /// `wdm_pitch` — minimum WDM waveguide pitch, dbu.
-        wdm_pitch: Option<i64>,
-        /// `wdm_displacement` — WDM placement displacement bound, dbu.
-        wdm_displacement: Option<i64>,
-        /// `max_candidates` — co-design candidates kept per hyper net.
-        max_candidates: Option<usize>,
-        /// `merge_threshold` — clustering merge threshold.
-        merge_threshold: Option<f64>,
+        /// The knob assignments, in request order.
+        knobs: Vec<(String, KnobValue)>,
     },
     /// Per-waveguide deletion what-ifs on the resident networks.
     Probe {
@@ -266,39 +250,17 @@ impl Request {
                 sink: point("sink")?,
                 pitch: value.get("pitch").and_then(Value::as_i64).unwrap_or(1),
             }),
-            "set_config" => Ok(Request::SetConfig {
-                session: session()?,
-                max_loss: value.get("max_loss").and_then(Value::as_f64),
-                capacity: value
-                    .get("capacity")
-                    .and_then(Value::as_i64)
-                    .and_then(|c| usize::try_from(c).ok()),
-                max_delay: value.get("max_delay").and_then(Value::as_f64),
-                selector: value
-                    .get("selector")
-                    .and_then(Value::as_str)
-                    .map(str::to_owned),
-                ilp_secs: value
-                    .get("ilp_secs")
-                    .and_then(Value::as_i64)
-                    .and_then(|s| u64::try_from(s).ok()),
-                ilp_wave_size: value
-                    .get("ilp_wave_size")
-                    .and_then(Value::as_i64)
-                    .and_then(|s| usize::try_from(s).ok()),
-                lr_iters: value
-                    .get("lr_iters")
-                    .and_then(Value::as_i64)
-                    .and_then(|s| usize::try_from(s).ok()),
-                lr_converge: value.get("lr_converge").and_then(Value::as_f64),
-                wdm_pitch: value.get("wdm_pitch").and_then(Value::as_i64),
-                wdm_displacement: value.get("wdm_displacement").and_then(Value::as_i64),
-                max_candidates: value
-                    .get("max_candidates")
-                    .and_then(Value::as_i64)
-                    .and_then(|s| usize::try_from(s).ok()),
-                merge_threshold: value.get("merge_threshold").and_then(Value::as_f64),
-            }),
+            "set_config" => {
+                let session = session()?;
+                let mut knobs = Vec::new();
+                if let Value::Object(pairs) = &value {
+                    for (name, v) in pairs.iter().filter(|(k, _)| k != "op" && k != "session") {
+                        let v = KnobValue::from_json(name, v).map_err(|e| e.to_string())?;
+                        knobs.push((name.clone(), v));
+                    }
+                }
+                Ok(Request::SetConfig { session, knobs })
+            }
             "probe_wdm" => Ok(Request::Probe {
                 session: session()?,
             }),
@@ -664,75 +626,13 @@ fn handle_session_request(
             pitch,
             ..
         } => route_result(session.add_bus(bus, *bits, *source, *sink, *pitch)),
-        Request::SetConfig {
-            max_loss,
-            capacity,
-            max_delay,
-            selector,
-            ilp_secs,
-            ilp_wave_size,
-            lr_iters,
-            lr_converge,
-            wdm_pitch,
-            wdm_displacement,
-            max_candidates,
-            merge_threshold,
-            ..
-        } => {
+        Request::SetConfig { knobs, .. } => {
             let mut config = session.config().clone();
-            if let Some(db) = max_loss {
-                config.optical.max_loss_db = *db;
-            }
-            if let Some(cap) = capacity {
-                config = config.with_wdm_capacity(*cap);
-            }
-            if let Some(ps) = max_delay {
-                config.max_delay_ps = Some(*ps);
-            }
-            if let Some(iters) = lr_iters {
-                config.lr_max_iters = *iters;
-            }
-            if let Some(ratio) = lr_converge {
-                config.lr_converge_ratio = *ratio;
-            }
-            if let Some(pitch) = wdm_pitch {
-                config.optical.wdm_min_pitch = *pitch;
-            }
-            if let Some(disp) = wdm_displacement {
-                config.optical.wdm_max_displacement = *disp;
-            }
-            if let Some(cands) = max_candidates {
-                config.max_candidates = *cands;
-            }
-            if let Some(merge) = merge_threshold {
-                config.cluster.merge_threshold = *merge;
-            }
-            match selector.as_deref() {
-                Some("lr") => config.selector = Selector::LagrangianRelaxation,
-                Some("ilp") => {
-                    config.selector = Selector::Ilp {
-                        time_limit_secs: ilp_secs.unwrap_or(10),
-                    };
-                }
-                Some(other) => {
-                    return error_response(
-                        Some(req.op()),
-                        Some(name),
-                        &format!("unknown selector {other:?} (expected \"lr\" or \"ilp\")"),
-                    );
-                }
-                None => {
-                    if let (Selector::Ilp { .. }, Some(secs)) = (&config.selector, ilp_secs) {
-                        config.selector = Selector::Ilp {
-                            time_limit_secs: *secs,
-                        };
-                    }
-                }
-            }
-            if let Some(wave) = ilp_wave_size {
-                config.ilp_wave_size = *wave;
-            }
-            match session.set_config(config) {
+            let set = knobs
+                .iter()
+                .try_for_each(|(knob, value)| config.set_knob(knob, value))
+                .and_then(|()| session.set_config(config));
+            match set {
                 Ok(()) => Value::object(vec![
                     ("ok", Value::Bool(true)),
                     ("op", "set_config".into()),
@@ -891,6 +791,48 @@ mod tests {
         }
         // The daemon still works afterwards.
         assert!(server.handle_line(&open_line("s")).contains("\"ok\":true"));
+    }
+
+    fn config_fingerprint(server: &mut Server) -> String {
+        let report = server.handle_line("{\"op\":\"report\",\"session\":\"s\"}");
+        json::parse(&report)
+            .ok()
+            .and_then(|r| {
+                r.get("config_fingerprint")
+                    .and_then(Value::as_str)
+                    .map(str::to_owned)
+            })
+            .unwrap_or_else(|| panic!("report has no config fingerprint: {report}"))
+    }
+
+    #[test]
+    fn bad_knobs_are_errors_and_leave_the_config_alone() {
+        let mut server = Server::new(Executor::sequential(), 1);
+        assert!(server.handle_line(&open_line("s")).contains("\"ok\":true"));
+        let before = config_fingerprint(&mut server);
+        for (knobs, knob) in [
+            ("\"capacity\": -4", "capacity"),
+            ("\"lr_iter\": 5", "lr_iter"),
+            ("\"max_loss\": \"high\"", "max_loss"),
+            ("\"ilp_secs\": 30", "ilp_secs"),
+            ("\"selector\": \"ilp\"", "selector"),
+            ("\"ilp_wave_size\": -1", "ilp_wave_size"),
+            ("\"max_loss\": [1]", "max_loss"),
+            // A good knob before a bad one is not applied either.
+            ("\"lr_iters\": 4, \"capacity\": 0", "capacity"),
+        ] {
+            let line = format!("{{\"op\": \"set_config\", \"session\": \"s\", {knobs}}}");
+            let resp = server.handle_line(&line);
+            assert!(resp.contains("\"ok\":false"), "{line} -> {resp}");
+            assert!(
+                resp.contains(&format!("\\\"{knob}\\\"")),
+                "{line} -> {resp}"
+            );
+            assert_eq!(config_fingerprint(&mut server), before, "{line}");
+        }
+        let ilp = "{\"op\":\"set_config\",\"session\":\"s\",\"selector\":\"ilp:30\"}";
+        assert!(server.handle_line(ilp).contains("\"ok\":true"));
+        assert_ne!(config_fingerprint(&mut server), before);
     }
 
     #[test]
