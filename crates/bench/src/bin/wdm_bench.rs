@@ -21,22 +21,28 @@
 //! 2. **Warm vs cold WDM planning** on synthesized designs: wall time
 //!    of `wdm::plan` against the retained `wdm::plan_cold_reference`,
 //!    with plans asserted byte-identical at 1, 2 and 8 threads, zero
-//!    networks cloned, and one rollback per warm trial (all asserted). On the I2-class fixture the warm planner
-//!    must beat the cold reference in wall time (asserted) — the
-//!    ROADMAP gap this PR closes. Each fixture's plan fingerprint must
-//!    equal the one pinned in the committed `BENCH_wdm.json` (asserted,
-//!    read at run time): the planner and its cold reference share the
-//!    MCMF kernel, so only the pin sees a kernel change that moves a
-//!    tie-break.
+//!    networks cloned, and one rollback per warm trial (all asserted).
+//!    On the I2-class fixture the warm planner must beat the cold
+//!    reference in wall time (asserted). The 2k-bit die fixture must
+//!    split into at least two assignment components (asserted), so the
+//!    identity covers the per-component plan and its merge. Each
+//!    fixture's plan fingerprint must equal the one pinned in the
+//!    committed `BENCH_wdm.json` (asserted, read at run time): the
+//!    planner and its cold reference share the MCMF kernel, so only the
+//!    pin sees a kernel change that moves a tie-break.
 //! 3. **Orientation reuse** on the same fixtures: a second selection
 //!    sends one net electrical, which changes one orientation and shifts
 //!    the other's connection indices. Planning it with the first plan's
 //!    resident state must equal planning it from scratch — plan and
 //!    resident fingerprint — at 1, 2 and 8 threads, with exactly one
-//!    orientation reused (asserted). Reports both wall times.
+//!    orientation reused (asserted). Reports both wall times, each arm
+//!    timing the same work: it consumes the first plan's resident state
+//!    and plans the second selection. Also reports the reused
+//!    orientation's share of the second selection's connections.
 //!
-//! `--smoke` shrinks every fixture, keeps every identity assertion, and
-//! skips the timing criteria and the JSON write — the cheap CI gate.
+//! `--smoke` drops the I2-class fixture, keeps every identity assertion
+//! and plan pin, and skips the timing criteria and the JSON write — the
+//! cheap CI gate.
 //!
 //! Numbers in the committed `BENCH_wdm.json` come from whatever machine
 //! last ran this binary; `hardware_threads` records the truth.
@@ -320,15 +326,19 @@ fn pinned_plan_fingerprints() -> Vec<(String, String)> {
 }
 
 fn bench_plans(smoke: bool, pins: &[(String, String)]) -> Vec<Value> {
-    let mut fixtures = vec![("I1_small_seed42", SynthConfig::small(), 42u64, false)];
+    // `(name, design, seed, warm must beat cold, must split into
+    // several components)`.
+    let mut fixtures = vec![
+        ("I1_small_seed42", SynthConfig::small(), 42u64, false, false),
+        ("die2k_seed7", SynthConfig::die_scale(2_000), 7, false, true),
+    ];
     if !smoke {
-        // The I2-class fixture carries the PR's acceptance criterion:
-        // warm planning must now beat the cold reference it trailed
-        // before the transactional rework.
-        fixtures.push(("I2_medium_seed3", SynthConfig::medium(), 3, true));
+        // On the I2-class fixture warm planning must beat the cold
+        // reference it trailed before the transactional rework.
+        fixtures.push(("I2_medium_seed3", SynthConfig::medium(), 3, true, false));
     }
     let mut out = Vec::new();
-    for (name, synth, seed, must_beat_cold) in fixtures {
+    for (name, synth, seed, must_beat_cold, multi_component) in fixtures {
         let config = OperonConfig::default();
         let design = generate(&synth, seed);
         let nets = build_hyper_nets(&design, &config.cluster);
@@ -378,6 +388,17 @@ fn bench_plans(smoke: bool, pins: &[(String, String)]) -> Vec<Value> {
             warm_plan.initial_count, cold_plan.initial_count,
             "{name}: initial waveguide count"
         );
+        assert_eq!(
+            warm_plan.stats.components, cold_plan.stats.components,
+            "{name}: component split"
+        );
+        if multi_component {
+            assert!(
+                warm_plan.stats.components >= 2,
+                "{name}: {} assignment components, expected several",
+                warm_plan.stats.components
+            );
+        }
         let fingerprint = plan_fingerprint(&warm_plan);
         let pinned = pins
             .iter()
@@ -426,10 +447,11 @@ fn bench_plans(smoke: bool, pins: &[(String, String)]) -> Vec<Value> {
         }
 
         println!(
-            "wdm {name}: {w} waveguides, cold {cold_ms:.2} ms vs warm \
-             {warm_ms:.2} ms, {trials} warm trials, {u} undo entries, \
-             0 clones",
+            "wdm {name}: {w} waveguides in {c} components, cold {cold_ms:.2} \
+             ms vs warm {warm_ms:.2} ms, {trials} warm trials, {u} undo \
+             entries, 0 clones",
             w = warm_plan.wdms.len(),
+            c = stats.components,
             trials = stats.warm_trials,
             u = stats.mcmf.undo_entries,
         );
@@ -440,6 +462,7 @@ fn bench_plans(smoke: bool, pins: &[(String, String)]) -> Vec<Value> {
             ("cold_reference_best_ms", Value::from(cold_ms)),
             ("warm_best_ms", Value::from(warm_ms)),
             ("speedup", Value::from(cold_ms / warm_ms)),
+            ("components", Value::from(stats.components)),
             ("cold_solves", Value::from(stats.cold_solves)),
             ("warm_trials", Value::from(stats.warm_trials)),
             ("dijkstra_passes", Value::from(stats.mcmf.dijkstra_passes)),
@@ -458,8 +481,12 @@ fn bench_plans(smoke: bool, pins: &[(String, String)]) -> Vec<Value> {
 /// only: the first net whose chosen candidate's connections all share
 /// one orientation, with connections of the other orientation after it,
 /// goes electrical. Dropping its connections re-plans its orientation
-/// and shifts the other orientation's global connection indices.
-fn one_orientation_change(candidates: &[NetCandidates], choice: &[usize]) -> Vec<usize> {
+/// and shifts the other orientation's global connection indices. Returns
+/// the second selection and the orientation it changes.
+fn one_orientation_change(
+    candidates: &[NetCandidates],
+    choice: &[usize],
+) -> (Vec<usize>, TrackOrientation) {
     let all = wdm::extract_connections(candidates, choice);
     let mut before = 0;
     for (i, nc) in candidates.iter().enumerate() {
@@ -473,7 +500,7 @@ fn one_orientation_change(candidates: &[NetCandidates], choice: &[usize]) -> Vec
         if single && other_after && nc.electrical_idx != choice[i] {
             let mut next = choice.to_vec();
             next[i] = nc.electrical_idx;
-            return next;
+            return (next, first.orientation);
         }
     }
     panic!("fixture has no net that feeds one orientation ahead of the other");
@@ -483,14 +510,15 @@ fn one_orientation_change(candidates: &[NetCandidates], choice: &[usize]) -> Vec
 /// orientation, planning with the first plan's resident state must equal
 /// planning from scratch — the plan field by field and the resident
 /// fingerprint — at 1, 2 and 8 threads, with exactly one orientation
-/// reused. Reports the best wall time of both.
+/// reused. Reports the best wall time of both and the reused
+/// orientation's share of the second selection's connections.
 fn bench_reuse(
     name: &str,
     candidates: &[NetCandidates],
     choice: &[usize],
     lib: &operon_optics::OpticalLib,
 ) -> Value {
-    let next = one_orientation_change(candidates, choice);
+    let (next, changed) = one_orientation_change(candidates, choice);
     let plan = |choice: &[usize], prev, exec: &Executor| {
         wdm::plan(candidates, choice, lib, prev, exec).expect("plan feasible")
     };
@@ -517,6 +545,10 @@ fn bench_reuse(
         );
     }
 
+    // Both arms consume the first plan's resident state inside the
+    // timer, as a session's ECO does: reuse drops the stale orientation
+    // and takes the other over, replan drops both. Each arm's result is
+    // dropped outside it.
     let exec = Executor::sequential();
     let (mut reuse_ms, mut replan_ms) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..ITERS {
@@ -525,17 +557,28 @@ fn bench_reuse(
         let reused = plan(&next, Some(prev), &exec);
         reuse_ms = reuse_ms.min(sw.elapsed().as_secs_f64() * 1e3);
         drop(reused);
+        let (_, prev) = plan(choice, None, &exec);
         let sw = Stopwatch::start();
+        drop(prev);
         let replanned = plan(&next, None, &exec);
         replan_ms = replan_ms.min(sw.elapsed().as_secs_f64() * 1e3);
         drop(replanned);
     }
+    let connections = wdm::extract_connections(candidates, &next);
+    let reused = connections
+        .iter()
+        .filter(|c| c.orientation != changed)
+        .count();
+    let share = reused as f64 / connections.len() as f64;
     println!(
         "wdm {name}: one-orientation change, reuse {reuse_ms:.3} ms vs \
-         replan {replan_ms:.3} ms"
+         replan {replan_ms:.3} ms, reused orientation holds {reused} of \
+         {} connections",
+        connections.len()
     );
     Value::object(vec![
         ("orientations_reused", Value::from(1u64)),
+        ("reused_connection_share", Value::from(share)),
         ("reuse_best_ms", Value::from(reuse_ms)),
         ("replan_best_ms", Value::from(replan_ms)),
     ])

@@ -35,6 +35,7 @@ use operon::config::{KnobValue, OperonConfig};
 use operon::flow::OperonFlow;
 use operon_exec::Executor;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -193,15 +194,16 @@ fn main() -> ExitCode {
         exec.par_map_coarse(&paths, |path| route_one(path, &opts, &exec))
     };
 
+    let mut out = Stdout::new();
     let mut failed = false;
     let mut trace = String::new();
     for (pos, output) in outputs.iter().enumerate() {
         if pos > 0 {
-            println!();
+            out.print("\n");
         }
         match output {
             Ok((text, session_trace)) => {
-                print!("{text}");
+                out.print(text);
                 if let Some(lines) = session_trace {
                     trace.push_str(lines);
                 }
@@ -218,7 +220,7 @@ fn main() -> ExitCode {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("request trace written to {path}");
+        out.print(&format!("request trace written to {path}\n"));
     }
 
     if let Some(path) = report_path {
@@ -227,12 +229,60 @@ fn main() -> ExitCode {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("run report written to {path}");
+        out.print(&format!("run report written to {path}\n"));
     }
-    if failed {
+    if !out.finish() || failed {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// Standard output for the report. Once the reader closes the pipe
+/// (`operon_route ... | head`) it stops printing, quietly, where
+/// `print!` would panic; the run goes on, so the files the flags name
+/// are still written and the exit code is unchanged. Any other write
+/// error is reported once and fails the run.
+struct Stdout {
+    lock: std::io::StdoutLock<'static>,
+    open: bool,
+    failed: bool,
+}
+
+impl Stdout {
+    fn new() -> Self {
+        Self {
+            lock: std::io::stdout().lock(),
+            open: true,
+            failed: false,
+        }
+    }
+
+    fn print(&mut self, text: &str) {
+        if self.open {
+            if let Err(e) = self.lock.write_all(text.as_bytes()) {
+                self.stop(&e);
+            }
+        }
+    }
+
+    /// Flushes what is buffered; false when a write failed other than
+    /// by a closed pipe.
+    fn finish(mut self) -> bool {
+        if self.open {
+            if let Err(e) = self.lock.flush() {
+                self.stop(&e);
+            }
+        }
+        !self.failed
+    }
+
+    fn stop(&mut self, e: &std::io::Error) {
+        self.open = false;
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("cannot write to stdout: {e}");
+            self.failed = true;
+        }
+    }
 }
 
 /// Renders one design's invocation as a JSONL request-trace session

@@ -343,27 +343,31 @@ fn solve_component(
     })
 }
 
-/// Minimal union-find for the component decomposition.
-struct Dsu {
+/// Minimal union-find for component decompositions (this presolve and
+/// the WDM assignment split). `union(x, y)` hangs `x`'s root under
+/// `y`'s, so the roots depend only on the union order.
+pub(crate) struct Dsu {
     parent: Vec<usize>,
 }
 
 impl Dsu {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             parent: (0..n).collect(),
         }
     }
 
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
+    /// The root of `x`'s set, halving the path on the way (iterative, so
+    /// a long chain of unions cannot overflow the stack).
+    pub(crate) fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
-        self.parent[x]
+        x
     }
 
-    fn union(&mut self, x: usize, y: usize) {
+    pub(crate) fn union(&mut self, x: usize, y: usize) {
         let (rx, ry) = (self.find(x), self.find(y));
         if rx != ry {
             self.parent[rx] = ry;

@@ -41,7 +41,8 @@
 //! * WDM planning re-runs via [`wdm::plan`], which is handed the
 //!   previous route's committed networks: an orientation whose
 //!   connection list and WDM knobs did not change is taken over unsolved
-//!   (`wdm_orientations_reused`), the other one is re-planned;
+//!   (`wdm_orientations_reused`), the other one is re-planned one
+//!   assignment component per coarse task (`wdm_components`);
 //! * the committed networks stay resident so deletion what-ifs
 //!   ([`WarmSession::probe_wdm`]) are transactional
 //!   checkout/reroute/rollback probes — `networks_cloned` stays 0 for
@@ -842,6 +843,7 @@ impl WarmSession {
         self.stamp(&mut stage, from == DirtyStage::Wdm);
         let (plan, resident) = wdm::plan(candidates, choice, &resolved.optical, prior, &self.exec)?;
         let stats = &plan.stats;
+        stage.record("wdm_components", stats.components);
         stage.record("wdm_cold_solves", stats.cold_solves);
         stage.record("wdm_warm_trials", stats.warm_trials);
         stage.record("wdm_orientations_reused", stats.orientations_reused);

@@ -8,19 +8,29 @@
 //!    track-sorted connections opens a new WDM whenever the current one is
 //!    out of capacity or farther than `dis_u`; a legalization pass then
 //!    enforces the `dis_l` crosstalk pitch between neighbors.
-//! 2. **Assignment** (§4.2): a min-cost max-flow over
-//!    `s → connections → nearby WDMs → t` re-distributes channels at
-//!    minimum displacement; integrality comes for free from the network's
+//! 2. **Assignment** (§4.2), per component: a connection reaches only the
+//!    WDMs within `dis_u` of its track, plus its sweep WDM, so each
+//!    orientation's `s → connections → nearby WDMs → t` network falls
+//!    apart into independent components that share no arc. A min-cost
+//!    max-flow over each component re-distributes channels at minimum
+//!    displacement; integrality comes for free from the network's
 //!    unimodularity.
-//! 3. **Reduction**: idle WDMs are removed outright, and under-filled
-//!    WDMs are tentatively deleted (fewest channels first) with a re-solve
-//!    to check the remaining capacity still carries all demand — this is
-//!    what turns the sweep's sub-optimality into the paper's ~9% saving.
+//! 3. **Reduction**, per component: idle WDMs are removed outright, and
+//!    under-filled WDMs are tentatively deleted (fewest channels first)
+//!    with a re-solve to check the remaining capacity still carries all
+//!    demand — this is what turns the sweep's sub-optimality into the
+//!    paper's ~9% saving.
+//!
+//! Because components share no arc, the max-flow value, the min cost and
+//! every deletion's feasibility decompose exactly over them; a committed
+//! deletion re-solves only its own component, and the components of both
+//! orientations run as one coarse parallel map.
 
 pub mod channels;
 
 use crate::codesign::NetCandidates;
 use crate::error::OperonError;
+use crate::formulation::Dsu;
 use operon_exec::Executor;
 use operon_mcmf::{EdgeId, FlowResult, McmfGraph, McmfStats};
 use operon_optics::OpticalLib;
@@ -67,9 +77,10 @@ impl Wdm {
 
 /// Work counters for the WDM assignment and reduction stage.
 ///
-/// The reduction runs its tentative deletions one at a time, in rank
-/// order, so the counters depend only on the planner's inputs — never
-/// on the executor's thread count.
+/// Each component's reduction runs its tentative deletions one at a
+/// time, in rank order, and the components' counters are summed in a
+/// fixed order, so the counters depend only on the planner's inputs —
+/// never on the executor's thread count.
 ///
 /// A waveguide whose tentative deletion failed is never trialed again.
 /// Every later active set is a subset of the one the trial saw, so the
@@ -82,8 +93,11 @@ impl Wdm {
 /// solve, so it adds only to `orientations_reused`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WdmStats {
-    /// Cold MCMF solves: the initial assignment plus one re-solve per
-    /// committed deletion.
+    /// Independent assignment components planned: one coarse task and
+    /// one committed network each.
+    pub components: u64,
+    /// Cold MCMF solves: one initial assignment per component plus one
+    /// re-solve of its component per committed deletion.
     pub cold_solves: u64,
     /// Warm-started tentative-deletion feasibility trials.
     pub warm_trials: u64,
@@ -97,6 +111,7 @@ pub struct WdmStats {
 impl WdmStats {
     /// Adds every counter of `other` into `self`.
     pub fn accumulate(&mut self, other: &WdmStats) {
+        self.components += other.components;
         self.cold_solves += other.cold_solves;
         self.warm_trials += other.warm_trials;
         self.orientations_reused += other.orientations_reused;
@@ -218,13 +233,136 @@ fn sweep_wdms(n_conn: usize, placed: &[Wdm]) -> Vec<usize> {
     sweep_wdm
 }
 
-/// One reduced orientation: its final waveguides (connections by local
-/// position), the reduction's work counters, the committed network, and
-/// the network wdm index of each final waveguide.
-type Reduced = (Vec<Wdm>, WdmStats, AssignmentNetwork, Vec<usize>);
+/// The placed WDMs a connection on `track` whose sweep WDM is `sweep`
+/// can reach, in ascending order: the contiguous window of the
+/// track-sorted `placed` within `reach` of the track, plus the sweep WDM
+/// wherever legalization pushed it. This is the one definition of an
+/// assignment arc, shared by [`split_components`] and [`build_network`]
+/// so the split and the networks cannot disagree.
+fn reachable(track: i64, sweep: usize, placed: &[Wdm], reach: i64) -> impl Iterator<Item = usize> {
+    let lo = placed.partition_point(|w| w.track < track.saturating_sub(reach));
+    let hi = placed
+        .partition_point(|w| w.track <= track.saturating_add(reach))
+        .max(lo);
+    let (before, after) = if sweep < lo {
+        (Some(sweep), None)
+    } else if sweep >= hi && sweep < placed.len() {
+        (None, Some(sweep))
+    } else {
+        (None, None)
+    };
+    before.into_iter().chain(lo..hi).chain(after)
+}
 
-/// Min-cost max-flow re-assignment (§4.2) of one orientation, followed by
-/// under-fill reduction. `conns` are the orientation's `(track, bits)`
+/// One connected component of an orientation's assignment graph (the
+/// connection → WDM arcs of [`reachable`]). It is an assignment problem
+/// of its own: its network is the orientation network's induced
+/// subgraph, numbered with relative order kept — `s`, `t`, its
+/// connections in ascending position, its WDMs in ascending index — and
+/// [`build_network`] adds its arcs in the whole network's order.
+#[derive(Default)]
+struct Component {
+    /// Orientation positions of its connections, ascending.
+    conn_pos: Vec<usize>,
+    /// Orientation indices of its placed WDMs, ascending.
+    wdm_idx: Vec<usize>,
+    /// Its connections' `(track, bits)`, in `conn_pos` order.
+    conns: Vec<(i64, usize)>,
+    /// Its placed WDMs in `wdm_idx` order, so still track-sorted, with
+    /// sweep assignments given by position in `conns`.
+    placed: Vec<Wdm>,
+}
+
+/// Splits one orientation's track-sorted sweep placement into the
+/// connected components of its assignment graph, ordered by their first
+/// WDM. Every connection reaches its sweep WDM, so each component holds
+/// at least one connection and one WDM.
+fn split_components(conns: &[(i64, usize)], placed: &[Wdm], lib: &OpticalLib) -> Vec<Component> {
+    let sweep_wdm = sweep_wdms(conns.len(), placed);
+    let mut dsu = Dsu::new(placed.len());
+    for (&(track, _), &sweep) in conns.iter().zip(&sweep_wdm) {
+        for wi in reachable(track, sweep, placed, lib.wdm_max_displacement) {
+            dsu.union(wi, sweep);
+        }
+    }
+    // `(component, index within it)` of every placed WDM.
+    let mut slot = Vec::with_capacity(placed.len());
+    let mut component_of_root = vec![usize::MAX; placed.len()];
+    let mut components: Vec<Component> = Vec::new();
+    for (wi, w) in placed.iter().enumerate() {
+        let root = dsu.find(wi);
+        if component_of_root[root] == usize::MAX {
+            component_of_root[root] = components.len();
+            components.push(Component::default());
+        }
+        let c = component_of_root[root];
+        let part = &mut components[c];
+        slot.push((c, part.placed.len()));
+        part.wdm_idx.push(wi);
+        part.placed.push(Wdm {
+            orientation: w.orientation,
+            track: w.track,
+            // operon-lint: allow(P002, reason = "an empty list, filled below with the WDM's sweep connections; the split runs once per plan, not per solver iteration")
+            assigned: Vec::new(),
+        });
+    }
+    for (pos, (&conn, &sweep)) in conns.iter().zip(&sweep_wdm).enumerate() {
+        let (c, local_wdm) = slot[sweep];
+        let part = &mut components[c];
+        part.placed[local_wdm]
+            .assigned
+            .push((part.conns.len(), conn.1));
+        part.conn_pos.push(pos);
+        part.conns.push(conn);
+    }
+    components
+}
+
+/// Places one orientation (§4.1) and splits the placement into its
+/// assignment components. Returns the WDM count after placement and the
+/// components.
+///
+/// # Errors
+///
+/// Same as [`place_orientation`].
+fn place_and_split(
+    conns: &[(i64, usize)],
+    orientation: TrackOrientation,
+    lib: &OpticalLib,
+) -> Result<(usize, Vec<Component>), OperonError> {
+    let placed = place_orientation(conns, orientation, lib)?;
+    Ok((placed.len(), split_components(conns, &placed, lib)))
+}
+
+/// Merges each component's final waveguides — `(local WDM index,
+/// waveguide with local connection positions)`, one list per component
+/// in component order — back into plan order: ascending placed index,
+/// with connection positions restated in orientation terms. Returns the
+/// waveguides and the `(component, local WDM index)` of each.
+fn merge_components(
+    components: &[Component],
+    finals: Vec<Vec<(usize, Wdm)>>,
+) -> (Vec<Wdm>, Vec<(usize, usize)>) {
+    let mut keyed: Vec<(usize, (usize, usize), Wdm)> = Vec::new();
+    for (c, (part, survivors)) in components.iter().zip(finals).enumerate() {
+        for (wi, mut w) in survivors {
+            for (conn, _) in &mut w.assigned {
+                *conn = part.conn_pos[*conn];
+            }
+            keyed.push((part.wdm_idx[wi], (c, wi), w));
+        }
+    }
+    keyed.sort_unstable_by_key(|&(index, ..)| index);
+    keyed.into_iter().map(|(_, at, w)| (w, at)).unzip()
+}
+
+/// One reduced component: its final waveguides as `(local WDM index,
+/// waveguide)` with connections by local position, the reduction's work
+/// counters, and the committed network.
+type Reduced = (Vec<(usize, Wdm)>, WdmStats, AssignmentNetwork);
+
+/// Min-cost max-flow re-assignment (§4.2) of one component, followed by
+/// under-fill reduction. `conns` are the component's `(track, bits)`
 /// connections and `placed` their track-sorted sweep placement.
 /// Connections keep a guaranteed edge to their sweep-assigned WDM so the
 /// network always carries the full demand.
@@ -243,20 +381,23 @@ type Reduced = (Vec<Wdm>, WdmStats, AssignmentNetwork, Vec<usize>);
 /// max-flow *value*, which is unique, so warm and cold trials always
 /// agree; the committed assignment after a successful trial is re-solved
 /// cold on the reduced network, keeping the final plan bit-identical to
-/// the all-cold reference ([`assign_orientation_reference`]).
-fn assign_orientation(
+/// the all-cold reference ([`assign_component_reference`]).
+fn assign_component(
     conns: &[(i64, usize)],
-    placed: Vec<Wdm>,
+    placed: &[Wdm],
     lib: &OpticalLib,
 ) -> Result<Reduced, OperonError> {
-    let sweep_wdm = sweep_wdms(conns.len(), &placed);
+    let sweep_wdm = sweep_wdms(conns.len(), placed);
 
-    let mut stats = WdmStats::default();
+    let mut stats = WdmStats {
+        components: 1,
+        ..WdmStats::default()
+    };
     let mut active: Vec<bool> = vec![true; placed.len()];
     // WDMs whose deletion already failed on a superset of the current
     // active set (see `WdmStats`): never trialed again.
     let mut undeletable: Vec<bool> = vec![false; placed.len()];
-    let mut committed = build_network(conns, &placed, &active, &sweep_wdm, lib);
+    let mut committed = build_network(conns, placed, &active, &sweep_wdm, lib);
     let first = {
         let (s, t) = (committed.g.node(0), committed.g.node(1));
         committed.g.min_cost_max_flow(s, t)
@@ -266,13 +407,9 @@ fn assign_orientation(
     // The sweep assignment itself is a witness of feasibility, so this
     // only fails if the guaranteed feasibility edges were broken upstream.
     if first.flow < committed.idx.total_demand {
-        return Err(OperonError::WdmInfeasible(format!(
-            "flow network cannot carry {} connections over {} sweep WDMs",
-            conns.len(),
-            placed.len()
-        )));
+        return Err(infeasible(conns.len(), placed.len()));
     }
-    let mut best = extract_assignment(&committed.g, &committed.idx, &placed);
+    let mut best = extract_assignment(&committed.g, &committed.idx, placed);
 
     // Reduction: try deleting WDMs, emptiest first. Idle WDMs go outright;
     // the loaded candidates need a tentative-deletion trial each.
@@ -316,13 +453,13 @@ fn assign_orientation(
             // Commit with a cold solve of the reduced network so the
             // assignment is bit-identical to the all-cold reduction path.
             active[wi] = false;
-            let mut net = build_network(conns, &placed, &active, &sweep_wdm, lib);
+            let mut net = build_network(conns, placed, &active, &sweep_wdm, lib);
             let (s, t) = (net.g.node(0), net.g.node(1));
             let r = net.g.min_cost_max_flow(s, t);
             stats.cold_solves += 1;
             stats.mcmf.accumulate(&net.g.stats());
             if r.flow == net.idx.total_demand {
-                best = extract_assignment(&net.g, &net.idx, &placed);
+                best = extract_assignment(&net.g, &net.idx, placed);
                 committed = net;
                 removed_any = true;
                 break; // re-rank by the new fill levels
@@ -337,46 +474,40 @@ fn assign_orientation(
         }
     }
 
-    // Emit the surviving waveguides (ascending `wi`, the plan order) and
-    // record each one's network index so the resident state can replay
-    // per-waveguide deletion probes against the committed network later.
-    let mut finals = Vec::new();
-    let wdms: Vec<Wdm> = best
+    // The surviving waveguides with their network indices, so the
+    // resident state can replay per-waveguide deletion probes against
+    // the committed network later.
+    let survivors = best
         .into_iter()
         .enumerate()
         .filter(|(wi, w)| active[*wi] && w.used() > 0)
-        .map(|(wi, w)| {
-            finals.push(wi);
-            w
-        })
         .collect();
-    Ok((wdms, stats, committed, finals))
+    Ok((survivors, stats, committed))
+}
+
+/// The error for an assignment network that cannot carry its demand.
+fn infeasible(n_conn: usize, n_wdm: usize) -> OperonError {
+    OperonError::WdmInfeasible(format!(
+        "flow network cannot carry {n_conn} connections over {n_wdm} sweep WDMs"
+    ))
 }
 
 /// The pre-warm-start reduction loop: every tentative deletion is a full
 /// cold re-solve, and every loaded waveguide is re-trialed each round.
-/// Retained as the identity reference for [`assign_orientation`] — the
-/// two must produce the same WDM set. Also returns the number of cold
+/// Retained as the identity reference for [`assign_component`] — the
+/// two must produce the same survivors. Also returns the number of cold
 /// solves it ran (the initial one plus one per tentative deletion).
-fn assign_orientation_reference(
+fn assign_component_reference(
     conns: &[(i64, usize)],
-    placed: Vec<Wdm>,
+    placed: &[Wdm],
     lib: &OpticalLib,
-) -> Result<(Vec<Wdm>, u64), OperonError> {
-    if conns.is_empty() {
-        return Ok((Vec::new(), 0));
-    }
-    let sweep_wdm = sweep_wdms(conns.len(), &placed);
+) -> Result<(Vec<(usize, Wdm)>, u64), OperonError> {
+    let sweep_wdm = sweep_wdms(conns.len(), placed);
 
     let mut active: Vec<bool> = vec![true; placed.len()];
     let mut solves = 1u64;
-    let mut best = solve_assignment(conns, &placed, &active, &sweep_wdm, lib).ok_or_else(|| {
-        OperonError::WdmInfeasible(format!(
-            "flow network cannot carry {} connections over {} sweep WDMs",
-            conns.len(),
-            placed.len()
-        ))
-    })?;
+    let mut best = solve_assignment(conns, placed, &active, &sweep_wdm, lib)
+        .ok_or_else(|| infeasible(conns.len(), placed.len()))?;
 
     loop {
         let mut candidates: Vec<(usize, usize)> = best
@@ -384,7 +515,7 @@ fn assign_orientation_reference(
             .enumerate()
             .filter(|&(wi, _)| active[wi])
             .map(|(wi, w)| (w.used(), wi))
-            // operon-lint: allow(P002, reason = "cold reference path kept allocation-simple as the identity oracle for assign_orientation")
+            // operon-lint: allow(P002, reason = "cold reference path kept allocation-simple as the identity oracle for assign_component")
             .collect();
         candidates.sort_unstable();
         let mut removed_any = false;
@@ -399,7 +530,7 @@ fn assign_orientation_reference(
                     Some(wi)
                 }
             })
-            // operon-lint: allow(P002, reason = "cold reference path kept allocation-simple as the identity oracle for assign_orientation")
+            // operon-lint: allow(P002, reason = "cold reference path kept allocation-simple as the identity oracle for assign_component")
             .collect();
         for wi in loaded {
             // Tentatively deactivate, reverting when the reduced network
@@ -407,7 +538,7 @@ fn assign_orientation_reference(
             // set, without the per-trial allocation).
             active[wi] = false;
             solves += 1;
-            if let Some(assignment) = solve_assignment(conns, &placed, &active, &sweep_wdm, lib) {
+            if let Some(assignment) = solve_assignment(conns, placed, &active, &sweep_wdm, lib) {
                 best = assignment;
                 removed_any = true;
                 break;
@@ -419,14 +550,12 @@ fn assign_orientation_reference(
         }
     }
 
-    let wdms = best
+    let survivors = best
         .into_iter()
         .enumerate()
-        .filter(|&(wi, _)| active[wi])
-        .map(|(_, w)| w)
-        .filter(|w| w.used() > 0)
+        .filter(|(wi, w)| active[*wi] && w.used() > 0)
         .collect();
-    Ok((wdms, solves))
+    Ok((survivors, solves))
 }
 
 /// One warm tentative-deletion trial, run *in place* on the committed
@@ -526,18 +655,20 @@ impl OrientationInputs {
 }
 
 /// One orientation's share of a [`ResidentAssignment`]: the inputs it
-/// was planned from, its plan, and the committed solved network.
+/// was planned from, its plan, and one committed solved network per
+/// assignment component.
 struct OrientationResident {
     orientation: TrackOrientation,
     inputs: OrientationInputs,
     /// WDM count right after the sweep placement.
     initial: usize,
-    /// The final waveguides, their connections given by position in
-    /// `inputs.conns`.
+    /// The final waveguides in plan order, their connections given by
+    /// position in `inputs.conns`.
     wdms: Vec<Wdm>,
-    committed: AssignmentNetwork,
-    /// Network wdm index of each entry of `wdms`.
-    finals: Vec<usize>,
+    /// `(component, network wdm index)` of each entry of `wdms`.
+    finals: Vec<(usize, usize)>,
+    /// The committed network of each component, in component order.
+    committed: Vec<AssignmentNetwork>,
 }
 
 /// The committed assignment networks of a finished WDM plan, kept
@@ -558,8 +689,8 @@ impl ResidentAssignment {
     /// Probes, for every final waveguide in plan order (horizontal
     /// orientation first), whether deleting it would still leave a
     /// feasible assignment, and at what re-route cost. Each probe is the
-    /// reduction's warm tentative-deletion trial, rolled back before the
-    /// next one starts, so the
+    /// reduction's warm tentative-deletion trial on the waveguide's own
+    /// component, rolled back before the next one starts, so the
     /// committed networks are bitwise unchanged afterwards
     /// ([`fingerprint`](ResidentAssignment::fingerprint) is invariant)
     /// and `networks_cloned` stays zero. Returns the probes plus the
@@ -569,8 +700,8 @@ impl ResidentAssignment {
         let mut stats = McmfStats::default();
         let mut prior = Vec::new();
         for part in &mut self.parts {
-            let AssignmentNetwork { g, idx } = &mut part.committed;
-            for (w, &wi) in part.wdms.iter().zip(&part.finals) {
+            for (w, &(c, wi)) in part.wdms.iter().zip(&part.finals) {
+                let AssignmentNetwork { g, idx } = &mut part.committed[c];
                 let (displaced, r, trial_stats) = warm_trial(g, idx, &mut prior, wi);
                 stats.accumulate(&trial_stats);
                 let deletable = r.flow == displaced;
@@ -593,7 +724,8 @@ impl ResidentAssignment {
     }
 
     /// FNV-1a digest over the committed networks
-    /// ([`McmfGraph::fingerprint`]) and the final waveguide identities.
+    /// ([`McmfGraph::fingerprint`]), folded in component order, and the
+    /// final waveguide identities.
     /// Stable across rolled-back probes; thread-count invariant because
     /// every solve that produced the committed state is.
     pub fn fingerprint(&self) -> u64 {
@@ -604,8 +736,12 @@ impl ResidentAssignment {
         let mut h = eat(0xcbf2_9ce4_8422_2325, self.parts.len() as u64);
         for part in &self.parts {
             h = eat(h, part.orientation as u64);
-            h = eat(h, part.committed.g.fingerprint());
-            for (w, &wi) in part.wdms.iter().zip(&part.finals) {
+            h = eat(h, part.committed.len() as u64);
+            for net in &part.committed {
+                h = eat(h, net.g.fingerprint());
+            }
+            for (w, &(c, wi)) in part.wdms.iter().zip(&part.finals) {
+                h = eat(h, c as u64);
                 h = eat(h, wi as u64);
                 h = eat(h, w.track as u64);
                 h = eat(h, w.used() as u64);
@@ -637,12 +773,10 @@ struct NetIndex {
 
 /// Builds the (unsolved) assignment network over the active WDMs,
 /// recording every edge handle. `placed` must be track-sorted, as
-/// [`legalize`] leaves it: each connection then reaches the contiguous
-/// window of WDMs within `wdm_max_displacement` of its track, plus its
-/// sweep WDM wherever legalization pushed that one. Arcs go in per
-/// connection, in ascending WDM order — the order of a scan over every
-/// connection × WDM pair — so solving the network cold reproduces the
-/// same flow byte-for-byte.
+/// [`legalize`] leaves it: each connection then reaches the WDMs
+/// [`reachable`] lists. Arcs go in per connection, in ascending WDM
+/// order — the order of a scan over every connection × WDM pair — so
+/// solving the network cold reproduces the same flow byte-for-byte.
 fn build_network(
     conns: &[(i64, usize)],
     placed: &[Wdm],
@@ -669,19 +803,7 @@ fn build_network(
     let reach = lib.wdm_max_displacement;
     let mut assign_edges = Vec::new();
     for (i, &(track, bits)) in conns.iter().enumerate() {
-        let lo = placed.partition_point(|w| w.track < track.saturating_sub(reach));
-        let hi = placed
-            .partition_point(|w| w.track <= track.saturating_add(reach))
-            .max(lo);
-        let sweep = sweep_wdm[i];
-        let (before, after) = if sweep < lo {
-            (Some(sweep), None)
-        } else if sweep >= hi && sweep < n_wdm {
-            (None, Some(sweep))
-        } else {
-            (None, None)
-        };
-        for wi in before.into_iter().chain(lo..hi).chain(after) {
+        for wi in reachable(track, sweep_wdm[i], placed, reach) {
             if !active[wi] {
                 continue;
             }
@@ -775,24 +897,29 @@ fn to_global<'a>(
     })
 }
 
-/// Runs placement and assignment over a full selection, with the two
-/// orientations planned on `exec`'s workers, and returns the plan with
-/// its [`ResidentAssignment`] — the committed per-orientation flow
-/// networks — so a session can keep them warm across requests and answer
-/// deletion what-ifs without re-planning. One-shot callers pass `prev =
-/// None` and drop the resident state.
+/// Runs placement and assignment over a full selection, with every
+/// assignment component of both orientations planned on `exec`'s
+/// workers, and returns the plan with its [`ResidentAssignment`] — the
+/// committed per-component flow networks — so a session can keep them
+/// warm across requests and answer deletion what-ifs without
+/// re-planning. One-shot callers pass `prev = None` and drop the
+/// resident state.
 ///
-/// Horizontal and vertical tracks share nothing — separate connections,
-/// separate WDMs, separate flow networks — so each orientation's
-/// placement + assignment (including its MCMF reduction loop) runs as one
-/// coarse parallel task. Results are concatenated in the fixed
-/// horizontal-then-vertical order, identical for every thread count.
+/// Horizontal and vertical tracks share nothing, and within an
+/// orientation a connection reaches only the WDMs within
+/// `wdm_max_displacement` of its track plus its sweep WDM, so each
+/// orientation's assignment network falls apart into components that
+/// share no arc. Every component's assignment and reduction loop runs as
+/// one coarse parallel task, and a committed deletion re-solves only its
+/// own component. The results are merged in the fixed plan order —
+/// horizontal then vertical, ascending placed WDM index — identical for
+/// every thread count.
 ///
 /// `prev` is the previous plan's resident state, if any. An orientation
 /// whose inputs — its connections' `(track, bits)` in extraction order
 /// and the `wdm_capacity`, `wdm_max_displacement` and `wdm_min_pitch`
 /// knobs — equal those it was planned from is not planned again: its
-/// waveguides and committed network are taken over, its connection
+/// waveguides and committed networks are taken over, its connection
 /// positions restated through the new global indices, and it counts in
 /// `stats.orientations_reused` instead of the solver counters. Every
 /// other orientation plans from scratch, after its stale part is
@@ -813,7 +940,6 @@ pub fn plan(
 ) -> Result<(WdmPlan, ResidentAssignment), OperonError> {
     let connections = extract_connections(nets, choice);
     let mut prev_parts = prev.map(|p| p.parts).unwrap_or_default();
-    let mut reused = Vec::new();
     let mut slots = Vec::new();
     for orientation in [TrackOrientation::Horizontal, TrackOrientation::Vertical] {
         let inputs = OrientationInputs::new(&connections, orientation, lib);
@@ -822,41 +948,50 @@ pub fn plan(
             .position(|p| p.orientation == orientation)
             .map(|i| prev_parts.swap_remove(i));
         // A stale part drops here, before the new plan is built.
-        let reuse = old.filter(|part| part.inputs == inputs);
-        let replan = reuse.is_none() && !inputs.conns.is_empty();
-        reused.push(reuse);
-        slots.push((orientation, inputs, replan));
+        let reused = old.filter(|part| part.inputs == inputs);
+        let split = match reused {
+            None if !inputs.conns.is_empty() => {
+                Some(place_and_split(&inputs.conns, orientation, lib)?)
+            }
+            _ => None,
+        };
+        slots.push((orientation, inputs, reused, split));
     }
-    // One coarse task per orientation, reused or not, so the schedule
-    // does not depend on what was reused.
-    let planned = exec.par_map_coarse(&slots, |(orientation, inputs, replan)| {
-        replan.then(|| {
-            let placed = place_orientation(&inputs.conns, *orientation, lib)?;
-            let initial = placed.len();
-            assign_orientation(&inputs.conns, placed, lib).map(|reduced| (initial, reduced))
-        })
-    });
+    // One coarse task per component of every re-planned orientation.
+    let tasks: Vec<&Component> = slots
+        .iter()
+        .flat_map(|(.., split)| split.iter().flat_map(|(_, components)| components))
+        .collect();
+    let mut solved = exec
+        .par_map_coarse(&tasks, |c| assign_component(&c.conns, &c.placed, lib))
+        .into_iter();
 
     let mut stats = WdmStats::default();
     let mut wdms = Vec::new();
     let mut parts = Vec::new();
-    for (((orientation, inputs, _), planned), reused) in slots.into_iter().zip(planned).zip(reused)
-    {
-        let part = match (reused, planned) {
+    for (orientation, inputs, reused, split) in slots {
+        let part = match (reused, split) {
             (Some(part), _) => {
                 stats.orientations_reused += 1;
                 part
             }
-            (None, Some(result)) => {
-                let (initial, (wdms, orientation_stats, committed, finals)) = result?;
-                stats.accumulate(&orientation_stats);
+            (None, Some((initial, components))) => {
+                let mut committed = Vec::with_capacity(components.len());
+                let mut survivors = Vec::with_capacity(components.len());
+                for result in solved.by_ref().take(components.len()) {
+                    let (finals, component_stats, network) = result?;
+                    stats.accumulate(&component_stats);
+                    survivors.push(finals);
+                    committed.push(network);
+                }
+                let (wdms, finals) = merge_components(&components, survivors);
                 OrientationResident {
                     orientation,
                     inputs,
                     initial,
                     wdms,
-                    committed,
                     finals,
+                    committed,
                 }
             }
             (None, None) => continue,
@@ -875,11 +1010,12 @@ pub fn plan(
     ))
 }
 
-/// The all-cold reference planner: identical placement, assignment and
-/// reduction decisions to [`plan`], but every tentative deletion pays a
-/// full cold re-solve and every loaded waveguide is re-trialed each
-/// round. Of the work counters only `stats.cold_solves` is recorded.
-/// Retained to pin the warm-started reduction — `plan(...)` and
+/// The all-cold reference planner: identical placement, component split,
+/// assignment and reduction decisions to [`plan`], but every tentative
+/// deletion pays a full cold re-solve of its component and every loaded
+/// waveguide is re-trialed each round. Of the work counters only
+/// `stats.components` and `stats.cold_solves` are recorded. Retained to
+/// pin the warm-started reduction — `plan(...)` and
 /// `plan_cold_reference(...)` must agree on the final WDM set exactly.
 ///
 /// # Errors
@@ -899,10 +1035,16 @@ pub fn plan_cold_reference(
         if inputs.conns.is_empty() {
             continue;
         }
-        let placed = place_orientation(&inputs.conns, orientation, lib)?;
-        initial_count += placed.len();
-        let (assigned, solves) = assign_orientation_reference(&inputs.conns, placed, lib)?;
-        stats.cold_solves += solves;
+        let (initial, components) = place_and_split(&inputs.conns, orientation, lib)?;
+        initial_count += initial;
+        let mut survivors = Vec::with_capacity(components.len());
+        for c in &components {
+            let (finals, solves) = assign_component_reference(&c.conns, &c.placed, lib)?;
+            stats.components += 1;
+            stats.cold_solves += solves;
+            survivors.push(finals);
+        }
+        let (assigned, _) = merge_components(&components, survivors);
         wdms.extend(to_global(&assigned, &connections, orientation));
     }
     Ok(WdmPlan {
@@ -943,6 +1085,23 @@ mod tests {
         conns.iter().map(|c| (c.track, c.bits)).collect()
     }
 
+    /// Places one horizontal orientation, then assigns and reduces each
+    /// component as [`plan`] does: the final waveguides in plan order
+    /// and the summed counters.
+    fn assign_split(conns: &[(i64, usize)], l: &OpticalLib) -> (Vec<Wdm>, WdmStats) {
+        let (_, components) =
+            place_and_split(conns, TrackOrientation::Horizontal, l).expect("feasible");
+        let mut stats = WdmStats::default();
+        let mut survivors = Vec::new();
+        for c in &components {
+            let (finals, component_stats, _) =
+                assign_component(&c.conns, &c.placed, l).expect("feasible");
+            stats.accumulate(&component_stats);
+            survivors.push(finals);
+        }
+        (merge_components(&components, survivors).0, stats)
+    }
+
     #[test]
     fn fig6_three_connections_share_two_wdms() {
         // Paper Fig. 6: three 20-bit connections, capacity 32 -> the sweep
@@ -954,7 +1113,8 @@ mod tests {
         let lc = local(&conns);
         let placed = place_orientation(&lc, TrackOrientation::Horizontal, &l).expect("feasible");
         assert_eq!(placed.len(), 3, "sweep cannot pack 20+20 into one WDM");
-        let (final_wdms, stats, ..) = assign_orientation(&lc, placed, &l).expect("feasible");
+        let (final_wdms, stats) = assign_split(&lc, &l);
+        assert_eq!(stats.components, 1);
         assert_eq!(final_wdms.len(), 2, "flow assignment saves one WDM");
         assert!(stats.cold_solves >= 2, "initial solve + committed deletion");
         assert!(stats.warm_trials >= 1, "reduction ran warm trials");
@@ -1014,8 +1174,7 @@ mod tests {
         let l = lib();
         let conns: Vec<Connection> = (0..10).map(|i| conn(i * 50, 7)).collect();
         let lc = local(&conns);
-        let placed = place_orientation(&lc, TrackOrientation::Horizontal, &l).expect("feasible");
-        let (final_wdms, ..) = assign_orientation(&lc, placed, &l).expect("feasible");
+        let (final_wdms, _) = assign_split(&lc, &l);
         let total: usize = final_wdms.iter().map(Wdm::used).sum();
         assert_eq!(total, 70);
         for w in &final_wdms {
@@ -1032,7 +1191,7 @@ mod tests {
         let lc = local(&conns);
         let placed = place_orientation(&lc, TrackOrientation::Horizontal, &l).expect("feasible");
         let initial = placed.len();
-        let (final_wdms, ..) = assign_orientation(&lc, placed, &l).expect("feasible");
+        let (final_wdms, _) = assign_split(&lc, &l);
         assert!(final_wdms.len() <= initial);
         // Lower bound: ceil(total bits / capacity).
         let total: usize = conns.iter().map(|c| c.bits).sum();
@@ -1176,6 +1335,149 @@ mod tests {
         }
     }
 
+    /// Five assignment components: three horizontal — the six-connection
+    /// component of `failed_deletions_are_never_retrialed`, four nearby
+    /// 13-bit connections 20k dbu away and a lone 5-bit connection — and
+    /// two vertical — five 12-bit connections 90 dbu apart and a lone
+    /// one.
+    fn multi_component_nets() -> Vec<NetCandidates> {
+        use operon_geom::Point;
+        let mut horizontal = vec![
+            (0i64, 20usize),
+            (100, 20),
+            (200, 20),
+            (500, 2),
+            (850, 31),
+            (1_400, 2),
+        ];
+        horizontal.extend((0..4).map(|k| (20_000 + k * 40, 13)));
+        horizontal.push((40_000, 5));
+        let mut vertical: Vec<(i64, usize)> = (0..5).map(|k| (3_000 + k * 90, 12)).collect();
+        vertical.push((30_000, 9));
+        let mut nets: Vec<NetCandidates> = horizontal
+            .iter()
+            .map(|&(y, bits)| (Point::new(0, y), Point::new(12_000, y), bits))
+            .chain(
+                vertical
+                    .iter()
+                    .map(|&(x, bits)| (Point::new(x, 0), Point::new(x + 20, 9_000), bits)),
+            )
+            .enumerate()
+            .map(|(k, (a, b, bits))| seg_net(k, a, b, bits))
+            .collect();
+        // Interleave the orientations in extraction order.
+        nets.swap(1, 12);
+        nets
+    }
+
+    #[test]
+    fn multi_component_plan_matches_cold_reference() {
+        let nets = multi_component_nets();
+        let choice = vec![0usize; nets.len()];
+        let reference = plan_cold_reference(&nets, &choice, &lib()).expect("feasible");
+        assert_eq!(reference.stats.components, 5);
+        let base = plan_on(&nets, &choice, &Executor::sequential()).expect("feasible");
+        for threads in [1, 2, 8] {
+            let warm = plan_on(&nets, &choice, &Executor::new(threads)).expect("feasible");
+            assert_eq!(warm.wdms, reference.wdms, "threads={threads}");
+            assert_eq!(warm.initial_count, reference.initial_count);
+            assert_eq!(warm.stats, base.stats, "threads={threads}");
+            assert_eq!(warm.stats.components, 5);
+            assert_eq!(warm.stats.mcmf.rollbacks, warm.stats.warm_trials);
+            assert_eq!(warm.stats.mcmf.networks_cloned, 0);
+        }
+    }
+
+    /// Whether the orientation's whole assignment network over `active`
+    /// carries the full demand: the feasibility a component-local probe
+    /// must reproduce.
+    fn whole_network_feasible(
+        conns: &[(i64, usize)],
+        placed: &[Wdm],
+        active: &[bool],
+        l: &OpticalLib,
+    ) -> bool {
+        let sweep = sweep_wdms(conns.len(), placed);
+        let mut net = build_network(conns, placed, active, &sweep, l);
+        let (s, t) = (net.g.node(0), net.g.node(1));
+        net.g.min_cost_max_flow(s, t).flow == net.idx.total_demand
+    }
+
+    #[test]
+    fn probe_flags_equal_whole_network_feasibility() {
+        let l = lib();
+        let nets = multi_component_nets();
+        let choice = vec![0usize; nets.len()];
+        let mut expected_probes = None;
+        for threads in [1, 2, 8] {
+            let (plan, mut resident) =
+                super::plan(&nets, &choice, &l, None, &Executor::new(threads)).expect("feasible");
+            let before = resident.fingerprint();
+            let (probes, _) = resident.probe_deletions();
+            assert_eq!(resident.fingerprint(), before, "probes roll back");
+            assert_eq!(probes.len(), plan.final_count());
+            let mut at = 0;
+            for part in &resident.parts {
+                // The orientation's final active set, by placed index.
+                let placed =
+                    place_orientation(&part.inputs.conns, part.orientation, &l).expect("feasible");
+                let components = split_components(&part.inputs.conns, &placed, &l);
+                let finals: Vec<usize> = part
+                    .finals
+                    .iter()
+                    .map(|&(c, wi)| components[c].wdm_idx[wi])
+                    .collect();
+                assert!(finals.windows(2).all(|p| p[0] < p[1]), "plan order");
+                for &gone in &finals {
+                    let active: Vec<bool> = (0..placed.len())
+                        .map(|wi| wi != gone && finals.contains(&wi))
+                        .collect();
+                    let probe = &probes[at];
+                    assert_eq!(probe.track, placed[gone].track);
+                    assert_eq!(
+                        probe.deletable,
+                        whole_network_feasible(&part.inputs.conns, &placed, &active, &l),
+                        "threads={threads}: waveguide at {}",
+                        probe.track
+                    );
+                    at += 1;
+                }
+            }
+            assert_eq!(at, probes.len());
+            // The reduction runs to its fixpoint, so no final waveguide
+            // is deletable; the whole networks must agree on every one.
+            assert!(probes.iter().all(|p| !p.deletable && p.displaced > 0));
+            match &expected_probes {
+                None => expected_probes = Some(probes),
+                Some(expected) => assert_eq!(&probes, expected, "threads={threads}"),
+            }
+        }
+    }
+
+    #[test]
+    fn split_follows_sweep_arcs_outside_the_window() {
+        // Full 32-bit connections at tracks 0, 1 and 2 each open a
+        // waveguide; legalization at pitch 400 pushes them to 0, 400 and
+        // 800, beyond the 300-dbu reach of every connection but the
+        // first. Only the sweep arcs link the last two waveguides in.
+        let mut l = lib();
+        l.wdm_min_pitch = 400;
+        l.wdm_max_displacement = 300;
+        let conns = [(0i64, 32usize), (1, 32), (2, 32)];
+        let (initial, components) =
+            place_and_split(&conns, TrackOrientation::Horizontal, &l).expect("feasible");
+        assert_eq!(initial, 3);
+        assert_eq!(components.len(), 1);
+        assert_eq!(components[0].wdm_idx, vec![0, 1, 2]);
+        assert_eq!(components[0].conn_pos, vec![0, 1, 2]);
+        // Without the sweep arcs the connections at 1 and 2 would reach
+        // only the waveguide at 0, and the other two none at all.
+        l.wdm_max_displacement = 0;
+        let (_, components) =
+            place_and_split(&conns, TrackOrientation::Horizontal, &l).expect("feasible");
+        assert_eq!(components.len(), 3, "each connection keeps its sweep arc");
+    }
+
     #[test]
     fn wdm_stats_are_thread_count_invariant() {
         use operon_geom::Point;
@@ -1200,15 +1502,26 @@ mod tests {
 
     #[test]
     fn failed_deletions_are_never_retrialed() {
-        // Three 20-bit connections pack into two of their three sweep
-        // waveguides; a lone 2-bit connection beyond `dis_u` of them sits
-        // on the emptiest waveguide, whose deletion can never succeed.
-        // Round 1 trials it (fails) before committing a 20-bit deletion;
-        // round 2 would trial it again, and now skips it. The plan still
-        // equals the all-cold reference (which re-trials everything each
-        // round) at every thread count, with strictly fewer trials.
+        // One component: three 20-bit connections (0, 100, 200) pack
+        // into two of their three sweep waveguides, and a 2-bit
+        // connection at 500 joins the waveguide at 200 and reaches the
+        // one at 850, which links them to a 31-bit connection at 850 and
+        // a 2-bit one at 1400. Those two reach only the waveguides at 850
+        // and 1400, so the emptiest waveguide (1400, 2 channels) can
+        // never go: 33 channels do not fit one. Round 1 trials it (fails)
+        // before committing a 20-bit deletion; round 2 would trial it
+        // again, and now skips it. The plan still equals the all-cold
+        // reference (which re-trials everything each round) at every
+        // thread count, with strictly fewer trials.
         use operon_geom::Point;
-        let tracks = [(0i64, 20usize), (100, 20), (200, 20), (50_000, 2)];
+        let tracks = [
+            (0i64, 20usize),
+            (100, 20),
+            (200, 20),
+            (500, 2),
+            (850, 31),
+            (1_400, 2),
+        ];
         let nets: Vec<NetCandidates> = tracks
             .iter()
             .enumerate()
@@ -1216,13 +1529,15 @@ mod tests {
             .collect();
         let choice = vec![0usize; nets.len()];
         let reference = plan_cold_reference(&nets, &choice, &lib()).expect("feasible");
-        // One orientation: the reference's first solve, then one cold
+        assert_eq!(reference.stats.components, 1);
+        // One component: the reference's first solve, then one cold
         // solve per tentative deletion.
         let reference_trials = reference.stats.cold_solves - 1;
         for threads in [1, 2, 8] {
             let warm = plan_on(&nets, &choice, &Executor::new(threads)).expect("feasible");
             assert_eq!(warm.wdms, reference.wdms, "threads={threads}");
-            assert_eq!((warm.initial_count, warm.final_count()), (4, 3));
+            assert_eq!((warm.initial_count, warm.final_count()), (5, 4));
+            assert!(warm.wdms.iter().any(|w| w.track == 1_400));
             // Each waveguide fails at most one trial.
             let commits = warm.stats.cold_solves - 1;
             let failures = warm.stats.warm_trials - commits;
@@ -1353,6 +1668,141 @@ mod tests {
                 net.g.min_cost_max_flow(s, t);
             }
             prop_assert_eq!(windowed.g.fingerprint(), all_pairs.g.fingerprint());
+        }
+
+        /// The component split equals connectivity under a naive
+        /// all-pairs arc test — within reach, or the sweep WDM wherever
+        /// legalization pushed it — and each component is the induced
+        /// subproblem, numbered with relative order kept.
+        #[test]
+        fn split_equals_all_pairs_connectivity(
+            conns in proptest::collection::vec((0i64..4_000, 1usize..33), 1..40),
+            pitch in -50i64..400,
+            reach in -50i64..600,
+            capacity in 32usize..65,
+        ) {
+            let mut l = lib();
+            l.wdm_min_pitch = pitch;
+            l.wdm_max_displacement = reach;
+            l.wdm_capacity = capacity;
+            let placed = place_orientation(&conns, TrackOrientation::Horizontal, &l)
+                .expect("demands fit the capacity");
+            let sweep = sweep_wdms(conns.len(), &placed);
+            let components = split_components(&conns, &placed, &l);
+
+            // Oracle: min-label propagation over every connection × WDM
+            // pair until nothing changes. Labels `0..n_wdm` are WDMs.
+            let arcs: Vec<(usize, usize)> = (0..conns.len())
+                .flat_map(|i| (0..placed.len()).map(move |wi| (i, wi)))
+                .filter(|&(i, wi)| {
+                    (conns[i].0 - placed[wi].track).abs() <= reach || sweep[i] == wi
+                })
+                .collect();
+            let mut label: Vec<usize> = (0..placed.len()).collect();
+            let mut conn_label = vec![usize::MAX; conns.len()];
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for &(i, wi) in &arcs {
+                    let low = label[wi].min(conn_label[i]);
+                    if label[wi] != low || conn_label[i] != low {
+                        label[wi] = low;
+                        conn_label[i] = low;
+                        changed = true;
+                    }
+                }
+            }
+
+            let mut wdm_component = vec![usize::MAX; placed.len()];
+            let mut conn_component = vec![usize::MAX; conns.len()];
+            let mut first_wdms = Vec::new();
+            for (c, part) in components.iter().enumerate() {
+                prop_assert!(!part.wdm_idx.is_empty() && !part.conn_pos.is_empty());
+                prop_assert!(part.wdm_idx.windows(2).all(|p| p[0] < p[1]));
+                prop_assert!(part.conn_pos.windows(2).all(|p| p[0] < p[1]));
+                first_wdms.push(part.wdm_idx[0]);
+                for (k, &wi) in part.wdm_idx.iter().enumerate() {
+                    prop_assert_eq!(wdm_component[wi], usize::MAX);
+                    wdm_component[wi] = c;
+                    prop_assert_eq!(part.placed[k].track, placed[wi].track);
+                }
+                for (k, &pos) in part.conn_pos.iter().enumerate() {
+                    prop_assert_eq!(conn_component[pos], usize::MAX);
+                    conn_component[pos] = c;
+                    prop_assert_eq!(part.conns[k], conns[pos]);
+                }
+                // Local sweep assignments name the same WDMs.
+                let local_sweep = sweep_wdms(part.conns.len(), &part.placed);
+                for (k, &pos) in part.conn_pos.iter().enumerate() {
+                    prop_assert_eq!(part.wdm_idx[local_sweep[k]], sweep[pos]);
+                }
+            }
+            prop_assert!(first_wdms.windows(2).all(|p| p[0] < p[1]), "ordered by first WDM");
+            prop_assert!(wdm_component.iter().all(|&c| c != usize::MAX));
+            prop_assert!(conn_component.iter().all(|&c| c != usize::MAX));
+            for a in 0..placed.len() {
+                for b in 0..placed.len() {
+                    prop_assert_eq!(
+                        wdm_component[a] == wdm_component[b],
+                        label[a] == label[b],
+                        "WDMs {} and {}", a, b
+                    );
+                }
+            }
+            for i in 0..conns.len() {
+                prop_assert_eq!(conn_component[i], wdm_component[sweep[i]]);
+                prop_assert_eq!(conn_label[i], label[sweep[i]]);
+            }
+        }
+
+        /// Each orientation's initial assignment, solved per component,
+        /// matches a cold solve of the whole network: equal total cost,
+        /// the full demand carried, every waveguide within capacity and
+        /// every arc within reach or to the connection's sweep WDM.
+        #[test]
+        fn component_solves_match_whole_network(
+            conns in proptest::collection::vec((0i64..6_000, 1usize..33), 1..40),
+            pitch in 0i64..400,
+            reach in 0i64..900,
+            capacity in 32usize..65,
+        ) {
+            let mut l = lib();
+            l.wdm_min_pitch = pitch;
+            l.wdm_max_displacement = reach;
+            l.wdm_capacity = capacity;
+            let placed = place_orientation(&conns, TrackOrientation::Horizontal, &l)
+                .expect("demands fit the capacity");
+            let sweep = sweep_wdms(conns.len(), &placed);
+            let all = vec![true; placed.len()];
+            let mut whole = build_network(&conns, &placed, &all, &sweep, &l);
+            let (s, t) = (whole.g.node(0), whole.g.node(1));
+            let whole_flow = whole.g.min_cost_max_flow(s, t);
+            prop_assert_eq!(whole_flow.flow, whole.idx.total_demand);
+
+            let (mut flow, mut cost) = (0, 0);
+            for part in split_components(&conns, &placed, &l) {
+                let local_sweep = sweep_wdms(part.conns.len(), &part.placed);
+                let active = vec![true; part.placed.len()];
+                let mut net = build_network(&part.conns, &part.placed, &active, &local_sweep, &l);
+                let (s, t) = (net.g.node(0), net.g.node(1));
+                let r = net.g.min_cost_max_flow(s, t);
+                prop_assert_eq!(r.flow, net.idx.total_demand);
+                flow += r.flow;
+                cost += r.cost;
+                for (wi, w) in extract_assignment(&net.g, &net.idx, &part.placed)
+                    .iter()
+                    .enumerate()
+                {
+                    prop_assert!(w.used() <= capacity);
+                    for &(k, _) in &w.assigned {
+                        let (track, _) = part.conns[k];
+                        let within = (track - w.track).abs() <= reach;
+                        prop_assert!(within || local_sweep[k] == wi);
+                    }
+                }
+            }
+            prop_assert_eq!(flow, whole_flow.flow);
+            prop_assert_eq!(cost, whole_flow.cost);
         }
     }
 

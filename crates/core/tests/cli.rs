@@ -1,7 +1,7 @@
 //! End-to-end tests of the `operon_route` command-line binary.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_operon_route"))
@@ -148,4 +148,34 @@ fn custom_loss_budget_applies() {
         stdout.contains("0 optical"),
         "expected all-electrical, got: {stdout}"
     );
+}
+
+#[test]
+fn closed_stdout_stops_printing_without_a_panic() {
+    // `operon_route ... | head -0`: the reader closes the pipe before the
+    // first line. The run must still write its report and exit 0.
+    let design = write_design("closed_pipe");
+    let report = std::env::temp_dir().join("operon_cli_closed_pipe_report.json");
+    let _ = std::fs::remove_file(&report);
+    let mut child = bin()
+        .arg(&design)
+        .arg(&design)
+        .arg("--maps")
+        .arg("--run-report")
+        .arg(&report)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn operon_route");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for operon_route");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(
+        out.status.success(),
+        "status {:?}, stderr: {stderr}",
+        out.status
+    );
+    let json = std::fs::read_to_string(&report).expect("run report written");
+    assert!(json.contains("\"stages\""), "{json}");
 }

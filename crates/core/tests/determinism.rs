@@ -357,6 +357,42 @@ fn wdm_arcs_scanned_is_identical_across_thread_counts() {
 }
 
 #[test]
+fn wdm_components_run_one_task_each_and_stats_are_thread_invariant() {
+    // The WDM stage plans each independent assignment component as one
+    // coarse task: at two workers or more the stage's task count is the
+    // component count, and every WDM counter repeats at every thread
+    // count.
+    let design = generate(&SynthConfig::medium(), 3);
+    let run = |threads: usize| {
+        let flow = OperonFlow::new(OperonConfig::default()).with_threads(threads);
+        let result = flow.run(&design).expect("flow succeeds");
+        let report = flow.executor().report();
+        let wdm = report
+            .stages
+            .iter()
+            .find(|s| s.name == "wdm")
+            .expect("wdm stage recorded");
+        let counter = wdm
+            .counters
+            .iter()
+            .find(|(k, _)| k == "wdm_components")
+            .map(|&(_, v)| v)
+            .expect("wdm_components recorded");
+        assert_eq!(counter, result.wdm.stats.components);
+        (result.wdm.stats, result.wdm.wdms, wdm.tasks)
+    };
+    let (base, wdms, tasks) = run(1);
+    assert!(base.components >= 2, "{base:?}");
+    assert_eq!(tasks, 0, "one worker plans every component inline");
+    for threads in [2, 8] {
+        let (stats, plan, tasks) = run(threads);
+        assert_eq!(stats, base, "threads={threads}");
+        assert_eq!(plan, wdms, "threads={threads}");
+        assert_eq!(tasks, base.components, "threads={threads}");
+    }
+}
+
+#[test]
 fn crossing_counters_are_identical_across_thread_counts() {
     // Segment crossings and the index's heap size are functions of the
     // candidate set and the builder, never of how the pair tests were
@@ -397,7 +433,9 @@ fn crossing_counters_are_identical_across_thread_counts() {
 
 #[test]
 fn parallel_flow_reports_its_stages() {
-    let design = generate(&SynthConfig::small(), 21);
+    // Large enough that stages map over workers: on a small design every
+    // map runs inline at two workers.
+    let design = generate(&SynthConfig::medium(), 3);
     let flow = OperonFlow::new(OperonConfig::default()).with_threads(2);
     let _ = flow.run(&design).expect("flow succeeds");
     let report = flow.executor().report();

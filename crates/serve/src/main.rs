@@ -16,7 +16,7 @@
 
 use operon_exec::Executor;
 use operon_serve::Server;
-use std::io::BufReader;
+use std::io::{BufReader, Write as _};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -97,7 +97,18 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        print!("{}", server.run_trace(&trace));
+        // A reader that closes the pipe early (`... | head`) only stops
+        // the output; the run report below is still written.
+        let mut out = std::io::stdout().lock();
+        let written = out
+            .write_all(server.run_trace(&trace).as_bytes())
+            .and_then(|()| out.flush());
+        if let Err(e) = written {
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                eprintln!("cannot write to stdout: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
     } else {
         let mut record_file = match record_path
             .as_ref()
