@@ -31,7 +31,7 @@ cargo test --workspace -q
 echo "==> crossing_bench --smoke (crossing build identity gate: grid == brute at threads 1/2/8)"
 cargo run -p operon-bench --release -q --bin crossing_bench -- --smoke
 
-echo "==> wdm_bench --smoke (transactional trial identity gate, multi-component die fixture: plan == cold reference at threads 1/2/8, plan fingerprints pinned in BENCH_wdm.json)"
+echo "==> wdm_bench --smoke (transactional trial identity gate, multi-component die fixture: plan == cold reference at threads 1/2/8, reuse arm: WdmPlan::fingerprint warm == scratch at threads 1/2/8, plan fingerprints pinned in BENCH_wdm.json)"
 cargo run -p operon-bench --release -q --bin wdm_bench -- --smoke
 
 echo "==> serve_bench --smoke (warm-session identity gate)"

@@ -33,10 +33,10 @@
 //! 3. **Orientation reuse** on the same fixtures: a second selection
 //!    sends one net electrical, which changes one orientation and shifts
 //!    the other's connection indices. Planning it with the first plan's
-//!    resident state must equal planning it from scratch — plan and
-//!    resident fingerprint — at 1, 2 and 8 threads, with exactly one
-//!    orientation reused (asserted). Reports both wall times, each arm
-//!    timing the same work: it consumes the first plan's resident state
+//!    reuse record must equal planning it from scratch — plan field by
+//!    field and [`wdm::WdmPlan::fingerprint`] — at 1, 2 and 8 threads, with
+//!    exactly one orientation reused (asserted). Reports both wall times, each arm
+//!    timing the same work: it consumes the first plan's reuse record
 //!    and plans the second selection. Also reports the reused
 //!    orientation's share of the second selection's connections.
 //!
@@ -50,7 +50,7 @@
 use operon::codesign::{generate_candidates, NetCandidates};
 use operon::config::OperonConfig;
 use operon::lr::{select_lr, LrWorkspace};
-use operon::wdm::{self, TrackOrientation, WdmPlan};
+use operon::wdm::{self, TrackOrientation};
 use operon::CrossingIndex;
 use operon_cluster::build_hyper_nets;
 use operon_exec::json::{self, Value};
@@ -279,35 +279,6 @@ fn bench_trial_styles(smoke: bool) -> Value {
 // 2. Warm vs cold WDM planning, end to end
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over everything a WDM plan decides: the initial waveguide
-/// count, then each surviving waveguide's orientation, track and
-/// `(connection, channels)` list. Byte-identical plans share it, and
-/// any other plan moves it, barring an FNV collision.
-fn plan_fingerprint(plan: &WdmPlan) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(plan.initial_count as u64);
-    eat(plan.wdms.len() as u64);
-    for w in &plan.wdms {
-        eat(match w.orientation {
-            TrackOrientation::Horizontal => 0,
-            TrackOrientation::Vertical => 1,
-        });
-        eat(w.track as u64);
-        eat(w.assigned.len() as u64);
-        for &(conn, channels) in &w.assigned {
-            eat(conn as u64);
-            eat(channels as u64);
-        }
-    }
-    format!("{h:016x}")
-}
-
 /// The `(fixture name, plan fingerprint)` pins of the committed
 /// `BENCH_wdm.json`, read before this run rewrites it.
 fn pinned_plan_fingerprints() -> Vec<(String, String)> {
@@ -399,7 +370,7 @@ fn bench_plans(smoke: bool, pins: &[(String, String)]) -> Vec<Value> {
                 warm_plan.stats.components
             );
         }
-        let fingerprint = plan_fingerprint(&warm_plan);
+        let fingerprint = format!("{:016x}", warm_plan.fingerprint());
         let pinned = pins
             .iter()
             .find(|(pin, _)| pin == name)
@@ -507,8 +478,8 @@ fn one_orientation_change(
 }
 
 /// The reuse identity gate: over a selection pair that differs in one
-/// orientation, planning with the first plan's resident state must equal
-/// planning from scratch — the plan field by field and the resident
+/// orientation, planning with the first plan's reuse record must equal
+/// planning from scratch — the plan field by field and its
 /// fingerprint — at 1, 2 and 8 threads, with exactly one orientation
 /// reused. Reports the best wall time of both and the reused
 /// orientation's share of the second selection's connections.
@@ -525,8 +496,8 @@ fn bench_reuse(
     for threads in THREADS {
         let exec = Executor::new(threads);
         let (_, prev) = plan(choice, None, &exec);
-        let (warm, warm_resident) = plan(&next, Some(prev), &exec);
-        let (cold, cold_resident) = plan(&next, None, &exec);
+        let (warm, _) = plan(&next, Some(prev), &exec);
+        let (cold, _) = plan(&next, None, &exec);
         let at = format!("{name}: reuse at {threads} threads");
         assert_eq!(warm.connections, cold.connections, "{at}: connections");
         assert_eq!(
@@ -535,9 +506,9 @@ fn bench_reuse(
         );
         assert_eq!(warm.wdms, cold.wdms, "{at}: waveguides");
         assert_eq!(
-            warm_resident.fingerprint(),
-            cold_resident.fingerprint(),
-            "{at}: resident fingerprint"
+            warm.fingerprint(),
+            cold.fingerprint(),
+            "{at}: plan fingerprint"
         );
         assert_eq!(
             warm.stats.orientations_reused, 1,
@@ -545,7 +516,7 @@ fn bench_reuse(
         );
     }
 
-    // Both arms consume the first plan's resident state inside the
+    // Both arms consume the first plan's reuse record inside the
     // timer, as a session's ECO does: reuse drops the stale orientation
     // and takes the other over, replan drops both. Each arm's result is
     // dropped outside it.

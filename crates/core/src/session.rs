@@ -3,7 +3,7 @@
 //! A [`WarmSession`] owns one design plus every expensive artifact the
 //! flow derives from it — hyper nets, per-net candidate pools, the
 //! [`CrossingIndex`], the latest selection, and the WDM plan together
-//! with its committed flow networks ([`ResidentAssignment`]) — and
+//! with its orientation-reuse record ([`ResidentAssignment`]) — and
 //! reuses them across requests instead of rebuilding per invocation. It
 //! is the unit of residency behind the `operon_serve` daemon and the
 //! `operon_explore` sweep, and [`OperonFlow::run`] is a one-shot
@@ -39,14 +39,16 @@
 //! * selection re-runs globally (a local change can shift the crossing
 //!   coupling anywhere) against the session's resident LR workspace;
 //! * WDM planning re-runs via [`wdm::plan`], which is handed the
-//!   previous route's committed networks: an orientation whose
-//!   connection list and WDM knobs did not change is taken over unsolved
+//!   previous route's reuse record: an orientation whose connection list
+//!   and WDM knobs did not change is taken over unsolved
 //!   (`wdm_orientations_reused`), the other one is re-planned one
-//!   assignment component per coarse task (`wdm_components`);
-//! * the committed networks stay resident so deletion what-ifs
-//!   ([`WarmSession::probe_wdm`]) are transactional
-//!   checkout/reroute/rollback probes — `networks_cloned` stays 0 for
-//!   the whole session lifecycle.
+//!   assignment component per coarse task (`wdm_components`).
+//!
+//! No flow network stays resident: each one is dropped when its
+//! component's reduction ends, and the WDM plan is the only WDM state a
+//! session keeps. Deletion what-ifs ([`WarmSession::probe_wdm`]) read
+//! the reduction's fixpoint off that plan and run no solver;
+//! `networks_cloned` stays 0 for the whole session lifecycle.
 //!
 //! [`OperonFlow::run`]: crate::flow::OperonFlow::run
 
@@ -103,13 +105,13 @@ pub struct SessionStats {
     pub crossing_delta_rebuilds: u64,
     /// Crossing indexes built from scratch.
     pub crossing_full_builds: u64,
-    /// WDM deletion what-if probes run.
+    /// WDM deletion what-if probes answered.
     pub probes: u64,
     /// Configuration replacements.
     pub config_changes: u64,
     /// Accumulated LR pricing counters across all selections.
     pub lr: LrStats,
-    /// Accumulated WDM/MCMF counters across all plans and probes.
+    /// Accumulated WDM/MCMF counters across all plans.
     pub wdm: WdmStats,
 }
 
@@ -267,10 +269,11 @@ impl WarmSession {
         self.state.as_ref().map(|s| s.candidates.as_slice())
     }
 
-    /// Digest of the resident committed WDM networks (0 when unrouted).
-    /// Stable across probes; thread-count invariant.
+    /// Digest of the resident WDM plan ([`WdmPlan::fingerprint`]; 0 when
+    /// unrouted). Probes read the plan and leave it unchanged; the digest
+    /// is thread-count invariant because every plan is.
     pub fn fingerprint(&self) -> u64 {
-        self.state.as_ref().map_or(0, |s| s.resident.fingerprint())
+        self.state.as_ref().map_or(0, |s| s.wdm.fingerprint())
     }
 
     /// Routes the current design: answers from the resident result when
@@ -509,11 +512,17 @@ impl WarmSession {
         Ok(())
     }
 
-    /// What-if: for every final waveguide, could it be deleted, and at
-    /// what re-route cost? Routes first when unrouted. Probes run warm
-    /// on the resident committed networks and roll back transactionally
-    /// — [`fingerprint`](WarmSession::fingerprint) is unchanged and no
-    /// network is cloned.
+    /// What-if: for every final waveguide, in plan order, could it be
+    /// deleted, and at what re-route cost? Routes first when unrouted.
+    ///
+    /// The answer is read off the resident plan and runs no solver. The
+    /// WDM reduction runs to its fixpoint, so every final waveguide
+    /// failed a tentative deletion on a superset of the final active
+    /// set, and a failed deletion stays infeasible on every subset of it
+    /// (see [`WdmStats`]). So each probe reads `deletable: false`,
+    /// `displaced` equal to the channels the waveguide carries and
+    /// `reroute_cost: 0` ([`WdmProbe`]), and
+    /// [`fingerprint`](WarmSession::fingerprint) is unchanged.
     ///
     /// # Errors
     ///
@@ -522,18 +531,15 @@ impl WarmSession {
         if self.state.is_none() {
             self.route()?;
         }
-        let Some(state) = self.state.as_mut() else {
+        let Some(state) = self.state.as_ref() else {
             return Err(OperonError::SelectionFailed(
                 "session has no routed state to probe".to_owned(),
             ));
         };
         let mut stage = self.exec.stage("probe");
-        let (probes, mcmf) = state.resident.probe_deletions();
+        let probes = state.wdm.probes();
         stage.record("probes", probes.len() as u64);
-        stage.record("probe_undo_entries", mcmf.undo_entries);
-        stage.record("probe_rollbacks", mcmf.rollbacks);
         self.stats.probes += probes.len() as u64;
-        self.stats.wdm.mcmf.accumulate(&mcmf);
         Ok(probes)
     }
 
@@ -828,9 +834,9 @@ impl WarmSession {
         Ok(selection)
     }
 
-    /// Stage 5, WDM placement + assignment, keeping the committed flow
-    /// networks resident for deletion probes. An orientation whose inputs
-    /// equal those `prior` was planned from is taken over unsolved.
+    /// Stage 5, WDM placement + assignment, returning the plan and its
+    /// orientation-reuse record. An orientation whose inputs equal those
+    /// `prior` was planned from is taken over unsolved.
     fn wdm_stage(
         &mut self,
         from: DirtyStage,

@@ -32,7 +32,7 @@ use crate::codesign::NetCandidates;
 use crate::error::OperonError;
 use crate::formulation::Dsu;
 use operon_exec::Executor;
-use operon_mcmf::{EdgeId, FlowResult, McmfGraph, McmfStats};
+use operon_mcmf::{EdgeId, McmfGraph, McmfStats};
 use operon_optics::OpticalLib;
 
 /// Orientation of a connection or WDM track.
@@ -93,8 +93,7 @@ impl Wdm {
 /// solve, so it adds only to `orientations_reused`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WdmStats {
-    /// Independent assignment components planned: one coarse task and
-    /// one committed network each.
+    /// Independent assignment components planned, one coarse task each.
     pub components: u64,
     /// Cold MCMF solves: one initial assignment per component plus one
     /// re-solve of its component per committed deletion.
@@ -102,7 +101,7 @@ pub struct WdmStats {
     /// Warm-started tentative-deletion feasibility trials.
     pub warm_trials: u64,
     /// Orientations whose inputs equalled the previous plan's, so their
-    /// waveguides and committed network were taken over unsolved.
+    /// waveguides were taken over unsolved.
     pub orientations_reused: u64,
     /// Aggregated network-solver counters across those solves.
     pub mcmf: McmfStats,
@@ -136,6 +135,56 @@ impl WdmPlan {
     /// WDM count after assignment.
     pub fn final_count(&self) -> usize {
         self.wdms.len()
+    }
+
+    /// One [`WdmProbe`] per final waveguide, in plan order, read off the
+    /// reduction's fixpoint without running a solver.
+    pub(crate) fn probes(&self) -> Vec<WdmProbe> {
+        self.wdms
+            .iter()
+            .map(|w| {
+                let used = w.used();
+                WdmProbe {
+                    orientation: w.orientation,
+                    track: w.track,
+                    used,
+                    deletable: false,
+                    displaced: used as i64,
+                    reroute_cost: 0,
+                }
+            })
+            .collect()
+    }
+
+    /// FNV-1a digest, byte by byte over little-endian `u64`s, of
+    /// everything the plan decides: the initial waveguide count, then
+    /// each final waveguide's orientation (0 horizontal, 1 vertical),
+    /// track and `(connection, channels)` list. Equal plans share it;
+    /// any other plan moves it, barring an FNV collision. The solver
+    /// counters in `stats` are not part of it.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(self.initial_count as u64);
+        eat(self.wdms.len() as u64);
+        for w in &self.wdms {
+            eat(match w.orientation {
+                TrackOrientation::Horizontal => 0,
+                TrackOrientation::Vertical => 1,
+            });
+            eat(w.track as u64);
+            eat(w.assigned.len() as u64);
+            for &(conn, channels) in &w.assigned {
+                eat(conn as u64);
+                eat(channels as u64);
+            }
+        }
+        h
     }
 }
 
@@ -337,29 +386,25 @@ fn place_and_split(
 /// Merges each component's final waveguides — `(local WDM index,
 /// waveguide with local connection positions)`, one list per component
 /// in component order — back into plan order: ascending placed index,
-/// with connection positions restated in orientation terms. Returns the
-/// waveguides and the `(component, local WDM index)` of each.
-fn merge_components(
-    components: &[Component],
-    finals: Vec<Vec<(usize, Wdm)>>,
-) -> (Vec<Wdm>, Vec<(usize, usize)>) {
-    let mut keyed: Vec<(usize, (usize, usize), Wdm)> = Vec::new();
-    for (c, (part, survivors)) in components.iter().zip(finals).enumerate() {
+/// with connection positions restated in orientation terms.
+fn merge_components(components: &[Component], finals: Vec<Vec<(usize, Wdm)>>) -> Vec<Wdm> {
+    let mut keyed: Vec<(usize, Wdm)> = Vec::new();
+    for (part, survivors) in components.iter().zip(finals) {
         for (wi, mut w) in survivors {
             for (conn, _) in &mut w.assigned {
                 *conn = part.conn_pos[*conn];
             }
-            keyed.push((part.wdm_idx[wi], (c, wi), w));
+            keyed.push((part.wdm_idx[wi], w));
         }
     }
-    keyed.sort_unstable_by_key(|&(index, ..)| index);
-    keyed.into_iter().map(|(_, at, w)| (w, at)).unzip()
+    keyed.sort_unstable_by_key(|&(index, _)| index);
+    keyed.into_iter().map(|(_, w)| w).collect()
 }
 
 /// One reduced component: its final waveguides as `(local WDM index,
-/// waveguide)` with connections by local position, the reduction's work
-/// counters, and the committed network.
-type Reduced = (Vec<(usize, Wdm)>, WdmStats, AssignmentNetwork);
+/// waveguide)` with connections by local position, and the reduction's
+/// work counters.
+type Reduced = (Vec<(usize, Wdm)>, WdmStats);
 
 /// Min-cost max-flow re-assignment (§4.2) of one component, followed by
 /// under-fill reduction. `conns` are the component's `(track, bits)`
@@ -370,7 +415,9 @@ type Reduced = (Vec<(usize, Wdm)>, WdmStats, AssignmentNetwork);
 /// The reduction ranks the active waveguides by fill each round and
 /// tries to delete them in that order, one at a time, committing the
 /// first success. A waveguide whose deletion failed once is never
-/// trialed again (see [`WdmStats`]).
+/// trialed again (see [`WdmStats`]). The loop ends at its fixpoint:
+/// every surviving waveguide has failed a trial, and the committed
+/// network is dropped with the loop — the plan is the whole answer.
 ///
 /// Trials are *warm-started and transactional* ([`warm_trial`]): each
 /// one opens a [`checkout`](McmfGraph::checkout) on the committed solved
@@ -442,11 +489,11 @@ fn assign_component(
             if undeletable[wi] {
                 continue;
             }
-            let (displaced, reroute, trial_stats) =
+            let (feasible, trial_stats) =
                 warm_trial(&mut committed.g, &committed.idx, &mut prior, wi);
             stats.warm_trials += 1;
             stats.mcmf.accumulate(&trial_stats);
-            if reroute.flow != displaced {
+            if !feasible {
                 undeletable[wi] = true;
                 continue;
             }
@@ -465,24 +512,26 @@ fn assign_component(
                 break; // re-rank by the new fill levels
             }
             // The warm trial certified feasibility, so the cold solve of
-            // the same reduced network cannot disagree; reactivate
-            // defensively if it ever does.
+            // the same reduced network cannot disagree, and no fixture
+            // reaches this branch. Should it ever run, reactivate and
+            // mark the waveguide undeletable, so every survivor still
+            // failed a trial or a cold solve and the fixpoint holds.
             active[wi] = true;
+            undeletable[wi] = true;
         }
         if !removed_any {
             break;
         }
     }
 
-    // The surviving waveguides with their network indices, so the
-    // resident state can replay per-waveguide deletion probes against
-    // the committed network later.
+    // The surviving waveguides with their local indices, which the
+    // merge maps back to plan order.
     let survivors = best
         .into_iter()
         .enumerate()
         .filter(|(wi, w)| active[*wi] && w.used() > 0)
         .collect();
-    Ok((survivors, stats, committed))
+    Ok((survivors, stats))
 }
 
 /// The error for an assignment network that cannot carry its demand.
@@ -570,15 +619,14 @@ fn assign_component_reference(
 /// so the trial decides feasibility without touching the rest of the
 /// committed flow (no path withdrawals, no potential repair).
 /// `prior` is a reusable buffer for the warm-start
-/// potentials. Returns the displaced units, the reroute's result (the
-/// deletion is feasible when its flow equals the displaced units) and
-/// the solver counters the trial added.
+/// potentials. Returns whether the deletion is feasible and the solver
+/// counters the trial added.
 fn warm_trial(
     g: &mut McmfGraph,
     idx: &NetIndex,
     prior: &mut Vec<i64>,
     wi: usize,
-) -> (i64, FlowResult, McmfStats) {
+) -> (bool, McmfStats) {
     let before = g.stats();
     prior.clear();
     prior.extend_from_slice(g.potentials());
@@ -593,22 +641,29 @@ fn warm_trial(
         }
         txn.set_edge_capacity(sink, 0);
     }
-    let r = txn.min_cost_reroute(wdm_node, t, displaced, prior);
+    let feasible = txn.min_cost_reroute(wdm_node, t, displaced, prior).flow == displaced;
     txn.rollback();
-    (displaced, r, g.stats().delta_since(&before))
+    (feasible, g.stats().delta_since(&before))
 }
 
-/// The assignment flow network of one orientation: the residual network
-/// plus the edge handles ([`NetIndex`]) needed to replay tentative
-/// deletions warm. Split so trials can mutably borrow the network while
-/// reading the immutable handle lists.
+/// The assignment flow network of one component while its reduction
+/// runs: the residual network plus the edge handles ([`NetIndex`])
+/// needed to replay tentative deletions warm. Split so trials can
+/// mutably borrow the network while reading the immutable handle lists.
 struct AssignmentNetwork {
     g: McmfGraph,
     idx: NetIndex,
 }
 
-/// The outcome of tentatively deleting one final waveguide from the
-/// committed assignment (see [`ResidentAssignment::probe_deletions`]).
+/// The outcome of deleting one final waveguide from a finished plan.
+///
+/// The reduction runs to its fixpoint: every final waveguide failed a
+/// tentative deletion on a superset of the final active set, and a
+/// failed deletion stays infeasible on every subset of that set (see
+/// [`WdmStats`]). So deleting a final waveguide always strands some of
+/// its channels: `deletable` is `false`, `displaced` is the channels it
+/// carries and `reroute_cost` is 0. These are facts about the plan, read
+/// off it without running a solver.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WdmProbe {
     /// Track orientation of the probed waveguide.
@@ -629,8 +684,8 @@ pub struct WdmProbe {
 /// Everything an orientation's placement, assignment and reduction
 /// read: its connections' `(track, bits)` in extraction order and the
 /// three WDM knobs `(wdm_capacity, wdm_max_displacement,
-/// wdm_min_pitch)`. Equal inputs give a bitwise-equal plan and committed
-/// network, which is what lets [`plan`] reuse them.
+/// wdm_min_pitch)`. Equal inputs give a bitwise-equal plan, which is
+/// what lets [`plan`] reuse it.
 #[derive(PartialEq, Eq)]
 struct OrientationInputs {
     conns: Vec<(i64, usize)>,
@@ -655,8 +710,7 @@ impl OrientationInputs {
 }
 
 /// One orientation's share of a [`ResidentAssignment`]: the inputs it
-/// was planned from, its plan, and one committed solved network per
-/// assignment component.
+/// was planned from and the plan they gave.
 struct OrientationResident {
     orientation: TrackOrientation,
     inputs: OrientationInputs,
@@ -665,90 +719,19 @@ struct OrientationResident {
     /// The final waveguides in plan order, their connections given by
     /// position in `inputs.conns`.
     wdms: Vec<Wdm>,
-    /// `(component, network wdm index)` of each entry of `wdms`.
-    finals: Vec<(usize, usize)>,
-    /// The committed network of each component, in component order.
-    committed: Vec<AssignmentNetwork>,
 }
 
-/// The committed assignment networks of a finished WDM plan, kept
-/// resident so a session can answer what-if questions warm — no network
-/// is ever rebuilt or cloned; every probe is a transactional
-/// checkout/reroute/rollback on the committed state, exactly the
-/// machinery the reduction loop used — and hand an unchanged
-/// orientation over to the next plan.
+/// The orientation-reuse record of a finished WDM plan: per orientation,
+/// the inputs it was planned from, its initial count and its final
+/// waveguides, so the next [`plan`] can take an unchanged orientation
+/// over unsolved. It keeps no flow network; every network is dropped
+/// when its component's reduction ends.
 ///
 /// Returned by [`plan`]; dropped (cheaply) by callers that only want the
 /// plan.
 #[derive(Default)]
 pub struct ResidentAssignment {
     parts: Vec<OrientationResident>,
-}
-
-impl ResidentAssignment {
-    /// Probes, for every final waveguide in plan order (horizontal
-    /// orientation first), whether deleting it would still leave a
-    /// feasible assignment, and at what re-route cost. Each probe is the
-    /// reduction's warm tentative-deletion trial on the waveguide's own
-    /// component, rolled back before the next one starts, so the
-    /// committed networks are bitwise unchanged afterwards
-    /// ([`fingerprint`](ResidentAssignment::fingerprint) is invariant)
-    /// and `networks_cloned` stays zero. Returns the probes plus the
-    /// solver counters the probes added.
-    pub fn probe_deletions(&mut self) -> (Vec<WdmProbe>, McmfStats) {
-        let mut probes = Vec::new();
-        let mut stats = McmfStats::default();
-        let mut prior = Vec::new();
-        for part in &mut self.parts {
-            for (w, &(c, wi)) in part.wdms.iter().zip(&part.finals) {
-                let AssignmentNetwork { g, idx } = &mut part.committed[c];
-                let (displaced, r, trial_stats) = warm_trial(g, idx, &mut prior, wi);
-                stats.accumulate(&trial_stats);
-                let deletable = r.flow == displaced;
-                probes.push(WdmProbe {
-                    orientation: part.orientation,
-                    track: w.track,
-                    used: w.used(),
-                    deletable,
-                    displaced,
-                    reroute_cost: if deletable { r.cost } else { 0 },
-                });
-            }
-        }
-        (probes, stats)
-    }
-
-    /// Number of resident final waveguides across both orientations.
-    pub fn waveguides(&self) -> usize {
-        self.parts.iter().map(|p| p.finals.len()).sum()
-    }
-
-    /// FNV-1a digest over the committed networks
-    /// ([`McmfGraph::fingerprint`]), folded in component order, and the
-    /// final waveguide identities.
-    /// Stable across rolled-back probes; thread-count invariant because
-    /// every solve that produced the committed state is.
-    pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn eat(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(PRIME)
-        }
-        let mut h = eat(0xcbf2_9ce4_8422_2325, self.parts.len() as u64);
-        for part in &self.parts {
-            h = eat(h, part.orientation as u64);
-            h = eat(h, part.committed.len() as u64);
-            for net in &part.committed {
-                h = eat(h, net.g.fingerprint());
-            }
-            for (w, &(c, wi)) in part.wdms.iter().zip(&part.finals) {
-                h = eat(h, c as u64);
-                h = eat(h, wi as u64);
-                h = eat(h, w.track as u64);
-                h = eat(h, w.used() as u64);
-            }
-        }
-        h
-    }
 }
 
 /// Edge handles of an assignment network, immutable once built.
@@ -900,10 +883,9 @@ fn to_global<'a>(
 /// Runs placement and assignment over a full selection, with every
 /// assignment component of both orientations planned on `exec`'s
 /// workers, and returns the plan with its [`ResidentAssignment`] — the
-/// committed per-component flow networks — so a session can keep them
-/// warm across requests and answer deletion what-ifs without
-/// re-planning. One-shot callers pass `prev = None` and drop the
-/// resident state.
+/// record that lets the next plan reuse an unchanged orientation. A
+/// session keeps it across requests; one-shot callers pass `prev = None`
+/// and drop it.
 ///
 /// Horizontal and vertical tracks share nothing, and within an
 /// orientation a connection reaches only the WDMs within
@@ -919,8 +901,8 @@ fn to_global<'a>(
 /// whose inputs — its connections' `(track, bits)` in extraction order
 /// and the `wdm_capacity`, `wdm_max_displacement` and `wdm_min_pitch`
 /// knobs — equal those it was planned from is not planned again: its
-/// waveguides and committed networks are taken over, its connection
-/// positions restated through the new global indices, and it counts in
+/// waveguides are taken over, their connection positions restated
+/// through the new global indices, and it counts in
 /// `stats.orientations_reused` instead of the solver counters. Every
 /// other orientation plans from scratch, after its stale part is
 /// dropped. Either way the plan and the resident state equal those of
@@ -976,22 +958,17 @@ pub fn plan(
                 part
             }
             (None, Some((initial, components))) => {
-                let mut committed = Vec::with_capacity(components.len());
                 let mut survivors = Vec::with_capacity(components.len());
                 for result in solved.by_ref().take(components.len()) {
-                    let (finals, component_stats, network) = result?;
+                    let (finals, component_stats) = result?;
                     stats.accumulate(&component_stats);
                     survivors.push(finals);
-                    committed.push(network);
                 }
-                let (wdms, finals) = merge_components(&components, survivors);
                 OrientationResident {
                     orientation,
                     inputs,
                     initial,
-                    wdms,
-                    finals,
-                    committed,
+                    wdms: merge_components(&components, survivors),
                 }
             }
             (None, None) => continue,
@@ -1044,7 +1021,7 @@ pub fn plan_cold_reference(
             stats.cold_solves += solves;
             survivors.push(finals);
         }
-        let (assigned, _) = merge_components(&components, survivors);
+        let assigned = merge_components(&components, survivors);
         wdms.extend(to_global(&assigned, &connections, orientation));
     }
     Ok(WdmPlan {
@@ -1094,12 +1071,12 @@ mod tests {
         let mut stats = WdmStats::default();
         let mut survivors = Vec::new();
         for c in &components {
-            let (finals, component_stats, _) =
+            let (finals, component_stats) =
                 assign_component(&c.conns, &c.placed, l).expect("feasible");
             stats.accumulate(&component_stats);
             survivors.push(finals);
         }
-        (merge_components(&components, survivors).0, stats)
+        (merge_components(&components, survivors), stats)
     }
 
     #[test]
@@ -1389,8 +1366,8 @@ mod tests {
     }
 
     /// Whether the orientation's whole assignment network over `active`
-    /// carries the full demand: the feasibility a component-local probe
-    /// must reproduce.
+    /// carries the full demand, by a cold solve that shares nothing with
+    /// the reduction that produced the plan.
     fn whole_network_feasible(
         conns: &[(i64, usize)],
         placed: &[Wdm],
@@ -1403,50 +1380,91 @@ mod tests {
         net.g.min_cost_max_flow(s, t).flow == net.idx.total_demand
     }
 
+    /// One orientation of a finished plan, rebuilt from the plan alone:
+    /// its `(track, bits)` inputs, their placement, and the placed
+    /// index of each final waveguide in plan order.
+    struct FinalActiveSet {
+        conns: Vec<(i64, usize)>,
+        placed: Vec<Wdm>,
+        finals: Vec<usize>,
+    }
+
+    /// For each orientation of `plan`, re-places its connections (read
+    /// off `plan.connections`) and maps every final waveguide to its
+    /// placed index by track. Reads nothing but the plan itself.
+    fn final_active_sets(plan: &WdmPlan, l: &OpticalLib) -> Vec<FinalActiveSet> {
+        let mut out = Vec::new();
+        for orientation in [TrackOrientation::Horizontal, TrackOrientation::Vertical] {
+            let conns = OrientationInputs::new(&plan.connections, orientation, l).conns;
+            if conns.is_empty() {
+                continue;
+            }
+            let placed = place_orientation(&conns, orientation, l).expect("feasible");
+            let finals: Vec<usize> = plan
+                .wdms
+                .iter()
+                .filter(|w| w.orientation == orientation)
+                .map(|w| {
+                    let at = placed.partition_point(|p| p.track < w.track);
+                    assert_eq!(placed[at].track, w.track, "a final waveguide is placed");
+                    at
+                })
+                .collect();
+            assert!(finals.windows(2).all(|p| p[0] < p[1]), "plan order");
+            out.push(FinalActiveSet {
+                conns,
+                placed,
+                finals,
+            });
+        }
+        out
+    }
+
+    /// Whether deleting each final waveguide, in plan order, leaves the
+    /// orientation's whole network able to carry its demand.
+    fn deletions_feasible(plan: &WdmPlan, l: &OpticalLib) -> Vec<bool> {
+        let mut out = Vec::new();
+        for FinalActiveSet {
+            conns,
+            placed,
+            finals,
+        } in final_active_sets(plan, l)
+        {
+            for &gone in &finals {
+                let active: Vec<bool> = (0..placed.len())
+                    .map(|wi| wi != gone && finals.contains(&wi))
+                    .collect();
+                out.push(whole_network_feasible(&conns, &placed, &active, l));
+            }
+        }
+        out
+    }
+
     #[test]
     fn probe_flags_equal_whole_network_feasibility() {
+        // The probes answer a constant; this pins that the constant is
+        // what a whole-orientation cold solve says about each deletion.
         let l = lib();
         let nets = multi_component_nets();
         let choice = vec![0usize; nets.len()];
         let mut expected_probes = None;
         for threads in [1, 2, 8] {
-            let (plan, mut resident) =
-                super::plan(&nets, &choice, &l, None, &Executor::new(threads)).expect("feasible");
-            let before = resident.fingerprint();
-            let (probes, _) = resident.probe_deletions();
-            assert_eq!(resident.fingerprint(), before, "probes roll back");
+            let plan = plan_on(&nets, &choice, &Executor::new(threads)).expect("feasible");
+            let probes = plan.probes();
             assert_eq!(probes.len(), plan.final_count());
-            let mut at = 0;
-            for part in &resident.parts {
-                // The orientation's final active set, by placed index.
-                let placed =
-                    place_orientation(&part.inputs.conns, part.orientation, &l).expect("feasible");
-                let components = split_components(&part.inputs.conns, &placed, &l);
-                let finals: Vec<usize> = part
-                    .finals
-                    .iter()
-                    .map(|&(c, wi)| components[c].wdm_idx[wi])
-                    .collect();
-                assert!(finals.windows(2).all(|p| p[0] < p[1]), "plan order");
-                for &gone in &finals {
-                    let active: Vec<bool> = (0..placed.len())
-                        .map(|wi| wi != gone && finals.contains(&wi))
-                        .collect();
-                    let probe = &probes[at];
-                    assert_eq!(probe.track, placed[gone].track);
-                    assert_eq!(
-                        probe.deletable,
-                        whole_network_feasible(&part.inputs.conns, &placed, &active, &l),
-                        "threads={threads}: waveguide at {}",
-                        probe.track
-                    );
-                    at += 1;
-                }
+            let feasible = deletions_feasible(&plan, &l);
+            assert_eq!(feasible.len(), probes.len());
+            for ((probe, w), deletable) in probes.iter().zip(&plan.wdms).zip(feasible) {
+                assert_eq!((probe.orientation, probe.track), (w.orientation, w.track));
+                assert_eq!(
+                    probe.deletable, deletable,
+                    "threads={threads}: waveguide at {}",
+                    probe.track
+                );
+                assert_eq!(probe.displaced, w.used() as i64);
+                assert!(probe.displaced > 0);
+                assert_eq!(probe.reroute_cost, 0);
             }
-            assert_eq!(at, probes.len());
-            // The reduction runs to its fixpoint, so no final waveguide
-            // is deletable; the whole networks must agree on every one.
-            assert!(probes.iter().all(|p| !p.deletable && p.displaced > 0));
             match &expected_probes {
                 None => expected_probes = Some(probes),
                 Some(expected) => assert_eq!(&probes, expected, "threads={threads}"),
@@ -1568,10 +1586,9 @@ mod tests {
         for threads in [1, 2, 8] {
             let exec = Executor::new(threads);
             let (_, prev) = super::plan(&before, &[0; 4], &lib(), None, &exec).expect("feasible");
-            let (warm, warm_resident) =
+            let (warm, _) =
                 super::plan(&after, &[0; 3], &lib(), Some(prev), &exec).expect("feasible");
-            let (cold, cold_resident) =
-                super::plan(&after, &[0; 3], &lib(), None, &exec).expect("feasible");
+            let (cold, _) = super::plan(&after, &[0; 3], &lib(), None, &exec).expect("feasible");
             assert_eq!(warm.connections, cold.connections);
             assert_eq!(warm.initial_count, cold.initial_count);
             assert_eq!(warm.wdms, cold.wdms, "threads={threads}");
@@ -1579,7 +1596,7 @@ mod tests {
                 .wdms
                 .iter()
                 .any(|w| w.assigned.iter().any(|&(c, _)| c == 2)));
-            assert_eq!(warm_resident.fingerprint(), cold_resident.fingerprint());
+            assert_eq!(warm.fingerprint(), cold.fingerprint());
             assert_eq!(warm.stats.orientations_reused, 1);
             assert_eq!(cold.stats.orientations_reused, 0);
             // Only the vertical orientation solved anything.
@@ -1803,6 +1820,52 @@ mod tests {
             }
             prop_assert_eq!(flow, whole_flow.flow);
             prop_assert_eq!(cost, whole_flow.cost);
+        }
+
+        /// The reduction reaches its fixpoint: over random one-orientation
+        /// fixtures of several clusters, `plan` is equal at threads
+        /// {1, 2, 8} and to the all-cold reference, and removing any
+        /// final waveguide from the final active set leaves a cold solve
+        /// of the whole orientation network short of its demand. This is
+        /// what lets a probe answer `deletable: false` without a solve.
+        #[test]
+        fn every_final_waveguide_is_a_failed_deletion(
+            clusters in proptest::collection::vec(
+                proptest::collection::vec((0i64..1_500, 1usize..33), 1..9),
+                2..5,
+            ),
+            capacity in 32usize..49,
+            reach in 0i64..900,
+        ) {
+            use operon_geom::Point;
+            let mut l = lib();
+            l.wdm_capacity = capacity;
+            l.wdm_max_displacement = reach;
+            let nets: Vec<NetCandidates> = clusters
+                .iter()
+                .enumerate()
+                .flat_map(|(k, conns)| {
+                    conns.iter().map(move |&(dy, bits)| (k as i64 * 10_000 + dy, bits))
+                })
+                .enumerate()
+                .map(|(n, (y, bits))| seg_net(n, Point::new(0, y), Point::new(12_000, y), bits))
+                .collect();
+            let choice = vec![0usize; nets.len()];
+            let reference = plan_cold_reference(&nets, &choice, &l).expect("feasible");
+            let (base, _) = super::plan(&nets, &choice, &l, None, &Executor::sequential())
+                .expect("feasible");
+            prop_assert!(base.stats.components >= 2, "{:?}", base.stats);
+            prop_assert_eq!(&base.wdms, &reference.wdms);
+            for threads in [1, 2, 8] {
+                let (warm, _) = super::plan(&nets, &choice, &l, None, &Executor::new(threads))
+                    .expect("feasible");
+                prop_assert_eq!(&warm.wdms, &base.wdms, "threads={}", threads);
+                prop_assert_eq!(warm.initial_count, base.initial_count);
+                prop_assert_eq!(warm.stats, base.stats, "threads={}", threads);
+            }
+            let feasible = deletions_feasible(&base, &l);
+            prop_assert_eq!(feasible.len(), base.final_count());
+            prop_assert!(feasible.iter().all(|&f| !f), "a final waveguide is deletable");
         }
     }
 

@@ -109,8 +109,8 @@ fn session_lifecycle_matches_fresh_runs_and_never_clones_networks() {
             .expect("fresh run");
         assert_eq!(eco.power_mw.to_bits(), reference.total_power_mw().to_bits());
 
-        // Deletion probes run transactionally on the resident networks:
-        // the state digest is untouched.
+        // Deletion probes read the resident plan: the state digest is
+        // untouched.
         let fingerprint = session.fingerprint();
         let probes = session.probe_wdm().expect("probe");
         assert_eq!(
@@ -216,8 +216,7 @@ fn without_first_group(design: &Design) -> Design {
 
 /// Asserts that `warm`'s resident result equals a fresh session's cold
 /// route of the same design under the same configuration: the WDM plan
-/// field by field, the resident networks' digest, and the deletion
-/// probes answered from them.
+/// field by field, its digest, and the deletion probes read off it.
 fn assert_matches_cold(warm: &mut WarmSession, label: &str) {
     let mut cold = WarmSession::open(
         warm.design().clone(),

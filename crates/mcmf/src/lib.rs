@@ -502,11 +502,9 @@ impl McmfGraph {
     ///
     /// Work counters and transaction bookkeeping (undo logs, epoch
     /// marks) are deliberately excluded, so the fingerprint is exactly
-    /// the state a [`Transaction::rollback`] promises to restore. A
-    /// session that holds a committed network across requests uses this
-    /// to certify that what-if probes left the network bitwise intact,
-    /// and — because every solve is deterministic — as a compact
-    /// thread-invariance witness in reports.
+    /// the state a [`Transaction::rollback`] promises to restore, which
+    /// the rollback tests use to certify that a trial left the network
+    /// bitwise intact.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

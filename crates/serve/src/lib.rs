@@ -116,7 +116,7 @@ pub enum Request {
         /// The knob assignments, in request order.
         knobs: Vec<(String, KnobValue)>,
     },
-    /// Per-waveguide deletion what-ifs on the resident networks.
+    /// Per-waveguide deletion what-ifs, read off the resident WDM plan.
     Probe {
         /// Target session.
         session: String,

@@ -39,8 +39,8 @@ fn main() {
     let nets: Vec<NetCandidates> = (0..3).map(|k| connection(k, k as i64 * 100, 20)).collect();
     let choice = vec![0usize; nets.len()];
 
-    // A plan from scratch (no previous plan to reuse); the committed flow
-    // networks it also returns are only needed by warm sessions.
+    // A plan from scratch (no previous plan to reuse); the reuse record
+    // it also returns is only needed by warm sessions.
     let (plan, _) = wdm::plan(&nets, &choice, &lib, None, &Executor::sequential())
         .expect("demo plan is feasible");
     println!(
