@@ -1,6 +1,5 @@
-//! Measures the PR-5 transactional WDM re-solve machinery — undo-log
-//! trials against the clone-per-trial pattern they replace, and the
-//! end-to-end warm planner against the all-cold reference — and writes
+//! Measures the WDM planner: warm deletion trials against the all-cold
+//! reference, and orientation reuse against replanning. Writes
 //! `BENCH_wdm.json` at the repository root.
 //!
 //! ```text
@@ -8,20 +7,13 @@
 //! cargo run -p operon-bench --release --bin wdm_bench -- --smoke
 //! ```
 //!
-//! Three measurements:
+//! Two measurements:
 //!
-//! 1. **Clone-style vs transactional deletion sweeps** on an
-//!    assignment network in the WDM-reduction shape: every
-//!    single-waveguide tentative deletion evaluated (a) the pre-PR way —
-//!    copy the committed network, withdraw, warm re-solve, drop the
-//!    copy — and (b) transactionally — `checkout()`, withdraw, warm
-//!    re-solve, `rollback()` on the shared committed network. Per-trial
-//!    results must agree exactly (asserted); the clone counters must
-//!    read one-copy-per-trial before and zero after (asserted).
-//! 2. **Warm vs cold WDM planning** on synthesized designs: wall time
+//! 1. **Warm vs cold WDM planning** on synthesized designs: wall time
 //!    of `wdm::plan` against the retained `wdm::plan_cold_reference`,
-//!    with plans asserted byte-identical at 1, 2 and 8 threads, zero
-//!    networks cloned, and one rollback per warm trial (all asserted).
+//!    with plans asserted byte-identical at 1, 2 and 8 threads and zero
+//!    networks cloned (both asserted). Warm trials are plain max-flow
+//!    checks on the committed network (`McmfGraph::can_divert`).
 //!    On the I2-class fixture the warm planner must beat the cold
 //!    reference in wall time (asserted). The 2k-bit die fixture must
 //!    split into at least two assignment components (asserted), so the
@@ -30,15 +22,16 @@
 //!    committed `BENCH_wdm.json` (asserted, read at run time): the
 //!    planner and its cold reference share the MCMF kernel, so only the
 //!    pin sees a kernel change that moves a tie-break.
-//! 3. **Orientation reuse** on the same fixtures: a second selection
+//! 2. **Orientation reuse** on the same fixtures: a second selection
 //!    sends one net electrical, which changes one orientation and shifts
 //!    the other's connection indices. Planning it with the first plan's
 //!    reuse record must equal planning it from scratch — plan field by
 //!    field and [`wdm::WdmPlan::fingerprint`] — at 1, 2 and 8 threads, with
-//!    exactly one orientation reused (asserted). Reports both wall times, each arm
-//!    timing the same work: it consumes the first plan's reuse record
-//!    and plans the second selection. Also reports the reused
-//!    orientation's share of the second selection's connections.
+//!    exactly one orientation reused (asserted). Reports both wall
+//!    times, each arm timing the same work: it consumes the first plan's
+//!    reuse record and plans the second selection. The arms alternate
+//!    which runs first. Also reports the reused orientation's share of
+//!    the second selection's connections.
 //!
 //! `--smoke` drops the I2-class fixture, keeps every identity assertion
 //! and plan pin, and skips the timing criteria and the JSON write — the
@@ -55,7 +48,6 @@ use operon::CrossingIndex;
 use operon_cluster::build_hyper_nets;
 use operon_exec::json::{self, Value};
 use operon_exec::{Executor, Stopwatch};
-use operon_mcmf::{EdgeId, FlowResult, McmfGraph, McmfStats, NodeId};
 use operon_netlist::synth::{generate, SynthConfig};
 
 const ITERS: u32 = 3;
@@ -66,7 +58,6 @@ fn main() {
     let hardware = std::thread::available_parallelism().map_or(1, usize::from);
 
     let pins = pinned_plan_fingerprints();
-    let styles = bench_trial_styles(smoke);
     let plans = bench_plans(smoke, &pins);
 
     if smoke {
@@ -75,10 +66,9 @@ fn main() {
     }
 
     let report = Value::object(vec![
-        ("benchmark", Value::from("wdm_transactional")),
+        ("benchmark", Value::from("wdm_plan")),
         ("iters_per_point", Value::from(u64::from(ITERS))),
         ("hardware_threads", Value::from(hardware)),
-        ("trial_styles", styles),
         ("wdm_plan", Value::Array(plans)),
         ("identical_results", Value::from(true)),
     ]);
@@ -88,195 +78,7 @@ fn main() {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Clone-style vs transactional deletion sweeps
-// ---------------------------------------------------------------------------
-
-/// An assignment network in the WDM-reduction shape: `conns` connections
-/// of `bits` channels each, `wdms` waveguides of `capacity`, assignment
-/// arcs costed by track distance.
-struct Reduction {
-    g: McmfGraph,
-    idx: RedIndex,
-}
-
-/// Edge handles of the reduction network, immutable once built — split
-/// from the network so trials can mutably borrow `g` while reading the
-/// handles, mirroring the planner's own layout.
-struct RedIndex {
-    conns: usize,
-    wdm_edges: Vec<EdgeId>,
-    s: NodeId,
-    t: NodeId,
-}
-
-fn build_reduction(conns: usize, wdms: usize, bits: i64, capacity: i64) -> Reduction {
-    let mut g = McmfGraph::new(2 + conns + wdms);
-    let s = g.node(0);
-    let t = g.node(1 + conns + wdms);
-    let mut wdm_edges = Vec::new();
-    for i in 0..conns {
-        g.add_edge(s, g.node(1 + i), bits, 0);
-    }
-    for i in 0..conns {
-        for w in 0..wdms {
-            let cost = (i as i64 - (w as i64 * conns as i64 / wdms as i64)).abs();
-            g.add_edge(g.node(1 + i), g.node(1 + conns + w), bits, cost);
-        }
-    }
-    for w in 0..wdms {
-        wdm_edges.push(g.add_edge(g.node(1 + conns + w), t, capacity, 10));
-    }
-    Reduction {
-        g,
-        idx: RedIndex {
-            conns,
-            wdm_edges,
-            s,
-            t,
-        },
-    }
-}
-
-/// One tentative-deletion trial, the way the planner runs it: withdraw
-/// the deleted waveguide's sink-edge flow, zero its capacity, and
-/// re-route the displaced units from the waveguide node to the sink.
-fn reroute_trial(g: &mut McmfGraph, idx: &RedIndex, deleted: usize, prior: &[i64]) -> FlowResult {
-    let sink = idx.wdm_edges[deleted];
-    let f = g.flow(sink);
-    if f > 0 {
-        g.withdraw_edge_flow(sink, f);
-    }
-    g.set_edge_capacity(sink, 0);
-    let w = g.node(1 + idx.conns + deleted);
-    g.min_cost_reroute(w, idx.t, f, prior)
-}
-
-/// The pre-PR trial pattern: copy the committed network per deletion,
-/// run the trial on the copy, drop it.
-fn clone_sweep(committed: &Reduction, prior: &[i64]) -> (Vec<FlowResult>, McmfStats) {
-    let mut results = Vec::new();
-    let mut stats = McmfStats::default();
-    for deleted in 0..committed.idx.wdm_edges.len() {
-        let base = committed.g.stats();
-        let mut warm = committed.g.clone();
-        results.push(reroute_trial(&mut warm, &committed.idx, deleted, prior));
-        stats.accumulate(&warm.stats().delta_since(&base));
-    }
-    (results, stats)
-}
-
-/// The transactional trial pattern this PR introduces: checkout, trial,
-/// rollback — all on the shared committed network, which returns to its
-/// pre-trial state bitwise.
-fn txn_sweep(committed: &mut Reduction, prior: &[i64]) -> (Vec<FlowResult>, McmfStats) {
-    let mut results = Vec::new();
-    let mut stats = McmfStats::default();
-    for deleted in 0..committed.idx.wdm_edges.len() {
-        let base = committed.g.stats();
-        let mut txn = committed.g.checkout();
-        let r = reroute_trial(&mut txn, &committed.idx, deleted, prior);
-        results.push(r);
-        txn.rollback();
-        stats.accumulate(&committed.g.stats().delta_since(&base));
-    }
-    (results, stats)
-}
-
-fn bench_trial_styles(smoke: bool) -> Value {
-    let (conns, wdms, bits, capacity) = if smoke {
-        (6, 3, 10, 32)
-    } else {
-        (24, 8, 20, 96)
-    };
-    let mut committed = build_reduction(conns, wdms, bits, capacity);
-    let full = committed
-        .g
-        .min_cost_max_flow(committed.idx.s, committed.idx.t);
-    assert_eq!(
-        full.flow,
-        conns as i64 * bits,
-        "committed solve must route all"
-    );
-    let prior = committed.g.potentials().to_vec();
-
-    let (clone_results, clone_stats) = clone_sweep(&committed, &prior);
-    let mut clone_ms = f64::INFINITY;
-    for _ in 0..ITERS {
-        let sw = Stopwatch::start();
-        let (r, _) = clone_sweep(&committed, &prior);
-        clone_ms = clone_ms.min(sw.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(r, clone_results, "clone sweep unstable");
-    }
-
-    let (txn_results, txn_stats) = txn_sweep(&mut committed, &prior);
-    let mut txn_ms = f64::INFINITY;
-    for _ in 0..ITERS {
-        let sw = Stopwatch::start();
-        let (r, _) = txn_sweep(&mut committed, &prior);
-        txn_ms = txn_ms.min(sw.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(r, txn_results, "transactional sweep unstable");
-    }
-
-    assert_eq!(
-        txn_results, clone_results,
-        "transactional and clone-style trials must agree on every deletion"
-    );
-    assert_eq!(
-        clone_stats.networks_cloned, wdms as u64,
-        "the pre-PR pattern copies the network once per trial"
-    );
-    assert_eq!(
-        txn_stats.networks_cloned, 0,
-        "transactional trials must not copy the network"
-    );
-    assert_eq!(
-        txn_stats.rollbacks, wdms as u64,
-        "one rollback per transactional trial"
-    );
-    assert!(
-        txn_stats.undo_entries > 0,
-        "trials must write through the undo log"
-    );
-    // After the sweeps, the committed network must still re-solve to a
-    // no-op: rollback really did restore it.
-    let again = committed
-        .g
-        .min_cost_max_flow(committed.idx.s, committed.idx.t);
-    assert_eq!(
-        again,
-        FlowResult { flow: 0, cost: 0 },
-        "rollback left residual work behind"
-    );
-
-    println!(
-        "trials: {wdms} deletions on {conns}x{wdms} network, clone-style \
-         {clone_ms:.3} ms ({c} copies) vs transactional {txn_ms:.3} ms \
-         (0 copies, {u} undo entries)",
-        c = clone_stats.networks_cloned,
-        u = txn_stats.undo_entries,
-    );
-    Value::object(vec![
-        ("connections", Value::from(conns)),
-        ("waveguides", Value::from(wdms)),
-        ("deletion_trials", Value::from(wdms)),
-        ("clone_style_best_ms", Value::from(clone_ms)),
-        ("transactional_best_ms", Value::from(txn_ms)),
-        ("speedup", Value::from(clone_ms / txn_ms)),
-        (
-            "networks_cloned_before",
-            Value::from(clone_stats.networks_cloned),
-        ),
-        (
-            "networks_cloned_after",
-            Value::from(txn_stats.networks_cloned),
-        ),
-        ("undo_entries", Value::from(txn_stats.undo_entries)),
-        ("rollbacks", Value::from(txn_stats.rollbacks)),
-    ])
-}
-
-// ---------------------------------------------------------------------------
-// 2. Warm vs cold WDM planning, end to end
+// 1. Warm vs cold WDM planning, end to end
 // ---------------------------------------------------------------------------
 
 /// The `(fixture name, plan fingerprint)` pins of the committed
@@ -305,7 +107,7 @@ fn bench_plans(smoke: bool, pins: &[(String, String)]) -> Vec<Value> {
     ];
     if !smoke {
         // On the I2-class fixture warm planning must beat the cold
-        // reference it trailed before the transactional rework.
+        // reference.
         fixtures.push(("I2_medium_seed3", SynthConfig::medium(), 3, true, false));
     }
     let mut out = Vec::new();
@@ -404,27 +206,21 @@ fn bench_plans(smoke: bool, pins: &[(String, String)]) -> Vec<Value> {
             stats.mcmf.networks_cloned, 0,
             "{name}: the warm trial loop must not copy any network"
         );
-        assert_eq!(
-            stats.mcmf.rollbacks, stats.warm_trials,
-            "{name}: one rollback per warm trial"
-        );
         let reuse = bench_reuse(name, &candidates, &choice.choice, &config.optical);
         if must_beat_cold {
             assert!(
                 warm_ms < cold_ms,
-                "{name}: transactional warm planning must beat the cold \
+                "{name}: warm planning must beat the cold \
                  reference ({warm_ms:.2} ms vs {cold_ms:.2} ms)"
             );
         }
 
         println!(
             "wdm {name}: {w} waveguides in {c} components, cold {cold_ms:.2} \
-             ms vs warm {warm_ms:.2} ms, {trials} warm trials, {u} undo \
-             entries, 0 clones",
+             ms vs warm {warm_ms:.2} ms, {trials} warm trials, 0 clones",
             w = warm_plan.wdms.len(),
             c = stats.components,
             trials = stats.warm_trials,
-            u = stats.mcmf.undo_entries,
         );
         out.push(Value::object(vec![
             ("name", Value::from(name)),
@@ -438,9 +234,6 @@ fn bench_plans(smoke: bool, pins: &[(String, String)]) -> Vec<Value> {
             ("warm_trials", Value::from(stats.warm_trials)),
             ("dijkstra_passes", Value::from(stats.mcmf.dijkstra_passes)),
             ("arcs_scanned", Value::from(stats.mcmf.arcs_scanned)),
-            ("repair_rounds", Value::from(stats.mcmf.repair_rounds)),
-            ("undo_entries", Value::from(stats.mcmf.undo_entries)),
-            ("rollbacks", Value::from(stats.mcmf.rollbacks)),
             ("networks_cloned", Value::from(stats.mcmf.networks_cloned)),
             ("reuse", reuse),
         ]));
@@ -519,21 +312,30 @@ fn bench_reuse(
     // Both arms consume the first plan's reuse record inside the
     // timer, as a session's ECO does: reuse drops the stale orientation
     // and takes the other over, replan drops both. Each arm's result is
-    // dropped outside it.
+    // dropped outside it. The arms take turns running first, so neither
+    // always runs on a cache the other warmed.
     let exec = Executor::sequential();
+    let time_arm = |reuse: bool| {
+        let (_, prev) = plan(choice, None, &exec);
+        let sw = Stopwatch::start();
+        let prev = if reuse {
+            Some(prev)
+        } else {
+            drop(prev);
+            None
+        };
+        let planned = plan(&next, prev, &exec);
+        let ms = sw.elapsed().as_secs_f64() * 1e3;
+        drop(planned);
+        ms
+    };
     let (mut reuse_ms, mut replan_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..ITERS {
-        let (_, prev) = plan(choice, None, &exec);
-        let sw = Stopwatch::start();
-        let reused = plan(&next, Some(prev), &exec);
-        reuse_ms = reuse_ms.min(sw.elapsed().as_secs_f64() * 1e3);
-        drop(reused);
-        let (_, prev) = plan(choice, None, &exec);
-        let sw = Stopwatch::start();
-        drop(prev);
-        let replanned = plan(&next, None, &exec);
-        replan_ms = replan_ms.min(sw.elapsed().as_secs_f64() * 1e3);
-        drop(replanned);
+    for i in 0..2 * ITERS {
+        let reuse_first = i % 2 == 0;
+        for reuse in [reuse_first, !reuse_first] {
+            let best = if reuse { &mut reuse_ms } else { &mut replan_ms };
+            *best = best.min(time_arm(reuse));
+        }
     }
     let connections = wdm::extract_connections(candidates, &next);
     let reused = connections

@@ -46,8 +46,12 @@
 //!
 //! No flow network stays resident: each one is dropped when its
 //! component's reduction ends, and the WDM plan is the only WDM state a
-//! session keeps. Deletion what-ifs ([`WarmSession::probe_wdm`]) read
-//! the reduction's fixpoint off that plan and run no solver;
+//! session keeps. While a reduction runs, each tentative deletion is a
+//! plain max-flow check on the component's committed network
+//! ([`McmfGraph::can_divert`](operon_mcmf::McmfGraph::can_divert)),
+//! which leaves that network bitwise as it found it. Deletion what-ifs
+//! ([`WarmSession::probe_wdm`]) read the reduction's fixpoint off the
+//! plan and run no solver. A flow network cannot be cloned, so
 //! `networks_cloned` stays 0 for the whole session lifecycle.
 //!
 //! [`OperonFlow::run`]: crate::flow::OperonFlow::run
@@ -855,9 +859,6 @@ impl WarmSession {
         stage.record("wdm_orientations_reused", stats.orientations_reused);
         stage.record("wdm_dijkstra_passes", stats.mcmf.dijkstra_passes);
         stage.record("wdm_arcs_scanned", stats.mcmf.arcs_scanned);
-        stage.record("wdm_repair_rounds", stats.mcmf.repair_rounds);
-        stage.record("wdm_undo_entries", stats.mcmf.undo_entries);
-        stage.record("wdm_rollbacks", stats.mcmf.rollbacks);
         stage.record("wdm_networks_cloned", stats.mcmf.networks_cloned);
         self.stats.wdm.accumulate(stats);
         Ok((plan, resident))

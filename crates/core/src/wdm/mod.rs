@@ -419,13 +419,11 @@ type Reduced = (Vec<(usize, Wdm)>, WdmStats);
 /// every surviving waveguide has failed a trial, and the committed
 /// network is dropped with the loop — the plan is the whole answer.
 ///
-/// Trials are *warm-started and transactional* ([`warm_trial`]): each
-/// one opens a [`checkout`](McmfGraph::checkout) on the committed solved
-/// network, withdraws the deleted WDM's sink-edge flow, re-routes just
-/// the displaced units to the sink along successive shortest paths, and
-/// rolls back — the undo log restores the committed network bitwise, so
-/// no trial ever copies the network. Feasibility is decided by the
-/// max-flow *value*, which is unique, so warm and cold trials always
+/// Trials are *warm* ([`warm_trial`]): each one asks the committed solved
+/// network whether the deleted WDM's sink-edge flow can move to the other
+/// active WDMs, a plain max-flow check that leaves the network bitwise
+/// as it found it, so no trial ever copies the network. Feasibility is
+/// the max-flow *value*, which is unique, so warm and cold trials always
 /// agree; the committed assignment after a successful trial is re-solved
 /// cold on the reduced network, keeping the final plan bit-identical to
 /// the all-cold reference ([`assign_component_reference`]).
@@ -460,7 +458,6 @@ fn assign_component(
 
     // Reduction: try deleting WDMs, emptiest first. Idle WDMs go outright;
     // the loaded candidates need a tentative-deletion trial each.
-    let mut prior: Vec<i64> = Vec::new();
     // Ranking buffer, refilled in place each reduction round.
     let mut candidates: Vec<(usize, usize)> = Vec::new();
     loop {
@@ -489,8 +486,7 @@ fn assign_component(
             if undeletable[wi] {
                 continue;
             }
-            let (feasible, trial_stats) =
-                warm_trial(&mut committed.g, &committed.idx, &mut prior, wi);
+            let (feasible, trial_stats) = warm_trial(&mut committed.g, &committed.idx, wi);
             stats.warm_trials += 1;
             stats.mcmf.accumulate(&trial_stats);
             if !feasible {
@@ -608,41 +604,17 @@ fn assign_component_reference(
 }
 
 /// One warm tentative-deletion trial, run *in place* on the committed
-/// network `g`: open a transaction, withdraw the flow on WDM `wi`'s sink
-/// edge and zero its capacity — pure residual-arc removals, which keep
-/// the committed potentials feasible — then
-/// [`min_cost_reroute`](McmfGraph::min_cost_reroute) the displaced units
-/// from `wi`'s node to the sink along successive shortest paths, and
-/// roll back — the undo log restores `g` bitwise, so the next trial
-/// starts from the committed state without any copy. The reduced network
-/// carries the full demand exactly when every displaced unit re-routes,
-/// so the trial decides feasibility without touching the rest of the
-/// committed flow (no path withdrawals, no potential repair).
-/// `prior` is a reusable buffer for the warm-start
-/// potentials. Returns whether the deletion is feasible and the solver
-/// counters the trial added.
-fn warm_trial(
-    g: &mut McmfGraph,
-    idx: &NetIndex,
-    prior: &mut Vec<i64>,
-    wi: usize,
-) -> (bool, McmfStats) {
+/// network `g`: [`can_divert`](McmfGraph::can_divert) on WDM `wi`'s sink
+/// edge asks whether BFS augmenting paths move its flow from `wi`'s node
+/// to the sink once the edge is closed. The reduced network carries the
+/// full demand exactly when they do, and the check restores `g` bitwise,
+/// so the next trial starts from the committed state without any copy.
+/// A WDM with no sink edge carries nothing, so deleting it is feasible.
+/// Returns whether the deletion is feasible and the solver counters the
+/// trial added.
+fn warm_trial(g: &mut McmfGraph, idx: &NetIndex, wi: usize) -> (bool, McmfStats) {
     let before = g.stats();
-    prior.clear();
-    prior.extend_from_slice(g.potentials());
-    let t = g.node(1);
-    let wdm_node = g.node(2 + idx.conn_edges.len() + wi);
-    let mut txn = g.checkout();
-    let mut displaced = 0;
-    if let Some(sink) = idx.wdm_edges[wi] {
-        displaced = txn.flow(sink);
-        if displaced > 0 {
-            txn.withdraw_edge_flow(sink, displaced);
-        }
-        txn.set_edge_capacity(sink, 0);
-    }
-    let feasible = txn.min_cost_reroute(wdm_node, t, displaced, prior).flow == displaced;
-    txn.rollback();
+    let feasible = idx.wdm_edges[wi].is_none_or(|sink| g.can_divert(sink));
     (feasible, g.stats().delta_since(&before))
 }
 
@@ -738,12 +710,8 @@ pub struct ResidentAssignment {
 ///
 /// Node indexing is `0 = s`, `1 = t`, `2 + i` for connection `i` and
 /// `2 + n_conn + w` for WDM `w`, for *every* placed WDM whether active or
-/// not — so potentials from one active set are dimension-compatible with
-/// any other, which is what makes the committed potentials a valid warm
-/// start for the trial networks.
+/// not, so every active set numbers its nodes alike.
 struct NetIndex {
-    /// `s → connection` edge per connection.
-    conn_edges: Vec<EdgeId>,
     /// `(connection, wdm, edge)` for every reachable active pair, in
     /// deterministic build order.
     assign_edges: Vec<(usize, usize, EdgeId)>,
@@ -777,9 +745,8 @@ fn build_network(
     let wdm_node = |w: usize| 2 + n_conn + w;
 
     let total_demand: i64 = conns.iter().map(|&(_, bits)| bits as i64).sum();
-    let mut conn_edges = Vec::with_capacity(n_conn);
     for (i, &(_, bits)) in conns.iter().enumerate() {
-        conn_edges.push(g.add_edge(s, g.node(conn_node(i)), bits as i64, 0));
+        g.add_edge(s, g.node(conn_node(i)), bits as i64, 0);
     }
     // Displacement costs normalized so WDM usage (handled by the
     // reduction loop) dominates; scaled to integers.
@@ -811,7 +778,6 @@ fn build_network(
     AssignmentNetwork {
         g,
         idx: NetIndex {
-            conn_edges,
             assign_edges,
             wdm_edges,
             total_demand,
@@ -1276,7 +1242,7 @@ mod tests {
         // Mixed track geometries that force multi-round reductions: the
         // warm-trial plan must equal the all-cold reference exactly (same
         // tracks, same per-connection channel splits), for every thread
-        // count, while the warm path saves Dijkstra passes.
+        // count, with no network copied.
         use operon_geom::Point;
         for (spread, bits) in [(40i64, 20usize), (700, 7), (90, 13)] {
             let nets: Vec<NetCandidates> = (0..9)
@@ -1296,18 +1262,8 @@ mod tests {
                 assert_eq!(warm.initial_count, reference.initial_count);
                 assert_eq!(
                     warm.stats.mcmf.networks_cloned, 0,
-                    "spread={spread}: trials must roll back, never copy the network"
+                    "spread={spread}: trials run in place, never on a copy"
                 );
-                assert_eq!(
-                    warm.stats.mcmf.rollbacks, warm.stats.warm_trials,
-                    "spread={spread}: every warm trial ends in exactly one rollback"
-                );
-                if warm.stats.warm_trials > 0 {
-                    assert!(
-                        warm.stats.mcmf.undo_entries > 0,
-                        "spread={spread}: trials must write through the undo log"
-                    );
-                }
             }
         }
     }
@@ -1360,7 +1316,6 @@ mod tests {
             assert_eq!(warm.initial_count, reference.initial_count);
             assert_eq!(warm.stats, base.stats, "threads={threads}");
             assert_eq!(warm.stats.components, 5);
-            assert_eq!(warm.stats.mcmf.rollbacks, warm.stats.warm_trials);
             assert_eq!(warm.stats.mcmf.networks_cloned, 0);
         }
     }
@@ -1617,9 +1572,8 @@ mod tests {
         let n_conn = conns.len();
         let mut g = McmfGraph::new(2 + n_conn + placed.len());
         let (s, t) = (g.node(0), g.node(1));
-        let mut conn_edges = Vec::new();
         for (i, &(_, bits)) in conns.iter().enumerate() {
-            conn_edges.push(g.add_edge(s, g.node(2 + i), bits as i64, 0));
+            g.add_edge(s, g.node(2 + i), bits as i64, 0);
         }
         let reach = lib.wdm_max_displacement;
         let mut assign_edges = Vec::new();
@@ -1643,7 +1597,6 @@ mod tests {
         AssignmentNetwork {
             g,
             idx: NetIndex {
-                conn_edges,
                 assign_edges,
                 wdm_edges,
                 total_demand: conns.iter().map(|&(_, b)| b as i64).sum(),

@@ -8,7 +8,7 @@
 //! | D003 | No `std::thread::spawn`/`scope` outside `operon-exec` — all parallelism goes through the ordered executor. |
 //! | R001 | No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in solver-crate library code — hot paths return typed errors. |
 //! | R002 | No direct indexing into a call result (`f(x)[i]`) in configured hot paths — prefer `get()` with an error path. |
-//! | P001 | No `.clone()` of a solver network/graph (`g`, `*graph`, `net`, `*network`) inside a loop body — per-iteration network copies are the hot-path cost the transactional undo log (`checkout()`/`rollback()`) exists to remove. |
+//! | P001 | No `.clone()` of a solver network/graph (`g`, `*graph`, `net`, `*network`) inside a loop body — copying a solver network per iteration costs its whole arc arena each time, where the work usually touches a few arcs in place. |
 //! | P002 | No per-iteration allocation (`Vec::new`/`vec!`/`format!`/`Box::new`/`.collect()`/`.to_vec()`) inside loop bodies of scoped solver hot paths — buffers are hoisted and reused (the flat-arena pattern). |
 //! | N001 | No order-sensitive accumulation inside closures passed to `Executor::par_map`/`wave_map`/`par_map_coarse`: compound assignment onto captured state, mutating a captured collection, or reading state some parallel closure mutates — merge order is the one thing the ordered executor cannot fix. |
 //! | L000 | Suppressions themselves: `// operon-lint: allow(RULE, reason = "…")` requires a rule list and a non-empty reason. |
@@ -291,11 +291,11 @@ pub fn analyze_source(path: &str, source: &str, config: &Config) -> FileAnalysis
                 tok.line,
                 tok.col,
                 format!(
-                    "`{}.clone()` inside a loop body: per-iteration copies of a \
-                     solver network are the hot-path cost the transactional undo \
-                     log removes; use `checkout()`/`rollback()` (or a \
-                     `clone_from`-synced scratch replica outside the loop), or \
-                     annotate with `// operon-lint: allow(P001, reason = ...)`",
+                    "`{}.clone()` inside a loop body: copying a solver network \
+                     per iteration costs its whole arc arena each time; work on \
+                     the network in place (or on a `clone_from`-synced scratch \
+                     replica outside the loop), or annotate with \
+                     `// operon-lint: allow(P001, reason = ...)`",
                     code[i - 2].text
                 ),
                 &mut allows,

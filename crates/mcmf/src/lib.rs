@@ -31,7 +31,7 @@
 //! The search buffers (distances, parent arcs, the heap) and a spare
 //! potential buffer live on the graph and are reused by every pass.
 //! They are scratch only: [`fingerprint`](McmfGraph::fingerprint)
-//! ignores them and cloning a graph does not copy them.
+//! ignores them.
 //!
 //! # Cached source layer
 //!
@@ -89,9 +89,7 @@
 //! unsaturated `u`, and a saturated `s → u` never regains capacity,
 //! because no augmenting path re-enters `s`.
 //!
-//! Graphs without this shape and re-routes
-//! ([`min_cost_reroute`](McmfGraph::min_cost_reroute)) seed every search
-//! from the source alone.
+//! Graphs without this shape seed every search from the source alone.
 //!
 //! # Storage layout
 //!
@@ -103,16 +101,18 @@
 //! insertion, so the Dijkstra/Bellman-Ford hot loops walk contiguous
 //! memory.
 //!
-//! # Transactions
+//! # Diversion checks
 //!
-//! [`checkout`](McmfGraph::checkout) opens a [`Transaction`]: every
-//! capacity, stored-edge-capacity, and potential write made through the
-//! guard records `(slot, old_value)` in an append-only undo log on the
-//! *first* write per slot, and [`rollback`](Transaction::rollback)
-//! (or dropping the guard) restores the pre-transaction network
-//! **bitwise**. This is what lets the WDM reduction evaluate tentative
-//! deletions on one shared network — withdraw, re-solve, roll back —
-//! instead of cloning the committed residual network per trial.
+//! A tentative arc deletion asks a max-flow *value* question: can the
+//! flow on an edge move to other residual paths once the edge is
+//! closed? [`can_divert`](McmfGraph::can_divert) answers it on the solved
+//! network in place. It zeroes both arcs of the edge, runs BFS
+//! augmenting paths from the edge's tail to its head until the edge's
+//! flow has moved or a search fails, and then writes back every arc it
+//! touched from a list of pre-images. Costs and potentials play no part,
+//! and the network comes back bitwise, so the WDM reduction runs every
+//! trial on its one committed network and never copies it. `McmfGraph`
+//! does not implement `Clone` at all.
 //!
 //! # Examples
 //!
@@ -135,7 +135,6 @@
 use core::fmt;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::{Deref, DerefMut};
 
 /// A node handle in a [`McmfGraph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -175,9 +174,8 @@ pub struct FlowResult {
 ///
 /// Read with [`McmfGraph::stats`], clear with
 /// [`McmfGraph::reset_stats`]. The counters measure *work*, never
-/// influence *results*: two graphs that solve to the same flow always
-/// report the same [`FlowResult`] regardless of how the counters differ
-/// (e.g. a re-route versus a cold solve of the same network).
+/// influence *results*: a [`can_divert`](McmfGraph::can_divert) check
+/// adds to them but leaves the network as it found it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct McmfStats {
     /// Dijkstra shortest-path computations (one per augmentation
@@ -187,26 +185,23 @@ pub struct McmfStats {
     /// Bellman-Ford relaxation rounds spent initializing potentials
     /// for graphs with negative-cost residual arcs.
     pub bellman_ford_rounds: u64,
-    /// Relaxation rounds spent repairing prior potentials in
-    /// [`McmfGraph::min_cost_reroute`].
-    pub repair_rounds: u64,
-    /// Undo-log entries recorded inside transactions (first write per
-    /// slot per transaction; see [`McmfGraph::checkout`]).
-    pub undo_entries: u64,
-    /// Transactions ended by rollback (explicit or guard drop).
-    pub rollbacks: u64,
-    /// Full residual-network copies this graph went through: cloning a
-    /// graph marks the *copy*'s counters, so consumers that aggregate
-    /// per-trial stats off cloned networks (the pre-transactional WDM
-    /// reduction pattern) surface their clone traffic — "zero-clone" is
-    /// measured rather than claimed. The solver itself never clones.
+    /// Full residual-network copies. Always 0: `McmfGraph` does not
+    /// implement `Clone`, so no caller can copy a network per trial.
+    /// The field stays because the serve `report` (`wdm_networks_cloned`)
+    /// and the end-to-end benchmark's serve check read it.
+    ///
+    /// ```compile_fail
+    /// let g = operon_mcmf::McmfGraph::new(2);
+    /// let copy = g.clone(); // no `Clone`: a network is never copied
+    /// ```
     pub networks_cloned: u64,
-    /// Residual arcs the shortest-path searches examined, in total: the
-    /// out-degree of every node a search settled before reaching the
-    /// sink, plus every arc the cached source layer (see the crate docs)
-    /// read when it was built and on each refresh. The sink-bounded
-    /// search saves the arcs of the nodes it leaves unsettled, and the
-    /// layer cache those of the connections it does not re-settle.
+    /// Residual arcs the searches examined, in total: the out-degree of
+    /// every node a shortest-path search settled before reaching the
+    /// sink or a [`can_divert`](McmfGraph::can_divert) search expanded,
+    /// plus every arc the cached source layer (see the crate docs) read
+    /// when it was built and on each refresh. The sink-bounded search
+    /// saves the arcs of the nodes it leaves unsettled, and the layer
+    /// cache those of the connections it does not re-settle.
     pub arcs_scanned: u64,
 }
 
@@ -215,9 +210,6 @@ impl McmfStats {
     pub fn accumulate(&mut self, other: &McmfStats) {
         self.dijkstra_passes += other.dijkstra_passes;
         self.bellman_ford_rounds += other.bellman_ford_rounds;
-        self.repair_rounds += other.repair_rounds;
-        self.undo_entries += other.undo_entries;
-        self.rollbacks += other.rollbacks;
         self.networks_cloned += other.networks_cloned;
         self.arcs_scanned += other.arcs_scanned;
     }
@@ -232,9 +224,6 @@ impl McmfStats {
             bellman_ford_rounds: self
                 .bellman_ford_rounds
                 .saturating_sub(before.bellman_ford_rounds),
-            repair_rounds: self.repair_rounds.saturating_sub(before.repair_rounds),
-            undo_entries: self.undo_entries.saturating_sub(before.undo_entries),
-            rollbacks: self.rollbacks.saturating_sub(before.rollbacks),
             networks_cloned: self.networks_cloned.saturating_sub(before.networks_cloned),
             arcs_scanned: self.arcs_scanned.saturating_sub(before.arcs_scanned),
         }
@@ -268,31 +257,16 @@ pub struct McmfGraph {
     /// is O(1) instead of an O(m) rescan.
     neg_arcs: usize,
     /// Node potentials left behind by the most recent solve (empty
-    /// before any solve). Feed them to
-    /// [`min_cost_reroute`](McmfGraph::min_cost_reroute) after removing
-    /// arcs from this network to skip the Bellman-Ford initialization.
+    /// before any solve); part of the [`fingerprint`](McmfGraph::fingerprint).
     potential: Vec<i64>,
     stats: McmfStats,
-    // --- transactional undo log ---
-    txn_active: bool,
-    /// Current transaction epoch; a slot whose mark equals the epoch has
-    /// already been logged this transaction.
-    txn_epoch: u32,
-    cap_mark: Vec<u32>,
-    edge_mark: Vec<u32>,
-    undo_caps: Vec<(u32, i64)>,
-    undo_edge_caps: Vec<(u32, i64)>,
-    /// Pre-transaction potentials, stashed on the first potential
-    /// overwrite inside a transaction (buffer reused across trials).
-    saved_potential: Vec<i64>,
-    potential_saved: bool,
-    // --- search scratch (never copied, never fingerprinted) ---
+    // --- search scratch (never fingerprinted) ---
     search: SearchScratch,
 }
 
-/// Buffers reused by every shortest-path search on one graph. Their
-/// contents are meaningless between passes: each search's seeding
-/// resets what it reads, so clones start with empty buffers.
+/// Buffers reused by every search on one graph. Their contents are
+/// meaningless between passes: each search's seeding resets what it
+/// reads.
 #[derive(Debug, Default)]
 struct SearchScratch {
     /// Reduced distance from the source (`i64::MAX` = not reached).
@@ -300,6 +274,11 @@ struct SearchScratch {
     /// Arc through which each reached node was last relaxed.
     parent: Vec<u32>,
     heap: BinaryHeap<Reverse<(i64, u32)>>,
+    /// The FIFO of a [`can_divert`](McmfGraph::can_divert) search.
+    queue: Vec<u32>,
+    /// `(arc, capacity before the write)` of every arc write a
+    /// [`can_divert`](McmfGraph::can_divert) check made, in write order.
+    touched: Vec<(u32, i64)>,
     /// A spare potential vector: solve entry points fill it instead of
     /// allocating, and the potentials a solve replaces land back here.
     spare_potential: Vec<i64>,
@@ -328,62 +307,6 @@ struct LayerCache {
 /// The "no arc" sentinel of the search scratch.
 const NONE: u32 = u32::MAX;
 
-impl Clone for McmfGraph {
-    fn clone(&self) -> Self {
-        let mut stats = self.stats;
-        stats.networks_cloned += 1;
-        Self {
-            n_nodes: self.n_nodes,
-            arc_to: self.arc_to.clone(),
-            arc_cost: self.arc_cost.clone(),
-            arc_cap: self.arc_cap.clone(),
-            edge_cap: self.edge_cap.clone(),
-            adj_start: self.adj_start.clone(),
-            adj_arcs: self.adj_arcs.clone(),
-            csr_valid: self.csr_valid,
-            neg_arcs: self.neg_arcs,
-            potential: self.potential.clone(),
-            stats,
-            txn_active: self.txn_active,
-            txn_epoch: self.txn_epoch,
-            cap_mark: self.cap_mark.clone(),
-            edge_mark: self.edge_mark.clone(),
-            undo_caps: self.undo_caps.clone(),
-            undo_edge_caps: self.undo_edge_caps.clone(),
-            saved_potential: self.saved_potential.clone(),
-            potential_saved: self.potential_saved,
-            search: SearchScratch::default(),
-        }
-    }
-
-    /// Allocation-reusing copy: `Vec::clone_from` keeps the existing
-    /// buffers, so refreshing a same-shape scratch replica is a straight
-    /// memcpy with no allocator traffic. The search scratch keeps its own
-    /// buffers and is not copied.
-    fn clone_from(&mut self, source: &Self) {
-        self.n_nodes = source.n_nodes;
-        self.arc_to.clone_from(&source.arc_to);
-        self.arc_cost.clone_from(&source.arc_cost);
-        self.arc_cap.clone_from(&source.arc_cap);
-        self.edge_cap.clone_from(&source.edge_cap);
-        self.adj_start.clone_from(&source.adj_start);
-        self.adj_arcs.clone_from(&source.adj_arcs);
-        self.csr_valid = source.csr_valid;
-        self.neg_arcs = source.neg_arcs;
-        self.potential.clone_from(&source.potential);
-        self.stats = source.stats;
-        self.stats.networks_cloned += 1;
-        self.txn_active = source.txn_active;
-        self.txn_epoch = source.txn_epoch;
-        self.cap_mark.clone_from(&source.cap_mark);
-        self.edge_mark.clone_from(&source.edge_mark);
-        self.undo_caps.clone_from(&source.undo_caps);
-        self.undo_edge_caps.clone_from(&source.undo_edge_caps);
-        self.saved_potential.clone_from(&source.saved_potential);
-        self.potential_saved = source.potential_saved;
-    }
-}
-
 impl McmfGraph {
     /// Creates a graph with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
@@ -404,16 +327,7 @@ impl McmfGraph {
     }
 
     /// Adds a node, returning its handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics inside a transaction (the undo log tracks value slots, not
-    /// structure).
     pub fn add_node(&mut self) -> NodeId {
-        assert!(
-            !self.txn_active,
-            "cannot add nodes inside a transaction; rollback or commit first"
-        );
         self.n_nodes += 1;
         self.csr_valid = false;
         NodeId(self.n_nodes - 1)
@@ -437,14 +351,9 @@ impl McmfGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `cap` is negative, or inside a transaction (the undo
-    /// log tracks value slots, not structure).
+    /// Panics if `cap` is negative.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, cap: i64, cost: i64) -> EdgeId {
         assert!(cap >= 0, "edge capacity must be non-negative, got {cap}");
-        assert!(
-            !self.txn_active,
-            "cannot add edges inside a transaction; rollback or commit first"
-        );
         assert!(
             self.arc_to.len() + 2 <= u32::MAX as usize,
             "arc arena exceeds u32 indexing"
@@ -455,13 +364,10 @@ impl McmfGraph {
         self.arc_to.push(from.0 as u32);
         self.arc_cost.push(-cost);
         self.arc_cap.push(0);
-        self.cap_mark.push(0);
-        self.cap_mark.push(0);
         if cap > 0 && cost < 0 {
             self.neg_arcs += 1;
         }
         self.edge_cap.push(cap);
-        self.edge_mark.push(0);
         self.csr_valid = false;
         EdgeId(self.edge_cap.len() - 1)
     }
@@ -482,29 +388,14 @@ impl McmfGraph {
         self.stats = McmfStats::default();
     }
 
-    /// Node potentials left by the most recent solve (empty before any
-    /// solve). Valid `prior` input for
-    /// [`min_cost_reroute`](McmfGraph::min_cost_reroute) on this graph
-    /// after arc removals.
-    pub fn potentials(&self) -> &[i64] {
-        &self.potential
-    }
-
-    /// Whether a transaction opened by [`checkout`](McmfGraph::checkout)
-    /// is currently active.
-    pub fn in_transaction(&self) -> bool {
-        self.txn_active
-    }
-
     /// A 64-bit FNV-1a digest of the network's structure and committed
     /// state: node count, arc heads, arc costs, residual capacities,
     /// stored edge capacities, and potentials.
     ///
-    /// Work counters and transaction bookkeeping (undo logs, epoch
-    /// marks) are deliberately excluded, so the fingerprint is exactly
-    /// the state a [`Transaction::rollback`] promises to restore, which
-    /// the rollback tests use to certify that a trial left the network
-    /// bitwise intact.
+    /// Work counters and the search scratch are deliberately excluded,
+    /// so the fingerprint is exactly the state a
+    /// [`can_divert`](McmfGraph::can_divert) check promises to leave as
+    /// it found it.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -530,98 +421,10 @@ impl McmfGraph {
         h
     }
 
-    /// Opens a transaction: every capacity and potential write made until
-    /// the returned guard is rolled back (explicitly or by drop) records
-    /// its pre-image in an append-only undo log, first write per slot.
-    /// [`Transaction::rollback`] restores the network bitwise —
-    /// capacities, stored edge capacities, potentials, and the
-    /// negative-arc counter all return to their checkout state.
-    ///
-    /// Work counters ([`stats`](McmfGraph::stats)) are *not* rolled back:
-    /// they measure work performed, which the rollback cannot unperform.
-    ///
-    /// # Session-held lifecycle
-    ///
-    /// A long-lived session may keep the committed network resident
-    /// across many requests and open a fresh transaction per what-if
-    /// probe. The intended shape is strictly request-scoped: checkout,
-    /// probe (`withdraw_edge_flow` / `set_edge_capacity` /
-    /// [`min_cost_reroute`](McmfGraph::min_cost_reroute)), then rollback
-    /// before the request completes — never holding a guard across
-    /// requests. [`fingerprint`](McmfGraph::fingerprint) before and
-    /// after a probe certifies the restore was bitwise.
-    ///
-    /// ```
-    /// use operon_mcmf::McmfGraph;
-    ///
-    /// let mut g = McmfGraph::new(2);
-    /// let (s, t) = (g.node(0), g.node(1));
-    /// let e = g.add_edge(s, t, 4, 1);
-    /// g.min_cost_max_flow(s, t);
-    /// let mut txn = g.checkout();
-    /// txn.set_edge_capacity(e, 0);
-    /// assert_eq!(txn.flow(e), 0);
-    /// txn.rollback();
-    /// assert_eq!(g.flow(e), 4); // bitwise back to the committed state
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transaction is already active (no nesting).
-    pub fn checkout(&mut self) -> Transaction<'_> {
-        assert!(
-            !self.txn_active,
-            "nested transactions are not supported; rollback or commit first"
-        );
-        self.txn_epoch = self.txn_epoch.wrapping_add(1);
-        if self.txn_epoch == 0 {
-            // Epoch counter wrapped: clear the marks so no stale mark can
-            // alias the fresh epoch, then restart from 1.
-            self.cap_mark.iter_mut().for_each(|m| *m = 0);
-            self.edge_mark.iter_mut().for_each(|m| *m = 0);
-            self.txn_epoch = 1;
-        }
-        self.undo_caps.clear();
-        self.undo_edge_caps.clear();
-        self.potential_saved = false;
-        self.txn_active = true;
-        Transaction {
-            g: self,
-            finished: false,
-        }
-    }
-
-    /// Restores every logged slot to its checkout value and closes the
-    /// transaction.
-    fn rollback_internal(&mut self) {
-        debug_assert!(self.txn_active, "rollback without an active transaction");
-        while let Some((slot, old)) = self.undo_caps.pop() {
-            self.put_cap(slot as usize, old);
-        }
-        while let Some((slot, old)) = self.undo_edge_caps.pop() {
-            self.edge_cap[slot as usize] = old;
-        }
-        if self.potential_saved {
-            std::mem::swap(&mut self.potential, &mut self.saved_potential);
-            self.potential_saved = false;
-        }
-        self.txn_active = false;
-        self.stats.rollbacks += 1;
-    }
-
-    /// Keeps every change made during the transaction and closes it.
-    fn commit_internal(&mut self) {
-        debug_assert!(self.txn_active, "commit without an active transaction");
-        self.undo_caps.clear();
-        self.undo_edge_caps.clear();
-        self.potential_saved = false;
-        self.txn_active = false;
-    }
-
     /// Writes `value` into arc slot `a`, maintaining the negative-arc
-    /// counter. Used directly by rollback (no logging).
+    /// counter.
     #[inline]
-    fn put_cap(&mut self, a: usize, value: i64) {
+    fn write_cap(&mut self, a: usize, value: i64) {
         let old = self.arc_cap[a];
         if old == value {
             return;
@@ -636,56 +439,11 @@ impl McmfGraph {
         self.arc_cap[a] = value;
     }
 
-    /// Writes `value` into arc slot `a` through the undo log: inside a
-    /// transaction the slot's pre-image is recorded on its first write.
-    #[inline]
-    fn write_cap(&mut self, a: usize, value: i64) {
-        if self.arc_cap[a] == value {
-            return;
-        }
-        if self.txn_active && self.cap_mark[a] != self.txn_epoch {
-            self.cap_mark[a] = self.txn_epoch;
-            self.undo_caps.push((a as u32, self.arc_cap[a]));
-            self.stats.undo_entries += 1;
-        }
-        self.put_cap(a, value);
-    }
-
-    /// Writes a user edge's stored capacity through the undo log.
-    #[inline]
-    fn write_edge_cap(&mut self, e: usize, value: i64) {
-        if self.edge_cap[e] == value {
-            return;
-        }
-        if self.txn_active && self.edge_mark[e] != self.txn_epoch {
-            self.edge_mark[e] = self.txn_epoch;
-            self.undo_edge_caps.push((e as u32, self.edge_cap[e]));
-            self.stats.undo_entries += 1;
-        }
-        self.edge_cap[e] = value;
-    }
-
-    /// Replaces the stored solve potentials, stashing the pre-image once
-    /// per transaction so rollback restores them bitwise. The replaced
-    /// buffer becomes the spare potential buffer.
-    fn store_potentials(&mut self, p: Vec<i64>) {
-        if self.txn_active && !self.potential_saved {
-            std::mem::swap(&mut self.potential, &mut self.saved_potential);
-            self.potential_saved = true;
-            self.stats.undo_entries += 1;
-        }
-        self.search.spare_potential = std::mem::replace(&mut self.potential, p);
-    }
-
-    /// The spare potential buffer, refilled with `fill` (or zeros when
-    /// `fill` is `None`) to one entry per node.
-    fn take_potential(&mut self, fill: Option<&[i64]>) -> Vec<i64> {
+    /// The spare potential buffer, zeroed to one entry per node.
+    fn take_potential(&mut self) -> Vec<i64> {
         let mut p = std::mem::take(&mut self.search.spare_potential);
         p.clear();
-        match fill {
-            Some(prior) => p.extend_from_slice(prior),
-            None => p.resize(self.n_nodes, 0),
-        }
+        p.resize(self.n_nodes, 0);
         p
     }
 
@@ -733,10 +491,9 @@ impl McmfGraph {
     ///
     /// The stored capacity is updated too, so subsequent
     /// [`flow`](McmfGraph::flow) reads respect the new value. Clearing
-    /// the edge's flow in isolation breaks conservation at its endpoints;
-    /// callers re-solving incrementally should withdraw whole
-    /// source-to-sink paths first (see
-    /// [`withdraw_edge_flow`](McmfGraph::withdraw_edge_flow)).
+    /// the flow of an edge that carries some breaks conservation at its
+    /// endpoints, so the flow left elsewhere is no longer a valid flow;
+    /// the WDM reduction only closes edges that carry none.
     ///
     /// # Panics
     ///
@@ -745,35 +502,7 @@ impl McmfGraph {
         assert!(cap >= 0, "edge capacity must be non-negative, got {cap}");
         self.write_cap(2 * edge.0, cap);
         self.write_cap(2 * edge.0 + 1, 0);
-        self.write_edge_cap(edge.0, cap);
-    }
-
-    /// Withdraws `amount` units of previously routed flow from a user
-    /// edge, returning that capacity to the residual network.
-    ///
-    /// Flow conservation is the caller's responsibility: withdrawing a
-    /// single edge unbalances its endpoints, so incremental re-solves
-    /// must withdraw along whole source-to-sink paths (e.g. the
-    /// source→connection, connection→WDM and WDM→sink edges of one
-    /// assignment) before augmenting again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amount` is negative or exceeds the flow currently
-    /// routed on the edge.
-    pub fn withdraw_edge_flow(&mut self, edge: EdgeId, amount: i64) {
-        assert!(amount >= 0, "withdraw amount must be non-negative");
-        let fwd = 2 * edge.0;
-        let rev = fwd + 1;
-        assert!(
-            self.arc_cap[rev] >= amount,
-            "cannot withdraw {amount} units from an edge carrying {}",
-            self.arc_cap[rev]
-        );
-        let new_fwd = self.arc_cap[fwd] + amount;
-        let new_rev = self.arc_cap[rev] - amount;
-        self.write_cap(fwd, new_fwd);
-        self.write_cap(rev, new_rev);
+        self.edge_cap[edge.0] = cap;
     }
 
     /// Whether any residual arc with spare capacity has a negative
@@ -781,12 +510,86 @@ impl McmfGraph {
     /// Bellman-Ford initialization is required before Dijkstra.
     ///
     /// O(1): a counter of `cap > 0 && cost < 0` arcs is maintained on
-    /// every capacity write (including transactional rollbacks) instead
-    /// of rescanning all arcs per call. Semantics are unchanged: a
+    /// every capacity write instead of rescanning all arcs per call. Semantics are unchanged: a
     /// saturated negative edge no longer forces the Bellman-Ford pass,
     /// while the negative reverse arcs of a routed solution do.
     pub fn needs_bellman_ford(&self) -> bool {
         self.neg_arcs > 0
+    }
+
+    /// Whether the flow routed on `edge` could move to other residual
+    /// paths from the edge's tail to its head if the edge were closed.
+    ///
+    /// On a solved network carrying a maximum flow of value `F`, this
+    /// is exactly whether the network with `edge` at capacity 0 still
+    /// carries `F`: closing the edge strands its flow at the tail, and
+    /// the reduced network carries `F` precisely when that much more
+    /// can travel from the tail to the head through the residual arcs.
+    /// The answer is a max-flow *value*, so costs and potentials play no
+    /// part. The check zeroes both arcs of the edge and runs BFS
+    /// augmenting paths (arcs in CSR order) until the edge's flow has
+    /// moved or a search fails. Then it writes back every arc it touched:
+    /// arc capacities, stored edge capacities, potentials and
+    /// [`fingerprint`](McmfGraph::fingerprint) are bitwise what they
+    /// were. Its writes bypass the negative-arc counter, which is exact
+    /// again once every arc is back. Only [`stats`](McmfGraph::stats)
+    /// moves, by the arcs the searches scanned. An edge that carries no
+    /// flow is trivially divertible.
+    ///
+    /// ```
+    /// use operon_mcmf::McmfGraph;
+    ///
+    /// let mut g = McmfGraph::new(3);
+    /// let (s, a, t) = (g.node(0), g.node(1), g.node(2));
+    /// let direct = g.add_edge(s, t, 2, 1);
+    /// g.add_edge(s, a, 1, 5);
+    /// g.add_edge(a, t, 1, 5);
+    /// g.min_cost_flow_bounded(s, t, 1);
+    /// assert!(g.can_divert(direct)); // its one unit fits through a
+    /// g.min_cost_max_flow(s, t);
+    /// assert!(!g.can_divert(direct)); // now the detour is full
+    /// assert_eq!(g.flow(direct), 2);
+    /// ```
+    pub fn can_divert(&mut self, edge: EdgeId) -> bool {
+        let (fwd, rev) = (2 * edge.0, 2 * edge.0 + 1);
+        let mut left = self.arc_cap[rev];
+        if left == 0 {
+            return true;
+        }
+        self.ensure_csr();
+        let (from, to) = (self.arc_to[rev] as usize, self.arc_to[fwd] as usize);
+        let mut touched = std::mem::take(&mut self.search.touched);
+        touched.clear();
+        for a in [fwd, rev] {
+            touched.push((a as u32, self.arc_cap[a]));
+            self.arc_cap[a] = 0;
+        }
+        while left > 0 && self.bfs_path(from, to) {
+            let parent = &self.search.parent;
+            let mut push = left;
+            let mut v = to;
+            while v != from {
+                let arc = parent[v] as usize;
+                push = push.min(self.arc_cap[arc]);
+                v = self.arc_to[arc ^ 1] as usize;
+            }
+            let mut v = to;
+            while v != from {
+                let arc = parent[v] as usize;
+                touched.push((arc as u32, self.arc_cap[arc]));
+                touched.push((arc as u32 ^ 1, self.arc_cap[arc ^ 1]));
+                self.arc_cap[arc] -= push;
+                self.arc_cap[arc ^ 1] += push;
+                v = self.arc_to[arc ^ 1] as usize;
+            }
+            left -= push;
+        }
+        // Reverse write order leaves each arc at its first pre-image.
+        for &(a, cap) in touched.iter().rev() {
+            self.arc_cap[a as usize] = cap;
+        }
+        self.search.touched = touched;
+        left == 0
     }
 
     /// Computes a maximum flow of minimum cost from `s` to `t`.
@@ -828,7 +631,7 @@ impl McmfGraph {
         assert!(s != t, "source and sink must differ");
         assert!(max_flow >= 0, "max_flow must be non-negative");
         self.ensure_csr();
-        let mut potential = self.take_potential(None);
+        let mut potential = self.take_potential();
         if self.needs_bellman_ford() {
             let rounds = self.bellman_ford_potentials(s.0, &mut potential);
             self.stats.bellman_ford_rounds += rounds;
@@ -837,97 +640,13 @@ impl McmfGraph {
         self.run_ssp(s, t, max_flow, potential, layered)
     }
 
-    /// Re-routes up to `amount` units of displaced flow from `from` to
-    /// `to` along successive shortest residual paths, warm-started from
-    /// `prior` node potentials.
-    ///
-    /// This is the cheap incremental step for *arc deletions*: withdraw
-    /// the deleted arc's flow (leaving `amount` units of excess at
-    /// `from` and a matching deficit at `to`) and zero its capacity —
-    /// both pure residual-arc *removals*, which cannot create a
-    /// negative reduced cost — then call this to push the excess back
-    /// to `to`. Because `prior` (the potentials of the previously
-    /// solved network) stays feasible under removals, no Bellman-Ford
-    /// and no potential repair beyond a single converged verification
-    /// round is needed. Returns the flow actually pushed and its cost:
-    /// when `result.flow == amount` the full excess re-routed and the
-    /// resulting flow is again cost-optimal for its value;
-    /// `result.flow < amount` means the residual network cannot absorb
-    /// the full excess (for a tentative deletion: infeasible — the
-    /// stranded remainder leaves a pseudo-flow whose cost is not
-    /// comparable to a cold solve, though the *reachable flow value*
-    /// still matches it).
-    ///
-    /// When `prior` has the wrong length the potentials start from zero
-    /// and the repair pass does the full work — results are identical,
-    /// only the work counters differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to`, `amount` is negative, or the residual
-    /// network contains a negative-cost cycle (the retained pseudo-flow
-    /// was not optimal for its value — not reachable via withdrawals of
-    /// a solved network).
-    pub fn min_cost_reroute(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        amount: i64,
-        prior: &[i64],
-    ) -> FlowResult {
-        assert!(from != to, "reroute endpoints must differ");
-        assert!(amount >= 0, "amount must be non-negative");
-        self.ensure_csr();
-        let fill = (prior.len() == self.n_nodes).then_some(prior);
-        let mut potential = self.take_potential(fill);
-        let repaired = self.repair_potentials(&mut potential);
-        assert!(
-            repaired,
-            "negative-cost residual cycle: reroute requires a cycle-free pseudo-flow"
-        );
-        self.run_ssp(from, to, amount, potential, false)
-    }
-
-    /// The node an arc leaves from (the head of its residual twin).
-    fn arc_tail(&self, arc: usize) -> usize {
-        self.arc_to[arc ^ 1] as usize
-    }
-
-    /// Relaxes `potential` over the residual arcs until every arc with
-    /// spare capacity has a non-negative reduced cost. Returns `false`
-    /// when `n` rounds fail to converge, which happens exactly when the
-    /// residual network contains a negative-cost cycle.
-    fn repair_potentials(&mut self, potential: &mut [i64]) -> bool {
-        self.ensure_csr();
-        let n = self.n_nodes;
-        for _ in 0..n {
-            self.stats.repair_rounds += 1;
-            let mut changed = false;
-            for u in 0..n {
-                for &ai in self.out_arcs(u) {
-                    let ai = ai as usize;
-                    let to = self.arc_to[ai] as usize;
-                    if self.arc_cap[ai] > 0 && potential[u] + self.arc_cost[ai] < potential[to] {
-                        potential[to] = potential[u] + self.arc_cost[ai];
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The successive-shortest-paths augmentation loop shared by the
-    /// cold and re-route entry points. `potential` must give non-negative
-    /// reduced costs on every residual arc; the capped update (see the
-    /// crate docs) keeps it so after every sink-bounded search. With
-    /// `layered` (a cold solve whose layer cache is built) each search
-    /// is seeded from the cached source layer whenever the pass's
-    /// potentials allow it, and the cache is refreshed after every
-    /// augmentation. Stores the final potentials for later re-routes
+    /// The successive-shortest-paths augmentation loop of a cold solve.
+    /// `potential` must give non-negative reduced costs on every residual
+    /// arc; the capped update (see the crate docs) keeps it so after
+    /// every sink-bounded search. With `layered` (the layer cache is
+    /// built) each search is seeded from the cached source layer
+    /// whenever the pass's potentials allow it, and the cache is
+    /// refreshed after every augmentation. Stores the final potentials
     /// and returns the flow *pushed by this call* (not any flow already
     /// routed).
     fn run_ssp(
@@ -957,7 +676,7 @@ impl McmfGraph {
             while v != s.0 {
                 let arc = self.search.parent[v] as usize;
                 push = push.min(self.arc_cap[arc]);
-                v = self.arc_tail(arc);
+                v = self.arc_to[arc ^ 1] as usize;
             }
             // Apply.
             let mut v = t.0;
@@ -966,14 +685,14 @@ impl McmfGraph {
                 self.write_cap(arc, self.arc_cap[arc] - push);
                 self.write_cap(arc ^ 1, self.arc_cap[arc ^ 1] + push);
                 total_cost += push * self.arc_cost[arc];
-                v = self.arc_tail(arc);
+                v = self.arc_to[arc ^ 1] as usize;
             }
             if layered {
                 self.refresh_layer_along_path(s.0, t.0);
             }
             total_flow += push;
         }
-        self.store_potentials(potential);
+        self.search.spare_potential = std::mem::replace(&mut self.potential, potential);
         FlowResult {
             flow: total_flow,
             cost: total_cost,
@@ -1167,7 +886,7 @@ impl McmfGraph {
         let mut v = t;
         while v != s {
             let arc = self.search.parent[v] as usize;
-            let x = self.arc_tail(arc);
+            let x = self.arc_to[arc ^ 1] as usize;
             let src_arc = &self.search.layer.src_arc;
             if x == s {
                 if self.arc_cap[arc] <= 0 {
@@ -1237,56 +956,39 @@ impl McmfGraph {
         self.stats.arcs_scanned += scanned;
         reached
     }
-}
 
-/// An open transaction on a [`McmfGraph`], created by
-/// [`McmfGraph::checkout`].
-///
-/// Derefs to the graph, so every solver and mutation method is available
-/// through the guard; all writes are recorded in the undo log. Dropping
-/// the guard rolls back, so a trial that unwinds mid-solve still leaves
-/// the committed network intact; call [`commit`](Transaction::commit) to
-/// keep the changes instead.
-#[derive(Debug)]
-pub struct Transaction<'a> {
-    g: &'a mut McmfGraph,
-    finished: bool,
-}
-
-impl Transaction<'_> {
-    /// Restores the network to its checkout state, bitwise, and ends the
-    /// transaction.
-    pub fn rollback(mut self) {
-        self.g.rollback_internal();
-        self.finished = true;
-    }
-
-    /// Keeps every change made during the transaction and ends it.
-    pub fn commit(mut self) {
-        self.g.commit_internal();
-        self.finished = true;
-    }
-}
-
-impl Deref for Transaction<'_> {
-    type Target = McmfGraph;
-
-    fn deref(&self) -> &McmfGraph {
-        self.g
-    }
-}
-
-impl DerefMut for Transaction<'_> {
-    fn deref_mut(&mut self) -> &mut McmfGraph {
-        self.g
-    }
-}
-
-impl Drop for Transaction<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.g.rollback_internal();
+    /// Breadth-first search for a residual path from `from` to `to`,
+    /// each node's arcs in CSR order, returning as soon as `to` is
+    /// reached. Afterwards `search.parent` holds the path's arcs.
+    fn bfs_path(&mut self, from: usize, to: usize) -> bool {
+        let SearchScratch { parent, queue, .. } = &mut self.search;
+        parent.clear();
+        parent.resize(self.n_nodes, NONE);
+        queue.clear();
+        queue.push(from as u32);
+        let mut scanned = 0u64;
+        let mut head = 0;
+        let mut reached = false;
+        while !reached && head < queue.len() {
+            let u = queue[head] as usize;
+            head += 1;
+            let arcs = &self.adj_arcs[self.adj_start[u] as usize..self.adj_start[u + 1] as usize];
+            scanned += arcs.len() as u64;
+            for &a in arcs {
+                let v = self.arc_to[a as usize] as usize;
+                if self.arc_cap[a as usize] <= 0 || v == from || parent[v] != NONE {
+                    continue;
+                }
+                parent[v] = a;
+                if v == to {
+                    reached = true;
+                    break;
+                }
+                queue.push(v as u32);
+            }
         }
+        self.stats.arcs_scanned += scanned;
+        reached
     }
 }
 
@@ -1322,30 +1024,22 @@ mod tests {
         let mut g = McmfGraph::new(3);
         let (s, a, t) = (g.node(0), g.node(1), g.node(2));
         let e = g.add_edge(s, a, 4, 1);
+        g.add_edge(s, a, 4, 3);
         g.add_edge(a, t, 4, 1);
         let empty = g.fingerprint();
         g.min_cost_max_flow(s, t);
         let committed = g.fingerprint();
         assert_ne!(empty, committed, "a solve must change the fingerprint");
 
-        // A rolled-back transaction restores the fingerprint exactly,
-        // even though it performed work (stats advance).
+        // A diversion check moves `e`'s flow onto the parallel edge and
+        // back: the fingerprint is unchanged although work was done.
         let stats_before = g.stats();
-        {
-            let mut txn = g.checkout();
-            txn.withdraw_edge_flow(e, 4);
-            txn.set_edge_capacity(e, 0);
-            txn.rollback();
-        }
+        assert!(g.can_divert(e));
         assert_eq!(g.fingerprint(), committed);
-        assert!(g.stats().delta_since(&stats_before).undo_entries > 0);
+        assert!(g.stats().delta_since(&stats_before).arcs_scanned > 0);
 
-        // A committed mutation does change it.
-        {
-            let mut txn = g.checkout();
-            txn.set_edge_capacity(e, 1);
-            txn.commit();
-        }
+        // A capacity write does change it.
+        g.set_edge_capacity(e, 1);
         assert_ne!(g.fingerprint(), committed);
     }
 
@@ -1500,15 +1194,15 @@ mod tests {
         let r2 = g.min_cost_max_flow(s, t);
         assert_eq!(r2, FlowResult { flow: 2, cost: 2 });
         assert_eq!(g.flow(e), 2);
-        g.withdraw_edge_flow(e, 2);
+        g.set_edge_capacity(e, 2);
         assert_eq!(g.flow(e), 0);
         let r3 = g.min_cost_max_flow(s, t);
         assert_eq!(r3, FlowResult { flow: 2, cost: 2 });
     }
 
-    /// Everything rollback promises to restore, cloned out for a
-    /// before/after bitwise comparison (work counters excluded by
-    /// design — they measure work, which rollback cannot unperform).
+    /// Everything a diversion check promises to leave unchanged, cloned
+    /// out for a before/after bitwise comparison (work counters excluded
+    /// by design: they measure the work the check did).
     type Fingerprint = (
         usize,
         Vec<u32>,
@@ -1516,7 +1210,7 @@ mod tests {
         Vec<i64>,
         Vec<i64>,
         Vec<i64>,
-        bool,
+        usize,
     );
 
     fn fingerprint(g: &McmfGraph) -> Fingerprint {
@@ -1527,194 +1221,8 @@ mod tests {
             g.arc_cap.clone(),
             g.edge_cap.clone(),
             g.potential.clone(),
-            g.needs_bellman_ford(),
+            g.neg_arcs,
         )
-    }
-
-    #[test]
-    fn rollback_restores_caps_and_potentials_bitwise() {
-        let mut g = McmfGraph::new(4);
-        let (s, a, b, t) = (g.node(0), g.node(1), g.node(2), g.node(3));
-        let sa = g.add_edge(s, a, 3, 1);
-        let at = g.add_edge(a, t, 3, 2);
-        g.add_edge(s, b, 2, 4);
-        let bt = g.add_edge(b, t, 2, 1);
-        g.min_cost_max_flow(s, t);
-        let committed = fingerprint(&g);
-        let prior = g.potentials().to_vec();
-
-        let mut txn = g.checkout();
-        let f = txn.flow(bt);
-        txn.withdraw_edge_flow(bt, f);
-        txn.withdraw_edge_flow(sa, 0);
-        txn.set_edge_capacity(bt, 0);
-        txn.set_edge_capacity(at, 1);
-        let rerouted = txn.min_cost_reroute(a, t, 3, &prior);
-        assert_eq!(rerouted, FlowResult { flow: 1, cost: 2 });
-        txn.rollback();
-
-        assert_eq!(fingerprint(&g), committed);
-        assert!(g.stats().undo_entries > 0);
-        assert_eq!(g.stats().rollbacks, 1);
-        assert!(!g.in_transaction());
-        // The untouched graph re-solves to a no-op, proving the residual
-        // network really is the committed one.
-        let again = g.min_cost_max_flow(s, t);
-        assert_eq!(again, FlowResult { flow: 0, cost: 0 });
-    }
-
-    #[test]
-    fn dropping_the_guard_rolls_back() {
-        let mut g = McmfGraph::new(2);
-        let (s, t) = (g.node(0), g.node(1));
-        let e = g.add_edge(s, t, 5, 1);
-        g.min_cost_max_flow(s, t);
-        let committed = fingerprint(&g);
-        {
-            let mut txn = g.checkout();
-            txn.set_edge_capacity(e, 0);
-        } // guard dropped without rollback/commit
-        assert_eq!(fingerprint(&g), committed);
-        assert_eq!(g.stats().rollbacks, 1);
-    }
-
-    #[test]
-    fn commit_keeps_transactional_changes() {
-        let mut g = McmfGraph::new(2);
-        let (s, t) = (g.node(0), g.node(1));
-        let e = g.add_edge(s, t, 5, 1);
-        g.min_cost_max_flow(s, t);
-        let txn = {
-            let mut txn = g.checkout();
-            txn.set_edge_capacity(e, 3);
-            txn
-        };
-        txn.commit();
-        assert_eq!(g.flow(e), 0);
-        assert_eq!(g.stats().rollbacks, 0);
-        let r = g.min_cost_max_flow(s, t);
-        assert_eq!(r, FlowResult { flow: 3, cost: 3 });
-    }
-
-    #[test]
-    #[should_panic(expected = "nested transactions")]
-    fn nested_checkout_rejected() {
-        let mut g = McmfGraph::new(2);
-        let (s, t) = (g.node(0), g.node(1));
-        g.add_edge(s, t, 1, 0);
-        let mut txn = g.checkout();
-        let _inner = txn.checkout();
-    }
-
-    #[test]
-    #[should_panic(expected = "inside a transaction")]
-    fn add_edge_inside_transaction_rejected() {
-        let mut g = McmfGraph::new(2);
-        let (s, t) = (g.node(0), g.node(1));
-        g.add_edge(s, t, 1, 0);
-        let mut txn = g.checkout();
-        let _ = txn.add_edge(s, t, 1, 0);
-    }
-
-    #[test]
-    fn undo_log_records_first_write_per_slot_only() {
-        let mut g = McmfGraph::new(2);
-        let (s, t) = (g.node(0), g.node(1));
-        let e = g.add_edge(s, t, 5, 1);
-        let mut txn = g.checkout();
-        // Three writes to the same two arc slots: only the first write
-        // of each slot lands in the log.
-        txn.withdraw_edge_flow(e, 0);
-        txn.set_edge_capacity(e, 4);
-        txn.set_edge_capacity(e, 2);
-        txn.set_edge_capacity(e, 1);
-        txn.rollback();
-        // One arc-cap slot (forward; the reverse stayed 0 throughout)
-        // plus one stored-edge-cap slot.
-        assert_eq!(g.stats().undo_entries, 2);
-        assert_eq!(g.edge_cap[0], 5);
-    }
-
-    #[test]
-    fn reroute_after_sink_deletion_matches_cold_solve() {
-        // Sink-arc deletion as the WDM trial runs it: withdraw only the
-        // deleted sink edge's flow (arc removals keep the committed
-        // potentials feasible), then re-push the displaced units from
-        // the WDM node to the sink. Flow value and cost must match a
-        // cold solve of the reduced network, with no Bellman-Ford and a
-        // single converged repair round — in both the feasible and the
-        // infeasible case.
-        let build = |capacity: i64| {
-            let mut g = McmfGraph::new(7);
-            let s = g.node(0);
-            let t = g.node(6);
-            for i in 0..3 {
-                g.add_edge(s, g.node(1 + i), 20, 0);
-            }
-            let mut wdm = Vec::new();
-            for i in 0..3usize {
-                for j in 0..2usize {
-                    let cost = (i as i64 - j as i64).abs();
-                    g.add_edge(g.node(1 + i), g.node(4 + j), 20, cost);
-                }
-            }
-            for j in 0..2 {
-                wdm.push(g.add_edge(g.node(4 + j), t, capacity, 10));
-            }
-            (g, wdm)
-        };
-
-        // capacity 64: WDM 0 can absorb all 60 bits, deletion feasible;
-        // capacity 32: it cannot, deletion infeasible.
-        for capacity in [64i64, 32] {
-            let (mut committed, wdm) = build(capacity);
-            let (s, t) = (committed.node(0), committed.node(6));
-            let full = committed.min_cost_max_flow(s, t);
-            assert_eq!(full.flow, 60);
-            let prior = committed.potentials().to_vec();
-
-            let (mut cold, cold_wdm) = build(capacity);
-            cold.set_edge_capacity(cold_wdm[1], 0);
-            let cold_result = cold.min_cost_max_flow(cold.node(0), cold.node(6));
-
-            committed.reset_stats();
-            let before = fingerprint(&committed);
-            let (displaced, rerouted) = {
-                let mut txn = committed.checkout();
-                let f = txn.flow(wdm[1]);
-                txn.withdraw_edge_flow(wdm[1], f);
-                txn.set_edge_capacity(wdm[1], 0);
-                let w1 = txn.node(5);
-                let r = txn.min_cost_reroute(w1, t, f, &prior);
-                txn.rollback();
-                (f, r)
-            };
-
-            assert!(displaced > 0, "committed plan must load WDM 1");
-            assert_eq!(
-                60 - displaced + rerouted.flow,
-                cold_result.flow,
-                "cap {capacity}: rerouted flow value"
-            );
-            let feasible = rerouted.flow == displaced;
-            assert_eq!(feasible, capacity == 64, "cap {capacity}: feasibility");
-            if feasible {
-                // With the full excess re-routed the result is a real
-                // flow again, and cost-optimal for its value.
-                assert_eq!(
-                    full.cost - 10 * displaced + rerouted.cost,
-                    cold_result.cost,
-                    "cap {capacity}: rerouted flow must stay cost-optimal"
-                );
-            }
-            assert_eq!(fingerprint(&committed), before);
-            let stats = committed.stats();
-            assert_eq!(
-                stats.bellman_ford_rounds, 0,
-                "removals keep priors feasible"
-            );
-            assert_eq!(stats.repair_rounds, 1, "one converged verification round");
-        }
     }
 
     #[test]
@@ -1771,9 +1279,9 @@ mod tests {
     /// reduced cost under the stored potentials — the invariant every
     /// Dijkstra pass relies on.
     fn potentials_feasible(g: &McmfGraph) -> bool {
-        let p = g.potentials();
+        let p = &g.potential;
         (0..g.arc_cap.len()).all(|a| {
-            let (u, v) = (g.arc_tail(a), g.arc_to[a] as usize);
+            let (u, v) = (g.arc_to[a ^ 1] as usize, g.arc_to[a] as usize);
             g.arc_cap[a] <= 0 || g.arc_cost[a] + p[u] - p[v] >= 0
         })
     }
@@ -1796,7 +1304,7 @@ mod tests {
         assert_eq!(g.stats().arcs_scanned, 2, "only s was settled");
         // Capped update: settled s gets 0, t gets d_t = 1, and the
         // unsettled a (tentative 5) and unreached b are capped at 1.
-        assert_eq!(g.potentials(), &[0, 1, 1, 1]);
+        assert_eq!(g.potential, [0, 1, 1, 1]);
         assert!(potentials_feasible(&g));
         let rest = g.min_cost_max_flow(s, t);
         assert_eq!(
@@ -2123,16 +1631,14 @@ mod tests {
         }
 
         /// The sink-bounded search's capped potential update keeps every
-        /// residual reduced cost non-negative after cold and reroute
-        /// solves and after a rollback. Edge costs are non-negative, so
-        /// the zero potentials the cold solve starts from are feasible on
-        /// every arc, reachable or not.
+        /// residual reduced cost non-negative after a cold solve. Edge
+        /// costs are non-negative, so the zero potentials the cold solve
+        /// starts from are feasible on every arc, reachable or not.
         #[test]
         fn potentials_stay_feasible(
             n in 2usize..8,
             raw_edges in proptest::collection::vec(
                 (0usize..8, 0usize..8, 0i64..10, 0i64..20), 1..24),
-            trials in proptest::collection::vec(0usize..24, 1..6),
         ) {
             let edges: Vec<_> = raw_edges
                 .into_iter()
@@ -2143,101 +1649,71 @@ mod tests {
                 return Ok(());
             }
             let mut g = McmfGraph::new(n);
-            let handles: Vec<_> = edges
-                .iter()
-                .map(|&(u, v, cap, cost)| g.add_edge(g.node(u), g.node(v), cap, cost))
-                .collect();
+            for &(u, v, cap, cost) in &edges {
+                g.add_edge(g.node(u), g.node(v), cap, cost);
+            }
             let (s, t) = (g.node(0), g.node(1));
             let cold = g.min_cost_max_flow(s, t);
             prop_assert!(potentials_feasible(&g), "after min_cost_max_flow");
             prop_assert_eq!(cold, ssp_bellman_oracle(n, &edges, 0, 1));
-            let prior = g.potentials().to_vec();
-            for &which in &trials {
-                let e = handles[which % handles.len()];
-                let (u, v, _, _) = edges[which % handles.len()];
-                let mut txn = g.checkout();
-                // Delete one edge the way the WDM trials do: withdraw its
-                // flow and zero its capacity (arc removals only).
-                let f = txn.flow(e);
-                if f > 0 {
-                    txn.withdraw_edge_flow(e, f);
-                }
-                txn.set_edge_capacity(e, 0);
-                let _ = txn.min_cost_reroute(NodeId(u), NodeId(v), f, &prior);
-                prop_assert!(potentials_feasible(&txn), "after min_cost_reroute");
-                txn.rollback();
-                prop_assert!(potentials_feasible(&g), "after rollback");
-                prop_assert_eq!(g.potentials(), &prior[..]);
-            }
         }
 
-        /// The tentpole guarantee: checkout → arbitrary mutations
-        /// (withdrawals, capacity edits, re-routes and cold solves)
-        /// → rollback restores the network bitwise, and the O(1)
-        /// negative-arc counter always agrees with a full rescan.
-        #[test]
-        fn rollback_is_bitwise_and_neg_counter_exact(
-            n in 2usize..7,
-            raw_edges in proptest::collection::vec(
-                (0usize..7, 0usize..7, 0i64..10, -5i64..20), 1..18),
-            ops in proptest::collection::vec((0u8..4, 0usize..18, 0i64..10), 1..12),
-        ) {
-            let edges: Vec<_> = raw_edges
-                .into_iter()
-                .map(|(u, v, cap, cost)| (u % n, v % n, cap, cost))
-                .filter(|&(u, v, _, _)| u != v)
-                .collect();
-            if edges.is_empty() {
-                return Ok(());
-            }
-            let mut g = McmfGraph::new(n);
-            let handles: Vec<_> = edges
-                .iter()
-                .map(|&(u, v, cap, cost)| g.add_edge(g.node(u), g.node(v), cap, cost))
-                .collect();
-            // Negative cycles make min-cost flow undefined; skip them.
-            if !g.clone().repair_potentials(&mut vec![0i64; n]) {
-                return Ok(());
-            }
-            let (s, t) = (g.node(0), g.node(1));
-            g.min_cost_max_flow(s, t);
-            let prior = g.potentials().to_vec();
-            let committed = fingerprint(&g);
+    }
 
-            let mut txn = g.checkout();
-            for &(op, which, amount) in &ops {
-                let e = handles[which % handles.len()];
-                match op {
-                    0 => {
-                        let f = txn.flow(e).min(amount);
-                        if f > 0 {
-                            txn.withdraw_edge_flow(e, f);
-                        }
-                    }
-                    1 => txn.set_edge_capacity(e, amount),
-                    // Re-routes and cold solves both panic on a negative
-                    // residual cycle; skip them when one exists.
-                    2 => {
-                        let (u, v, _, _) = edges[which % handles.len()];
-                        if txn.clone().repair_potentials(&mut vec![0i64; n]) {
-                            let _ = txn.min_cost_reroute(NodeId(u), NodeId(v), amount, &prior);
-                        }
-                    }
-                    _ => {
-                        if txn.clone().repair_potentials(&mut vec![0i64; n]) {
-                            let _ = txn.min_cost_max_flow(s, t);
-                        }
-                    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+        /// `can_divert` answers a tentative deletion's max-flow question
+        /// exactly and leaves the network bitwise as it found it. Each
+        /// assignment-shaped network is solved, then some of its idle
+        /// sink edges are closed, as the WDM reduction closes idle
+        /// waveguides. Every edge, sink edges included, is then checked
+        /// against a cold solve of the network with that edge at
+        /// capacity 0, which must carry the solved flow for the check to
+        /// say yes. Small capacities leave some waveguides unused and
+        /// others saturated; repeated `(connection, waveguide)` pairs
+        /// give parallel arcs; negative costs keep the negative-arc
+        /// counter busy.
+        #[test]
+        fn can_divert_matches_cold_solve_and_restores_bitwise(
+            conns in proptest::collection::vec((0i64..6, 0u8..8), 1..7),
+            assign in proptest::collection::vec(
+                (0usize..7, 0usize..5, 0i64..5, -1i64..3), 0..24),
+            sinks in proptest::collection::vec((0i64..8, 0i64..3), 1..6),
+            close_idle in proptest::collection::vec(any::<bool>(), 6),
+            order in 0u8..3,
+            sink_last in any::<bool>(),
+        ) {
+            let conns: Vec<_> = conns
+                .into_iter()
+                .map(|(cap, c)| (cap, [0, 0, 0, 0, 0, -2, 1, 3][c as usize]))
+                .collect();
+            let (mut g, mut edges, s, t) =
+                assignment_network(&conns, &assign, &sinks, order, sink_last);
+            let full = g.min_cost_max_flow(s, t).flow;
+            let mut sink_edges = 0;
+            for (e, edge) in edges.iter_mut().enumerate() {
+                if edge.1 != t.0 {
+                    continue;
                 }
-                prop_assert_eq!(
-                    txn.needs_bellman_ford(),
-                    scan_needs_bellman_ford(&txn),
-                    "negative-arc counter diverged from rescan"
-                );
+                if g.flow(EdgeId(e)) == 0 && close_idle[sink_edges] {
+                    g.set_edge_capacity(EdgeId(e), 0);
+                    edge.2 = 0;
+                }
+                sink_edges += 1;
             }
-            txn.rollback();
-            prop_assert_eq!(fingerprint(&g), committed);
-            prop_assert_eq!(g.needs_bellman_ford(), scan_needs_bellman_ford(&g));
+            let committed = fingerprint(&g);
+            for e in 0..edges.len() {
+                let mut reduced = edges.clone();
+                reduced[e].2 = 0;
+                let mut cold = McmfGraph::new(g.node_count());
+                for &(u, v, cap, cost) in &reduced {
+                    cold.add_edge(NodeId(u), NodeId(v), cap, cost);
+                }
+                let carries_full = cold.min_cost_max_flow(s, t).flow == full;
+                prop_assert_eq!(g.can_divert(EdgeId(e)), carries_full, "edge {}", e);
+                prop_assert_eq!(fingerprint(&g), committed.clone(), "edge {}", e);
+                prop_assert_eq!(g.needs_bellman_ford(), scan_needs_bellman_ford(&g));
+            }
         }
     }
 }

@@ -704,11 +704,6 @@ fn handle_session_request(
                     Value::Int(stats.wdm.orientations_reused as i64),
                 ),
                 (
-                    "wdm_undo_entries",
-                    Value::Int(stats.wdm.mcmf.undo_entries as i64),
-                ),
-                ("wdm_rollbacks", Value::Int(stats.wdm.mcmf.rollbacks as i64)),
-                (
                     "wdm_networks_cloned",
                     Value::Int(stats.wdm.mcmf.networks_cloned as i64),
                 ),
