@@ -17,7 +17,10 @@
 //! The timing criterion is a same-run ratio, so it holds on noisy shared
 //! hardware: the dense fixture's grid build at least 5× over brute force
 //! (asserted). Each row also records the built index's heap size
-//! (`index_kib`) and whether each thread count ran the parallel path.
+//! (`index_kib`) and its heap bytes per crossing pair (`bytes_per_pair`),
+//! which must stay at most 40 on the full I2 set (asserted, also under
+//! `--smoke`, where the I2 prefix is checked against the same ceiling),
+//! and whether each thread count ran the parallel path.
 //!
 //! `--smoke` shrinks every fixture, keeps every identity assertion, and
 //! skips the timing criterion and the JSON write — the cheap CI gate.
@@ -37,6 +40,9 @@ use operon_optics::{ElectricalParams, OpticalLib};
 use operon_steiner::{NodeKind, RouteTree};
 
 const ITERS: u32 = 3;
+/// Ceiling on the I2 index's heap bytes per crossing pair, every arena
+/// counted.
+const MAX_BYTES_PER_PAIR: f64 = 40.0;
 const THREADS: [usize; 3] = [1, 2, 8];
 
 fn main() {
@@ -225,7 +231,8 @@ fn assert_index_eq(a: &CrossingIndex, b: &CrossingIndex, label: &str) {
 
 fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
     let scale = if smoke { 4 } else { 1 };
-    // (name, nets, grid ≥5× vs brute?, above the parallel threshold?)
+    // (name, nets, grid ≥5× vs brute?, above the parallel threshold
+    // and held to the bytes-per-pair ceiling?)
     let fixtures: Vec<(&str, Vec<NetCandidates>, bool, bool)> = vec![
         ("sparse_scattered", sparse_nets(240 / scale), false, false),
         (
@@ -249,7 +256,7 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
         }
 
         let mut grid_seq_ms = f64::INFINITY;
-        let mut index_kib = 0;
+        let mut index_bytes = 0;
         let mut per_thread = Vec::new();
         for threads in THREADS {
             let exec = Executor::new(threads);
@@ -271,7 +278,7 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
                     );
                 }
                 ran_parallel = grid.built_parallel();
-                index_kib = grid.heap_bytes().div_ceil(1024);
+                index_bytes = grid.heap_bytes();
             }
             if threads == 1 {
                 grid_seq_ms = best_ms;
@@ -284,12 +291,22 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
         }
 
         let speedup = reference_ms / grid_seq_ms;
+        let index_kib = index_bytes.div_ceil(1024);
+        let bytes_per_pair = index_bytes as f64 / reference.len().max(1) as f64;
         println!(
-            "crossing {name}: {nets} nets, {pairs} pairs, {index_kib} KiB index, \
-             brute {reference_ms:.2} ms, grid {grid_seq_ms:.2} ms ({speedup:.1}x)",
+            "crossing {name}: {nets} nets, {pairs} pairs, {index_kib} KiB index \
+             ({bytes_per_pair:.1} B/pair), brute {reference_ms:.2} ms, \
+             grid {grid_seq_ms:.2} ms ({speedup:.1}x)",
             nets = nets.len(),
             pairs = reference.len(),
         );
+        if parallel {
+            assert!(
+                bytes_per_pair <= MAX_BYTES_PER_PAIR,
+                "{name}: the index must hold at most {MAX_BYTES_PER_PAIR} B \
+                 per crossing pair ({bytes_per_pair:.1})"
+            );
+        }
         if must_speed_up {
             assert!(
                 speedup >= 5.0,
@@ -302,6 +319,7 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             ("nets", Value::from(nets.len())),
             ("crossing_pairs", Value::from(reference.len())),
             ("index_kib", Value::from(index_kib)),
+            ("bytes_per_pair", Value::from(bytes_per_pair)),
             ("brute_force_best_ms", Value::from(reference_ms)),
             ("grid_best_ms", Value::from(grid_seq_ms)),
             ("speedup", Value::from(speedup)),

@@ -27,11 +27,11 @@
 //!   Retained as the equivalence oracle for tests and benchmarks.
 //!
 //! The spatial builds pass their crossings through one funnel (see
-//! `funnel`): a counting sort buckets the packed hits (see `Hit`) by
+//! `funnel`): a counting sort buckets the 8-byte hits (see `Hit`) by
 //! candidate A, and contiguous candidate ranges then sort, deduplicate
 //! and assemble their buckets on the executor's workers, each into its
 //! own window of the arenas. Every build fills the same arenas in
-//! ascending key order, so the index is a pure function of the candidate
+//! ascending pair order, so the index is a pure function of the candidate
 //! set — independent of builder, cell count, range count, iteration
 //! order, and thread count.
 //!
@@ -39,29 +39,39 @@
 //!
 //! No record owns a heap allocation: the index is a handful of flat
 //! vectors, so building, cloning and dropping it touch a few large
-//! buffers, and no tree map sits on any hot path.
+//! buffers, and no tree map sits on any hot path. Candidates get dense
+//! global ids in `(net, cand)` order — net `n`'s candidates are ids
+//! `cand_base[n]..cand_base[n + 1]`, the numbering of the LR multiplier
+//! arena — and `net_of` maps an id back to its net, so id order is
+//! `(net, cand)` order.
 //!
-//! * **Records.** `keys` holds the packed pair keys in ascending order
-//!   (integer order is `(net_a, cand_a, net_b, cand_b)` order); record
-//!   `i` belongs to `keys[i]`. All per-path counts share one `counts`
-//!   arena of `(path, crossings)` entries: with `(a_end, b_end) =
-//!   ends[i]` and `start` the previous record's `b_end`, side A is
-//!   `counts[start..a_end]` and side B `counts[a_end..b_end]`.
-//!   `totals[i]` is the pair's segment-crossing count. [`PairCross`] is a
-//!   `Copy` view of one record; `pair()` is a binary search over `keys`.
-//! * **Neighbor lists.** Candidates get dense global ids in `(net, cand)`
-//!   order — net `n`'s candidates are ids `cand_base[n]..cand_base[n +
-//!   1]` — and candidate `g`'s list is `adj[adj_off[g]..adj_off[g + 1]]`,
-//!   an O(1) slice. A 12-byte [`Neighbor`] names the other candidate and
-//!   the record, with the list owner's side in the handle's top bit. The
+//! * **Records.** Pairs are rows by side-A candidate (the one on the
+//!   lower net): row `g` is records `row_off[g]..row_off[g + 1]`, and
+//!   `partner[i]` is record `i`'s side-B id, ascending within the row.
+//!   `pair()` is a binary search within one row. `shape[i]` holds the
+//!   record's counts in 4 bytes: its total and a code per side naming a
+//!   slice of the static `INLINE_SIDES` table, which lists every side of
+//!   at most two entries with path indexes below `INLINE_PATHS` and
+//!   counts up to `INLINE_COUNT`. A record that does not fit (wider
+//!   sides, larger counts or totals) sets the word's `WIDE` bit and
+//!   indexes the wide arenas instead, laid out like a plain count arena.
+//!   Either way [`PairCross`] borrows its per-path slices.
+//! * **Neighbor lists.** Candidate `g`'s list is
+//!   `adj[adj_off[g]..adj_off[g + 1]]`, an O(1) slice. An 8-byte
+//!   [`Neighbor`] names the other candidate by global id and the record
+//!   by index, with the list owner's side in the handle's top bit. The
 //!   lists are filled by a counting sort in record order, so each one is
-//!   ascending by record.
+//!   ascending by record, which is ascending by the other candidate's
+//!   `(net, cand)`.
 //!
-//! Builds write records straight from the sorted hits: the grid build
-//! through the funnel, [`CrossingIndex::rebuild_delta`] by merging its
-//! retained rows with the funnel's recounted records. The neighbor arena
-//! is derived last, after the hit buffer is freed. Record
-//! handles are positions in key order, re-derived by every build.
+//! A pair thus costs 8 bytes of record and 16 of neighbor entries, plus
+//! 12 bytes per candidate (`row_off`, `adj_off`, `net_of`) and the rare
+//! wide record. Builds write records straight from the sorted hits: the
+//! grid build through the funnel, [`CrossingIndex::rebuild_delta`] by
+//! merging its retained rows, restated in the new candidate ids, with the
+//! funnel's recounted records. The neighbor arena is derived last, after
+//! the hit buffer is freed. Record handles are positions in pair order,
+//! re-derived by every build.
 
 use crate::codesign::{CandidateRoute, NetCandidates, PathLoss};
 use operon_exec::Executor;
@@ -92,38 +102,125 @@ const OWNER_IS_A: u32 = 1 << 31;
 /// One entry of a candidate's neighbor list: a candidate of another net
 /// that it crosses, plus a direct handle to the shared crossing record so
 /// hot pricing loops read per-path counts without any search per query.
+/// [`CrossingIndex::neighbor_key`] names the other candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Neighbor {
-    net: u32,
-    cand: u32,
+    /// Global id of the other candidate.
+    id: u32,
     /// Record index, with [`OWNER_IS_A`] set when the list owner is
     /// side A of the record.
     handle: u32,
 }
 
 impl Neighbor {
-    /// The crossing net.
+    /// Global id of the other candidate: net `n`'s candidates are
+    /// numbered consecutively in `(net, cand)` order, as in the LR
+    /// multiplier arena.
     #[inline]
-    pub fn net(&self) -> usize {
-        self.net as usize
-    }
-
-    /// The crossing net's candidate index.
-    #[inline]
-    pub fn cand(&self) -> usize {
-        self.cand as usize
-    }
-
-    /// The `(net, cand)` pair of this neighbor.
-    #[inline]
-    pub fn key(&self) -> (usize, usize) {
-        (self.net(), self.cand())
+    pub(crate) fn id(&self) -> usize {
+        self.id as usize
     }
 
     #[inline]
     fn record(&self) -> usize {
         (self.handle & !OWNER_IS_A) as usize
     }
+}
+
+/// Path indexes an inline side may name: `0..INLINE_PATHS`.
+const INLINE_PATHS: u32 = 4;
+/// Crossing counts an inline side entry may hold: `1..=INLINE_COUNT`.
+const INLINE_COUNT: u32 = 8;
+/// Inline sides of one entry: codes `1..=SINGLES`.
+const SINGLES: u32 = INLINE_PATHS * INLINE_COUNT;
+/// Inline sides of two entries: the next `DOUBLES` codes.
+const DOUBLES: u32 = INLINE_PATHS * (INLINE_PATHS - 1) / 2 * INLINE_COUNT * INLINE_COUNT;
+/// Bits of one side's code in a shape word (code 0 is the empty side).
+const SIDE_BITS: u32 = 10;
+const SIDE_MASK: u32 = (1 << SIDE_BITS) - 1;
+/// Top bit of a shape word: the record lives in the wide arenas, and the
+/// rest of the word is its index there. Otherwise the word is `total <<
+/// 2·SIDE_BITS | side A code << SIDE_BITS | side B code`.
+const WIDE: u32 = 1 << 31;
+/// The largest total an inline shape word holds.
+const INLINE_TOTAL_MAX: u32 = (WIDE >> (2 * SIDE_BITS)) - 1;
+const _: () = assert!(1 + SINGLES + DOUBLES <= 1 << SIDE_BITS);
+
+/// Every inline side's entries, back to back: the one-entry sides in
+/// `(path, count)` order, then the two-entry sides in `(path, path',
+/// count, count')` order. `inline_side` maps a code to its slice.
+static INLINE_SIDES: [(u32, u32); (SINGLES + 2 * DOUBLES) as usize] = inline_sides();
+
+const fn inline_sides() -> [(u32, u32); (SINGLES + 2 * DOUBLES) as usize] {
+    let mut t = [(0, 0); (SINGLES + 2 * DOUBLES) as usize];
+    let mut k = 0;
+    let mut p = 0;
+    while p < INLINE_PATHS {
+        let mut c = 1;
+        while c <= INLINE_COUNT {
+            t[k] = (p, c);
+            k += 1;
+            c += 1;
+        }
+        p += 1;
+    }
+    let mut p = 0;
+    while p < INLINE_PATHS {
+        let mut q = p + 1;
+        while q < INLINE_PATHS {
+            let mut c = 1;
+            while c <= INLINE_COUNT {
+                let mut d = 1;
+                while d <= INLINE_COUNT {
+                    t[k] = (p, c);
+                    t[k + 1] = (q, d);
+                    k += 2;
+                    d += 1;
+                }
+                c += 1;
+            }
+            q += 1;
+        }
+        p += 1;
+    }
+    t
+}
+
+/// The code of a side listed in [`INLINE_SIDES`] (0 for the empty side),
+/// or `None` when the side does not fit.
+fn side_code(side: &PathCounts) -> Option<u32> {
+    let fits = |p: u32, c: u32| p < INLINE_PATHS && (1..=INLINE_COUNT).contains(&c);
+    match *side {
+        [] => Some(0),
+        [(p, c)] if fits(p, c) => Some(1 + p * INLINE_COUNT + c - 1),
+        [(p, c), (q, d)] if p < q && fits(p, c) && fits(q, d) => {
+            // Rank of `(p, q)` among the path pairs, in table order.
+            let rank = p * (2 * INLINE_PATHS - p - 1) / 2 + (q - p - 1);
+            Some(1 + SINGLES + (rank * INLINE_COUNT + c - 1) * INLINE_COUNT + d - 1)
+        }
+        _ => None,
+    }
+}
+
+/// The side an inline code names.
+#[inline]
+fn inline_side(code: u32) -> &'static PathCounts {
+    let code = code as usize;
+    let singles = SINGLES as usize;
+    if code <= singles {
+        &INLINE_SIDES[code.saturating_sub(1)..code]
+    } else {
+        let at = singles + 2 * (code - 1 - singles);
+        &INLINE_SIDES[at..at + 2]
+    }
+}
+
+/// A record's inline shape word, or `None` when it must go wide.
+fn inline_word(per_a: &PathCounts, per_b: &PathCounts, total: usize) -> Option<u32> {
+    let total = u32::try_from(total)
+        .ok()
+        .filter(|&t| t <= INLINE_TOTAL_MAX)?;
+    Some(total << (2 * SIDE_BITS) | side_code(per_a)? << SIDE_BITS | side_code(per_b)?)
 }
 
 /// Estimated grid pair tests below which the build runs inline.
@@ -167,23 +264,25 @@ struct SegRef {
 
 /// All pairwise crossing counts over a candidate set.
 ///
-/// Flat arenas throughout (see the module docs): sorted packed keys with
-/// one shared path-count arena, a CSR neighbor arena indexed by global
-/// candidate id, and a CSR net-level coupling graph. Iteration order is
-/// the sorted key order, so runs are bit-reproducible without any tree
-/// map.
+/// Flat arenas throughout (see the module docs): per side-A candidate, a
+/// row of side-B ids with one 4-byte shape word per record, a wide arena
+/// for the records whose counts do not fit the word, and a CSR neighbor
+/// arena of 8-byte entries indexed by global candidate id. Iteration
+/// order is `(net_a, cand_a, net_b, cand_b)` order, so runs are
+/// bit-reproducible without any tree map.
 #[derive(Clone, Debug, Default)]
 pub struct CrossingIndex {
-    /// Sorted packed pair keys ([`pack_key`]); record `i` is `keys[i]`.
-    keys: Vec<u128>,
-    /// Per-path count arena, record by record, side A before side B.
-    counts: Vec<(u32, u32)>,
-    /// Per record, the end offsets of its side-A and side-B counts.
-    ends: Vec<(u32, u32)>,
-    /// Per record, the total segment crossings.
-    totals: Vec<u32>,
-    /// Global candidate id prefix over nets, `nets + 1` entries.
-    cand_base: Vec<u32>,
+    /// Global candidate ids of the nets the index was built from.
+    ids: CandIds,
+    /// Row offsets into `partner` and `shape`, one row per side-A
+    /// candidate id.
+    row_off: Vec<u32>,
+    /// Per record, the side-B candidate id.
+    partner: Vec<u32>,
+    /// Per record, the inline shape word or the [`WIDE`] arena index.
+    shape: Vec<u32>,
+    /// The records whose counts do not fit a shape word.
+    wide: WideRecords,
     /// CSR offsets into `adj`, one row per global candidate id.
     adj_off: Vec<u32>,
     /// Neighbor arena: candidate `g`'s list is
@@ -196,14 +295,10 @@ pub struct CrossingIndex {
 
 impl PartialEq for CrossingIndex {
     fn eq(&self, other: &Self) -> bool {
-        // The record arenas are laid out canonically (key order, side A
-        // first), the neighbor arena is a pure function of the keys, and
-        // `parallel` is provenance, not content: two indexes are equal
-        // iff their pair maps are.
-        self.keys == other.keys
-            && self.totals == other.totals
-            && self.ends == other.ends
-            && self.counts == other.counts
+        // The arenas are laid out canonically, the neighbor arena is a
+        // pure function of the records, and `parallel` is provenance, not
+        // content: two indexes are equal iff their pair maps are.
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -242,7 +337,7 @@ impl CrossingIndex {
         let (pairs, parallel) = grid_pairs(&segs, dims, exec);
         let ranges = ranges.unwrap_or(grid_tasks(parallel, exec));
         let records = funnel(nets, &ids, segs, pairs, |_, _| true, ranges, exec);
-        Self::from_records(records, ids.base, parallel)
+        Self::from_records(records, ids, parallel)
     }
 
     #[cfg(test)]
@@ -266,10 +361,11 @@ impl CrossingIndex {
     /// optical boxes. Retained as the equivalence oracle — the grid build
     /// must produce a byte-identical index.
     pub fn build_reference(nets: &[NetCandidates]) -> Self {
+        let ids = CandIds::new(nets);
         // Net-level prefilter: union bbox of all optical candidates.
         let net_bbox = net_bboxes(nets);
 
-        let mut rows: Vec<(u128, OwnedRecord)> = Vec::new();
+        let mut rows: Vec<(u32, u32, OwnedRecord)> = Vec::new();
         for (a, bb_a) in net_bbox.iter().enumerate() {
             let Some(bb_a) = bb_a else { continue };
             for b in a + 1..nets.len() {
@@ -289,34 +385,42 @@ impl CrossingIndex {
                             continue;
                         }
                         if let Some(record) = count_pair(ca, cb) {
-                            let key = pack_key(a as u32, ai as u32, b as u32, bi as u32);
-                            rows.push((key, record));
+                            let ga = ids.base[a] + ai as u32;
+                            let gb = ids.base[b] + bi as u32;
+                            rows.push((ga, gb, record));
                         }
                     }
                 }
             }
         }
 
-        rows.sort_unstable_by_key(|row| row.0);
-        let mut records = Records::with_capacity(rows.len());
-        for (key, (per_a, per_b, total)) in &rows {
-            records.push(*key, per_a, per_b, *total);
+        rows.sort_unstable_by_key(|row| (row.0, row.1));
+        let mut records = Records::new(ids.len(), rows.len());
+        for (ga, gb, (per_a, per_b, total)) in &rows {
+            records.push(*ga, *gb, per_a, per_b, *total);
         }
-        Self::from_records(records, CandIds::new(nets).base, false)
+        Self::from_records(records.finish(), ids, false)
     }
 
     /// Rebuilds the index after the candidates of `changed` nets were
     /// replaced, reusing every record that involves no changed net.
     /// Equivalent to a full [`build_with`](Self::build_with) of the new
-    /// candidate set, at the cost of the changed rows only.
+    /// candidate set, at the cost of the changed rows only. A net whose
+    /// candidate count differs from the indexed one, or that the index
+    /// does not know, counts as changed whether listed or not.
     ///
     /// Implementation: the dirty neighborhood — changed nets plus every
     /// net whose bounding box overlaps a changed net's — gets its own
     /// grid pass, whose hits are kept only when they involve a changed
-    /// net. Every retained row involves no changed net, so the two key
-    /// sets are disjoint and one linear merge appends both in key order.
+    /// net. Every retained row involves no changed net, so the two pair
+    /// sets are disjoint and one linear merge appends both in pair order;
+    /// retained rows are restated in the new candidate ids, which move
+    /// whenever an earlier net's candidate count changed.
     pub fn rebuild_delta(&self, nets: &[NetCandidates], changed: &[usize]) -> Self {
-        let mut is_changed = vec![false; nets.len()];
+        let ids = CandIds::new(nets);
+        let mut is_changed: Vec<bool> = (0..nets.len())
+            .map(|i| self.ids.count(i) != Some(nets[i].candidates.len()))
+            .collect();
         for &i in changed {
             if i < nets.len() {
                 is_changed[i] = true;
@@ -326,7 +430,6 @@ impl CrossingIndex {
         // Dirty neighborhood: changed nets and bbox-overlapping others.
         // A pair crossing a changed net must overlap its bbox, so the
         // local grid pass sees every pair that needs recounting.
-        let ids = CandIds::new(nets);
         let net_bbox = net_bboxes(nets);
         let changed_boxes: Vec<BoundingBox> = (0..nets.len())
             .filter(|&i| is_changed[i])
@@ -353,91 +456,90 @@ impl CrossingIndex {
             &Executor::sequential(),
         );
 
-        // Retained rows (both nets unchanged) interleaved with the
-        // recounted records, in key order.
-        let mut records = Records::with_capacity(self.len() + recount.keys.len());
-        let mut fresh = (0..recount.keys.len()).peekable();
-        for (i, &key) in self.keys.iter().enumerate() {
-            let (na, nb) = key_nets(key);
-            if na >= nets.len() || nb >= nets.len() || is_changed[na] || is_changed[nb] {
+        // Retained rows (both nets unchanged, so each keeps its candidate
+        // indexes) restated in the new ids and interleaved with the
+        // recounted records, in pair order. `new_id` maps every old id
+        // of an unchanged net to its new id, and the rest to `None`.
+        let new_id: Vec<Option<u32>> = (0..self.ids.len() as u32)
+            .map(|g| {
+                let (net, cand) = self.ids.split(g);
+                let kept = is_changed.get(net as usize) == Some(&false);
+                kept.then(|| ids.base[net as usize] + cand)
+            })
+            .collect();
+        let mut records = Records::new(ids.len(), self.len() + recount.partner.len());
+        let mut fresh = record_ids(&recount.row_off, &recount.partner).peekable();
+        for (ga, gb, i) in record_ids(&self.row_off, &self.partner) {
+            let (Some(ga), Some(gb)) = (new_id[ga as usize], new_id[gb as usize]) else {
                 continue;
+            };
+            while let Some((fa, fb, j)) = fresh.next_if(|&(fa, fb, _)| (fa, fb) < (ga, gb)) {
+                records.copy(fa, fb, recount.shape[j], &recount.wide);
             }
-            while let Some(j) = fresh.next_if(|&j| recount.keys[j] < key) {
-                records.push_record(&recount, j);
-            }
-            let pc = self.view(i);
-            records.push(key, pc.per_path_a, pc.per_path_b, pc.total);
+            records.copy(ga, gb, self.shape[i], &self.wide);
         }
-        for j in fresh {
-            records.push_record(&recount, j);
+        for (fa, fb, j) in fresh {
+            records.copy(fa, fb, recount.shape[j], &recount.wide);
         }
-        Self::from_records(records, ids.base, false)
+        Self::from_records(records.finish(), ids, false)
     }
 
-    /// Completes an index from its record arenas: derives the neighbor
-    /// CSR. `cand_base` is the global
-    /// candidate id prefix over the nets the records were built from.
-    fn from_records(records: Records, cand_base: Vec<u32>, parallel: bool) -> Self {
+    /// Completes an index from its finished record arenas: derives the
+    /// neighbor CSR. `ids` numbers the candidates the records were built
+    /// from.
+    fn from_records(records: Records, ids: CandIds, parallel: bool) -> Self {
         let Records {
-            mut keys,
-            mut counts,
-            mut ends,
-            mut totals,
+            mut row_off,
+            mut partner,
+            mut shape,
+            mut wide,
         } = records;
-        // Capacities were estimates (the count arena doubles when sides
-        // list several paths); the index keeps exactly what it holds.
-        keys.shrink_to_fit();
-        counts.shrink_to_fit();
-        ends.shrink_to_fit();
-        totals.shrink_to_fit();
-        let n_cands = cand_base.last().map_or(0, |&n| n as usize);
-        let id = |net: u32, cand: u32| cand_base[net as usize] as usize + cand as usize;
+        // Capacities may be estimates; the index keeps exactly what it
+        // holds.
+        row_off.shrink_to_fit();
+        partner.shrink_to_fit();
+        shape.shrink_to_fit();
+        wide.shrink_to_fit();
+        let n_cands = ids.len();
+        debug_assert_eq!(row_off.len(), n_cands + 1);
+        debug_assert!(
+            partner.len() <= OWNER_IS_A as usize,
+            "record handles overflow 31 bits"
+        );
 
         // Neighbor CSR by counting sort: degrees, prefix sums, then one
         // pass in record order, so every list is ascending by record.
         let mut adj_off = vec![0u32; n_cands + 1];
-        for &key in &keys {
-            let (na, ca, nb, cb) = split_key(key);
-            adj_off[id(na, ca) + 1] += 1;
-            adj_off[id(nb, cb) + 1] += 1;
+        for (ga, gb, _) in record_ids(&row_off, &partner) {
+            adj_off[ga as usize + 1] += 1;
+            adj_off[gb as usize + 1] += 1;
         }
         for g in 0..n_cands {
             adj_off[g + 1] += adj_off[g];
         }
         let mut cursor = adj_off.clone();
-        let placeholder = Neighbor {
-            net: 0,
-            cand: 0,
-            handle: 0,
-        };
-        let mut adj = vec![placeholder; 2 * keys.len()];
-        debug_assert!(
-            keys.len() <= OWNER_IS_A as usize,
-            "record handles overflow 31 bits"
-        );
-        for (i, &key) in keys.iter().enumerate() {
-            let (na, ca, nb, cb) = split_key(key);
-            let (ga, gb) = (id(na, ca), id(nb, cb));
-            adj[cursor[ga] as usize] = Neighbor {
-                net: nb,
-                cand: cb,
+        let mut adj = vec![Neighbor { id: 0, handle: 0 }; 2 * partner.len()];
+        for (ga, gb, i) in record_ids(&row_off, &partner) {
+            let slot = &mut cursor[ga as usize];
+            adj[*slot as usize] = Neighbor {
+                id: gb,
                 handle: i as u32 | OWNER_IS_A,
             };
-            cursor[ga] += 1;
-            adj[cursor[gb] as usize] = Neighbor {
-                net: na,
-                cand: ca,
+            *slot += 1;
+            let slot = &mut cursor[gb as usize];
+            adj[*slot as usize] = Neighbor {
+                id: ga,
                 handle: i as u32,
             };
-            cursor[gb] += 1;
+            *slot += 1;
         }
 
         Self {
-            keys,
-            counts,
-            ends,
-            totals,
-            cand_base,
+            ids,
+            row_off,
+            partner,
+            shape,
+            wide,
             adj_off,
             adj,
             parallel,
@@ -447,7 +549,21 @@ impl CrossingIndex {
     /// Record `i` as a view into the arenas.
     #[inline]
     fn view(&self, i: usize) -> PairCross<'_> {
-        record_view(&self.counts, &self.ends, &self.totals, i)
+        let word = self.shape[i];
+        if word & WIDE != 0 {
+            return self.wide.view((word & !WIDE) as usize);
+        }
+        PairCross {
+            per_path_a: inline_side((word >> SIDE_BITS) & SIDE_MASK),
+            per_path_b: inline_side(word & SIDE_MASK),
+            total: (word >> (2 * SIDE_BITS)) as usize,
+        }
+    }
+
+    /// The records of side-A candidate `g`.
+    #[inline]
+    fn row(&self, g: u32) -> std::ops::Range<usize> {
+        self.row_off[g as usize] as usize..self.row_off[g as usize + 1] as usize
     }
 
     /// The crossing record of a candidate pair, if they cross. The nets
@@ -464,11 +580,10 @@ impl CrossingIndex {
         } else {
             ((net_b, cand_b), (net_a, cand_a))
         };
-        // Keys pack `u32` ids: a larger id names no record and must not
-        // alias one by truncation.
-        let id = |v: usize| u32::try_from(v).ok();
-        let key = pack_key(id(a.0)?, id(a.1)?, id(b.0)?, id(b.1)?);
-        self.keys.binary_search(&key).ok().map(|i| self.view(i))
+        let (ga, gb) = (self.ids.id(a.0, a.1)?, self.ids.id(b.0, b.1)?);
+        let row = self.row(ga);
+        let at = self.partner[row.clone()].binary_search(&gb).ok()?;
+        Some(self.view(row.start + at))
     }
 
     /// The crossing record behind a neighbor-list entry — no search.
@@ -488,6 +603,13 @@ impl CrossingIndex {
         } else {
             (pc.per_path_b, pc.per_path_a)
         }
+    }
+
+    /// The `(net, cand)` of a neighbor-list entry's candidate.
+    #[inline]
+    pub fn neighbor_key(&self, nb: &Neighbor) -> (usize, usize) {
+        let (net, cand) = self.ids.split(nb.id);
+        (net as usize, cand as usize)
     }
 
     /// Crossings landing on path `path` of `(net, cand)` caused by
@@ -515,10 +637,10 @@ impl CrossingIndex {
     }
 
     /// Iterates over all crossing pairs as
-    /// `((net_a, cand_a, net_b, cand_b), record)` in sorted key order.
+    /// `((net_a, cand_a, net_b, cand_b), record)` in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (PairKey, PairCross<'_>)> {
-        self.keys.iter().enumerate().map(|(i, &key)| {
-            let (na, ca, nb, cb) = split_key(key);
+        record_ids(&self.row_off, &self.partner).map(|(ga, gb, i)| {
+            let ((na, ca), (nb, cb)) = (self.ids.split(ga), self.ids.split(gb));
             (
                 (na as usize, ca as usize, nb as usize, cb as usize),
                 self.view(i),
@@ -526,122 +648,172 @@ impl CrossingIndex {
         })
     }
 
-    /// The candidates of other nets that cross `(net, cand)`, ascending
-    /// by record — an O(1) slice of the neighbor arena.
+    /// The candidates of other nets that cross `(net, cand)` — an O(1)
+    /// slice of the neighbor arena, ascending by the other candidate's
+    /// `(net, cand)` (which is record order), so at most one entry names
+    /// any one candidate and each net's entries are contiguous.
     pub fn neighbors(&self, net: usize, cand: usize) -> &[Neighbor] {
-        if net >= self.cand_base.len().saturating_sub(1) {
+        let Some(g) = self.ids.id(net, cand) else {
             return &[];
-        }
-        let (base, next) = (
-            self.cand_base[net] as usize,
-            self.cand_base[net + 1] as usize,
-        );
-        if cand >= next - base {
-            return &[];
-        }
-        let g = base + cand;
+        };
+        let g = g as usize;
         &self.adj[self.adj_off[g] as usize..self.adj_off[g + 1] as usize]
     }
 
     /// Number of crossing candidate pairs.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.partner.len()
     }
 
     /// Whether no candidate pair crosses.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.partner.is_empty()
     }
 
     /// Proper segment crossings summed over all pairs: the number of
     /// distinct hits the spatial builds found.
     pub fn segment_crossings(&self) -> u64 {
-        self.totals.iter().map(|&t| u64::from(t)).sum()
+        (0..self.len()).map(|i| self.view(i).total as u64).sum()
     }
 
-    /// Heap bytes the index holds: the capacity of every arena.
+    /// Heap bytes the index holds: the capacity of every arena, the
+    /// candidate ids, row and neighbor offsets and wide arenas included.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.keys.capacity() * size_of::<u128>()
-            + self.counts.capacity() * size_of::<(u32, u32)>()
-            + self.ends.capacity() * size_of::<(u32, u32)>()
-            + (self.totals.capacity() + self.cand_base.capacity() + self.adj_off.capacity())
+        self.ids.heap_bytes()
+            + (self.row_off.capacity()
+                + self.partner.capacity()
+                + self.shape.capacity()
+                + self.adj_off.capacity())
                 * size_of::<u32>()
+            + self.wide.heap_bytes()
             + self.adj.capacity() * size_of::<Neighbor>()
     }
 }
 
-/// Record arenas under construction, appended in ascending key order —
-/// the one assembly target every builder fills.
-struct Records {
-    keys: Vec<u128>,
+/// `(side A id, side B id, record index)` of every record, in order.
+fn record_ids<'a>(
+    row_off: &'a [u32],
+    partner: &'a [u32],
+) -> impl Iterator<Item = (u32, u32, usize)> + 'a {
+    row_off.windows(2).enumerate().flat_map(move |(g, w)| {
+        (w[0] as usize..w[1] as usize).map(move |i| (g as u32, partner[i], i))
+    })
+}
+
+/// The records whose counts do not fit a shape word, laid out like a
+/// plain count arena: with `(a_end, b_end) = ends[i]` and `start` the
+/// previous record's `b_end`, side A is `counts[start..a_end]` and side B
+/// `counts[a_end..b_end]`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct WideRecords {
     counts: Vec<(u32, u32)>,
     ends: Vec<(u32, u32)>,
     totals: Vec<u32>,
 }
 
-impl Records {
-    /// Room for `pairs` records; almost every side has one path entry.
-    fn with_capacity(pairs: usize) -> Self {
-        Self {
-            keys: Vec::with_capacity(pairs),
-            counts: Vec::with_capacity(2 * pairs),
-            ends: Vec::with_capacity(pairs),
-            totals: Vec::with_capacity(pairs),
+impl WideRecords {
+    /// Appends a record and returns its shape word.
+    fn push(&mut self, per_a: &PathCounts, per_b: &PathCounts, total: usize) -> u32 {
+        let i = self.totals.len() as u32;
+        debug_assert!(i < WIDE, "wide record indexes overflow 31 bits");
+        self.counts.extend_from_slice(per_a);
+        let a_end = self.counts.len() as u32;
+        self.counts.extend_from_slice(per_b);
+        self.ends.push((a_end, self.counts.len() as u32));
+        self.totals.push(total as u32);
+        WIDE | i
+    }
+
+    /// Wide record `i`: its side-A counts start where record `i − 1`'s
+    /// side B ended.
+    #[inline]
+    fn view(&self, i: usize) -> PairCross<'_> {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p].1 as usize);
+        let (a_end, b_end) = (self.ends[i].0 as usize, self.ends[i].1 as usize);
+        PairCross {
+            per_path_a: &self.counts[start..a_end],
+            per_path_b: &self.counts[a_end..b_end],
+            total: self.totals[i] as usize,
         }
     }
 
-    /// Closes the record of `key` whose side-A counts end at `a_end` and
-    /// whose side-B counts run to the end of the arena.
-    #[inline]
-    fn close(&mut self, key: u128, a_end: usize, total: usize) {
-        debug_assert!(
-            self.keys.last().is_none_or(|&k| k < key),
-            "records out of key order"
-        );
-        self.keys.push(key);
-        self.ends.push((a_end as u32, self.counts.len() as u32));
-        self.totals.push(total as u32);
+    fn shrink_to_fit(&mut self) {
+        self.counts.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.totals.shrink_to_fit();
     }
 
-    /// Appends a whole record.
-    fn push(&mut self, key: u128, per_a: &PathCounts, per_b: &PathCounts, total: usize) {
-        self.counts.extend_from_slice(per_a);
-        let a_end = self.counts.len();
-        self.counts.extend_from_slice(per_b);
-        self.close(key, a_end, total);
-    }
-
-    /// Appends record `i` of `from`.
-    fn push_record(&mut self, from: &Records, i: usize) {
-        let pc = record_view(&from.counts, &from.ends, &from.totals, i);
-        self.push(from.keys[i], pc.per_path_a, pc.per_path_b, pc.total);
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.counts.capacity() + self.ends.capacity()) * size_of::<(u32, u32)>()
+            + self.totals.capacity() * size_of::<u32>()
     }
 }
 
-/// Record `i` of a set of record arenas: its side-A counts start where
-/// record `i − 1`'s side B ended.
-#[inline]
-fn record_view<'a>(
-    counts: &'a [(u32, u32)],
-    ends: &[(u32, u32)],
-    totals: &[u32],
-    i: usize,
-) -> PairCross<'a> {
-    let start = i.checked_sub(1).map_or(0, |p| ends[p].1 as usize);
-    let (a_end, b_end) = (ends[i].0 as usize, ends[i].1 as usize);
-    PairCross {
-        per_path_a: &counts[start..a_end],
-        per_path_b: &counts[a_end..b_end],
-        total: totals[i] as usize,
+/// Record arenas under construction, appended in ascending pair order —
+/// the assembly target of the reference build and the delta merge (the
+/// funnel writes the same arenas through its range windows). Until
+/// [`finish`](Self::finish), `row_off[g + 1]` counts row `g`'s records;
+/// after it, `row_off` holds the row offsets.
+struct Records {
+    row_off: Vec<u32>,
+    partner: Vec<u32>,
+    shape: Vec<u32>,
+    wide: WideRecords,
+}
+
+impl Records {
+    /// Rows for `n_cands` candidates, with room for `pairs` records.
+    fn new(n_cands: usize, pairs: usize) -> Self {
+        Self {
+            row_off: vec![0; n_cands + 1],
+            partner: Vec::with_capacity(pairs),
+            shape: Vec::with_capacity(pairs),
+            wide: WideRecords::default(),
+        }
+    }
+
+    /// Appends the record of `(ga, gb)` with shape word `word`.
+    #[inline]
+    fn push_word(&mut self, ga: u32, gb: u32, word: u32) {
+        debug_assert!(ga < gb, "side A must be the lower id");
+        self.row_off[ga as usize + 1] += 1;
+        self.partner.push(gb);
+        self.shape.push(word);
+    }
+
+    /// Appends a whole record.
+    fn push(&mut self, ga: u32, gb: u32, per_a: &PathCounts, per_b: &PathCounts, total: usize) {
+        let word =
+            inline_word(per_a, per_b, total).unwrap_or_else(|| self.wide.push(per_a, per_b, total));
+        self.push_word(ga, gb, word);
+    }
+
+    /// Appends another arena's record of `(ga, gb)`, whose shape word is
+    /// `word` and whose wide records are `wide`.
+    fn copy(&mut self, ga: u32, gb: u32, word: u32, wide: &WideRecords) {
+        if word & WIDE == 0 {
+            self.push_word(ga, gb, word);
+        } else {
+            let pc = wide.view((word & !WIDE) as usize);
+            self.push(ga, gb, pc.per_path_a, pc.per_path_b, pc.total);
+        }
+    }
+
+    /// Turns the row counts into offsets.
+    fn finish(mut self) -> Self {
+        for g in 1..self.row_off.len() {
+            self.row_off[g] += self.row_off[g - 1];
+        }
+        self
     }
 }
 
 /// Dense global candidate ids in `(net, cand)` order: net `n`'s
 /// candidates are ids `base[n]..base[n + 1]`, and `net_of` maps an id
-/// back to its net. Hits name candidates by id, so two ids compare like
-/// their `(net, cand)` pairs.
-#[derive(Debug)]
+/// back to its net. Two ids compare like their `(net, cand)` pairs.
+#[derive(Clone, Debug, Default)]
 struct CandIds {
     base: Vec<u32>,
     net_of: Vec<u32>,
@@ -660,6 +832,24 @@ impl CandIds {
         Self { base, net_of }
     }
 
+    /// Number of candidates.
+    #[inline]
+    fn len(&self) -> usize {
+        self.net_of.len()
+    }
+
+    /// Net `net`'s candidate count, if the net is known.
+    fn count(&self, net: usize) -> Option<usize> {
+        let next = *self.base.get(net.checked_add(1)?)?;
+        Some((next - self.base[net]) as usize)
+    }
+
+    /// The global id of `(net, cand)`, if both are in range.
+    #[inline]
+    fn id(&self, net: usize, cand: usize) -> Option<u32> {
+        (cand < self.count(net)?).then(|| self.base[net] + cand as u32)
+    }
+
     /// The `(net, cand)` of global candidate id `id`.
     #[inline]
     fn split(&self, id: u32) -> (u32, u32) {
@@ -667,63 +857,28 @@ impl CandIds {
         (net, id - self.base[net as usize])
     }
 
-    /// The packed pair key of a hit.
-    #[inline]
-    fn hit_key(&self, hit: Hit) -> u128 {
-        let (a, b) = hit_cands(hit);
-        let ((na, ca), (nb, cb)) = (self.split(a), self.split(b));
-        pack_key(na, ca, nb, cb)
+    fn heap_bytes(&self) -> usize {
+        (self.base.capacity() + self.net_of.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
-/// A spatial-build crossing in packed form: global candidate ids of
-/// sides A and B (A's net is the lower), then the crossing segment
-/// indexes of A and B, 32 bits each from the top. Integer order is
-/// `(pair key, segments)` order, so sorting and deduplicating plain
-/// `u128`s groups each pair's hits into one run.
-type Hit = u128;
+/// A spatial-build crossing in packed form: the flat segment index (see
+/// [`SegPaths`]) of side B in the high 32 bits, side A's in the low. Flat
+/// indexes run in `(candidate, segment)` order, so within one side-A
+/// bucket integer order is `(candidate B, segments)` order, and sorting
+/// and deduplicating plain `u64`s groups each pair's hits into one run.
+type Hit = u64;
 
+/// Side B's flat segment index of a hit.
 #[inline]
-fn pack_hit(p: &SegRef, q: &SegRef) -> Hit {
-    (u128::from(p.cand) << 96)
-        | (u128::from(q.cand) << 64)
-        | (u128::from(p.seg) << 32)
-        | u128::from(q.seg)
+fn hit_b(hit: Hit) -> u32 {
+    (hit >> 32) as u32
 }
 
-/// The `(cand_a, cand_b)` global ids of a hit.
+/// Side A's flat segment index of a hit.
 #[inline]
-fn hit_cands(hit: Hit) -> (u32, u32) {
-    ((hit >> 96) as u32, (hit >> 64) as u32)
-}
-
-/// Whether two hits belong to the same candidate pair.
-#[inline]
-fn same_pair(x: &Hit, y: &Hit) -> bool {
-    x >> 64 == y >> 64
-}
-
-/// `(net_a, cand_a, net_b, cand_b)` packed so that integer order equals
-/// tuple order.
-#[inline]
-fn pack_key(na: u32, ca: u32, nb: u32, cb: u32) -> u128 {
-    (u128::from(na) << 96) | (u128::from(ca) << 64) | (u128::from(nb) << 32) | u128::from(cb)
-}
-
-#[inline]
-fn split_key(key: u128) -> (u32, u32, u32, u32) {
-    (
-        (key >> 96) as u32,
-        (key >> 64) as u32,
-        (key >> 32) as u32,
-        key as u32,
-    )
-}
-
-/// The `(net_a, net_b)` pair of a packed key.
-#[inline]
-fn key_nets(key: u128) -> (usize, usize) {
-    ((key >> 96) as usize, (key >> 32) as u32 as usize)
+fn hit_a(hit: Hit) -> u32 {
+    hit as u32
 }
 
 /// Flattens every non-degenerate optical segment of the nets `keep`
@@ -844,16 +999,16 @@ fn grid_pairs(
 }
 
 /// The crossing funnel: turns the grid's pair buffers into records in
-/// key order, keeping only the pairs `keep` accepts.
+/// pair order, keeping only the pairs `keep` accepts.
 ///
 /// A counting sort buckets the hits by candidate A, scattering straight
-/// from the 8-byte pair buffers into one 16-byte hit buffer. The
-/// candidate ids are then cut into `ranges` contiguous ranges of about
-/// equal hit count, which run on the executor twice: once to sort and
-/// deduplicate their buckets and size their records, once to assemble
-/// the records. Key order is (candidate A, candidate B, segments), so the
-/// ranges' records, laid end to end, are the canonical arenas for any
-/// range count and thread count.
+/// from the 8-byte pair buffers (each freed once scattered) into one
+/// 8-byte hit buffer. The candidate ids are then cut into `ranges`
+/// contiguous ranges of about equal hit count, which run on the executor
+/// twice: once to sort and deduplicate their buckets and size their rows
+/// and wide records, once to assemble the records. Pair order is
+/// (candidate A, candidate B), so the ranges' records, laid end to end,
+/// are the canonical arenas for any range count and thread count.
 ///
 /// Every buffer the ranges fill is allocated here, on the calling
 /// thread, so no worker heap keeps output memory: the record arenas are
@@ -868,7 +1023,7 @@ fn funnel(
     ranges: usize,
     exec: &Executor,
 ) -> Records {
-    let n_cands = ids.net_of.len();
+    let n_cands = ids.len();
     // Bucket offsets by candidate A; candidate B only needs marking for
     // the path index.
     let mut off = vec![0u32; n_cands + 1];
@@ -884,6 +1039,8 @@ fn funnel(
         used[c] |= off[c + 1] > 0;
         off[c + 1] += off[c];
     }
+    let paths = SegPaths::new(nets, ids, &used);
+    drop(used);
     let mut cursor = off.clone();
     let mut hits: Vec<Hit> = vec![0; off[n_cands] as usize];
     for buf in pairs {
@@ -891,14 +1048,13 @@ fn funnel(
             let (p, q) = (&segs[ia as usize], &segs[ib as usize]);
             if keep(p, q) {
                 let slot = &mut cursor[p.cand as usize];
-                hits[*slot as usize] = pack_hit(p, q);
+                hits[*slot as usize] = u64::from(paths.flat(q.cand, q.seg)) << 32
+                    | u64::from(paths.flat(p.cand, p.seg));
                 *slot += 1;
             }
         }
     }
     drop((cursor, segs));
-    let paths = SegPaths::new(nets, ids, &used);
-    drop(used);
 
     // Candidate ranges of about equal hit count: range `r` starts at the
     // first candidate whose bucket starts at or past `r/ranges` of the
@@ -910,107 +1066,149 @@ fn funnel(
         .collect();
     starts.push(n_cands);
     starts.dedup();
-    // Each range's mutex hands its window to the one task that locks
-    // it; a panicking task fails the whole map, so no caller ever sees
-    // a poisoned one.
-    let mut windows: Vec<(std::ops::Range<usize>, Mutex<&mut [Hit]>)> = Vec::new();
-    let mut rest = hits.as_mut_slice();
+    // Each range's mutex hands its windows (hits, and row lengths in
+    // `row_off[start + 1..end + 1]`) to the one task that locks it; a
+    // panicking task fails the whole map, so no caller ever sees a
+    // poisoned one.
+    let mut row_off = vec![0u32; n_cands + 1];
+    let mut windows: Vec<(std::ops::Range<usize>, Mutex<RangeIn>)> = Vec::new();
+    let (mut rest, mut rows) = (hits.as_mut_slice(), &mut row_off[1..]);
     for w in starts.windows(2) {
         let (head, tail) = rest.split_at_mut((off[w[1]] - off[w[0]]) as usize);
-        windows.push((w[0]..w[1], Mutex::new(head)));
-        rest = tail;
+        let (row_head, row_tail) = rows.split_at_mut(w[1] - w[0]);
+        windows.push((
+            w[0]..w[1],
+            Mutex::new(RangeIn {
+                hits: head,
+                rows: row_head,
+            }),
+        ));
+        (rest, rows) = (tail, row_tail);
     }
 
     // Per range: sort each bucket, drop repeated hits (compacting the
-    // range's window), and size its records.
+    // range's window), count each row's records, and size the wide ones.
     let sized: Vec<RangeSize> = exec.par_map_coarse(&windows, |(cands, window)| {
         let mut window = window.lock().unwrap_or_else(PoisonError::into_inner);
+        let RangeIn { hits: window, rows } = &mut *window;
         let base = off[cands.start] as usize;
         let mut hits = 0;
         for c in cands.clone() {
             let (lo, hi) = (off[c] as usize - base, off[c + 1] as usize - base);
             window[lo..hi].sort_unstable();
+            let first = hits;
             for i in lo..hi {
-                if hits == 0 || window[i] != window[hits - 1] {
+                if hits == first || window[i] != window[hits - 1] {
                     window[hits] = window[i];
                     hits += 1;
                 }
             }
+            rows[c - cands.start] = window[first..hits]
+                .chunk_by(|x, y| paths.owner[hit_b(*x) as usize] == paths.owner[hit_b(*y) as usize])
+                .count() as u32;
         }
-        let mut asm = Assembler::new(ids, &paths);
-        let (mut pairs, mut counts) = (0, 0);
-        for run in window[..hits].chunk_by(same_pair) {
+        let mut asm = Assembler::new(&paths);
+        let (mut pairs, mut wide, mut wide_counts) = (0, 0, 0);
+        for run in window[..hits].chunk_by(|x, y| paths.same_pair(*x, *y)) {
             pairs += 1;
-            asm.record(run, |_| counts += 1);
+            let (per_a, per_b) = asm.record(run);
+            if inline_word(per_a, per_b, run.len()).is_none() {
+                wide += 1;
+                wide_counts += per_a.len() + per_b.len();
+            }
         }
+        debug_assert_eq!(pairs, rows.iter().sum::<u32>() as usize);
         RangeSize {
             hits,
             pairs,
-            counts,
+            wide,
+            wide_counts,
         }
     });
 
     // The record arenas, exact, cut into one window per range.
     let n_pairs: usize = sized.iter().map(|r| r.pairs).sum();
-    let n_counts: usize = sized.iter().map(|r| r.counts).sum();
-    let mut keys = vec![0u128; n_pairs];
-    let mut ends = vec![(0u32, 0u32); n_pairs];
-    let mut totals = vec![0u32; n_pairs];
-    let mut counts = vec![(0u32, 0u32); n_counts];
+    let n_wide: usize = sized.iter().map(|r| r.wide).sum();
+    let n_wide_counts: usize = sized.iter().map(|r| r.wide_counts).sum();
+    let mut partner = vec![0u32; n_pairs];
+    let mut shape = vec![0u32; n_pairs];
+    let mut wide = WideRecords {
+        counts: vec![(0, 0); n_wide_counts],
+        ends: vec![(0, 0); n_wide],
+        totals: vec![0; n_wide],
+    };
     let mut outs = Vec::with_capacity(windows.len());
-    let (mut k, mut e, mut t, mut c) = (
-        &mut keys[..],
-        &mut ends[..],
-        &mut totals[..],
-        &mut counts[..],
+    let (mut p, mut s) = (&mut partner[..], &mut shape[..]);
+    let (mut wc, mut we, mut wt) = (
+        &mut wide.counts[..],
+        &mut wide.ends[..],
+        &mut wide.totals[..],
     );
-    let mut base = 0;
+    let (mut wide_base, mut count_base) = (0, 0);
     for ((_, window), size) in windows.into_iter().zip(&sized) {
         let window = window.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let (kr, kt) = k.split_at_mut(size.pairs);
-        let (er, et) = e.split_at_mut(size.pairs);
-        let (tr, tt) = t.split_at_mut(size.pairs);
-        let (cr, ct) = c.split_at_mut(size.counts);
-        (k, e, t, c) = (kt, et, tt, ct);
+        let (pr, pt) = p.split_at_mut(size.pairs);
+        let (sr, st) = s.split_at_mut(size.pairs);
+        let (wcr, wct) = wc.split_at_mut(size.wide_counts);
+        let (wer, wet) = we.split_at_mut(size.wide);
+        let (wtr, wtt) = wt.split_at_mut(size.wide);
+        (p, s, wc, we, wt) = (pt, st, wct, wet, wtt);
         outs.push(Mutex::new(RangeOut {
-            hits: &window[..size.hits],
-            base,
-            keys: kr,
-            ends: er,
-            totals: tr,
-            counts: cr,
+            hits: &window.hits[..size.hits],
+            partner: pr,
+            shape: sr,
+            wide_base,
+            count_base,
+            wide_counts: wcr,
+            wide_ends: wer,
+            wide_totals: wtr,
         }));
-        base += size.counts;
+        wide_base += size.wide;
+        count_base += size.wide_counts;
     }
     exec.par_map_coarse(&outs, |out| {
         let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
         let RangeOut {
             hits,
-            base,
-            keys,
-            ends,
-            totals,
-            counts,
+            partner,
+            shape,
+            wide_base,
+            count_base,
+            wide_counts,
+            wide_ends,
+            wide_totals,
         } = &mut *out;
-        let mut asm = Assembler::new(ids, &paths);
-        let mut pos = 0;
-        for (i, run) in hits.chunk_by(same_pair).enumerate() {
-            let start = *base + pos;
-            let (key, a_len) = asm.record(run, |entry| {
-                counts[pos] = entry;
-                pos += 1;
+        let mut asm = Assembler::new(&paths);
+        let (mut w, mut pos) = (0, 0);
+        for (i, run) in hits.chunk_by(|x, y| paths.same_pair(*x, *y)).enumerate() {
+            partner[i] = paths.owner[hit_b(run[0]) as usize];
+            let (per_a, per_b) = asm.record(run);
+            shape[i] = inline_word(per_a, per_b, run.len()).unwrap_or_else(|| {
+                wide_counts[pos..pos + per_a.len()].copy_from_slice(per_a);
+                pos += per_a.len();
+                let a_end = *count_base + pos;
+                wide_counts[pos..pos + per_b.len()].copy_from_slice(per_b);
+                pos += per_b.len();
+                wide_ends[w] = (a_end as u32, (*count_base + pos) as u32);
+                wide_totals[w] = run.len() as u32;
+                w += 1;
+                WIDE | (*wide_base + w - 1) as u32
             });
-            keys[i] = key;
-            ends[i] = ((start + a_len) as u32, (*base + pos) as u32);
-            totals[i] = run.len() as u32;
         }
     });
     Records {
-        keys,
-        counts,
-        ends,
-        totals,
+        row_off,
+        partner,
+        shape,
+        wide,
     }
+    .finish()
+}
+
+/// One funnel range's hit window and its window of row lengths.
+struct RangeIn<'a> {
+    hits: &'a mut [Hit],
+    rows: &'a mut [u32],
 }
 
 /// What one funnel range holds after its sort + dedup.
@@ -1019,19 +1217,24 @@ struct RangeSize {
     hits: usize,
     /// Crossing pairs, one record each.
     pairs: usize,
-    /// Path-count entries over its records.
-    counts: usize,
+    /// Records whose counts do not fit a shape word.
+    wide: usize,
+    /// Path-count entries over its wide records.
+    wide_counts: usize,
 }
 
 /// One funnel range's input hits and its windows of the record arenas;
-/// `base` is where its `counts` window starts in the whole arena.
+/// `wide_base` and `count_base` are where its wide windows start in the
+/// whole wide arenas.
 struct RangeOut<'a> {
     hits: &'a [Hit],
-    base: usize,
-    keys: &'a mut [u128],
-    ends: &'a mut [(u32, u32)],
-    totals: &'a mut [u32],
-    counts: &'a mut [(u32, u32)],
+    partner: &'a mut [u32],
+    shape: &'a mut [u32],
+    wide_base: usize,
+    count_base: usize,
+    wide_counts: &'a mut [(u32, u32)],
+    wide_ends: &'a mut [(u32, u32)],
+    wide_totals: &'a mut [u32],
 }
 
 /// Union bbox of each net's optical candidates (the net-level prefilter).
@@ -1080,14 +1283,18 @@ fn count_pair(a: &CandidateRoute, b: &CandidateRoute) -> Option<OwnedRecord> {
 /// attribution touches only the segments that actually cross instead of
 /// every path × segment. Flat over every candidate the hits name, built
 /// once on the calling thread and shared read-only by the ranges.
+///
+/// The segments of the indexed candidates get flat indexes in
+/// `(candidate, segment)` order; hits name segments by them.
 struct SegPaths {
-    /// Per global candidate id, the index in `off` of its segment 0
+    /// Per global candidate id, the flat index of its segment 0
     /// (unused candidates: 0).
     first: Vec<u32>,
-    /// Candidate `g`'s segment `s` lists
-    /// `paths[off[first[g] + s]..off[first[g] + s + 1]]`.
+    /// Flat segment `f` lists `paths[off[f]..off[f + 1]]`.
     off: Vec<u32>,
     paths: Vec<u32>,
+    /// Per flat segment, its candidate's global id.
+    owner: Vec<u32>,
     /// The most detector paths of any indexed candidate.
     max_paths: usize,
 }
@@ -1100,13 +1307,14 @@ impl SegPaths {
             &nets[net as usize].candidates[c as usize]
         };
         let mut first = vec![0u32; used.len()];
-        let mut n_segs = 0usize;
+        let mut owner = Vec::new();
         let mut max_paths = 0;
         for g in (0..used.len()).filter(|&g| used[g]) {
-            first[g] = n_segs as u32;
-            n_segs += cand(g).optical_segments.len();
+            first[g] = owner.len() as u32;
+            owner.resize(owner.len() + cand(g).optical_segments.len(), g as u32);
             max_paths = max_paths.max(cand(g).paths.len());
         }
+        let n_segs = owner.len();
         // Degrees per segment, prefix sums, then one fill pass in path
         // order, so every segment's list is ascending.
         let mut off = vec![0u32; n_segs + 1];
@@ -1135,65 +1343,73 @@ impl SegPaths {
             first,
             off,
             paths,
+            owner,
             max_paths,
         }
     }
 
-    /// The paths through segment `seg` of candidate `cand`.
+    /// The flat index of segment `seg` of candidate `cand`.
     #[inline]
-    fn of(&self, cand: u32, seg: u32) -> &[u32] {
-        let i = (self.first[cand as usize] + seg) as usize;
-        &self.paths[self.off[i] as usize..self.off[i + 1] as usize]
+    fn flat(&self, cand: u32, seg: u32) -> u32 {
+        self.first[cand as usize] + seg
+    }
+
+    /// The paths through flat segment `flat`.
+    #[inline]
+    fn of(&self, flat: u32) -> &[u32] {
+        &self.paths[self.off[flat as usize] as usize..self.off[flat as usize + 1] as usize]
+    }
+
+    /// Whether two hits belong to the same candidate pair.
+    #[inline]
+    fn same_pair(&self, x: Hit, y: Hit) -> bool {
+        self.owner[hit_b(x) as usize] == self.owner[hit_b(y) as usize]
+            && self.owner[hit_a(x) as usize] == self.owner[hit_a(y) as usize]
     }
 }
 
 /// Record assembly for one range: the shared path index plus a
-/// path-count accumulator, zeroed between uses via the touched list.
+/// path-count accumulator, zeroed between uses via the touched list,
+/// and the last record's two sides.
 struct Assembler<'a> {
-    ids: &'a CandIds,
     paths: &'a SegPaths,
     acc: Vec<u32>,
     touched: Vec<u32>,
+    per_a: Vec<(u32, u32)>,
+    per_b: Vec<(u32, u32)>,
 }
 
 impl<'a> Assembler<'a> {
-    fn new(ids: &'a CandIds, paths: &'a SegPaths) -> Self {
+    fn new(paths: &'a SegPaths) -> Self {
         Self {
-            ids,
             paths,
             acc: vec![0; paths.max_paths],
             touched: Vec::new(),
+            per_a: Vec::new(),
+            per_b: Vec::new(),
         }
     }
 
-    /// One pair's record from its deduplicated hits: emits side A's
-    /// path-count entries, then side B's, and returns the record's key
-    /// and how many of the entries belong to side A. Every record is
-    /// assembled here, whatever arena it lands in.
-    fn record(&mut self, run: &[Hit], mut emit: impl FnMut((u32, u32))) -> (u128, usize) {
-        let (a, b) = hit_cands(run[0]);
-        let mut a_len = 0;
-        self.side(a, run, true, |entry| {
-            a_len += 1;
-            emit(entry);
-        });
-        self.side(b, run, false, emit);
-        (self.ids.hit_key(run[0]), a_len)
+    /// One pair's per-path counts, side A then side B, from its
+    /// deduplicated hits. Every record is assembled here, whatever arena
+    /// it lands in.
+    fn record(&mut self, run: &[Hit]) -> (&PathCounts, &PathCounts) {
+        let mut per_a = std::mem::take(&mut self.per_a);
+        let mut per_b = std::mem::take(&mut self.per_b);
+        self.side(run.iter().map(|&h| hit_a(h)), &mut per_a);
+        self.side(run.iter().map(|&h| hit_b(h)), &mut per_b);
+        (self.per_a, self.per_b) = (per_a, per_b);
+        (&self.per_a, &self.per_b)
     }
 
-    /// Path attribution for one side of a pair, from its deduplicated
-    /// hits: emits ascending `(path index, count)` over paths with at
-    /// least one crossing — byte-identical to [`attribute`] over
-    /// per-segment counts.
-    fn side(&mut self, cand: u32, run: &[Hit], side_a: bool, mut emit: impl FnMut((u32, u32))) {
+    /// Path attribution for one side of a pair, from the flat segments
+    /// of its deduplicated hits: ascending `(path index, count)` over
+    /// paths with at least one crossing — byte-identical to [`attribute`]
+    /// over per-segment counts.
+    fn side(&mut self, segs: impl Iterator<Item = u32>, out: &mut Vec<(u32, u32)>) {
         self.touched.clear();
-        for &hit in run {
-            let seg = if side_a {
-                (hit >> 32) as u32
-            } else {
-                hit as u32
-            };
-            for &p in self.paths.of(cand, seg) {
+        for seg in segs {
+            for &p in self.paths.of(seg) {
                 if self.acc[p as usize] == 0 {
                     self.touched.push(p);
                 }
@@ -1201,8 +1417,9 @@ impl<'a> Assembler<'a> {
             }
         }
         self.touched.sort_unstable();
+        out.clear();
         for &p in &self.touched {
-            emit((p, self.acc[p as usize]));
+            out.push((p, self.acc[p as usize]));
             self.acc[p as usize] = 0;
         }
     }
@@ -1283,17 +1500,19 @@ mod tests {
         }
     }
 
-    /// Full structural equality: semantic value (keys + record arenas)
-    /// plus the candidate ids and the derived neighbor CSR, so a builder
-    /// that corrupted neighbor lists cannot hide behind the `PartialEq`
-    /// impl.
+    /// Full structural equality: semantic value (pair map) plus every
+    /// arena — candidate ids, rows, shape words, wide records and the
+    /// derived neighbor CSR — so a builder that corrupted an arena cannot
+    /// hide behind the `PartialEq` impl.
     fn assert_index_eq(a: &CrossingIndex, b: &CrossingIndex, label: &str) {
         assert_eq!(a.len(), b.len(), "{label}: pair count");
-        assert_eq!(a.keys, b.keys, "{label}: keys");
-        assert_eq!(a.counts, b.counts, "{label}: path counts");
-        assert_eq!(a.ends, b.ends, "{label}: record ends");
-        assert_eq!(a.totals, b.totals, "{label}: totals");
-        assert_eq!(a.cand_base, b.cand_base, "{label}: candidate ids");
+        assert!(a == b, "{label}: pair maps");
+        assert_eq!(a.ids.base, b.ids.base, "{label}: candidate ids");
+        assert_eq!(a.ids.net_of, b.ids.net_of, "{label}: candidate nets");
+        assert_eq!(a.row_off, b.row_off, "{label}: row offsets");
+        assert_eq!(a.partner, b.partner, "{label}: partners");
+        assert_eq!(a.shape, b.shape, "{label}: shape words");
+        assert_eq!(a.wide, b.wide, "{label}: wide records");
         assert_eq!(a.adj_off, b.adj_off, "{label}: neighbor offsets");
         assert_eq!(a.adj, b.adj, "{label}: neighbor arena");
     }
@@ -1408,17 +1627,19 @@ mod tests {
         // Every pair entry appears in both endpoints' neighbor lists, and
         // every neighbor entry resolves to the same record via the cached
         // handle and the binary-search lookup.
+        let key = |n: &Neighbor| idx.neighbor_key(n);
         for ((na, ca, nb, cb), pc) in idx.iter() {
-            assert!(idx.neighbors(na, ca).iter().any(|n| n.key() == (nb, cb)));
-            assert!(idx.neighbors(nb, cb).iter().any(|n| n.key() == (na, ca)));
+            assert!(idx.neighbors(na, ca).iter().any(|n| key(n) == (nb, cb)));
+            assert!(idx.neighbors(nb, cb).iter().any(|n| key(n) == (na, ca)));
             assert_eq!(idx.pair(na, ca, nb, cb), Some(pc));
         }
         for net in 0..nets.len() {
             for nb in idx.neighbors(net, 0) {
-                let via_map = idx.pair(net, 0, nb.net(), nb.cand()).expect("pair exists");
+                let (m, c) = key(nb);
+                let via_map = idx.pair(net, 0, m, c).expect("pair exists");
                 assert_eq!(idx.record(nb), via_map);
                 let (own, other) = idx.per_path(nb);
-                if net < nb.net() {
+                if net < m {
                     assert_eq!(own, via_map.per_path_a);
                     assert_eq!(other, via_map.per_path_b);
                 } else {
@@ -1699,6 +1920,21 @@ mod tests {
             &[],
         );
         assert_index_eq(&noop, &before, "noop delta");
+        // Nets the index does not know, or whose candidate count moved,
+        // are recounted even when the caller does not list them.
+        let empty = CrossingIndex::default().rebuild_delta(&nets, &[]);
+        assert_index_eq(&empty, &full, "delta from an empty index");
+        let mut widened = nets.clone();
+        widened[3] = chain_net(
+            3,
+            &[
+                vec![Point::new(0, 500), Point::new(1000, 70)],
+                vec![Point::new(0, 880), Point::new(1000, 20)],
+            ],
+        );
+        let unlisted = delta.rebuild_delta(&widened, &[]);
+        let widened_full = CrossingIndex::build_with(&widened, &Executor::sequential());
+        assert_index_eq(&unlisted, &widened_full, "unlisted count change");
     }
 
     #[test]
@@ -1737,8 +1973,8 @@ mod tests {
 
     #[test]
     fn arena_entries_stay_compact() {
-        assert_eq!(std::mem::size_of::<Neighbor>(), 12);
-        assert_eq!(std::mem::size_of::<Hit>(), 16);
+        assert_eq!(std::mem::size_of::<Neighbor>(), 8);
+        assert_eq!(std::mem::size_of::<Hit>(), 8);
         let nets = vec![
             optical_net(0, Point::new(0, 0), Point::new(100, 100)),
             optical_net(1, Point::new(0, 100), Point::new(100, 0)),
@@ -1747,6 +1983,134 @@ mod tests {
         assert_eq!(idx.segment_crossings(), 1);
         assert!(idx.heap_bytes() > 0);
         assert_eq!(CrossingIndex::default().heap_bytes(), 0);
+    }
+
+    #[test]
+    fn inline_side_codes_round_trip() {
+        assert_eq!(side_code(&[]), Some(0));
+        assert_eq!(inline_side(0), &[] as &PathCounts);
+        let mut codes = Vec::new();
+        for p in 0..INLINE_PATHS {
+            for c in 1..=INLINE_COUNT {
+                codes.push((vec![(p, c)], side_code(&[(p, c)])));
+                for q in p + 1..INLINE_PATHS {
+                    for d in 1..=INLINE_COUNT {
+                        let side = [(p, c), (q, d)];
+                        codes.push((side.to_vec(), side_code(&side)));
+                    }
+                }
+            }
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for (side, code) in codes {
+            let code = code.expect("inline side");
+            assert!(code < 1 << SIDE_BITS && seen.insert(code), "{side:?}");
+            assert_eq!(inline_side(code), side.as_slice());
+        }
+        assert_eq!(seen.len() as u32, SINGLES + DOUBLES);
+        // Anything else goes wide.
+        for side in [
+            &[(INLINE_PATHS, 1)][..],
+            &[(0, INLINE_COUNT + 1)],
+            &[(0, 0)],
+            &[(1, 1), (0, 1)],
+            &[(0, 1), (1, 1), (2, 1)],
+        ] {
+            assert_eq!(side_code(side), None, "{side:?}");
+        }
+        let total = INLINE_TOTAL_MAX as usize;
+        assert!(inline_word(&[(0, 1)], &[(1, 2)], total).is_some());
+        assert_eq!(inline_word(&[(0, 1)], &[(1, 2)], total + 1), None);
+    }
+
+    /// A star net: one candidate whose `sinks` detector paths each run
+    /// straight down from the source at (0, 200) to y = 0.
+    fn star_net(net_index: usize, sinks: i64) -> NetCandidates {
+        let mut tree = RouteTree::new(Point::new(0, 200));
+        for s in 0..sinks {
+            tree.add_child(tree.root(), Point::new(10 + 40 * s, 0), NodeKind::Terminal);
+        }
+        let cand = analyze_assignment(
+            &tree,
+            &vec![EdgeMedium::Optical; sinks as usize],
+            1,
+            &OpticalLib::paper_defaults(),
+            &ElectricalParams::paper_defaults(),
+        );
+        NetCandidates {
+            net_index,
+            bits: 1,
+            candidates: vec![cand],
+            electrical_idx: 0,
+            fanout_power_mw: 0.0,
+        }
+    }
+
+    #[test]
+    fn wide_records_match_reference_and_direct_counts() {
+        // A five-sink star (sides of five paths), a zigzag crossing one
+        // horizontal line 12 times (a count and total past the inline
+        // range), and small diagonals that stay inline, so the index
+        // mixes inline and wide records.
+        let zigzag: Vec<Point> = (0..=12)
+            .map(|k| Point::new(10 * k, 90 + 20 * (k % 2)))
+            .collect();
+        let nets = vec![
+            star_net(0, 5),
+            chain_net(1, &[zigzag]),
+            optical_net(2, Point::new(-20, 100), Point::new(200, 100)),
+            optical_net(3, Point::new(-20, 150), Point::new(300, 20)),
+            optical_net(4, Point::new(5, 40), Point::new(25, 60)),
+        ];
+        assert!(nets[0].candidates[0].paths.len() > 2);
+        let reference = CrossingIndex::build_reference(&nets);
+        assert!(
+            reference.wide.totals.len() >= 2,
+            "the fixture must hold wide records"
+        );
+        assert!(
+            reference.wide.totals.len() < reference.len(),
+            "and inline ones"
+        );
+        for threads in [1, 2, 8] {
+            let exec = Executor::new(threads);
+            assert_index_eq(&CrossingIndex::build_with(&nets, &exec), &reference, "grid");
+            for ranges in [2, 5] {
+                let ranged = CrossingIndex::build_with_funnel_ranges(&nets, &exec, ranges);
+                assert_index_eq(&ranged, &reference, &format!("{ranges} ranges"));
+            }
+        }
+        // Every record, wide or inline, against a direct count.
+        let mut wide_count_seen = false;
+        for ((na, ca, nb, cb), pc) in reference.iter() {
+            let (per_a, per_b, total) =
+                count_pair(&nets[na].candidates[ca], &nets[nb].candidates[cb]).expect("crosses");
+            assert_eq!(pc.per_path_a, per_a.as_slice());
+            assert_eq!(pc.per_path_b, per_b.as_slice());
+            assert_eq!(pc.total, total);
+            assert_eq!(reference.pair(nb, cb, na, ca), Some(pc));
+            wide_count_seen |= pc.per_path_b.iter().any(|&(_, n)| n > INLINE_COUNT);
+        }
+        assert!(wide_count_seen, "a count past the inline range");
+        assert_eq!(
+            reference
+                .pair(0, 0, 1, 0)
+                .expect("star x zigzag")
+                .per_path_a
+                .len(),
+            5
+        );
+        assert_eq!(reference.pair(1, 0, 2, 0).expect("zigzag x line").total, 12);
+        assert_csr_matches_records(&reference, &nets, "wide");
+        // A delta that moves the line keeps the wide records exact.
+        let mut moved = nets.clone();
+        moved[2] = optical_net(2, Point::new(-20, 101), Point::new(200, 99));
+        let delta = reference.rebuild_delta(&moved, &[2]);
+        assert_index_eq(
+            &delta,
+            &CrossingIndex::build_reference(&moved),
+            "wide delta",
+        );
     }
 
     /// Checks the neighbor arena against lists derived naively from
@@ -1778,7 +2142,11 @@ mod tests {
                     "{label}: ({net}, {cand}) list length"
                 );
                 for (nb, &(onet, ocand, r, owner_is_a)) in got.iter().zip(want) {
-                    assert_eq!(nb.key(), (onet, ocand), "{label}: ({net}, {cand})");
+                    assert_eq!(
+                        idx.neighbor_key(nb),
+                        (onet, ocand),
+                        "{label}: ({net}, {cand})"
+                    );
                     assert_eq!(nb.record(), r, "{label}: ({net}, {cand}) record");
                     let pc = idx.record(nb);
                     let expect = if owner_is_a {
@@ -1796,6 +2164,11 @@ mod tests {
                 "{label}: ({net}, {cand})"
             );
         }
+    }
+
+    /// The index of net `net`'s last candidate.
+    fn pts_last(nets: &[NetCandidates], net: usize) -> usize {
+        nets[net].candidates.len() - 1
     }
 
     fn random_nets(raw: &[Vec<Vec<(i64, i64)>>]) -> Vec<NetCandidates> {
@@ -1900,7 +2273,10 @@ mod tests {
         }
 
         /// `rebuild_delta` (localized grid pass) against a full rebuild
-        /// after replacing a random subset of nets.
+        /// after replacing 1–3 random nets. Each replacement keeps its
+        /// net's random chains and adds a diagonal through (24, 24), so
+        /// the replacements cross each other and every changed net gains
+        /// a candidate, shifting the global ids of every later net.
         #[test]
         fn rebuild_delta_equals_full_rebuild_on_random_changes(
             raw in proptest::collection::vec(
@@ -1910,23 +2286,43 @@ mod tests {
                 ),
                 3..8,
             ),
-            replacement in proptest::collection::vec(
-                proptest::collection::vec((0i64..48, 0i64..48), 2..5),
-                1..3,
+            replacements in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec((0i64..48, 0i64..48), 2..5),
+                    1..3,
+                ),
+                1..4,
             ),
-            which in 0usize..8,
+            which in proptest::collection::vec(0usize..8, 3),
         ) {
             let mut nets = random_nets(&raw);
             let before = CrossingIndex::build_with(&nets, &Executor::sequential());
-            let target = which % nets.len();
-            let pts: Vec<Vec<Point>> = replacement
-                .iter()
-                .map(|c| c.iter().map(|&(x, y)| Point::new(x, y)).collect())
-                .collect();
-            nets[target] = chain_net(target, &pts);
-            let delta = before.rebuild_delta(&nets, &[target]);
+            let mut targets: Vec<usize> = Vec::new();
+            for (r, (chains, &w)) in replacements.iter().zip(&which).enumerate() {
+                let target = w % nets.len();
+                if targets.contains(&target) {
+                    continue;
+                }
+                targets.push(target);
+                let mut pts: Vec<Vec<Point>> = chains
+                    .iter()
+                    .map(|c| c.iter().map(|&(x, y)| Point::new(x, y)).collect())
+                    .collect();
+                let y0 = 8 * r as i64;
+                pts.push(vec![Point::new(0, y0), Point::new(48, 48 - y0)]);
+                nets[target] = chain_net(target, &pts);
+            }
+            let delta = before.rebuild_delta(&nets, &targets);
             let full = CrossingIndex::build_with(&nets, &Executor::sequential());
             assert_index_eq(&delta, &full, "random delta vs full");
+            let reference = CrossingIndex::build_reference(&nets);
+            assert_index_eq(&delta, &reference, "random delta vs reference");
+            if targets.len() > 1 {
+                prop_assert!(
+                    delta.pair(targets[0], pts_last(&nets, targets[0]), targets[1], pts_last(&nets, targets[1])).is_some(),
+                    "the replacements must cross each other"
+                );
+            }
         }
     }
 }

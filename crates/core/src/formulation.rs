@@ -79,7 +79,8 @@ pub fn loaded_path_losses_for(
     let cand = &nets[i].candidates[j];
     let mut losses: Vec<f64> = cand.paths.iter().map(|p| p.fixed_db).collect();
     for nb in crossings.neighbors(i, j) {
-        if nb.net() == i || choice[nb.net()] != nb.cand() {
+        let (m, sel_m) = crossings.neighbor_key(nb);
+        if m == i || choice[m] != sel_m {
             continue;
         }
         let (per_path, _) = crossings.per_path(nb);

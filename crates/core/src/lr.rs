@@ -102,8 +102,26 @@ impl LambdaArena {
     /// The multipliers of `(net, cand)`'s paths.
     #[inline]
     fn paths(&self, net: usize, cand: usize) -> &[f64] {
-        let s = self.cand_base[net] as usize + cand;
+        self.paths_at(self.cand_base[net] as usize + cand)
+    }
+
+    /// The multipliers of the paths of the candidate in slot `s`. Slots
+    /// count candidates in `(net, cand)` order, which is the crossing
+    /// index's global candidate numbering (`Neighbor::id`).
+    #[inline]
+    fn paths_at(&self, s: usize) -> &[f64] {
         &self.vals[self.cand_off[s] as usize..self.cand_off[s + 1] as usize]
+    }
+
+    /// Per candidate slot, whether `choice` selects it: pricing tests
+    /// crossing neighbors against the previous iterate by global id,
+    /// with no net lookup per neighbor.
+    fn selected(&self, choice: &[usize]) -> Vec<bool> {
+        let mut flags = vec![false; self.cand_off.len().saturating_sub(1)];
+        for (net, &cand) in choice.iter().enumerate() {
+            flags[self.cand_base[net] as usize + cand] = true;
+        }
+        flags
     }
 
     /// Mutable view of `(net, cand)`'s path multipliers.
@@ -172,7 +190,7 @@ pub fn select_lr(
     for iter in 1..=config.lr_max_iters {
         stats.iterations += 1;
         // Select per net against the previous iterate (line 5).
-        let previous = choice;
+        let previous = lambda.selected(&choice);
         choice = exec.par_map_indexed(nets, |i, nc| {
             best_candidate(nc, i, lambda, Some(&previous), crossings, lib)
         });
@@ -363,13 +381,15 @@ impl LoadCache {
             return;
         }
         for nb in crossings.neighbors(i, old_j) {
-            if choice[nb.net()] == nb.cand() {
-                self.adjust(crossings, nb, -1.0, lib);
+            let (m, sel_m) = crossings.neighbor_key(nb);
+            if choice[m] == sel_m {
+                self.adjust(crossings, nb, m, -1.0, lib);
             }
         }
         for nb in crossings.neighbors(i, new_j) {
-            if choice[nb.net()] == nb.cand() {
-                self.adjust(crossings, nb, 1.0, lib);
+            let (m, sel_m) = crossings.neighbor_key(nb);
+            if choice[m] == sel_m {
+                self.adjust(crossings, nb, m, 1.0, lib);
             }
         }
         choice[i] = new_j;
@@ -377,17 +397,18 @@ impl LoadCache {
     }
 
     /// Adds `sign ×` the crossing loss that the neighbor list's owner
-    /// inflicts on `nb`'s paths.
+    /// inflicts on the paths of `nb`, a candidate of net `m`.
     fn adjust(
         &mut self,
         crossings: &CrossingIndex,
         nb: &crate::crossing::Neighbor,
+        m: usize,
         sign: f64,
         lib: &OpticalLib,
     ) {
         let (_, per_path_m) = crossings.per_path(nb);
         for &(pm, n) in per_path_m {
-            self.loads[nb.net()][pm as usize] += sign * lib.crossing_loss_db(n as usize);
+            self.loads[m][pm as usize] += sign * lib.crossing_loss_db(n as usize);
         }
     }
 
@@ -411,7 +432,7 @@ impl LoadCache {
         // keeps at most one candidate per net, so this visits each
         // affected net once, in ascending net order.
         for nb in crossings.neighbors(i, j) {
-            let (m, sel_m) = nb.key();
+            let (m, sel_m) = crossings.neighbor_key(nb);
             if choice[m] != sel_m {
                 continue;
             }
@@ -510,12 +531,14 @@ fn cheapest_feasible(
 
 /// The candidate of net `i` minimizing the linearized Lagrangian cost.
 ///
-/// With `previous == None` crossing terms are ignored (cold start).
+/// `previous` flags the previous iterate's candidates by global id
+/// ([`LambdaArena::selected`]); with `None` crossing terms are ignored
+/// (cold start).
 fn best_candidate(
     nc: &NetCandidates,
     i: usize,
     lambda: &LambdaArena,
-    previous: Option<&[usize]>,
+    previous: Option<&[bool]>,
     crossings: &CrossingIndex,
     lib: &OpticalLib,
 ) -> usize {
@@ -532,7 +555,7 @@ fn best_candidate(
             // Only candidates this one actually crosses contribute; the
             // neighbor entry carries the per-path counts directly.
             for nb in crossings.neighbors(i, j) {
-                if prev[nb.net()] != nb.cand() {
+                if !prev[nb.id()] {
                     continue;
                 }
                 let (per_path_own, per_path_other) = crossings.per_path(nb);
@@ -542,7 +565,7 @@ fn best_candidate(
                 }
                 // Loss inflicted on the previously selected paths of other
                 // nets (the a_mn · a'_ij term of Eq. (5)).
-                let lam_other = lambda.paths(nb.net(), nb.cand());
+                let lam_other = lambda.paths_at(nb.id());
                 for &(pm, cnt) in per_path_other {
                     cost += lam_other[pm as usize] * lib.crossing_loss_db(cnt as usize);
                 }
@@ -623,7 +646,7 @@ mod tests {
         let mut prev_violation = f64::INFINITY;
 
         for iter in 1..=config.lr_max_iters {
-            let previous = choice;
+            let previous = lambda.selected(&choice);
             choice = nets
                 .iter()
                 .enumerate()

@@ -65,6 +65,20 @@ fn final_selection_meets_detection_constraints() {
 }
 
 #[test]
+fn crossing_index_stays_within_40_bytes_per_pair() {
+    // Every arena counts: rows, shape words, wide records, candidate
+    // ids and the neighbor CSR.
+    let design = generate(&SynthConfig::medium(), 3);
+    let result = OperonFlow::new(OperonConfig::default())
+        .run(&design)
+        .expect("flow");
+    let crossings = CrossingIndex::build_with(&result.candidates, &Executor::sequential());
+    assert!(crossings.len() > 100, "the fixture must have crossings");
+    let per_pair = crossings.heap_bytes() as f64 / crossings.len() as f64;
+    assert!(per_pair <= 40.0, "{per_pair:.1} B per crossing pair");
+}
+
+#[test]
 fn wdm_stage_invariants() {
     let design = medium();
     let config = OperonConfig::default();
