@@ -22,8 +22,15 @@
 //! `--smoke`, where the I2 prefix is checked against the same ceiling),
 //! and whether each thread count ran the parallel path.
 //!
+//! A second section times the ECO path, `CrossingIndex::rebuild_delta`,
+//! against a full sequential `build_with` of the same candidates, on the
+//! design the serve workload routes (`SynthConfig::die_scale(2_000)`):
+//! 1 and 8 nets change their candidates, each delta must equal the full
+//! build (asserted), and the 1-net delta must run in at most a quarter
+//! of the full build's time (asserted, same run).
+//!
 //! `--smoke` shrinks every fixture, keeps every identity assertion, and
-//! skips the timing criterion and the JSON write — the cheap CI gate.
+//! skips the timing criteria and the JSON write — the cheap CI gate.
 //!
 //! Numbers in the committed `BENCH_crossing.json` come from whatever
 //! machine last ran this binary; `hardware_threads` records the truth.
@@ -35,11 +42,16 @@ use operon_cluster::build_hyper_nets;
 use operon_exec::json::Value;
 use operon_exec::{Executor, Stopwatch};
 use operon_geom::Point;
-use operon_netlist::synth::{generate, paper_suite};
+use operon_netlist::synth::{generate, paper_suite, SynthConfig};
 use operon_optics::{ElectricalParams, OpticalLib};
 use operon_steiner::{NodeKind, RouteTree};
 
 const ITERS: u32 = 3;
+/// Timed runs per point of the delta section, whose builds take
+/// milliseconds.
+const DELTA_ITERS: u32 = 20;
+/// Ceiling on the 1-net delta's time as a share of the full build's.
+const MAX_DELTA_SHARE: f64 = 0.25;
 /// Ceiling on the I2 index's heap bytes per crossing pair, every arena
 /// counted.
 const MAX_BYTES_PER_PAIR: f64 = 40.0;
@@ -50,9 +62,10 @@ fn main() {
     let hardware = std::thread::available_parallelism().map_or(1, usize::from);
 
     let builds = bench_crossing_builds(smoke);
+    let deltas = bench_delta_rebuilds(smoke);
 
     if smoke {
-        println!("crossing_bench --smoke: all identity checks passed (brute/grid)");
+        println!("crossing_bench --smoke: all identity checks passed (brute/grid/delta)");
         return;
     }
 
@@ -61,6 +74,7 @@ fn main() {
         ("iters_per_point", Value::from(u64::from(ITERS))),
         ("hardware_threads", Value::from(hardware)),
         ("crossing_build", Value::Array(builds)),
+        ("delta_rebuild", Value::Array(deltas)),
         ("identical_results", Value::from(true)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_crossing.json");
@@ -324,6 +338,82 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             ("grid_best_ms", Value::from(grid_seq_ms)),
             ("speedup", Value::from(speedup)),
             ("grid_by_threads", Value::Array(per_thread)),
+        ]));
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// ECO delta vs full rebuild
+// ---------------------------------------------------------------------------
+
+/// The serve workload's design: candidate sets of every hyper net of a
+/// 2,000-bit die, as the flow generates them under the default
+/// configuration.
+fn serve_nets() -> Vec<NetCandidates> {
+    let design = generate(&SynthConfig::die_scale(2_000), 101);
+    let config = OperonConfig::default();
+    let nets = build_hyper_nets(&design, &config.cluster);
+    let config = config.resolved_for(nets.iter().map(|n| n.bit_count()));
+    nets.iter()
+        .enumerate()
+        .map(|(i, n)| generate_candidates(n, i, &config))
+        .collect()
+}
+
+/// Best wall time of `iters` runs of `f`, in ms, and its last result.
+fn best_ms<T>(iters: u32, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..iters {
+        let sw = Stopwatch::start();
+        let out = f();
+        best = best.min(sw.elapsed().as_secs_f64() * 1e3);
+        last = Some(out);
+    }
+    (best, last.expect("at least one run"))
+}
+
+fn bench_delta_rebuilds(smoke: bool) -> Vec<Value> {
+    let iters = if smoke { 1 } else { DELTA_ITERS };
+    let nets = serve_nets();
+    let exec = Executor::sequential();
+    let (full_ms, full) = best_ms(iters, || CrossingIndex::build_with(&nets, &exec));
+    let mut out = Vec::new();
+    for changed in [1usize, 8] {
+        // The index before the ECO: each changed net held the candidates
+        // of the net halfway round the design (a different geometry, and
+        // often a different candidate count, which shifts later ids).
+        let picks: Vec<usize> = (0..changed).map(|i| i * nets.len() / changed).collect();
+        let mut before = nets.clone();
+        for &p in &picks {
+            before[p].candidates = nets[(p + nets.len() / 2) % nets.len()].candidates.clone();
+        }
+        let stale = CrossingIndex::build_with(&before, &exec);
+        let (delta_ms, delta) = best_ms(iters, || stale.rebuild_delta(&nets, &picks));
+        let label = format!("serve design, {changed} changed net(s)");
+        assert_index_eq(&delta, &full, &label);
+        let share = delta_ms / full_ms;
+        println!(
+            "crossing delta, {label}: {pairs} pairs, delta {delta_ms:.3} ms, \
+             full {full_ms:.3} ms ({share:.3}x)",
+            pairs = full.len(),
+        );
+        if changed == 1 && !smoke {
+            assert!(
+                share <= MAX_DELTA_SHARE,
+                "{label}: the delta must run in at most {MAX_DELTA_SHARE}x \
+                 the full build ({share:.3}x)"
+            );
+        }
+        out.push(Value::object(vec![
+            ("design", Value::from("die_scale_2000_seed101")),
+            ("nets", Value::from(nets.len())),
+            ("changed_nets", Value::from(changed)),
+            ("crossing_pairs", Value::from(full.len())),
+            ("delta_best_ms", Value::from(delta_ms)),
+            ("full_best_ms", Value::from(full_ms)),
+            ("delta_share", Value::from(share)),
         ]));
     }
     out

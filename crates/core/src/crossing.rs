@@ -291,6 +291,9 @@ pub struct CrossingIndex {
     /// Whether the last build's pair tests and funnel took the parallel
     /// path (excluded from equality).
     parallel: bool,
+    /// Segment pair tests the last build's grid pass ran (excluded from
+    /// equality).
+    pair_tests: u64,
 }
 
 impl PartialEq for CrossingIndex {
@@ -322,6 +325,13 @@ impl CrossingIndex {
         self.parallel
     }
 
+    /// Segment pair tests the build that produced this index ran on its
+    /// grid: a pure function of the candidate set and the grid dims, so
+    /// the same at every thread count. 0 for the reference build.
+    pub(crate) fn pair_tests(&self) -> u64 {
+        self.pair_tests
+    }
+
     /// Grid build (auto-sized cells unless `dims` is given; the explicit
     /// dims are the escape hatch the equivalence proptests use). The
     /// funnel splits its work into `ranges` candidate ranges when given,
@@ -334,10 +344,10 @@ impl CrossingIndex {
     ) -> Self {
         let ids = CandIds::new(nets);
         let segs = collect_segments(nets, &ids, |_| true);
-        let (pairs, parallel) = grid_pairs(&segs, dims, exec);
+        let (pairs, parallel, pair_tests) = grid_pairs(&segs, segs.len(), dims, exec);
         let ranges = ranges.unwrap_or(grid_tasks(parallel, exec));
-        let records = funnel(nets, &ids, segs, pairs, |_, _| true, ranges, exec);
-        Self::from_records(records, ids, parallel)
+        let records = funnel(nets, &ids, segs, pairs, ranges, exec);
+        Self::from_records(records, ids, parallel, pair_tests)
     }
 
     #[cfg(test)]
@@ -399,7 +409,7 @@ impl CrossingIndex {
         for (ga, gb, (per_a, per_b, total)) in &rows {
             records.push(*ga, *gb, per_a, per_b, *total);
         }
-        Self::from_records(records.finish(), ids, false)
+        Self::from_records(records.finish(), ids, false, 0)
     }
 
     /// Rebuilds the index after the candidates of `changed` nets were
@@ -410,10 +420,13 @@ impl CrossingIndex {
     /// does not know, counts as changed whether listed or not.
     ///
     /// Implementation: the dirty neighborhood — changed nets plus every
-    /// net whose bounding box overlaps a changed net's — gets its own
-    /// grid pass, whose hits are kept only when they involve a changed
-    /// net. Every retained row involves no changed net, so the two pair
-    /// sets are disjoint and one linear merge appends both in pair order;
+    /// net whose bounding box overlaps a changed net's — is binned on one
+    /// grid sized for the changed segments, which are flattened first.
+    /// Only those changed segments are queried, each against the
+    /// segments after it in its cells, so every pair the pass tests has
+    /// a changed side and a pair of two changed segments is tested once.
+    /// Every retained row involves no changed net, so the two pair sets
+    /// are disjoint and one linear merge appends both in pair order;
     /// retained rows are restated in the new candidate ids, which move
     /// whenever an earlier net's candidate count changed.
     pub fn rebuild_delta(&self, nets: &[NetCandidates], changed: &[usize]) -> Self {
@@ -442,19 +455,17 @@ impl CrossingIndex {
                 involved[i] = true;
             }
         }
-        let involved_segs = collect_segments(nets, &ids, |i| involved[i]);
-        let (pairs, _) = grid_pairs(&involved_segs, None, &Executor::sequential());
-        let changed_pair =
-            |p: &SegRef, q: &SegRef| is_changed[p.net as usize] || is_changed[q.net as usize];
-        let recount = funnel(
-            nets,
-            &ids,
-            involved_segs,
-            pairs,
-            changed_pair,
-            1,
-            &Executor::sequential(),
-        );
+        let mut segs = collect_segments(nets, &ids, |i| is_changed[i]);
+        let queries = segs.len();
+        segs.extend(collect_segments(nets, &ids, |i| {
+            involved[i] && !is_changed[i]
+        }));
+        let exec = Executor::sequential();
+        let (pairs, _, pair_tests) = grid_pairs(&segs, queries, None, &exec);
+        debug_assert!(pairs.iter().flatten().all(|&(a, b)| {
+            is_changed[segs[a as usize].net as usize] || is_changed[segs[b as usize].net as usize]
+        }));
+        let recount = funnel(nets, &ids, segs, pairs, 1, &exec);
 
         // Retained rows (both nets unchanged, so each keeps its candidate
         // indexes) restated in the new ids and interleaved with the
@@ -481,13 +492,13 @@ impl CrossingIndex {
         for (fa, fb, j) in fresh {
             records.copy(fa, fb, recount.shape[j], &recount.wide);
         }
-        Self::from_records(records.finish(), ids, false)
+        Self::from_records(records.finish(), ids, false, pair_tests)
     }
 
     /// Completes an index from its finished record arenas: derives the
     /// neighbor CSR. `ids` numbers the candidates the records were built
-    /// from.
-    fn from_records(records: Records, ids: CandIds, parallel: bool) -> Self {
+    /// from; `parallel` and `pair_tests` describe the build.
+    fn from_records(records: Records, ids: CandIds, parallel: bool, pair_tests: u64) -> Self {
         let Records {
             mut row_off,
             mut partner,
@@ -543,6 +554,7 @@ impl CrossingIndex {
             adj_off,
             adj,
             parallel,
+            pair_tests,
         }
     }
 
@@ -913,9 +925,12 @@ fn collect_segments(
 
 /// Grid-bucketed crossing pairs over the flattened segments: the one
 /// crossing kernel, shared by the full build and
-/// [`CrossingIndex::rebuild_delta`]. Returns one buffer of `(side A,
-/// side B)` segment indexes per run of cells, side A on the lower net,
-/// and whether the pair tests ran on the executor's workers.
+/// [`CrossingIndex::rebuild_delta`]. Only the first `queries` segments
+/// are queried: each is tested against every segment after it in its
+/// cells, so a full build passes `segs.len()` and a delta the length of
+/// its changed prefix. Returns one buffer of `(side A, side B)` segment
+/// indexes per run of cells, side A on the lower net, whether the pair
+/// tests ran on the executor's workers, and how many pair tests ran.
 ///
 /// Each crossing is reported once, by the cell that owns its crossing
 /// point; only [`SegmentGrid::owns_crossing`]'s overflow fallback (far
@@ -923,11 +938,12 @@ fn collect_segments(
 /// its dedup as the safety net.
 fn grid_pairs(
     segs: &[SegRef],
+    queries: usize,
     dims: Option<(usize, usize)>,
     exec: &Executor,
-) -> (Vec<Vec<(u32, u32)>>, bool) {
-    if segs.len() < 2 {
-        return (Vec::new(), false);
+) -> (Vec<Vec<(u32, u32)>>, bool, u64) {
+    if segs.len() < 2 || queries == 0 {
+        return (Vec::new(), false, 0);
     }
     let mut extent = BoundingBox::new(segs[0].s.a, segs[0].s.b);
     for sr in &segs[1..] {
@@ -935,7 +951,7 @@ fn grid_pairs(
     }
     let mut grid = match dims {
         Some((cols, rows)) => SegmentGrid::new(extent, cols, rows),
-        None => SegmentGrid::sized(extent, segs.len()),
+        None => SegmentGrid::sized(extent, queries),
     };
     for (id, sr) in segs.iter().enumerate() {
         grid.insert(id as u32, sr.s);
@@ -945,20 +961,25 @@ fn grid_pairs(
         .into_iter()
         .filter(|&c| grid.cell_items(c).len() >= 2)
         .collect();
+    // A cell lists its ids in insertion order, ascending, so its queried
+    // segments are a prefix of the list.
+    let queried = |items: &[u32]| items.partition_point(|&id| (id as usize) < queries);
 
     // Every properly-crossing segment pair co-occupies the cell of its
     // crossing point (the grid's coverage invariant), and only that cell
-    // reports it.
+    // reports it. A cell of `n` ids, `k` of them queried, tests
+    // `Σ_{x<k} (n − 1 − x)` pairs: `n(n − 1)/2` when all are queried.
     let pair_tests: u64 = cells
         .iter()
         .map(|&c| {
-            let n = grid.cell_items(c).len() as u64;
-            n * (n - 1) / 2
+            let items = grid.cell_items(c);
+            let (n, k) = (items.len() as u64, queried(items) as u64);
+            k * n - k * (k + 1) / 2
         })
         .sum();
     let test_cell = |cell: usize, out: &mut Vec<(u32, u32)>| {
         let ids = grid.cell_items(cell);
-        for (x, &ia) in ids.iter().enumerate() {
+        for (x, &ia) in ids[..queried(ids)].iter().enumerate() {
             let a = &segs[ia as usize];
             for &ib in &ids[x + 1..] {
                 let b = &segs[ib as usize];
@@ -995,11 +1016,11 @@ fn grid_pairs(
         .into_iter()
         .map(|(_, out)| out.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect();
-    (pairs, parallel)
+    (pairs, parallel, pair_tests)
 }
 
 /// The crossing funnel: turns the grid's pair buffers into records in
-/// pair order, keeping only the pairs `keep` accepts.
+/// pair order.
 ///
 /// A counting sort buckets the hits by candidate A, scattering straight
 /// from the 8-byte pair buffers (each freed once scattered) into one
@@ -1019,7 +1040,6 @@ fn funnel(
     ids: &CandIds,
     segs: Vec<SegRef>,
     pairs: Vec<Vec<(u32, u32)>>,
-    keep: impl Fn(&SegRef, &SegRef) -> bool,
     ranges: usize,
     exec: &Executor,
 ) -> Records {
@@ -1030,10 +1050,8 @@ fn funnel(
     let mut used = vec![false; n_cands];
     for &(ia, ib) in pairs.iter().flatten() {
         let (p, q) = (&segs[ia as usize], &segs[ib as usize]);
-        if keep(p, q) {
-            off[p.cand as usize + 1] += 1;
-            used[q.cand as usize] = true;
-        }
+        off[p.cand as usize + 1] += 1;
+        used[q.cand as usize] = true;
     }
     for c in 0..n_cands {
         used[c] |= off[c + 1] > 0;
@@ -1046,12 +1064,10 @@ fn funnel(
     for buf in pairs {
         for (ia, ib) in buf {
             let (p, q) = (&segs[ia as usize], &segs[ib as usize]);
-            if keep(p, q) {
-                let slot = &mut cursor[p.cand as usize];
-                hits[*slot as usize] = u64::from(paths.flat(q.cand, q.seg)) << 32
-                    | u64::from(paths.flat(p.cand, p.seg));
-                *slot += 1;
-            }
+            let slot = &mut cursor[p.cand as usize];
+            hits[*slot as usize] =
+                u64::from(paths.flat(q.cand, q.seg)) << 32 | u64::from(paths.flat(p.cand, p.seg));
+            *slot += 1;
         }
     }
     drop((cursor, segs));
@@ -1813,7 +1829,7 @@ mod tests {
             let nets = edge_and_corner_nets(cols as i64, rows as i64);
             let segs = collect_segments(&nets, &CandIds::new(&nets), |_| true);
             let exec = Executor::sequential();
-            let (pairs, _) = grid_pairs(&segs, Some((cols, rows)), &exec);
+            let (pairs, _, _) = grid_pairs(&segs, segs.len(), Some((cols, rows)), &exec);
             let hits: Vec<(u32, u32)> = pairs.into_iter().flatten().collect();
             let mut unique = hits.clone();
             unique.sort_unstable();
@@ -1826,6 +1842,50 @@ mod tests {
             assert_eq!(hits.len(), crossings, "{label}: one hit per crossing");
             let sized = CrossingIndex::build_with_grid_dims(&nets, &exec, Some((cols, rows)));
             assert_index_eq(&sized, &reference, &label);
+        }
+    }
+
+    #[test]
+    fn delta_grid_emits_a_changed_pair_once_on_cell_edges_and_corners() {
+        // Each small X's two segments cross on a cell edge or corner. With
+        // them as the changed prefix, the delta's grid pass must report
+        // their crossing once, and every other crossing of a changed
+        // segment once, testing no pair without a changed side.
+        for (cols, rows) in [(2, 2), (3, 2), (4, 4), (5, 7)] {
+            let nets = edge_and_corner_nets(cols as i64, rows as i64);
+            let ids = CandIds::new(&nets);
+            let reference = CrossingIndex::build_reference(&nets);
+            let exec = Executor::sequential();
+            // The frame's 4 nets come first, then each X as 2 nets: one
+            // on every interior edge midpoint and corner.
+            let xs = (cols - 1) * rows + (rows - 1) * (2 * cols - 1);
+            for a in (4..4 + 2 * xs).step_by(2) {
+                let changed = [a, a + 1];
+                let mut segs = collect_segments(&nets, &ids, |i| changed.contains(&i));
+                let queries = segs.len();
+                assert_eq!(queries, 2);
+                segs.extend(collect_segments(&nets, &ids, |i| !changed.contains(&i)));
+                let (pairs, _, tests) = grid_pairs(&segs, queries, Some((cols, rows)), &exec);
+                let hits: Vec<(u32, u32)> = pairs.into_iter().flatten().collect();
+                let label = format!("{cols}x{rows}, X at nets {a}/{}", a + 1);
+                assert!(
+                    hits.iter().all(|&(p, q)| p < 2 || q < 2),
+                    "{label}: unchanged pair"
+                );
+                let own = hits.iter().filter(|&&(p, q)| p.max(q) < 2).count();
+                assert_eq!(own, 1, "{label}: the X's own crossing");
+                let expected: usize = reference
+                    .iter()
+                    .filter(|((na, _, nb, _), _)| changed.contains(na) || changed.contains(nb))
+                    .map(|(_, pc)| pc.total)
+                    .sum();
+                assert_eq!(hits.len(), expected, "{label}: one hit per crossing");
+                let mut unique = hits.clone();
+                unique.sort_unstable();
+                unique.dedup();
+                assert_eq!(unique.len(), hits.len(), "{label}: duplicate hits");
+                assert!(tests < (segs.len() * (segs.len() - 1) / 2) as u64);
+            }
         }
     }
 
@@ -1870,7 +1930,7 @@ mod tests {
         // must drop the repeats, in whichever range they land.
         let far = diagonals_and_forks(1 << 30);
         let segs = collect_segments(&far, &CandIds::new(&far), |_| true);
-        let raw: usize = grid_pairs(&segs, None, &Executor::sequential())
+        let raw: usize = grid_pairs(&segs, segs.len(), None, &Executor::sequential())
             .0
             .iter()
             .map(Vec::len)
@@ -2166,11 +2226,6 @@ mod tests {
         }
     }
 
-    /// The index of net `net`'s last candidate.
-    fn pts_last(nets: &[NetCandidates], net: usize) -> usize {
-        nets[net].candidates.len() - 1
-    }
-
     fn random_nets(raw: &[Vec<Vec<(i64, i64)>>]) -> Vec<NetCandidates> {
         raw.iter()
             .enumerate()
@@ -2275,8 +2330,10 @@ mod tests {
         /// `rebuild_delta` (localized grid pass) against a full rebuild
         /// after replacing 1–3 random nets. Each replacement keeps its
         /// net's random chains and adds a diagonal through (24, 24), so
-        /// the replacements cross each other and every changed net gains
-        /// a candidate, shifting the global ids of every later net.
+        /// the replacements cross each other, all at one point. The first
+        /// one also gains horizontals until it has more candidates than
+        /// before, as a bus that gains bits does, which shifts the global
+        /// ids of every later net.
         #[test]
         fn rebuild_delta_equals_full_rebuild_on_random_changes(
             raw in proptest::collection::vec(
@@ -2297,31 +2354,45 @@ mod tests {
         ) {
             let mut nets = random_nets(&raw);
             let before = CrossingIndex::build_with(&nets, &Executor::sequential());
-            let mut targets: Vec<usize> = Vec::new();
+            // Each changed net with the candidate index of its diagonal.
+            let mut targets: Vec<(usize, usize)> = Vec::new();
             for (r, (chains, &w)) in replacements.iter().zip(&which).enumerate() {
                 let target = w % nets.len();
-                if targets.contains(&target) {
+                if targets.iter().any(|&(t, _)| t == target) {
                     continue;
                 }
-                targets.push(target);
+                targets.push((target, chains.len()));
                 let mut pts: Vec<Vec<Point>> = chains
                     .iter()
                     .map(|c| c.iter().map(|&(x, y)| Point::new(x, y)).collect())
                     .collect();
                 let y0 = 8 * r as i64;
                 pts.push(vec![Point::new(0, y0), Point::new(48, 48 - y0)]);
+                while r == 0 && pts.len() <= nets[target].candidates.len() {
+                    let y = 30 + pts.len() as i64;
+                    pts.push(vec![Point::new(0, y), Point::new(48, y)]);
+                }
                 nets[target] = chain_net(target, &pts);
             }
-            let delta = before.rebuild_delta(&nets, &targets);
+            let changed: Vec<usize> = targets.iter().map(|&(t, _)| t).collect();
+            let delta = before.rebuild_delta(&nets, &changed);
             let full = CrossingIndex::build_with(&nets, &Executor::sequential());
             assert_index_eq(&delta, &full, "random delta vs full");
             let reference = CrossingIndex::build_reference(&nets);
             assert_index_eq(&delta, &reference, "random delta vs reference");
-            if targets.len() > 1 {
-                prop_assert!(
-                    delta.pair(targets[0], pts_last(&nets, targets[0]), targets[1], pts_last(&nets, targets[1])).is_some(),
-                    "the replacements must cross each other"
-                );
+            let grown = changed[0];
+            prop_assert!(
+                nets[grown].candidates.len() > before.ids.count(grown).unwrap(),
+                "the first replacement must grow"
+            );
+            for (x, &a) in targets.iter().enumerate() {
+                for &b in &targets[x + 1..] {
+                    let ((na, ca), (nb, cb)) = (a.min(b), a.max(b));
+                    prop_assert!(
+                        delta.pair(na, ca, nb, cb).is_some(),
+                        "the replacements {} and {} must cross each other", na, nb
+                    );
+                }
             }
         }
     }

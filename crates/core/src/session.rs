@@ -35,7 +35,9 @@
 //! * unchanged groups keep their clustering and co-design candidates;
 //! * when every reused hyper net keeps its dense index, the crossing
 //!   index is patched via [`CrossingIndex::rebuild_delta`] instead of
-//!   rebuilt;
+//!   rebuilt: only the changed nets' segments are tested, against the
+//!   nets whose bounding boxes they overlap, and every other record is
+//!   kept;
 //! * selection re-runs globally (a local change can shift the crossing
 //!   coupling anywhere) against the session's resident LR workspace;
 //! * WDM planning re-runs via [`wdm::plan`], which is handed the
@@ -760,10 +762,11 @@ impl WarmSession {
         changed: &[usize],
     ) -> CrossingIndex {
         let mut stage = self.exec.stage("crossing");
-        // Which builder ran, whether the pair tests used the workers,
-        // the pair and segment-crossing counts, and the index's heap
-        // size: pure functions of the candidate set and the builder, so
-        // run reports stay thread-count invariant.
+        // Which builder ran, whether the pair tests used the workers, how
+        // many segment pair tests its grid ran, the pair and
+        // segment-crossing counts, and the index's heap size: pure
+        // functions of the candidate set and the builder, so run reports
+        // stay thread-count invariant.
         let idx = match patch {
             Some(prev) => {
                 stage.record("crossing_delta_rebuild", 1);
@@ -778,6 +781,7 @@ impl WarmSession {
             }
         };
         stage.record("crossing_build_parallel", u64::from(idx.built_parallel()));
+        stage.record("crossing_pair_tests", idx.pair_tests());
         stage.record("crossing_pairs", idx.len() as u64);
         stage.record("crossing_hits", idx.segment_crossings());
         stage.record("crossing_index_kib", idx.heap_bytes().div_ceil(1024) as u64);

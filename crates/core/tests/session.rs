@@ -460,10 +460,13 @@ fn eco_that_shifts_indices_rebuilds_the_crossing_index() {
 /// Each crossing stage record names the build that ran: a cold route's
 /// full grid build records `crossing_build_grid`, an index-keeping ECO's
 /// patch `crossing_build_delta`, and no record names a brute-force build.
+/// The patch tests only the moved group's segments, so it records fewer
+/// `crossing_pair_tests` than the cold build, at every thread count.
 #[test]
 fn crossing_records_name_the_build_that_ran() {
     let counter =
         |r: &StageRecord, key: &str| r.counters.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+    let mut tests_at_one_thread = None;
     for threads in [1usize, 2, 8] {
         let exec = Executor::new(threads);
         let mut s = WarmSession::open(quadrant_design(), OperonConfig::default(), exec.clone())
@@ -486,6 +489,17 @@ fn crossing_records_name_the_build_that_ran() {
             builds,
             [(Some(1), None), (None, Some(1))],
             "threads={threads}: cold grid build, then a delta patch"
+        );
+        let tests: Vec<u64> = stages
+            .iter()
+            .filter(|r| r.name == "crossing")
+            .map(|r| counter(r, "crossing_pair_tests").expect("pair tests recorded"))
+            .collect();
+        assert!(tests[1] < tests[0], "threads={threads}: {tests:?}");
+        assert_eq!(
+            *tests_at_one_thread.get_or_insert_with(|| tests.clone()),
+            tests,
+            "threads={threads}"
         );
         assert!(
             stages
