@@ -40,6 +40,9 @@ cargo run -p operon-bench --release -q --bin serve_bench -- --smoke
 echo "==> lint_bench --smoke (scan-cache identity gate)"
 cargo run -p operon-bench --release -q --bin lint_bench -- --smoke
 
+echo "==> ilp_bench --smoke (exact-selection search pin: nodes, LP solves, simplex iterations and power bits equal BENCH_ilp.json)"
+cargo run -p operon-bench --release -q --bin ilp_bench -- --smoke
+
 echo "==> shard_bench --smoke (die-scale plan fingerprint + thread identity gate)"
 cargo run -p operon-bench --release -q --bin shard_bench -- --smoke
 

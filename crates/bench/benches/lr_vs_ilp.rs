@@ -71,8 +71,6 @@ fn bench_selectors(c: &mut Criterion) {
                 &config.optical,
                 Duration::from_secs(5),
                 None,
-                1,
-                &Executor::sequential(),
             )
             .expect("solvable")
         })

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! operon_route <design.sig>... [--threads N|auto] [--run-report FILE]
-//!              [--ilp SECS] [--ilp-wave-size N] [--capacity N]
-//!              [--max-loss DB] [--max-delay PS] [--scale N/D] [--maps]
-//!              [--nets] [--svg FILE] [--emit-trace FILE]
+//!              [--ilp SECS] [--capacity N] [--max-loss DB]
+//!              [--max-delay PS] [--scale N/D] [--maps] [--nets]
+//!              [--svg FILE] [--emit-trace FILE]
 //! ```
 //!
 //! Reads designs in the `operon-netlist` text format (see
@@ -17,14 +17,10 @@
 //! stage's wall time.
 //! The config flags set knobs through `OperonConfig::set_knob`, the
 //! setter `operon_serve`'s `set_config` and `operon_explore` lattices use
-//! too: `--ilp S` sets `selector` to `ilp:S`, and `--ilp-wave-size`,
-//! `--capacity`, `--max-loss` and `--max-delay` set `ilp_wave_size`,
-//! `capacity`, `max_loss` and `max_delay`. A value the setter rejects
-//! prints its error and the usage.
-//! `--ilp-wave-size` sets how many branch-and-bound nodes the exact
-//! selector expands per parallel wave (default 1 = sequential best-first;
-//! the explored tree depends on the wave size but never on the thread
-//! count). `--maps` additionally renders the optical/electrical power
+//! too: `--ilp S` sets `selector` to `ilp:S`, and `--capacity`,
+//! `--max-loss` and `--max-delay` set `capacity`, `max_loss` and
+//! `max_delay`. A value the setter rejects prints its error and the
+//! usage. `--maps` additionally renders the optical/electrical power
 //! maps as ASCII heat maps; `--svg` writes the routed layout as an SVG
 //! drawing (single design only). `--emit-trace` additionally writes the
 //! whole invocation as a JSONL request trace — one
@@ -41,9 +37,9 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: operon_route <design.sig>... [--threads N|auto] \
-         [--run-report FILE] [--ilp SECS] [--ilp-wave-size N] [--capacity N] [--max-loss DB] \
+         [--run-report FILE] [--ilp SECS] [--capacity N] [--max-loss DB] \
          [--max-delay PS] [--scale N/D] [--maps] [--nets] [--svg FILE] [--emit-trace FILE]\n\n\
-         config flags set knobs: --ilp SECS selector=ilp:SECS, --ilp-wave-size ilp_wave_size, \
+         config flags set knobs: --ilp SECS selector=ilp:SECS, \
          --capacity capacity, --max-loss max_loss, --max-delay max_delay"
     );
     ExitCode::from(2)
@@ -51,9 +47,8 @@ fn usage() -> ExitCode {
 
 /// The config flags and the knob each sets (`--ilp S` sets
 /// `selector` to `ilp:S`).
-const CONFIG_FLAGS: [(&str, &str); 5] = [
+const CONFIG_FLAGS: [(&str, &str); 4] = [
     ("--ilp", "selector"),
-    ("--ilp-wave-size", "ilp_wave_size"),
     ("--capacity", "capacity"),
     ("--max-loss", "max_loss"),
     ("--max-delay", "max_delay"),

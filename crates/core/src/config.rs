@@ -26,8 +26,7 @@ pub enum DirtyStage {
     /// selection stay valid (`wdm_min_pitch`, `wdm_max_displacement`).
     Wdm,
     /// Re-run selection + WDM over the resident candidate pool
-    /// (`selector`, `ilp_wave_size`, `lr_max_iters`,
-    /// `lr_converge_ratio`).
+    /// (`selector`, `lr_max_iters`, `lr_converge_ratio`).
     Selection,
     /// Re-generate candidates (and the crossing index over them); the
     /// hyper-net clustering stays valid (optical loss/energy model,
@@ -81,14 +80,13 @@ pub enum Selector {
 /// `operon_explore` lattice axes and base assignments, and the
 /// `operon_route` config flags. Which pipeline stage a change to each
 /// invalidates is [`OperonConfig::first_dirty_stage`]'s business.
-pub const KNOBS: [&str; 11] = [
+pub const KNOBS: [&str; 10] = [
     "capacity",
     "merge_threshold",
     "max_loss",
     "max_delay",
     "max_candidates",
     "selector",
-    "ilp_wave_size",
     "lr_iters",
     "lr_converge",
     "wdm_pitch",
@@ -211,12 +209,6 @@ pub struct OperonConfig {
     pub max_candidates: usize,
     /// Label cap per node in the co-design dynamic program.
     pub max_labels: usize,
-    /// Branch-and-bound nodes the ILP selector expands concurrently per
-    /// wave (see [`crate::formulation::select_ilp`]). The explored
-    /// tree depends on this value but never on the thread count, so
-    /// results are reproducible across machines at a fixed wave size.
-    /// `1` (the default) is the classic sequential best-first search.
-    pub ilp_wave_size: usize,
     /// LR iteration cap (the paper uses 10).
     pub lr_max_iters: usize,
     /// LR convergence ratio: stop when both power and violation improve
@@ -239,7 +231,6 @@ impl Default for OperonConfig {
             max_topologies: 4,
             max_candidates: 8,
             max_labels: 32,
-            ilp_wave_size: 1,
             lr_max_iters: 10,
             lr_converge_ratio: 0.01,
             powermap_cells: 64,
@@ -346,7 +337,6 @@ impl OperonConfig {
                 }
                 .ok_or_else(|| bad("\"lr\" or \"ilp:<secs>\""))?;
             }
-            "ilp_wave_size" => self.ilp_wave_size = positive()?,
             "lr_iters" => self.lr_max_iters = positive()?,
             "lr_converge" => self.lr_converge_ratio = real()?,
             "wdm_pitch" => self.optical.wdm_min_pitch = int()?,
@@ -417,7 +407,6 @@ impl OperonConfig {
         u(&mut s, "max_topologies", self.max_topologies as u64);
         u(&mut s, "max_candidates", self.max_candidates as u64);
         u(&mut s, "max_labels", self.max_labels as u64);
-        u(&mut s, "ilp_wave", self.ilp_wave_size as u64);
         u(&mut s, "lr_iters", self.lr_max_iters as u64);
         f(&mut s, "lr_converge", self.lr_converge_ratio);
         u(&mut s, "powermap", self.powermap_cells as u64);
@@ -485,7 +474,6 @@ impl OperonConfig {
             return DirtyStage::Codesign;
         }
         if a.selector != b.selector
-            || a.ilp_wave_size != b.ilp_wave_size
             || a.lr_max_iters != b.lr_max_iters
             || ne(a.lr_converge_ratio, b.lr_converge_ratio)
         {
@@ -511,7 +499,6 @@ impl OperonConfig {
         let defaults = OperonConfig::default();
         let mut prefix = self.clone();
         prefix.selector = defaults.selector;
-        prefix.ilp_wave_size = defaults.ilp_wave_size;
         prefix.lr_max_iters = defaults.lr_max_iters;
         prefix.lr_converge_ratio = defaults.lr_converge_ratio;
         prefix.optical.wdm_min_pitch = defaults.optical.wdm_min_pitch;
@@ -556,11 +543,6 @@ impl OperonConfig {
         if self.max_topologies == 0 || self.max_candidates == 0 || self.max_labels == 0 {
             return Err(OperonError::InvalidConfig(
                 "topology/candidate/label caps must be positive".to_owned(),
-            ));
-        }
-        if self.ilp_wave_size == 0 {
-            return Err(OperonError::InvalidConfig(
-                "ilp_wave_size must be positive".to_owned(),
             ));
         }
         if self.lr_max_iters == 0 {
@@ -641,18 +623,6 @@ mod tests {
             ..OperonConfig::default()
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn zero_ilp_wave_size_rejected() {
-        let cfg = OperonConfig {
-            ilp_wave_size: 0,
-            ..OperonConfig::default()
-        };
-        assert!(matches!(
-            cfg.validate(),
-            Err(OperonError::InvalidConfig(msg)) if msg.contains("ilp_wave_size")
-        ));
     }
 
     #[test]
@@ -740,10 +710,6 @@ mod tests {
                 ..base.clone()
             },
             OperonConfig {
-                ilp_wave_size: 4,
-                ..base.clone()
-            },
-            OperonConfig {
                 selector: Selector::Ilp { time_limit_secs: 5 },
                 ..base.clone()
             },
@@ -798,7 +764,6 @@ mod tests {
                 KnobValue::Text("ilp:3".to_owned()),
                 DirtyStage::Selection,
             ),
-            ("ilp_wave_size", KnobValue::Int(3), DirtyStage::Selection),
             ("lr_iters", KnobValue::Int(3), DirtyStage::Selection),
             ("lr_converge", KnobValue::Float(0.05), DirtyStage::Selection),
             ("wdm_pitch", KnobValue::Int(24), DirtyStage::Wdm),
@@ -845,6 +810,27 @@ mod tests {
                 .to_string()
                 .contains("max_loss")
         );
+    }
+
+    #[test]
+    fn ilp_wave_size_is_an_unknown_knob() {
+        let base = OperonConfig::default();
+        for value in [KnobValue::Int(1), KnobValue::Int(4)] {
+            let mut cfg = base.clone();
+            let err = cfg.set_knob("ilp_wave_size", &value).unwrap_err();
+            let OperonError::InvalidConfig(msg) = &err else {
+                panic!("expected InvalidConfig, got {err:?}");
+            };
+            assert_eq!(KNOBS.len(), 10);
+            assert_eq!(
+                *msg,
+                format!(
+                    "unknown knob \"ilp_wave_size\" (known: {})",
+                    KNOBS.join(", ")
+                )
+            );
+            assert_eq!(cfg, base, "a rejected knob changed the config");
+        }
     }
 
     #[test]
@@ -896,7 +882,6 @@ mod tests {
             (
                 OperonConfig {
                     selector: Selector::Ilp { time_limit_secs: 2 },
-                    ilp_wave_size: 4,
                     ..base.clone()
                 },
                 true,

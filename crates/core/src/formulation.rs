@@ -16,7 +16,6 @@
 
 use crate::codesign::NetCandidates;
 use crate::{CrossingIndex, OperonError};
-use operon_exec::Executor;
 use operon_ilp::{Model, SolveOptions, SolveStats, VarId};
 use operon_optics::OpticalLib;
 use std::collections::BTreeMap;
@@ -124,10 +123,8 @@ pub fn selection_feasible(
 /// optimality; otherwise the run reproduces the ">3000 s" behaviour of
 /// Table 1.
 ///
-/// Each component sub-ILP expands `wave_size` branch-and-bound nodes per
-/// round on `exec`. The solve is bit-identical for any thread count at a
-/// fixed `wave_size`; `wave_size = 1` performs the classic sequential
-/// search.
+/// Each component sub-ILP runs [`Model::solve`]'s sequential best-first
+/// search, so the result is deterministic.
 ///
 /// # Errors
 ///
@@ -140,8 +137,6 @@ pub fn select_ilp(
     lib: &OpticalLib,
     time_limit: Duration,
     warm_start: Option<&[usize]>,
-    wave_size: usize,
-    exec: &Executor,
 ) -> Result<SelectionResult, OperonError> {
     let start = operon_exec::Stopwatch::start();
 
@@ -211,9 +206,7 @@ pub fn select_ilp(
     component_list.sort_by_key(|c| (c.len(), c.first().copied()));
     for members in component_list {
         let remaining = time_limit.saturating_sub(start.elapsed());
-        let sol = solve_component(
-            nets, &loaders, &members, lib, remaining, warm_start, wave_size, exec,
-        )?;
+        let sol = solve_component(nets, &loaders, &members, lib, remaining, warm_start)?;
         for (&i, &j) in members.iter().zip(&sol.choice) {
             choice[i] = j;
         }
@@ -247,7 +240,6 @@ struct ComponentSolve {
 }
 
 /// Solves one coupled component as a standalone 0/1 ILP.
-#[allow(clippy::too_many_arguments)]
 fn solve_component(
     nets: &[NetCandidates],
     loaders: &LoaderMap,
@@ -255,8 +247,6 @@ fn solve_component(
     lib: &OpticalLib,
     time_limit: Duration,
     warm_start: Option<&[usize]>,
-    wave_size: usize,
-    exec: &Executor,
 ) -> Result<ComponentSolve, OperonError> {
     let mut model = Model::new();
     let index_of: BTreeMap<usize, usize> =
@@ -313,8 +303,6 @@ fn solve_component(
     let options = SolveOptions {
         time_limit,
         initial_solution,
-        wave_size,
-        executor: exec.clone(),
         ..SolveOptions::default()
     };
     let sol = model.solve(&options);
@@ -380,6 +368,7 @@ impl Dsu {
 mod tests {
     use super::*;
     use crate::codesign::{analyze_assignment, CandidateRoute, EdgeMedium};
+    use operon_exec::Executor;
     use operon_geom::Point;
     use operon_optics::ElectricalParams;
     use operon_steiner::{NodeKind, RouteTree};
@@ -406,16 +395,7 @@ mod tests {
 
     /// The sequential exact solve with a 10 s limit and no warm start.
     fn exact(nets: &[NetCandidates], crossings: &CrossingIndex) -> SelectionResult {
-        select_ilp(
-            nets,
-            crossings,
-            &lib(),
-            Duration::from_secs(10),
-            None,
-            1,
-            &Executor::sequential(),
-        )
-        .expect("solvable")
+        select_ilp(nets, crossings, &lib(), Duration::from_secs(10), None).expect("solvable")
     }
 
     #[test]

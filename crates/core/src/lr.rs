@@ -759,16 +759,8 @@ mod tests {
             .collect();
         let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
         let lib = OpticalLib::paper_defaults();
-        let ilp = select_ilp(
-            &nets,
-            &crossings,
-            &lib,
-            Duration::from_secs(20),
-            None,
-            1,
-            &Executor::sequential(),
-        )
-        .expect("solvable");
+        let ilp =
+            select_ilp(&nets, &crossings, &lib, Duration::from_secs(20), None).expect("solvable");
         let lr = seq_lr(&nets, &crossings, &config());
         assert!(ilp.proven_optimal);
         assert!(
@@ -1107,8 +1099,6 @@ mod tests {
                     &lib,
                     Duration::from_secs(20),
                     Some(&lr.choice),
-                    1,
-                    &Executor::sequential(),
                 )
                 .expect("solvable");
                 prop_assert!(selection_feasible(&nets, &crossings, &ilp.choice, &lib));

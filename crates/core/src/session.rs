@@ -812,8 +812,6 @@ impl WarmSession {
                     &resolved.optical,
                     Duration::from_secs(time_limit_secs),
                     Some(&lr.choice),
-                    resolved.ilp_wave_size,
-                    &self.exec,
                 )?;
                 ilp.lr_stats = lr.lr_stats;
                 ilp
@@ -829,7 +827,6 @@ impl WarmSession {
         if let Some(ilp) = selection.ilp_stats {
             stage.record("ilp_nodes", ilp.nodes_explored as u64);
             stage.record("ilp_lp_solves", ilp.lp_solves as u64);
-            stage.record("ilp_waves", ilp.waves as u64);
             stage.record("ilp_incumbent_updates", ilp.incumbent_updates as u64);
             stage.record("ilp_simplex_iterations", ilp.simplex_iterations);
         }

@@ -60,6 +60,23 @@ fn unknown_flag_is_rejected() {
 }
 
 #[test]
+fn ilp_wave_size_flag_is_rejected() {
+    let path = write_design("wave");
+    let out = bin()
+        .args([path.to_str().expect("utf8"), "--ilp-wave-size", "2"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(
+        !stderr.contains("wave-size N"),
+        "usage still offers the flag"
+    );
+}
+
+#[test]
 fn malformed_design_reports_line() {
     let path = std::env::temp_dir().join("operon_cli_bad.sig");
     std::fs::write(&path, "design bad\ndie 0 0 ten 10\n").expect("write");

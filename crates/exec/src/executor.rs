@@ -159,33 +159,6 @@ impl Executor {
         self.par_map_indexed_min(items, 2, |_, item| f(item))
     }
 
-    /// Runs one *synchronized wave*: an order-preserving parallel map over
-    /// a small batch of heavy, mutually independent subproblems, counted
-    /// in the metrics (see [`RunReport::total_waves`](crate::RunReport)).
-    ///
-    /// Wave-synchronous solvers — such as the ILP branch-and-bound
-    /// expanding its `wave_size` best frontier nodes per round —
-    /// alternate a concurrent expansion with a sequential deterministic
-    /// merge. This helper is the expansion half: like
-    /// [`par_map_coarse`](Self::par_map_coarse) it parallelizes from two
-    /// items up, and it additionally bumps the wave counter so run
-    /// reports expose how many solver rounds a stage took.
-    ///
-    /// Determinism: identical to `items.iter().map(f).collect()` for any
-    /// thread count — the wave boundary is what lets the caller merge
-    /// results in a fixed order.
-    pub fn wave_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        if !items.is_empty() {
-            self.metrics.waves.fetch_add(1, Ordering::Relaxed);
-        }
-        self.par_map_indexed_min(items, 2, |_, item| f(item))
-    }
-
     // operon-lint: allow(R003, reason = "the gather-lock expects only fire after a worker panicked; propagating that panic to the caller is the executor's contract")
     fn par_map_indexed_min<T, R, F>(&self, items: &[T], min_parallel: usize, f: F) -> Vec<R>
     where

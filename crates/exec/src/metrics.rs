@@ -112,8 +112,6 @@ pub struct Metrics {
     tasks: AtomicU64,
     /// Successful steal operations.
     steals: AtomicU64,
-    /// Synchronized solver waves (see `Executor::wave_map`).
-    pub(crate) waves: AtomicU64,
     /// Nanoseconds workers spent inside `par_map` loops (busy + brief
     /// idle spin; an upper bound on useful CPU time).
     busy_nanos: AtomicU64,
@@ -127,7 +125,6 @@ impl Metrics {
             par_calls: AtomicU64::new(0),
             tasks: AtomicU64::new(0),
             steals: AtomicU64::new(0),
-            waves: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
             stages: Mutex::new(Vec::new()),
         }
@@ -157,11 +154,6 @@ impl Metrics {
         self.par_calls.load(Ordering::Relaxed)
     }
 
-    /// Total synchronized waves (`wave_map` rounds) so far.
-    pub fn waves(&self) -> u64 {
-        self.waves.load(Ordering::Relaxed)
-    }
-
     /// Opens a named stage scope; the record is written when the guard
     /// drops.
     pub fn stage(&self, name: impl Into<String>) -> StageScope<'_> {
@@ -172,7 +164,6 @@ impl Metrics {
             tasks0: self.tasks.load(Ordering::Relaxed),
             steals0: self.steals.load(Ordering::Relaxed),
             busy0: self.busy_nanos.load(Ordering::Relaxed),
-            waves0: self.waves.load(Ordering::Relaxed),
             counters: Vec::new(),
             labels: Vec::new(),
         }
@@ -186,7 +177,6 @@ impl Metrics {
             total_tasks: self.tasks(),
             total_steals: self.steals(),
             total_par_calls: self.par_calls(),
-            total_waves: self.waves(),
             peak_rss_kib: peak_rss_kib(),
         }
     }
@@ -216,7 +206,6 @@ pub struct StageScope<'a> {
     tasks0: u64,
     steals0: u64,
     busy0: u64,
-    waves0: u64,
     counters: Vec<(String, u64)>,
     labels: Vec<(String, String)>,
 }
@@ -253,7 +242,6 @@ impl Drop for StageScope<'_> {
             ),
             tasks: self.metrics.tasks().saturating_sub(self.tasks0),
             steals: self.metrics.steals().saturating_sub(self.steals0),
-            waves: self.metrics.waves().saturating_sub(self.waves0),
             peak_rss_kib: stage_peak_kib(wall),
             counters: std::mem::take(&mut self.counters),
             labels: std::mem::take(&mut self.labels),
@@ -276,8 +264,6 @@ pub struct StageRecord {
     pub tasks: u64,
     /// Steals inside the scope.
     pub steals: u64,
-    /// Synchronized `wave_map` rounds inside the scope.
-    pub waves: u64,
     /// Process peak RSS (`VmHWM`, kibibytes) sampled when the stage
     /// closed. Monotone across stages of one process — see
     /// [`peak_rss_kib`]. Sub-millisecond stages reuse the most recent
@@ -307,8 +293,6 @@ pub struct RunReport {
     pub total_steals: u64,
     /// `par_map` invocations across the whole run.
     pub total_par_calls: u64,
-    /// Synchronized `wave_map` rounds across the whole run.
-    pub total_waves: u64,
     /// Process peak RSS (`VmHWM`, kibibytes) when the report was taken;
     /// zero where `/proc` is unavailable.
     pub peak_rss_kib: u64,
@@ -328,7 +312,6 @@ impl RunReport {
                     ("busy_ms", Value::from(s.busy.as_secs_f64() * 1e3)),
                     ("tasks", Value::from(s.tasks)),
                     ("steals", Value::from(s.steals)),
-                    ("waves", Value::from(s.waves)),
                     ("peak_rss_kib", Value::from(s.peak_rss_kib)),
                 ];
                 if !s.counters.is_empty() {
@@ -355,7 +338,6 @@ impl RunReport {
             ("total_tasks", Value::from(self.total_tasks)),
             ("total_steals", Value::from(self.total_steals)),
             ("total_par_calls", Value::from(self.total_par_calls)),
-            ("total_waves", Value::from(self.total_waves)),
             ("peak_rss_kib", Value::from(self.peak_rss_kib)),
             ("stages", Value::Array(stages)),
         ])

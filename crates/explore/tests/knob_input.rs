@@ -32,6 +32,7 @@ fn knob_name() -> impl Strategy<Value = String> {
         (0..KNOBS.len(), 0usize..4).prop_map(|(i, how)| near_miss(KNOBS[i], how)),
         prop_oneof![
             Just("ilp_secs"),
+            Just("ilp_wave_size"),
             Just(""),
             Just("op"),
             Just("session"),
@@ -40,6 +41,18 @@ fn knob_name() -> impl Strategy<Value = String> {
         .prop_map(str::to_owned),
         "junk",
     ]
+}
+
+#[test]
+fn removed_ilp_wave_size_knob_is_rejected_by_name() {
+    for spec in [
+        r#"{"base": {"ilp_wave_size": 1}, "axes": [{"knob": "lr_iters", "values": [4]}]}"#,
+        r#"{"axes": [{"knob": "ilp_wave_size", "values": [1, 2]}]}"#,
+    ] {
+        let err = parse_spec(spec).unwrap_err();
+        assert!(err.contains("unknown"), "{spec}: {err}");
+        assert!(err.contains("\"ilp_wave_size\""), "{spec}: {err}");
+    }
 }
 
 fn json_value() -> impl Strategy<Value = Value> {

@@ -123,7 +123,6 @@ fn every_knob_lattice() -> Lattice {
         ("max_delay", KnobValue::Float(5000.0)),
         ("max_candidates", KnobValue::Int(6)),
         ("selector", KnobValue::Text("ilp:60".to_owned())),
-        ("ilp_wave_size", KnobValue::Int(2)),
         ("lr_iters", KnobValue::Int(8)),
         ("lr_converge", KnobValue::Float(0.02)),
         ("wdm_pitch", KnobValue::Int(20)),

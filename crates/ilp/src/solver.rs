@@ -1,15 +1,12 @@
-//! Wave-synchronous best-first branch and bound over the simplex LP
+//! Sequential best-first branch and bound over the simplex LP
 //! relaxation.
 //!
-//! The search alternates two steps per round: *expand* — pop the
-//! `wave_size` best open nodes from the frontier and solve their LP
-//! relaxations concurrently on an [`operon_exec::Executor`] — and
-//! *merge* — walk the results in wave order, updating the incumbent and
-//! pushing children sequentially. The frontier orders nodes by
-//! `(bound, id)` with ids assigned in merge order, so the explored tree
-//! (and therefore the returned solution) is bit-identical for any thread
-//! count at a fixed `wave_size`, and `wave_size = 1` performs exactly the
-//! classic pop-one/solve-one best-first search.
+//! Each step pops the open node with the lowest bound, prunes it against
+//! the incumbent, solves its LP relaxation and merges the result: an
+//! integral relaxation may improve the incumbent, a fractional one
+//! branches on its most fractional variable. The frontier orders nodes
+//! by `(bound, id)` with ids assigned in push order, so the explored tree
+//! and the returned solution are deterministic.
 //!
 //! Parent LP vertices are replayed into children as *rest hints*
 //! ([`crate::bounded::Rest`]): the child tableau starts with the parent's
@@ -18,11 +15,11 @@
 
 use crate::bounded::{solve_lp_bounded, LpOutcome, LpRow, Rest};
 use crate::{Cmp, Model, VarId};
-use operon_exec::Executor;
+use operon_exec::Stopwatch;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::rc::Rc;
+use std::time::Duration;
 
 const INT_TOL: f64 = 1e-6;
 const FEAS_TOL: f64 = 1e-6;
@@ -31,7 +28,7 @@ const FEAS_TOL: f64 = 1e-6;
 #[derive(Clone, Debug)]
 pub struct SolveOptions {
     /// Wall-clock budget; on expiry the best incumbent is returned with
-    /// [`SolveStatus::TimeLimit`]. Checked at wave boundaries.
+    /// [`SolveStatus::TimeLimit`]. Checked at every node pop.
     pub time_limit: Duration,
     /// Cap on explored branch-and-bound nodes.
     pub max_nodes: usize,
@@ -39,14 +36,6 @@ pub struct SolveOptions {
     /// variable). If it satisfies every constraint it seeds the incumbent,
     /// so even limit-terminated solves return at least this solution.
     pub initial_solution: Option<Vec<f64>>,
-    /// Nodes expanded concurrently per search round. The explored tree
-    /// depends on this value (larger waves speculate past incumbent
-    /// updates) but never on the executor's thread count.
-    pub wave_size: usize,
-    /// Executor the wave expansion runs on. Defaults to sequential; the
-    /// flow passes its shared executor so ILP waves appear in the run
-    /// report.
-    pub executor: Executor,
     /// Replay parent LP vertices into children as rest hints (fewer
     /// simplex iterations per node). Degenerate relaxations may surface a
     /// different — equally optimal — vertex than a cold solve, which can
@@ -61,19 +50,7 @@ impl Default for SolveOptions {
             time_limit: Duration::from_secs(60),
             max_nodes: 1_000_000,
             initial_solution: None,
-            wave_size: 1,
-            executor: Executor::sequential(),
             warm_start_basis: true,
-        }
-    }
-}
-
-impl SolveOptions {
-    /// Options with the given time limit in seconds.
-    pub fn with_time_limit_secs(secs: u64) -> Self {
-        Self {
-            time_limit: Duration::from_secs(secs),
-            ..Self::default()
         }
     }
 }
@@ -99,8 +76,6 @@ pub struct SolveStats {
     pub nodes_explored: usize,
     /// LP relaxations solved (root pre-solve included).
     pub lp_solves: usize,
-    /// Search rounds (waves) executed.
-    pub waves: usize,
     /// Times the incumbent was created or improved (warm-start seeding
     /// and root rounding included).
     pub incumbent_updates: usize,
@@ -114,7 +89,6 @@ impl SolveStats {
     pub fn accumulate(&mut self, other: &SolveStats) {
         self.nodes_explored += other.nodes_explored;
         self.lp_solves += other.lp_solves;
-        self.waves += other.waves;
         self.incumbent_updates += other.incumbent_updates;
         self.simplex_iterations += other.simplex_iterations;
     }
@@ -192,15 +166,14 @@ impl Solution {
 }
 
 /// A branch-and-bound node, ordered by `(bound, id)` as a min-heap: the
-/// id tie-break (ids are assigned in deterministic merge order) is what
-/// makes the frontier — and the whole search — independent of executor
-/// thread count.
+/// id tie-break (ids are assigned in push order) fixes the pop order
+/// among equal bounds, and with it the whole search.
 struct Node {
     id: u64,
     bound: f64,
     fixed: Vec<Option<bool>>,
     /// Parent LP rests, full model length (see `SolveOptions::warm_start_basis`).
-    hint: Option<Arc<[Rest]>>,
+    hint: Option<Rc<[Rest]>>,
 }
 
 impl PartialEq for Node {
@@ -228,13 +201,13 @@ impl Ord for Node {
 impl Model {
     /// Solves the model to optimality or until a limit expires.
     ///
-    /// Wave-synchronous best-first branch and bound: each round expands
-    /// the `wave_size` best open nodes concurrently (LP relaxation with
-    /// fixed variables substituted out), then merges results in wave
-    /// order — integral relaxations update the incumbent, fractional ones
-    /// branch on the most fractional variable. A rounding heuristic seeds
-    /// the incumbent at the root. The search is bit-identical for any
-    /// executor thread count at a fixed `wave_size`.
+    /// Best-first branch and bound: each step pops the open node with the
+    /// lowest bound, prunes it against the incumbent, solves its LP
+    /// relaxation (fixed variables substituted out) and merges the
+    /// result — an integral relaxation is a candidate incumbent, a
+    /// fractional one branches on the most fractional variable. A
+    /// rounding heuristic seeds the incumbent at the root. The time and
+    /// node limits are checked at every pop.
     ///
     /// # Examples
     ///
@@ -250,10 +223,8 @@ impl Model {
     /// assert!(sol.is_one(x));
     /// ```
     pub fn solve(&self, options: &SolveOptions) -> Solution {
-        // operon-lint: allow(D002, reason = "branch-and-bound enforces the caller-supplied wall-clock time limit; ilp stays dependency-free")
-        let start = Instant::now();
+        let clock = Stopwatch::start();
         let n = self.var_count();
-        let wave_size = options.wave_size.max(1);
         let mut stats = SolveStats::default();
         let mut incumbent: Option<(f64, Vec<f64>)> = None;
         let mut status = SolveStatus::Optimal;
@@ -285,14 +256,13 @@ impl Model {
                     objective: f64::INFINITY,
                     values: Vec::new(),
                     stats,
-                    elapsed: start.elapsed(),
+                    elapsed: clock.elapsed(),
                 };
             }
             LpNodeResult::Solved {
                 objective,
                 x,
                 rests,
-                ..
             } => {
                 // Seed the incumbent by rounding the root relaxation,
                 // unless the warm start is already better.
@@ -312,167 +282,8 @@ impl Model {
             }
         }
 
-        'search: while !frontier.is_empty() {
-            if start.elapsed() > options.time_limit {
-                status = SolveStatus::TimeLimit;
-                break;
-            }
-
-            // Fill the wave: pop best-first, skipping bound-pruned nodes.
-            let mut wave: Vec<Node> = Vec::with_capacity(wave_size);
-            let mut hit_node_limit = false;
-            while wave.len() < wave_size {
-                let Some(node) = frontier.pop() else { break };
-                if stats.nodes_explored >= options.max_nodes {
-                    hit_node_limit = true;
-                    break;
-                }
-                stats.nodes_explored += 1;
-                if let Some((best, _)) = &incumbent {
-                    if node.bound >= *best - INT_TOL {
-                        continue; // pruned by bound
-                    }
-                }
-                wave.push(node);
-            }
-
-            if !wave.is_empty() {
-                stats.waves += 1;
-                // Expand concurrently; order-preserving, so the merge
-                // below sees results in the deterministic wave order.
-                let results = options.executor.wave_map(&wave, |node| {
-                    self.lp_relaxation(&node.fixed, node.hint.as_deref())
-                });
-
-                // Merge sequentially in wave order.
-                for (node, (result, iters)) in wave.iter().zip(results) {
-                    stats.lp_solves += 1;
-                    stats.simplex_iterations += iters;
-                    let LpNodeResult::Solved {
-                        objective,
-                        x,
-                        rests,
-                    } = result
-                    else {
-                        continue; // infeasible subtree
-                    };
-                    if let Some((best, _)) = &incumbent {
-                        if objective >= *best - INT_TOL {
-                            continue;
-                        }
-                    }
-                    // Find the most fractional variable.
-                    let frac_var = x
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| node.fixed[i].is_none())
-                        .map(|(i, &v)| (i, (v - v.round()).abs()))
-                        .filter(|&(_, f)| f > INT_TOL)
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
-
-                    match frac_var {
-                        None => {
-                            // Integral: candidate incumbent.
-                            let rounded: Vec<f64> = x.iter().map(|v| v.round()).collect();
-                            if self.all_satisfied(&rounded) {
-                                let obj = self.objective.eval(&rounded);
-                                if incumbent.as_ref().is_none_or(|(b, _)| obj < *b) {
-                                    incumbent = Some((obj, rounded));
-                                    stats.incumbent_updates += 1;
-                                }
-                            }
-                        }
-                        Some((branch_var, _)) => {
-                            // Both children inherit the node's LP objective
-                            // as their bound (valid: fixing a variable only
-                            // tightens the relaxation) and its vertex as a
-                            // warm-start hint.
-                            let hint = options.warm_start_basis.then_some(&rests);
-                            for value in [x[branch_var] >= 0.5, x[branch_var] < 0.5] {
-                                let mut fixed = node.fixed.clone();
-                                fixed[branch_var] = Some(value);
-                                frontier.push(Node {
-                                    id: next_id,
-                                    bound: objective,
-                                    fixed,
-                                    hint: hint.cloned(),
-                                });
-                                next_id += 1;
-                            }
-                        }
-                    }
-                }
-            }
-
-            if hit_node_limit {
-                status = SolveStatus::NodeLimit;
-                break 'search;
-            }
-        }
-
-        self.finish(status, incumbent, stats, start)
-    }
-
-    /// The exact pop-one/solve-one sequential search this crate shipped
-    /// before wave-synchronous expansion (cold LP solves, no executor) —
-    /// kept as the oracle for the `wave_size = 1` equivalence tests and
-    /// the single-thread regression bench. Ignores `wave_size`,
-    /// `executor`, and `warm_start_basis`.
-    pub fn solve_reference(&self, options: &SolveOptions) -> Solution {
-        // operon-lint: allow(D002, reason = "reference search enforces the caller-supplied wall-clock time limit, mirroring Model::solve")
-        let start = Instant::now();
-        let n = self.var_count();
-        let mut stats = SolveStats::default();
-        let mut incumbent: Option<(f64, Vec<f64>)> = None;
-        let mut status = SolveStatus::Optimal;
-
-        if let Some(start_values) = &options.initial_solution {
-            if start_values.len() == n
-                && start_values.iter().all(|v| *v == 0.0 || *v == 1.0)
-                && self.all_satisfied(start_values)
-            {
-                incumbent = Some((self.objective.eval(start_values), start_values.clone()));
-                stats.incumbent_updates += 1;
-            }
-        }
-
-        let mut heap: BinaryHeap<Node> = BinaryHeap::new();
-        let mut next_id: u64 = 1;
-        let root_fixed = vec![None; n];
-        let (root, root_iters) = self.lp_relaxation(&root_fixed, None);
-        stats.lp_solves += 1;
-        stats.simplex_iterations += root_iters;
-        match root {
-            LpNodeResult::Infeasible => {
-                stats.nodes_explored = 1;
-                return Solution {
-                    status: SolveStatus::Infeasible,
-                    feasible: false,
-                    objective: f64::INFINITY,
-                    values: Vec::new(),
-                    stats,
-                    elapsed: start.elapsed(),
-                };
-            }
-            LpNodeResult::Solved { objective, x, .. } => {
-                if let Some(rounded) = self.round_to_feasible(&x) {
-                    let obj = self.objective.eval(&rounded);
-                    if incumbent.as_ref().is_none_or(|(b, _)| obj < *b) {
-                        incumbent = Some((obj, rounded));
-                        stats.incumbent_updates += 1;
-                    }
-                }
-                heap.push(Node {
-                    id: 0,
-                    bound: objective,
-                    fixed: root_fixed,
-                    hint: None,
-                });
-            }
-        }
-
-        while let Some(node) = heap.pop() {
-            if start.elapsed() > options.time_limit {
+        while let Some(node) = frontier.pop() {
+            if clock.elapsed() > options.time_limit {
                 status = SolveStatus::TimeLimit;
                 break;
             }
@@ -481,23 +292,29 @@ impl Model {
                 break;
             }
             stats.nodes_explored += 1;
-
             if let Some((best, _)) = &incumbent {
                 if node.bound >= *best - INT_TOL {
-                    continue;
+                    continue; // pruned by bound
                 }
             }
-            let (result, iters) = self.lp_relaxation(&node.fixed, None);
+
+            let (result, iters) = self.lp_relaxation(&node.fixed, node.hint.as_deref());
             stats.lp_solves += 1;
             stats.simplex_iterations += iters;
-            let LpNodeResult::Solved { objective, x, .. } = result else {
-                continue;
+            let LpNodeResult::Solved {
+                objective,
+                x,
+                rests,
+            } = result
+            else {
+                continue; // infeasible subtree
             };
             if let Some((best, _)) = &incumbent {
                 if objective >= *best - INT_TOL {
                     continue;
                 }
             }
+            // Find the most fractional variable.
             let frac_var = x
                 .iter()
                 .enumerate()
@@ -508,6 +325,7 @@ impl Model {
 
             match frac_var {
                 None => {
+                    // Integral: candidate incumbent.
                     let rounded: Vec<f64> = x.iter().map(|v| v.round()).collect();
                     if self.all_satisfied(&rounded) {
                         let obj = self.objective.eval(&rounded);
@@ -518,14 +336,18 @@ impl Model {
                     }
                 }
                 Some((branch_var, _)) => {
+                    // Both children inherit the node's LP objective as
+                    // their bound (valid: fixing a variable only tightens
+                    // the relaxation) and its vertex as a warm-start hint.
+                    let hint = options.warm_start_basis.then_some(&rests);
                     for value in [x[branch_var] >= 0.5, x[branch_var] < 0.5] {
                         let mut fixed = node.fixed.clone();
                         fixed[branch_var] = Some(value);
-                        heap.push(Node {
+                        frontier.push(Node {
                             id: next_id,
                             bound: objective,
                             fixed,
-                            hint: None,
+                            hint: hint.cloned(),
                         });
                         next_id += 1;
                     }
@@ -533,7 +355,7 @@ impl Model {
             }
         }
 
-        self.finish(status, incumbent, stats, start)
+        self.finish(status, incumbent, stats, clock)
     }
 
     /// Packages the search outcome into a [`Solution`].
@@ -542,7 +364,7 @@ impl Model {
         status: SolveStatus,
         incumbent: Option<(f64, Vec<f64>)>,
         stats: SolveStats,
-        start: Instant,
+        clock: Stopwatch,
     ) -> Solution {
         match incumbent {
             Some((objective, values)) => Solution {
@@ -551,7 +373,7 @@ impl Model {
                 objective,
                 values,
                 stats,
-                elapsed: start.elapsed(),
+                elapsed: clock.elapsed(),
             },
             None => Solution {
                 // Exhausted the tree without an incumbent: infeasible
@@ -565,7 +387,7 @@ impl Model {
                 objective: f64::INFINITY,
                 values: Vec::new(),
                 stats,
-                elapsed: start.elapsed(),
+                elapsed: clock.elapsed(),
             },
         }
     }
@@ -683,7 +505,7 @@ enum LpNodeResult {
         x: Vec<f64>,
         /// Per-model-variable rests at the relaxation's optimum (fixed
         /// variables report the bound they are fixed to).
-        rests: Arc<[Rest]>,
+        rests: Rc<[Rest]>,
     },
     Infeasible,
 }
@@ -810,7 +632,6 @@ mod tests {
         assert!(sol.nodes_explored() >= 1);
         let stats = sol.stats();
         assert!(stats.lp_solves >= stats.nodes_explored);
-        assert!(stats.waves >= 1);
         assert!(stats.incumbent_updates >= 1);
         assert!(stats.simplex_iterations >= 1);
     }
@@ -992,82 +813,6 @@ mod tests {
                         "trial {trial}: got {} want {best}",
                         sol.objective()
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wave_size_one_matches_reference_node_for_node() {
-        // With basis reuse off the wave search at wave_size = 1 performs
-        // exactly the reference's cold pop-one/solve-one loop: same
-        // explored count, same LP count, same objective, same values.
-        let mut rng = StdRng::seed_from_u64(11);
-        for trial in 0..30 {
-            let m = random_model(&mut rng);
-            let opts = SolveOptions {
-                wave_size: 1,
-                warm_start_basis: false,
-                ..SolveOptions::default()
-            };
-            let wave = m.solve(&opts);
-            let reference = m.solve_reference(&opts);
-            assert_eq!(wave.status(), reference.status(), "trial {trial}");
-            assert_eq!(wave.is_feasible(), reference.is_feasible(), "trial {trial}");
-            assert_eq!(
-                wave.nodes_explored(),
-                reference.nodes_explored(),
-                "trial {trial}: explored trees differ"
-            );
-            assert_eq!(
-                wave.stats().lp_solves,
-                reference.stats().lp_solves,
-                "trial {trial}: LP work differs"
-            );
-            if wave.is_feasible() {
-                assert_eq!(wave.objective(), reference.objective(), "trial {trial}");
-                let n = m.var_count();
-                for i in 0..n {
-                    assert_eq!(
-                        wave.value(VarId(i)),
-                        reference.value(VarId(i)),
-                        "trial {trial}: value {i} differs"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn any_wave_size_and_thread_count_agree_on_the_optimum() {
-        let mut rng = StdRng::seed_from_u64(13);
-        for trial in 0..15 {
-            let m = random_model(&mut rng);
-            let oracle = brute_force(&m);
-            for wave_size in [1usize, 4, 16] {
-                for threads in [1usize, 2, 8] {
-                    let opts = SolveOptions {
-                        wave_size,
-                        executor: Executor::new(threads),
-                        ..SolveOptions::default()
-                    };
-                    let sol = m.solve(&opts);
-                    match oracle {
-                        None => assert_eq!(
-                            sol.status(),
-                            SolveStatus::Infeasible,
-                            "trial {trial} wave {wave_size} threads {threads}"
-                        ),
-                        Some(best) => {
-                            assert!(sol.is_optimal());
-                            assert!(
-                                (sol.objective() - best).abs() < 1e-6,
-                                "trial {trial} wave {wave_size} threads {threads}: \
-                                 got {} want {best}",
-                                sol.objective()
-                            );
-                        }
-                    }
                 }
             }
         }

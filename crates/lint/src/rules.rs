@@ -10,7 +10,7 @@
 //! | R002 | No direct indexing into a call result (`f(x)[i]`) in configured hot paths — prefer `get()` with an error path. |
 //! | P001 | No `.clone()` of a solver network/graph (`g`, `*graph`, `net`, `*network`) inside a loop body — copying a solver network per iteration costs its whole arc arena each time, where the work usually touches a few arcs in place. |
 //! | P002 | No per-iteration allocation (`Vec::new`/`vec!`/`format!`/`Box::new`/`.collect()`/`.to_vec()`) inside loop bodies of scoped solver hot paths — buffers are hoisted and reused (the flat-arena pattern). |
-//! | N001 | No order-sensitive accumulation inside closures passed to `Executor::par_map`/`wave_map`/`par_map_coarse`: compound assignment onto captured state, mutating a captured collection, or reading state some parallel closure mutates — merge order is the one thing the ordered executor cannot fix. |
+//! | N001 | No order-sensitive accumulation inside closures passed to `Executor::par_map`/`par_map_coarse`: compound assignment onto captured state, mutating a captured collection, or reading state some parallel closure mutates — merge order is the one thing the ordered executor cannot fix. |
 //! | L000 | Suppressions themselves: `// operon-lint: allow(RULE, reason = "…")` requires a rule list and a non-empty reason. |
 //!
 //! Workspace-level rules R003 (panic-reachability over the call graph)
@@ -76,7 +76,6 @@ const PAR_COMBINATORS: &[&str] = &[
     "par_map_coarse",
     "par_map_indexed",
     "par_map_indexed_min",
-    "wave_map",
 ];
 
 /// Methods that mutate their receiver in a merge-order-sensitive way.
@@ -1268,7 +1267,7 @@ fn f(exec: &Executor, items: &[u32]) {
     exec.par_map_coarse(items, |x| {
         out.push(*x);
     });
-    exec.wave_map(items, |x| {
+    exec.par_map(items, |x| {
         let y = out.len() + *x as usize;
         y
     });

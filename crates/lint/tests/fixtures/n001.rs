@@ -24,7 +24,7 @@ pub fn total_racy(exec: &Executor, nets: &[f64]) -> f64 {
 /// Mutator call (`push`) onto a captured collection — flagged.
 pub fn collect_racy(exec: &Executor, nets: &[f64]) -> Vec<f64> {
     let mut out = Vec::new();
-    exec.wave_map(nets, |n| {
+    exec.par_map(nets, |n| {
         out.push(n * 2.0);
         0.0
     });

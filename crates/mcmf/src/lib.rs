@@ -172,8 +172,7 @@ pub struct FlowResult {
 
 /// Work counters accumulated across solves of one graph.
 ///
-/// Read with [`McmfGraph::stats`], clear with
-/// [`McmfGraph::reset_stats`]. The counters measure *work*, never
+/// Read with [`McmfGraph::stats`]. The counters measure *work*, never
 /// influence *results*: a [`can_divert`](McmfGraph::can_divert) check
 /// adds to them but leaves the network as it found it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -326,13 +325,6 @@ impl McmfGraph {
         NodeId(index)
     }
 
-    /// Adds a node, returning its handle.
-    pub fn add_node(&mut self) -> NodeId {
-        self.n_nodes += 1;
-        self.csr_valid = false;
-        NodeId(self.n_nodes - 1)
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.n_nodes
@@ -377,15 +369,9 @@ impl McmfGraph {
         self.edge_cap[edge.0] - self.arc_cap[2 * edge.0]
     }
 
-    /// Work counters accumulated since construction (or the last
-    /// [`reset_stats`](McmfGraph::reset_stats)).
+    /// Work counters accumulated since construction.
     pub fn stats(&self) -> McmfStats {
         self.stats
-    }
-
-    /// Clears the work counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = McmfStats::default();
     }
 
     /// A 64-bit FNV-1a digest of the network's structure and committed

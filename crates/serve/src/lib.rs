@@ -811,7 +811,7 @@ mod tests {
             ("\"max_loss\": \"high\"", "max_loss"),
             ("\"ilp_secs\": 30", "ilp_secs"),
             ("\"selector\": \"ilp\"", "selector"),
-            ("\"ilp_wave_size\": -1", "ilp_wave_size"),
+            ("\"ilp_wave_size\": 2", "ilp_wave_size"),
             ("\"max_loss\": [1]", "max_loss"),
             // A good knob before a bad one is not applied either.
             ("\"lr_iters\": 4, \"capacity\": 0", "capacity"),
