@@ -28,7 +28,7 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> crossing_bench --smoke (crossing build identity gate: grid == brute at threads 1/2/8)"
+echo "==> crossing_bench --smoke (crossing build identity gate: grid over distinct segments per net == brute at threads 1/2/8, delta == full)"
 cargo run -p operon-bench --release -q --bin crossing_bench -- --smoke
 
 echo "==> wdm_bench --smoke (warm max-flow trial identity gate, multi-component die fixture: plan == cold reference at threads 1/2/8, reuse arm: WdmPlan::fingerprint warm == scratch at threads 1/2/8, plan fingerprints pinned in BENCH_wdm.json)"

@@ -20,14 +20,23 @@
 //! (`index_kib`) and its heap bytes per crossing pair (`bytes_per_pair`),
 //! which must stay at most 40 on the full I2 set (asserted, also under
 //! `--smoke`, where the I2 prefix is checked against the same ceiling),
-//! and whether each thread count ran the parallel path.
+//! whether each thread count ran the parallel path, and the grid pass's
+//! work: the optical `(candidate, segment)` entries (`segments`), the
+//! distinct segments per net the grid binned (`distinct_segments`; a
+//! net's candidates share one baseline tree, so the I2 set repeats
+//! segments), the pair tests between them (`pair_tests`) and the
+//! crossings they found (`distinct_hits`), before each is expanded into
+//! its owners' `(candidate, segment)` pairs.
 //!
 //! A second section times the ECO path, `CrossingIndex::rebuild_delta`,
 //! against a full sequential `build_with` of the same candidates, on the
 //! design the serve workload routes (`SynthConfig::die_scale(2_000)`):
 //! 1 and 8 nets change their candidates, each delta must equal the full
 //! build (asserted), and the 1-net delta must run in at most a quarter
-//! of the full build's time (asserted, same run).
+//! of the full build's time (asserted, same run). Each row also times a
+//! delta that changes no net (`merge_best_ms`): its grid pass and funnel
+//! have nothing to test, so it is the O(index) merge that restates the
+//! retained rows, the cost a delta pays beside its grid and funnel.
 //!
 //! `--smoke` shrinks every fixture, keeps every identity assertion, and
 //! skips the timing criteria and the JSON write — the cheap CI gate.
@@ -271,6 +280,7 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
 
         let mut grid_seq_ms = f64::INFINITY;
         let mut index_bytes = 0;
+        let mut work = None;
         let mut per_thread = Vec::new();
         for threads in THREADS {
             let exec = Executor::new(threads);
@@ -293,6 +303,11 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
                 }
                 ran_parallel = grid.built_parallel();
                 index_bytes = grid.heap_bytes();
+                assert_eq!(
+                    *work.get_or_insert(grid.grid_work()),
+                    grid.grid_work(),
+                    "{name}: grid work at threads={threads}"
+                );
             }
             if threads == 1 {
                 grid_seq_ms = best_ms;
@@ -304,15 +319,21 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             ]));
         }
 
+        let work = work.expect("at least one grid build");
         let speedup = reference_ms / grid_seq_ms;
         let index_kib = index_bytes.div_ceil(1024);
         let bytes_per_pair = index_bytes as f64 / reference.len().max(1) as f64;
         println!(
             "crossing {name}: {nets} nets, {pairs} pairs, {index_kib} KiB index \
-             ({bytes_per_pair:.1} B/pair), brute {reference_ms:.2} ms, \
-             grid {grid_seq_ms:.2} ms ({speedup:.1}x)",
+             ({bytes_per_pair:.1} B/pair), {distinct} of {segments} segments \
+             distinct, {tests} pair tests, {hits} distinct hits, \
+             brute {reference_ms:.2} ms, grid {grid_seq_ms:.2} ms ({speedup:.1}x)",
             nets = nets.len(),
             pairs = reference.len(),
+            distinct = work.distinct_segments,
+            segments = work.segments,
+            tests = work.pair_tests,
+            hits = work.distinct_hits,
         );
         if parallel {
             assert!(
@@ -334,6 +355,10 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             ("crossing_pairs", Value::from(reference.len())),
             ("index_kib", Value::from(index_kib)),
             ("bytes_per_pair", Value::from(bytes_per_pair)),
+            ("segments", Value::from(work.segments)),
+            ("distinct_segments", Value::from(work.distinct_segments)),
+            ("pair_tests", Value::from(work.pair_tests)),
+            ("distinct_hits", Value::from(work.distinct_hits)),
             ("brute_force_best_ms", Value::from(reference_ms)),
             ("grid_best_ms", Value::from(grid_seq_ms)),
             ("speedup", Value::from(speedup)),
@@ -379,6 +404,9 @@ fn bench_delta_rebuilds(smoke: bool) -> Vec<Value> {
     let nets = serve_nets();
     let exec = Executor::sequential();
     let (full_ms, full) = best_ms(iters, || CrossingIndex::build_with(&nets, &exec));
+    // A delta that changes no net runs only the merge of retained rows.
+    let (merge_ms, unchanged) = best_ms(iters, || full.rebuild_delta(&nets, &[]));
+    assert_index_eq(&unchanged, &full, "serve design, no changed net");
     let mut out = Vec::new();
     for changed in [1usize, 8] {
         // The index before the ECO: each changed net held the candidates
@@ -395,8 +423,8 @@ fn bench_delta_rebuilds(smoke: bool) -> Vec<Value> {
         assert_index_eq(&delta, &full, &label);
         let share = delta_ms / full_ms;
         println!(
-            "crossing delta, {label}: {pairs} pairs, delta {delta_ms:.3} ms, \
-             full {full_ms:.3} ms ({share:.3}x)",
+            "crossing delta, {label}: {pairs} pairs, delta {delta_ms:.3} ms \
+             (merge {merge_ms:.3} ms), full {full_ms:.3} ms ({share:.3}x)",
             pairs = full.len(),
         );
         if changed == 1 && !smoke {
@@ -412,6 +440,7 @@ fn bench_delta_rebuilds(smoke: bool) -> Vec<Value> {
             ("changed_nets", Value::from(changed)),
             ("crossing_pairs", Value::from(full.len())),
             ("delta_best_ms", Value::from(delta_ms)),
+            ("merge_best_ms", Value::from(merge_ms)),
             ("full_best_ms", Value::from(full_ms)),
             ("delta_share", Value::from(share)),
         ]));

@@ -13,9 +13,14 @@
 //!
 //! One spatial kernel builds the index; an all-pairs oracle checks it:
 //!
-//! * **Grid** ([`CrossingIndex::build_with`]) — buckets every candidate
-//!   segment into a uniform [`SegmentGrid`] and tests only pairs that
-//!   co-occupy a cell. A cell reports a crossing only if it owns the
+//! * **Grid** ([`CrossingIndex::build_with`]) — buckets every distinct
+//!   segment of each net into a uniform [`SegmentGrid`] and tests only
+//!   pairs that co-occupy a cell. The co-design DP builds all of a net's
+//!   candidates on one baseline tree, so they repeat each other's
+//!   segments bit for bit; a net's repeats share one grid entry, which
+//!   lists the `(candidate, segment)` pairs that own it, and each
+//!   crossing the grid finds is expanded into its owners' cross product
+//!   (see `DistinctSegs`). A cell reports a crossing only if it owns the
 //!   exact crossing point ([`SegmentGrid::owns_crossing`]), so each
 //!   crossing is found once however many cells the two segments share.
 //!   Below a deterministic work threshold the per-cell tests and the
@@ -27,7 +32,10 @@
 //!   Retained as the equivalence oracle for tests and benchmarks.
 //!
 //! The spatial builds pass their crossings through one funnel (see
-//! `funnel`): a counting sort buckets the 8-byte hits (see `Hit`) by
+//! `funnel`). Its input is the expanded pairs, one per crossing of two
+//! `(candidate, segment)` entries, exactly what a grid over every
+//! candidate's copy would report, so deduplicating segments changes no
+//! record. A counting sort buckets the 8-byte hits (see `Hit`) by
 //! candidate A, and contiguous candidate ranges then sort, deduplicate
 //! and assemble their buckets on the executor's workers, each into its
 //! own window of the arenas. Every build fills the same arenas in
@@ -75,7 +83,7 @@
 
 use crate::codesign::{CandidateRoute, NetCandidates, PathLoss};
 use operon_exec::Executor;
-use operon_geom::{BoundingBox, Segment, SegmentGrid};
+use operon_geom::{BoundingBox, Point, Segment, SegmentGrid};
 use std::sync::{Mutex, PoisonError};
 
 /// Crossing counts between one ordered pair of candidates: a borrowed
@@ -223,19 +231,23 @@ fn inline_word(per_a: &PathCounts, per_b: &PathCounts, total: usize) -> Option<u
     Some(total << (2 * SIDE_BITS) | side_code(per_a)? << SIDE_BITS | side_code(per_b)?)
 }
 
-/// Estimated grid pair tests below which the build runs inline.
+/// Grid pair tests (between distinct segments) below which the build
+/// runs inline.
 ///
-/// With the die-scale ownership test and the parallel funnel, 2
-/// workers on 2 vCPUs beat the inline build from ~40k pair tests up
-/// (prefixes of the Table 1 I2 candidate set: 284k tests in 13 vs
-/// 17 ms, 1.03M in 42 vs 63 ms). Oversubscribed executors (8 workers on
-/// 2 vCPUs) lose below ~500k and break even near 1M, so the bar sits
-/// between the two; `dense_core` and `paper_i2` in `BENCH_crossing.json`
-/// run above it. The estimate — Σ per cell of `|cell|·(|cell|−1)/2` —
-/// is a pure function of the candidate set and grid dims, so the chosen
-/// path is deterministic; either path yields the identical index
-/// because the funnel sorts within each candidate's bucket.
-const GRID_PARALLEL_MIN_PAIR_TESTS: u64 = 250_000;
+/// A test between distinct segments also expands its crossing into the
+/// owners' cross product, so it carries more work than a test between
+/// two `(candidate, segment)` copies would. Interleaved runs over prefixes of the Table 1 I2
+/// candidate set on 2 vCPUs, parallel against inline: 2 workers win
+/// from ~11k tests (11.3k in 1.33 vs 1.77 ms, 13 of 15 runs), and
+/// oversubscribed executors (8 workers) from ~29k (28.6k in 3.55 vs 4.16
+/// ms, 14 of 15; 47k in 3.9 vs 4.5 ms, 15 of 15), so the bar sits above
+/// both. `dense_core` and `paper_i2` in `BENCH_crossing.json` run above
+/// it, the `--smoke` I2 prefix (179k tests) included. The count — Σ per
+/// cell of the pairs with a queried side — is a pure function of the
+/// candidate set and grid dims, so the chosen path is deterministic;
+/// either path yields the identical index because the funnel sorts
+/// within each candidate's bucket.
+const GRID_PARALLEL_MIN_PAIR_TESTS: u64 = 50_000;
 
 /// Cell runs (and funnel ranges) per worker on the parallel path:
 /// enough for work stealing to even out dense and sparse runs, few
@@ -253,13 +265,107 @@ fn grid_tasks(parallel: bool, exec: &Executor) -> usize {
     }
 }
 
-/// One flattened candidate segment: the unit all builders work on.
+/// One distinct optical segment of a net: the unit the grid tests.
 struct SegRef {
     net: u32,
-    /// Global candidate id (see [`CandIds`]).
-    cand: u32,
-    seg: u32,
     s: Segment,
+}
+
+/// The distinct optical segments of the nets a build recounts, each with
+/// the `(candidate, segment)` entries that route it.
+///
+/// The co-design DP builds every candidate of a net on one baseline tree,
+/// so a net's candidates repeat each other's segments bit for bit. Each
+/// net's non-degenerate segments (a degenerate one never properly crosses
+/// anything) are grouped on their exact `(a, b)` key, by sorting, and
+/// each group becomes one entry listing its owners in ascending
+/// `(candidate, segment)` order. A reversed copy is a different key; the
+/// DP never emits one. Entries run in `(net, first owner)` order, so the
+/// set is a pure function of the candidates.
+#[derive(Default)]
+struct DistinctSegs {
+    segs: Vec<SegRef>,
+    /// Entry `d`'s owners are `owners[own_off[d]..own_off[d + 1]]`.
+    own_off: Vec<u32>,
+    /// `(global candidate id, segment index)` per owner.
+    owners: Vec<(u32, u32)>,
+}
+
+impl DistinctSegs {
+    /// Appends the distinct segments of the nets `keep` accepts, net by
+    /// net in index order.
+    fn push_nets(&mut self, nets: &[NetCandidates], ids: &CandIds, keep: impl Fn(usize) -> bool) {
+        if self.own_off.is_empty() {
+            self.own_off.push(0);
+        }
+        // One net's entries as `(a, b, candidate, segment)`, and its
+        // groups as `(start, end)` windows of them.
+        let mut entries: Vec<(Point, Point, u32, u32)> = Vec::new();
+        let mut groups: Vec<(usize, usize)> = Vec::new();
+        for (i, nc) in nets.iter().enumerate() {
+            if !keep(i) {
+                continue;
+            }
+            entries.clear();
+            for (j, c) in nc.candidates.iter().enumerate() {
+                let g = ids.base[i] + j as u32;
+                for (k, s) in c.optical_segments.iter().enumerate() {
+                    if !s.is_degenerate() {
+                        entries.push((s.a, s.b, g, k as u32));
+                    }
+                }
+            }
+            // Equal keys end up adjacent, each group in owner order.
+            entries.sort_unstable();
+            groups.clear();
+            let mut start = 0;
+            for run in entries.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+                groups.push((start, start + run.len()));
+                start += run.len();
+            }
+            groups.sort_unstable_by_key(|&(start, _)| (entries[start].2, entries[start].3));
+            for &(start, end) in &groups {
+                let (a, b, _, _) = entries[start];
+                self.segs.push(SegRef {
+                    net: i as u32,
+                    s: Segment::new(a, b),
+                });
+                self.owners
+                    .extend(entries[start..end].iter().map(|&(_, _, g, k)| (g, k)));
+                self.own_off.push(self.owners.len() as u32);
+            }
+        }
+    }
+
+    /// Number of distinct segments.
+    fn len(&self) -> usize {
+        self.segs.len()
+    }
+
+    /// The owner ids (indexes into `owners`) of entry `d`.
+    #[inline]
+    fn owner_ids(&self, d: u32) -> std::ops::Range<u32> {
+        self.own_off[d as usize]..self.own_off[d as usize + 1]
+    }
+}
+
+/// What the grid pass of a build worked on: a pure function of the
+/// candidate set and the grid dims, so the same at every thread count.
+/// All zero for the reference build.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GridWork {
+    /// Non-degenerate optical `(candidate, segment)` entries of the nets
+    /// the build recounted (for a delta, the changed nets).
+    pub segments: u64,
+    /// Distinct segments per net among them: the entries the grid
+    /// queried.
+    pub distinct_segments: u64,
+    /// Segment pair tests the grid ran.
+    pub pair_tests: u64,
+    /// Crossings the grid reported between distinct segments, before
+    /// they were expanded into their owners' `(candidate, segment)`
+    /// pairs.
+    pub distinct_hits: u64,
 }
 
 /// All pairwise crossing counts over a candidate set.
@@ -291,9 +397,9 @@ pub struct CrossingIndex {
     /// Whether the last build's pair tests and funnel took the parallel
     /// path (excluded from equality).
     parallel: bool,
-    /// Segment pair tests the last build's grid pass ran (excluded from
+    /// What the last build's grid pass worked on (excluded from
     /// equality).
-    pair_tests: u64,
+    work: GridWork,
 }
 
 impl PartialEq for CrossingIndex {
@@ -325,11 +431,12 @@ impl CrossingIndex {
         self.parallel
     }
 
-    /// Segment pair tests the build that produced this index ran on its
-    /// grid: a pure function of the candidate set and the grid dims, so
-    /// the same at every thread count. 0 for the reference build.
-    pub(crate) fn pair_tests(&self) -> u64 {
-        self.pair_tests
+    /// What the grid pass of the build that produced this index worked
+    /// on: for a delta, the changed nets' segments and the pair tests
+    /// with a changed side.
+    #[inline]
+    pub fn grid_work(&self) -> GridWork {
+        self.work
     }
 
     /// Grid build (auto-sized cells unless `dims` is given; the explicit
@@ -343,11 +450,12 @@ impl CrossingIndex {
         ranges: Option<usize>,
     ) -> Self {
         let ids = CandIds::new(nets);
-        let segs = collect_segments(nets, &ids, |_| true);
-        let (pairs, parallel, pair_tests) = grid_pairs(&segs, segs.len(), dims, exec);
+        let mut segs = DistinctSegs::default();
+        segs.push_nets(nets, &ids, |_| true);
+        let (pairs, parallel, work) = grid_pairs(&segs, segs.len(), dims, exec);
         let ranges = ranges.unwrap_or(grid_tasks(parallel, exec));
-        let records = funnel(nets, &ids, segs, pairs, ranges, exec);
-        Self::from_records(records, ids, parallel, pair_tests)
+        let records = funnel(nets, &ids, segs.owners, pairs, ranges, exec);
+        Self::from_records(records, ids, parallel, work)
     }
 
     #[cfg(test)]
@@ -409,7 +517,7 @@ impl CrossingIndex {
         for (ga, gb, (per_a, per_b, total)) in &rows {
             records.push(*ga, *gb, per_a, per_b, *total);
         }
-        Self::from_records(records.finish(), ids, false, 0)
+        Self::from_records(records.finish(), ids, false, GridWork::default())
     }
 
     /// Rebuilds the index after the candidates of `changed` nets were
@@ -421,10 +529,13 @@ impl CrossingIndex {
     ///
     /// Implementation: the dirty neighborhood — changed nets plus every
     /// net whose bounding box overlaps a changed net's — is binned on one
-    /// grid sized for the changed segments, which are flattened first.
-    /// Only those changed segments are queried, each against the
-    /// segments after it in its cells, so every pair the pass tests has
-    /// a changed side and a pair of two changed segments is tested once.
+    /// grid sized for the changed nets' distinct segments, which come
+    /// first. The involved nets' distinct segments follow, deduplicated
+    /// by the same code as a full build's. Only the changed entries are
+    /// queried, each against the entries after it in its cells, so every
+    /// pair the pass tests has a changed side and a pair of two changed
+    /// segments is tested once; each crossing leaves as its owners' cross
+    /// product, as in a full build.
     /// Every retained row involves no changed net, so the two pair sets
     /// are disjoint and one linear merge appends both in pair order;
     /// retained rows are restated in the new candidate ids, which move
@@ -455,17 +566,17 @@ impl CrossingIndex {
                 involved[i] = true;
             }
         }
-        let mut segs = collect_segments(nets, &ids, |i| is_changed[i]);
+        let mut segs = DistinctSegs::default();
+        segs.push_nets(nets, &ids, |i| is_changed[i]);
         let queries = segs.len();
-        segs.extend(collect_segments(nets, &ids, |i| {
-            involved[i] && !is_changed[i]
-        }));
+        segs.push_nets(nets, &ids, |i| involved[i] && !is_changed[i]);
         let exec = Executor::sequential();
-        let (pairs, _, pair_tests) = grid_pairs(&segs, queries, None, &exec);
+        let (pairs, _, work) = grid_pairs(&segs, queries, None, &exec);
         debug_assert!(pairs.iter().flatten().all(|&(a, b)| {
-            is_changed[segs[a as usize].net as usize] || is_changed[segs[b as usize].net as usize]
+            let net = |o: u32| ids.net_of[segs.owners[o as usize].0 as usize] as usize;
+            is_changed[net(a)] || is_changed[net(b)]
         }));
-        let recount = funnel(nets, &ids, segs, pairs, 1, &exec);
+        let recount = funnel(nets, &ids, segs.owners, pairs, 1, &exec);
 
         // Retained rows (both nets unchanged, so each keeps its candidate
         // indexes) restated in the new ids and interleaved with the
@@ -492,13 +603,13 @@ impl CrossingIndex {
         for (fa, fb, j) in fresh {
             records.copy(fa, fb, recount.shape[j], &recount.wide);
         }
-        Self::from_records(records.finish(), ids, false, pair_tests)
+        Self::from_records(records.finish(), ids, false, work)
     }
 
     /// Completes an index from its finished record arenas: derives the
     /// neighbor CSR. `ids` numbers the candidates the records were built
-    /// from; `parallel` and `pair_tests` describe the build.
-    fn from_records(records: Records, ids: CandIds, parallel: bool, pair_tests: u64) -> Self {
+    /// from; `parallel` and `work` describe the build.
+    fn from_records(records: Records, ids: CandIds, parallel: bool, work: GridWork) -> Self {
         let Records {
             mut row_off,
             mut partner,
@@ -554,7 +665,7 @@ impl CrossingIndex {
             adj_off,
             adj,
             parallel,
-            pair_tests,
+            work,
         }
     }
 
@@ -893,57 +1004,34 @@ fn hit_a(hit: Hit) -> u32 {
     hit as u32
 }
 
-/// Flattens every non-degenerate optical segment of the nets `keep`
-/// accepts, in (net, cand, seg) order; degenerate segments can never
-/// properly cross anything.
-fn collect_segments(
-    nets: &[NetCandidates],
-    ids: &CandIds,
-    keep: impl Fn(usize) -> bool,
-) -> Vec<SegRef> {
-    let mut segs: Vec<SegRef> = Vec::new();
-    for (i, nc) in nets.iter().enumerate() {
-        if !keep(i) {
-            continue;
-        }
-        for (j, c) in nc.candidates.iter().enumerate() {
-            for (k, s) in c.optical_segments.iter().enumerate() {
-                if s.is_degenerate() {
-                    continue;
-                }
-                segs.push(SegRef {
-                    net: i as u32,
-                    cand: ids.base[i] + j as u32,
-                    seg: k as u32,
-                    s: *s,
-                });
-            }
-        }
-    }
-    segs
-}
-
-/// Grid-bucketed crossing pairs over the flattened segments: the one
+/// Grid-bucketed crossing pairs over the distinct segments: the one
 /// crossing kernel, shared by the full build and
-/// [`CrossingIndex::rebuild_delta`]. Only the first `queries` segments
-/// are queried: each is tested against every segment after it in its
+/// [`CrossingIndex::rebuild_delta`]. Only the first `queries` entries
+/// are queried: each is tested against every entry after it in its
 /// cells, so a full build passes `segs.len()` and a delta the length of
-/// its changed prefix. Returns one buffer of `(side A, side B)` segment
-/// indexes per run of cells, side A on the lower net, whether the pair
-/// tests ran on the executor's workers, and how many pair tests ran.
+/// its changed prefix. Each crossing of two entries leaves as the cross
+/// product of their owners. Returns one buffer of `(side A, side B)`
+/// owner ids per run of cells, side A on the lower net, whether the pair
+/// tests ran on the executor's workers, and the pass's [`GridWork`].
 ///
 /// Each crossing is reported once, by the cell that owns its crossing
 /// point; only [`SegmentGrid::owns_crossing`]'s overflow fallback (far
 /// beyond die-scale coordinates) can repeat a pair, so the funnel keeps
 /// its dedup as the safety net.
 fn grid_pairs(
-    segs: &[SegRef],
+    distinct: &DistinctSegs,
     queries: usize,
     dims: Option<(usize, usize)>,
     exec: &Executor,
-) -> (Vec<Vec<(u32, u32)>>, bool, u64) {
+) -> (Vec<Vec<(u32, u32)>>, bool, GridWork) {
+    let segs = &distinct.segs;
+    let mut work = GridWork {
+        segments: distinct.own_off.get(queries).map_or(0, |&o| u64::from(o)),
+        distinct_segments: queries as u64,
+        ..GridWork::default()
+    };
     if segs.len() < 2 || queries == 0 {
-        return (Vec::new(), false, 0);
+        return (Vec::new(), false, work);
     }
     let mut extent = BoundingBox::new(segs[0].s.a, segs[0].s.b);
     for sr in &segs[1..] {
@@ -969,7 +1057,7 @@ fn grid_pairs(
     // crossing point (the grid's coverage invariant), and only that cell
     // reports it. A cell of `n` ids, `k` of them queried, tests
     // `Σ_{x<k} (n − 1 − x)` pairs: `n(n − 1)/2` when all are queried.
-    let pair_tests: u64 = cells
+    work.pair_tests = cells
         .iter()
         .map(|&c| {
             let items = grid.cell_items(c);
@@ -977,17 +1065,27 @@ fn grid_pairs(
             k * n - k * (k + 1) / 2
         })
         .sum();
+    // A crossing of two entries is a crossing of every owner of one with
+    // every owner of the other: it leaves as their cross product, so the
+    // funnel sees one pair per `(candidate, segment)` crossing. Returns
+    // the cell's crossings between entries.
     let test_cell = |cell: usize, out: &mut Vec<(u32, u32)>| {
         let ids = grid.cell_items(cell);
+        let mut crossings = 0;
         for (x, &ia) in ids[..queried(ids)].iter().enumerate() {
             let a = &segs[ia as usize];
             for &ib in &ids[x + 1..] {
                 let b = &segs[ib as usize];
                 if a.net != b.net && a.s.crosses(&b.s) && grid.owns_crossing(cell, &a.s, &b.s) {
-                    out.push(if a.net < b.net { (ia, ib) } else { (ib, ia) });
+                    crossings += 1;
+                    let (da, db) = if a.net < b.net { (ia, ib) } else { (ib, ia) };
+                    for oa in distinct.owner_ids(da) {
+                        out.extend(distinct.owner_ids(db).map(|ob| (oa, ob)));
+                    }
                 }
             }
         }
+        crossings
     };
     // Small builds run as one inline task: the executor's fan-out
     // overhead exceeds the pair-test work. Larger ones split the cells
@@ -995,7 +1093,7 @@ fn grid_pairs(
     // thousands of per-cell buffers left worker heaps holding ~20 MiB
     // more on I5. The funnel's per-candidate sort makes every split
     // byte-identical.
-    let parallel = pair_tests >= GRID_PARALLEL_MIN_PAIR_TESTS;
+    let parallel = work.pair_tests >= GRID_PARALLEL_MIN_PAIR_TESTS;
     let tasks = grid_tasks(parallel, exec);
     // Each run's buffer is allocated here, on the calling thread, and a
     // worker grows it by `realloc`, which stays in the heap that owns the
@@ -1006,28 +1104,35 @@ fn grid_pairs(
         .chunks(cells.len().div_ceil(tasks).max(1))
         .map(|run| (run, Mutex::new(Vec::with_capacity(1024))))
         .collect();
-    exec.par_map_coarse(&runs, |(run, out)| {
+    let crossings = exec.par_map_coarse(&runs, |(run, out)| {
         let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
-        for &cell in *run {
-            test_cell(cell, &mut out);
-        }
+        run.iter()
+            .map(|&cell| test_cell(cell, &mut out))
+            .sum::<u64>()
     });
+    work.distinct_hits = crossings.iter().sum();
     let pairs = runs
         .into_iter()
         .map(|(_, out)| out.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect();
-    (pairs, parallel, pair_tests)
+    (pairs, parallel, work)
 }
 
 /// The crossing funnel: turns the grid's pair buffers into records in
 /// pair order.
 ///
-/// A counting sort buckets the hits by candidate A, scattering straight
-/// from the 8-byte pair buffers (each freed once scattered) into one
-/// 8-byte hit buffer. The candidate ids are then cut into `ranges`
-/// contiguous ranges of about equal hit count, which run on the executor
-/// twice: once to sort and deduplicate their buckets and size their rows
-/// and wide records, once to assemble the records. Pair order is
+/// Its input is one `(side A, side B)` pair of owner ids per crossing,
+/// each an index into `owners`, the `(candidate, segment)` entries of
+/// the [`DistinctSegs`] the grid tested: [`grid_pairs`] has already
+/// expanded each crossing of two distinct segments into their owners'
+/// cross product, so the funnel sees exactly the pairs a grid over every
+/// candidate's copy would have reported. A counting sort buckets the
+/// hits by candidate A, scattering straight from the 8-byte pair buffers
+/// (each freed once scattered) into one 8-byte hit buffer. The candidate
+/// ids are then cut into `ranges` contiguous ranges of about equal hit
+/// count, which run on the executor twice: once to sort and deduplicate
+/// their buckets and size their rows and wide records, once to assemble
+/// the records. Pair order is
 /// (candidate A, candidate B), so the ranges' records, laid end to end,
 /// are the canonical arenas for any range count and thread count.
 ///
@@ -1038,7 +1143,7 @@ fn grid_pairs(
 fn funnel(
     nets: &[NetCandidates],
     ids: &CandIds,
-    segs: Vec<SegRef>,
+    owners: Vec<(u32, u32)>,
     pairs: Vec<Vec<(u32, u32)>>,
     ranges: usize,
     exec: &Executor,
@@ -1049,9 +1154,8 @@ fn funnel(
     let mut off = vec![0u32; n_cands + 1];
     let mut used = vec![false; n_cands];
     for &(ia, ib) in pairs.iter().flatten() {
-        let (p, q) = (&segs[ia as usize], &segs[ib as usize]);
-        off[p.cand as usize + 1] += 1;
-        used[q.cand as usize] = true;
+        off[owners[ia as usize].0 as usize + 1] += 1;
+        used[owners[ib as usize].0 as usize] = true;
     }
     for c in 0..n_cands {
         used[c] |= off[c + 1] > 0;
@@ -1063,14 +1167,14 @@ fn funnel(
     let mut hits: Vec<Hit> = vec![0; off[n_cands] as usize];
     for buf in pairs {
         for (ia, ib) in buf {
-            let (p, q) = (&segs[ia as usize], &segs[ib as usize]);
-            let slot = &mut cursor[p.cand as usize];
+            let ((ca, sa), (cb, sb)) = (owners[ia as usize], owners[ib as usize]);
+            let slot = &mut cursor[ca as usize];
             hits[*slot as usize] =
-                u64::from(paths.flat(q.cand, q.seg)) << 32 | u64::from(paths.flat(p.cand, p.seg));
+                u64::from(paths.flat(cb, sb)) << 32 | u64::from(paths.flat(ca, sa));
             *slot += 1;
         }
     }
-    drop((cursor, segs));
+    drop((cursor, owners));
 
     // Candidate ranges of about equal hit count: range `r` starts at the
     // first candidate whose bucket starts at or past `r/ranges` of the
@@ -1716,6 +1820,43 @@ mod tests {
         assert_eq!(idx.len(), 1);
     }
 
+    #[test]
+    fn candidates_sharing_a_segment_get_a_record_each_from_one_test() {
+        // Net 0's k candidates share their first segment, which net 1
+        // crosses, and fan out to distinct tails that cross nothing. On
+        // a one-cell grid every entry meets every other: the shared
+        // segment is one entry, so the pass runs C(k + 2, 2) tests
+        // rather than C(2k + 1, 2), finds one crossing, and its k owners
+        // still give k records.
+        let k = 5;
+        let chains: Vec<Vec<Point>> = (0..k)
+            .map(|j| {
+                let tail = Point::new(200 + 10 * j as i64, 150);
+                vec![Point::new(0, 0), Point::new(100, 100), tail]
+            })
+            .collect();
+        let nets = vec![
+            chain_net(0, &chains),
+            optical_net(1, Point::new(0, 100), Point::new(100, 0)),
+        ];
+        let idx = CrossingIndex::build_with_grid_dims(&nets, &Executor::sequential(), Some((1, 1)));
+        assert_index_eq(&idx, &CrossingIndex::build_reference(&nets), "shared");
+        assert_eq!(idx.len(), k);
+        for j in 0..k {
+            assert_eq!(idx.pair(0, j, 1, 0).expect("crosses").total, 1, "cand {j}");
+        }
+        let distinct = k as u64 + 2;
+        assert_eq!(
+            idx.grid_work(),
+            GridWork {
+                segments: 2 * k as u64 + 1,
+                distinct_segments: distinct,
+                pair_tests: distinct * (distinct - 1) / 2,
+                distinct_hits: 1,
+            }
+        );
+    }
+
     /// Short stubs crossed by three long trunks, translated so every
     /// coordinate sits near `offset`.
     fn dispersed_nets_at(offset: i64) -> Vec<NetCandidates> {
@@ -1827,7 +1968,8 @@ mod tests {
     fn grid_hits_report_each_crossing_once_on_cell_edges_and_corners() {
         for (cols, rows) in [(1, 1), (2, 2), (3, 2), (4, 4), (5, 7), (8, 8)] {
             let nets = edge_and_corner_nets(cols as i64, rows as i64);
-            let segs = collect_segments(&nets, &CandIds::new(&nets), |_| true);
+            let mut segs = DistinctSegs::default();
+            segs.push_nets(&nets, &CandIds::new(&nets), |_| true);
             let exec = Executor::sequential();
             let (pairs, _, _) = grid_pairs(&segs, segs.len(), Some((cols, rows)), &exec);
             let hits: Vec<(u32, u32)> = pairs.into_iter().flatten().collect();
@@ -1861,10 +2003,11 @@ mod tests {
             let xs = (cols - 1) * rows + (rows - 1) * (2 * cols - 1);
             for a in (4..4 + 2 * xs).step_by(2) {
                 let changed = [a, a + 1];
-                let mut segs = collect_segments(&nets, &ids, |i| changed.contains(&i));
+                let mut segs = DistinctSegs::default();
+                segs.push_nets(&nets, &ids, |i| changed.contains(&i));
                 let queries = segs.len();
                 assert_eq!(queries, 2);
-                segs.extend(collect_segments(&nets, &ids, |i| !changed.contains(&i)));
+                segs.push_nets(&nets, &ids, |i| !changed.contains(&i));
                 let (pairs, _, tests) = grid_pairs(&segs, queries, Some((cols, rows)), &exec);
                 let hits: Vec<(u32, u32)> = pairs.into_iter().flatten().collect();
                 let label = format!("{cols}x{rows}, X at nets {a}/{}", a + 1);
@@ -1884,7 +2027,7 @@ mod tests {
                 unique.sort_unstable();
                 unique.dedup();
                 assert_eq!(unique.len(), hits.len(), "{label}: duplicate hits");
-                assert!(tests < (segs.len() * (segs.len() - 1) / 2) as u64);
+                assert!(tests.pair_tests < (segs.len() * (segs.len() - 1) / 2) as u64);
             }
         }
     }
@@ -1929,7 +2072,8 @@ mod tests {
         // crossing in every cell the pair shares: the funnel's dedup
         // must drop the repeats, in whichever range they land.
         let far = diagonals_and_forks(1 << 30);
-        let segs = collect_segments(&far, &CandIds::new(&far), |_| true);
+        let mut segs = DistinctSegs::default();
+        segs.push_nets(&far, &CandIds::new(&far), |_| true);
         let raw: usize = grid_pairs(&segs, segs.len(), None, &Executor::sequential())
             .0
             .iter()
@@ -2239,7 +2383,120 @@ mod tests {
             .collect()
     }
 
+    /// Nets in the co-design shape: each net's candidates are media
+    /// assignments over one shared baseline tree, so they repeat each
+    /// other's optical segments bit for bit. Per net, `raw` holds the
+    /// tree's points (node `i > 0` hangs off node `parents[i - 1] % i`)
+    /// and one edge mask per candidate (bit `e` set: edge `e` optical).
+    fn shared_tree_nets(raw: &[SharedTree]) -> Vec<NetCandidates> {
+        raw.iter()
+            .enumerate()
+            .map(|(i, (pts, parents, masks))| {
+                let mut tree = RouteTree::new(Point::new(pts[0].0, pts[0].1));
+                let mut nodes = vec![tree.root()];
+                for (n, &(x, y)) in pts.iter().enumerate().skip(1) {
+                    let parent = nodes[parents[n - 1] % n];
+                    nodes.push(tree.add_child(parent, Point::new(x, y), NodeKind::Terminal));
+                }
+                let candidates = masks
+                    .iter()
+                    .map(|mask| {
+                        let media: Vec<EdgeMedium> = (0..tree.edge_count())
+                            .map(|e| {
+                                if mask >> e & 1 == 1 {
+                                    EdgeMedium::Optical
+                                } else {
+                                    EdgeMedium::Electrical
+                                }
+                            })
+                            .collect();
+                        analyze_assignment(
+                            &tree,
+                            &media,
+                            1,
+                            &OpticalLib::paper_defaults(),
+                            &ElectricalParams::paper_defaults(),
+                        )
+                    })
+                    .collect();
+                NetCandidates {
+                    net_index: i,
+                    bits: 1,
+                    candidates,
+                    electrical_idx: 0,
+                    fanout_power_mw: 0.0,
+                }
+            })
+            .collect()
+    }
+
+    /// One net of [`shared_tree_nets`]: points, parent picks, edge masks.
+    type SharedTree = (Vec<(i64, i64)>, Vec<usize>, Vec<u32>);
+
+    fn shared_tree() -> impl Strategy<Value = SharedTree> {
+        (
+            proptest::collection::vec((0i64..40, 0i64..40), 2..7),
+            proptest::collection::vec(0usize..8, 6),
+            proptest::collection::vec(0u32..64, 1..6),
+        )
+    }
+
     proptest! {
+        /// The codesign shape: every net's candidates share one tree, so
+        /// the grid bins one entry per distinct segment. The build must
+        /// still equal the reference byte for byte at every thread count,
+        /// cell size and funnel range count, and so must a delta after a
+        /// net is replaced; the grid's entries must be exactly each net's
+        /// distinct non-degenerate segments.
+        #[test]
+        fn shared_tree_candidates_match_reference_and_delta(
+            raw in proptest::collection::vec(shared_tree(), 2..7),
+            replacement in shared_tree(),
+            which in 0usize..8,
+            cols in 1usize..12,
+            rows in 1usize..12,
+        ) {
+            let mut nets = shared_tree_nets(&raw);
+            let reference = CrossingIndex::build_reference(&nets);
+            let (mut segments, mut distinct) = (0, 0);
+            for nc in &nets {
+                let mut keys = std::collections::BTreeSet::new();
+                for s in nc.candidates.iter().flat_map(|c| &c.optical_segments) {
+                    if !s.is_degenerate() {
+                        segments += 1;
+                        keys.insert((s.a, s.b));
+                    }
+                }
+                distinct += keys.len() as u64;
+            }
+            let work = CrossingIndex::build_with(&nets, &Executor::sequential()).grid_work();
+            prop_assert_eq!((work.segments, work.distinct_segments), (segments, distinct));
+            for threads in [1usize, 2, 8] {
+                let exec = Executor::new(threads);
+                let label = format!("threads={threads}");
+                assert_index_eq(&CrossingIndex::build_with(&nets, &exec), &reference, &label);
+                let sized = CrossingIndex::build_with_grid_dims(&nets, &exec, Some((cols, rows)));
+                assert_index_eq(&sized, &reference, &format!("{cols}x{rows}, {label}"));
+                let ranged = CrossingIndex::build_with_funnel_ranges(&nets, &exec, cols);
+                assert_index_eq(&ranged, &reference, &format!("{cols} ranges, {label}"));
+            }
+
+            let before = CrossingIndex::build_with(&nets, &Executor::sequential());
+            let target = which % nets.len();
+            nets[target] = shared_tree_nets(&[replacement]).remove(0);
+            nets[target].net_index = target;
+            let delta = before.rebuild_delta(&nets, &[target]);
+            assert_index_eq(&delta, &CrossingIndex::build_reference(&nets), "delta vs reference");
+            for threads in [1usize, 2, 8] {
+                let exec = Executor::new(threads);
+                let full = CrossingIndex::build_with(&nets, &exec);
+                assert_index_eq(&delta, &full, &format!("delta, threads={threads}"));
+                let sized = CrossingIndex::build_with_grid_dims(&nets, &exec, Some((cols, rows)));
+                let label = format!("delta, {cols}x{rows} grid, threads={threads}");
+                assert_index_eq(&delta, &sized, &label);
+            }
+        }
+
         /// The equivalence contract: for random multi-candidate,
         /// multi-segment nets — including collinear overlaps, shared
         /// endpoints, verticals and zero-length segments, which the

@@ -55,7 +55,7 @@ pub mod wdm;
 
 pub use codesign::{CandidateRoute, EdgeMedium, NetCandidates, PathLoss};
 pub use config::{DirtyStage, OperonConfig};
-pub use crossing::CrossingIndex;
+pub use crossing::{CrossingIndex, GridWork};
 pub use error::OperonError;
 pub use flow::{FlowResult, OperonFlow};
 pub use session::{RouteSummary, SessionStats, WarmSession};

@@ -763,7 +763,9 @@ impl WarmSession {
     ) -> CrossingIndex {
         let mut stage = self.exec.stage("crossing");
         // Which builder ran, whether the pair tests used the workers, how
-        // many segment pair tests its grid ran, the pair and
+        // many segments it recounted, how many of them were distinct per
+        // net, how many segment pair tests its grid ran and how many
+        // crossings between distinct segments they found, the pair and
         // segment-crossing counts, and the index's heap size: pure
         // functions of the candidate set and the builder, so run reports
         // stay thread-count invariant.
@@ -780,8 +782,12 @@ impl WarmSession {
                 CrossingIndex::build_with(candidates, &self.exec)
             }
         };
+        let work = idx.grid_work();
         stage.record("crossing_build_parallel", u64::from(idx.built_parallel()));
-        stage.record("crossing_pair_tests", idx.pair_tests());
+        stage.record("crossing_segments", work.segments);
+        stage.record("crossing_distinct_segments", work.distinct_segments);
+        stage.record("crossing_pair_tests", work.pair_tests);
+        stage.record("crossing_distinct_hits", work.distinct_hits);
         stage.record("crossing_pairs", idx.len() as u64);
         stage.record("crossing_hits", idx.segment_crossings());
         stage.record("crossing_index_kib", idx.heap_bytes().div_ceil(1024) as u64);

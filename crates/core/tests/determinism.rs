@@ -331,9 +331,9 @@ fn wdm_components_run_one_task_each_and_stats_are_thread_invariant() {
 
 #[test]
 fn crossing_counters_are_identical_across_thread_counts() {
-    // Segment crossings, pair tests and the index's heap size are
-    // functions of the candidate set and the builder, never of how the
-    // pair tests were split over workers.
+    // Segment crossings, pair tests, distinct segments and crossings, and
+    // the index's heap size are functions of the candidate set and the builder, never
+    // of how the pair tests were split over workers.
     let design = generate(&SynthConfig::small(), 21);
     let counters = |threads: usize| {
         let flow = OperonFlow::new(OperonConfig::default()).with_threads(threads);
@@ -362,12 +362,16 @@ fn crossing_counters_are_identical_across_thread_counts() {
             counter("crossing_hits"),
             counter("crossing_index_kib"),
             counter("crossing_pair_tests"),
+            counter("crossing_distinct_segments"),
+            counter("crossing_distinct_hits"),
         )
     };
     let base = counters(1);
     assert!(base.0 > 0, "the fixture must have crossings");
     assert!(base.1 > 0, "the index must hold heap memory");
-    assert!(base.2 >= base.0, "every crossing takes a pair test");
+    assert!(base.2 >= base.4, "each distinct crossing takes a test");
+    assert!(base.0 >= base.4, "each distinct crossing has owners");
+    assert!(base.3 > 0, "the grid must bin segments");
     for threads in [2, 8] {
         assert_eq!(counters(threads), base, "threads={threads}");
     }

@@ -6,7 +6,7 @@ use operon::config::OperonConfig;
 use operon::flow::OperonFlow;
 use operon::session::WarmSession;
 use operon::wdm::TrackOrientation;
-use operon::OperonError;
+use operon::{CrossingIndex, NetCandidates, OperonError};
 use operon_cluster::build_hyper_nets;
 use operon_exec::{Executor, StageRecord};
 use operon_geom::{BoundingBox, Point};
@@ -461,7 +461,10 @@ fn eco_that_shifts_indices_rebuilds_the_crossing_index() {
 /// full grid build records `crossing_build_grid`, an index-keeping ECO's
 /// patch `crossing_build_delta`, and no record names a brute-force build.
 /// The patch tests only the moved group's segments, so it records fewer
-/// `crossing_pair_tests` than the cold build, at every thread count.
+/// `crossing_pair_tests` than the cold build, at every thread count. On a
+/// design whose candidates repeat segments, the cold build tests each
+/// net's distinct segments once: fewer tests than a build over the same
+/// candidates with one net per candidate, where nothing repeats.
 #[test]
 fn crossing_records_name_the_build_that_ran() {
     let counter =
@@ -506,6 +509,47 @@ fn crossing_records_name_the_build_that_ran() {
                 .iter()
                 .all(|r| counter(r, "crossing_build_brute").is_none()),
             "threads={threads}"
+        );
+
+        // A cold route of a design whose nets carry several candidates.
+        let exec = Executor::new(threads);
+        let mut s = WarmSession::open(
+            generate(&SynthConfig::small(), 21),
+            OperonConfig::default(),
+            exec.clone(),
+        )
+        .expect("open");
+        s.route().expect("cold route");
+        let stages = exec.report().stages;
+        let cold = stages.iter().find(|r| r.name == "crossing").expect("cold");
+        let cold_tests = counter(cold, "crossing_pair_tests").expect("pair tests recorded");
+        let segments = counter(cold, "crossing_segments").expect("segments recorded");
+        let distinct = counter(cold, "crossing_distinct_segments").expect("distinct recorded");
+        assert!(
+            distinct < segments,
+            "threads={threads}: {distinct} of {segments}"
+        );
+        let unshared: Vec<NetCandidates> = s
+            .candidates()
+            .expect("routed")
+            .iter()
+            .flat_map(|nc| nc.candidates.iter())
+            .enumerate()
+            .map(|(i, c)| NetCandidates {
+                net_index: i,
+                bits: 1,
+                candidates: vec![c.clone()],
+                electrical_idx: 0,
+                fanout_power_mw: 0.0,
+            })
+            .collect();
+        let repeated = CrossingIndex::build_with(&unshared, &exec).grid_work();
+        assert_eq!(repeated.segments, segments, "threads={threads}");
+        assert_eq!(repeated.distinct_segments, segments, "threads={threads}");
+        assert!(
+            cold_tests < repeated.pair_tests,
+            "threads={threads}: {cold_tests} vs {}",
+            repeated.pair_tests
         );
     }
 }
