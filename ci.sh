@@ -34,6 +34,9 @@ cargo run -p operon-bench --release -q --bin crossing_bench -- --smoke
 echo "==> wdm_bench --smoke (warm max-flow trial identity gate, multi-component die fixture: plan == cold reference at threads 1/2/8, reuse arm: WdmPlan::fingerprint warm == scratch at threads 1/2/8, plan fingerprints pinned in BENCH_wdm.json)"
 cargo run -p operon-bench --release -q --bin wdm_bench -- --smoke
 
+echo "==> exec_bench --smoke (map break-even gate: select_lr and wdm::plan identical at threads 1/2/8 on both sides of each break-even; 2 workers run the serve-sized LR selection at >= 0.95x one worker on >= 2 CPUs)"
+cargo run -p operon-bench --release -q --bin exec_bench -- --smoke
+
 echo "==> serve_bench --smoke (warm-session identity gate)"
 cargo run -p operon-bench --release -q --bin serve_bench -- --smoke
 

@@ -579,29 +579,62 @@ impl CrossingIndex {
         let recount = funnel(nets, &ids, segs.owners, pairs, 1, &exec);
 
         // Retained rows (both nets unchanged, so each keeps its candidate
-        // indexes) restated in the new ids and interleaved with the
-        // recounted records, in pair order. `new_id` maps every old id
-        // of an unchanged net to its new id, and the rest to `None`.
-        let new_id: Vec<Option<u32>> = (0..self.ids.len() as u32)
-            .map(|g| {
-                let (net, cand) = self.ids.split(g);
-                let kept = is_changed.get(net as usize) == Some(&false);
-                kept.then(|| ids.base[net as usize] + cand)
+        // indexes) merged with the recounted records in pair order. All
+        // ids of an unchanged net move by one offset, `shift[n]`
+        // (wrapping; `None` for a changed net), so a row's partners on a
+        // stretch of consecutive nets with equal shifts — up to
+        // `stretch_end[n]`, an old id — are copied as one run, shifted,
+        // and a stretch of changed nets is dropped. Without a change of
+        // candidate count every unchanged stretch has shift 0. A retained
+        // row's recounted partners are all on changed nets, so they fall
+        // between the runs.
+        let shift: Vec<Option<u32>> = (0..self.ids.base.len().saturating_sub(1))
+            .map(|n| {
+                (is_changed.get(n) == Some(&false))
+                    .then(|| ids.base[n].wrapping_sub(self.ids.base[n]))
             })
             .collect();
-        let mut records = Records::new(ids.len(), self.len() + recount.partner.len());
-        let mut fresh = record_ids(&recount.row_off, &recount.partner).peekable();
-        for (ga, gb, i) in record_ids(&self.row_off, &self.partner) {
-            let (Some(ga), Some(gb)) = (new_id[ga as usize], new_id[gb as usize]) else {
-                continue;
+        let mut stretch_end = vec![0u32; shift.len()];
+        for n in (0..shift.len()).rev() {
+            stretch_end[n] = match shift.get(n + 1) {
+                Some(next) if *next == shift[n] => stretch_end[n + 1],
+                _ => self.ids.base[n + 1],
             };
-            while let Some((fa, fb, j)) = fresh.next_if(|&(fa, fb, _)| (fa, fb) < (ga, gb)) {
-                records.copy(fa, fb, recount.shape[j], &recount.wide);
-            }
-            records.copy(ga, gb, self.shape[i], &self.wide);
         }
-        for (fa, fb, j) in fresh {
-            records.copy(fa, fb, recount.shape[j], &recount.wide);
+        let shift_of = |net: u32| shift.get(net as usize).copied().flatten();
+        let mut records = Records::new(ids.len(), self.len() + recount.partner.len());
+        for ga in 0..ids.len() as u32 {
+            let fresh =
+                recount.row_off[ga as usize] as usize..recount.row_off[ga as usize + 1] as usize;
+            let mut fresh_at = fresh.start;
+            if let Some(s) = shift_of(ids.net_of[ga as usize]) {
+                let row = self.row(ga.wrapping_sub(s));
+                let mut i = row.start;
+                while i < row.end {
+                    let nb = self.ids.net_of[self.partner[i] as usize];
+                    let stop = stretch_end[nb as usize];
+                    let end = i + self.partner[i..row.end].partition_point(|&g| g < stop);
+                    if let Some(sb) = shift_of(nb) {
+                        let first = self.partner[i].wrapping_add(sb);
+                        let cut = fresh_at
+                            + recount.partner[fresh_at..fresh.end].partition_point(|&g| g < first);
+                        let (p, w) = (
+                            &recount.partner[fresh_at..cut],
+                            &recount.shape[fresh_at..cut],
+                        );
+                        records.copy_run(ga, p, w, &recount.wide, 0);
+                        let (p, w) = (&self.partner[i..end], &self.shape[i..end]);
+                        records.copy_run(ga, p, w, &self.wide, sb);
+                        fresh_at = cut;
+                    }
+                    i = end;
+                }
+            }
+            let (p, w) = (
+                &recount.partner[fresh_at..fresh.end],
+                &recount.shape[fresh_at..fresh.end],
+            );
+            records.copy_run(ga, p, w, &recount.wide, 0);
         }
         Self::from_records(records.finish(), ids, false, work)
     }
@@ -913,14 +946,38 @@ impl Records {
         self.push_word(ga, gb, word);
     }
 
-    /// Appends another arena's record of `(ga, gb)`, whose shape word is
-    /// `word` and whose wide records are `wide`.
-    fn copy(&mut self, ga: u32, gb: u32, word: u32, wide: &WideRecords) {
-        if word & WIDE == 0 {
-            self.push_word(ga, gb, word);
+    /// Appends a run of another arena's records to row `ga`: side-B ids
+    /// `partner`, each moved by `shift` (wrapping), with shape words
+    /// `shape` over wide records `wide`. Without wide records the run is
+    /// two bulk copies.
+    fn copy_run(
+        &mut self,
+        ga: u32,
+        partner: &[u32],
+        shape: &[u32],
+        wide: &WideRecords,
+        shift: u32,
+    ) {
+        debug_assert!(partner.iter().all(|&gb| ga < gb.wrapping_add(shift)));
+        self.row_off[ga as usize + 1] += partner.len() as u32;
+        if shift == 0 {
+            self.partner.extend_from_slice(partner);
         } else {
-            let pc = wide.view((word & !WIDE) as usize);
-            self.push(ga, gb, pc.per_path_a, pc.per_path_b, pc.total);
+            self.partner
+                .extend(partner.iter().map(|&gb| gb.wrapping_add(shift)));
+        }
+        if wide.totals.is_empty() {
+            self.shape.extend_from_slice(shape);
+            return;
+        }
+        for &word in shape {
+            let word = if word & WIDE == 0 {
+                word
+            } else {
+                let pc = wide.view((word & !WIDE) as usize);
+                self.wide.push(pc.per_path_a, pc.per_path_b, pc.total)
+            };
+            self.shape.push(word);
         }
     }
 

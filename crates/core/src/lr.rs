@@ -24,6 +24,17 @@
 //! run on the executor's workers; the multiplier update between them is
 //! sequential and in net order.
 //!
+//! # Inline maps
+//!
+//! Spawning the workers of one map costs tens of microseconds, as much
+//! as a whole pricing pass over a daemon-sized design. So the per-net
+//! maps run on the executor's workers only when the work of one map —
+//! the candidate paths plus the crossing-neighbor entries a pricing pass
+//! scans — reaches `LR_PARALLEL_MIN_WORK`, and inline on the calling
+//! thread below it ([`LrStats::map_work`], [`LrStats::parallel`]). The
+//! choice depends on the inputs only, and either way every map returns
+//! the same values.
+//!
 //! # Arena state
 //!
 //! The multipliers live in one flat arena inside [`LrWorkspace`]: a
@@ -42,6 +53,32 @@ use crate::CrossingIndex;
 use operon_exec::Executor;
 use operon_optics::OpticalLib;
 
+/// Work of one per-net map (see [`map_work`]) below which the LR maps
+/// run inline: under it, spawning the workers costs more than they save.
+///
+/// `exec_bench`'s sweep times a pricing-shaped map over hyper-net
+/// prefixes inline against two spawned workers. Over six runs on 2
+/// vCPUs, on the 10k-bit die, two workers ran 23.5k work at 0.70–1.22×
+/// the inline speed, 36.5k at 0.76–1.39× and 47k at 1.08–1.53×, and the
+/// serve design's whole 19k at 0.68–0.87×, so the bar sits just under
+/// the point where they win in every run. The serve design (~19k) and
+/// I3 (~7.6k) run inline; the other Table 1 designs (≥ 420k) and the
+/// 10k die (~590k) stay parallel.
+const LR_PARALLEL_MIN_WORK: u64 = 40_000;
+
+/// Work of one per-net LR map: every candidate path plus every
+/// crossing-neighbor entry (two per crossing pair, one in each
+/// candidate's list), which is what a pricing pass scans. A pure
+/// function of the candidates and the index, counted in O(candidates).
+fn map_work(nets: &[NetCandidates], crossings: &CrossingIndex) -> u64 {
+    let paths: usize = nets
+        .iter()
+        .flat_map(|nc| &nc.candidates)
+        .map(|c| c.paths.len())
+        .sum();
+    (paths + 2 * crossings.len()) as u64
+}
+
 /// Work counters of one LR selection.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LrStats {
@@ -51,6 +88,14 @@ pub struct LrStats {
     pub priced_nets: u64,
     /// Loaded-loss vectors evaluated: every net, every iteration.
     pub load_evals: u64,
+    /// Work of one per-net map: the candidate paths plus the
+    /// crossing-neighbor entries a pricing pass scans (see
+    /// [`select_lr`]).
+    pub map_work: u64,
+    /// Whether the per-net maps ran on the executor's workers (`map_work`
+    /// at or above `LR_PARALLEL_MIN_WORK`) rather than inline. Decided
+    /// from the inputs alone, so equal at every thread count.
+    pub parallel: bool,
 }
 
 impl LrStats {
@@ -60,6 +105,8 @@ impl LrStats {
         self.iterations += other.iterations;
         self.priced_nets += other.priced_nets;
         self.load_evals += other.load_evals;
+        self.map_work += other.map_work;
+        self.parallel |= other.parallel;
     }
 }
 
@@ -151,7 +198,8 @@ impl LrWorkspace {
 }
 
 /// Runs the LR-based selection, with the per-net work spread over
-/// `exec`'s workers, against a caller-owned workspace (resident callers
+/// `exec`'s workers when it is large enough to pay for them (see the
+/// module docs), against a caller-owned workspace (resident callers
 /// hold one across calls; one-shot callers pass `&mut
 /// LrWorkspace::new()`).
 ///
@@ -178,6 +226,19 @@ pub fn select_lr(
     let lambda = &mut ws.lambda;
     lambda.init(nets, lib);
 
+    let mut stats = LrStats {
+        map_work: map_work(nets, crossings),
+        ..LrStats::default()
+    };
+    stats.parallel = stats.map_work >= LR_PARALLEL_MIN_WORK;
+    let sequential;
+    let exec = if stats.parallel {
+        exec
+    } else {
+        sequential = Executor::sequential();
+        &sequential
+    };
+
     // Start from the unloaded greedy selection.
     let mut choice: Vec<usize> = exec.par_map_indexed(nets, |i, nc| {
         best_candidate(nc, i, lambda, None, crossings, lib)
@@ -185,7 +246,6 @@ pub fn select_lr(
 
     let mut prev_power = f64::INFINITY;
     let mut prev_violation = f64::INFINITY;
-    let mut stats = LrStats::default();
 
     for iter in 1..=config.lr_max_iters {
         stats.iterations += 1;
@@ -850,6 +910,57 @@ mod tests {
                 reference.power_mw.to_bits(),
                 "threads={threads}"
             );
+        }
+    }
+
+    /// `side` horizontal and `side` vertical two-pin nets on a lattice:
+    /// every horizontal crosses every vertical once, so the index holds
+    /// `side²` pairs.
+    fn lattice_nets(side: usize) -> Vec<NetCandidates> {
+        let span = 1_000 * (side as i64 + 1);
+        (0..2 * side)
+            .map(|k| {
+                let at = 1_000 * (k % side) as i64 + 1_000;
+                let (a, b) = if k < side {
+                    (Point::new(0, at), Point::new(span, at))
+                } else {
+                    (Point::new(at, 0), Point::new(at, span))
+                };
+                two_pin_net(k, a, b, 1)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn maps_run_parallel_by_work_with_identical_results() {
+        // Lattices just below and just above the break-even: the smallest
+        // side whose map work (one optical path per net plus two neighbor
+        // entries per pair) reaches it, and the side before. The choice
+        // follows the work alone; choice, power and counters are equal at
+        // every thread count, and only a parallel choice on more than one
+        // worker spawns.
+        let work = |side: usize| (2 * side + 2 * side * side) as u64;
+        let above = (1..)
+            .find(|&side| work(side) >= LR_PARALLEL_MIN_WORK)
+            .expect("some side reaches the break-even");
+        for (side, parallel) in [(above - 1, false), (above, true)] {
+            let nets = lattice_nets(side);
+            let crossings = CrossingIndex::build_with(&nets, &Executor::sequential());
+            assert_eq!(crossings.len(), side * side);
+            let base = seq_lr(&nets, &crossings, &config());
+            let stats = base.lr_stats.expect("LR stats");
+            assert_eq!(stats.map_work, work(side), "side {side}");
+            assert_eq!(stats.parallel, parallel, "side {side}");
+            for threads in [1, 2, 8] {
+                let exec = Executor::new(threads);
+                let r = select_lr(&nets, &crossings, &config(), &exec, &mut LrWorkspace::new());
+                let label = format!("side {side}, threads {threads}");
+                assert_eq!(r.choice, base.choice, "{label}");
+                assert_eq!(r.power_mw.to_bits(), base.power_mw.to_bits(), "{label}");
+                assert_eq!(r.lr_stats, base.lr_stats, "{label}");
+                let spawned = exec.metrics().par_calls() > 0;
+                assert_eq!(spawned, parallel && threads > 1, "{label}");
+            }
         }
     }
 

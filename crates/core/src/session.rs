@@ -840,6 +840,8 @@ impl WarmSession {
             stage.record("lr_iterations", lr.iterations);
             stage.record("lr_priced_nets", lr.priced_nets);
             stage.record("lr_load_evals", lr.load_evals);
+            stage.record("lr_parallel", u64::from(lr.parallel));
+            stage.record("lr_map_work", lr.map_work);
             self.stats.lr.accumulate(&lr);
         }
         Ok(selection)
@@ -867,6 +869,8 @@ impl WarmSession {
         stage.record("wdm_dijkstra_passes", stats.mcmf.dijkstra_passes);
         stage.record("wdm_arcs_scanned", stats.mcmf.arcs_scanned);
         stage.record("wdm_networks_cloned", stats.mcmf.networks_cloned);
+        stage.record("wdm_parallel", u64::from(stats.parallel));
+        stage.record("wdm_work", stats.map_work);
         self.stats.wdm.accumulate(stats);
         Ok((plan, resident))
     }

@@ -105,6 +105,14 @@ pub struct WdmStats {
     pub orientations_reused: u64,
     /// Aggregated network-solver counters across those solves.
     pub mcmf: McmfStats,
+    /// Work of the component map: per planned component, its
+    /// connections times its placed WDMs, summed (see [`plan`]).
+    pub map_work: u64,
+    /// Whether the component map ran on the executor's workers
+    /// (`map_work` at or above `WDM_PARALLEL_MIN_WORK`) rather than
+    /// inline. Decided from the inputs alone, so equal at every thread
+    /// count.
+    pub parallel: bool,
 }
 
 impl WdmStats {
@@ -115,6 +123,8 @@ impl WdmStats {
         self.warm_trials += other.warm_trials;
         self.orientations_reused += other.orientations_reused;
         self.mcmf.accumulate(&other.mcmf);
+        self.map_work += other.map_work;
+        self.parallel |= other.parallel;
     }
 }
 
@@ -187,6 +197,20 @@ impl WdmPlan {
         h
     }
 }
+
+/// Component-map work (see [`WdmStats::map_work`]) below which the
+/// components are planned inline: under it, spawning the workers costs
+/// more than they save.
+///
+/// The map is coarse, one task per component, and its largest component
+/// runs alone, so two workers need far more work than a balanced map
+/// would. Forcing the map onto two workers on 2 vCPUs, over prefixes of
+/// the optical selections of the serve design, the 10k-bit die and
+/// I1–I5, prefixes of 460–1,210 work ran at 0.78–1.10× the inline time
+/// and the serve design's whole cold plan (720 work, 41 components) at
+/// 0.86×; `exec_bench`'s prefix rows show the map as shipped mostly
+/// ahead from ~2,500 (I1, I5, the 10k die) and at worst 0.90× (I4).
+const WDM_PARALLEL_MIN_WORK: u64 = 2_000;
 
 /// Extracts the optical connections of a selection.
 pub fn extract_connections(nets: &[NetCandidates], choice: &[usize]) -> Vec<Connection> {
@@ -859,9 +883,13 @@ fn to_global<'a>(
 /// orientation's assignment network falls apart into components that
 /// share no arc. Every component's assignment and reduction loop runs as
 /// one coarse parallel task, and a committed deletion re-solves only its
-/// own component. The results are merged in the fixed plan order —
-/// horizontal then vertical, ascending placed WDM index — identical for
-/// every thread count.
+/// own component. The component map runs on the workers only when its
+/// work — per component, connections times placed WDMs, summed — reaches
+/// `WDM_PARALLEL_MIN_WORK`, and inline below it, where spawning costs
+/// more than the solves ([`WdmStats::map_work`], [`WdmStats::parallel`]).
+/// The results are merged in the fixed plan order — horizontal then
+/// vertical, ascending placed WDM index — identical for every thread
+/// count.
 ///
 /// `prev` is the previous plan's resident state, if any. An orientation
 /// whose inputs — its connections' `(track, bits)` in extraction order
@@ -910,11 +938,27 @@ pub fn plan(
         .iter()
         .flat_map(|(.., split)| split.iter().flat_map(|(_, components)| components))
         .collect();
+    // Connections times placed WDMs bounds a component's assignment
+    // arcs; a map whose bound sum is small runs inline.
+    let mut stats = WdmStats {
+        map_work: tasks
+            .iter()
+            .map(|c| (c.conns.len() * c.placed.len()) as u64)
+            .sum(),
+        ..WdmStats::default()
+    };
+    stats.parallel = stats.map_work >= WDM_PARALLEL_MIN_WORK;
+    let sequential;
+    let exec = if stats.parallel {
+        exec
+    } else {
+        sequential = Executor::sequential();
+        &sequential
+    };
     let mut solved = exec
         .par_map_coarse(&tasks, |c| assign_component(&c.conns, &c.placed, lib))
         .into_iter();
 
-    let mut stats = WdmStats::default();
     let mut wdms = Vec::new();
     let mut parts = Vec::new();
     for (orientation, inputs, reused, split) in slots {
@@ -1470,6 +1514,55 @@ mod tests {
                 .expect("feasible")
                 .stats;
             assert_eq!(stats, base, "threads={threads}");
+        }
+    }
+
+    /// `bands` horizontal bands 100k dbu apart, each of `per` 11-bit
+    /// connections 40 dbu apart: one assignment component per band.
+    fn banded_nets(bands: usize, per: usize) -> Vec<NetCandidates> {
+        use operon_geom::Point;
+        (0..bands * per)
+            .map(|k| {
+                let y = (k / per) as i64 * 100_000 + (k % per) as i64 * 40;
+                seg_net(k, Point::new(0, y), Point::new(9_000, y), 11)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn component_map_runs_parallel_by_work_with_identical_plans() {
+        // Band counts just below and just above the break-even: the
+        // fewest bands whose map work reaches it, and one fewer. The
+        // choice follows the work alone; plan and counters are equal at
+        // every thread count, and only a parallel choice on more than one
+        // worker spawns: one map, one coarse task per component.
+        const PER: usize = 16;
+        let plan_of = |bands: usize, exec: &Executor| {
+            let nets = banded_nets(bands, PER);
+            plan_on(&nets, &vec![0; nets.len()], exec).expect("feasible")
+        };
+        let above = (1..)
+            .find(|&bands| {
+                plan_of(bands, &Executor::sequential()).stats.map_work >= WDM_PARALLEL_MIN_WORK
+            })
+            .expect("some band count reaches the break-even");
+        assert!(above >= 3, "several components on each side");
+        for (bands, parallel) in [(above - 1, false), (above, true)] {
+            let base = plan_of(bands, &Executor::sequential());
+            assert_eq!(base.stats.components, bands as u64);
+            assert_eq!(base.stats.parallel, parallel, "{bands} bands");
+            for threads in [1, 2, 8] {
+                let exec = Executor::new(threads);
+                let plan = plan_of(bands, &exec);
+                let label = format!("{bands} bands, threads {threads}");
+                assert_eq!(plan.fingerprint(), base.fingerprint(), "{label}");
+                assert_eq!(plan.wdms, base.wdms, "{label}");
+                assert_eq!(plan.stats, base.stats, "{label}");
+                let spawned = parallel && threads > 1;
+                assert_eq!(exec.metrics().par_calls(), u64::from(spawned), "{label}");
+                let tasks = if spawned { bands as u64 } else { 0 };
+                assert_eq!(exec.metrics().tasks(), tasks, "{label}");
+            }
         }
     }
 

@@ -297,9 +297,14 @@ fn wdm_arcs_scanned_is_identical_across_thread_counts() {
 fn wdm_components_run_one_task_each_and_stats_are_thread_invariant() {
     // The WDM stage plans each independent assignment component as one
     // coarse task: at two workers or more the stage's task count is the
-    // component count, and every WDM counter repeats at every thread
-    // count.
-    let design = generate(&SynthConfig::medium(), 3);
+    // component count. A medium die with 1,600 bits holds enough
+    // component-map work to run on the workers, where the 400-bit one
+    // plans inline. Every WDM counter repeats at every thread count.
+    let config = SynthConfig {
+        target_bits: 1_600,
+        ..SynthConfig::medium()
+    };
+    let design = generate(&config, 3);
     let run = |threads: usize| {
         let flow = OperonFlow::new(OperonConfig::default()).with_threads(threads);
         let result = flow.run(&design).expect("flow succeeds");
@@ -320,12 +325,77 @@ fn wdm_components_run_one_task_each_and_stats_are_thread_invariant() {
     };
     let (base, wdms, tasks) = run(1);
     assert!(base.components >= 2, "{base:?}");
+    assert!(
+        base.parallel,
+        "the component map runs on the workers: {base:?}"
+    );
     assert_eq!(tasks, 0, "one worker plans every component inline");
     for threads in [2, 8] {
         let (stats, plan, tasks) = run(threads);
         assert_eq!(stats, base, "threads={threads}");
         assert_eq!(plan, wdms, "threads={threads}");
         assert_eq!(tasks, base.components, "threads={threads}");
+    }
+}
+
+#[test]
+fn map_decisions_are_identical_across_thread_counts() {
+    // Whether the LR maps and the WDM component map run on the workers,
+    // and the work each choice was made from, follow from the inputs
+    // alone: the stage counters equal the result's stats and repeat at
+    // every thread count. The 1,600-bit medium die's component map runs
+    // on the workers; the smaller fixtures' maps run inline.
+    let dense = SynthConfig {
+        name: "medium-1600".to_owned(),
+        target_bits: 1_600,
+        ..SynthConfig::medium()
+    };
+    for (cfg, seed, wdm_parallel) in [
+        (SynthConfig::small(), 21, 0),
+        (SynthConfig::medium(), 3, 0),
+        (dense, 3, 1),
+    ] {
+        let design = generate(&cfg, seed);
+        let decisions = |threads: usize| {
+            let flow = OperonFlow::new(OperonConfig::default()).with_threads(threads);
+            let result = flow.run(&design).expect("flow succeeds");
+            let report = flow.executor().report();
+            let counter = |stage: &str, name: &str| {
+                report
+                    .stages
+                    .iter()
+                    .find(|s| s.name == stage)
+                    .and_then(|s| s.counters.iter().find(|(k, _)| k == name))
+                    .map(|&(_, v)| v)
+                    .unwrap_or_else(|| panic!("{stage}.{name} recorded"))
+            };
+            let lr = result.selection.lr_stats.expect("LR stats");
+            let wdm = result.wdm.stats;
+            let counters = [
+                counter("selection", "lr_parallel"),
+                counter("selection", "lr_map_work"),
+                counter("wdm", "wdm_parallel"),
+                counter("wdm", "wdm_work"),
+            ];
+            assert_eq!(
+                counters,
+                [
+                    u64::from(lr.parallel),
+                    lr.map_work,
+                    u64::from(wdm.parallel),
+                    wdm.map_work
+                ],
+                "{} threads={threads}",
+                cfg.name
+            );
+            counters
+        };
+        let base = decisions(1);
+        assert!(base[1] > 0 && base[3] > 0, "{}: {base:?}", cfg.name);
+        assert_eq!(base[2], wdm_parallel, "{}: {base:?}", cfg.name);
+        for threads in [2, 8] {
+            assert_eq!(decisions(threads), base, "{} threads={threads}", cfg.name);
+        }
     }
 }
 

@@ -17,6 +17,17 @@
 //! oversubscribed or few-core hosts a hot thief starves the very
 //! workers it waits on.
 //!
+//! A map runs inline on the calling thread, spawning nothing, when the
+//! executor has one worker or the map has fewer items than its floor
+//! (`PARALLEL_THRESHOLD`, or 2 for [`Executor::par_map_coarse`]). Item
+//! count is a poor proxy for work, so a stage that can size its map's
+//! work from its inputs makes the second choice itself: below its own
+//! measured break-even it maps on [`Executor::sequential`], whose maps
+//! run inline. The LR selection maps and the WDM component map do
+//! this, as the crossing grid does with its pair tests. Each choice is
+//! a pure function of the inputs, never of the thread count, so run
+//! reports stay thread-count invariant.
+//!
 //! # Determinism
 //!
 //! Stealing moves *which worker* executes an index between runs, but an
@@ -31,6 +42,11 @@ use std::time::Instant;
 
 /// Below this many items a `par_map` runs inline: spawning threads costs
 /// more than the loop.
+///
+/// An item count is a floor only: it cannot tell a map of a few tens of
+/// microseconds from one of many milliseconds. Stages that know their
+/// map's work compare it with a measured break-even of their own and run
+/// cheap maps on [`Executor::sequential`].
 const PARALLEL_THRESHOLD: usize = 16;
 
 /// Most indices one front claim may take. Claims adapt to the remaining
